@@ -14,9 +14,13 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from scipy.optimize import minimize_scalar
-
-from .equilibrium import EquilibriumResult, solve, threshold_soc
+from .equilibrium import (
+    BALANCE_TOL_FACTOR,
+    EquilibriumResult,
+    _bisect_root,
+    solve,
+    threshold_soc,
+)
 from .model import FixedToll, FreeToll, Network, Scenario, bpr_time
 
 # Masses below this fraction of N count as zero when labelling patterns.
@@ -111,20 +115,32 @@ def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
 
 
 def min_total_travel_time(network: Network, n_total: float) -> float:
-    """Network-optimal TTT over all splits of n_total across the links."""
+    """Network-optimal TTT over all splits of n_total across the links.
+
+    x*t(x) is convex for BPR, so the optimum is where the marginal costs
+    d(x*t(x))/dx = t0*(1 + alpha*(beta + 1)*(x/c)^beta) of the two links
+    meet, or an end of [0, n_total] if they never do.
+    """
 
     def total(x1: float) -> float:
         return x1 * bpr_time(network.link1, x1) + (n_total - x1) * bpr_time(
             network.link2, n_total - x1
         )
 
-    res = minimize_scalar(
-        total,
-        bounds=(0.0, n_total),
-        method="bounded",
-        options={"xatol": 1e-9 * n_total},
+    def marginal(link, x: float) -> float:
+        a, b = link.bpr_alpha, link.bpr_beta
+        return link.free_flow_time * (1.0 + a * (b + 1.0) * (x / link.capacity) ** b)
+
+    def gap(x1: float) -> float:
+        return marginal(network.link1, x1) - marginal(network.link2, n_total - x1)
+
+    if gap(0.0) >= 0.0:
+        return total(0.0)
+    if gap(n_total) <= 0.0:
+        return total(n_total)
+    return total(
+        _bisect_root(gap, 0.0, n_total, BALANCE_TOL_FACTOR * n_total, "system optimum")
     )
-    return min(float(res.fun), total(0.0), total(n_total))
 
 
 def is_conventional_so(scenario: Scenario, result: EquilibriumResult) -> bool:

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult, rosenthal_potential
+from .equilibrium import EquilibriumResult, _SweepKernel, rosenthal_potential
 from .model import (
-    INDIFFERENCE_EPS,
     DiscreteAgents,
     Network,
     Preferences,
@@ -176,27 +175,18 @@ def class_flows(agents: list[AgentState]) -> tuple[int, int, int, int]:
     return x1_d, x1_o, x2_d, x2_o
 
 
-def _switch_gain(
-    agent: AgentState,
-    x1: int,
-    x2: int,
-    network: Network,
-    prefs: Preferences,
-    toll: TollSystem,
-) -> float:
-    """Utility gain of this agent moving to the other link right now."""
-    if agent.current_link == 1:
-        gain = prefs.vot * (
-            bpr_time(network.link1, x1) - bpr_time(network.link2, x2 + 1)
-        )
-    else:
-        gain = prefs.vot * (
-            bpr_time(network.link2, x2) - bpr_time(network.link1, x1 + 1)
-        )
-    if agent.vclass is VehicleClass.DWPT:
-        bonus = prefs.voe * (1.0 / agent.soc - 1.0) - toll.dwpt_link1_charge
-        gain += -bonus if agent.current_link == 1 else bonus
-    return gain
+def _arrays(agents: list[AgentState], prefs: Preferences, toll: TollSystem):
+    """(on link 1, is DWPT, SoC or NaN, link-1 bonus) per agent."""
+    on1 = np.array([a.current_link == 1 for a in agents], dtype=bool)
+    dwpt = np.array([a.vclass is VehicleClass.DWPT for a in agents], dtype=bool)
+    socs = np.array([np.nan if a.soc is None else a.soc for a in agents], dtype=float)
+    bonus = np.where(dwpt, prefs.voe * (1.0 / socs - 1.0) - toll.dwpt_link1_charge, 0.0)
+    return on1, dwpt, socs, bonus
+
+
+def _write_back(agents: list[AgentState], on1: np.ndarray) -> None:
+    for agent, on in zip(agents, on1.tolist()):
+        agent.current_link = 1 if on else 2
 
 
 def step(
@@ -211,53 +201,11 @@ def step(
     Agents are visited in the given order (default: by index); each
     improving agent moves immediately, so later agents see updated flows.
     """
-    x1_d, x1_o, x2_d, x2_o = class_flows(agents)
-    x1, x2 = x1_d + x1_o, x2_d + x2_o
-    if order is None:
-        order = range(len(agents))
-    switches = 0
-    gain_sum = 0.0
-    for idx in order:
-        agent = agents[idx]
-        gain = _switch_gain(agent, x1, x2, network, prefs, toll)
-        if gain > INDIFFERENCE_EPS:
-            if agent.current_link == 1:
-                agent.current_link = 2
-                x1 -= 1
-                x2 += 1
-            else:
-                agent.current_link = 1
-                x1 += 1
-                x2 -= 1
-            switches += 1
-            gain_sum += gain
-    return switches, gain_sum
-
-
-def _population_potential(
-    agents: list[AgentState],
-    network: Network,
-    prefs: Preferences,
-    toll: TollSystem,
-) -> float:
-    x1_d, x1_o, x2_d, x2_o = class_flows(agents)
-    socs_on_1 = np.array(
-        [
-            a.soc
-            for a in agents
-            if a.vclass is VehicleClass.DWPT and a.current_link == 1
-        ],
-        dtype=float,
-    )
-    return rosenthal_potential(
-        network.link1,
-        network.link2,
-        prefs,
-        toll.dwpt_link1_charge,
-        x1_d + x1_o,
-        x2_d + x2_o,
-        socs_on_1,
-    )
+    on1, _, _, bonus = _arrays(agents, prefs, toll)
+    kernel = _SweepKernel(network.link1, network.link2, prefs.vot, len(agents))
+    result = kernel.sweep(on1, bonus, order)
+    _write_back(agents, on1)
+    return result
 
 
 def run(
@@ -282,39 +230,48 @@ def run(
         raise ValueError(f"order_policy must be one of {ORDER_POLICIES}")
     rng = np.random.default_rng(seed) if order_policy == "random" else None
 
+    n = len(agents)
+    on1, dwpt, socs, bonus = _arrays(agents, prefs, toll)
+    kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
     traj = Trajectory(order_policy=order_policy, seed=seed)
-    phi = _population_potential(agents, network, prefs, toll)
-    _snapshot(traj, 0, agents, network, 0, phi)
 
-    for round_index in range(1, max_rounds + 1):
-        order = rng.permutation(len(agents)) if rng is not None else None
-        switches, gain_sum = step(agents, network, prefs, toll, order)
-        phi_next = _population_potential(agents, network, prefs, toll)
-        drop = phi - phi_next
-        if abs(drop - gain_sum) > 1e-6 * (1.0 + abs(phi)):
-            raise AssertionError(
-                f"potential fell by {drop}, switch gains were {gain_sum}; "
-                "utility and potential disagree"
-            )
-        phi = phi_next
-        traj.total_switches += switches
-        _snapshot(traj, round_index, agents, network, switches, phi)
-        if switches == 0:
-            traj.converged = True
-            break
-    return traj
-
-
-def _snapshot(traj, round_index, agents, network, switches, potential):
-    x1_d, x1_o, x2_d, x2_o = class_flows(agents)
-    traj.snapshots.append(
-        RoundSnapshot(
-            round_index=round_index,
-            x1_d=x1_d,
-            x1_o=x1_o,
-            t1=bpr_time(network.link1, x1_d + x1_o),
-            t2=bpr_time(network.link2, x2_d + x2_o),
-            switches=switches,
-            potential=potential,
+    def snapshot(round_index: int, switches: int) -> float:
+        charging = on1 & dwpt
+        x1, x1_d = int(np.count_nonzero(on1)), int(np.count_nonzero(charging))
+        phi = rosenthal_potential(
+            network.link1, network.link2, prefs, toll.dwpt_link1_charge,
+            x1, n - x1, socs[charging],
         )
-    )
+        traj.snapshots.append(
+            RoundSnapshot(
+                round_index=round_index,
+                x1_d=x1_d,
+                x1_o=x1 - x1_d,
+                t1=bpr_time(network.link1, x1),
+                t2=bpr_time(network.link2, n - x1),
+                switches=switches,
+                potential=phi,
+            )
+        )
+        return phi
+
+    try:
+        phi = snapshot(0, 0)
+        for round_index in range(1, max_rounds + 1):
+            order = rng.permutation(n) if rng is not None else None
+            switches, gain_sum = kernel.sweep(on1, bonus, order)
+            traj.total_switches += switches
+            phi_next = snapshot(round_index, switches)
+            drop = phi - phi_next
+            if abs(drop - gain_sum) > 1e-6 * (1.0 + abs(phi)):
+                raise AssertionError(
+                    f"potential fell by {drop}, switch gains were {gain_sum}; "
+                    "utility and potential disagree"
+                )
+            phi = phi_next
+            if switches == 0:
+                traj.converged = True
+                break
+    finally:
+        _write_back(agents, on1)
+    return traj

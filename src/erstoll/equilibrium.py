@@ -34,7 +34,6 @@ from .model import (
     Preferences,
     Scenario,
     bpr_time,
-    charging_utility,
 )
 
 # Bisection controls (see LinkParams smoothness: BPR is monotone, so the
@@ -227,7 +226,7 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         x1_d = _bisect_root(
             excess,
             0.0,
-            x_eq - n_other,
+            min(x_eq - n_other, n_dwpt),
             FLOW_TOL_FACTOR * n_total,
             "corner fixed point (OTHER on link 1)",
         )
@@ -330,10 +329,8 @@ def rosenthal_potential(
     time_part = prefs.vot * (
         float(np.sum(_bpr_vec(link1, ks1))) + float(np.sum(_bpr_vec(link2, ks2)))
     )
-    offset_part = sum(
-        toll_price - prefs.voe * charging_utility(float(s))
-        for s in link1_dwpt_soc
-    )
+    socs = np.asarray(link1_dwpt_soc, dtype=float)
+    offset_part = sum((toll_price - prefs.voe * (1.0 / socs - 1.0)).tolist())
     return time_part + offset_part
 
 
@@ -341,6 +338,90 @@ def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
     return link.free_flow_time * (
         1.0 + link.bpr_alpha * (flows / link.capacity) ** link.bpr_beta
     )
+
+
+class _SweepKernel:
+    """Asynchronous better-response sweeps over a boolean link array.
+
+    Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus,
+    voe*(1/s - 1) - price for a DWPT-EV and 0 for an OTHER-V.  Between
+    switches every gain depends on (x1, x2) alone, so a sweep finds the
+    next switcher with one vectorized test over a chunk, then takes the
+    run of consecutive switchers that follows in one step: a cumsum of
+    the +-1 moves gives the flows each agent would see.  Gains are
+    written as the per-agent rule writes them, from bpr_time tabulated
+    lazily over the link-1 flows visited, so every decision is the
+    scalar one.
+    """
+
+    CHUNK = 64
+
+    def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
+        self.link1, self.link2, self.vot, self.n = link1, link2, vot, n
+        # by link-1 flow x1: vot*(t1(x1) - t2(x2 + 1)) for leaving link 1,
+        # vot*(t2(x2) - t1(x1 + 1)) for leaving link 2
+        self.leave = (np.empty(n + 1), np.empty(n + 1))
+        self.lo = self.hi = 0  # tabulated link-1 flows [lo, hi)
+
+    def _tabulate(self, lo: int, hi: int) -> None:
+        """Extend the tabulated link-1 flows to cover [lo, hi]."""
+        if self.lo == self.hi:
+            self.lo = self.hi = lo
+        for a, b in ((lo, self.lo), (self.hi, hi + 1)):
+            if a < b:
+                t1 = np.array([bpr_time(self.link1, x) for x in range(a, b + 1)])
+                t2 = np.array([bpr_time(self.link2, self.n - x) for x in range(a - 1, b)])
+                self.leave[0][a:b] = self.vot * (t1[:-1] - t2[:-1])
+                self.leave[1][a:b] = self.vot * (t2[1:] - t1[1:])
+        self.lo, self.hi = min(lo, self.lo), max(hi + 1, self.hi)
+
+    def _gain(self, on1, bonus, x1):
+        """Switch gains at link-1 flow x1 (one int, or one per agent)."""
+        lo, hi = (x1, x1) if isinstance(x1, int) else (int(x1.min()), int(x1.max()))
+        if lo < self.lo or hi >= self.hi:
+            self._tabulate(lo, hi)
+        return np.where(on1, self.leave[0][x1] - bonus, self.leave[1][x1] + bonus)
+
+    def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
+        """Visit every agent once in order (default: by index), moving
+        each improving one at once; on1 is updated in place.  Returns
+        (switch count, summed gains)."""
+        link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
+        n, x1 = self.n, int(np.count_nonzero(on1))
+        pos, width, run, last, switches, gain_sum = 0, self.CHUNK, False, -1, 0, 0.0
+        while pos < n:
+            end = min(pos + width, n)
+            on = link1_of[pos:end]
+            flows = x1
+            if run:  # each agent sees the flows left by all before it switching
+                move = np.where(on, -1, 1)
+                flows = x1 + np.cumsum(move) - move
+            gain = self._gain(on, bonus_of[pos:end], flows)
+            moved = gain > INDIFFERENCE_EPS
+            if run:  # the leading switchers
+                a, b = 0, int(moved.argmin()) if not moved.all() else end - pos
+            else:  # the first switcher at fixed flows, alone
+                a = b = int(moved.argmax())
+                if not moved[a]:
+                    pos, width = end, 2 * width
+                    continue
+                if pos + a == last:  # a second switcher in a row: take the run
+                    pos, width, run = last, self.CHUNK, True
+                    continue
+                b += 1
+            x1 += b - a - 2 * int(np.count_nonzero(on[a:b]))
+            link1_of[pos + a : pos + b] = ~on[a:b]
+            for g in gain[a:b].tolist():
+                gain_sum += g
+            switches += b - a
+            last = pos = pos + b
+            if run and pos == end:
+                width *= 2
+            else:
+                run, width = False, max(self.CHUNK, 2 * a)
+        if order is not None:
+            on1[order] = link1_of
+        return switches, gain_sum
 
 
 def _oracle_result(
@@ -395,103 +476,50 @@ def brute_force_equilibrium(
     if exhaustive and n_agents > 20:
         raise ValueError("exhaustive mode supports at most 20 agents")
 
-    link1 = scenario.network.link1
-    link2 = scenario.network.link2
     prefs = scenario.prefs
-    price = scenario.toll.dwpt_link1_charge
     socs = np.asarray(scenario.soc.soc_values, dtype=float)
-    gains = prefs.voe * (1.0 / socs - 1.0) - price  # DWPT link-1 bonus
+    bonus = np.zeros(n_agents)  # link-1 bonus; 0 for OTHER
+    bonus[:n_dwpt] = prefs.voe * (1.0 / socs - 1.0) - scenario.toll.dwpt_link1_charge
+    order = None if seed is None else np.random.default_rng(seed).permutation(n_agents)
 
-    order = np.arange(n_agents)
-    if seed is not None:
-        order = np.random.default_rng(seed).permutation(n_agents)
-
+    kernel = _SweepKernel(
+        scenario.network.link1, scenario.network.link2, prefs.vot, n_agents
+    )
     on_link1 = np.zeros(n_agents, dtype=bool)
-    x1, x2 = 0, n_agents
-    switches = 0
-    while True:
-        moved = False
-        for idx in order:
-            if on_link1[idx]:
-                # own contribution moved: t2 at x2 + 1 vs t1 at x1
-                gain = prefs.vot * (
-                    bpr_time(link1, x1) - bpr_time(link2, x2 + 1)
-                )
-                if idx < n_dwpt:
-                    gain -= gains[idx]
-            else:
-                gain = prefs.vot * (
-                    bpr_time(link2, x2) - bpr_time(link1, x1 + 1)
-                )
-                if idx < n_dwpt:
-                    gain += gains[idx]
-            if gain > INDIFFERENCE_EPS:
-                if on_link1[idx]:
-                    on_link1[idx] = False
-                    x1 -= 1
-                    x2 += 1
-                else:
-                    on_link1[idx] = True
-                    x1 += 1
-                    x2 -= 1
-                moved = True
-                switches += 1
-                if switches > max_switches:
-                    raise ConvergenceError(
-                        f"oracle exceeded {max_switches} switches; "
-                        "the finite-improvement property is violated"
-                    )
-        if not moved:
-            break
+    switches, moved = 0, True
+    while moved:
+        moved = kernel.sweep(on_link1, bonus, order)[0]
+        switches += moved
+        if switches > max_switches:
+            raise ConvergenceError(
+                f"oracle exceeded {max_switches} switches; "
+                "the finite-improvement property is violated"
+            )
 
     if exhaustive:
-        _exhaustive_check(scenario, on_link1, socs, gains, n_dwpt, n_agents)
+        _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt)
     return _oracle_result(scenario, on_link1, n_dwpt)
 
 
-def _profile_is_nash(
-    link1: LinkParams,
-    link2: LinkParams,
-    prefs: Preferences,
-    gains: np.ndarray,
-    n_dwpt: int,
-    profile: tuple[int, ...],
-) -> bool:
-    x1 = sum(profile)
-    x2 = len(profile) - x1
-    t1_stay = bpr_time(link1, x1)
-    t2_stay = bpr_time(link2, x2)
-    t1_join = bpr_time(link1, x1 + 1)
-    t2_join = bpr_time(link2, x2 + 1)
-    for idx, on1 in enumerate(profile):
-        bonus = gains[idx] if idx < n_dwpt else 0.0
-        if on1:
-            gain = prefs.vot * (t1_stay - t2_join) - bonus
-        else:
-            gain = prefs.vot * (t2_stay - t1_join) + bonus
-        if gain > INDIFFERENCE_EPS:
-            return False
-    return True
-
-
-def _exhaustive_check(scenario, on_link1, socs, gains, n_dwpt, n_agents):
+def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
     """Enumerate all 2^n profiles (vectorized in chunks): the endpoint
-    must be Nash, and so must the potential minimizer; misalignment of
-    the two would flag a utility/potential bug."""
+    must be Nash (a sweep from it moves nobody), and so must the potential
+    minimizer; misalignment of the two would flag a utility/potential bug."""
     link1 = scenario.network.link1
     link2 = scenario.network.link2
-    prefs = scenario.prefs
-    price = scenario.toll.dwpt_link1_charge
+    n_agents = len(bonus)
 
-    endpoint = tuple(int(v) for v in on_link1)
-    if not _profile_is_nash(link1, link2, prefs, gains, n_dwpt, endpoint):
+    def is_nash(profile) -> bool:
+        return kernel.sweep(np.array(profile, dtype=bool), bonus)[0] == 0
+
+    if not is_nash(on_link1):
         raise ConvergenceError("oracle endpoint is not a Nash profile")
 
     # cumulative per-vehicle times for the potential, indexed by link flow
     counts = np.arange(0, n_agents + 1, dtype=float)
     cum1 = np.concatenate(([0.0], np.cumsum(_bpr_vec(link1, counts[1:]))))
     cum2 = np.concatenate(([0.0], np.cumsum(_bpr_vec(link2, counts[1:]))))
-    offsets = price - prefs.voe * (1.0 / socs - 1.0)  # per DWPT on link 1
+    offsets = -bonus[:n_dwpt]  # per DWPT on link 1
 
     best_phi = np.inf
     best_profile = None
@@ -500,12 +528,12 @@ def _exhaustive_check(scenario, on_link1, socs, gains, n_dwpt, n_agents):
         codes = np.arange(start, min(start + chunk, 1 << n_agents))
         bits = (codes[:, None] >> np.arange(n_agents)) & 1
         x1 = bits.sum(axis=1)
-        phi = prefs.vot * (cum1[x1] + cum2[n_agents - x1])
+        phi = scenario.prefs.vot * (cum1[x1] + cum2[n_agents - x1])
         if n_dwpt:
             phi = phi + bits[:, :n_dwpt].astype(float) @ offsets
         k = int(np.argmin(phi))
         if phi[k] < best_phi:
             best_phi = float(phi[k])
-            best_profile = tuple(int(b) for b in bits[k])
-    if not _profile_is_nash(link1, link2, prefs, gains, n_dwpt, best_profile):
+            best_profile = bits[k]
+    if not is_nash(best_profile):
         raise ConvergenceError("potential minimizer is not a Nash profile")

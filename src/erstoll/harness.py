@@ -551,9 +551,9 @@ def fig2_to_csv(grid: list[tuple[float, float, float]], stream) -> None:
 
 
 def trajectory_to_csv(traj: Trajectory, stream) -> None:
-    """One row per simulated round."""
+    """One row per simulated round, with the exact potential (JPY)."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["round", "x1_d", "x1_o", "t1", "t2", "switches"])
+    writer.writerow(["round", "x1_d", "x1_o", "t1", "t2", "switches", "potential"])
     for snap in traj.snapshots:
         writer.writerow(
             [
@@ -563,5 +563,6 @@ def trajectory_to_csv(traj: Trajectory, stream) -> None:
                 f"{snap.t1:.4f}",
                 f"{snap.t2:.4f}",
                 snap.switches,
+                f"{snap.potential:.4f}",
             ]
         )

@@ -38,6 +38,9 @@ import numpy as np
 # improving only if it gains strictly more than this.
 INDIFFERENCE_EPS = 1e-9
 
+# Range checks below are written as "not (lo < x < math.inf)" so that NaN,
+# which fails every comparison, and +-inf are rejected with the range.
+
 
 class VehicleClass(Enum):
     DWPT = "dwpt"
@@ -56,18 +59,21 @@ class LinkParams:
     ers_power_kw: float | None = None
 
     def __post_init__(self):
-        if self.free_flow_time <= 0:
-            raise ValueError(f"free_flow_time must be > 0, got {self.free_flow_time}")
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.bpr_alpha < 0:
-            raise ValueError(f"bpr_alpha must be >= 0, got {self.bpr_alpha}")
-        if self.bpr_beta < 1:
-            raise ValueError(f"bpr_beta must be >= 1, got {self.bpr_beta}")
+        if not (0 < self.free_flow_time < math.inf):
+            raise ValueError(
+                f"free_flow_time must be finite and > 0, got {self.free_flow_time}"
+            )
+        if not (0 < self.capacity < math.inf):
+            raise ValueError(f"capacity must be finite and > 0, got {self.capacity}")
+        if not (0 <= self.bpr_alpha < math.inf):
+            raise ValueError(f"bpr_alpha must be finite and >= 0, got {self.bpr_alpha}")
+        if not (1 <= self.bpr_beta < math.inf):
+            raise ValueError(f"bpr_beta must be finite and >= 1, got {self.bpr_beta}")
         if self.has_ers:
-            if self.ers_power_kw is None or self.ers_power_kw <= 0:
+            if self.ers_power_kw is None or not (0 < self.ers_power_kw < math.inf):
                 raise ValueError(
-                    f"ers_power_kw must be > 0 on an ERS link, got {self.ers_power_kw}"
+                    "ers_power_kw must be finite and > 0 on an ERS link, "
+                    f"got {self.ers_power_kw}"
                 )
         elif self.ers_power_kw is not None:
             raise ValueError("ers_power_kw given for a link without ERS")
@@ -108,10 +114,10 @@ class Preferences:
     voe: float
 
     def __post_init__(self):
-        if self.vot <= 0:
-            raise ValueError(f"vot must be > 0, got {self.vot}")
-        if self.voe <= 0:
-            raise ValueError(f"voe must be > 0, got {self.voe}")
+        if not (0 < self.vot < math.inf):
+            raise ValueError(f"vot must be finite and > 0, got {self.vot}")
+        if not (0 < self.voe < math.inf):
+            raise ValueError(f"voe must be finite and > 0, got {self.voe}")
 
 
 class SocDistribution:
@@ -164,8 +170,8 @@ class UniformContinuum(SocDistribution):
             raise ValueError(
                 f"s_lo must be < s_hi, got [{self.s_lo}, {self.s_hi}]"
             )
-        if self.mass <= 0:
-            raise ValueError(f"mass must be > 0, got {self.mass}")
+        if not (0 < self.mass < math.inf):
+            raise ValueError(f"mass must be finite and > 0, got {self.mass}")
 
     @property
     def total_mass(self) -> float:
@@ -249,8 +255,8 @@ class FixedToll(TollSystem):
     price: float
 
     def __post_init__(self):
-        if self.price < 0:
-            raise ValueError(f"toll price must be >= 0, got {self.price}")
+        if not (0 <= self.price < math.inf):
+            raise ValueError(f"toll price must be finite and >= 0, got {self.price}")
 
     @property
     def dwpt_link1_charge(self) -> float:
@@ -269,8 +275,10 @@ class Scenario:
     network: Network
 
     def __post_init__(self):
-        if self.total_vehicles <= 0:
-            raise ValueError(f"total_vehicles must be > 0, got {self.total_vehicles}")
+        if not (0 < self.total_vehicles < math.inf):
+            raise ValueError(
+                f"total_vehicles must be finite and > 0, got {self.total_vehicles}"
+            )
         if not (0.0 < self.dwpt_ratio < 1.0):
             raise ValueError(f"dwpt_ratio must be in (0,1), got {self.dwpt_ratio}")
         expected = self.dwpt_ratio * self.total_vehicles

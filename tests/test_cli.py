@@ -62,6 +62,22 @@ class TestSolve:
         assert main(["solve", "--output", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override", ["prefs.vot=nan", "prefs.voe=inf", "toll.price=nan", "toll.price=inf"]
+    )
+    def test_non_finite_override_is_bad_input(self, capsys, override):
+        assert main(["solve", "--set", override]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_scenario_file_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "nan.cfg"
+        save_scenario(base_scenario(), path)
+        config = yaml.safe_load(path.read_text())
+        config["network"]["link2"]["bpr_beta"] = float("nan")
+        path.write_text(yaml.safe_dump(config))
+        assert main(["solve", "--scenario", str(path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         def boom(scenario):
             raise ConvergenceError("no bracket")
@@ -121,7 +137,7 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert "converged        true" in captured.err
         lines = captured.out.splitlines()
-        assert lines[0] == "round,x1_d,x1_o,t1,t2,switches"
+        assert lines[0] == "round,x1_d,x1_o,t1,t2,switches,potential"
         final = lines[-1].split(",")
         assert float(final[1]) == pytest.approx(10.0, abs=1.0)
         assert float(final[5]) == 0.0

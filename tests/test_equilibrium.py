@@ -20,7 +20,10 @@ from erstoll.model import (
     DiscreteAgents,
     FixedToll,
     FreeToll,
+    LinkParams,
+    Network,
     Preferences,
+    Scenario,
     UniformContinuum,
 )
 
@@ -174,6 +177,39 @@ class TestSolveCorners:
             )
             assert min(result.x1_d, result.x2_d, result.x1_o, result.x2_o) >= 0
             assert verify_equilibrium(scn, result) == []
+
+
+    def test_other_on_1_bracket_stays_inside_dwpt_mass(self):
+        # x_eq is clamped to N, so the bracket end x_eq - n_other exceeded
+        # n_dwpt by a rounding error and link 2 was handed a flow of
+        # -5.3e-15.  The bracket end is now at most n_dwpt.
+        link1 = LinkParams(
+            free_flow_time=3.6507237412766913,
+            capacity=39.90029716030172,
+            bpr_alpha=0.17287321091775001,
+            bpr_beta=2.7333038358784,
+            has_ers=True,
+            ers_power_kw=45.18547328199044,
+        )
+        link2 = LinkParams(
+            free_flow_time=26.399815275536383,
+            capacity=8.698055992205484,
+            bpr_alpha=0.4767280309018644,
+            bpr_beta=4.846079364008261,
+        )
+        n_total, ratio = 50.416740764438266, 0.2012435410158901
+        scn = Scenario(
+            total_vehicles=n_total,
+            dwpt_ratio=ratio,
+            soc=UniformContinuum(0.4475227218986806, 0.8682282329258871, ratio * n_total),
+            prefs=Preferences(vot=87.75860227286637, voe=97.95789806389121),
+            toll=FixedToll(124.58895516350957),
+            network=Network(link1, link2),
+        )
+        result, regime = solve(scn)
+        assert regime is RegimeTag.CORNER_OTHER_ON_1
+        assert 0.0 <= result.x1_d <= scn.n_dwpt
+        assert verify_equilibrium(scn, result) == []
 
 
 class TestSolveDiscrete:

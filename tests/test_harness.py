@@ -402,8 +402,10 @@ class TestSerialization:
         buffer = io.StringIO()
         trajectory_to_csv(traj, buffer)
         lines = buffer.getvalue().splitlines()
-        assert lines[0] == "round,x1_d,x1_o,t1,t2,switches"
+        assert lines[0] == "round,x1_d,x1_o,t1,t2,switches,potential"
         assert len(lines) == len(traj.snapshots) + 1
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[3]) > 0 and float(first[4]) > 0
+        potentials = [float(line.split(",")[6]) for line in lines[1:]]
+        assert potentials == [round(s.potential, 4) for s in traj.snapshots]

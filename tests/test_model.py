@@ -141,6 +141,38 @@ class TestDiscreteAgents:
             DiscreteAgents((0.0,))
 
 
+NON_FINITE_BUILDERS = {
+    "free_flow_time": lambda v: ers_link(free_flow_time=v),
+    "capacity": lambda v: ers_link(capacity=v),
+    "bpr_alpha": lambda v: ers_link(bpr_alpha=v),
+    "bpr_beta": lambda v: ers_link(bpr_beta=v),
+    "ers_power_kw": lambda v: ers_link(ers_power_kw=v),
+    "vot": lambda v: Preferences(vot=v, voe=100.0),
+    "voe": lambda v: Preferences(vot=50.0, voe=v),
+    "s_lo": lambda v: UniformContinuum(v, 0.9, 200.0),
+    "s_hi": lambda v: UniformContinuum(0.1, v, 200.0),
+    "mass": lambda v: UniformContinuum(0.1, 0.9, v),
+    "soc_values": lambda v: DiscreteAgents((0.5, v)),
+    "price": lambda v: FixedToll(v),
+}
+
+
+class TestNonFinite:
+    """NaN fails every comparison and inf passes lower bounds, so each
+    value type must reject both when it is built."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_BUILDERS))
+    def test_rejected_when_built(self, field, bad):
+        with pytest.raises(ValueError):
+            NON_FINITE_BUILDERS[field](bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_scenario_total_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TestScenario().base(total_vehicles=bad)
+
+
 class TestTolls:
     def test_charges(self):
         assert FreeToll().dwpt_link1_charge == 0.0
