@@ -2,9 +2,10 @@
 
 For a given scenario the toll axis splits into half-open bands: every
 price inside a band produces the same qualitative equilibrium pattern.
-With few DWPT vehicles the bands are three closed-form intervals; past
-a 50% share the flows can hit corners and two-sided bisection finds the
-edges instead.
+With few DWPT vehicles there are three bands; past a 50% share the
+mixed band splits by which link carries more traffic.  Every edge is
+the closed-form toll at which a given DWPT mass on the ERS link is in
+equilibrium, so no edge needs the solver.
 """
 
 import math

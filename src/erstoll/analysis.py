@@ -5,28 +5,31 @@ pricing regime (A = free ERS, B = fixed toll); the roman numeral is the
 fleet-mix case (i: DWPT share r < 0.5, ii: r >= 0.5); the trailing letter
 describes how DWPT-EVs split (a: all on the ERS link, b: none, c: both
 links), with c refined by the total-flow comparison for r >= 0.5
-(c1: x1 = x2, c2: x1 > x2, c3: x1 < x2).
+(c1: x1 = x2, c2: x1 > x2, c3: x1 < x2).  Masses within
+PATTERN_MASS_TOL*N count as zero, so on links that differ c1 means
+|x1 - x2| <= PATTERN_MASS_TOL*N.
+
+Toll bands come from one closed-form inverse price map (toll_bands):
+the toll at which a given DWPT mass on the ERS link is in equilibrium,
+evaluated at each pattern's break point.  No band calls the solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .equilibrium import (
     BALANCE_TOL_FACTOR,
     EquilibriumResult,
+    _balanced_flow,
     _bisect_root,
-    solve,
-    threshold_soc,
 )
 from .model import FixedToll, FreeToll, Network, Scenario, bpr_time
 
 # Masses below this fraction of N count as zero when labelling patterns.
 PATTERN_MASS_TOL = 1e-6
-# Toll-band boundaries for r >= 0.5 are located to this precision (JPY).
-BAND_PRICE_TOL = 1e-6
 
 
 class PatternLabel(Enum):
@@ -182,96 +185,69 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     )
 
 
-def _solve_at_price(scenario: Scenario, price: float) -> PatternLabel:
-    repriced = replace(scenario, toll=FixedToll(price))
-    result, _ = solve(repriced)
-    return classify(repriced, result)
-
-
-# Stage order of patterns as the toll price climbs (r >= 0.5).
-_STAGE = {
-    PatternLabel.B_ii_a: 0,
-    PatternLabel.B_ii_c2: 1,
-    PatternLabel.B_ii_c1: 2,
-    PatternLabel.B_ii_c3: 3,
-    PatternLabel.B_ii_b: 4,
-}
-
-
-def _first_price_reaching(
-    scenario: Scenario, stage: int, lo: float, hi: float
-) -> float:
-    """Smallest price whose pattern stage is >= stage, by bisection.
-
-    The stage function is non-decreasing in price: raising the toll only
-    ever pushes DWPT-EVs off the ERS link.
-    """
-    if _STAGE[_solve_at_price(scenario, lo)] >= stage:
-        return lo
-    if _STAGE[_solve_at_price(scenario, hi)] < stage:
-        return hi
-    while hi - lo > BAND_PRICE_TOL:
-        mid = 0.5 * (lo + hi)
-        if _STAGE[_solve_at_price(scenario, mid)] >= stage:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def toll_bands(scenario: Scenario) -> list[TollBand]:
     """Partition of the price axis [0, inf) into pattern bands.
 
-    For r < 0.5 travel times are equal in every equilibrium and the
-    boundaries are closed-form: the all-charge band ends where the
-    highest-SoC vehicle stops charging, the no-charge band starts where
-    the lowest-SoC one does.  For r >= 0.5 the extreme bands use the
-    time gaps of their own corner flows, and the interior boundaries are
-    located by bisection on the solver.
+    The bands invert the solver.  With DWPT mass n on link 1, OTHER's
+    Wardrop response puts x1(n) = min(max(x_eq, n), n + n_other) on
+    link 1, and the toll at which SoC q is the marginal charger is
+
+        P(n, q) = voe*(1/q - 1) - vot*(t1(x1) - t2(N - x1)),
+
+    closed form and non-increasing in n.  Each band edge is P at a break
+    point n with q = quantile(n): n = rN (a|c), n = 0 (c|b) and, for
+    r >= 0.5, the n where x1 = (N +- tol)/2 (c2|c1 and c1|c3).  Here
+    tol = PATTERN_MASS_TOL*N, as in classify: on links that differ, c1
+    means |x1 - x2| <= tol, so its band is narrow but exact.  On twin
+    links below r = 0.5, x1 = x_eq gives t1 = t2 and the edges are
+    voe*(1/s_max - 1) and voe*(1/s_min - 1).
     """
     if not isinstance(scenario.toll, FixedToll):
         raise ValueError("toll bands are defined for a fixed-toll system")
-    voe = scenario.prefs.voe
-    vot = scenario.prefs.vot
-    soc = scenario.soc
-    u_top = 1.0 / soc.s_min - 1.0  # most eager vehicle
-    u_bottom = 1.0 / soc.s_max - 1.0  # least eager vehicle
-
-    if scenario.dwpt_ratio < 0.5:
-        edges = [
-            (PatternLabel.B_i_a, 0.0, voe * u_bottom),
-            (PatternLabel.B_i_c, voe * u_bottom, voe * u_top),
-            (PatternLabel.B_i_b, voe * u_top, math.inf),
-        ]
-        return [
-            TollBand(p, lo, hi) for p, lo, hi in edges if hi > lo
-        ]
-
     net = scenario.network
+    prefs = scenario.prefs
+    soc = scenario.soc
     n_total = scenario.total_vehicles
     n_dwpt = scenario.n_dwpt
     n_other = scenario.n_other
-    # Pattern (a): all DWPT on link 1, all OTHER on link 2.
-    gap_a = bpr_time(net.link1, n_dwpt) - bpr_time(net.link2, n_other)
-    c_a = voe * u_bottom - vot * gap_a
-    # Pattern (b): all DWPT on link 2, all OTHER on link 1.
-    gap_b = bpr_time(net.link1, n_other) - bpr_time(net.link2, n_dwpt)
-    c_b = voe * u_top - vot * gap_b
+    x_eq = _balanced_flow(net.link1, net.link2, n_total)
 
-    if c_b <= 0.0:  # ERS link so slow that nobody charges even toll-free
-        return [TollBand(PatternLabel.B_ii_b, 0.0, math.inf)]
-    lo = max(c_a, 0.0)
-    c_b = max(c_b, lo)
-    c1_start = _first_price_reaching(scenario, 2, lo, c_b)
-    c3_start = _first_price_reaching(scenario, 3, c1_start, c_b)
-    edges = [
-        (PatternLabel.B_ii_a, 0.0, c_a),
-        (PatternLabel.B_ii_c2, lo, c1_start),
-        (PatternLabel.B_ii_c1, c1_start, c3_start),
-        (PatternLabel.B_ii_c3, c3_start, c_b),
-        (PatternLabel.B_ii_b, c_b, math.inf),
+    def price(n: float) -> float:
+        x1 = min(max(x_eq, n), n + n_other)
+        gap = bpr_time(net.link1, x1) - bpr_time(net.link2, n_total - x1)
+        return prefs.voe * (1.0 / soc.quantile(n) - 1.0) - prefs.vot * gap
+
+    def dwpt_mass_at(x1: float) -> float:
+        n = x1 - n_other if x1 < x_eq else x1
+        return min(max(n, 0.0), n_dwpt)
+
+    if scenario.dwpt_ratio < 0.5:
+        labels = (PatternLabel.B_i_a, PatternLabel.B_i_c, PatternLabel.B_i_b)
+        breaks = (n_dwpt, 0.0)
+    else:
+        tol = PATTERN_MASS_TOL * n_total
+        labels = (
+            PatternLabel.B_ii_a,
+            PatternLabel.B_ii_c2,
+            PatternLabel.B_ii_c1,
+            PatternLabel.B_ii_c3,
+            PatternLabel.B_ii_b,
+        )
+        breaks = (
+            n_dwpt,
+            dwpt_mass_at(0.5 * (n_total + tol)),
+            dwpt_mass_at(0.5 * (n_total - tol)),
+            0.0,
+        )
+    edges = [0.0]
+    for n in breaks:
+        edges.append(max(price(n), edges[-1]))
+    edges.append(math.inf)
+    return [
+        TollBand(p, lo, hi)
+        for p, lo, hi in zip(labels, edges, edges[1:])
+        if hi > lo
     ]
-    return [TollBand(p, lo, hi) for p, lo, hi in edges if hi > lo]
 
 
 def band_containing(bands: list[TollBand], price: float) -> TollBand:

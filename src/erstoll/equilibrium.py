@@ -220,13 +220,20 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         t2 = bpr_time(net.link2, n_dwpt - n)
         return n - soc.count_below(threshold_soc(prefs, price, t1, t2))
 
+    # At the bracket end the link-1 flow is x_eq, so excess is positive
+    # there; but n_other + end can round below x_eq, and a tied SoC group
+    # at the threshold then counts as charging.  The corner meets the
+    # interior regime at that end, which is then the fixed point.
+    end = min(x_eq - n_other, n_dwpt)
     if excess(0.0) >= 0.0:
         x1_d = 0.0  # no DWPT-EV charges
+    elif excess(end) < 0.0:
+        x1_d = end
     else:
         x1_d = _bisect_root(
             excess,
             0.0,
-            min(x_eq - n_other, n_dwpt),
+            end,
             FLOW_TOL_FACTOR * n_total,
             "corner fixed point (OTHER on link 1)",
         )

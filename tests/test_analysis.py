@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import base_scenario
-from dataclasses import replace
+from conftest import PLAIN_LINK, base_scenario, discrete_scenario
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from erstoll import equilibrium
 from erstoll.analysis import (
+    PATTERN_MASS_TOL,
     PatternLabel,
     band_containing,
     classify,
@@ -16,7 +21,16 @@ from erstoll.analysis import (
     toll_bands,
 )
 from erstoll.equilibrium import solve
-from erstoll.model import FixedToll, FreeToll
+from erstoll.model import (
+    DiscreteAgents,
+    FixedToll,
+    FreeToll,
+    LinkParams,
+    Network,
+    Preferences,
+    Scenario,
+    UniformContinuum,
+)
 
 
 def solved(scn):
@@ -205,3 +219,156 @@ class TestTollBands:
         assert band_containing(bands, 1e9).pattern is PatternLabel.B_i_b
         with pytest.raises(ValueError):
             band_containing(bands, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Differential property test: toll_bands against solve + classify
+
+
+def _rounded_to_zero(label, result):
+    """The DWPT flow classify treats as zero when it returns label."""
+    if label in (PatternLabel.B_i_a, PatternLabel.B_ii_a):
+        return result.x2_d
+    if label in (PatternLabel.B_i_b, PatternLabel.B_ii_b):
+        return result.x1_d
+    return None
+
+
+@st.composite
+def _links(draw, n_total):
+    def link(ers):
+        return LinkParams(
+            free_flow_time=draw(st.floats(2.0, 30.0)),
+            capacity=n_total * draw(st.floats(0.1, 1.0)),
+            bpr_alpha=draw(st.floats(0.05, 1.0)),
+            bpr_beta=draw(st.floats(1.0, 8.0)),
+            has_ers=ers,
+            ers_power_kw=30.0 if ers else None,
+        )
+
+    link1 = link(True)
+    if draw(st.booleans()):
+        return Network(link1, replace(link1, has_ers=False, ers_power_kw=None))
+    return Network(link1, link(False))
+
+
+@st.composite
+def band_scenarios(draw):
+    """Twin or differing links, continuum or tied discrete SoC pool."""
+    if draw(st.booleans()):
+        n_total = 10.0 ** draw(st.floats(1.0, 7.0))
+        ratio = draw(st.one_of(st.floats(0.05, 0.4999), st.floats(0.5, 0.95)))
+        s_lo = draw(st.floats(0.05, 0.5))
+        s_hi = draw(st.floats(s_lo + 0.05, 0.95))
+        soc = UniformContinuum(s_lo, s_hi, ratio * n_total)
+    else:
+        levels = draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4))
+        socs = draw(st.lists(st.sampled_from(levels), min_size=5, max_size=60))
+        n_other = draw(st.integers(5, 60))
+        n_total = float(len(socs) + n_other)
+        ratio = len(socs) / n_total
+        soc = DiscreteAgents(tuple(socs))
+    return Scenario(
+        total_vehicles=n_total,
+        dwpt_ratio=ratio,
+        soc=soc,
+        prefs=Preferences(
+            vot=draw(st.floats(10.0, 100.0)), voe=draw(st.floats(20.0, 300.0))
+        ),
+        toll=FixedToll(0.0),
+        network=draw(_links(n_total)),
+    )
+
+
+# Link 1 is twice as slow at free flow, so at the all-charge edge every
+# OTHER-V is on link 2 and t1 > t2: the band ends below voe*(1/s_max - 1).
+_SLOW_ERS = base_scenario(
+    ratio=0.3,
+    network=Network(
+        LinkParams(free_flow_time=20.0, capacity=500.0, has_ers=True, ers_power_kw=30.0),
+        PLAIN_LINK,
+    ),
+)
+
+# 17 DWPT-EVs tied at SoC 0.5 on twin links: the c1 band is centred on
+# the toll 20 at which the tied group is indifferent at t1 = t2.
+_TIED_AT_C1 = discrete_scenario(
+    [0.5] * 17,
+    n_other=11,
+    vot=10.0,
+    voe=20.0,
+    network=Network(
+        LinkParams(2.0, 7.0, 1.0, 1.0, has_ers=True, ers_power_kw=30.0),
+        LinkParams(2.0, 7.0, 1.0, 1.0),
+    ),
+)
+
+# Five times capacity on each link at x1 = x2: one vehicle moves the toll
+# by millions, and 1% of the c2 band is 1e-9 vehicles of DWPT mass.
+_STEEP_TWIN = Scenario(
+    total_vehicles=10.0,
+    dwpt_ratio=0.59375,
+    soc=UniformContinuum(0.375, 0.609375, 5.9375),
+    prefs=Preferences(vot=32.0, voe=30.0),
+    toll=FixedToll(0.0),
+    network=Network(
+        LinkParams(16.0, 1.0, 0.5, 5.5625, has_ers=True, ers_power_kw=30.0),
+        LinkParams(16.0, 1.0, 0.5, 5.5625),
+    ),
+)
+
+
+class TestTollBandsAgreeWithSolver:
+    """Bands tile [0, inf) and hold the label solve + classify give inside.
+
+    The reference solve runs its corner fixed point to 1e-12*N rather
+    than FLOW_TOL_FACTOR*N = 1e-9*N: on steep links 1% of a band can be
+    less DWPT mass than that (ROADMAP item 2 keeps the default, which
+    sets the published CSV digits).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(scn=band_scenarios())
+    @example(scn=_SLOW_ERS)
+    @example(scn=_TIED_AT_C1)
+    @example(scn=_STEEP_TWIN)
+    def test_bands_match_solve_and_classify(self, scn):
+        bands = toll_bands(scn)
+        assert bands[0].c_low == 0.0
+        assert math.isinf(bands[-1].c_high)
+        for left, right in zip(bands, bands[1:]):
+            assert left.c_high == right.c_low
+            assert left.pattern is not right.pattern
+
+        tol = PATTERN_MASS_TOL * scn.total_vehicles
+        for band in bands:
+            width = band.c_high - band.c_low
+            if math.isinf(width):
+                prices = [band.c_low + 1.0]
+            elif width > 1e-9 * band.c_high:
+                prices = [
+                    band.c_low + 0.01 * width,
+                    band.c_low + 0.5 * width,
+                    band.c_high - 0.01 * width,
+                ]
+            else:
+                # SoC levels a few ulps apart: the band is narrower than
+                # the rounding of solve's threshold arithmetic.
+                continue
+            for price in prices:
+                cell = replace(scn, toll=FixedToll(price))
+                with patch.object(equilibrium, "FLOW_TOL_FACTOR", 1e-12):
+                    result = solved(cell)
+                label = classify(cell, result)
+                if label is band.pattern:
+                    continue
+                # The a|c and c|b edges are exact for the flows; classify
+                # calls an all-on-one-link pattern once the other flow is
+                # at most tol, which reaches past the edge into bands
+                # narrower than a few tol of DWPT mass.  A positive flow
+                # shows the exact equilibrium is mixed, as the band says.
+                flow = _rounded_to_zero(label, result)
+                assert flow is not None and 0.0 < flow <= tol, (
+                    f"{band.pattern.value} band [{band.c_low}, {band.c_high}) "
+                    f"but {label.value} at {price}"
+                )

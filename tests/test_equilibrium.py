@@ -211,6 +211,27 @@ class TestSolveCorners:
         assert 0.0 <= result.x1_d <= scn.n_dwpt
         assert verify_equilibrium(scn, result) == []
 
+    def test_other_on_1_tied_pool_at_the_interior_boundary(self):
+        # 17 DWPT-EVs tied at SoC 0.5 are indifferent at t1 = t2 for this
+        # toll.  n_other rounds to 11.000000000000002, so at the bracket
+        # end x_eq - n_other the link-1 flow fell an ulp short of x_eq,
+        # t1 < t2, and the whole tied group counted as charging: excess
+        # was negative at both ends and solve raised ConvergenceError.
+        link1 = LinkParams(2.0, 7.0, 1.0, 1.0, has_ers=True, ers_power_kw=30.0)
+        link2 = LinkParams(2.0, 7.0, 1.0, 1.0)
+        scn = discrete_scenario(
+            [0.5] * 17,
+            n_other=11,
+            vot=10.0,
+            voe=20.0,
+            toll=FixedToll(20.0),
+            network=Network(link1, link2),
+        )
+        result, regime = solve(scn)
+        assert regime is RegimeTag.CORNER_OTHER_ON_1
+        assert result.x1_d == pytest.approx(3.0)
+        assert verify_equilibrium(scn, result) == []
+
 
 class TestSolveDiscrete:
     def test_discrete_pool_matches_continuum_structure(self):
