@@ -23,8 +23,8 @@ from enum import Enum
 from .equilibrium import (
     BALANCE_TOL_FACTOR,
     EquilibriumResult,
-    _balanced_flow,
     _bisect_root,
+    _wardrop_response,
 )
 from .model import FixedToll, FreeToll, Network, Scenario, bpr_time
 
@@ -137,10 +137,6 @@ def min_total_travel_time(network: Network, n_total: float) -> float:
     def gap(x1: float) -> float:
         return marginal(network.link1, x1) - marginal(network.link2, n_total - x1)
 
-    if gap(0.0) >= 0.0:
-        return total(0.0)
-    if gap(n_total) <= 0.0:
-        return total(n_total)
     return total(
         _bisect_root(gap, 0.0, n_total, BALANCE_TOL_FACTOR * n_total, "system optimum")
     )
@@ -189,37 +185,31 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
     """Partition of the price axis [0, inf) into pattern bands.
 
     The bands invert the solver.  With DWPT mass n on link 1, OTHER's
-    Wardrop response puts x1(n) = min(max(x_eq, n), n + n_other) on
-    link 1, and the toll at which SoC q is the marginal charger is
+    Wardrop response (equilibrium._wardrop_response, the map solve uses)
+    fixes the link times t1(n), t2(n), and the toll at which SoC q is the
+    marginal charger is
 
-        P(n, q) = voe*(1/q - 1) - vot*(t1(x1) - t2(N - x1)),
+        P(n, q) = voe*(1/q - 1) - vot*(t1(n) - t2(n)),
 
     closed form and non-increasing in n.  Each band edge is P at a break
     point n with q = quantile(n): n = rN (a|c), n = 0 (c|b) and, for
-    r >= 0.5, the n where x1 = (N +- tol)/2 (c2|c1 and c1|c3).  Here
-    tol = PATTERN_MASS_TOL*N, as in classify: on links that differ, c1
-    means |x1 - x2| <= tol, so its band is narrow but exact.  On twin
-    links below r = 0.5, x1 = x_eq gives t1 = t2 and the edges are
-    voe*(1/s_max - 1) and voe*(1/s_min - 1).
+    r >= 0.5, the n where x1 = (N +- tol)/2 (c2|c1 and c1|c3), from the
+    response's inverse.  Here tol = PATTERN_MASS_TOL*N, as in classify:
+    on links that differ, c1 means |x1 - x2| <= tol, so its band is
+    narrow but exact.  On twin links below r = 0.5, x1 = x_eq gives
+    t1 = t2 and the edges are voe*(1/s_max - 1) and voe*(1/s_min - 1).
     """
     if not isinstance(scenario.toll, FixedToll):
         raise ValueError("toll bands are defined for a fixed-toll system")
-    net = scenario.network
     prefs = scenario.prefs
     soc = scenario.soc
     n_total = scenario.total_vehicles
     n_dwpt = scenario.n_dwpt
-    n_other = scenario.n_other
-    x_eq = _balanced_flow(net.link1, net.link2, n_total)
+    _, times, dwpt_mass_at = _wardrop_response(scenario)
 
     def price(n: float) -> float:
-        x1 = min(max(x_eq, n), n + n_other)
-        gap = bpr_time(net.link1, x1) - bpr_time(net.link2, n_total - x1)
-        return prefs.voe * (1.0 / soc.quantile(n) - 1.0) - prefs.vot * gap
-
-    def dwpt_mass_at(x1: float) -> float:
-        n = x1 - n_other if x1 < x_eq else x1
-        return min(max(n, 0.0), n_dwpt)
+        t1, t2 = times(n)
+        return prefs.voe * (1.0 / soc.quantile(n) - 1.0) - prefs.vot * (t1 - t2)
 
     if scenario.dwpt_ratio < 0.5:
         labels = (PatternLabel.B_i_a, PatternLabel.B_i_c, PatternLabel.B_i_b)

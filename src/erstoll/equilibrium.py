@@ -1,20 +1,23 @@
 """Deterministic user equilibrium for the two-link, two-class network.
 
-The solver exploits the structure of the game: OTHER-Vs care only about
-time, so in equilibrium they either split across both links (equal times)
-or pile onto the faster one.  DWPT-EVs sort by state of charge around a
-threshold: below it the charging gain outweighs the toll plus any time
-penalty of the ERS link.
+OTHER-Vs care only about time, so they make a Wardrop best response to
+the DWPT mass n on the ERS link: they fill link 1 up to the balanced
+flow x_eq when they can, which puts
 
-Three regimes cover every equilibrium:
+    x1(n) = min(max(x_eq, n), n + n_other)
 
-* Interior: OTHER-Vs on both links, t1 = t2, total flow split at the
-  balanced point x_eq.
+on link 1 (_wardrop_response).  DWPT-EVs sort by state of charge around
+a threshold: below it the charging gain outweighs the toll plus any time
+penalty of the ERS link.  An equilibrium is a root of
+excess(n) = n - count_below(threshold(n)), which is non-decreasing in n,
+and the response map splits it into three regimes:
+
+* Interior: OTHER-Vs on both links, link-1 flow x_eq, and the root is
+  the closed-form count below the threshold at the times there.
 * CornerOtherOn2: the ERS link is so attractive to DWPT-EVs that t1 > t2
-  and every OTHER-V avoids it; the DWPT flow on link 1 is a fixed point
-  of a monotone threshold map, found by bisection.
+  and every OTHER-V avoids it; the root lies in [x_eq, rN].
 * CornerOtherOn1: mirror image (heavy tolls push DWPT-EVs off the ERS
-  link and OTHER-Vs fill it).
+  link and OTHER-Vs fill it); the root lies in [0, x_eq - n_other].
 
 A brute-force better-response oracle over discrete agents provides an
 independent check of the same equilibrium definition.
@@ -36,8 +39,8 @@ from .model import (
     bpr_time,
 )
 
-# Bisection controls (see LinkParams smoothness: BPR is monotone, so the
-# brackets below always contain exactly one sign change).
+# Bisection controls (BPR is monotone, so every map bisected below is
+# non-decreasing on its bracket).
 MAX_BISECT_ITER = 200
 FLOW_TOL_FACTOR = 1e-9  # corner fixed point, fraction of N
 BALANCE_TOL_FACTOR = 1e-12  # balanced-flow root, fraction of N
@@ -99,17 +102,18 @@ def threshold_soc(
 
 
 def _bisect_root(f, lo: float, hi: float, xtol: float, what: str) -> float:
-    """Root of a non-decreasing f with f(lo) <= 0 <= f(hi).
+    """Root of a non-decreasing f on [lo, hi], clamped to the bracket.
 
-    Also spot-checks monotonicity on the initial bracket, which guards
+    Returns lo if f(lo) >= 0 and hi if f(hi) <= 0; otherwise bisects to
+    xtol.  Also spot-checks monotonicity on the bracket, which guards
     against a mis-specified fixed-point map.
     """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > 0 or f_hi < 0:
-        raise ConvergenceError(
-            f"{what}: bracket [{lo}, {hi}] does not sign-change "
-            f"(f(lo)={f_lo}, f(hi)={f_hi})"
-        )
+    f_lo = f(lo)
+    if f_lo >= 0.0:
+        return lo
+    f_hi = f(hi)
+    if f_hi <= 0.0:
+        return hi
     f_mid0 = f(0.5 * (lo + hi))
     slack = 1e-9 * (1.0 + abs(f_lo) + abs(f_hi))
     if not (f_lo <= f_mid0 + slack and f_mid0 <= f_hi + slack):
@@ -132,123 +136,85 @@ def _balanced_flow(link1: LinkParams, link2: LinkParams, total: float) -> float:
     """Link-1 flow equalizing travel times, clamped to [0, total]."""
     if link1.same_bpr(link2):
         return 0.5 * total
-
-    def gap(x: float) -> float:
-        return bpr_time(link1, x) - bpr_time(link2, total - x)
-
-    if gap(0.0) >= 0.0:
-        return 0.0
-    if gap(total) <= 0.0:
-        return total
     return _bisect_root(
-        gap, 0.0, total, BALANCE_TOL_FACTOR * total, "balanced flow"
+        lambda x: bpr_time(link1, x) - bpr_time(link2, total - x),
+        0.0,
+        total,
+        BALANCE_TOL_FACTOR * total,
+        "balanced flow",
     )
+
+
+def _wardrop_response(scenario: Scenario):
+    """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link.
+
+    Returns (x_eq, times, dwpt_mass_at): the balanced flow; times(n), the
+    link times (t1, t2) at link-1 flow x1(n) = min(max(x_eq, n),
+    n + n_other); and dwpt_mass_at(x1), its inverse, the DWPT mass in
+    [0, rN] at which the response puts x1 on link 1.
+    """
+    link1, link2 = scenario.network.link1, scenario.network.link2
+    n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
+    x_eq = _balanced_flow(link1, link2, n_total)
+
+    def times(n: float) -> tuple[float, float]:
+        # min(max(x_eq, n), n + n_other) without the builtin calls, which
+        # cost a tenth of a corner solve on this bisection hot path
+        x1 = x_eq if x_eq >= n else n
+        if x1 > n + n_other:
+            x1 = n + n_other
+        return bpr_time(link1, x1), bpr_time(link2, n_total - x1)
+
+    def dwpt_mass_at(x1: float) -> float:
+        n = x1 - n_other if x1 < x_eq else x1
+        return min(max(n, 0.0), n_dwpt)
+
+    return x_eq, times, dwpt_mass_at
 
 
 def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     """User equilibrium of the scenario: class flows, times, regime.
 
-    Dispatch: compute the balanced split x_eq; if the DWPT demand for the
-    ERS link at equal times fits beside enough OTHER flow to reach x_eq,
-    the equilibrium is interior.  Too much DWPT demand pushes every
-    OTHER-V to link 2; too little (with a hefty toll) leaves the ERS link
-    to OTHER-Vs alone.  The corner fixed points are roots of
-    n - count_below(threshold(n)), which is non-decreasing in n.
+    The DWPT mass n on link 1 solves excess(n) = 0, with the times of
+    OTHER's Wardrop response to n.  At equal times the count n_star below
+    the threshold is that root in closed form if OTHER-Vs can fill the
+    rest of x_eq (interior).  Otherwise the root lies in [x_eq, rN] when
+    n_star > x_eq (every OTHER-V on link 2), else in
+    [0, x_eq - n_other] (every OTHER-V on link 1), and is bisected to
+    FLOW_TOL_FACTOR*N, or taken at the bracket end where excess already
+    has its final sign.
     """
-    net = scenario.network
-    prefs = scenario.prefs
-    soc = scenario.soc
-    price = scenario.toll.dwpt_link1_charge
-    n_total = scenario.total_vehicles
-    n_dwpt = scenario.n_dwpt
-    n_other = scenario.n_other
+    prefs, soc, price = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
+    n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
+    x_eq, times, _ = _wardrop_response(scenario)
 
-    x_eq = _balanced_flow(net.link1, net.link2, n_total)
-    t1_eq = bpr_time(net.link1, x_eq)
-    t2_eq = bpr_time(net.link2, n_total - x_eq)
-    s_eq = threshold_soc(prefs, price, t1_eq, t2_eq)
-    n_star = soc.count_below(s_eq)
-
-    if n_star <= x_eq and x_eq - n_star <= n_other:
-        x1_d = n_star
-        x1_o = x_eq - n_star
-        result = EquilibriumResult(
-            x1_d=x1_d,
-            x2_d=n_dwpt - x1_d,
-            x1_o=x1_o,
-            x2_o=n_other - x1_o,
-            t1=t1_eq,
-            t2=t2_eq,
-            s_thres=s_eq,
-        )
-        return result, RegimeTag.INTERIOR
-
-    if n_star > x_eq:
-        # All OTHER-Vs on link 2; link-1 flow is DWPT only.
-        def excess(n: float) -> float:
-            t1 = bpr_time(net.link1, n)
-            t2 = bpr_time(net.link2, n_total - n)
-            return n - soc.count_below(threshold_soc(prefs, price, t1, t2))
-
-        if excess(n_dwpt) <= 0.0:
-            x1_d = n_dwpt  # every DWPT-EV charges
-        else:
-            x1_d = _bisect_root(
-                excess,
-                x_eq,
-                n_dwpt,
-                FLOW_TOL_FACTOR * n_total,
-                "corner fixed point (OTHER on link 2)",
-            )
-        t1 = bpr_time(net.link1, x1_d)
-        t2 = bpr_time(net.link2, n_total - x1_d)
-        result = EquilibriumResult(
-            x1_d=x1_d,
-            x2_d=n_dwpt - x1_d,
-            x1_o=0.0,
-            x2_o=n_other,
-            t1=t1,
-            t2=t2,
-            s_thres=threshold_soc(prefs, price, t1, t2),
-        )
-        return result, RegimeTag.CORNER_OTHER_ON_2
-
-    # x_eq - n_star > n_other: all OTHER-Vs on link 1, which still runs
-    # faster than link 2; only the lowest-SoC DWPT-EVs join them.
     def excess(n: float) -> float:
-        t1 = bpr_time(net.link1, n_other + n)
-        t2 = bpr_time(net.link2, n_dwpt - n)
+        t1, t2 = times(n)
         return n - soc.count_below(threshold_soc(prefs, price, t1, t2))
 
-    # At the bracket end the link-1 flow is x_eq, so excess is positive
-    # there; but n_other + end can round below x_eq, and a tied SoC group
-    # at the threshold then counts as charging.  The corner meets the
-    # interior regime at that end, which is then the fixed point.
-    end = min(x_eq - n_other, n_dwpt)
-    if excess(0.0) >= 0.0:
-        x1_d = 0.0  # no DWPT-EV charges
-    elif excess(end) < 0.0:
-        x1_d = end
+    t1, t2 = times(x_eq)
+    n_star = soc.count_below(threshold_soc(prefs, price, t1, t2))
+    if n_star <= x_eq and x_eq - n_star <= n_other:
+        regime, x1_d = RegimeTag.INTERIOR, n_star  # the response to n_star is x_eq
     else:
-        x1_d = _bisect_root(
-            excess,
-            0.0,
-            end,
-            FLOW_TOL_FACTOR * n_total,
-            "corner fixed point (OTHER on link 1)",
-        )
-    t1 = bpr_time(net.link1, n_other + x1_d)
-    t2 = bpr_time(net.link2, n_dwpt - x1_d)
+        if n_star > x_eq:
+            regime, lo, hi = RegimeTag.CORNER_OTHER_ON_2, x_eq, n_dwpt
+        else:
+            regime, lo, hi = RegimeTag.CORNER_OTHER_ON_1, 0.0, min(x_eq - n_other, n_dwpt)
+        xtol = FLOW_TOL_FACTOR * scenario.total_vehicles
+        x1_d = _bisect_root(excess, lo, hi, xtol, f"fixed point ({regime.value})")
+        t1, t2 = times(x1_d)
+    x1_o = min(max(x_eq - x1_d, 0.0), n_other)
     result = EquilibriumResult(
         x1_d=x1_d,
         x2_d=n_dwpt - x1_d,
-        x1_o=n_other,
-        x2_o=0.0,
+        x1_o=x1_o,
+        x2_o=n_other - x1_o,
         t1=t1,
         t2=t2,
         s_thres=threshold_soc(prefs, price, t1, t2),
     )
-    return result, RegimeTag.CORNER_OTHER_ON_1
+    return result, regime
 
 
 def verify_equilibrium(

@@ -290,7 +290,7 @@ class Scenario:
 
     @property
     def n_dwpt(self) -> float:
-        return self.dwpt_ratio * self.total_vehicles
+        return self.soc.total_mass
 
     @property
     def n_other(self) -> float:

@@ -1,6 +1,9 @@
 """Shared scenario factories for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
+from hypothesis import strategies as st
 
 from erstoll.model import (
     DiscreteAgents,
@@ -81,3 +84,23 @@ def random_discrete_scenario(rng, n_max=200):
 
 def evenly_spaced_socs(n, lo=0.1, hi=0.9):
     return tuple(float(s) for s in np.linspace(lo, hi, n))
+
+
+@st.composite
+def networks(draw, n_total):
+    """ERS link 1 and either its twin or an independently drawn link 2."""
+
+    def link(ers):
+        return LinkParams(
+            free_flow_time=draw(st.floats(2.0, 30.0)),
+            capacity=n_total * draw(st.floats(0.1, 1.0)),
+            bpr_alpha=draw(st.floats(0.05, 1.0)),
+            bpr_beta=draw(st.floats(1.0, 8.0)),
+            has_ers=ers,
+            ers_power_kw=30.0 if ers else None,
+        )
+
+    link1 = link(True)
+    if draw(st.booleans()):
+        return Network(link1, replace(link1, has_ers=False, ers_power_kw=None))
+    return Network(link1, link(False))

@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import PLAIN_LINK, base_scenario, discrete_scenario
+from conftest import PLAIN_LINK, base_scenario, discrete_scenario, networks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -235,24 +235,6 @@ def _rounded_to_zero(label, result):
 
 
 @st.composite
-def _links(draw, n_total):
-    def link(ers):
-        return LinkParams(
-            free_flow_time=draw(st.floats(2.0, 30.0)),
-            capacity=n_total * draw(st.floats(0.1, 1.0)),
-            bpr_alpha=draw(st.floats(0.05, 1.0)),
-            bpr_beta=draw(st.floats(1.0, 8.0)),
-            has_ers=ers,
-            ers_power_kw=30.0 if ers else None,
-        )
-
-    link1 = link(True)
-    if draw(st.booleans()):
-        return Network(link1, replace(link1, has_ers=False, ers_power_kw=None))
-    return Network(link1, link(False))
-
-
-@st.composite
 def band_scenarios(draw):
     """Twin or differing links, continuum or tied discrete SoC pool."""
     if draw(st.booleans()):
@@ -276,7 +258,7 @@ def band_scenarios(draw):
             vot=draw(st.floats(10.0, 100.0)), voe=draw(st.floats(20.0, 300.0))
         ),
         toll=FixedToll(0.0),
-        network=draw(_links(n_total)),
+        network=draw(networks(n_total)),
     )
 
 

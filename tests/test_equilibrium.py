@@ -4,9 +4,12 @@ from conftest import (
     base_scenario,
     discrete_scenario,
     evenly_spaced_socs,
+    networks,
     random_discrete_scenario,
 )
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erstoll.equilibrium import (
     ConvergenceError,
@@ -232,6 +235,25 @@ class TestSolveCorners:
         assert result.x1_d == pytest.approx(3.0)
         assert verify_equilibrium(scn, result) == []
 
+    def test_other_on_1_root_at_the_interior_boundary_is_the_bracket_end(self):
+        # Link 1 is faster even with all N on it, so x_eq = N, and
+        # N - rN exceeds (1 - r)N by one ulp: solve takes the OTHER-on-
+        # link-1 corner, whose bracket [0, x_eq - n_other] ends at rN.
+        # Every DWPT-EV charges there, so the root is that end itself,
+        # not a bisection point 3e-8 short of it.
+        network = Network(
+            LinkParams(5.0, 500.0, has_ers=True, ers_power_kw=30.0),
+            LinkParams(20.0, 500.0),
+        )
+        scn = base_scenario(
+            total=100.0, ratio=0.34, toll=FixedToll(0.0), network=network
+        )
+        result, regime = solve(scn)
+        assert regime is RegimeTag.CORNER_OTHER_ON_1
+        assert result.x1_d == 34.0
+        assert result.x2_d == 0.0
+        assert verify_equilibrium(scn, result) == []
+
 
 class TestSolveDiscrete:
     def test_discrete_pool_matches_continuum_structure(self):
@@ -240,6 +262,15 @@ class TestSolveDiscrete:
         assert regime is RegimeTag.INTERIOR
         assert result.x1_d == pytest.approx(3.0)  # SoCs 0.1, 0.26, 0.42 < 0.5
         assert result.x1_o == pytest.approx(7.0)
+
+    def test_dwpt_count_comes_from_the_pool(self):
+        # dwpt_ratio * total_vehicles = (1/49)*49 rounds an ulp below the
+        # one vehicle in the pool; x2_d used to come out as -1.1e-16.
+        scn = discrete_scenario((0.5,), n_other=48, toll=FixedToll(0.0))
+        result, _ = solve(scn)
+        assert scn.n_dwpt == 1.0
+        assert result.x1_d == 1.0
+        assert result.x2_d == 0.0
 
 
 class TestVerifyEquilibrium:
@@ -259,6 +290,28 @@ class TestVerifyEquilibrium:
         result, _ = solve(scn)
         swapped = replace(result, x1_d=0.0, x2_d=200.0)
         assert verify_equilibrium(scn, swapped) != []
+
+
+@st.composite
+def oracle_pools(draw):
+    """Up to 200 agents, twin or differing links, SoCs tied at 1-4 levels
+    or all distinct."""
+    n = draw(st.integers(3, 200))
+    n_dwpt = draw(st.integers(1, n - 1))
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4))
+        socs = [rnd.choice(levels) for _ in range(n_dwpt)]
+    else:
+        socs = [rnd.uniform(0.02, 0.98) for _ in range(n_dwpt)]
+    return discrete_scenario(
+        socs,
+        n - n_dwpt,
+        vot=draw(st.floats(10.0, 100.0)),
+        voe=draw(st.floats(20.0, 300.0)),
+        toll=FixedToll(draw(st.floats(0.0, 500.0))),
+        network=draw(networks(float(n))),
+    )
 
 
 class TestBruteForceOracle:
@@ -292,6 +345,16 @@ class TestBruteForceOracle:
             analytic, _ = solve(scn)
             for cell in ("x1_d", "x2_d", "x1_o", "x2_o"):
                 assert abs(getattr(oracle, cell) - getattr(analytic, cell)) <= 1.0
+        self._link1_flow_agrees_on_tied_pools()
+
+    @settings(max_examples=200, deadline=None)
+    @given(scn=oracle_pools())
+    def _link1_flow_agrees_on_tied_pools(self, scn):
+        # With tied SoCs a tied group can trade places with OTHER-Vs on
+        # link 1, so only the total link-1 flow is held to one vehicle.
+        analytic, _ = solve(scn)
+        oracle = brute_force_equilibrium(scn)
+        assert abs(oracle.x1 - analytic.x1) <= 1.0
 
     def test_seeded_order_is_reproducible(self):
         scn = discrete_scenario(evenly_spaced_socs(10), n_other=20)

@@ -9,7 +9,7 @@ same travel times and the same potential in every round.
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import discrete_scenario
+from conftest import discrete_scenario, networks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,17 +99,6 @@ def reference_oracle(scn, seed):
     return links[:n_dwpt].count(1), links[n_dwpt:].count(1)
 
 
-def _link(draw, n, ers):
-    return LinkParams(
-        free_flow_time=draw(st.floats(2.0, 30.0)),
-        capacity=n * draw(st.floats(0.1, 1.0)),
-        bpr_alpha=draw(st.floats(0.05, 1.0)),
-        bpr_beta=draw(st.floats(1.0, 8.0)),
-        has_ers=ers,
-        ers_power_kw=30.0 if ers else None,
-    )
-
-
 @st.composite
 def scenarios(draw):
     """Up to 60 agents on asymmetric links; SoC pools with ties."""
@@ -122,19 +111,13 @@ def scenarios(draw):
     )
     n_other = draw(st.integers(1, 30))
     n = len(socs) + n_other
-    link1 = _link(draw, n, ers=True)
-    link2 = (
-        LinkParams(link1.free_flow_time, link1.capacity, link1.bpr_alpha, link1.bpr_beta)
-        if draw(st.booleans())
-        else _link(draw, n, ers=False)
-    )
     return discrete_scenario(
         socs,
         n_other,
         vot=draw(st.floats(10.0, 100.0)),
         voe=draw(st.floats(20.0, 300.0)),
         toll=FixedToll(draw(st.floats(0.0, 300.0))),
-        network=Network(link1, link2),
+        network=draw(networks(n)),
     )
 
 
