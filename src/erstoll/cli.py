@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--initial",
-        choices=("all_link2", "all_link1", "random", "balanced"),
+        choices=dynamics.INITIAL_ASSIGNMENTS,
         default="all_link2",
         help="starting assignment (default all_link2)",
     )
@@ -229,10 +229,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"axis {spec_text!r} is not of the form PATH=VALUES")
         path, values_text = spec_text.split("=", 1)
         axes.append((path.strip(), tuple(_parse_values(values_text))))
-    try:
-        spec = harness.SweepSpec(base=scenario, axes=tuple(axes))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = harness.SweepSpec(base=scenario, axes=tuple(axes))
     rows = harness.run_sweep(spec)
     failed = sum(1 for r in rows if r.error)
     summary = [f"sweep: {len(rows)} cells, {failed} failed"]
@@ -242,10 +239,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bands(args) -> int:
     scenario = _load_scenario(args)
-    try:
-        bands = analysis.toll_bands(scenario)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bands = analysis.toll_bands(scenario)
     summary = [
         f"{band.pattern.value:<8} [{band.c_low:.4f}, "
         + (f"{band.c_high:.4f})" if math.isfinite(band.c_high) else "inf)")
@@ -318,16 +312,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,7 @@ from .model import (
 )
 
 ORDER_POLICIES = ("sequential", "random")
+INITIAL_ASSIGNMENTS = ("all_link2", "all_link1", "random", "balanced")
 
 
 @dataclass
@@ -84,13 +85,7 @@ def discretize_scenario(scenario: Scenario) -> Scenario:
     """
     if isinstance(scenario.soc, DiscreteAgents):
         return scenario
-    n_dwpt = round(scenario.n_dwpt)
-    n_other = round(scenario.n_other)
-    if abs(scenario.n_dwpt - n_dwpt) > 1e-9 or abs(scenario.n_other - n_other) > 1e-9:
-        raise ValueError(
-            "discretization needs integral class totals; got "
-            f"{scenario.n_dwpt} DWPT and {scenario.n_other} OTHER"
-        )
+    n_dwpt, _ = scenario.agent_counts()
     values = tuple(
         scenario.soc.quantile((i + 0.5) / n_dwpt * scenario.soc.total_mass)
         for i in range(n_dwpt)
@@ -111,9 +106,7 @@ def agents_from_scenario(
     """
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("dynamics needs a DiscreteAgents SoC pool")
-    n_other = round(scenario.n_other)
-    if abs(scenario.n_other - n_other) > 1e-9:
-        raise ValueError(f"OTHER count {scenario.n_other} is not integral")
+    _, n_other = scenario.agent_counts()
     socs = sorted(scenario.soc.soc_values)
     n = len(socs) + n_other
 

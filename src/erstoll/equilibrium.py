@@ -114,18 +114,21 @@ def _bisect_root(f, lo: float, hi: float, xtol: float, what: str) -> float:
     f_hi = f(hi)
     if f_hi <= 0.0:
         return hi
-    f_mid0 = f(0.5 * (lo + hi))
+    mid = 0.5 * (lo + hi)
+    f_mid = f(mid)
     slack = 1e-9 * (1.0 + abs(f_lo) + abs(f_hi))
-    if not (f_lo <= f_mid0 + slack and f_mid0 <= f_hi + slack):
+    if not (f_lo <= f_mid + slack and f_mid <= f_hi + slack):
         raise ConvergenceError(f"{what}: map is not monotone on the bracket")
     for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
         if hi - lo <= xtol:
             return mid
-        if f(mid) <= 0.0:
+        if f_mid <= 0.0:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
+        if hi - lo > xtol:  # else the next pass returns mid unevaluated
+            f_mid = f(mid)
     raise ConvergenceError(
         f"{what}: no convergence to xtol={xtol} after {MAX_BISECT_ITER} "
         f"iterations (bracket [{lo}, {hi}])"
@@ -436,13 +439,7 @@ def brute_force_equilibrium(
     """
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
-    n_dwpt = len(scenario.soc.soc_values)
-    n_other_f = scenario.n_other
-    n_other = round(n_other_f)
-    if abs(n_other_f - n_other) > 1e-9:
-        raise ValueError(
-            f"OTHER count {n_other_f} is not integral; the oracle is atomic"
-        )
+    n_dwpt, n_other = scenario.agent_counts()
     n_agents = n_dwpt + n_other
     if n_agents > 10_000:
         raise ValueError(f"{n_agents} agents exceed the oracle limit of 10000")

@@ -30,6 +30,10 @@ marked optional; units are minutes, vehicles, kW, JPY):
 The uniform SoC mass is always dwpt_ratio * total_vehicles and is not a
 file field, so configs cannot go out of sync.
 
+This module checks only the file's shape (keys, kinds, numbers).  Value
+ranges are checked by the model types that hold the values (``model.py``);
+their errors are re-raised as ConfigError prefixed with the field path.
+
 Override paths (shared by sweeps and the command line):
 toll.price, prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi.
 """
@@ -58,6 +62,7 @@ from .model import (
     Preferences,
     Scenario,
     UniformContinuum,
+    check_fleet,
 )
 
 OVERRIDE_PATHS = (
@@ -116,9 +121,9 @@ def _no_extras(mapping: dict, allowed: set[str], path: str):
         )
 
 
-def _build(factory, path: str, **kwargs):
+def _build(factory, path: str, *args, **kwargs):
     try:
-        return factory(**kwargs)
+        return factory(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -152,11 +157,13 @@ def scenario_from_config(config: dict) -> Scenario:
     )
     n_total = _number(_require(config, "total_vehicles", ""), "total_vehicles")
     ratio = _number(_require(config, "dwpt_ratio", ""), "dwpt_ratio")
-    if not (0.0 < ratio < 1.0):
-        raise ConfigError(f"dwpt_ratio: must be in (0,1), got {ratio}")
+    _build(check_fleet, "scenario", total_vehicles=n_total, dwpt_ratio=ratio)
 
     raw_soc = _require(config, "soc", "")
     kind = _require(raw_soc, "kind", "soc")
+    # the fleet and every part are checked before the Scenario is built,
+    # so it can only reject the size of a discrete pool
+    scenario_path = "soc"
     if kind == "uniform":
         _no_extras(raw_soc, {"kind", "s_lo", "s_hi"}, "soc")
         soc = _build(
@@ -171,12 +178,7 @@ def scenario_from_config(config: dict) -> Scenario:
         values = _require(raw_soc, "values", "soc")
         if not isinstance(values, list) or not values:
             raise ConfigError("soc.values: expected a non-empty list")
-        expected = ratio * n_total
-        if abs(len(values) - expected) > 1e-6:
-            raise ConfigError(
-                f"soc.values: {len(values)} entries but dwpt_ratio * "
-                f"total_vehicles = {expected}"
-            )
+        scenario_path = "soc.values"
         soc = _build(
             DiscreteAgents,
             "soc",
@@ -220,7 +222,7 @@ def scenario_from_config(config: dict) -> Scenario:
 
     return _build(
         Scenario,
-        "scenario",
+        scenario_path,
         total_vehicles=n_total,
         dwpt_ratio=ratio,
         soc=soc,
@@ -326,19 +328,14 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario
                     "dwpt_ratio override requires a uniform SoC pool; "
                     "discrete agent counts cannot be rescaled"
                 )
-            if not (0.0 < value < 1.0):
-                raise ConfigError(f"dwpt_ratio: must be in (0,1), got {value}")
+            _build(check_fleet, key, total_vehicles=out.total_vehicles, dwpt_ratio=value)
             soc = replace(out.soc, mass=value * out.total_vehicles)
             out = replace(out, dwpt_ratio=value, soc=soc)
         else:  # soc.s_lo / soc.s_hi
             if not isinstance(out.soc, UniformContinuum):
                 raise ConfigError(f"{key} override requires a uniform SoC pool")
             field_name = key.split(".", 1)[1]
-            try:
-                soc = replace(out.soc, **{field_name: value})
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-            out = replace(out, soc=soc)
+            out = replace(out, soc=_build(replace, key, out.soc, **{field_name: value}))
     return out
 
 
@@ -486,9 +483,8 @@ def fig2_data(
     for voe in voes:
         prefs_v = Preferences(vot=prefs.vot, voe=voe)
         for price in toll_prices:
-            if price < 0:
-                raise ValueError(f"toll price must be >= 0, got {price}")
-            grid.append((voe, price, threshold_soc(prefs_v, price, 0.0, 0.0)))
+            toll = FixedToll(price)
+            grid.append((voe, price, threshold_soc(prefs_v, toll.price, 0.0, 0.0)))
     return grid
 
 

@@ -275,12 +275,7 @@ class Scenario:
     network: Network
 
     def __post_init__(self):
-        if not (0 < self.total_vehicles < math.inf):
-            raise ValueError(
-                f"total_vehicles must be finite and > 0, got {self.total_vehicles}"
-            )
-        if not (0.0 < self.dwpt_ratio < 1.0):
-            raise ValueError(f"dwpt_ratio must be in (0,1), got {self.dwpt_ratio}")
+        check_fleet(self.total_vehicles, self.dwpt_ratio)
         expected = self.dwpt_ratio * self.total_vehicles
         if abs(self.soc.total_mass - expected) > 1e-9 * expected:
             raise ValueError(
@@ -295,6 +290,29 @@ class Scenario:
     @property
     def n_other(self) -> float:
         return (1.0 - self.dwpt_ratio) * self.total_vehicles
+
+    def agent_counts(self) -> tuple[int, int]:
+        """(DWPT, OTHER) vehicle counts of an atomic population.
+
+        Raises ValueError unless both class totals are integral.
+        """
+        n_dwpt, n_other = round(self.n_dwpt), round(self.n_other)
+        if abs(self.n_dwpt - n_dwpt) > 1e-9 or abs(self.n_other - n_other) > 1e-9:
+            raise ValueError(
+                "an agent population needs integral class totals; got "
+                f"{self.n_dwpt} DWPT and {self.n_other} OTHER"
+            )
+        return n_dwpt, n_other
+
+
+def check_fleet(total_vehicles: float, dwpt_ratio: float) -> None:
+    """Fleet domain: total_vehicles finite and > 0, dwpt_ratio in (0,1)."""
+    if not (0 < total_vehicles < math.inf):
+        raise ValueError(
+            f"total_vehicles must be finite and > 0, got {total_vehicles}"
+        )
+    if not (0.0 < dwpt_ratio < 1.0):
+        raise ValueError(f"dwpt_ratio must be in (0,1), got {dwpt_ratio}")
 
 
 def bpr_time(link: LinkParams, flow: float) -> float:

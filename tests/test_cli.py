@@ -184,6 +184,9 @@ class TestPresetCommands:
 
     def test_fig2_negative_price(self, capsys):
         assert main(["fig2", "--prices", "-5", "--voes", "100"]) == 1
+        assert main(["fig2", "--prices", "nan", "--voes", "100"]) == 1
+        assert main(["fig2", "--prices", "inf", "--voes", "100"]) == 1
+        assert "toll price" in capsys.readouterr().err
 
 
 class TestParserBehavior:

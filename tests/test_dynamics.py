@@ -16,8 +16,15 @@ from erstoll.dynamics import (
     run,
     step,
 )
-from erstoll.equilibrium import solve
-from erstoll.model import FixedToll, FreeToll, Preferences, VehicleClass
+from erstoll.equilibrium import brute_force_equilibrium, solve
+from erstoll.model import (
+    FixedToll,
+    FreeToll,
+    Preferences,
+    Scenario,
+    UniformContinuum,
+    VehicleClass,
+)
 
 PREFS = Preferences(vot=50.0, voe=100.0)
 
@@ -66,6 +73,28 @@ class TestPopulationBuilders:
             agents_from_scenario(scn, "everywhere")
         with pytest.raises(ValueError):
             agents_from_scenario(base_scenario())  # continuum pool
+
+    def test_non_integral_totals_one_error_everywhere(self):
+        # 3 DWPT-EVs in a fleet of 10.5 leave 7.5 OTHER-Vs
+        discrete = discrete_scenario(evenly_spaced_socs(3), n_other=7.5)
+        uniform = Scenario(
+            total_vehicles=discrete.total_vehicles,
+            dwpt_ratio=discrete.dwpt_ratio,
+            soc=UniformContinuum(s_lo=0.1, s_hi=0.9, mass=3.0),
+            prefs=discrete.prefs,
+            toll=discrete.toll,
+            network=discrete.network,
+        )
+        messages = set()
+        for build, scn in (
+            (discretize_scenario, uniform),
+            (agents_from_scenario, discrete),
+            (brute_force_equilibrium, discrete),
+        ):
+            with pytest.raises(ValueError, match="integral class totals") as info:
+                build(scn)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
     def test_agents_at_result_match_solver_flows(self):
         scn = discretize_scenario(base_scenario())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from erstoll.equilibrium import (
     ConvergenceError,
     RegimeTag,
+    _bisect_root,
     brute_force_equilibrium,
     solve,
     threshold_soc,
@@ -31,6 +32,18 @@ from erstoll.model import (
 )
 
 PREFS = Preferences(vot=50.0, voe=100.0)
+
+
+def test_bisect_root_evaluates_each_point_once():
+    args = []
+
+    def f(x):
+        args.append(x)
+        return x - 0.3
+
+    root = _bisect_root(f, 0.0, 1.0, 1e-9, "test")
+    assert root == pytest.approx(0.3, abs=1e-9)
+    assert len(args) == len(set(args))
 
 
 class TestThresholdSoc:

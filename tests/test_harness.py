@@ -213,6 +213,42 @@ class TestParseErrors:
             scenario_from_config(config)
 
 
+NUMERIC_FIELDS = (
+    ("total_vehicles", -5.0),
+    ("dwpt_ratio", 1.2),
+    ("soc.s_lo", 0.0),
+    ("soc.s_hi", 1.5),
+    ("prefs.vot", 0.0),
+    ("prefs.voe", -1.0),
+    ("toll.price", -1.0),
+    ("network.link1.free_flow_time", 0.0),
+    ("network.link1.capacity", -1.0),
+    ("network.link1.ers_power_kw", 0.0),
+    ("network.link2.free_flow_time", -1.0),
+    ("network.link2.capacity", 0.0),
+)
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (path, value)
+        for path, out_of_range in NUMERIC_FIELDS
+        for value in (math.nan, math.inf, out_of_range)
+    ],
+)
+def test_bad_number_names_its_field(path, value):
+    config = valid_config()
+    *parents, leaf = path.split(".")
+    mapping = config
+    for key in parents:
+        mapping = mapping[key]
+    mapping[leaf] = value
+    # the path's parts in order, e.g. "prefs: vot must be ..." for prefs.vot
+    with pytest.raises(ConfigError, match=".*".join(path.split("."))):
+        scenario_from_config(config)
+
+
 class TestOverrides:
     def test_each_path(self):
         base = base_scenario()
