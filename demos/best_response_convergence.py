@@ -58,6 +58,5 @@ result, _ = solve(high)
 
 print("80% DWPT share, toll-free, started from the split state")
 agents = agents_from_scenario(high, initial="all_link2")
-for agent in agents:
-    agent.current_link = 1 if agent.soc is None else 2
+agents.on_link1[len(agents.soc):] = True  # every OTHER-V on the ERS link
 show(run(agents, high.network, high.prefs, high.toll), agents, result)

@@ -25,6 +25,7 @@ independent check of the same equilibrium definition.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,8 @@ from .model import (
     LinkParams,
     Preferences,
     Scenario,
+    TollSystem,
+    VehicleClass,
     bpr_time,
 )
 
@@ -400,13 +403,66 @@ class _SweepKernel:
         return switches, gain_sum
 
 
-def _oracle_result(
-    scenario: Scenario, on_link1: np.ndarray, n_dwpt: int
-) -> EquilibriumResult:
-    x1_d = int(np.count_nonzero(on_link1[:n_dwpt]))
-    x1_o = int(np.count_nonzero(on_link1[n_dwpt:]))
-    x2_d = n_dwpt - x1_d
-    x2_o = (len(on_link1) - n_dwpt) - x1_o
+@dataclass(frozen=True)
+class AgentState:
+    """Read-only view of one vehicle of a Population."""
+
+    agent_id: int
+    vclass: VehicleClass
+    soc: float | None
+    current_link: int
+
+
+@dataclass(eq=False)
+class Population:
+    """Discrete vehicles as arrays, DWPT-EVs first, then OTHER-Vs.
+
+    soc holds the DWPT-EVs' states of charge; on_link1 marks every vehicle
+    on the ERS link, and sweeps update it in place.  Iterating yields one
+    AgentState view per vehicle.
+    """
+
+    soc: np.ndarray
+    on_link1: np.ndarray
+
+    def __post_init__(self):
+        self.soc = np.asarray(self.soc, dtype=float)
+        self.on_link1 = np.asarray(self.on_link1)
+        bad = self.soc[~((self.soc > 0.0) & (self.soc < 1.0))]  # NaN included
+        if bad.size:
+            raise ValueError(f"every DWPT SoC must be in (0,1), got {bad[0]}")
+        if self.on_link1.dtype != bool:
+            raise ValueError(f"on_link1 must be a bool mask, got {self.on_link1.dtype}")
+        if len(self.on_link1) < len(self.soc):
+            raise ValueError(f"{len(self.on_link1)} links are fewer than {len(self.soc)} SoCs")
+
+    def __len__(self) -> int:
+        return len(self.on_link1)
+
+    def __iter__(self) -> Iterator[AgentState]:
+        socs = self.soc.tolist() + [None] * (len(self) - len(self.soc))
+        for i, (s, on) in enumerate(zip(socs, self.on_link1.tolist())):
+            vclass = VehicleClass.OTHER if s is None else VehicleClass.DWPT
+            yield AgentState(i, vclass, s, 1 if on else 2)
+
+    def bonus(self, prefs: Preferences, toll: TollSystem) -> np.ndarray:
+        """Link-1 bonus per vehicle: voe*(1/s - 1) - price for a DWPT-EV,
+        0 for an OTHER-V."""
+        out = np.zeros(len(self))
+        out[: len(self.soc)] = prefs.voe * (1.0 / self.soc - 1.0) - toll.dwpt_link1_charge
+        return out
+
+
+def class_flows(population: Population) -> tuple[int, int, int, int]:
+    """(x1_d, x1_o, x2_d, x2_o) of the population."""
+    n_dwpt = len(population.soc)
+    x1_d = int(np.count_nonzero(population.on_link1[:n_dwpt]))
+    x1_o = int(np.count_nonzero(population.on_link1[n_dwpt:]))
+    return x1_d, x1_o, n_dwpt - x1_d, len(population) - n_dwpt - x1_o
+
+
+def _oracle_result(scenario: Scenario, population: Population) -> EquilibriumResult:
+    x1_d, x1_o, x2_d, x2_o = class_flows(population)
     t1 = bpr_time(scenario.network.link1, x1_d + x1_o)
     t2 = bpr_time(scenario.network.link2, x2_d + x2_o)
     return EquilibriumResult(
@@ -446,19 +502,17 @@ def brute_force_equilibrium(
     if exhaustive and n_agents > 20:
         raise ValueError("exhaustive mode supports at most 20 agents")
 
-    prefs = scenario.prefs
-    socs = np.asarray(scenario.soc.soc_values, dtype=float)
-    bonus = np.zeros(n_agents)  # link-1 bonus; 0 for OTHER
-    bonus[:n_dwpt] = prefs.voe * (1.0 / socs - 1.0) - scenario.toll.dwpt_link1_charge
+    # every vehicle starts on link 2, the pool in its own order
+    population = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool))
+    bonus = population.bonus(scenario.prefs, scenario.toll)
     order = None if seed is None else np.random.default_rng(seed).permutation(n_agents)
 
     kernel = _SweepKernel(
-        scenario.network.link1, scenario.network.link2, prefs.vot, n_agents
+        scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
     )
-    on_link1 = np.zeros(n_agents, dtype=bool)
     switches, moved = 0, True
     while moved:
-        moved = kernel.sweep(on_link1, bonus, order)[0]
+        moved = kernel.sweep(population.on_link1, bonus, order)[0]
         switches += moved
         if switches > max_switches:
             raise ConvergenceError(
@@ -467,8 +521,8 @@ def brute_force_equilibrium(
             )
 
     if exhaustive:
-        _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt)
-    return _oracle_result(scenario, on_link1, n_dwpt)
+        _exhaustive_check(scenario, kernel, population.on_link1, bonus, n_dwpt)
+    return _oracle_result(scenario, population)
 
 
 def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):

@@ -28,11 +28,11 @@ link choice is invariant to the normalisation, so no behaviour is lost.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
 
 # Indifference tolerance, in money units (JPY).  A link switch counts as
 # improving only if it gains strictly more than this.
@@ -199,7 +199,7 @@ class DiscreteAgents(SocDistribution):
     """Finite set of DWPT-EV agents, one vehicle of mass 1 per SoC value."""
 
     soc_values: tuple[float, ...]
-    _sorted: np.ndarray = field(init=False, repr=False, compare=False)
+    _sorted: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.soc_values)
@@ -209,7 +209,7 @@ class DiscreteAgents(SocDistribution):
             if not (0.0 < v < 1.0):
                 raise ValueError(f"every SoC must be in (0,1), got {v}")
         object.__setattr__(self, "soc_values", values)
-        object.__setattr__(self, "_sorted", np.sort(np.asarray(values)))
+        object.__setattr__(self, "_sorted", tuple(sorted(values)))
 
     @property
     def total_mass(self) -> float:
@@ -217,18 +217,18 @@ class DiscreteAgents(SocDistribution):
 
     @property
     def s_min(self) -> float:
-        return float(self._sorted[0])
+        return self._sorted[0]
 
     @property
     def s_max(self) -> float:
-        return float(self._sorted[-1])
+        return self._sorted[-1]
 
     def count_below(self, s: float) -> float:
-        return float(np.searchsorted(self._sorted, s, side="left"))
+        return float(bisect.bisect_left(self._sorted, s))
 
     def quantile(self, mass: float) -> float:
         k = min(max(int(math.ceil(mass)), 1), len(self.soc_values))
-        return float(self._sorted[k - 1])
+        return self._sorted[k - 1]
 
 
 class TollSystem:

@@ -20,7 +20,7 @@ from erstoll.analysis import (
 )
 from erstoll.cli import main
 from erstoll.dynamics import (
-    AgentState,
+    Population,
     agents_from_scenario,
     class_flows,
     discretize_scenario,
@@ -33,7 +33,7 @@ from erstoll.harness import (
     table1_scenario,
     table2_rows,
 )
-from erstoll.model import FixedToll, FreeToll, VehicleClass
+from erstoll.model import FixedToll, FreeToll
 
 from conftest import base_scenario, discrete_scenario, random_discrete_scenario
 
@@ -211,12 +211,9 @@ def test_criterion_6_dynamics_convergence():
     # the split state (all OTHER on the ERS link, all DWPT off it) is
     # abandoned within one round when DWPT vehicles dominate
     mixed = discretize_scenario(base_scenario(total=100.0, ratio=0.8, toll=FreeToll()))
-    agents = [
-        AgentState(i, VehicleClass.DWPT, s, 2)
-        for i, s in enumerate(mixed.soc.soc_values)
-    ] + [
-        AgentState(80 + i, VehicleClass.OTHER, None, 1) for i in range(20)
-    ]
+    agents = Population(
+        np.array(mixed.soc.soc_values), np.array([False] * 80 + [True] * 20)
+    )
     traj = run(agents, mixed.network, mixed.prefs, mixed.toll)
     assert traj.converged
     assert traj.snapshots[1].switches > 0

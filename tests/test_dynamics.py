@@ -8,7 +8,7 @@ from conftest import (
 )
 
 from erstoll.dynamics import (
-    AgentState,
+    Population,
     agents_at_result,
     agents_from_scenario,
     class_flows,
@@ -29,18 +29,35 @@ from erstoll.model import (
 PREFS = Preferences(vot=50.0, voe=100.0)
 
 
-class TestAgentState:
+class TestPopulation:
     def test_validation(self):
-        AgentState(0, VehicleClass.DWPT, 0.5, 1)
-        AgentState(1, VehicleClass.OTHER, None, 2)
-        with pytest.raises(ValueError):
-            AgentState(0, VehicleClass.DWPT, None, 1)
-        with pytest.raises(ValueError):
-            AgentState(0, VehicleClass.DWPT, 1.2, 1)
-        with pytest.raises(ValueError):
-            AgentState(0, VehicleClass.OTHER, 0.5, 1)
-        with pytest.raises(ValueError):
-            AgentState(0, VehicleClass.OTHER, None, 3)
+        Population(np.array([0.5]), np.array([True, False]))
+        Population(np.array([]), np.array([False]))
+        for bad_soc in (np.nan, 0.0, 1.2):
+            with pytest.raises(ValueError, match="SoC"):
+                Population(np.array([0.5, bad_soc]), np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="fewer"):
+            Population(np.array([0.2, 0.5]), np.array([True]))
+        with pytest.raises(ValueError, match="bool"):
+            Population(np.array([0.5]), np.array([1, 2]))
+
+    def test_views_follow_the_mask_after_run(self):
+        scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)
+        population = agents_from_scenario(scn, "random", seed=3)
+        run(population, scn.network, scn.prefs, scn.toll)
+        views = list(population)
+        assert len(views) == len(population) == 10
+        assert [a.agent_id for a in views] == list(range(10))
+        assert [a.current_link for a in views] == [
+            1 if on else 2 for on in population.on_link1.tolist()
+        ]
+        assert [a.soc is None for a in views] == [False] * 4 + [True] * 6
+        assert [a.vclass for a in views] == (
+            [VehicleClass.DWPT] * 4 + [VehicleClass.OTHER] * 6
+        )
+        assert [a.soc for a in views[:4]] == sorted(scn.soc.soc_values)
+        with pytest.raises(AttributeError):
+            views[0].current_link = 2
 
 
 class TestPopulationBuilders:
@@ -73,6 +90,20 @@ class TestPopulationBuilders:
             agents_from_scenario(scn, "everywhere")
         with pytest.raises(ValueError):
             agents_from_scenario(base_scenario())  # continuum pool
+
+    def test_initial_links_are_pinned(self):
+        # links as drawn before the population became arrays: a changed
+        # RNG draw or a reordered class would move them
+        scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)
+        expected = {
+            "all_link2": [2] * 10,
+            "all_link1": [1] * 10,
+            "random": [1, 2, 2, 2, 1, 1, 2, 2, 1, 1],
+            "balanced": [1, 2, 1, 2, 1, 2, 1, 2, 1, 2],
+        }
+        for initial, links in expected.items():
+            population = agents_from_scenario(scn, initial, seed=1)
+            assert [a.current_link for a in population] == links, initial
 
     def test_non_integral_totals_one_error_everywhere(self):
         # 3 DWPT-EVs in a fleet of 10.5 leave 7.5 OTHER-Vs
@@ -111,10 +142,7 @@ class TestStep:
         # t(1) and leaves; the second then sees t(1) vs t(2) and stays.
         # A lone agent never switches between identical links: moving
         # would just carry its own congestion along (t(1) on both).
-        agents = [
-            AgentState(0, VehicleClass.OTHER, None, 1),
-            AgentState(1, VehicleClass.OTHER, None, 1),
-        ]
+        agents = Population(np.array([]), np.array([True, True]))
         switches, gain = step(agents, TWIN_NETWORK, PREFS, FreeToll())
         assert switches == 1
         assert gain > 0
