@@ -142,11 +142,18 @@ def min_total_travel_time(network: Network, n_total: float) -> float:
     )
 
 
-def is_conventional_so(scenario: Scenario, result: EquilibriumResult) -> bool:
-    """True if the equilibrium TTT equals the network minimum."""
+def is_conventional_so(
+    scenario: Scenario, result: EquilibriumResult, *, min_ttt: float | None = None
+) -> bool:
+    """True if the equilibrium TTT equals the network minimum.
+
+    min_ttt is that minimum when the caller already holds it (a sweep
+    shares one network and N); None computes it here.
+    """
     ttt = result.x1 * result.t1 + result.x2 * result.t2
-    best = min_total_travel_time(scenario.network, scenario.total_vehicles)
-    return ttt <= best * (1.0 + 1e-6)
+    if min_ttt is None:
+        min_ttt = min_total_travel_time(scenario.network, scenario.total_vehicles)
+    return ttt <= min_ttt * (1.0 + 1e-6)
 
 
 def is_ers_optimum(scenario: Scenario, result: EquilibriumResult) -> bool:
@@ -159,11 +166,14 @@ def is_ers_optimum(scenario: Scenario, result: EquilibriumResult) -> bool:
     return result.x1_d >= ceiling - PATTERN_MASS_TOL * scenario.total_vehicles
 
 
-def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
+def metrics(
+    scenario: Scenario, result: EquilibriumResult, *, min_ttt: float | None = None
+) -> Metrics:
     """TTT (vehicle-minutes), TCV (kWh), revenue (JPY), and predicates.
 
     Only the ERS link charges, so tcv = n_thres * W * t1 / 60 with W the
-    link-1 power in kW and t1 in minutes.
+    link-1 power in kW and t1 in minutes.  min_ttt is passed through to
+    is_conventional_so.
     """
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw
@@ -176,7 +186,7 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
         ttt_dwpt=ttt_dwpt,
         tcv=tcv,
         revenue=revenue,
-        conventional_so=is_conventional_so(scenario, result),
+        conventional_so=is_conventional_so(scenario, result, min_ttt=min_ttt),
         ers_optimum=is_ers_optimum(scenario, result),
     )
 

@@ -14,8 +14,6 @@ import csv
 import math
 import sys
 
-import numpy as np
-
 from . import analysis, dynamics, harness
 from .equilibrium import ConvergenceError, solve
 from .harness import ConfigError
@@ -154,7 +152,17 @@ def _parse_values(text: str) -> list[float]:
             raise ConfigError(f"range {text!r}: {exc}") from exc
         if count < 1:
             raise ConfigError(f"range {text!r}: count must be >= 1")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        # numpy.linspace's arithmetic, so every range matches it bit for bit
+        delta = stop - start
+        if count == 1:
+            return [start + 0.0 * delta]
+        div = count - 1
+        step = delta / div
+        if step == 0:  # step underflows: scale the fraction instead
+            head = [start + i / div * delta for i in range(div)]
+        else:
+            head = [start + i * step for i in range(div)]
+        return head + [stop]
     try:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:

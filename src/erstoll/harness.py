@@ -50,7 +50,7 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import classify, metrics
+from .analysis import classify, metrics, min_total_travel_time
 from .dynamics import Trajectory
 from .equilibrium import ConvergenceError, solve, threshold_soc
 from .model import (
@@ -64,6 +64,14 @@ from .model import (
     UniformContinuum,
     check_fleet,
 )
+
+# libyaml's parser and emitter when PyYAML was built with it: several
+# times faster, with the same documents as the pure-Python classes and,
+# for strings of printable ASCII, the same text.  (They fold long
+# strings holding line breaks, tabs or non-ASCII characters at
+# different points; no value or message written here holds one.)
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 OVERRIDE_PATHS = (
     "toll.price",
@@ -236,7 +244,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file (YAML, schema above)."""
     text = Path(path).read_text()
     try:
-        config = yaml.safe_load(text)
+        config = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(config, dict):
@@ -281,7 +289,7 @@ def scenario_to_config(scenario: Scenario) -> dict:
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(
-        yaml.safe_dump(scenario_to_config(scenario), sort_keys=False)
+        yaml.dump(scenario_to_config(scenario), Dumper=_YAML_DUMPER, sort_keys=False)
     )
 
 
@@ -308,8 +316,17 @@ def resolve_scenario(path: str | Path) -> Scenario:
 
 
 def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario:
-    """New scenario with dotted-path overrides applied and re-validated."""
-    out = scenario
+    """New scenario with dotted-path overrides applied and re-validated.
+
+    Overrides apply in order to the parts they touch; the Scenario is
+    built once, from the final parts.  No override reaches the network
+    or total_vehicles, so a sweep shares one system optimum.
+    """
+    if not overrides:
+        return scenario
+    n_total = scenario.total_vehicles
+    toll, prefs = scenario.toll, scenario.prefs
+    ratio, soc = scenario.dwpt_ratio, scenario.soc
     for key, value in overrides.items():
         if key not in OVERRIDE_PATHS:
             raise ConfigError(
@@ -317,26 +334,26 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario
             )
         value = _number(value, key)
         if key == "toll.price":
-            out = replace(out, toll=_build(FixedToll, key, price=value))
+            toll = _build(FixedToll, key, price=value)
         elif key == "prefs.vot":
-            out = replace(out, prefs=_build(Preferences, key, vot=value, voe=out.prefs.voe))
+            prefs = _build(Preferences, key, vot=value, voe=prefs.voe)
         elif key == "prefs.voe":
-            out = replace(out, prefs=_build(Preferences, key, vot=out.prefs.vot, voe=value))
+            prefs = _build(Preferences, key, vot=prefs.vot, voe=value)
         elif key == "dwpt_ratio":
-            if not isinstance(out.soc, UniformContinuum):
+            if not isinstance(soc, UniformContinuum):
                 raise ConfigError(
                     "dwpt_ratio override requires a uniform SoC pool; "
                     "discrete agent counts cannot be rescaled"
                 )
-            _build(check_fleet, key, total_vehicles=out.total_vehicles, dwpt_ratio=value)
-            soc = replace(out.soc, mass=value * out.total_vehicles)
-            out = replace(out, dwpt_ratio=value, soc=soc)
+            _build(check_fleet, key, total_vehicles=n_total, dwpt_ratio=value)
+            ratio = value
+            soc = replace(soc, mass=value * n_total)
         else:  # soc.s_lo / soc.s_hi
-            if not isinstance(out.soc, UniformContinuum):
+            if not isinstance(soc, UniformContinuum):
                 raise ConfigError(f"{key} override requires a uniform SoC pool")
             field_name = key.split(".", 1)[1]
-            out = replace(out, soc=_build(replace, key, out.soc, **{field_name: value}))
-    return out
+            soc = _build(replace, key, soc, **{field_name: value})
+    return replace(scenario, toll=toll, prefs=prefs, dwpt_ratio=ratio, soc=soc)
 
 
 def parse_override_arg(arg: str) -> tuple[str, float]:
@@ -378,13 +395,20 @@ class ResultRow:
 
 
 def solve_row(
-    scenario: Scenario, identifiers: tuple[tuple[str, float], ...] = ()
+    scenario: Scenario,
+    identifiers: tuple[tuple[str, float], ...] = (),
+    *,
+    min_ttt: float | None = None,
 ) -> ResultRow:
-    """Solve, classify, and measure one scenario; flag failures in-row."""
+    """Solve, classify, and measure one scenario; flag failures in-row.
+
+    min_ttt is the system optimum of the scenario's network and N when
+    the caller already holds it (see analysis.metrics).
+    """
     try:
         result, _ = solve(scenario)
         label = classify(scenario, result)
-        m = metrics(scenario, result)
+        m = metrics(scenario, result, min_ttt=min_ttt)
     except (ConvergenceError, ValueError, ArithmeticError) as exc:
         return ResultRow(identifiers=identifiers, error=str(exc))
     return ResultRow(
@@ -424,9 +448,26 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {path!r} has no values")
 
 
+def _shared_min_ttt(scenario: Scenario) -> float | None:
+    """System optimum of the network and N that override cells share.
+
+    None if it fails, so that every cell computes it again and reports
+    the failure in its own row, as a lone solve_row does.
+    """
+    try:
+        return min_total_travel_time(scenario.network, scenario.total_vehicles)
+    except (ConvergenceError, ValueError, ArithmeticError):
+        return None
+
+
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Solve every cell of the sweep, rows in lexicographic axis order."""
+    """Solve every cell of the sweep, rows in lexicographic axis order.
+
+    The system optimum is computed once: overrides never touch the
+    network or N.
+    """
     paths = [path for path, _ in spec.axes]
+    min_ttt = _shared_min_ttt(spec.base)
     rows = []
     for combo in itertools.product(*(values for _, values in spec.axes)):
         identifiers = tuple(zip(paths, combo))
@@ -435,7 +476,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         except ConfigError as exc:
             rows.append(ResultRow(identifiers=identifiers, error=str(exc)))
             continue
-        rows.append(solve_row(cell, identifiers))
+        rows.append(solve_row(cell, identifiers, min_ttt=min_ttt))
     return rows
 
 
@@ -452,6 +493,7 @@ def table2_rows() -> list[ResultRow]:
     """Five-scenario comparison: base, toll halved, toll x1.5, charging
     value halved, charging value x1.5."""
     base = table1_scenario()
+    min_ttt = _shared_min_ttt(base)
     cells = [
         {},
         {"toll.price": 50.0},
@@ -467,7 +509,7 @@ def table2_rows() -> list[ResultRow]:
             ("toll.price", cell.toll.dwpt_link1_charge),
             ("prefs.voe", cell.prefs.voe),
         )
-        rows.append(solve_row(cell, identifiers))
+        rows.append(solve_row(cell, identifiers, min_ttt=min_ttt))
     return rows
 
 
@@ -530,7 +572,7 @@ def rows_to_yaml(rows: list[ResultRow], stream) -> None:
         doc.update({c: _fmt_cell(c, getattr(row, c)) for c in RESULT_COLUMNS})
         doc["error"] = row.error
         docs.append(doc)
-    yaml.safe_dump(docs, stream, sort_keys=False)
+    yaml.dump(docs, stream, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def rows_to_csv_text(rows: list[ResultRow]) -> str:

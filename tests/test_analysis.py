@@ -123,6 +123,27 @@ class TestMetrics:
         assert m.revenue == 0.0
 
 
+    @pytest.mark.parametrize("price", [0.0, 30.0, 100.0, 400.0, 1000.0])
+    @pytest.mark.parametrize("ratio", [0.2, 0.7])
+    @pytest.mark.parametrize("unequal", [False, True])
+    def test_given_system_optimum_changes_nothing(self, price, ratio, unequal):
+        network = (
+            Network(
+                base_scenario().network.link1,
+                LinkParams(free_flow_time=12.0, capacity=400.0, bpr_beta=2.0),
+            )
+            if unequal
+            else base_scenario().network
+        )
+        scn = base_scenario(ratio=ratio, toll=FixedToll(price), network=network)
+        result = solved(scn)
+        best = min_total_travel_time(scn.network, scn.total_vehicles)
+        assert metrics(scn, result, min_ttt=best) == metrics(scn, result)
+        assert is_conventional_so(scn, result, min_ttt=best) == is_conventional_so(
+            scn, result
+        )
+
+
 class TestConventionalSo:
     def test_twin_network_minimum(self):
         scn = base_scenario()

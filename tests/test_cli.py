@@ -1,8 +1,14 @@
 """End-to-end command-line tests through main(argv)."""
 
+import ast
+import inspect
+import math
+
+import numpy as np
 import pytest
 import yaml
 
+from erstoll import cli
 from erstoll.cli import main
 from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import save_scenario
@@ -187,6 +193,39 @@ class TestPresetCommands:
         assert main(["fig2", "--prices", "nan", "--voes", "100"]) == 1
         assert main(["fig2", "--prices", "inf", "--voes", "100"]) == 1
         assert "toll price" in capsys.readouterr().err
+
+
+class TestRanges:
+    @pytest.mark.parametrize(
+        "start, stop, count",
+        [
+            (0.0, 500.0, 51),
+            (10.0, 300.0, 30),
+            (0.1, 0.7, 7),
+            (1200.0, -3.3, 400),
+            (2.5, 2.5, 4),
+            (7.0, 9.0, 1),
+            (-0.0, 5.0, 1),
+            (1.0, math.nan, 1),
+            (0.0, math.inf, 1),
+            (0.0, 1.5e-323, 7),
+        ],
+    )
+    def test_start_stop_count_is_linspace(self, start, stop, count):
+        got = cli._parse_values(f"{start!r}:{stop!r}:{count}")
+        with np.errstate(invalid="ignore"):
+            want = [float(v) for v in np.linspace(start, stop, count)]
+        # float.hex tells -0.0 from 0.0 and every nan from a number
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_cli_imports_no_numpy(self):
+        modules = set()
+        for node in ast.walk(ast.parse(inspect.getsource(cli))):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module)
+        assert not any(name.split(".")[0] == "numpy" for name in modules)
 
 
 class TestParserBehavior:

@@ -1,13 +1,19 @@
 """Config parsing, overrides, sweeps, presets, and serialization."""
 
 import io
+import itertools
 import math
+import re
 
 import pytest
 import yaml
 
+from erstoll import harness
+from erstoll.analysis import min_total_travel_time
 from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
+from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import (
+    OVERRIDE_PATHS,
     ConfigError,
     ResultRow,
     SweepSpec,
@@ -23,6 +29,7 @@ from erstoll.harness import (
     run_sweep,
     save_scenario,
     scenario_from_config,
+    scenario_to_config,
     solve_row,
     table1_scenario,
     table2_rows,
@@ -32,11 +39,28 @@ from erstoll.model import (
     DiscreteAgents,
     FixedToll,
     FreeToll,
+    LinkParams,
+    Network,
     Preferences,
     UniformContinuum,
 )
 
-from conftest import base_scenario, discrete_scenario
+from conftest import ERS_LINK, base_scenario, discrete_scenario
+
+# link 2 slower, smaller and less steep than the ERS link
+UNEQUAL_NETWORK = Network(
+    ERS_LINK, LinkParams(free_flow_time=12.0, capacity=400.0, bpr_beta=2.0)
+)
+
+# one valid value per override path
+VALID_OVERRIDES = {
+    "toll.price": 42.0,
+    "prefs.vot": 60.0,
+    "prefs.voe": 120.0,
+    "dwpt_ratio": 0.4,
+    "soc.s_lo": 0.2,
+    "soc.s_hi": 0.8,
+}
 
 
 def valid_config() -> dict:
@@ -291,6 +315,80 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="toll.price"):
             apply_overrides(base_scenario(), {"toll.price": -1.0})
 
+    def test_no_overrides_returns_the_input(self):
+        base = base_scenario()
+        assert apply_overrides(base, {}) is base
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"prefs.vot": 60.0, "prefs.voe": 120.0},
+            {"prefs.voe": 120.0, "prefs.vot": 60.0},
+            {"dwpt_ratio": 0.4, "soc.s_hi": 0.8},
+            {"soc.s_hi": 0.3, "soc.s_lo": 0.25, "dwpt_ratio": 0.6},
+            {"toll.price": 0.0, "soc.s_lo": 0.5, "prefs.vot": 1.0},
+        ],
+    )
+    def test_same_as_one_at_a_time(self, overrides):
+        base = base_scenario()
+        stepwise = base
+        for key, value in overrides.items():
+            stepwise = apply_overrides(stepwise, {key: value})
+        assert apply_overrides(base, overrides) == stepwise
+
+    def test_order_decides_which_override_fails(self):
+        # s_lo 0.5 is only valid while s_hi is still 0.9
+        out = apply_overrides(base_scenario(), {"soc.s_lo": 0.5, "soc.s_hi": 0.6})
+        assert out.soc == UniformContinuum(s_lo=0.5, s_hi=0.6, mass=200.0)
+        with pytest.raises(ConfigError, match="^soc.s_lo: s_lo must be < s_hi"):
+            apply_overrides(base_scenario(), {"soc.s_hi": 0.4, "soc.s_lo": 0.5})
+        with pytest.raises(ConfigError, match="^soc.s_hi: s_lo must be < s_hi"):
+            apply_overrides(base_scenario(), {"soc.s_lo": 0.5, "soc.s_hi": 0.4})
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("toll.price", -1.0),
+            ("prefs.vot", 0.0),
+            ("prefs.voe", -5.0),
+            ("dwpt_ratio", 1.2),
+            ("dwpt_ratio", 0.0),
+            ("soc.s_lo", 1.5),
+            ("soc.s_hi", 0.05),
+        ]
+        + [(path, math.nan) for path in OVERRIDE_PATHS],
+    )
+    def test_each_invalid_value_names_its_path(self, path, value):
+        # a valid override first, so the failing one is not the only one
+        overrides = {"toll.price": 10.0} if path != "toll.price" else {}
+        overrides[path] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            apply_overrides(base_scenario(), overrides)
+
+    def test_discrete_messages(self):
+        scenario = discrete_scenario([0.2, 0.5, 0.8], n_other=7)
+        with pytest.raises(ConfigError) as info:
+            apply_overrides(scenario, {"toll.price": 5.0, "dwpt_ratio": 0.5})
+        assert str(info.value) == (
+            "dwpt_ratio override requires a uniform SoC pool; "
+            "discrete agent counts cannot be rescaled"
+        )
+        for path in ("soc.s_lo", "soc.s_hi"):
+            with pytest.raises(ConfigError) as info:
+                apply_overrides(scenario, {path: 0.3})
+            assert str(info.value) == f"{path} override requires a uniform SoC pool"
+
+    def test_no_path_reaches_network_or_fleet_size(self):
+        # run_sweep shares one system optimum across cells; a new path
+        # must be listed here and must not move the network or N
+        assert set(VALID_OVERRIDES) == set(OVERRIDE_PATHS)
+        base = base_scenario(network=UNEQUAL_NETWORK)
+        for path, value in VALID_OVERRIDES.items():
+            out = apply_overrides(base, {path: value})
+            assert out != base
+            assert out.network == base.network
+            assert out.total_vehicles == base.total_vehicles
+
     def test_parse_override_arg(self):
         assert parse_override_arg("toll.price=50") == ("toll.price", 50.0)
         assert parse_override_arg(" prefs.voe =1e2") == ("prefs.voe", 100.0)
@@ -334,6 +432,85 @@ class TestSweeps:
         assert len(rows) == 2
         assert all("uniform" in row.error for row in rows)
         assert all(row.s_thres is None for row in rows)
+
+    @staticmethod
+    def _cell_row(base, identifiers):
+        """A sweep cell solved on its own, the optimum computed in-row."""
+        try:
+            cell = apply_overrides(base, dict(identifiers))
+        except ConfigError as exc:
+            return ResultRow(identifiers=identifiers, error=str(exc))
+        return solve_row(cell, identifiers)
+
+    @pytest.mark.parametrize(
+        "network", [None, UNEQUAL_NETWORK], ids=["twin", "unequal"]
+    )
+    def test_rows_equal_cells_solved_alone(self, network):
+        base = base_scenario() if network is None else base_scenario(network=network)
+        spec = SweepSpec(
+            base=base,
+            axes=(
+                ("toll.price", (0.0, 40.0, 150.0, 900.0)),
+                ("dwpt_ratio", (0.0, 0.2, 0.6, 1.2)),
+                ("soc.s_lo", (0.05, 0.5, 0.9, 0.95)),
+            ),
+        )
+        rows = run_sweep(spec)
+        paths = [path for path, _ in spec.axes]
+        expected = [
+            self._cell_row(base, tuple(zip(paths, combo)))
+            for combo in itertools.product(*(values for _, values in spec.axes))
+        ]
+        assert rows == expected
+        errors = [row.error for row in rows if row.error]
+        assert any("dwpt_ratio must be in (0,1)" in e for e in errors)
+        assert any("s_lo must be < s_hi" in e for e in errors)
+        solved = {row.conventional_so for row in rows if not row.error}
+        # on twin links some cells reach the system optimum and some miss it
+        assert solved == ({True, False} if network is None else {False})
+
+    def test_system_optimum_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(network, n_total):
+            calls.append((network, n_total))
+            return min_total_travel_time(network, n_total)
+
+        monkeypatch.setattr(harness, "min_total_travel_time", counted)
+        monkeypatch.setattr("erstoll.analysis.min_total_travel_time", counted)
+        spec = SweepSpec(
+            base=base_scenario(network=UNEQUAL_NETWORK),
+            axes=(
+                ("toll.price", (0.0, 50.0, 100.0, 200.0, 400.0)),
+                ("prefs.voe", (20.0, 60.0, 100.0, 200.0, 300.0)),
+                ("dwpt_ratio", (0.1, 0.4, 0.6, 0.9)),
+            ),
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 100
+        assert all(row.error == "" for row in rows)
+        assert calls == [(UNEQUAL_NETWORK, 1000.0)]
+        calls.clear()
+        table2_rows()
+        assert len(calls) == 1
+
+    def test_failing_optimum_fails_each_cell_in_row(self, monkeypatch):
+        def broken(network, n_total):
+            raise ConvergenceError("system optimum: no bracket")
+
+        monkeypatch.setattr(harness, "min_total_travel_time", broken)
+        monkeypatch.setattr("erstoll.analysis.min_total_travel_time", broken)
+        spec = SweepSpec(
+            base=base_scenario(),
+            axes=(("toll.price", (0.0, 100.0)), ("dwpt_ratio", (0.3, 1.5))),
+        )
+        rows = run_sweep(spec)
+        assert [row.error for row in rows] == [
+            "system optimum: no bracket",
+            "dwpt_ratio: dwpt_ratio must be in (0,1), got 1.5",
+            "system optimum: no bracket",
+            "dwpt_ratio: dwpt_ratio must be in (0,1), got 1.5",
+        ]
 
     def test_solve_row_values_match_solver(self):
         row = solve_row(base_scenario(), (("toll.price", 100.0),))
@@ -424,6 +601,67 @@ class TestSerialization:
         assert doc["pattern"] == "B_i_c"
         assert doc["conventional_so"] == "true"
         assert doc["error"] == ""
+
+    def test_yaml_text_is_the_pure_python_dump(self):
+        long_error = (
+            "solve: no bracket for 'x1' at toll.price=123.4: "
+            'residual "1.5e-07" exceeds tolerance; '
+        ) * 6
+        rows = [
+            solve_row(base_scenario(), (("toll.price", 100.0), ("prefs.voe", 50.0))),
+            ResultRow(
+                identifiers=(("toll.price", 0.0), ("prefs.voe", 1e-7)),
+                error="dwpt_ratio: dwpt_ratio must be in (0,1), got 1.2",
+            ),
+            ResultRow(
+                identifiers=(("toll.price", 1e9), ("prefs.voe", 2.0)),
+                error=long_error,
+            ),
+        ]
+        buffer = io.StringIO()
+        rows_to_yaml(rows, buffer)
+        text = buffer.getvalue()
+        docs = yaml.load(text, Loader=yaml.SafeLoader)
+        assert [doc["error"] for doc in docs] == [row.error for row in rows]
+        assert text == yaml.safe_dump(docs, sort_keys=False)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            base_scenario(),
+            discrete_scenario([0.2, 0.5, 0.8], n_other=7, toll=FreeToll()),
+        ],
+        ids=["uniform-fixed", "discrete-free"],
+    )
+    def test_saved_text_is_the_pure_python_dump(self, scenario, tmp_path):
+        path = tmp_path / "s.cfg"
+        save_scenario(scenario, path)
+        assert path.read_text() == yaml.safe_dump(
+            scenario_to_config(scenario), sort_keys=False
+        )
+
+    def test_bundled_presets_load_as_pure_python_parse(self):
+        presets = sorted(bundled_scenario_path().parent.glob("*.cfg"))
+        assert presets
+        for path in presets:
+            config = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+            assert load_scenario(path) == scenario_from_config(config)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["toll: [unclosed\n", "a: b: c\n", "prefs:\n\tvot: 1\n", "- x\ny: 1\n"],
+    )
+    def test_malformed_yaml_is_a_config_error(self, text, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_scenario(path)
+
+    def test_uses_libyaml_when_built_with_it(self):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML built without libyaml")
+        assert harness._YAML_LOADER is yaml.CSafeLoader
+        assert harness._YAML_DUMPER is yaml.CSafeDumper
 
     def test_fig2_csv(self):
         prefs = Preferences(vot=50.0, voe=100.0)
