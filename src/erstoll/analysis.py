@@ -9,9 +9,9 @@ links), with c refined by the total-flow comparison for r >= 0.5
 PATTERN_MASS_TOL*N count as zero, so on links that differ c1 means
 |x1 - x2| <= PATTERN_MASS_TOL*N.
 
-Toll bands come from one closed-form inverse price map (toll_bands):
-the toll at which a given DWPT mass on the ERS link is in equilibrium,
-evaluated at each pattern's break point.  No band calls the solver.
+Toll bands evaluate the closed-form price map that solve inverts (the
+toll at which a given DWPT mass on the ERS link is in equilibrium) at
+each pattern's break point.  No band calls the solver.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .equilibrium import (
-    BALANCE_TOL_FACTOR,
-    EquilibriumResult,
-    _bisect_root,
-    _wardrop_response,
-)
+from .equilibrium import EquilibriumResult, _equal_split, _wardrop_response
 from .model import FixedToll, FreeToll, Network, Scenario, bpr_time
 
 # Masses below this fraction of N count as zero when labelling patterns.
@@ -125,20 +120,13 @@ def min_total_travel_time(network: Network, n_total: float) -> float:
     meet, or an end of [0, n_total] if they never do.
     """
 
-    def total(x1: float) -> float:
-        return x1 * bpr_time(network.link1, x1) + (n_total - x1) * bpr_time(
-            network.link2, n_total - x1
-        )
-
     def marginal(link, x: float) -> float:
         a, b = link.bpr_alpha, link.bpr_beta
         return link.free_flow_time * (1.0 + a * (b + 1.0) * (x / link.capacity) ** b)
 
-    def gap(x1: float) -> float:
-        return marginal(network.link1, x1) - marginal(network.link2, n_total - x1)
-
-    return total(
-        _bisect_root(gap, 0.0, n_total, BALANCE_TOL_FACTOR * n_total, "system optimum")
+    x1 = _equal_split(network.link1, network.link2, n_total, marginal, "system optimum")
+    return x1 * bpr_time(network.link1, x1) + (n_total - x1) * bpr_time(
+        network.link2, n_total - x1
     )
 
 
@@ -194,32 +182,22 @@ def metrics(
 def toll_bands(scenario: Scenario) -> list[TollBand]:
     """Partition of the price axis [0, inf) into pattern bands.
 
-    The bands invert the solver.  With DWPT mass n on link 1, OTHER's
-    Wardrop response (equilibrium._wardrop_response, the map solve uses)
-    fixes the link times t1(n), t2(n), and the toll at which SoC q is the
-    marginal charger is
-
-        P(n, q) = voe*(1/q - 1) - vot*(t1(n) - t2(n)),
-
-    closed form and non-increasing in n.  Each band edge is P at a break
-    point n with q = quantile(n): n = rN (a|c), n = 0 (c|b) and, for
-    r >= 0.5, the n where x1 = (N +- tol)/2 (c2|c1 and c1|c3), from the
-    response's inverse.  Here tol = PATTERN_MASS_TOL*N, as in classify:
-    on links that differ, c1 means |x1 - x2| <= tol, so its band is
-    narrow but exact.  On twin links below r = 0.5, x1 = x_eq gives
-    t1 = t2 and the edges are voe*(1/s_max - 1) and voe*(1/s_min - 1).
+    Each band edge is the price map that solve inverts (price(n) of
+    equilibrium._wardrop_response: the toll at which the marginal of n
+    DWPT-EVs on the ERS link is indifferent, closed form and
+    non-increasing in n) at a break point: n = rN (a|c), n = 0 (c|b)
+    and, for r >= 0.5, the n where x1 = (N +- tol)/2 (c2|c1 and c1|c3),
+    from the response's inverse.  Here tol = PATTERN_MASS_TOL*N, as in
+    classify: on links that differ, c1 means |x1 - x2| <= tol, so its
+    band is narrow but exact.  On twin links below r = 0.5, x1 = x_eq
+    gives t1 = t2 and the edges are voe*(1/s_max - 1) and
+    voe*(1/s_min - 1).
     """
     if not isinstance(scenario.toll, FixedToll):
         raise ValueError("toll bands are defined for a fixed-toll system")
-    prefs = scenario.prefs
-    soc = scenario.soc
     n_total = scenario.total_vehicles
     n_dwpt = scenario.n_dwpt
-    _, times, dwpt_mass_at = _wardrop_response(scenario)
-
-    def price(n: float) -> float:
-        t1, t2 = times(n)
-        return prefs.voe * (1.0 / soc.quantile(n) - 1.0) - prefs.vot * (t1 - t2)
+    _, _, dwpt_mass_at, price = _wardrop_response(scenario)
 
     if scenario.dwpt_ratio < 0.5:
         labels = (PatternLabel.B_i_a, PatternLabel.B_i_c, PatternLabel.B_i_b)

@@ -176,8 +176,8 @@ def run(
         x1_d, x1_o, _, _ = class_flows(population)
         x1 = x1_d + x1_o
         phi = rosenthal_potential(
-            network.link1, network.link2, prefs, toll.dwpt_link1_charge,
-            x1, n - x1, population.soc[on1[:n_dwpt]],
+            network.link1, network.link2, prefs.vot, x1, n - x1,
+            bonus[:n_dwpt][on1[:n_dwpt]],
         )
         traj.snapshots.append(
             RoundSnapshot(

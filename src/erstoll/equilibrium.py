@@ -8,16 +8,21 @@ flow x_eq when they can, which puts
 
 on link 1 (_wardrop_response).  DWPT-EVs sort by state of charge around
 a threshold: below it the charging gain outweighs the toll plus any time
-penalty of the ERS link.  An equilibrium is a root of
-excess(n) = n - count_below(threshold(n)), which is non-decreasing in n,
-and the response map splits it into three regimes:
+penalty of the ERS link.  With n DWPT-EVs on link 1 the marginal one,
+SoC quantile(n), is indifferent at the toll
 
-* Interior: OTHER-Vs on both links, link-1 flow x_eq, and the root is
-  the closed-form count below the threshold at the times there.
+    price(n) = voe*(1/quantile(n) - 1) - vot*(t1(n) - t2(n)),
+
+which is non-increasing in n.  An equilibrium is where price crosses the
+toll; solve inverts this map and analysis.toll_bands evaluates it.  The
+response map splits the crossing into three regimes:
+
+* Interior: OTHER-Vs on both links, link-1 flow x_eq, and the DWPT mass
+  is the closed-form count below the threshold at the times there.
 * CornerOtherOn2: the ERS link is so attractive to DWPT-EVs that t1 > t2
-  and every OTHER-V avoids it; the root lies in [x_eq, rN].
+  and every OTHER-V avoids it; the crossing lies in [x_eq, rN].
 * CornerOtherOn1: mirror image (heavy tolls push DWPT-EVs off the ERS
-  link and OTHER-Vs fill it); the root lies in [0, x_eq - n_other].
+  link and OTHER-Vs fill it); the crossing lies in [0, x_eq - n_other].
 
 A brute-force better-response oracle over discrete agents provides an
 independent check of the same equilibrium definition.
@@ -46,7 +51,13 @@ from .model import (
 # non-decreasing on its bracket).
 MAX_BISECT_ITER = 200
 FLOW_TOL_FACTOR = 1e-9  # corner fixed point, fraction of N
-BALANCE_TOL_FACTOR = 1e-12  # balanced-flow root, fraction of N
+BALANCE_TOL_FACTOR = 1e-12  # link-split root, fraction of N
+
+# verify_equilibrium tolerances: masses to this fraction of N (above the
+# bisection residual, far below one vehicle at the scales of interest),
+# times in minutes.
+VERIFY_MASS_TOL_FACTOR = 1e-5
+VERIFY_TIME_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -138,30 +149,35 @@ def _bisect_root(f, lo: float, hi: float, xtol: float, what: str) -> float:
     )
 
 
-def _balanced_flow(link1: LinkParams, link2: LinkParams, total: float) -> float:
-    """Link-1 flow equalizing travel times, clamped to [0, total]."""
+def _equal_split(link1: LinkParams, link2: LinkParams, total: float, cost, what) -> float:
+    """Link-1 flow x in [0, total] where cost(link1, x) meets
+    cost(link2, total - x), for a cost increasing in the flow; half of
+    total on links with one travel-time function."""
     if link1.same_bpr(link2):
         return 0.5 * total
     return _bisect_root(
-        lambda x: bpr_time(link1, x) - bpr_time(link2, total - x),
+        lambda x: cost(link1, x) - cost(link2, total - x),
         0.0,
         total,
         BALANCE_TOL_FACTOR * total,
-        "balanced flow",
+        what,
     )
 
 
 def _wardrop_response(scenario: Scenario):
     """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link.
 
-    Returns (x_eq, times, dwpt_mass_at): the balanced flow; times(n), the
-    link times (t1, t2) at link-1 flow x1(n) = min(max(x_eq, n),
-    n + n_other); and dwpt_mass_at(x1), its inverse, the DWPT mass in
-    [0, rN] at which the response puts x1 on link 1.
+    Returns (x_eq, times, dwpt_mass_at, price): the balanced flow;
+    times(n), the link times (t1, t2) at link-1 flow x1(n) =
+    min(max(x_eq, n), n + n_other); dwpt_mass_at(x1), its inverse, the
+    DWPT mass in [0, rN] at which the response puts x1 on link 1; and
+    price(n), the toll at which the marginal of n DWPT-EVs on link 1 is
+    indifferent (module docstring).
     """
     link1, link2 = scenario.network.link1, scenario.network.link2
     n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
-    x_eq = _balanced_flow(link1, link2, n_total)
+    prefs, soc = scenario.prefs, scenario.soc
+    x_eq = _equal_split(link1, link2, n_total, bpr_time, "balanced flow")
 
     def times(n: float) -> tuple[float, float]:
         # min(max(x_eq, n), n + n_other) without the builtin calls, which
@@ -175,31 +191,32 @@ def _wardrop_response(scenario: Scenario):
         n = x1 - n_other if x1 < x_eq else x1
         return min(max(n, 0.0), n_dwpt)
 
-    return x_eq, times, dwpt_mass_at
+    def price(n: float) -> float:
+        t1, t2 = times(n)
+        return prefs.voe * (1.0 / soc.quantile(n) - 1.0) - prefs.vot * (t1 - t2)
+
+    return x_eq, times, dwpt_mass_at, price
 
 
 def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     """User equilibrium of the scenario: class flows, times, regime.
 
-    The DWPT mass n on link 1 solves excess(n) = 0, with the times of
-    OTHER's Wardrop response to n.  At equal times the count n_star below
-    the threshold is that root in closed form if OTHER-Vs can fill the
-    rest of x_eq (interior).  Otherwise the root lies in [x_eq, rN] when
+    The DWPT mass n on link 1 is where the price map of the module
+    docstring, taken with the times of OTHER's Wardrop response to n,
+    crosses the toll.  At equal times the count n_star below the
+    threshold is that crossing in closed form if OTHER-Vs can fill the
+    rest of x_eq (interior).  Otherwise it lies in [x_eq, rN] when
     n_star > x_eq (every OTHER-V on link 2), else in
-    [0, x_eq - n_other] (every OTHER-V on link 1), and is bisected to
-    FLOW_TOL_FACTOR*N, or taken at the bracket end where excess already
-    has its final sign.
+    [0, x_eq - n_other] (every OTHER-V on link 1), and toll - price(n)
+    is bisected to FLOW_TOL_FACTOR*N, or taken at the bracket end where
+    it already has its final sign.
     """
-    prefs, soc, price = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
+    prefs, soc, toll = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
     n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
-    x_eq, times, _ = _wardrop_response(scenario)
-
-    def excess(n: float) -> float:
-        t1, t2 = times(n)
-        return n - soc.count_below(threshold_soc(prefs, price, t1, t2))
+    x_eq, times, _, price = _wardrop_response(scenario)
 
     t1, t2 = times(x_eq)
-    n_star = soc.count_below(threshold_soc(prefs, price, t1, t2))
+    n_star = soc.count_below(threshold_soc(prefs, toll, t1, t2))
     if n_star <= x_eq and x_eq - n_star <= n_other:
         regime, x1_d = RegimeTag.INTERIOR, n_star  # the response to n_star is x_eq
     else:
@@ -208,7 +225,9 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         else:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_1, 0.0, min(x_eq - n_other, n_dwpt)
         xtol = FLOW_TOL_FACTOR * scenario.total_vehicles
-        x1_d = _bisect_root(excess, lo, hi, xtol, f"fixed point ({regime.value})")
+        x1_d = _bisect_root(
+            lambda n: toll - price(n), lo, hi, xtol, f"fixed point ({regime.value})"
+        )
         t1, t2 = times(x1_d)
     x1_o = min(max(x_eq - x1_d, 0.0), n_other)
     result = EquilibriumResult(
@@ -218,25 +237,18 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         x2_o=n_other - x1_o,
         t1=t1,
         t2=t2,
-        s_thres=threshold_soc(prefs, price, t1, t2),
+        s_thres=threshold_soc(prefs, toll, t1, t2),
     )
     return result, regime
 
 
-def verify_equilibrium(
-    scenario: Scenario,
-    result: EquilibriumResult,
-    mass_tol: float | None = None,
-    time_tol: float = 1e-6,
-) -> list[str]:
+def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[str]:
     """Check the no-improving-switch conditions; return violations.
 
-    mass_tol defaults to 1e-5 * N, comfortably above the bisection
-    residual but far below one vehicle at the scales of interest.
+    Masses count to VERIFY_MASS_TOL_FACTOR*N and times to VERIFY_TIME_TOL.
     """
     n_total = scenario.total_vehicles
-    if mass_tol is None:
-        mass_tol = 1e-5 * n_total
+    mass_tol, time_tol = VERIFY_MASS_TOL_FACTOR * n_total, VERIFY_TIME_TOL
     problems: list[str] = []
 
     for name, value in (
@@ -292,25 +304,24 @@ def verify_equilibrium(
 def rosenthal_potential(
     link1: LinkParams,
     link2: LinkParams,
-    prefs: Preferences,
-    toll_price: float,
+    vot: float,
     x1: int,
     x2: int,
-    link1_dwpt_soc: np.ndarray,
+    link1_bonus: np.ndarray,
 ) -> float:
-    """Exact potential of the atomic game in money units.
+    """Exact potential of the atomic game in money units: vot times the
+    summed travel times of the first x1 and x2 vehicles on each link,
+    less the link-1 bonuses (Population.bonus) of the vehicles on link 1.
 
     Unilateral deviations change this by exactly the deviator's utility
     loss, so better-response paths strictly decrease it.
     """
     ks1 = np.arange(1, x1 + 1, dtype=float)
     ks2 = np.arange(1, x2 + 1, dtype=float)
-    time_part = prefs.vot * (
+    time_part = vot * (
         float(np.sum(_bpr_vec(link1, ks1))) + float(np.sum(_bpr_vec(link2, ks2)))
     )
-    socs = np.asarray(link1_dwpt_soc, dtype=float)
-    offset_part = sum((toll_price - prefs.voe * (1.0 / socs - 1.0)).tolist())
-    return time_part + offset_part
+    return time_part - sum(np.asarray(link1_bonus).tolist())
 
 
 def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
@@ -497,8 +508,6 @@ def brute_force_equilibrium(
         raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
     n_dwpt, n_other = scenario.agent_counts()
     n_agents = n_dwpt + n_other
-    if n_agents > 10_000:
-        raise ValueError(f"{n_agents} agents exceed the oracle limit of 10000")
     if exhaustive and n_agents > 20:
         raise ValueError("exhaustive mode supports at most 20 agents")
 
@@ -539,11 +548,12 @@ def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
     if not is_nash(on_link1):
         raise ConvergenceError("oracle endpoint is not a Nash profile")
 
-    # cumulative per-vehicle times for the potential, indexed by link flow
-    counts = np.arange(0, n_agents + 1, dtype=float)
-    cum1 = np.concatenate(([0.0], np.cumsum(_bpr_vec(link1, counts[1:]))))
-    cum2 = np.concatenate(([0.0], np.cumsum(_bpr_vec(link2, counts[1:]))))
-    offsets = -bonus[:n_dwpt]  # per DWPT on link 1
+    # the potential of each link-1 flow with no bonus, less each profile's
+    # bonuses of the DWPT-EVs it puts on link 1
+    flow_phi = np.array([
+        rosenthal_potential(link1, link2, scenario.prefs.vot, x1, n_agents - x1, ())
+        for x1 in range(n_agents + 1)
+    ])
 
     best_phi = np.inf
     best_profile = None
@@ -551,10 +561,9 @@ def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
     for start in range(0, 1 << n_agents, chunk):
         codes = np.arange(start, min(start + chunk, 1 << n_agents))
         bits = (codes[:, None] >> np.arange(n_agents)) & 1
-        x1 = bits.sum(axis=1)
-        phi = scenario.prefs.vot * (cum1[x1] + cum2[n_agents - x1])
+        phi = flow_phi[bits.sum(axis=1)]
         if n_dwpt:
-            phi = phi + bits[:, :n_dwpt].astype(float) @ offsets
+            phi = phi - bits[:, :n_dwpt].astype(float) @ bonus[:n_dwpt]
         k = int(np.argmin(phi))
         if phi[k] < best_phi:
             best_phi = float(phi[k])

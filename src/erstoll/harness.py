@@ -108,8 +108,7 @@ class ConfigError(ValueError):
 
 
 def _require(mapping: dict, key: str, path: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path or 'top level'}: expected a mapping")
+    _expect_mapping(mapping, path)
     if key not in mapping:
         raise ConfigError(f"{path}{'.' if path else ''}{key}: missing required field")
     return mapping[key]
@@ -121,7 +120,13 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _expect_mapping(mapping, path: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path or 'top level'}: expected a mapping")
+
+
 def _no_extras(mapping: dict, allowed: set[str], path: str):
+    _expect_mapping(mapping, path)
     extras = set(mapping) - allowed
     if extras:
         raise ConfigError(
@@ -439,7 +444,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.axes:
             raise ValueError("sweep needs at least one axis")
+        paths = [path for path, _ in self.axes]
         for path, values in self.axes:
+            if paths.count(path) > 1:
+                raise ValueError(f"sweep axis {path!r} is given twice")
             if path not in OVERRIDE_PATHS:
                 raise ValueError(
                     f"unknown sweep axis {path!r}; valid: {', '.join(OVERRIDE_PATHS)}"

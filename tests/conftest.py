@@ -82,6 +82,18 @@ def random_discrete_scenario(rng, n_max=200):
     )
 
 
+def random_link(rng, n_total, ers=False):
+    """BPR link drawn as in the benchmark's random scenarios."""
+    return LinkParams(
+        free_flow_time=rng.uniform(2.0, 30.0),
+        capacity=n_total * rng.uniform(0.1, 1.0),
+        bpr_alpha=rng.uniform(0.05, 1.0),
+        bpr_beta=rng.uniform(1.0, 8.0),
+        has_ers=ers,
+        ers_power_kw=30.0 if ers else None,
+    )
+
+
 def evenly_spaced_socs(n, lo=0.1, hi=0.9):
     return tuple(float(s) for s in np.linspace(lo, hi, n))
 

@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import PLAIN_LINK, base_scenario, discrete_scenario, networks
+from conftest import PLAIN_LINK, base_scenario, discrete_scenario, networks, random_link
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +12,7 @@ from erstoll import equilibrium
 from erstoll.analysis import (
     PATTERN_MASS_TOL,
     PatternLabel,
+    TollBand,
     band_containing,
     classify,
     is_conventional_so,
@@ -30,6 +31,7 @@ from erstoll.model import (
     Preferences,
     Scenario,
     UniformContinuum,
+    bpr_time,
 )
 
 
@@ -149,6 +151,17 @@ class TestConventionalSo:
         scn = base_scenario()
         assert min_total_travel_time(scn.network, 1000.0) == pytest.approx(11500.0)
 
+    def test_twin_network_minimum_is_exact(self):
+        # twin links split evenly, so the optimum is N*t(N/2) to the bit
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n_total = 10.0 ** rng.uniform(1.0, 7.0)
+            link = random_link(rng, n_total)
+            network = Network(replace(link, has_ers=True, ers_power_kw=30.0), link)
+            assert min_total_travel_time(network, n_total) == n_total * bpr_time(
+                link, n_total / 2
+            )
+
     def test_balanced_flows_are_optimal(self):
         scn = base_scenario(ratio=0.6, toll=FixedToll(100.0))  # x1 = x2
         assert is_conventional_so(scn, solved(scn)) is True
@@ -190,6 +203,10 @@ class TestTollBands:
         assert bands[0].c_high == pytest.approx(100 * (1 / 0.9 - 1), abs=1e-9)
         assert bands[1].c_high == pytest.approx(900.0, abs=1e-9)
         assert math.isinf(bands[2].c_high)
+
+    def test_band_bounds_out_of_order_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            TollBand(PatternLabel.B_i_c, 20.0, 10.0)
 
     def test_bands_partition_the_price_axis(self):
         bands = toll_bands(base_scenario())

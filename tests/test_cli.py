@@ -11,7 +11,7 @@ import yaml
 from erstoll import cli
 from erstoll.cli import main
 from erstoll.equilibrium import ConvergenceError
-from erstoll.harness import save_scenario
+from erstoll.harness import ConfigError, save_scenario
 from erstoll.model import FreeToll
 
 from conftest import base_scenario
@@ -105,6 +105,17 @@ class TestSweep:
     def test_bad_range(self, capsys):
         assert main(["sweep", "--axis", "toll.price=0:100"]) == 1
         assert "start:stop:count" in capsys.readouterr().err
+
+    def test_axis_without_values(self, capsys):
+        assert main(["sweep", "--axis", "toll.price"]) == 1
+        assert "'toll.price' is not of the form PATH=VALUES" in capsys.readouterr().err
+
+    def test_repeated_axis_rejected(self, capsys):
+        args = ["sweep", "--axis", "toll.price=50,150", "--axis", "toll.price=100"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "'toll.price' is given twice" in captured.err
+        assert captured.out == ""
 
     def test_grid_to_stdout(self, capsys):
         args = ["sweep", "--axis", "toll.price=0:100:3", "--axis", "prefs.voe=50,150"]
@@ -217,6 +228,19 @@ class TestRanges:
             want = [float(v) for v in np.linspace(start, stop, count)]
         # float.hex tells -0.0 from 0.0 and every nan from a number
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:x:5", "could not convert string to float: 'x'"),
+            ("0:10:0", "count must be >= 1"),
+            ("0:10:2.5", "invalid literal for int"),
+            ("1,a", "could not convert string to float: 'a'"),
+        ],
+    )
+    def test_malformed_values_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            cli._parse_values(text)
 
     def test_cli_imports_no_numpy(self):
         modules = set()

@@ -6,16 +6,21 @@ from conftest import (
     evenly_spaced_socs,
     networks,
     random_discrete_scenario,
+    random_link,
 )
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erstoll.equilibrium import (
+    FLOW_TOL_FACTOR,
     ConvergenceError,
+    Population,
     RegimeTag,
     _bisect_root,
+    _wardrop_response,
     brute_force_equilibrium,
+    rosenthal_potential,
     solve,
     threshold_soc,
     verify_equilibrium,
@@ -29,6 +34,7 @@ from erstoll.model import (
     Preferences,
     Scenario,
     UniformContinuum,
+    bpr_time,
 )
 
 PREFS = Preferences(vot=50.0, voe=100.0)
@@ -268,6 +274,62 @@ class TestSolveCorners:
         assert verify_equilibrium(scn, result) == []
 
 
+def random_pool(rng):
+    """A continuum on N in [10, 1e7] or a pool of 3-200 agents with most
+    SoCs tied at three levels; twin or differing links, r in (0.05, 0.95)."""
+    if rng.random() < 0.5:
+        n_total = 10.0 ** rng.uniform(1.0, 7.0)
+        ratio = rng.uniform(0.05, 0.95)
+        s_lo = rng.uniform(0.05, 0.5)
+        soc = UniformContinuum(s_lo, rng.uniform(s_lo + 0.05, 0.95), ratio * n_total)
+    else:
+        n = int(rng.integers(3, 201))
+        n_dwpt = int(rng.integers(1, n))
+        tied = rng.choice((0.2, 0.5, 0.8), n_dwpt)
+        socs = np.where(rng.random(n_dwpt) < 0.6, tied, rng.uniform(0.02, 0.98, n_dwpt))
+        n_total, ratio, soc = float(n), n_dwpt / n, DiscreteAgents(tuple(socs))
+    link1 = random_link(rng, n_total, ers=True)
+    if rng.random() < 0.5:
+        link2 = replace(link1, has_ers=False, ers_power_kw=None)
+    else:
+        link2 = random_link(rng, n_total)
+    return Scenario(
+        total_vehicles=n_total,
+        dwpt_ratio=ratio,
+        soc=soc,
+        prefs=Preferences(vot=rng.uniform(10.0, 100.0), voe=rng.uniform(20.0, 300.0)),
+        toll=FixedToll(rng.uniform(0.0, 300.0)),
+        network=Network(link1, link2),
+    )
+
+
+class TestSolveInvertsThePriceMap:
+    def test_corner_toll_lies_between_prices_one_xtol_either_side(self):
+        # the price map is non-increasing and solve bisects toll - price,
+        # so a corner root inside its bracket is within xtol of the crossing
+        rng = np.random.default_rng(8)
+        inside = 0
+        while inside < 200:
+            scn = random_pool(rng)
+            result, regime = solve(scn)
+            if regime is RegimeTag.INTERIOR:
+                continue
+            x_eq, _, _, price = _wardrop_response(scn)
+            if result.x1_d in (0.0, x_eq, x_eq - scn.n_other, scn.n_dwpt):
+                continue  # a bracket end
+            inside += 1
+            xtol = FLOW_TOL_FACTOR * scn.total_vehicles
+            toll = scn.toll.dwpt_link1_charge
+            assert price(result.x1_d + xtol) <= toll <= price(result.x1_d - xtol)
+
+    def test_interior_toll_is_the_price_at_the_closed_form_count(self):
+        scn = base_scenario()  # 100 of 200 DWPT-EVs charge at equal times
+        result, regime = solve(scn)
+        assert regime is RegimeTag.INTERIOR
+        _, _, _, price = _wardrop_response(scn)
+        assert price(result.x1_d) == pytest.approx(100.0, rel=1e-12)
+
+
 class TestSolveDiscrete:
     def test_discrete_pool_matches_continuum_structure(self):
         scn = discrete_scenario(evenly_spaced_socs(6), n_other=14)
@@ -384,12 +446,25 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError):
             brute_force_equilibrium(scn, exhaustive=True)
 
-    def test_agent_count_cap(self):
+    def test_no_agent_count_cap(self):
         scn = discrete_scenario(
             tuple(np.linspace(0.1, 0.9, 6000)), n_other=6000
         )
-        with pytest.raises(ValueError):
-            brute_force_equilibrium(scn)
+        analytic, _ = solve(scn)
+        assert abs(brute_force_equilibrium(scn).x1 - analytic.x1) <= 1.0
+
+    def test_potential_of_a_hand_built_profile(self):
+        # DWPT-EVs at SoC 0.3 (link 1) and 0.6 (link 2), an OTHER-V on link 1
+        scn = discrete_scenario((0.3, 0.6), n_other=1)
+        link1, link2 = scn.network.link1, scn.network.link2
+        population = Population((0.3, 0.6), np.array([True, False, True]))
+        bonus = population.bonus(scn.prefs, scn.toll)
+        phi = rosenthal_potential(
+            link1, link2, scn.prefs.vot, 2, 1, bonus[population.on_link1]
+        )
+        times = bpr_time(link1, 1) + bpr_time(link1, 2) + bpr_time(link2, 1)
+        charge = scn.prefs.voe * (1 / 0.3 - 1) - scn.toll.dwpt_link1_charge
+        assert phi == pytest.approx(scn.prefs.vot * times - charge, rel=1e-12)
 
     def test_switch_guard_raises(self):
         scn = discrete_scenario(evenly_spaced_socs(40), n_other=60)

@@ -164,6 +164,26 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="mapping at the top level"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("section", ["soc", "prefs", "toll", "network"])
+    @pytest.mark.parametrize("value", [5, "ab", [1]])
+    def test_section_not_a_mapping(self, section, value):
+        config = valid_config()
+        config[section] = value
+        with pytest.raises(ConfigError, match=f"^{section}: expected a mapping$"):
+            scenario_from_config(config)
+
+    def test_link_not_a_mapping(self):
+        config = valid_config()
+        config["network"]["link1"] = 5
+        with pytest.raises(ConfigError, match="^network.link1: expected a mapping$"):
+            scenario_from_config(config)
+
+    def test_empty_discrete_values(self):
+        config = valid_config()
+        config["soc"] = {"kind": "discrete", "values": []}
+        with pytest.raises(ConfigError, match="soc.values: expected a non-empty list"):
+            scenario_from_config(config)
+
     def test_missing_field_named(self):
         config = valid_config()
         del config["dwpt_ratio"]
@@ -407,6 +427,15 @@ class TestSweeps:
             SweepSpec(base=base, axes=(("prefs.vol", (1.0,)),))
         with pytest.raises(ValueError, match="no values"):
             SweepSpec(base=base, axes=(("toll.price", ()),))
+        with pytest.raises(ValueError, match="'toll.price' is given twice"):
+            SweepSpec(
+                base=base,
+                axes=(
+                    ("toll.price", (50.0, 150.0)),
+                    ("prefs.voe", (1.0,)),
+                    ("toll.price", (100.0,)),
+                ),
+            )
 
     def test_lexicographic_order_and_identifiers(self):
         spec = SweepSpec(
