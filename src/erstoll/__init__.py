@@ -5,9 +5,10 @@ The deterministic user-equilibrium solver, pattern taxonomy, toll bands,
 and a best-response simulator live in submodules:
 
 * model - domain types (links, preferences, SoC pools, tolls, scenarios)
-* equilibrium - analytic solver plus a brute-force oracle
+* equilibrium - analytic solver and equilibrium verifier (math only)
 * analysis - pattern labels, TTT/TCV/revenue, toll bands
-* dynamics - day-to-day best-response simulation over discrete agents
+* dynamics - the atomic game over discrete agents (numpy): day-to-day
+  best-response simulation and the brute-force oracle
 * harness - config files, sweeps, presets, CSV output
 * cli - the `erstoll` command
 """
@@ -28,7 +29,6 @@ from .equilibrium import (
     ConvergenceError,
     EquilibriumResult,
     RegimeTag,
-    brute_force_equilibrium,
     solve,
     threshold_soc,
     verify_equilibrium,
@@ -64,6 +64,17 @@ from .model import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The oracle lives with the numpy-backed atomic game; importing it on
+    # first use keeps numpy off the analytic path.
+    if name == "brute_force_equilibrium":
+        from .dynamics import brute_force_equilibrium
+
+        return brute_force_equilibrium
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "INDIFFERENCE_EPS",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -60,6 +61,7 @@ def _add_output_args(sub):
     )
 
 
+@functools.cache  # parsing leaves the parser as it was, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="erstoll", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

@@ -24,28 +24,17 @@ response map splits the crossing into three regimes:
 * CornerOtherOn1: mirror image (heavy tolls push DWPT-EVs off the ERS
   link and OTHER-Vs fill it); the crossing lies in [0, x_eq - n_other].
 
-A brute-force better-response oracle over discrete agents provides an
-independent check of the same equilibrium definition.
+The atomic game over discrete agents, with its brute-force
+better-response oracle, lives in dynamics; it is an independent check of
+the same equilibrium definition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .model import (
-    INDIFFERENCE_EPS,
-    DiscreteAgents,
-    LinkParams,
-    Preferences,
-    Scenario,
-    TollSystem,
-    VehicleClass,
-    bpr_time,
-)
+from .model import LinkParams, Preferences, Scenario, bpr_time
 
 # Bisection controls (BPR is monotone, so every map bisected below is
 # non-decreasing on its bracket).
@@ -297,276 +286,12 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     return problems
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracle over discrete agents
+def __getattr__(name):
+    # The benchmark's tracing spans still name the oracle and the potential
+    # under this module; the forward goes when they are renamed to dynamics
+    # (ROADMAP item 6).
+    if name in ("brute_force_equilibrium", "rosenthal_potential"):
+        from . import dynamics
 
-
-def rosenthal_potential(
-    link1: LinkParams,
-    link2: LinkParams,
-    vot: float,
-    x1: int,
-    x2: int,
-    link1_bonus: np.ndarray,
-) -> float:
-    """Exact potential of the atomic game in money units: vot times the
-    summed travel times of the first x1 and x2 vehicles on each link,
-    less the link-1 bonuses (Population.bonus) of the vehicles on link 1.
-
-    Unilateral deviations change this by exactly the deviator's utility
-    loss, so better-response paths strictly decrease it.
-    """
-    ks1 = np.arange(1, x1 + 1, dtype=float)
-    ks2 = np.arange(1, x2 + 1, dtype=float)
-    time_part = vot * (
-        float(np.sum(_bpr_vec(link1, ks1))) + float(np.sum(_bpr_vec(link2, ks2)))
-    )
-    return time_part - sum(np.asarray(link1_bonus).tolist())
-
-
-def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
-    return link.free_flow_time * (
-        1.0 + link.bpr_alpha * (flows / link.capacity) ** link.bpr_beta
-    )
-
-
-class _SweepKernel:
-    """Asynchronous better-response sweeps over a boolean link array.
-
-    Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus,
-    voe*(1/s - 1) - price for a DWPT-EV and 0 for an OTHER-V.  Between
-    switches every gain depends on (x1, x2) alone, so a sweep finds the
-    next switcher with one vectorized test over a chunk, then takes the
-    run of consecutive switchers that follows in one step: a cumsum of
-    the +-1 moves gives the flows each agent would see.  Gains are
-    written as the per-agent rule writes them, from bpr_time tabulated
-    lazily over the link-1 flows visited, so every decision is the
-    scalar one.
-    """
-
-    CHUNK = 64
-
-    def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
-        self.link1, self.link2, self.vot, self.n = link1, link2, vot, n
-        # by link-1 flow x1: vot*(t1(x1) - t2(x2 + 1)) for leaving link 1,
-        # vot*(t2(x2) - t1(x1 + 1)) for leaving link 2
-        self.leave = (np.empty(n + 1), np.empty(n + 1))
-        self.lo = self.hi = 0  # tabulated link-1 flows [lo, hi)
-
-    def _tabulate(self, lo: int, hi: int) -> None:
-        """Extend the tabulated link-1 flows to cover [lo, hi]."""
-        if self.lo == self.hi:
-            self.lo = self.hi = lo
-        for a, b in ((lo, self.lo), (self.hi, hi + 1)):
-            if a < b:
-                t1 = np.array([bpr_time(self.link1, x) for x in range(a, b + 1)])
-                t2 = np.array([bpr_time(self.link2, self.n - x) for x in range(a - 1, b)])
-                self.leave[0][a:b] = self.vot * (t1[:-1] - t2[:-1])
-                self.leave[1][a:b] = self.vot * (t2[1:] - t1[1:])
-        self.lo, self.hi = min(lo, self.lo), max(hi + 1, self.hi)
-
-    def _gain(self, on1, bonus, x1):
-        """Switch gains at link-1 flow x1 (one int, or one per agent)."""
-        lo, hi = (x1, x1) if isinstance(x1, int) else (int(x1.min()), int(x1.max()))
-        if lo < self.lo or hi >= self.hi:
-            self._tabulate(lo, hi)
-        return np.where(on1, self.leave[0][x1] - bonus, self.leave[1][x1] + bonus)
-
-    def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
-        """Visit every agent once in order (default: by index), moving
-        each improving one at once; on1 is updated in place.  Returns
-        (switch count, summed gains)."""
-        link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
-        n, x1 = self.n, int(np.count_nonzero(on1))
-        pos, width, run, last, switches, gain_sum = 0, self.CHUNK, False, -1, 0, 0.0
-        while pos < n:
-            end = min(pos + width, n)
-            on = link1_of[pos:end]
-            flows = x1
-            if run:  # each agent sees the flows left by all before it switching
-                move = np.where(on, -1, 1)
-                flows = x1 + np.cumsum(move) - move
-            gain = self._gain(on, bonus_of[pos:end], flows)
-            moved = gain > INDIFFERENCE_EPS
-            if run:  # the leading switchers
-                a, b = 0, int(moved.argmin()) if not moved.all() else end - pos
-            else:  # the first switcher at fixed flows, alone
-                a = b = int(moved.argmax())
-                if not moved[a]:
-                    pos, width = end, 2 * width
-                    continue
-                if pos + a == last:  # a second switcher in a row: take the run
-                    pos, width, run = last, self.CHUNK, True
-                    continue
-                b += 1
-            x1 += b - a - 2 * int(np.count_nonzero(on[a:b]))
-            link1_of[pos + a : pos + b] = ~on[a:b]
-            for g in gain[a:b].tolist():
-                gain_sum += g
-            switches += b - a
-            last = pos = pos + b
-            if run and pos == end:
-                width *= 2
-            else:
-                run, width = False, max(self.CHUNK, 2 * a)
-        if order is not None:
-            on1[order] = link1_of
-        return switches, gain_sum
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Read-only view of one vehicle of a Population."""
-
-    agent_id: int
-    vclass: VehicleClass
-    soc: float | None
-    current_link: int
-
-
-@dataclass(eq=False)
-class Population:
-    """Discrete vehicles as arrays, DWPT-EVs first, then OTHER-Vs.
-
-    soc holds the DWPT-EVs' states of charge; on_link1 marks every vehicle
-    on the ERS link, and sweeps update it in place.  Iterating yields one
-    AgentState view per vehicle.
-    """
-
-    soc: np.ndarray
-    on_link1: np.ndarray
-
-    def __post_init__(self):
-        self.soc = np.asarray(self.soc, dtype=float)
-        self.on_link1 = np.asarray(self.on_link1)
-        bad = self.soc[~((self.soc > 0.0) & (self.soc < 1.0))]  # NaN included
-        if bad.size:
-            raise ValueError(f"every DWPT SoC must be in (0,1), got {bad[0]}")
-        if self.on_link1.dtype != bool:
-            raise ValueError(f"on_link1 must be a bool mask, got {self.on_link1.dtype}")
-        if len(self.on_link1) < len(self.soc):
-            raise ValueError(f"{len(self.on_link1)} links are fewer than {len(self.soc)} SoCs")
-
-    def __len__(self) -> int:
-        return len(self.on_link1)
-
-    def __iter__(self) -> Iterator[AgentState]:
-        socs = self.soc.tolist() + [None] * (len(self) - len(self.soc))
-        for i, (s, on) in enumerate(zip(socs, self.on_link1.tolist())):
-            vclass = VehicleClass.OTHER if s is None else VehicleClass.DWPT
-            yield AgentState(i, vclass, s, 1 if on else 2)
-
-    def bonus(self, prefs: Preferences, toll: TollSystem) -> np.ndarray:
-        """Link-1 bonus per vehicle: voe*(1/s - 1) - price for a DWPT-EV,
-        0 for an OTHER-V."""
-        out = np.zeros(len(self))
-        out[: len(self.soc)] = prefs.voe * (1.0 / self.soc - 1.0) - toll.dwpt_link1_charge
-        return out
-
-
-def class_flows(population: Population) -> tuple[int, int, int, int]:
-    """(x1_d, x1_o, x2_d, x2_o) of the population."""
-    n_dwpt = len(population.soc)
-    x1_d = int(np.count_nonzero(population.on_link1[:n_dwpt]))
-    x1_o = int(np.count_nonzero(population.on_link1[n_dwpt:]))
-    return x1_d, x1_o, n_dwpt - x1_d, len(population) - n_dwpt - x1_o
-
-
-def _oracle_result(scenario: Scenario, population: Population) -> EquilibriumResult:
-    x1_d, x1_o, x2_d, x2_o = class_flows(population)
-    t1 = bpr_time(scenario.network.link1, x1_d + x1_o)
-    t2 = bpr_time(scenario.network.link2, x2_d + x2_o)
-    return EquilibriumResult(
-        x1_d=float(x1_d),
-        x2_d=float(x2_d),
-        x1_o=float(x1_o),
-        x2_o=float(x2_o),
-        t1=t1,
-        t2=t2,
-        s_thres=threshold_soc(
-            scenario.prefs, scenario.toll.dwpt_link1_charge, t1, t2
-        ),
-    )
-
-
-def brute_force_equilibrium(
-    scenario: Scenario,
-    exhaustive: bool = False,
-    max_switches: int = 10_000_000,
-    seed: int | None = None,
-) -> EquilibriumResult:
-    """Atomic better-response oracle; requires a DiscreteAgents SoC pool.
-
-    Agents start on link 2 and are scanned round-robin; any agent whose
-    switch strictly improves its utility (by more than INDIFFERENCE_EPS)
-    moves at once.  Termination is guaranteed by the exact potential.
-    With exhaustive=True (at most 20 agents) every profile is enumerated
-    to confirm the endpoint is a true equilibrium and that the potential
-    minimum is one as well.
-    """
-    if not isinstance(scenario.soc, DiscreteAgents):
-        raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
-    n_dwpt, n_other = scenario.agent_counts()
-    n_agents = n_dwpt + n_other
-    if exhaustive and n_agents > 20:
-        raise ValueError("exhaustive mode supports at most 20 agents")
-
-    # every vehicle starts on link 2, the pool in its own order
-    population = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool))
-    bonus = population.bonus(scenario.prefs, scenario.toll)
-    order = None if seed is None else np.random.default_rng(seed).permutation(n_agents)
-
-    kernel = _SweepKernel(
-        scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
-    )
-    switches, moved = 0, True
-    while moved:
-        moved = kernel.sweep(population.on_link1, bonus, order)[0]
-        switches += moved
-        if switches > max_switches:
-            raise ConvergenceError(
-                f"oracle exceeded {max_switches} switches; "
-                "the finite-improvement property is violated"
-            )
-
-    if exhaustive:
-        _exhaustive_check(scenario, kernel, population.on_link1, bonus, n_dwpt)
-    return _oracle_result(scenario, population)
-
-
-def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
-    """Enumerate all 2^n profiles (vectorized in chunks): the endpoint
-    must be Nash (a sweep from it moves nobody), and so must the potential
-    minimizer; misalignment of the two would flag a utility/potential bug."""
-    link1 = scenario.network.link1
-    link2 = scenario.network.link2
-    n_agents = len(bonus)
-
-    def is_nash(profile) -> bool:
-        return kernel.sweep(np.array(profile, dtype=bool), bonus)[0] == 0
-
-    if not is_nash(on_link1):
-        raise ConvergenceError("oracle endpoint is not a Nash profile")
-
-    # the potential of each link-1 flow with no bonus, less each profile's
-    # bonuses of the DWPT-EVs it puts on link 1
-    flow_phi = np.array([
-        rosenthal_potential(link1, link2, scenario.prefs.vot, x1, n_agents - x1, ())
-        for x1 in range(n_agents + 1)
-    ])
-
-    best_phi = np.inf
-    best_profile = None
-    chunk = 1 << 16
-    for start in range(0, 1 << n_agents, chunk):
-        codes = np.arange(start, min(start + chunk, 1 << n_agents))
-        bits = (codes[:, None] >> np.arange(n_agents)) & 1
-        phi = flow_phi[bits.sum(axis=1)]
-        if n_dwpt:
-            phi = phi - bits[:, :n_dwpt].astype(float) @ bonus[:n_dwpt]
-        k = int(np.argmin(phi))
-        if phi[k] < best_phi:
-            best_phi = float(phi[k])
-            best_profile = bits[k]
-    if not is_nash(best_profile):
-        raise ConvergenceError("potential minimizer is not a Nash profile")
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -47,11 +47,11 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from numbers import Real
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import yaml
 
 from .analysis import classify, metrics, min_total_travel_time
-from .dynamics import Trajectory
 from .equilibrium import ConvergenceError, solve, threshold_soc
 from .model import (
     DiscreteAgents,
@@ -64,6 +64,9 @@ from .model import (
     UniformContinuum,
     check_fleet,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
 
 # libyaml's parser and emitter when PyYAML was built with it: several
 # times faster, with the same documents as the pure-Python classes and,

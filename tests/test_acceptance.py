@@ -22,11 +22,12 @@ from erstoll.cli import main
 from erstoll.dynamics import (
     Population,
     agents_from_scenario,
+    brute_force_equilibrium,
     class_flows,
     discretize_scenario,
     run,
 )
-from erstoll.equilibrium import brute_force_equilibrium, solve
+from erstoll.equilibrium import solve
 from erstoll.harness import (
     load_scenario,
     save_scenario,

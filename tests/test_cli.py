@@ -129,6 +129,16 @@ class TestSweep:
         assert lines[3].startswith("50,50,")
         assert "6 cells, 0 failed" in captured.err
 
+    def test_successive_runs_share_no_state(self, capsys):
+        # main reuses one parser; argparse hands every parse the same
+        # default=[] list, so an appended --set must not stay in it
+        axis = ["sweep", "--axis", "prefs.voe=100"]
+        assert main([*axis, "--set", "toll.price=50"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("100,0.6667,")
+        assert main(axis) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("100,0.5000,")
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestBands:
     def test_default_scenario(self, capsys):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import (
@@ -7,16 +13,18 @@ from conftest import (
     evenly_spaced_socs,
 )
 
+from erstoll import dynamics
 from erstoll.dynamics import (
     Population,
     agents_at_result,
     agents_from_scenario,
+    brute_force_equilibrium,
     class_flows,
     discretize_scenario,
     run,
     step,
 )
-from erstoll.equilibrium import brute_force_equilibrium, solve
+from erstoll.equilibrium import ConvergenceError, solve
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -27,6 +35,7 @@ from erstoll.model import (
 )
 
 PREFS = Preferences(vot=50.0, voe=100.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPopulation:
@@ -232,6 +241,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(agents, scn.network, scn.prefs, scn.toll, order_policy="swirl")
 
+    def test_potential_and_gains_must_agree(self, monkeypatch):
+        scn = discrete_scenario(evenly_spaced_socs(10), n_other=20)
+        agents = agents_from_scenario(scn)
+        monkeypatch.setattr(dynamics, "rosenthal_potential", lambda *args: 0.0)
+        with pytest.raises(AssertionError, match="utility and potential disagree"):
+            run(agents, scn.network, scn.prefs, scn.toll)
+
     def test_trajectory_bookkeeping(self):
         scn = discrete_scenario(evenly_spaced_socs(6), n_other=14)
         agents = agents_from_scenario(scn, "all_link2")
@@ -240,3 +256,67 @@ class TestRun:
         assert traj.snapshots[0].switches == 0
         assert traj.total_switches == sum(s.switches for s in traj.snapshots)
         assert traj.terminal_round == traj.snapshots[-1].round_index
+
+
+class TestOracleSelfChecks:
+    def test_non_nash_endpoint_rejected(self):
+        # both vehicles on link 2 while link 1 is free and empty
+        scn = discrete_scenario((0.5,), n_other=1, toll=FreeToll())
+        population = Population((0.5,), np.zeros(2, dtype=bool))
+        bonus = population.bonus(scn.prefs, scn.toll)
+        link1, link2 = scn.network.link1, scn.network.link2
+        kernel = dynamics._SweepKernel(link1, link2, scn.prefs.vot, 2)
+        with pytest.raises(ConvergenceError, match="oracle endpoint is not a Nash"):
+            dynamics._exhaustive_check(scn, kernel, population.on_link1, bonus, 1)
+
+    def test_non_nash_potential_minimizer_rejected(self, monkeypatch):
+        # a flat time potential puts the minimum at every vehicle on link 2
+        scn = discrete_scenario((0.9,), n_other=3, toll=FixedToll(500.0))
+        monkeypatch.setattr(dynamics, "rosenthal_potential", lambda *args: 0.0)
+        with pytest.raises(ConvergenceError, match="potential minimizer is not a Nash"):
+            brute_force_equilibrium(scn, exhaustive=True)
+
+SPLIT_CHECK = """
+    import sys
+
+    import erstoll
+    from erstoll import analysis, equilibrium, harness, model
+
+    assert "numpy" not in sys.modules, "the analytic path loaded numpy"
+    from erstoll import *
+    from erstoll import dynamics
+
+    assert brute_force_equilibrium is dynamics.brute_force_equilibrium
+    assert erstoll.brute_force_equilibrium is dynamics.brute_force_equilibrium
+    assert equilibrium.brute_force_equilibrium is dynamics.brute_force_equilibrium
+    assert equilibrium.rosenthal_potential is dynamics.rosenthal_potential
+    for module, name in (
+        (erstoll, "rosenthal_potential"),
+        (erstoll, "no_such_name"),
+        (equilibrium, "Population"),
+        (equilibrium, "no_such_name"),
+    ):
+        try:
+            getattr(module, name)
+        except AttributeError:
+            continue
+        raise AssertionError(f"{module.__name__}.{name} resolved")
+    print("ok")
+"""
+
+
+def test_analytic_modules_load_without_numpy(tmp_path):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(SPLIT_CHECK)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+

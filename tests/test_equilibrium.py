@@ -12,15 +12,13 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erstoll.dynamics import Population, brute_force_equilibrium, rosenthal_potential
 from erstoll.equilibrium import (
     FLOW_TOL_FACTOR,
     ConvergenceError,
-    Population,
     RegimeTag,
     _bisect_root,
     _wardrop_response,
-    brute_force_equilibrium,
-    rosenthal_potential,
     solve,
     threshold_soc,
     verify_equilibrium,
@@ -50,6 +48,18 @@ def test_bisect_root_evaluates_each_point_once():
     root = _bisect_root(f, 0.0, 1.0, 1e-9, "test")
     assert root == pytest.approx(0.3, abs=1e-9)
     assert len(args) == len(set(args))
+
+
+def test_bisect_root_rejects_a_non_monotone_map():
+    values = {0.0: -1.0, 1.0: 1.0, 0.5: 5.0}
+    with pytest.raises(ConvergenceError, match="not monotone"):
+        _bisect_root(values.__getitem__, 0.0, 1.0, 1e-9, "test")
+
+
+def test_bisect_root_iteration_cap():
+    # adjacent floats never get within xtol=0 of each other
+    with pytest.raises(ConvergenceError, match="no convergence"):
+        _bisect_root(lambda x: x - 0.3, 0.0, 1.0, 0.0, "test")
 
 
 class TestThresholdSoc:
@@ -365,6 +375,37 @@ class TestVerifyEquilibrium:
         result, _ = solve(scn)
         swapped = replace(result, x1_d=0.0, x2_d=200.0)
         assert verify_equilibrium(scn, swapped) != []
+
+    # Base equilibrium: x1_d = x2_d = 100, x1_o = x2_o = 400, t1 = t2 = 11.5.
+
+    def test_flags_negative_flow(self):
+        scn = base_scenario()
+        result, _ = solve(scn)
+        broken = replace(result, x1_o=-10.0, x2_o=810.0)
+        assert "negative flow x1_o = -10.0" in verify_equilibrium(scn, broken)
+
+    def test_flags_other_flows_off_the_class_total(self):
+        scn = base_scenario()
+        result, _ = solve(scn)
+        broken = replace(result, x2_o=450.0)
+        problems = verify_equilibrium(scn, broken)
+        assert "OTHER flows do not sum to the class total" in problems
+
+    def test_flags_other_missing_from_the_faster_link(self):
+        scn = base_scenario()
+        link1, link2 = scn.network.link1, scn.network.link2
+        result, _ = solve(scn)
+        t1, t2 = bpr_time(link1, 100.0), bpr_time(link2, 900.0)
+        broken = replace(result, x1_o=0.0, x2_o=800.0, t1=t1, t2=t2)
+        problems = verify_equilibrium(scn, broken)
+        assert "no OTHER on link 1 although it is faster" in problems
+
+    def test_flags_too_few_dwpt_on_link2(self):
+        scn = base_scenario()
+        result, _ = solve(scn)
+        broken = replace(result, x1_d=200.0, x2_d=0.0, x1_o=300.0, x2_o=500.0)
+        [problem] = verify_equilibrium(scn, broken)
+        assert problem.startswith("only 0.0 DWPT on link 2 but 99.99")
 
 
 @st.composite

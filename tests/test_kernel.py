@@ -13,8 +13,13 @@ from conftest import discrete_scenario, networks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erstoll.dynamics import agents_from_scenario, run, step
-from erstoll.equilibrium import _SweepKernel, brute_force_equilibrium
+from erstoll.dynamics import (
+    _SweepKernel,
+    agents_from_scenario,
+    brute_force_equilibrium,
+    run,
+    step,
+)
 from erstoll.model import (
     INDIFFERENCE_EPS,
     FixedToll,

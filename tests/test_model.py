@@ -270,6 +270,11 @@ class TestUtility:
         )
         assert u == pytest.approx(-50 * 12.0)
 
+    @pytest.mark.parametrize("t1, t2", [(-1.0, 11.5), (11.5, -1.0)])
+    def test_negative_travel_time_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="travel times"):
+            utility(VehicleClass.OTHER, 1, t1, t2, FreeToll(), self.prefs)
+
     def test_soc_argument_policing(self):
         with pytest.raises(ValueError):
             utility(VehicleClass.DWPT, 1, 11.5, 11.5, FreeToll(), self.prefs)
