@@ -1,24 +1,26 @@
 """Command-line front end.
 
 Subcommands: solve, sweep, bands, simulate, table2, fig2.  Exit codes:
-0 success, 1 validation or parse error, 2 numerical failure.  Machine
-output (CSV or the structured-text twin) goes to --output when given,
-otherwise to standard output with the human summary moved to stderr so
-pipes stay clean.
+0 success, 1 validation or parse error, 2 numerical failure.  Each
+subcommand makes one table of machine output, in the --format chosen
+(CSV or its structured-text twin), and a human summary.  With --output
+the table goes to that file and the summary to standard output.  Without
+it, solve writes no table, only its summary to standard output; every
+other subcommand writes the table to standard output and moves the
+summary to stderr, so pipes stay clean.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
 
-from . import analysis, dynamics, harness
+from . import analysis, harness
 from .equilibrium import ConvergenceError, solve
 from .harness import ConfigError
-from .model import Preferences
+from .model import INITIAL_ASSIGNMENTS, ORDER_POLICIES, Preferences
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,7 +57,7 @@ def _add_output_args(sub):
     sub.add_argument("--output", help="write machine output to this file")
     sub.add_argument(
         "--format",
-        choices=("csv", "structured-text"),
+        choices=harness.TABLE_FORMATS,
         default="csv",
         help="machine output format (default csv)",
     )
@@ -98,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--initial",
-        choices=dynamics.INITIAL_ASSIGNMENTS,
+        choices=INITIAL_ASSIGNMENTS,
         default="all_link2",
         help="starting assignment (default all_link2)",
     )
     p.add_argument(
         "--order",
-        choices=dynamics.ORDER_POLICIES,
+        choices=ORDER_POLICIES,
         default="sequential",
         help="agent update order per round (default sequential)",
     )
@@ -178,23 +180,25 @@ def _load_scenario(args):
 
 
 def _emit(args, write_machine, summary_lines: list[str]) -> None:
-    """Route machine output and summary per the module docstring."""
+    """Route machine output and summary per the module docstring;
+    write_machine(stream, fmt) writes the table in the chosen format."""
     if args.output:
         with open(args.output, "w", newline="") as stream:
-            write_machine(stream)
+            write_machine(stream, args.format)
         for line in summary_lines:
             print(line)
         print(f"wrote {args.output}")
     else:
         for line in summary_lines:
             print(line, file=sys.stderr)
-        write_machine(sys.stdout)
+        write_machine(sys.stdout, args.format)
 
 
-def _machine_writer(args, rows):
-    if args.format == "csv":
-        return lambda stream: harness.rows_to_csv(rows, stream)
-    return lambda stream: harness.rows_to_yaml(rows, stream)
+def _result_rows(rows):
+    # looked up at each call, so that a profiler that wraps them sees them
+    return lambda stream, fmt: (
+        harness.rows_to_csv if fmt == "csv" else harness.rows_to_yaml
+    )(rows, stream)
 
 
 def cmd_solve(args) -> int:
@@ -222,7 +226,7 @@ def cmd_solve(args) -> int:
     ]
     if args.output:
         rows = [harness.solve_row(scenario)]
-        _emit(args, _machine_writer(args, rows), lines)
+        _emit(args, _result_rows(rows), lines)
     else:
         for line in lines:
             print(line)
@@ -243,31 +247,29 @@ def cmd_sweep(args) -> int:
     rows = harness.run_sweep(spec)
     failed = sum(1 for r in rows if r.error)
     summary = [f"sweep: {len(rows)} cells, {failed} failed"]
-    _emit(args, _machine_writer(args, rows), summary)
+    _emit(args, _result_rows(rows), summary)
     return EXIT_OK
 
 
 def cmd_bands(args) -> int:
     scenario = _load_scenario(args)
-    bands = analysis.toll_bands(scenario)
-    summary = [
-        f"{band.pattern.value:<8} [{band.c_low:.4f}, "
-        + (f"{band.c_high:.4f})" if math.isfinite(band.c_high) else "inf)")
-        for band in bands
+    cells = [
+        [
+            band.pattern.value,
+            f"{band.c_low:.4f}",
+            f"{band.c_high:.4f}" if math.isfinite(band.c_high) else "inf",
+        ]
+        for band in analysis.toll_bands(scenario)
     ]
-
-    def write_machine(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["pattern", "c_low", "c_high"])
-        for band in bands:
-            hi = f"{band.c_high:.4f}" if math.isfinite(band.c_high) else "inf"
-            writer.writerow([band.pattern.value, f"{band.c_low:.4f}", hi])
-
-    _emit(args, write_machine, summary)
+    summary = [f"{pattern:<8} [{low}, {high})" for pattern, low, high in cells]
+    header = ("pattern", "c_low", "c_high")
+    _emit(args, functools.partial(harness.write_table, header, cells), summary)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics  # numpy loads for this subcommand only
+
     scenario = dynamics.discretize_scenario(_load_scenario(args))
     agents = dynamics.agents_from_scenario(
         scenario, initial=args.initial, seed=args.seed
@@ -290,14 +292,27 @@ def cmd_simulate(args) -> int:
         f"final x1_d       {last.x1_d} (solver {result.x1_d:.4f})",
         f"final x1_o       {last.x1_o} (solver {result.x1_o:.4f})",
     ]
-    _emit(args, lambda stream: harness.trajectory_to_csv(traj, stream), summary)
+    header = ("round", "x1_d", "x1_o", "t1", "t2", "switches", "potential")
+    cells = [
+        [
+            str(snap.round_index),
+            str(snap.x1_d),
+            str(snap.x1_o),
+            f"{snap.t1:.4f}",
+            f"{snap.t2:.4f}",
+            str(snap.switches),
+            f"{snap.potential:.4f}",
+        ]
+        for snap in traj.snapshots
+    ]
+    _emit(args, functools.partial(harness.write_table, header, cells), summary)
     return EXIT_OK
 
 
 def cmd_table2(args) -> int:
     rows = harness.table2_rows()
     summary = ["five-scenario comparison (base toll 100 JPY, voe 100 JPY)"]
-    _emit(args, _machine_writer(args, rows), summary)
+    _emit(args, _result_rows(rows), summary)
     return EXIT_OK
 
 
@@ -307,7 +322,9 @@ def cmd_fig2(args) -> int:
         prefs, _parse_values(args.prices), _parse_values(args.voes)
     )
     summary = [f"threshold surface: {len(grid)} grid points"]
-    _emit(args, lambda stream: harness.fig2_to_csv(grid, stream), summary)
+    header = ("voe", "toll_price", "s_thres")
+    cells = [[f"{voe:.6g}", f"{price:.6g}", f"{s:.4f}"] for voe, price, s in grid]
+    _emit(args, functools.partial(harness.write_table, header, cells), summary)
     return EXIT_OK
 
 

@@ -28,6 +28,8 @@ import numpy as np
 from .equilibrium import ConvergenceError, EquilibriumResult, threshold_soc
 from .model import (
     INDIFFERENCE_EPS,
+    INITIAL_ASSIGNMENTS,
+    ORDER_POLICIES,
     DiscreteAgents,
     LinkParams,
     Network,
@@ -37,9 +39,6 @@ from .model import (
     VehicleClass,
     bpr_time,
 )
-
-ORDER_POLICIES = ("sequential", "random")
-INITIAL_ASSIGNMENTS = ("all_link2", "all_link1", "random", "balanced")
 
 
 @dataclass(frozen=True)

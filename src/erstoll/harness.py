@@ -1,4 +1,4 @@
-"""Scenario configuration, sweeps, presets, and result serialization.
+"""Scenario configuration, sweeps, presets, and the table writer.
 
 Scenario files are YAML with a fixed schema (all keys required unless
 marked optional; units are minutes, vehicles, kW, JPY):
@@ -41,13 +41,11 @@ toll.price, prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 from dataclasses import dataclass, replace
 from importlib import resources
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import yaml
 
@@ -65,9 +63,6 @@ from .model import (
     check_fleet,
 )
 
-if TYPE_CHECKING:
-    from .dynamics import Trajectory
-
 # libyaml's parser and emitter when PyYAML was built with it: several
 # times faster, with the same documents as the pure-Python classes and,
 # for strings of printable ASCII, the same text.  (They fold long
@@ -84,6 +79,8 @@ OVERRIDE_PATHS = (
     "soc.s_lo",
     "soc.s_hi",
 )
+
+TABLE_FORMATS = ("csv", "structured-text")  # see write_table
 
 RESULT_COLUMNS = (
     "s_thres",
@@ -144,36 +141,36 @@ def _build(factory, path: str, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_link(raw: dict, path: str, is_ers: bool) -> LinkParams:
-    allowed = {"free_flow_time", "capacity", "bpr_alpha", "bpr_beta"}
-    if is_ers:
-        allowed.add("ers_power_kw")
-    _no_extras(raw, allowed, path)
-    kwargs = {
-        "free_flow_time": _number(_require(raw, "free_flow_time", path), f"{path}.free_flow_time"),
-        "capacity": _number(_require(raw, "capacity", path), f"{path}.capacity"),
+def _numbers(raw, path: str, fields, optional=(), allowed=()) -> dict[str, float]:
+    """The numeric fields of one config section, keyed by name.
+
+    Keys outside fields and allowed (the section's other keys) are
+    rejected first; then each field is read in order, skipping an
+    optional one that is absent.
+    """
+    _no_extras(raw, {*fields, *allowed}, path)
+    prefix = f"{path}." if path else ""
+    return {
+        name: _number(_require(raw, name, path), prefix + name)
+        for name in fields
+        if name in raw or name not in optional
     }
-    for opt in ("bpr_alpha", "bpr_beta"):
-        if opt in raw:
-            kwargs[opt] = _number(raw[opt], f"{path}.{opt}")
+
+
+def _parse_link(raw: dict, path: str, is_ers: bool) -> LinkParams:
+    fields = ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta")
     if is_ers:
-        kwargs["has_ers"] = True
-        kwargs["ers_power_kw"] = _number(
-            _require(raw, "ers_power_kw", path), f"{path}.ers_power_kw"
-        )
-    return _build(LinkParams, path, **kwargs)
+        fields += ("ers_power_kw",)
+    values = _numbers(raw, path, fields, optional=("bpr_alpha", "bpr_beta"))
+    return _build(LinkParams, path, has_ers=is_ers, **values)
 
 
 def scenario_from_config(config: dict) -> Scenario:
     """Build and validate a Scenario from a parsed config mapping."""
-    _no_extras(
-        config,
-        {"total_vehicles", "dwpt_ratio", "soc", "prefs", "toll", "network"},
-        "",
-    )
-    n_total = _number(_require(config, "total_vehicles", ""), "total_vehicles")
-    ratio = _number(_require(config, "dwpt_ratio", ""), "dwpt_ratio")
-    _build(check_fleet, "scenario", total_vehicles=n_total, dwpt_ratio=ratio)
+    sections = ("soc", "prefs", "toll", "network")
+    fleet = _numbers(config, "", ("total_vehicles", "dwpt_ratio"), allowed=sections)
+    n_total, ratio = fleet["total_vehicles"], fleet["dwpt_ratio"]
+    _build(check_fleet, "scenario", **fleet)
 
     raw_soc = _require(config, "soc", "")
     kind = _require(raw_soc, "kind", "soc")
@@ -181,14 +178,8 @@ def scenario_from_config(config: dict) -> Scenario:
     # so it can only reject the size of a discrete pool
     scenario_path = "soc"
     if kind == "uniform":
-        _no_extras(raw_soc, {"kind", "s_lo", "s_hi"}, "soc")
-        soc = _build(
-            UniformContinuum,
-            "soc",
-            s_lo=_number(_require(raw_soc, "s_lo", "soc"), "soc.s_lo"),
-            s_hi=_number(_require(raw_soc, "s_hi", "soc"), "soc.s_hi"),
-            mass=ratio * n_total,
-        )
+        bounds = _numbers(raw_soc, "soc", ("s_lo", "s_hi"), allowed=("kind",))
+        soc = _build(UniformContinuum, "soc", **bounds, mass=ratio * n_total)
     elif kind == "discrete":
         _no_extras(raw_soc, {"kind", "values"}, "soc")
         values = _require(raw_soc, "values", "soc")
@@ -204,13 +195,7 @@ def scenario_from_config(config: dict) -> Scenario:
         raise ConfigError(f"soc.kind: expected 'uniform' or 'discrete', got {kind!r}")
 
     raw_prefs = _require(config, "prefs", "")
-    _no_extras(raw_prefs, {"vot", "voe"}, "prefs")
-    prefs = _build(
-        Preferences,
-        "prefs",
-        vot=_number(_require(raw_prefs, "vot", "prefs"), "prefs.vot"),
-        voe=_number(_require(raw_prefs, "voe", "prefs"), "prefs.voe"),
-    )
+    prefs = _build(Preferences, "prefs", **_numbers(raw_prefs, "prefs", ("vot", "voe")))
 
     raw_toll = _require(config, "toll", "")
     toll_kind = _require(raw_toll, "kind", "toll")
@@ -218,12 +203,8 @@ def scenario_from_config(config: dict) -> Scenario:
         _no_extras(raw_toll, {"kind"}, "toll")
         toll = FreeToll()
     elif toll_kind == "fixed":
-        _no_extras(raw_toll, {"kind", "price"}, "toll")
-        toll = _build(
-            FixedToll,
-            "toll",
-            price=_number(_require(raw_toll, "price", "toll"), "toll.price"),
-        )
+        price = _numbers(raw_toll, "toll", ("price",), allowed=("kind",))
+        toll = _build(FixedToll, "toll", **price)
     else:
         raise ConfigError(f"toll.kind: expected 'free' or 'fixed', got {toll_kind!r}")
 
@@ -559,59 +540,44 @@ def _fmt_cell(name: str, value) -> str:
     return f"{value:.4f}"
 
 
-def rows_to_csv(rows: list[ResultRow], stream) -> None:
-    """Stable CSV: identifier columns, result columns, trailing error."""
+def write_table(header, rows, stream, fmt: str) -> None:
+    """Write rows of string cells as CSV ("csv") or as its structured-text
+    twin ("structured-text": a YAML list of one mapping per row, keyed by
+    column, in column order)."""
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    elif fmt == "structured-text":
+        docs = [dict(zip(header, row)) for row in rows]
+        yaml.dump(docs, stream, Dumper=_YAML_DUMPER, sort_keys=False)
+    else:
+        raise ValueError(f"unknown table format {fmt!r}")
+
+
+def _result_table(rows: list[ResultRow]) -> tuple[list[str], list[list[str]]]:
+    """Header and cells of result rows: identifier columns, result
+    columns, trailing error."""
     if not rows:
         raise ValueError("no rows to serialize")
     id_names = [name for name, _ in rows[0].identifiers]
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(id_names + list(RESULT_COLUMNS) + ["error"])
+    cells = []
     for row in rows:
         if [name for name, _ in row.identifiers] != id_names:
             raise ValueError("rows have inconsistent identifier columns")
-        cells = [_fmt_identifier(v) for _, v in row.identifiers]
-        cells += [_fmt_cell(c, getattr(row, c)) for c in RESULT_COLUMNS]
-        cells.append(row.error)
-        writer.writerow(cells)
+        cells.append(
+            [_fmt_identifier(v) for _, v in row.identifiers]
+            + [_fmt_cell(c, getattr(row, c)) for c in RESULT_COLUMNS]
+            + [row.error]
+        )
+    return id_names + list(RESULT_COLUMNS) + ["error"], cells
+
+
+def rows_to_csv(rows: list[ResultRow], stream) -> None:
+    """Result rows as CSV."""
+    write_table(*_result_table(rows), stream, "csv")
 
 
 def rows_to_yaml(rows: list[ResultRow], stream) -> None:
-    """Structured-text twin of the CSV: same cells, keyed by column."""
-    docs = []
-    for row in rows:
-        doc = {name: _fmt_identifier(v) for name, v in row.identifiers}
-        doc.update({c: _fmt_cell(c, getattr(row, c)) for c in RESULT_COLUMNS})
-        doc["error"] = row.error
-        docs.append(doc)
-    yaml.dump(docs, stream, Dumper=_YAML_DUMPER, sort_keys=False)
-
-
-def rows_to_csv_text(rows: list[ResultRow]) -> str:
-    buffer = io.StringIO()
-    rows_to_csv(rows, buffer)
-    return buffer.getvalue()
-
-
-def fig2_to_csv(grid: list[tuple[float, float, float]], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["voe", "toll_price", "s_thres"])
-    for voe, price, s in grid:
-        writer.writerow([f"{voe:.6g}", f"{price:.6g}", f"{s:.4f}"])
-
-
-def trajectory_to_csv(traj: Trajectory, stream) -> None:
-    """One row per simulated round, with the exact potential (JPY)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["round", "x1_d", "x1_o", "t1", "t2", "switches", "potential"])
-    for snap in traj.snapshots:
-        writer.writerow(
-            [
-                snap.round_index,
-                snap.x1_d,
-                snap.x1_o,
-                f"{snap.t1:.4f}",
-                f"{snap.t2:.4f}",
-                snap.switches,
-                f"{snap.potential:.4f}",
-            ]
-        )
+    """Result rows as structured text: the CSV's cells, keyed by column."""
+    write_table(*_result_table(rows), stream, "structured-text")

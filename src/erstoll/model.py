@@ -38,6 +38,12 @@ from enum import Enum
 # improving only if it gains strictly more than this.
 INDIFFERENCE_EPS = 1e-9
 
+# Starting assignments and per-round visiting orders of the best-response
+# simulator (dynamics); held here, with no numpy, so the command line can
+# offer them without loading it.
+INITIAL_ASSIGNMENTS = ("all_link2", "all_link1", "random", "balanced")
+ORDER_POLICIES = ("sequential", "random")
+
 # Range checks below are written as "not (lo < x < math.inf)" so that NaN,
 # which fails every comparison, and +-inf are rejected with the range.
 

@@ -1,7 +1,6 @@
 """End-to-end command-line tests through main(argv)."""
 
-import ast
-import inspect
+import csv
 import math
 
 import numpy as np
@@ -252,14 +251,30 @@ class TestRanges:
         with pytest.raises(ConfigError, match=message):
             cli._parse_values(text)
 
-    def test_cli_imports_no_numpy(self):
-        modules = set()
-        for node in ast.walk(ast.parse(inspect.getsource(cli))):
-            if isinstance(node, ast.Import):
-                modules |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                modules.add(node.module)
-        assert not any(name.split(".")[0] == "numpy" for name in modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis", "toll.price=0,150,1e9", "--axis", "dwpt_ratio=0.3,1.5"],
+        ["bands", "--set", "dwpt_ratio=0.6"],
+        ["simulate", "--rounds", "3", "--initial", "balanced"],
+        ["table2"],
+        ["fig2", "--prices", "0:500:3", "--voes", "1e-300,100"],
+        ["solve"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_structured_text_holds_the_csv_cells(argv, tmp_path):
+    tables = {}
+    for fmt in ("csv", "structured-text"):
+        path = tmp_path / fmt
+        assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+        tables[fmt] = path.read_text()
+    header, *rows = csv.reader(tables["csv"].splitlines())
+    assert rows
+    docs = yaml.safe_load(tables["structured-text"])
+    assert docs == [dict(zip(header, row)) for row in rows]
 
 
 class TestParserBehavior:

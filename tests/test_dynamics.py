@@ -280,7 +280,7 @@ SPLIT_CHECK = """
     import sys
 
     import erstoll
-    from erstoll import analysis, equilibrium, harness, model
+    from erstoll import analysis, cli, equilibrium, harness, model
 
     assert "numpy" not in sys.modules, "the analytic path loaded numpy"
     from erstoll import *

@@ -8,7 +8,7 @@ import re
 import pytest
 import yaml
 
-from erstoll import harness
+from erstoll import cli, harness
 from erstoll.analysis import min_total_travel_time
 from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
 from erstoll.equilibrium import ConvergenceError
@@ -20,11 +20,10 @@ from erstoll.harness import (
     apply_overrides,
     bundled_scenario_path,
     fig2_data,
-    fig2_to_csv,
     load_scenario,
     parse_override_arg,
     resolve_scenario,
-    rows_to_csv_text,
+    rows_to_csv,
     rows_to_yaml,
     run_sweep,
     save_scenario,
@@ -33,7 +32,7 @@ from erstoll.harness import (
     solve_row,
     table1_scenario,
     table2_rows,
-    trajectory_to_csv,
+    write_table,
 )
 from erstoll.model import (
     DiscreteAgents,
@@ -583,10 +582,16 @@ class TestPresets:
             fig2_data(prefs, [-5.0], [100.0])
 
 
+def _csv_text(rows):
+    buffer = io.StringIO()
+    rows_to_csv(rows, buffer)
+    return buffer.getvalue()
+
+
 class TestSerialization:
     def test_csv_shape_and_formats(self):
         rows = [solve_row(base_scenario(), (("toll.price", 100.0),))]
-        text = rows_to_csv_text(rows)
+        text = _csv_text(rows)
         lines = text.splitlines()
         assert lines[0] == (
             "toll.price,s_thres,x1_d,x2_d,x1_o,x2_o,x1,t1,ttt,tcv,revenue,"
@@ -605,18 +610,25 @@ class TestSerialization:
 
     def test_csv_error_row_blank_results(self):
         row = ResultRow(identifiers=(("toll.price", 1.0),), error="boom")
-        lines = rows_to_csv_text([row]).splitlines()
+        lines = _csv_text([row]).splitlines()
         assert lines[1] == "1,,,,,,,,,,,,,,boom"
 
     def test_csv_rejects_empty_and_mixed(self):
-        with pytest.raises(ValueError, match="no rows"):
-            rows_to_csv_text([])
-        rows = [
+        mixed = [
             ResultRow(identifiers=(("toll.price", 1.0),)),
             ResultRow(identifiers=(("prefs.voe", 1.0),)),
         ]
-        with pytest.raises(ValueError, match="inconsistent identifier"):
-            rows_to_csv_text(rows)
+        for write in (rows_to_csv, rows_to_yaml):
+            buffer = io.StringIO()
+            with pytest.raises(ValueError, match="no rows"):
+                write([], buffer)
+            with pytest.raises(ValueError, match="inconsistent identifier"):
+                write(mixed, buffer)
+            assert buffer.getvalue() == "", write.__name__
+
+    def test_table_rejects_an_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown table format 'json'"):
+            write_table(("a",), [["1"]], io.StringIO(), "json")
 
     def test_yaml_twin_matches_csv_cells(self):
         rows = [solve_row(base_scenario(), (("toll.price", 100.0),))]
@@ -692,19 +704,21 @@ class TestSerialization:
         assert harness._YAML_LOADER is yaml.CSafeLoader
         assert harness._YAML_DUMPER is yaml.CSafeDumper
 
-    def test_fig2_csv(self):
-        prefs = Preferences(vot=50.0, voe=100.0)
-        buffer = io.StringIO()
-        fig2_to_csv(fig2_data(prefs, [100.0], [100.0]), buffer)
-        assert buffer.getvalue() == "voe,toll_price,s_thres\n100,100,0.5000\n"
+    def test_fig2_csv(self, tmp_path):
+        path = tmp_path / "fig2.csv"
+        args = ["fig2", "--prices", "100", "--voes", "100", "--output", str(path)]
+        assert cli.main(args) == 0
+        assert path.read_text() == "voe,toll_price,s_thres\n100,100,0.5000\n"
 
-    def test_trajectory_csv(self):
+    def test_trajectory_csv(self, tmp_path):
         scenario = discretize_scenario(base_scenario(total=100.0))
         agents = agents_from_scenario(scenario, initial="all_link2")
         traj = run(agents, scenario.network, scenario.prefs, scenario.toll)
-        buffer = io.StringIO()
-        trajectory_to_csv(traj, buffer)
-        lines = buffer.getvalue().splitlines()
+        config, path = tmp_path / "small.cfg", tmp_path / "traj.csv"
+        save_scenario(base_scenario(total=100.0), config)
+        args = ["simulate", "--scenario", str(config), "--output", str(path)]
+        assert cli.main(args) == 0
+        lines = path.read_text().splitlines()
         assert lines[0] == "round,x1_d,x1_o,t1,t2,switches,potential"
         assert len(lines) == len(traj.snapshots) + 1
         first = lines[1].split(",")
