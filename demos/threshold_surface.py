@@ -9,9 +9,8 @@ sampled on a coarse mesh.
 
 import numpy as np
 
-from erstoll.equilibrium import threshold_soc
 from erstoll.harness import fig2_data
-from erstoll.model import Preferences
+from erstoll.model import Preferences, threshold_soc
 
 prefs = Preferences(vot=50.0, voe=100.0)
 prices = [float(p) for p in np.linspace(0.0, 500.0, 11)]

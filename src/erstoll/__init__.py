@@ -5,48 +5,29 @@ The deterministic user-equilibrium solver, pattern taxonomy, toll bands,
 and a best-response simulator live in submodules:
 
 * model - domain types (links, preferences, SoC pools, tolls, scenarios)
+  and the charging payoff
 * equilibrium - analytic solver and equilibrium verifier (math only)
 * analysis - pattern labels, TTT/TCV/revenue, toll bands
 * dynamics - the atomic game over discrete agents (numpy): day-to-day
   best-response simulation and the brute-force oracle
 * harness - config files, sweeps, presets, CSV output
 * cli - the `erstoll` command
+
+The package re-exports the README quick start, its model types, results
+and errors, load_scenario, verify_equilibrium and the oracle; everything
+else is reached through its module.
 """
 
-from .analysis import (
-    Metrics,
-    PatternLabel,
-    TollBand,
-    band_containing,
-    classify,
-    is_conventional_so,
-    is_ers_optimum,
-    metrics,
-    min_total_travel_time,
-    toll_bands,
-)
+from .analysis import Metrics, PatternLabel, TollBand, classify, metrics, toll_bands
 from .equilibrium import (
     ConvergenceError,
     EquilibriumResult,
     RegimeTag,
     solve,
-    threshold_soc,
     verify_equilibrium,
 )
-from .harness import (
-    ConfigError,
-    ResultRow,
-    SweepSpec,
-    apply_overrides,
-    fig2_data,
-    load_scenario,
-    run_sweep,
-    save_scenario,
-    table1_scenario,
-    table2_rows,
-)
+from .harness import ConfigError, apply_overrides, load_scenario, table1_scenario
 from .model import (
-    INDIFFERENCE_EPS,
     DiscreteAgents,
     FixedToll,
     FreeToll,
@@ -54,13 +35,7 @@ from .model import (
     Network,
     Preferences,
     Scenario,
-    SocDistribution,
-    TollSystem,
     UniformContinuum,
-    VehicleClass,
-    bpr_time,
-    charging_utility,
-    utility,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +52,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "INDIFFERENCE_EPS",
     "ConfigError",
     "ConvergenceError",
     "DiscreteAgents",
@@ -90,33 +64,16 @@ __all__ = [
     "PatternLabel",
     "Preferences",
     "RegimeTag",
-    "ResultRow",
     "Scenario",
-    "SocDistribution",
-    "SweepSpec",
     "TollBand",
-    "TollSystem",
     "UniformContinuum",
-    "VehicleClass",
     "apply_overrides",
-    "band_containing",
-    "bpr_time",
     "brute_force_equilibrium",
-    "charging_utility",
     "classify",
-    "fig2_data",
-    "is_conventional_so",
-    "is_ers_optimum",
     "load_scenario",
     "metrics",
-    "min_total_travel_time",
-    "run_sweep",
-    "save_scenario",
     "solve",
     "table1_scenario",
-    "table2_rows",
-    "threshold_soc",
     "toll_bands",
-    "utility",
     "verify_equilibrium",
 ]

@@ -48,6 +48,10 @@ class Metrics:
     ttt_dwpt: travel time of the DWPT fleet alone (diagnostic).
     tcv: total charged volume, kWh.
     revenue: toll receipts, JPY.
+    conventional_so: ttt is the network minimum, to a relative 1e-6.
+    ers_optimum: the ERS link carries as many DWPT-EVs as it can,
+      min(x1, rN), to PATTERN_MASS_TOL*N: no DWPT/OTHER swap at fixed
+      flows could raise charging.
     """
 
     ttt: float
@@ -130,38 +134,15 @@ def min_total_travel_time(network: Network, n_total: float) -> float:
     )
 
 
-def is_conventional_so(
-    scenario: Scenario, result: EquilibriumResult, *, min_ttt: float | None = None
-) -> bool:
-    """True if the equilibrium TTT equals the network minimum.
-
-    min_ttt is that minimum when the caller already holds it (a sweep
-    shares one network and N); None computes it here.
-    """
-    ttt = result.x1 * result.t1 + result.x2 * result.t2
-    if min_ttt is None:
-        min_ttt = min_total_travel_time(scenario.network, scenario.total_vehicles)
-    return ttt <= min_ttt * (1.0 + 1e-6)
-
-
-def is_ers_optimum(scenario: Scenario, result: EquilibriumResult) -> bool:
-    """True if no DWPT/OTHER swap could raise charging at fixed flows.
-
-    Holding (x1, x2) fixed, charged volume is maximal when the ERS link
-    carries as many DWPT-EVs as it can: min(x1, rN).
-    """
-    ceiling = min(result.x1, scenario.n_dwpt)
-    return result.x1_d >= ceiling - PATTERN_MASS_TOL * scenario.total_vehicles
-
-
 def metrics(
     scenario: Scenario, result: EquilibriumResult, *, min_ttt: float | None = None
 ) -> Metrics:
     """TTT (vehicle-minutes), TCV (kWh), revenue (JPY), and predicates.
 
     Only the ERS link charges, so tcv = n_thres * W * t1 / 60 with W the
-    link-1 power in kW and t1 in minutes.  min_ttt is passed through to
-    is_conventional_so.
+    link-1 power in kW and t1 in minutes.  min_ttt is the network's
+    minimum TTT when the caller already holds it (a sweep shares one
+    network and N); None computes it here.
     """
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw
@@ -169,13 +150,16 @@ def metrics(
     ttt_dwpt = result.x1_d * result.t1 + result.x2_d * result.t2
     tcv = result.n_thres * power * result.t1 / 60.0
     revenue = result.n_thres * scenario.toll.dwpt_link1_charge
+    if min_ttt is None:
+        min_ttt = min_total_travel_time(scenario.network, scenario.total_vehicles)
+    tol = PATTERN_MASS_TOL * scenario.total_vehicles
     return Metrics(
         ttt=ttt,
         ttt_dwpt=ttt_dwpt,
         tcv=tcv,
         revenue=revenue,
-        conventional_so=is_conventional_so(scenario, result, min_ttt=min_ttt),
-        ers_optimum=is_ers_optimum(scenario, result),
+        conventional_so=ttt <= min_ttt * (1.0 + 1e-6),
+        ers_optimum=result.x1_d >= min(result.x1, scenario.n_dwpt) - tol,
     )
 
 
@@ -226,11 +210,3 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
         for p, lo, hi in zip(labels, edges, edges[1:])
         if hi > lo
     ]
-
-
-def band_containing(bands: list[TollBand], price: float) -> TollBand:
-    """The band whose half-open interval holds the given price."""
-    for band in bands:
-        if band.contains(price):
-            return band
-    raise ValueError(f"no band contains price {price}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equilibrium import ConvergenceError, EquilibriumResult, threshold_soc
+from .equilibrium import ConvergenceError, EquilibriumResult
 from .model import (
     INDIFFERENCE_EPS,
     INITIAL_ASSIGNMENTS,
@@ -38,6 +38,8 @@ from .model import (
     TollSystem,
     VehicleClass,
     bpr_time,
+    charging_value,
+    threshold_soc,
 )
 
 
@@ -112,19 +114,6 @@ def agents_from_scenario(
     else:
         raise ValueError(f"unknown initial assignment {initial!r}")
     return Population(socs, on_link1)
-
-
-def agents_at_result(scenario: Scenario, result: EquilibriumResult) -> Population:
-    """Population snapped to an analytic equilibrium, rounded to agents.
-
-    The lowest-SoC DWPT-EVs take the ERS link, matching the threshold
-    structure of the equilibrium.
-    """
-    population = agents_from_scenario(scenario, initial="all_link2")
-    n_dwpt = len(population.soc)
-    population.on_link1[: round(result.x1_d)] = True  # DWPT-EVs are SoC-sorted
-    population.on_link1[n_dwpt : n_dwpt + round(result.x1_o)] = True
-    return population
 
 
 def step(
@@ -247,15 +236,14 @@ def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
 class _SweepKernel:
     """Asynchronous better-response sweeps over a boolean link array.
 
-    Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus,
-    voe*(1/s - 1) - price for a DWPT-EV and 0 for an OTHER-V.  Between
-    switches every gain depends on (x1, x2) alone, so a sweep finds the
-    next switcher with one vectorized test over a chunk, then takes the
-    run of consecutive switchers that follows in one step: a cumsum of
-    the +-1 moves gives the flows each agent would see.  Gains are
-    written as the per-agent rule writes them, from bpr_time tabulated
-    lazily over the link-1 flows visited, so every decision is the
-    scalar one.
+    Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus
+    (Population.bonus).  Between switches every gain depends on (x1, x2)
+    alone, so a sweep finds the next switcher with one vectorized test
+    over a chunk, then takes the run of consecutive switchers that
+    follows in one step: a cumsum of the +-1 moves gives the flows each
+    agent would see.  Gains are written as the per-agent rule writes
+    them, from bpr_time tabulated lazily over the link-1 flows visited,
+    so every decision is the scalar one.
     """
 
     CHUNK = 64
@@ -371,10 +359,10 @@ class Population:
             yield AgentState(i, vclass, s, 1 if on else 2)
 
     def bonus(self, prefs: Preferences, toll: TollSystem) -> np.ndarray:
-        """Link-1 bonus per vehicle: voe*(1/s - 1) - price for a DWPT-EV,
+        """Link-1 bonus per vehicle: charging_value - price for a DWPT-EV,
         0 for an OTHER-V."""
         out = np.zeros(len(self))
-        out[: len(self.soc)] = prefs.voe * (1.0 / self.soc - 1.0) - toll.dwpt_link1_charge
+        out[: len(self.soc)] = charging_value(prefs, self.soc) - toll.dwpt_link1_charge
         return out
 
 

@@ -11,11 +11,12 @@ a threshold: below it the charging gain outweighs the toll plus any time
 penalty of the ERS link.  With n DWPT-EVs on link 1 the marginal one,
 SoC quantile(n), is indifferent at the toll
 
-    price(n) = voe*(1/quantile(n) - 1) - vot*(t1(n) - t2(n)),
+    price(n) = charging_value(quantile(n)) - vot*(t1(n) - t2(n)),
 
-which is non-increasing in n.  An equilibrium is where price crosses the
-toll; solve inverts this map and analysis.toll_bands evaluates it.  The
-response map splits the crossing into three regimes:
+with model.charging_value = voe*(1/s - 1).  It is non-increasing in n.
+An equilibrium is where price crosses the toll; solve inverts this map
+and analysis.toll_bands evaluates it.  The response map splits the
+crossing into three regimes:
 
 * Interior: OTHER-Vs on both links, link-1 flow x_eq, and the DWPT mass
   is the closed-form count below the threshold at the times there.
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import LinkParams, Preferences, Scenario, bpr_time
+from .model import LinkParams, Scenario, bpr_time, charging_value, threshold_soc
 
 # Bisection controls (BPR is monotone, so every map bisected below is
 # non-decreasing on its bracket).
@@ -87,21 +88,6 @@ class EquilibriumResult:
     def n_thres(self) -> float:
         """Mass of DWPT-EVs charging on the ERS link."""
         return self.x1_d
-
-
-def threshold_soc(
-    prefs: Preferences, toll_price: float, t1: float, t2: float
-) -> float:
-    """SoC below which a DWPT-EV prefers the ERS link at the given times.
-
-    Solves voe*(1/s - 1) = toll_price + vot*(t1 - t2).  When the right
-    side is <= 0 the ERS link dominates for every SoC in (0,1); the
-    sentinel 1.0 is returned.
-    """
-    gap = toll_price + prefs.vot * (t1 - t2)
-    if gap <= 0.0:
-        return 1.0
-    return prefs.voe / (prefs.voe + gap)
 
 
 def _bisect_root(f, lo: float, hi: float, xtol: float, what: str) -> float:
@@ -182,7 +168,7 @@ def _wardrop_response(scenario: Scenario):
 
     def price(n: float) -> float:
         t1, t2 = times(n)
-        return prefs.voe * (1.0 / soc.quantile(n) - 1.0) - prefs.vot * (t1 - t2)
+        return charging_value(prefs, soc.quantile(n)) - prefs.vot * (t1 - t2)
 
     return x_eq, times, dwpt_mass_at, price
 
@@ -289,7 +275,7 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
 def __getattr__(name):
     # The benchmark's tracing spans still name the oracle and the potential
     # under this module; the forward goes when they are renamed to dynamics
-    # (ROADMAP item 6).
+    # (ROADMAP item 2).
     if name in ("brute_force_equilibrium", "rosenthal_potential"):
         from . import dynamics
 

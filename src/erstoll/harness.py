@@ -50,7 +50,7 @@ from pathlib import Path
 import yaml
 
 from .analysis import classify, metrics, min_total_travel_time
-from .equilibrium import ConvergenceError, solve, threshold_soc
+from .equilibrium import ConvergenceError, solve
 from .model import (
     DiscreteAgents,
     FixedToll,
@@ -61,6 +61,7 @@ from .model import (
     Scenario,
     UniformContinuum,
     check_fleet,
+    threshold_soc,
 )
 
 # libyaml's parser and emitter when PyYAML was built with it: several
@@ -550,7 +551,8 @@ def write_table(header, rows, stream, fmt: str) -> None:
         writer.writerows(rows)
     elif fmt == "structured-text":
         docs = [dict(zip(header, row)) for row in rows]
-        yaml.dump(docs, stream, Dumper=_YAML_DUMPER, sort_keys=False)
+        # quoted, so a YAML 1.2 reader keeps cells such as 1e-300 as strings
+        yaml.dump(docs, stream, Dumper=_YAML_DUMPER, sort_keys=False, default_style="'")
     else:
         raise ValueError(f"unknown table format {fmt!r}")
 

@@ -1,4 +1,4 @@
-"""Domain types and utility functions for a two-link electric road system.
+"""Domain types and the charging payoff for a two-link electric road system.
 
 The network has one origin-destination pair served by two parallel links.
 Link 1 carries an electric road system (ERS) that charges suitably equipped
@@ -22,8 +22,10 @@ ratios appear anywhere:
 
 The charging utility of a DWPT-EV with state of charge ``s`` is ``1/s - 1``:
 near-empty batteries value ERS access steeply, near-full ones barely at all.
-Raw (un-normalised) taste coefficients are not representable in this model;
-link choice is invariant to the normalisation, so no behaviour is lost.
+charging_value prices it in JPY, and every layer reaches the payoff through
+it or its inverse threshold_soc.  Raw (un-normalised) taste coefficients
+are not representable in this model; link choice is invariant to the
+normalisation, so no behaviour is lost.
 """
 
 from __future__ import annotations
@@ -330,42 +332,21 @@ def bpr_time(link: LinkParams, flow: float) -> float:
     )
 
 
-def charging_utility(soc: float) -> float:
-    """Charging utility 1/soc - 1; strictly decreasing, positive on (0,1)."""
-    if not (0.0 < soc < 1.0):
-        raise ValueError(f"soc must be in (0,1), got {soc}")
-    return 1.0 / soc - 1.0
+def charging_value(prefs: Preferences, soc):
+    """JPY value to a DWPT-EV of charging on the ERS link, voe*(1/soc - 1),
+    for a float or a numpy array of SoCs in (0,1).  It charges when this
+    beats the toll plus vot*(t1 - t2); threshold_soc is the inverse."""
+    return prefs.voe * (1.0 / soc - 1.0)
 
 
-def utility(
-    vclass: VehicleClass,
-    link: int,
-    t1: float,
-    t2: float,
-    toll: TollSystem,
-    prefs: Preferences,
-    soc: float | None = None,
-) -> float:
-    """Money-metric utility (JPY) of one vehicle choosing the given link.
+def threshold_soc(prefs: Preferences, toll_price: float, t1: float, t2: float) -> float:
+    """SoC below which a DWPT-EV prefers the ERS link at the given times.
 
-    OTHER-Vs pay nothing on either link, so their utility is -vot * t_a.
-    A DWPT-EV on link 1 additionally pays the toll and gains
-    voe * (1/soc - 1) from charging.
+    Solves charging_value(prefs, s) = toll_price + vot*(t1 - t2).  When
+    the right side is <= 0 the ERS link dominates for every SoC in
+    (0,1); the sentinel 1.0 is returned.
     """
-    if link not in (1, 2):
-        raise ValueError(f"link must be 1 or 2, got {link}")
-    if t1 < 0 or t2 < 0:
-        raise ValueError("travel times must be >= 0")
-    if vclass is VehicleClass.DWPT:
-        if soc is None:
-            raise ValueError("soc is required for a DWPT vehicle")
-        if link == 1:
-            return (
-                -prefs.vot * t1
-                - toll.dwpt_link1_charge
-                + prefs.voe * charging_utility(soc)
-            )
-        return -prefs.vot * t2
-    if soc is not None:
-        raise ValueError("soc is only meaningful for DWPT vehicles")
-    return -prefs.vot * (t1 if link == 1 else t2)
+    gap = toll_price + prefs.vot * (t1 - t2)
+    if gap <= 0.0:
+        return 1.0
+    return prefs.voe / (prefs.voe + gap)

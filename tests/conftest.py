@@ -1,10 +1,11 @@
-"""Shared scenario factories for the test suite."""
+"""Shared scenario factories and helpers for the test suite."""
 
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
+from erstoll.dynamics import agents_from_scenario
 from erstoll.model import (
     DiscreteAgents,
     FixedToll,
@@ -116,3 +117,22 @@ def networks(draw, n_total):
     if draw(st.booleans()):
         return Network(link1, replace(link1, has_ers=False, ers_power_kw=None))
     return Network(link1, link(False))
+
+
+def band_containing(bands, price):
+    """The toll band whose half-open interval holds the given price."""
+    for band in bands:
+        if band.contains(price):
+            return band
+    raise ValueError(f"no band contains price {price}")
+
+
+def agents_at_result(scenario, result):
+    """Population snapped to an analytic equilibrium, rounded to agents:
+    the lowest-SoC DWPT-EVs take the ERS link, as the threshold
+    structure of the equilibrium has it."""
+    population = agents_from_scenario(scenario, initial="all_link2")
+    n_dwpt = len(population.soc)
+    population.on_link1[: round(result.x1_d)] = True  # DWPT-EVs are SoC-sorted
+    population.on_link1[n_dwpt : n_dwpt + round(result.x1_o)] = True
+    return population

@@ -13,7 +13,6 @@ import pytest
 
 from erstoll.analysis import (
     PatternLabel,
-    band_containing,
     classify,
     metrics,
     toll_bands,
@@ -36,7 +35,12 @@ from erstoll.harness import (
 )
 from erstoll.model import FixedToll, FreeToll
 
-from conftest import base_scenario, discrete_scenario, random_discrete_scenario
+from conftest import (
+    band_containing,
+    base_scenario,
+    discrete_scenario,
+    random_discrete_scenario,
+)
 
 
 def _report(number: int, title: str) -> None:

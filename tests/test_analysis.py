@@ -4,7 +4,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import PLAIN_LINK, base_scenario, discrete_scenario, networks, random_link
+from conftest import (
+    PLAIN_LINK,
+    band_containing,
+    base_scenario,
+    discrete_scenario,
+    networks,
+    random_link,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +20,7 @@ from erstoll.analysis import (
     PATTERN_MASS_TOL,
     PatternLabel,
     TollBand,
-    band_containing,
     classify,
-    is_conventional_so,
-    is_ers_optimum,
     metrics,
     min_total_travel_time,
     toll_bands,
@@ -141,9 +145,6 @@ class TestMetrics:
         result = solved(scn)
         best = min_total_travel_time(scn.network, scn.total_vehicles)
         assert metrics(scn, result, min_ttt=best) == metrics(scn, result)
-        assert is_conventional_so(scn, result, min_ttt=best) == is_conventional_so(
-            scn, result
-        )
 
 
 class TestConventionalSo:
@@ -164,31 +165,31 @@ class TestConventionalSo:
 
     def test_balanced_flows_are_optimal(self):
         scn = base_scenario(ratio=0.6, toll=FixedToll(100.0))  # x1 = x2
-        assert is_conventional_so(scn, solved(scn)) is True
+        assert metrics(scn, solved(scn)).conventional_so is True
 
     def test_unbalanced_flows_are_not(self):
         scn = base_scenario(ratio=0.6, toll=FreeToll())  # x1 > x2
-        assert is_conventional_so(scn, solved(scn)) is False
+        assert metrics(scn, solved(scn)).conventional_so is False
 
     def test_low_share_always_optimal(self):
         for price in (0.0, 100.0, 500.0, 1000.0):
             scn = base_scenario(toll=FixedToll(price))
-            assert is_conventional_so(scn, solved(scn)) is True
+            assert metrics(scn, solved(scn)).conventional_so is True
 
 
 class TestErsOptimum:
     def test_full_charge_assignments(self):
         scn = base_scenario(toll=FreeToll())  # every DWPT on the ERS link
-        assert is_ers_optimum(scn, solved(scn)) is True
+        assert metrics(scn, solved(scn)).ers_optimum is True
 
     def test_partial_charge_is_suboptimal(self):
         scn = base_scenario()  # 100 of 200 DWPT charge, OTHER fill link 1
-        assert is_ers_optimum(scn, solved(scn)) is False
+        assert metrics(scn, solved(scn)).ers_optimum is False
 
     def test_dwpt_only_ers_link_is_optimal(self):
         # all OTHER repelled from link 1, so x1_d = x1: nothing to swap
         scn = base_scenario(ratio=0.6, toll=FixedToll(15.0))
-        assert is_ers_optimum(scn, solved(scn)) is True
+        assert metrics(scn, solved(scn)).ers_optimum is True
 
 
 class TestTollBands:
@@ -252,11 +253,12 @@ class TestTollBands:
             toll_bands(base_scenario(toll=FreeToll()))
 
     def test_band_containing_bounds(self):
+        # the bands tile [0, inf): 0 and 1e9 fall in the end bands, and no
+        # band holds a negative price
         bands = toll_bands(base_scenario())
         assert band_containing(bands, 0.0).pattern is PatternLabel.B_i_a
         assert band_containing(bands, 1e9).pattern is PatternLabel.B_i_b
-        with pytest.raises(ValueError):
-            band_containing(bands, -1.0)
+        assert not any(band.contains(-1.0) for band in bands)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +345,8 @@ class TestTollBandsAgreeWithSolver:
 
     The reference solve runs its corner fixed point to 1e-12*N rather
     than FLOW_TOL_FACTOR*N = 1e-9*N: on steep links 1% of a band can be
-    less DWPT mass than that (ROADMAP item 2 keeps the default, which
-    sets the published CSV digits).
+    less DWPT mass than that (the default stays until ROADMAP item 1,
+    as it sets the published CSV digits).
     """
 
     @settings(max_examples=300, deadline=None)

@@ -275,6 +275,11 @@ def test_structured_text_holds_the_csv_cells(argv, tmp_path):
     assert rows
     docs = yaml.safe_load(tables["structured-text"])
     assert docs == [dict(zip(header, row)) for row in rows]
+    # every key and cell is quoted, so no YAML reader (1.1 or 1.2) takes a
+    # cell such as 1e9 or 1e-300 for a number
+    for mapping in yaml.compose(tables["structured-text"]).value:
+        for key, value in mapping.value:
+            assert key.style == value.style == "'", (key.value, value.value)
 
 
 class TestParserBehavior:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import (
     TWIN_NETWORK,
+    agents_at_result,
     base_scenario,
     discrete_scenario,
     evenly_spaced_socs,
@@ -16,7 +17,6 @@ from conftest import (
 from erstoll import dynamics
 from erstoll.dynamics import (
     Population,
-    agents_at_result,
     agents_from_scenario,
     brute_force_equilibrium,
     class_flows,

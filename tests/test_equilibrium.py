@@ -20,7 +20,6 @@ from erstoll.equilibrium import (
     _bisect_root,
     _wardrop_response,
     solve,
-    threshold_soc,
     verify_equilibrium,
 )
 from erstoll.model import (
@@ -33,6 +32,7 @@ from erstoll.model import (
     Scenario,
     UniformContinuum,
     bpr_time,
+    threshold_soc,
 )
 
 PREFS = Preferences(vot=50.0, voe=100.0)

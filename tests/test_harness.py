@@ -664,7 +664,7 @@ class TestSerialization:
         text = buffer.getvalue()
         docs = yaml.load(text, Loader=yaml.SafeLoader)
         assert [doc["error"] for doc in docs] == [row.error for row in rows]
-        assert text == yaml.safe_dump(docs, sort_keys=False)
+        assert text == yaml.safe_dump(docs, sort_keys=False, default_style="'")
 
     @pytest.mark.parametrize(
         "scenario",

@@ -27,7 +27,6 @@ from erstoll.model import (
     Network,
     VehicleClass,
     bpr_time,
-    charging_utility,
 )
 
 
@@ -64,7 +63,7 @@ def reference_potential(links, socs, scn):
     net, prefs, price = scn.network, scn.prefs, scn.toll.dwpt_link1_charge
     time_part = prefs.vot * (_bpr_sum(net.link1, x1) + _bpr_sum(net.link2, len(links) - x1))
     return time_part + sum(
-        price - prefs.voe * charging_utility(float(s))
+        price - prefs.voe * (1.0 / float(s) - 1.0)
         for s, link in zip(socs, links)
         if s is not None and link == 1
     )

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from erstoll.dynamics import Population, _SweepKernel
 from erstoll.model import (
     DiscreteAgents,
     FixedToll,
@@ -10,11 +13,12 @@ from erstoll.model import (
     Preferences,
     Scenario,
     UniformContinuum,
-    VehicleClass,
     bpr_time,
-    charging_utility,
-    utility,
+    charging_value,
+    threshold_soc,
 )
+
+PREFS = Preferences(vot=50.0, voe=100.0)
 
 
 def ers_link(**kw):
@@ -232,55 +236,91 @@ class TestBprTime:
 
 
 class TestChargingUtility:
+    """charging_value: voe times the charging utility 1/s - 1."""
+
     def test_values_and_shape(self):
-        assert charging_utility(0.5) == pytest.approx(1.0)
-        assert charging_utility(0.1) == pytest.approx(9.0)
-        assert charging_utility(0.9) == pytest.approx(1.0 / 0.9 - 1.0)
-        assert charging_utility(0.2) > charging_utility(0.8)
+        unit = Preferences(vot=50.0, voe=1.0)
+        assert charging_value(unit, 0.5) == pytest.approx(1.0)
+        assert charging_value(unit, 0.1) == pytest.approx(9.0)
+        assert charging_value(unit, 0.9) == pytest.approx(1.0 / 0.9 - 1.0)
+        assert charging_value(unit, 0.2) > charging_value(unit, 0.8)
+        assert charging_value(PREFS, 0.1) == pytest.approx(900.0)
+        # an array of SoCs gives each SoC's float value, to the bit
+        socs = [0.05, 0.2, 0.5, 0.9]
+        assert charging_value(PREFS, np.array(socs)).tolist() == [
+            charging_value(PREFS, s) for s in socs
+        ]
 
     @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, 1.5])
     def test_domain(self, s):
-        with pytest.raises(ValueError):
-            charging_utility(s)
+        # charging_value takes the SoCs of a pool or a population, and
+        # each of those rejects an SoC outside (0,1) when it is built
+        with pytest.raises(ValueError, match="SoC"):
+            DiscreteAgents((0.5, s))
+        with pytest.raises(ValueError, match="s_lo"):
+            UniformContinuum(s_lo=s, s_hi=0.95, mass=10.0)
+        with pytest.raises(ValueError, match="s_hi"):
+            UniformContinuum(s_lo=0.05, s_hi=s, mass=10.0)
+        with pytest.raises(ValueError, match="SoC"):
+            Population(np.array([0.5, s]), np.zeros(3, dtype=bool))
 
 
 class TestUtility:
-    prefs = Preferences(vot=50, voe=100)
+    """A DWPT-EV gains charging_value - toll on the ERS link, where it
+    pays vot*t1, against vot*t2 on link 2; an OTHER-V pays time only.
+    The solver and verifier reach this rule through threshold_soc, and
+    the simulator and oracle through Population.bonus."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vot=st.floats(0.1, 1e3),
+        voe=st.floats(0.1, 1e4),
+        toll=st.floats(0.0, 1e4),
+        t1=st.floats(1.0, 200.0),
+        t2=st.floats(1.0, 200.0),
+    )
+    @example(vot=50.0, voe=100.0, toll=100.0, t1=11.5, t2=11.5)
+    @example(vot=50.0, voe=100.0, toll=100.0, t1=9.0, t2=11.5)
+    def test_dwpt_indifferent_at_threshold(self, vot, voe, toll, t1, t2):
+        prefs = Preferences(vot=vot, voe=voe)
+        s = threshold_soc(prefs, toll, t1, t2)
+        extra_time_cost = vot * (t1 - t2)
+        if toll + extra_time_cost <= 0.0:
+            assert s == 1.0  # every SoC in (0,1) prefers the ERS link
+            return
+        # the rounding of 1/s - 1 scales with voe + toll
+        tol = 1e-9 * (voe + toll)
+        assert charging_value(prefs, s) - toll == pytest.approx(
+            extra_time_cost, rel=1e-9, abs=tol
+        )
+        assert charging_value(prefs, s * (1 - 1e-6)) - toll > extra_time_cost
+        assert charging_value(prefs, s * (1 + 1e-6)) - toll < extra_time_cost
+
+    TOLLS = (FreeToll(), FixedToll(100.0), FixedToll(1e4))
 
     def test_dwpt_on_ers_link_nets_out_toll_and_charge(self):
-        u = utility(
-            VehicleClass.DWPT, 1, 11.5, 11.5, FixedToll(100.0), self.prefs, soc=0.5
-        )
-        assert u == pytest.approx(-50 * 11.5 - 100 + 100 * 1.0)  # -575
-
-    def test_dwpt_indifferent_at_threshold(self):
-        toll = FixedToll(100.0)
-        u1 = utility(VehicleClass.DWPT, 1, 11.5, 11.5, toll, self.prefs, soc=0.5)
-        u2 = utility(VehicleClass.DWPT, 2, 11.5, 11.5, toll, self.prefs, soc=0.5)
-        assert u1 == pytest.approx(u2)
+        socs = np.array([0.05, 0.2, 0.5, 0.9])
+        population = Population(socs, np.zeros(6, dtype=bool))
+        for toll in self.TOLLS:
+            assert population.bonus(PREFS, toll)[:4].tolist() == [
+                charging_value(PREFS, s) - toll.dwpt_link1_charge for s in socs.tolist()
+            ]
 
     def test_other_ignores_toll_and_charge(self):
-        toll = FixedToll(100.0)
-        assert utility(VehicleClass.OTHER, 1, 11.0, 12.0, toll, self.prefs) == -550.0
-        assert utility(VehicleClass.OTHER, 2, 11.0, 12.0, toll, self.prefs) == -600.0
+        population = Population(np.array([0.5]), np.ones(4, dtype=bool))
+        for toll in self.TOLLS:
+            assert population.bonus(PREFS, toll)[1:].tolist() == [0.0, 0.0, 0.0]
 
     def test_dwpt_off_ers_link_pays_time_only(self):
-        u = utility(
-            VehicleClass.DWPT, 2, 11.5, 12.0, FixedToll(100.0), self.prefs, soc=0.5
+        # a DWPT-EV on link 2 gains its link-1 bonus plus the time it
+        # saves by switching, so on link 2 it paid vot*t2 and nothing else
+        link1, link2 = ers_link(), plain_link(free_flow_time=12.0, capacity=5.0)
+        bonus = Population(np.array([0.3]), np.zeros(10, dtype=bool)).bonus(
+            PREFS, FixedToll(100.0)
         )
-        assert u == pytest.approx(-50 * 12.0)
-
-    @pytest.mark.parametrize("t1, t2", [(-1.0, 11.5), (11.5, -1.0)])
-    def test_negative_travel_time_rejected(self, t1, t2):
-        with pytest.raises(ValueError, match="travel times"):
-            utility(VehicleClass.OTHER, 1, t1, t2, FreeToll(), self.prefs)
-
-    def test_soc_argument_policing(self):
-        with pytest.raises(ValueError):
-            utility(VehicleClass.DWPT, 1, 11.5, 11.5, FreeToll(), self.prefs)
-        with pytest.raises(ValueError):
-            utility(VehicleClass.OTHER, 1, 11.5, 11.5, FreeToll(), self.prefs, soc=0.5)
-        with pytest.raises(ValueError):
-            utility(
-                VehicleClass.DWPT, 3, 11.5, 11.5, FreeToll(), self.prefs, soc=0.5
-            )
+        kernel = _SweepKernel(link1, link2, PREFS.vot, 10)
+        x1 = 4  # vehicles on link 1 besides it
+        gain = kernel._gain(np.array([False]), bonus[:1], x1)
+        assert gain.tolist() == [
+            PREFS.vot * (bpr_time(link2, 10 - x1) - bpr_time(link1, x1 + 1)) + bonus[0]
+        ]
