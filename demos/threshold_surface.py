@@ -16,7 +16,7 @@ prefs = Preferences(vot=50.0, voe=100.0)
 prices = [float(p) for p in np.linspace(0.0, 500.0, 11)]
 voes = [float(v) for v in np.linspace(50.0, 300.0, 6)]
 
-grid = fig2_data(prefs, prices, voes)
+grid = fig2_data(prices, voes)
 surface = {(voe, price): s for voe, price, s in grid}
 
 print("threshold SoC at equal link times (rows: voe, columns: toll price)")

@@ -45,7 +45,6 @@ class Metrics:
     """System-level outcomes of one equilibrium.
 
     ttt: total travel time over both classes, vehicle-minutes.
-    ttt_dwpt: travel time of the DWPT fleet alone (diagnostic).
     tcv: total charged volume, kWh.
     revenue: toll receipts, JPY.
     conventional_so: ttt is the network minimum, to a relative 1e-6.
@@ -55,7 +54,6 @@ class Metrics:
     """
 
     ttt: float
-    ttt_dwpt: float
     tcv: float
     revenue: float
     conventional_so: bool
@@ -134,28 +132,22 @@ def min_total_travel_time(network: Network, n_total: float) -> float:
     )
 
 
-def metrics(
-    scenario: Scenario, result: EquilibriumResult, *, min_ttt: float | None = None
-) -> Metrics:
+def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     """TTT (vehicle-minutes), TCV (kWh), revenue (JPY), and predicates.
 
-    Only the ERS link charges, so tcv = n_thres * W * t1 / 60 with W the
-    link-1 power in kW and t1 in minutes.  min_ttt is the network's
-    minimum TTT when the caller already holds it (a sweep shares one
-    network and N); None computes it here.
+    Only the ERS link charges, so tcv = x1_d * W * t1 / 60 with W the
+    link-1 power in kW and t1 in minutes.  conventional_so compares ttt
+    with min_total_travel_time of the scenario's network and N.
     """
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw
     ttt = result.x1 * result.t1 + result.x2 * result.t2
-    ttt_dwpt = result.x1_d * result.t1 + result.x2_d * result.t2
-    tcv = result.n_thres * power * result.t1 / 60.0
-    revenue = result.n_thres * scenario.toll.dwpt_link1_charge
-    if min_ttt is None:
-        min_ttt = min_total_travel_time(scenario.network, scenario.total_vehicles)
+    tcv = result.x1_d * power * result.t1 / 60.0
+    revenue = result.x1_d * scenario.toll.dwpt_link1_charge
+    min_ttt = min_total_travel_time(scenario.network, scenario.total_vehicles)
     tol = PATTERN_MASS_TOL * scenario.total_vehicles
     return Metrics(
         ttt=ttt,
-        ttt_dwpt=ttt_dwpt,
         tcv=tcv,
         revenue=revenue,
         conventional_so=ttt <= min_ttt * (1.0 + 1e-6),

@@ -20,7 +20,7 @@ import sys
 from . import analysis, harness
 from .equilibrium import ConvergenceError, solve
 from .harness import ConfigError
-from .model import INITIAL_ASSIGNMENTS, ORDER_POLICIES, Preferences
+from .model import INITIAL_ASSIGNMENTS, ORDER_POLICIES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fig2", help="threshold-SoC surface over toll price and charging value"
     )
     _add_output_args(p)
-    p.add_argument("--vot", type=float, default=50.0, help="value of time (JPY/min)")
     p.add_argument(
         "--prices",
         default="0:500:51",
@@ -317,10 +316,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    prefs = Preferences(vot=args.vot, voe=100.0)
-    grid = harness.fig2_data(
-        prefs, _parse_values(args.prices), _parse_values(args.voes)
-    )
+    grid = harness.fig2_data(_parse_values(args.prices), _parse_values(args.voes))
     summary = [f"threshold surface: {len(grid)} grid points"]
     header = ("voe", "toll_price", "s_thres")
     cells = [[f"{voe:.6g}", f"{price:.6g}", f"{s:.4f}"] for voe, price, s in grid]

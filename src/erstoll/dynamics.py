@@ -28,7 +28,6 @@ import numpy as np
 from .equilibrium import ConvergenceError, EquilibriumResult
 from .model import (
     INDIFFERENCE_EPS,
-    INITIAL_ASSIGNMENTS,
     ORDER_POLICIES,
     DiscreteAgents,
     LinkParams,
@@ -60,13 +59,14 @@ class Trajectory:
 
     snapshots: list[RoundSnapshot] = field(default_factory=list)
     converged: bool = False
-    total_switches: int = 0
-    order_policy: str = "sequential"
-    seed: int | None = None
 
     @property
     def terminal_round(self) -> int:
         return self.snapshots[-1].round_index if self.snapshots else 0
+
+    @property
+    def total_switches(self) -> int:
+        return sum(snap.switches for snap in self.snapshots)
 
 
 def discretize_scenario(scenario: Scenario) -> Scenario:
@@ -158,7 +158,7 @@ def run(
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
-    traj = Trajectory(order_policy=order_policy, seed=seed)
+    traj = Trajectory()
 
     def snapshot(round_index: int, switches: int) -> float:
         x1_d, x1_o, _, _ = class_flows(population)
@@ -184,7 +184,6 @@ def run(
     for round_index in range(1, max_rounds + 1):
         order = rng.permutation(n) if rng is not None else None
         switches, gain_sum = kernel.sweep(on1, bonus, order)
-        traj.total_switches += switches
         phi_next = snapshot(round_index, switches)
         drop = phi - phi_next
         if abs(drop - gain_sum) > 1e-6 * (1.0 + abs(phi)):

@@ -84,11 +84,6 @@ class EquilibriumResult:
     def x2(self) -> float:
         return self.x2_d + self.x2_o
 
-    @property
-    def n_thres(self) -> float:
-        """Mass of DWPT-EVs charging on the ERS link."""
-        return self.x1_d
-
 
 def _bisect_root(f, lo: float, hi: float, xtol: float, what: str) -> float:
     """Root of a non-decreasing f on [lo, hi], clamped to the bracket.

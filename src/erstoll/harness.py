@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from numbers import Real
@@ -49,7 +50,7 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import classify, metrics, min_total_travel_time
+from .analysis import classify, metrics
 from .equilibrium import ConvergenceError, solve
 from .model import (
     DiscreteAgents,
@@ -69,7 +70,15 @@ from .model import (
 # for strings of printable ASCII, the same text.  (They fold long
 # strings holding line breaks, tabs or non-ASCII characters at
 # different points; no value or message written here holds one.)
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Also reads a float without a dot, such as 1e7, as YAML 1.2 does."""
+
+
+_YAML_LOADER.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 OVERRIDE_PATHS = (
@@ -309,8 +318,7 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario
     """New scenario with dotted-path overrides applied and re-validated.
 
     Overrides apply in order to the parts they touch; the Scenario is
-    built once, from the final parts.  No override reaches the network
-    or total_vehicles, so a sweep shares one system optimum.
+    built once, from the final parts.
     """
     if not overrides:
         return scenario
@@ -385,20 +393,13 @@ class ResultRow:
 
 
 def solve_row(
-    scenario: Scenario,
-    identifiers: tuple[tuple[str, float], ...] = (),
-    *,
-    min_ttt: float | None = None,
+    scenario: Scenario, identifiers: tuple[tuple[str, float], ...] = ()
 ) -> ResultRow:
-    """Solve, classify, and measure one scenario; flag failures in-row.
-
-    min_ttt is the system optimum of the scenario's network and N when
-    the caller already holds it (see analysis.metrics).
-    """
+    """Solve, classify, and measure one scenario; flag failures in-row."""
     try:
         result, _ = solve(scenario)
         label = classify(scenario, result)
-        m = metrics(scenario, result, min_ttt=min_ttt)
+        m = metrics(scenario, result)
     except (ConvergenceError, ValueError, ArithmeticError) as exc:
         return ResultRow(identifiers=identifiers, error=str(exc))
     return ResultRow(
@@ -441,26 +442,10 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {path!r} has no values")
 
 
-def _shared_min_ttt(scenario: Scenario) -> float | None:
-    """System optimum of the network and N that override cells share.
-
-    None if it fails, so that every cell computes it again and reports
-    the failure in its own row, as a lone solve_row does.
-    """
-    try:
-        return min_total_travel_time(scenario.network, scenario.total_vehicles)
-    except (ConvergenceError, ValueError, ArithmeticError):
-        return None
-
-
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Solve every cell of the sweep, rows in lexicographic axis order.
-
-    The system optimum is computed once: overrides never touch the
-    network or N.
-    """
+    """Solve every cell of the sweep, rows in lexicographic axis order;
+    a cell that fails reports the error in its own row."""
     paths = [path for path, _ in spec.axes]
-    min_ttt = _shared_min_ttt(spec.base)
     rows = []
     for combo in itertools.product(*(values for _, values in spec.axes)):
         identifiers = tuple(zip(paths, combo))
@@ -469,7 +454,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         except ConfigError as exc:
             rows.append(ResultRow(identifiers=identifiers, error=str(exc)))
             continue
-        rows.append(solve_row(cell, identifiers, min_ttt=min_ttt))
+        rows.append(solve_row(cell, identifiers))
     return rows
 
 
@@ -486,7 +471,6 @@ def table2_rows() -> list[ResultRow]:
     """Five-scenario comparison: base, toll halved, toll x1.5, charging
     value halved, charging value x1.5."""
     base = table1_scenario()
-    min_ttt = _shared_min_ttt(base)
     cells = [
         {},
         {"toll.price": 50.0},
@@ -502,24 +486,22 @@ def table2_rows() -> list[ResultRow]:
             ("toll.price", cell.toll.dwpt_link1_charge),
             ("prefs.voe", cell.prefs.voe),
         )
-        rows.append(solve_row(cell, identifiers, min_ttt=min_ttt))
+        rows.append(solve_row(cell, identifiers))
     return rows
 
 
 def fig2_data(
-    prefs: Preferences,
-    toll_prices: list[float],
-    voes: list[float],
+    toll_prices: list[float], voes: list[float]
 ) -> list[tuple[float, float, float]]:
     """Threshold-SoC surface over (voe, toll price) at equal link times."""
     if not toll_prices or not voes:
         raise ValueError("toll_prices and voes must be non-empty")
     grid = []
     for voe in voes:
-        prefs_v = Preferences(vot=prefs.vot, voe=voe)
+        prefs = Preferences(vot=1.0, voe=voe)  # vot multiplies t1 - t2 = 0
         for price in toll_prices:
             toll = FixedToll(price)
-            grid.append((voe, price, threshold_soc(prefs_v, toll.price, 0.0, 0.0)))
+            grid.append((voe, price, threshold_soc(prefs, toll.price, 0.0, 0.0)))
     return grid
 
 

@@ -100,7 +100,6 @@ class TestSolveInterior:
         assert result.x1 == pytest.approx(500.0, abs=1e-9)
         assert result.t1 == pytest.approx(11.5, abs=1e-9)
         assert result.t2 == pytest.approx(11.5, abs=1e-9)
-        assert result.n_thres == result.x1_d
         assert verify_equilibrium(scn, result) == []
 
     def test_prohibitive_toll_clears_the_ers_link_of_dwpt(self):

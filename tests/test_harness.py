@@ -7,9 +7,10 @@ import re
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from erstoll import cli, harness
-from erstoll.analysis import min_total_travel_time
 from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
 from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import (
@@ -42,6 +43,7 @@ from erstoll.model import (
     Network,
     Preferences,
     UniformContinuum,
+    threshold_soc,
 )
 
 from conftest import ERS_LINK, base_scenario, discrete_scenario
@@ -242,6 +244,27 @@ class TestParseErrors:
         config["total_vehicles"] = True
         with pytest.raises(ConfigError, match="total_vehicles"):
             scenario_from_config(config)
+
+    def test_exponent_numbers_load(self, tmp_path):
+        text = bundled_scenario_path().read_text()
+        for plain, exponent in (
+            ("total_vehicles: 1000.0", "total_vehicles: 1e3"),
+            ("voe: 100.0", "voe: 1E+2"),
+            ("s_lo: 0.1", "s_lo: .1e0"),
+            ("price: 100.0", "price: 1.0e2"),
+        ):
+            assert plain in text
+            text = text.replace(plain, exponent)
+        path = tmp_path / "exponents.cfg"
+        path.write_text(text)
+        assert load_scenario(path) == table1_scenario()
+
+    def test_quoted_exponent_is_not_a_number(self, tmp_path):
+        text = bundled_scenario_path().read_text()
+        path = tmp_path / "quoted.cfg"
+        path.write_text(text.replace("total_vehicles: 1000.0", "total_vehicles: '1e3'"))
+        with pytest.raises(ConfigError, match="total_vehicles: expected a number"):
+            load_scenario(path)
 
     def test_free_toll_rejects_price(self):
         config = valid_config()
@@ -497,36 +520,10 @@ class TestSweeps:
         # on twin links some cells reach the system optimum and some miss it
         assert solved == ({True, False} if network is None else {False})
 
-    def test_system_optimum_computed_once_per_sweep(self, monkeypatch):
-        calls = []
-
-        def counted(network, n_total):
-            calls.append((network, n_total))
-            return min_total_travel_time(network, n_total)
-
-        monkeypatch.setattr(harness, "min_total_travel_time", counted)
-        monkeypatch.setattr("erstoll.analysis.min_total_travel_time", counted)
-        spec = SweepSpec(
-            base=base_scenario(network=UNEQUAL_NETWORK),
-            axes=(
-                ("toll.price", (0.0, 50.0, 100.0, 200.0, 400.0)),
-                ("prefs.voe", (20.0, 60.0, 100.0, 200.0, 300.0)),
-                ("dwpt_ratio", (0.1, 0.4, 0.6, 0.9)),
-            ),
-        )
-        rows = run_sweep(spec)
-        assert len(rows) == 100
-        assert all(row.error == "" for row in rows)
-        assert calls == [(UNEQUAL_NETWORK, 1000.0)]
-        calls.clear()
-        table2_rows()
-        assert len(calls) == 1
-
     def test_failing_optimum_fails_each_cell_in_row(self, monkeypatch):
         def broken(network, n_total):
             raise ConvergenceError("system optimum: no bracket")
 
-        monkeypatch.setattr(harness, "min_total_travel_time", broken)
         monkeypatch.setattr("erstoll.analysis.min_total_travel_time", broken)
         spec = SweepSpec(
             base=base_scenario(),
@@ -562,24 +559,27 @@ class TestPresets:
         assert all(row.error == "" for row in rows)
 
     def test_fig2_values(self):
-        prefs = Preferences(vot=50.0, voe=100.0)
-        grid = fig2_data(prefs, [100.0, 150.0, 0.0], [100.0])
+        grid = fig2_data([100.0, 150.0, 0.0], [100.0])
         lookup = {(voe, price): s for voe, price, s in grid}
         assert lookup[(100.0, 100.0)] == pytest.approx(0.5)
         assert lookup[(100.0, 150.0)] == pytest.approx(0.4)
         assert lookup[(100.0, 0.0)] == pytest.approx(1.0)
 
-    def test_fig2_voe_axis_overrides_prefs(self):
-        prefs = Preferences(vot=50.0, voe=100.0)
-        grid = fig2_data(prefs, [100.0], [150.0])
-        assert grid == [(150.0, 100.0, pytest.approx(0.6))]
+    @given(
+        vot=st.floats(1e-3, 1e3),
+        voe=st.floats(1e-3, 1e3),
+        price=st.floats(0.0, 1e4),
+        t=st.floats(0.0, 1e3),
+    )
+    def test_fig2_is_the_threshold_at_any_vot_and_equal_times(self, vot, voe, price, t):
+        expected = threshold_soc(Preferences(vot=vot, voe=voe), price, t, t)
+        assert fig2_data([price], [voe])[0][2] == expected
 
     def test_fig2_rejects_bad_input(self):
-        prefs = Preferences(vot=50.0, voe=100.0)
         with pytest.raises(ValueError, match="non-empty"):
-            fig2_data(prefs, [], [100.0])
+            fig2_data([], [100.0])
         with pytest.raises(ValueError, match=">= 0"):
-            fig2_data(prefs, [-5.0], [100.0])
+            fig2_data([-5.0], [100.0])
 
 
 def _csv_text(rows):
@@ -701,7 +701,7 @@ class TestSerialization:
     def test_uses_libyaml_when_built_with_it(self):
         if not yaml.__with_libyaml__:
             pytest.skip("PyYAML built without libyaml")
-        assert harness._YAML_LOADER is yaml.CSafeLoader
+        assert issubclass(harness._YAML_LOADER, yaml.CSafeLoader)
         assert harness._YAML_DUMPER is yaml.CSafeDumper
 
     def test_fig2_csv(self, tmp_path):
