@@ -76,6 +76,9 @@ class TollBand:
         return self.c_low <= price < self.c_high
 
 
+# classify and metrics first check that the result conserves the
+# scenario's class totals; their cores _classify and _metrics, for a result
+# that solve returned for the scenario, do not.
 def _check_pair(scenario: Scenario, result: EquilibriumResult) -> None:
     tol = PATTERN_MASS_TOL * scenario.total_vehicles
     if abs(result.x1_d + result.x2_d - scenario.n_dwpt) > tol or abs(
@@ -90,6 +93,10 @@ def _check_pair(scenario: Scenario, result: EquilibriumResult) -> None:
 def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     """Pattern label of an equilibrium (see module docstring)."""
     _check_pair(scenario, result)
+    return _classify(scenario, result)
+
+
+def _classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     low_share = scenario.dwpt_ratio < 0.5
     if isinstance(scenario.toll, FreeToll):
         return PatternLabel.A_i if low_share else PatternLabel.A_ii
@@ -140,6 +147,10 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     with min_total_travel_time of the scenario's network and N.
     """
     _check_pair(scenario, result)
+    return _metrics(scenario, result)
+
+
+def _metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     power = scenario.network.link1.ers_power_kw
     ttt = result.x1 * result.t1 + result.x2 * result.t2
     tcv = result.x1_d * power * result.t1 / 60.0

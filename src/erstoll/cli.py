@@ -203,10 +203,9 @@ def _result_rows(rows):
 def cmd_solve(args) -> int:
     scenario = _load_scenario(args)
     result, regime = solve(scenario)
-    label = analysis.classify(scenario, result)
-    m = analysis.metrics(scenario, result)
+    row = harness.result_row(scenario, result)
     lines = [
-        f"pattern          {label.value}",
+        f"pattern          {row.pattern}",
         f"regime           {regime.value}",
         f"s_thres          {result.s_thres:.4f}",
         f"x1_d             {result.x1_d:.4f}",
@@ -217,15 +216,14 @@ def cmd_solve(args) -> int:
         f"x2               {result.x2:.4f}",
         f"t1               {result.t1:.4f} min",
         f"t2               {result.t2:.4f} min",
-        f"ttt              {m.ttt:.4f} veh-min",
-        f"tcv              {m.tcv:.4f} kWh",
-        f"revenue          {m.revenue:.4f} JPY",
-        f"conventional_so  {'true' if m.conventional_so else 'false'}",
-        f"ers_optimum      {'true' if m.ers_optimum else 'false'}",
+        f"ttt              {row.ttt:.4f} veh-min",
+        f"tcv              {row.tcv:.4f} kWh",
+        f"revenue          {row.revenue:.4f} JPY",
+        f"conventional_so  {'true' if row.conventional_so else 'false'}",
+        f"ers_optimum      {'true' if row.ers_optimum else 'false'}",
     ]
     if args.output:
-        rows = [harness.solve_row(scenario)]
-        _emit(args, _result_rows(rows), lines)
+        _emit(args, _result_rows([row]), lines)
     else:
         for line in lines:
             print(line)

@@ -36,22 +36,30 @@ their errors are re-raised as ConfigError prefixed with the field path.
 
 Override paths (shared by sweeps and the command line):
 toll.price, prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi.
+A sweep folds them per axis: each axis is a level that applies its own
+value to the scenario fields its outer level left (see run_sweep).
+
+A result row (ResultRow) is a named tuple: the identifier (path, value)
+pairs, the RESULT_COLUMNS in order, then the error; the table writer
+gives each column one formatter.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from numbers import Real
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
-from .analysis import classify, metrics
-from .equilibrium import ConvergenceError, solve
+from .analysis import _classify, _metrics
+from .equilibrium import ConvergenceError, EquilibriumResult, solve
 from .model import (
     DiscreteAgents,
     FixedToll,
@@ -314,44 +322,54 @@ def resolve_scenario(path: str | Path) -> Scenario:
 # Overrides
 
 
+def _override(parts: tuple, path: str, value) -> tuple:
+    """Scenario fields, in Scenario's order, with one override applied and
+    re-validated.  Only toll, prefs, dwpt_ratio and soc change; N and the
+    network never do."""
+    n_total, ratio, soc, prefs, toll, network = parts
+    if path not in OVERRIDE_PATHS:
+        raise ConfigError(
+            f"unknown override {path!r}; valid paths: {', '.join(OVERRIDE_PATHS)}"
+        )
+    value = _number(value, path)
+    if path == "toll.price":
+        toll = _build(FixedToll, path, value)
+    elif path == "prefs.vot":
+        prefs = _build(Preferences, path, value, prefs.voe)
+    elif path == "prefs.voe":
+        prefs = _build(Preferences, path, prefs.vot, value)
+    elif not isinstance(soc, UniformContinuum):
+        message = f"{path} override requires a uniform SoC pool"
+        if path == "dwpt_ratio":
+            message += "; discrete agent counts cannot be rescaled"
+        raise ConfigError(message)
+    elif path == "dwpt_ratio":
+        _build(check_fleet, path, n_total, value)
+        ratio = value
+        soc = UniformContinuum(soc.s_lo, soc.s_hi, value * n_total)
+    else:  # soc.s_lo / soc.s_hi
+        lo, hi = (value, soc.s_hi) if path == "soc.s_lo" else (soc.s_lo, value)
+        soc = _build(UniformContinuum, path, lo, hi, soc.mass)
+    return n_total, ratio, soc, prefs, toll, network
+
+
+def _fields(scenario: Scenario) -> tuple:
+    return tuple(getattr(scenario, f.name) for f in fields(scenario))
+
+
 def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario:
     """New scenario with dotted-path overrides applied and re-validated.
 
-    Overrides apply in order to the parts they touch; the Scenario is
-    built once, from the final parts.
+    Each override is one _override step on the scenario's fields, folded
+    over the dict in order, so a value is checked against the ones before
+    it; the Scenario is built once, from the final fields.
     """
     if not overrides:
         return scenario
-    n_total = scenario.total_vehicles
-    toll, prefs = scenario.toll, scenario.prefs
-    ratio, soc = scenario.dwpt_ratio, scenario.soc
-    for key, value in overrides.items():
-        if key not in OVERRIDE_PATHS:
-            raise ConfigError(
-                f"unknown override {key!r}; valid paths: {', '.join(OVERRIDE_PATHS)}"
-            )
-        value = _number(value, key)
-        if key == "toll.price":
-            toll = _build(FixedToll, key, price=value)
-        elif key == "prefs.vot":
-            prefs = _build(Preferences, key, vot=value, voe=prefs.voe)
-        elif key == "prefs.voe":
-            prefs = _build(Preferences, key, vot=prefs.vot, voe=value)
-        elif key == "dwpt_ratio":
-            if not isinstance(soc, UniformContinuum):
-                raise ConfigError(
-                    "dwpt_ratio override requires a uniform SoC pool; "
-                    "discrete agent counts cannot be rescaled"
-                )
-            _build(check_fleet, key, total_vehicles=n_total, dwpt_ratio=value)
-            ratio = value
-            soc = replace(soc, mass=value * n_total)
-        else:  # soc.s_lo / soc.s_hi
-            if not isinstance(soc, UniformContinuum):
-                raise ConfigError(f"{key} override requires a uniform SoC pool")
-            field_name = key.split(".", 1)[1]
-            soc = _build(replace, key, soc, **{field_name: value})
-    return replace(scenario, toll=toll, prefs=prefs, dwpt_ratio=ratio, soc=soc)
+    parts = _fields(scenario)
+    for path, value in overrides.items():
+        parts = _override(parts, path, value)
+    return Scenario(*parts)
 
 
 def parse_override_arg(arg: str) -> tuple[str, float]:
@@ -371,9 +389,9 @@ def parse_override_arg(arg: str) -> tuple[str, float]:
 # Result rows and sweeps
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One solved cell: identifier columns plus the fixed result columns."""
+class ResultRow(NamedTuple):
+    """One solved cell: identifier (path, value) pairs, the RESULT_COLUMNS
+    in order, and the error; a row that failed has only the error."""
 
     identifiers: tuple[tuple[str, float], ...]
     s_thres: float | None = None
@@ -392,32 +410,29 @@ class ResultRow:
     error: str = ""
 
 
+def result_row(
+    scenario: Scenario,
+    result: EquilibriumResult,
+    identifiers: tuple[tuple[str, float], ...] = (),
+) -> ResultRow:
+    """The row of a result that solve returned for this scenario (so it
+    conserves the class totals and is labelled and measured unchecked)."""
+    r, m = result, _metrics(scenario, result)
+    return ResultRow(
+        identifiers, r.s_thres, r.x1_d, r.x2_d, r.x1_o, r.x2_o, r.x1, r.t1,
+        m.ttt, m.tcv, m.revenue, _classify(scenario, r).value,
+        m.conventional_so, m.ers_optimum,
+    )
+
+
 def solve_row(
     scenario: Scenario, identifiers: tuple[tuple[str, float], ...] = ()
 ) -> ResultRow:
     """Solve, classify, and measure one scenario; flag failures in-row."""
     try:
-        result, _ = solve(scenario)
-        label = classify(scenario, result)
-        m = metrics(scenario, result)
+        return result_row(scenario, solve(scenario)[0], identifiers)
     except (ConvergenceError, ValueError, ArithmeticError) as exc:
-        return ResultRow(identifiers=identifiers, error=str(exc))
-    return ResultRow(
-        identifiers=identifiers,
-        s_thres=result.s_thres,
-        x1_d=result.x1_d,
-        x2_d=result.x2_d,
-        x1_o=result.x1_o,
-        x2_o=result.x2_o,
-        x1=result.x1,
-        t1=result.t1,
-        ttt=m.ttt,
-        tcv=m.tcv,
-        revenue=m.revenue,
-        pattern=label.value,
-        conventional_so=m.conventional_so,
-        ers_optimum=m.ers_optimum,
-    )
+        return ResultRow(identifiers, error=str(exc))
 
 
 @dataclass(frozen=True)
@@ -444,17 +459,34 @@ class SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Solve every cell of the sweep, rows in lexicographic axis order;
-    a cell that fails reports the error in its own row."""
-    paths = [path for path, _ in spec.axes]
-    rows = []
-    for combo in itertools.product(*(values for _, values in spec.axes)):
-        identifiers = tuple(zip(paths, combo))
-        try:
-            cell = apply_overrides(spec.base, dict(identifiers))
-        except ConfigError as exc:
-            rows.append(ResultRow(identifiers=identifiers, error=str(exc)))
-            continue
-        rows.append(solve_row(cell, identifiers))
+    a cell that fails reports the error in its own row.
+
+    The axes are nested levels: each applies its own value (_override) to
+    the fields its parent level left, so an inner cell pays one override
+    and one Scenario, and every cell gets the row that apply_overrides
+    plus solve_row give it alone.  A value that fails fails every cell
+    under it, with its message.
+    """
+    levels = [[(path, value) for value in values] for path, values in spec.axes]
+    rows: list[ResultRow] = []
+
+    def walk(parts: tuple, identifiers: tuple, depth: int) -> None:
+        for pair in levels[depth]:
+            cell_ids = identifiers + (pair,)
+            try:
+                cell = _override(parts, *pair)
+            except ConfigError as exc:
+                rows.extend(
+                    ResultRow(cell_ids + rest, error=str(exc))
+                    for rest in itertools.product(*levels[depth + 1 :])
+                )
+            else:
+                if depth + 1 < len(levels):
+                    walk(cell, cell_ids, depth + 1)
+                else:
+                    rows.append(solve_row(Scenario(*cell), cell_ids))
+
+    walk(_fields(spec.base), (), 0)
     return rows
 
 
@@ -509,18 +541,10 @@ def fig2_data(
 # Serialization
 
 
-def _fmt_identifier(value: float) -> str:
-    return f"{value:.6g}"
+_fmt_identifier = "{:.6g}".format
 
-
-def _fmt_cell(name: str, value) -> str:
-    if value is None:
-        return ""
-    if name == "pattern":
-        return str(value)
-    if name in ("conventional_so", "ers_optimum"):
-        return "true" if value else "false"
-    return f"{value:.4f}"
+# one formatter per result column: ten floats, the pattern, the two flags
+_RESULT_FORMATS = (*["{:.4f}".format] * 10, str, *[("false", "true").__getitem__] * 2)
 
 
 def write_table(header, rows, stream, fmt: str) -> None:
@@ -532,27 +556,41 @@ def write_table(header, rows, stream, fmt: str) -> None:
         writer.writerow(header)
         writer.writerows(rows)
     elif fmt == "structured-text":
-        docs = [dict(zip(header, row)) for row in rows]
-        # quoted, so a YAML 1.2 reader keeps cells such as 1e-300 as strings
-        yaml.dump(docs, stream, Dumper=_YAML_DUMPER, sort_keys=False, default_style="'")
+        # The events yaml.dump(docs, sort_keys=False, default_style="'")
+        # makes, without its representer: every key and cell quoted, so a
+        # YAML 1.2 reader keeps cells such as 1e-300 as strings.
+        implicit = (True, True)  # no tag, in either style
+        scalar = functools.partial(yaml.ScalarEvent, None, None, implicit, style="'")
+        keys = [scalar(name) for name in header]
+        events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+        events.append(yaml.SequenceStartEvent(None, None, True))
+        for row in rows:
+            events.append(yaml.MappingStartEvent(None, None, True))
+            for key, cell in zip(keys, row):
+                events += (key, scalar(cell))
+            events.append(yaml.MappingEndEvent())
+        events += yaml.SequenceEndEvent(), yaml.DocumentEndEvent()
+        events.append(yaml.StreamEndEvent())
+        yaml.emit(events, stream, Dumper=_YAML_DUMPER)
     else:
         raise ValueError(f"unknown table format {fmt!r}")
 
 
 def _result_table(rows: list[ResultRow]) -> tuple[list[str], list[list[str]]]:
     """Header and cells of result rows: identifier columns, result
-    columns, trailing error."""
+    columns, trailing error; an error row's result cells are blank."""
     if not rows:
         raise ValueError("no rows to serialize")
     id_names = [name for name, _ in rows[0].identifiers]
+    if any([name for name, _ in row.identifiers] != id_names for row in rows):
+        raise ValueError("rows have inconsistent identifier columns")
+    blank = [""] * len(RESULT_COLUMNS)
     cells = []
-    for row in rows:
-        if [name for name, _ in row.identifiers] != id_names:
-            raise ValueError("rows have inconsistent identifier columns")
+    for identifiers, *values, error in rows:
         cells.append(
-            [_fmt_identifier(v) for _, v in row.identifiers]
-            + [_fmt_cell(c, getattr(row, c)) for c in RESULT_COLUMNS]
-            + [row.error]
+            [_fmt_identifier(v) for _, v in identifiers]
+            + (blank if error else [f(v) for f, v in zip(_RESULT_FORMATS, values)])
+            + [error]
         )
     return id_names + list(RESULT_COLUMNS) + ["error"], cells
 

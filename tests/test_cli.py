@@ -1,6 +1,7 @@
 """End-to-end command-line tests through main(argv)."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -280,6 +281,39 @@ def test_structured_text_holds_the_csv_cells(argv, tmp_path):
     for mapping in yaml.compose(tables["structured-text"]).value:
         for key, value in mapping.value:
             assert key.style == value.style == "'", (key.value, value.value)
+
+
+# sha256 of each --output file, taken from the code before result rows
+# became named tuples and sweeps a fold over their axes, so that refactor
+# and any later one is held to byte-identical tables.  The sweep reaches
+# all three solve regimes and has error rows (dwpt_ratio outside (0,1)).
+# Exact corner equilibria (ROADMAP item 1) change corner rows on purpose:
+# that change must update these digests and record the output change.
+PINNED_SWEEP = [
+    "sweep",
+    "--axis", "toll.price=0:1200:13",
+    "--axis", "prefs.voe=50,100,200",
+    "--axis", "dwpt_ratio=-0.2:1.2:25",
+]
+PINNED_OUTPUTS = [
+    (["table2"], "csv", "07484614556756353b3eb805ada8b42c65449d50eb65d7aa70cf5af52012eb80"),
+    (["table2"], "structured-text", "1b3bb361ddec15da901eaf899528082847383babd06f698ee57b22832516c169"),
+    (["solve"], "csv", "b31ae2e9ad3db63860127faf3274abd556caaeaa2dda60ae42fa95c16d6381c4"),
+    (["solve"], "structured-text", "6950f307387e3e3f37d8c2c46f4795fcef7fd9b4e5c458af39bc070b8373c1ba"),
+    (PINNED_SWEEP, "csv", "3bcddeed9fde521c4466cc5a277551f5c3aae5b65df1457cacf00d34522dfd00"),
+    (PINNED_SWEEP, "structured-text", "decb8c7c3649bc67b0e5c78c0b83136bbada5b5ac63c703deebea60fcb13a16e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    PINNED_OUTPUTS,
+    ids=[f"{argv[0]}-{fmt}" for argv, fmt, _ in PINNED_OUTPUTS],
+)
+def test_output_bytes_are_pinned(argv, fmt, digest, tmp_path):
+    path = tmp_path / "out"
+    assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestParserBehavior:

@@ -53,6 +53,8 @@ UNEQUAL_NETWORK = Network(
     ERS_LINK, LinkParams(free_flow_time=12.0, capacity=400.0, bpr_beta=2.0)
 )
 
+VOT_ERROR = "prefs.vot: vot must be finite and > 0, got {}"
+
 # one valid value per override path
 VALID_OVERRIDES = {
     "toll.price": 42.0,
@@ -421,8 +423,8 @@ class TestOverrides:
             assert str(info.value) == f"{path} override requires a uniform SoC pool"
 
     def test_no_path_reaches_network_or_fleet_size(self):
-        # run_sweep shares one system optimum across cells; a new path
-        # must be listed here and must not move the network or N
+        # an override keeps N and the network (the SoC pool is rescaled
+        # with the base N); a new path must be listed here and keep them too
         assert set(VALID_OVERRIDES) == set(OVERRIDE_PATHS)
         base = base_scenario(network=UNEQUAL_NETWORK)
         for path, value in VALID_OVERRIDES.items():
@@ -507,18 +509,89 @@ class TestSweeps:
             ),
         )
         rows = run_sweep(spec)
-        paths = [path for path, _ in spec.axes]
-        expected = [
-            self._cell_row(base, tuple(zip(paths, combo)))
-            for combo in itertools.product(*(values for _, values in spec.axes))
-        ]
-        assert rows == expected
+        assert rows == self._expected_rows(base, spec.axes)
         errors = [row.error for row in rows if row.error]
         assert any("dwpt_ratio must be in (0,1)" in e for e in errors)
         assert any("s_lo must be < s_hi" in e for e in errors)
         solved = {row.conventional_so for row in rows if not row.error}
         # on twin links some cells reach the system optimum and some miss it
         assert solved == ({True, False} if network is None else {False})
+
+    @pytest.mark.parametrize(
+        "base, axes, errors",
+        [
+            # a failing outer value fails every cell under it, with its message
+            (
+                base_scenario(),
+                (("prefs.vot", (-1.0, 40.0, 0.0)), ("toll.price", (10.0, -2.0, 300.0))),
+                [VOT_ERROR.format(-1.0)] * 3
+                + ["", "toll.price: toll price must be finite and >= 0, got -2.0", ""]
+                + [VOT_ERROR.format(0.0)] * 3,
+            ),
+            # each s_lo is checked against the base s_hi (0.9), then each
+            # s_hi against that s_lo: (0.5, 0.3) is out of order, (0.2, 0.3)
+            # is not
+            (
+                base_scenario(),
+                (("soc.s_lo", (0.2, 0.5, 0.95)), ("soc.s_hi", (0.3, 0.6))),
+                ["", "", "soc.s_hi: s_lo must be < s_hi, got [0.5, 0.3]", ""]
+                + ["soc.s_lo: s_lo must be < s_hi, got [0.95, 0.9]"] * 2,
+            ),
+            (
+                base_scenario(network=UNEQUAL_NETWORK),
+                (("prefs.vot", (10.0, 50.0, 200.0)), ("prefs.voe", (20.0, 100.0, 0.0))),
+                ["", "", "prefs.voe: voe must be finite and > 0, got 0.0"] * 3,
+            ),
+            (
+                discrete_scenario([0.2, 0.5, 0.5, 0.8], n_other=6),
+                (("toll.price", (0.0, 10.0, 40.0, 100.0)),),
+                [""] * 4,
+            ),
+            (
+                discrete_scenario([0.2, 0.5, 0.8], n_other=7),
+                (("toll.price", (0.0, 5.0)), ("dwpt_ratio", (0.5,))),
+                [
+                    "dwpt_ratio override requires a uniform SoC pool; "
+                    "discrete agent counts cannot be rescaled"
+                ]
+                * 2,
+            ),
+        ],
+        ids=["outer-invalid", "s_lo-then-s_hi", "vot-by-voe", "discrete-toll", "discrete-ratio"],
+    )
+    def test_fold_equals_cells_solved_alone(self, base, axes, errors):
+        rows = run_sweep(SweepSpec(base=base, axes=axes))
+        assert rows == self._expected_rows(base, axes)
+        assert [row.error for row in rows] == errors
+
+    @given(data=st.data())
+    def test_fold_equals_cells_solved_alone_property(self, data):
+        base = data.draw(
+            st.sampled_from(
+                [
+                    base_scenario(),
+                    base_scenario(network=UNEQUAL_NETWORK, ratio=0.6),
+                    discrete_scenario([0.2, 0.5, 0.5], n_other=4, toll=FreeToll()),
+                ]
+            )
+        )
+        paths = data.draw(st.permutations(OVERRIDE_PATHS))[: data.draw(st.integers(1, 3))]
+        values = st.sampled_from([-1.0, 0.0, 0.05, 0.3, 0.6, 0.95, 1.5, 40.0, math.nan])
+        axes = tuple(
+            (path, tuple(data.draw(st.lists(values, min_size=1, max_size=3))))
+            for path in paths
+        )
+        assert run_sweep(SweepSpec(base=base, axes=axes)) == self._expected_rows(
+            base, axes
+        )
+
+    @classmethod
+    def _expected_rows(cls, base, axes):
+        paths = [path for path, _ in axes]
+        return [
+            cls._cell_row(base, tuple(zip(paths, combo)))
+            for combo in itertools.product(*(values for _, values in axes))
+        ]
 
     def test_failing_optimum_fails_each_cell_in_row(self, monkeypatch):
         def broken(network, n_total):
@@ -665,6 +738,32 @@ class TestSerialization:
         docs = yaml.load(text, Loader=yaml.SafeLoader)
         assert [doc["error"] for doc in docs] == [row.error for row in rows]
         assert text == yaml.safe_dump(docs, sort_keys=False, default_style="'")
+
+    @pytest.mark.parametrize(
+        "dumper",
+        [yaml.SafeDumper, getattr(yaml, "CSafeDumper", None)],
+        ids=["python", "libyaml"],
+    )
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_yaml_events_are_the_dump(self, dumper, n_rows, monkeypatch):
+        if dumper is None:
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(harness, "_YAML_DUMPER", dumper)
+        header = ("toll.price", "prefs.voe", "pattern", "error")
+        long_error = "solve: no bracket for x1 at toll.price=123.4, residual 1.5e-07; " * 3
+        rows = [
+            ["1e-300", "1e+09", "B_ii_c1", long_error],
+            ["0", "100", "it's", "'quoted' and 'more'"],
+            ["5", "1e+06", "", ""],
+        ][:n_rows]
+        buffer = io.StringIO()
+        write_table(header, rows, buffer, "structured-text")
+        docs = [dict(zip(header, row)) for row in rows]
+        assert buffer.getvalue() == yaml.dump(
+            docs, Dumper=dumper, sort_keys=False, default_style="'"
+        )
+        if n_rows:  # the long error is folded over more lines
+            assert len(buffer.getvalue().splitlines()) > len(header) * n_rows
 
     @pytest.mark.parametrize(
         "scenario",
