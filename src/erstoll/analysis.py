@@ -7,7 +7,8 @@ describes how DWPT-EVs split (a: all on the ERS link, b: none, c: both
 links), with c refined by the total-flow comparison for r >= 0.5
 (c1: x1 = x2, c2: x1 > x2, c3: x1 < x2).  Masses within
 PATTERN_MASS_TOL*N count as zero, so on links that differ c1 means
-|x1 - x2| <= PATTERN_MASS_TOL*N.
+|x1 - x2| <= PATTERN_MASS_TOL*N.  classify and metrics raise ValueError
+for a result that does not conserve the scenario's class totals.
 
 Toll bands evaluate the closed-form price map that solve inverts (the
 toll at which a given DWPT mass on the ERS link is in equilibrium) at
@@ -72,13 +73,7 @@ class TollBand:
         if self.c_low > self.c_high:
             raise ValueError(f"band bounds out of order: {self}")
 
-    def contains(self, price: float) -> bool:
-        return self.c_low <= price < self.c_high
 
-
-# classify and metrics first check that the result conserves the
-# scenario's class totals; their cores _classify and _metrics, for a result
-# that solve returned for the scenario, do not.
 def _check_pair(scenario: Scenario, result: EquilibriumResult) -> None:
     tol = PATTERN_MASS_TOL * scenario.total_vehicles
     if abs(result.x1_d + result.x2_d - scenario.n_dwpt) > tol or abs(
@@ -93,10 +88,6 @@ def _check_pair(scenario: Scenario, result: EquilibriumResult) -> None:
 def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     """Pattern label of an equilibrium (see module docstring)."""
     _check_pair(scenario, result)
-    return _classify(scenario, result)
-
-
-def _classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     low_share = scenario.dwpt_ratio < 0.5
     if isinstance(scenario.toll, FreeToll):
         return PatternLabel.A_i if low_share else PatternLabel.A_ii
@@ -147,10 +138,6 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     with min_total_travel_time of the scenario's network and N.
     """
     _check_pair(scenario, result)
-    return _metrics(scenario, result)
-
-
-def _metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     power = scenario.network.link1.ers_power_kw
     ttt = result.x1 * result.t1 + result.x2 * result.t2
     tcv = result.x1_d * power * result.t1 / 60.0
@@ -177,8 +164,8 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
     from the response's inverse.  Here tol = PATTERN_MASS_TOL*N, as in
     classify: on links that differ, c1 means |x1 - x2| <= tol, so its
     band is narrow but exact.  On twin links below r = 0.5, x1 = x_eq
-    gives t1 = t2 and the edges are voe*(1/s_max - 1) and
-    voe*(1/s_min - 1).
+    gives t1 = t2 and the edges are voe*(1/quantile(rN) - 1) and
+    voe*(1/quantile(0) - 1), at the pool's highest and lowest SoC.
     """
     if not isinstance(scenario.toll, FixedToll):
         raise ValueError("toll bands are defined for a fixed-toll system")

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_args(p)
     _add_output_args(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--initial",
         choices=INITIAL_ASSIGNMENTS,
@@ -139,6 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fig2)
     return parser
+
+
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed, whether or not a run uses it
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _parse_values(text: str) -> list[float]:
@@ -240,8 +251,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"axis {spec_text!r} is not of the form PATH=VALUES")
         path, values_text = spec_text.split("=", 1)
         axes.append((path.strip(), tuple(_parse_values(values_text))))
-    spec = harness.SweepSpec(base=scenario, axes=tuple(axes))
-    rows = harness.run_sweep(spec)
+    rows = harness.run_sweep(scenario, axes)
     failed = sum(1 for r in rows if r.error)
     summary = [f"sweep: {len(rows)} cells, {failed} failed"]
     _emit(args, _result_rows(rows), summary)

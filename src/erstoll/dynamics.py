@@ -30,11 +30,12 @@ from .model import (
     INDIFFERENCE_EPS,
     ORDER_POLICIES,
     DiscreteAgents,
+    FixedToll,
+    FreeToll,
     LinkParams,
     Network,
     Preferences,
     Scenario,
-    TollSystem,
     VehicleClass,
     bpr_time,
     charging_value,
@@ -120,7 +121,7 @@ def step(
     population: Population,
     network: Network,
     prefs: Preferences,
-    toll: TollSystem,
+    toll: FreeToll | FixedToll,
     order: list[int] | np.ndarray | None = None,
 ) -> tuple[int, float]:
     """One asynchronous sweep; returns (switch count, summed gains).
@@ -137,7 +138,7 @@ def run(
     population: Population,
     network: Network,
     prefs: Preferences,
-    toll: TollSystem,
+    toll: FreeToll | FixedToll,
     max_rounds: int = 10_000,
     order_policy: str = "sequential",
     seed: int | None = None,
@@ -357,7 +358,7 @@ class Population:
             vclass = VehicleClass.OTHER if s is None else VehicleClass.DWPT
             yield AgentState(i, vclass, s, 1 if on else 2)
 
-    def bonus(self, prefs: Preferences, toll: TollSystem) -> np.ndarray:
+    def bonus(self, prefs: Preferences, toll: FreeToll | FixedToll) -> np.ndarray:
         """Link-1 bonus per vehicle: charging_value - price for a DWPT-EV,
         0 for an OTHER-V."""
         out = np.zeros(len(self))

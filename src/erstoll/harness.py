@@ -36,12 +36,12 @@ their errors are re-raised as ConfigError prefixed with the field path.
 
 Override paths (shared by sweeps and the command line):
 toll.price, prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi.
-A sweep folds them per axis: each axis is a level that applies its own
-value to the scenario fields its outer level left (see run_sweep).
+run_sweep(base, axes) folds them per axis: each axis is a level that
+applies its own value to the scenario fields its outer level left.
 
 A result row (ResultRow) is a named tuple: the identifier (path, value)
-pairs, the RESULT_COLUMNS in order, then the error; the table writer
-gives each column one formatter.
+pairs, the RESULT_COLUMNS (read off ResultRow), then the error; the
+table writer gives each column one formatter.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import csv
 import functools
 import itertools
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from importlib import resources
 from numbers import Real
 from pathlib import Path
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import yaml
 
-from .analysis import _classify, _metrics
+from .analysis import classify, metrics
 from .equilibrium import ConvergenceError, EquilibriumResult, solve
 from .model import (
     DiscreteAgents,
@@ -100,22 +100,6 @@ OVERRIDE_PATHS = (
 
 TABLE_FORMATS = ("csv", "structured-text")  # see write_table
 
-RESULT_COLUMNS = (
-    "s_thres",
-    "x1_d",
-    "x2_d",
-    "x1_o",
-    "x2_o",
-    "x1",
-    "t1",
-    "ttt",
-    "tcv",
-    "revenue",
-    "pattern",
-    "conventional_so",
-    "ers_optimum",
-)
-
 
 class ConfigError(ValueError):
     """A scenario file or override failed to parse or validate."""
@@ -135,7 +119,10 @@ def _require(mapping: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _expect_mapping(mapping, path: str) -> None:
@@ -410,17 +397,17 @@ class ResultRow(NamedTuple):
     error: str = ""
 
 
+RESULT_COLUMNS = ResultRow._fields[1:-1]
+
+
 def result_row(
-    scenario: Scenario,
-    result: EquilibriumResult,
-    identifiers: tuple[tuple[str, float], ...] = (),
+    scenario: Scenario, result: EquilibriumResult, identifiers: tuple = ()
 ) -> ResultRow:
-    """The row of a result that solve returned for this scenario (so it
-    conserves the class totals and is labelled and measured unchecked)."""
-    r, m = result, _metrics(scenario, result)
+    """The row of a result solved for this scenario."""
+    r, m = result, metrics(scenario, result)
     return ResultRow(
         identifiers, r.s_thres, r.x1_d, r.x2_d, r.x1_o, r.x2_o, r.x1, r.t1,
-        m.ttt, m.tcv, m.revenue, _classify(scenario, r).value,
+        m.ttt, m.tcv, m.revenue, classify(scenario, r).value,
         m.conventional_so, m.ers_optimum,
     )
 
@@ -435,31 +422,10 @@ def solve_row(
         return ResultRow(identifiers, error=str(exc))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Cartesian sweep: override paths with their value lists."""
-
-    base: Scenario
-    axes: tuple[tuple[str, tuple[float, ...]], ...]
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ValueError("sweep needs at least one axis")
-        paths = [path for path, _ in self.axes]
-        for path, values in self.axes:
-            if paths.count(path) > 1:
-                raise ValueError(f"sweep axis {path!r} is given twice")
-            if path not in OVERRIDE_PATHS:
-                raise ValueError(
-                    f"unknown sweep axis {path!r}; valid: {', '.join(OVERRIDE_PATHS)}"
-                )
-            if not values:
-                raise ValueError(f"sweep axis {path!r} has no values")
-
-
-def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Solve every cell of the sweep, rows in lexicographic axis order;
-    a cell that fails reports the error in its own row.
+def run_sweep(base: Scenario, axes) -> list[ResultRow]:
+    """Solve every cell of the Cartesian sweep of base over the axes,
+    (override path, values) pairs, rows in lexicographic axis order; a
+    cell that fails reports the error in its own row.
 
     The axes are nested levels: each applies its own value (_override) to
     the fields its parent level left, so an inner cell pays one override
@@ -467,7 +433,18 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     plus solve_row give it alone.  A value that fails fails every cell
     under it, with its message.
     """
-    levels = [[(path, value) for value in values] for path, values in spec.axes]
+    if not axes:
+        raise ValueError("sweep needs at least one axis")
+    paths = [path for path, _ in axes]
+    for path, values in axes:
+        if paths.count(path) > 1:
+            raise ValueError(f"sweep axis {path!r} is given twice")
+        if path not in OVERRIDE_PATHS:
+            valid = ", ".join(OVERRIDE_PATHS)
+            raise ValueError(f"unknown sweep axis {path!r}; valid: {valid}")
+        if not values:
+            raise ValueError(f"sweep axis {path!r} has no values")
+    levels = [[(path, value) for value in values] for path, values in axes]
     rows: list[ResultRow] = []
 
     def walk(parts: tuple, identifiers: tuple, depth: int) -> None:
@@ -486,7 +463,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 else:
                     rows.append(solve_row(Scenario(*cell), cell_ids))
 
-    walk(_fields(spec.base), (), 0)
+    walk(_fields(base), (), 0)
     return rows
 
 

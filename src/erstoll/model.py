@@ -26,6 +26,13 @@ charging_value prices it in JPY, and every layer reaches the payoff through
 it or its inverse threshold_soc.  Raw (un-normalised) taste coefficients
 are not representable in this model; link choice is invariant to the
 normalisation, so no behaviour is lost.
+
+The DWPT-EV SoC pool (UniformContinuum or DiscreteAgents) is read only
+through ``total_mass`` (fleet size in vehicles), ``count_below(s)`` (mass
+with SoC strictly below s: non-decreasing, 0 at the lowest SoC, total
+mass at 1) and ``quantile(mass)`` (the SoC below which that mass lies;
+quantile(0) and quantile(total_mass) are the lowest and highest SoC).
+A toll (FreeToll or FixedToll) is read only through dwpt_link1_charge.
 """
 
 from __future__ import annotations
@@ -128,39 +135,8 @@ class Preferences:
             raise ValueError(f"voe must be finite and > 0, got {self.voe}")
 
 
-class SocDistribution:
-    """State-of-charge population of the DWPT-EV fleet.
-
-    Implementations expose the same counting interface:
-
-    * ``total_mass`` - fleet size in vehicles
-    * ``s_min`` / ``s_max`` - support bounds
-    * ``count_below(s)`` - vehicle mass with SoC strictly below ``s``
-      (non-decreasing in ``s``, 0 at the lower support bound, total mass at 1)
-    * ``quantile(mass)`` - SoC below which the given mass lies
-    """
-
-    @property
-    def total_mass(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def s_min(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def s_max(self) -> float:
-        raise NotImplementedError
-
-    def count_below(self, s: float) -> float:
-        raise NotImplementedError
-
-    def quantile(self, mass: float) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class UniformContinuum(SocDistribution):
+class UniformContinuum:
     """SoC spread uniformly over (s_lo, s_hi) with the given total mass."""
 
     s_lo: float
@@ -185,14 +161,6 @@ class UniformContinuum(SocDistribution):
     def total_mass(self) -> float:
         return self.mass
 
-    @property
-    def s_min(self) -> float:
-        return self.s_lo
-
-    @property
-    def s_max(self) -> float:
-        return self.s_hi
-
     def count_below(self, s: float) -> float:
         frac = (s - self.s_lo) / (self.s_hi - self.s_lo)
         return self.mass * min(max(frac, 0.0), 1.0)
@@ -203,7 +171,7 @@ class UniformContinuum(SocDistribution):
 
 
 @dataclass(frozen=True)
-class DiscreteAgents(SocDistribution):
+class DiscreteAgents:
     """Finite set of DWPT-EV agents, one vehicle of mass 1 per SoC value."""
 
     soc_values: tuple[float, ...]
@@ -223,14 +191,6 @@ class DiscreteAgents(SocDistribution):
     def total_mass(self) -> float:
         return float(len(self.soc_values))
 
-    @property
-    def s_min(self) -> float:
-        return self._sorted[0]
-
-    @property
-    def s_max(self) -> float:
-        return self._sorted[-1]
-
     def count_below(self, s: float) -> float:
         return float(bisect.bisect_left(self._sorted, s))
 
@@ -239,16 +199,8 @@ class DiscreteAgents(SocDistribution):
         return self._sorted[k - 1]
 
 
-class TollSystem:
-    """Pricing regime for the ERS link; only DWPT-EVs using link 1 pay."""
-
-    @property
-    def dwpt_link1_charge(self) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class FreeToll(TollSystem):
+class FreeToll:
     """ERS usable by anyone at no charge."""
 
     @property
@@ -257,7 +209,7 @@ class FreeToll(TollSystem):
 
 
 @dataclass(frozen=True)
-class FixedToll(TollSystem):
+class FixedToll:
     """Fixed price per trip for DWPT-EVs on the ERS link."""
 
     price: float
@@ -277,9 +229,9 @@ class Scenario:
 
     total_vehicles: float
     dwpt_ratio: float
-    soc: SocDistribution
+    soc: UniformContinuum | DiscreteAgents
     prefs: Preferences
-    toll: TollSystem
+    toll: FreeToll | FixedToll
     network: Network
 
     def __post_init__(self):

@@ -122,7 +122,7 @@ def networks(draw, n_total):
 def band_containing(bands, price):
     """The toll band whose half-open interval holds the given price."""
     for band in bands:
-        if band.contains(price):
+        if band.c_low <= price < band.c_high:
             return band
     raise ValueError(f"no band contains price {price}")
 

@@ -260,7 +260,7 @@ class TestTollBands:
         bands = toll_bands(base_scenario())
         assert band_containing(bands, 0.0).pattern is PatternLabel.B_i_a
         assert band_containing(bands, 1e9).pattern is PatternLabel.B_i_b
-        assert not any(band.contains(-1.0) for band in bands)
+        assert not any(band.c_low <= -1.0 < band.c_high for band in bands)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def band_scenarios(draw):
 
 
 # Link 1 is twice as slow at free flow, so at the all-charge edge every
-# OTHER-V is on link 2 and t1 > t2: the band ends below voe*(1/s_max - 1).
+# OTHER-V is on link 2 and t1 > t2: the band ends below voe*(1/s_hi - 1).
 _SLOW_ERS = base_scenario(
     ratio=0.3,
     network=Network(

@@ -84,6 +84,16 @@ class TestSolve:
         assert main(["solve", "--scenario", str(path)]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    def test_huge_integer_in_scenario_file_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "huge.cfg"
+        save_scenario(base_scenario(), path)
+        text = path.read_text()
+        assert "total_vehicles: 1000.0" in text
+        path.write_text(text.replace("1000.0", "1" + "0" * 400, 1))
+        assert main(["solve", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: total_vehicles: int too large"), err
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         def boom(scenario):
             raise ConvergenceError("no bracket")
@@ -181,6 +191,14 @@ class TestSimulate:
             assert main(args) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("start", [[], ["--initial", "random"], ["--order", "random"]])
+    def test_negative_seed_rejected_by_the_parser(self, capsys, start):
+        # rejected whether or not the run would draw from the RNG
+        assert main(["simulate", "--seed", "-1", "--rounds", "1", *start]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: argument --seed: must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_round_limit_reports_not_converged(self, capsys, tmp_path):
         path = tmp_path / "small.cfg"
@@ -283,32 +301,40 @@ def test_structured_text_holds_the_csv_cells(argv, tmp_path):
             assert key.style == value.style == "'", (key.value, value.value)
 
 
-# sha256 of each --output file, taken from the code before result rows
-# became named tuples and sweeps a fold over their axes, so that refactor
-# and any later one is held to byte-identical tables.  The sweep reaches
-# all three solve regimes and has error rows (dwpt_ratio outside (0,1)).
-# Exact corner equilibria (ROADMAP item 1) change corner rows on purpose:
-# that change must update these digests and record the output change.
+# sha256 of each --output file, which a refactor must keep byte for byte.
+# The sweep reaches all three solve regimes and has error rows
+# (dwpt_ratio outside (0,1)).  Exact corner equilibria (ROADMAP item 1)
+# change corner rows on purpose: that change must update these digests
+# and record the output change.
 PINNED_SWEEP = [
     "sweep",
     "--axis", "toll.price=0:1200:13",
     "--axis", "prefs.voe=50,100,200",
     "--axis", "dwpt_ratio=-0.2:1.2:25",
 ]
-PINNED_OUTPUTS = [
-    (["table2"], "csv", "07484614556756353b3eb805ada8b42c65449d50eb65d7aa70cf5af52012eb80"),
-    (["table2"], "structured-text", "1b3bb361ddec15da901eaf899528082847383babd06f698ee57b22832516c169"),
-    (["solve"], "csv", "b31ae2e9ad3db63860127faf3274abd556caaeaa2dda60ae42fa95c16d6381c4"),
-    (["solve"], "structured-text", "6950f307387e3e3f37d8c2c46f4795fcef7fd9b4e5c458af39bc070b8373c1ba"),
-    (PINNED_SWEEP, "csv", "3bcddeed9fde521c4466cc5a277551f5c3aae5b65df1457cacf00d34522dfd00"),
-    (PINNED_SWEEP, "structured-text", "decb8c7c3649bc67b0e5c78c0b83136bbada5b5ac63c703deebea60fcb13a16e"),
+PINNED_BANDS_HIGH_SHARE = ["bands", "--set", "dwpt_ratio=0.6"]
+PINNED_SIMULATE_RANDOM = ["simulate", "--initial", "random", "--order", "random", "--seed", "3"]
+PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
+    ("table2", ["table2"], "csv", "07484614556756353b3eb805ada8b42c65449d50eb65d7aa70cf5af52012eb80"),
+    ("table2", ["table2"], "structured-text", "1b3bb361ddec15da901eaf899528082847383babd06f698ee57b22832516c169"),
+    ("solve", ["solve"], "csv", "b31ae2e9ad3db63860127faf3274abd556caaeaa2dda60ae42fa95c16d6381c4"),
+    ("solve", ["solve"], "structured-text", "6950f307387e3e3f37d8c2c46f4795fcef7fd9b4e5c458af39bc070b8373c1ba"),
+    ("sweep", PINNED_SWEEP, "csv", "3bcddeed9fde521c4466cc5a277551f5c3aae5b65df1457cacf00d34522dfd00"),
+    ("sweep", PINNED_SWEEP, "structured-text", "decb8c7c3649bc67b0e5c78c0b83136bbada5b5ac63c703deebea60fcb13a16e"),
+    ("bands", ["bands"], "csv", "d7b3a19027c0c9123d2a69bab21e91f7af46199264298557741c591092ae4b5a"),
+    ("bands", ["bands"], "structured-text", "04f0a4a2a72f0b08cceef7fe328593098b49513a42ecfc4230897c4ca28c9b89"),
+    ("bands-high-share", PINNED_BANDS_HIGH_SHARE, "csv", "4497e8d8f83f5ab72b19b0233e540fe16bced91bb512f9fd022a050d5de24f8a"),
+    ("bands-high-share", PINNED_BANDS_HIGH_SHARE, "structured-text", "58c7eabc05a277d1c42bf044756f46cc2d3509a6adb86bbd3f9263f27eb332f9"),
+    ("fig2", ["fig2"], "csv", "01d576d65578c2686c36dd26584e226625aab2c9fdbfc9f941e69f491c84171b"),
+    ("simulate", ["simulate", "--rounds", "50"], "csv", "269a55eed2b06b2a7f12d4d57ea3a26ca1614b900985337d7b2dd00767b05e37"),
+    ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, fmt, digest",
-    PINNED_OUTPUTS,
-    ids=[f"{argv[0]}-{fmt}" for argv, fmt, _ in PINNED_OUTPUTS],
+    [entry[1:] for entry in PINNED_OUTPUTS],
+    ids=[f"{name}-{fmt}" for name, _, fmt, _ in PINNED_OUTPUTS],
 )
 def test_output_bytes_are_pinned(argv, fmt, digest, tmp_path):
     path = tmp_path / "out"

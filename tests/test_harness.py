@@ -17,7 +17,6 @@ from erstoll.harness import (
     OVERRIDE_PATHS,
     ConfigError,
     ResultRow,
-    SweepSpec,
     apply_overrides,
     bundled_scenario_path,
     fig2_data,
@@ -247,6 +246,18 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="total_vehicles"):
             scenario_from_config(config)
 
+    def test_huge_integer_names_its_field(self):
+        # float() overflows on an int past the float range; that is bad
+        # input at its field, not a numerical failure
+        config = valid_config()
+        config["total_vehicles"] = 10**400
+        with pytest.raises(ConfigError, match="^total_vehicles: int too large"):
+            scenario_from_config(config)
+        config = valid_config()
+        config["soc"] = {"kind": "discrete", "values": [0.5, 10**400]}
+        with pytest.raises(ConfigError, match="^soc.values: int too large"):
+            scenario_from_config(config)
+
     def test_exponent_numbers_load(self, tmp_path):
         text = bundled_scenario_path().read_text()
         for plain, exponent in (
@@ -359,6 +370,10 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="toll.price"):
             apply_overrides(base_scenario(), {"toll.price": -1.0})
 
+    def test_huge_integer_override_names_its_path(self):
+        with pytest.raises(ConfigError, match="^toll.price: int too large"):
+            apply_overrides(base_scenario(), {"toll.price": 10**400})
+
     def test_no_overrides_returns_the_input(self):
         base = base_scenario()
         assert apply_overrides(base, {}) is base
@@ -446,15 +461,15 @@ class TestSweeps:
     def test_spec_validation(self):
         base = base_scenario()
         with pytest.raises(ValueError, match="at least one axis"):
-            SweepSpec(base=base, axes=())
+            run_sweep(base, ())
         with pytest.raises(ValueError, match="unknown sweep axis"):
-            SweepSpec(base=base, axes=(("prefs.vol", (1.0,)),))
+            run_sweep(base, (("prefs.vol", (1.0,)),))
         with pytest.raises(ValueError, match="no values"):
-            SweepSpec(base=base, axes=(("toll.price", ()),))
+            run_sweep(base, (("toll.price", ()),))
         with pytest.raises(ValueError, match="'toll.price' is given twice"):
-            SweepSpec(
-                base=base,
-                axes=(
+            run_sweep(
+                base,
+                (
                     ("toll.price", (50.0, 150.0)),
                     ("prefs.voe", (1.0,)),
                     ("toll.price", (100.0,)),
@@ -462,11 +477,10 @@ class TestSweeps:
             )
 
     def test_lexicographic_order_and_identifiers(self):
-        spec = SweepSpec(
-            base=base_scenario(),
-            axes=(("toll.price", (0.0, 100.0)), ("prefs.voe", (50.0, 150.0))),
+        rows = run_sweep(
+            base_scenario(),
+            (("toll.price", (0.0, 100.0)), ("prefs.voe", (50.0, 150.0))),
         )
-        rows = run_sweep(spec)
         assert [row.identifiers for row in rows] == [
             (("toll.price", 0.0), ("prefs.voe", 50.0)),
             (("toll.price", 0.0), ("prefs.voe", 150.0)),
@@ -477,11 +491,10 @@ class TestSweeps:
         assert all(row.pattern for row in rows)
 
     def test_error_cells_flagged_not_dropped(self):
-        spec = SweepSpec(
-            base=discrete_scenario([0.2, 0.5, 0.8], n_other=7),
-            axes=(("dwpt_ratio", (0.3, 0.6)),),
+        rows = run_sweep(
+            discrete_scenario([0.2, 0.5, 0.8], n_other=7),
+            (("dwpt_ratio", (0.3, 0.6)),),
         )
-        rows = run_sweep(spec)
         assert len(rows) == 2
         assert all("uniform" in row.error for row in rows)
         assert all(row.s_thres is None for row in rows)
@@ -500,16 +513,13 @@ class TestSweeps:
     )
     def test_rows_equal_cells_solved_alone(self, network):
         base = base_scenario() if network is None else base_scenario(network=network)
-        spec = SweepSpec(
-            base=base,
-            axes=(
-                ("toll.price", (0.0, 40.0, 150.0, 900.0)),
-                ("dwpt_ratio", (0.0, 0.2, 0.6, 1.2)),
-                ("soc.s_lo", (0.05, 0.5, 0.9, 0.95)),
-            ),
+        axes = (
+            ("toll.price", (0.0, 40.0, 150.0, 900.0)),
+            ("dwpt_ratio", (0.0, 0.2, 0.6, 1.2)),
+            ("soc.s_lo", (0.05, 0.5, 0.9, 0.95)),
         )
-        rows = run_sweep(spec)
-        assert rows == self._expected_rows(base, spec.axes)
+        rows = run_sweep(base, axes)
+        assert rows == self._expected_rows(base, axes)
         errors = [row.error for row in rows if row.error]
         assert any("dwpt_ratio must be in (0,1)" in e for e in errors)
         assert any("s_lo must be < s_hi" in e for e in errors)
@@ -560,7 +570,7 @@ class TestSweeps:
         ids=["outer-invalid", "s_lo-then-s_hi", "vot-by-voe", "discrete-toll", "discrete-ratio"],
     )
     def test_fold_equals_cells_solved_alone(self, base, axes, errors):
-        rows = run_sweep(SweepSpec(base=base, axes=axes))
+        rows = run_sweep(base, axes)
         assert rows == self._expected_rows(base, axes)
         assert [row.error for row in rows] == errors
 
@@ -581,9 +591,7 @@ class TestSweeps:
             (path, tuple(data.draw(st.lists(values, min_size=1, max_size=3))))
             for path in paths
         )
-        assert run_sweep(SweepSpec(base=base, axes=axes)) == self._expected_rows(
-            base, axes
-        )
+        assert run_sweep(base, axes) == self._expected_rows(base, axes)
 
     @classmethod
     def _expected_rows(cls, base, axes):
@@ -598,11 +606,10 @@ class TestSweeps:
             raise ConvergenceError("system optimum: no bracket")
 
         monkeypatch.setattr("erstoll.analysis.min_total_travel_time", broken)
-        spec = SweepSpec(
-            base=base_scenario(),
-            axes=(("toll.price", (0.0, 100.0)), ("dwpt_ratio", (0.3, 1.5))),
+        rows = run_sweep(
+            base_scenario(),
+            (("toll.price", (0.0, 100.0)), ("dwpt_ratio", (0.3, 1.5))),
         )
-        rows = run_sweep(spec)
         assert [row.error for row in rows] == [
             "system optimum: no bracket",
             "dwpt_ratio: dwpt_ratio must be in (0,1), got 1.5",
