@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--axis",
         action="append",
-        default=[],
-        required=False,
+        required=True,
         metavar="PATH=VALUES",
         help="sweep axis: PATH=v1,v2,... or PATH=start:stop:count "
         "(repeatable; later axes vary fastest)",
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_args(p)
     _add_output_args(p)
-    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    # numpy's generators take no negative seed, whether or not a run uses it
+    p.add_argument("--seed", type=_min_int(0), default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--initial",
         choices=INITIAL_ASSIGNMENTS,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="agent update order per round (default sequential)",
     )
     p.add_argument(
-        "--rounds", type=int, default=10_000, help="round limit (default 10000)"
+        "--rounds", type=_min_int(1), default=10_000, help="round limit (default 10000)"
     )
     p.set_defaults(func=cmd_simulate)
 
@@ -141,15 +141,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed(text: str) -> int:
-    # numpy's generators take no negative seed, whether or not a run uses it
+def _min_int(low: int):
+    """An argparse type for an integer >= low, so an error names its flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _read_paths(texts, what: str, form: str, parse) -> dict:
+    """--set or --axis texts as {PATH: parse(PATH, VALUES)}; each PATH at most once."""
+    read = {}
+    for text in texts:
+        path, sep, values = text.partition("=")
+        if not sep:
+            raise ConfigError(f"{what} {text!r} is not of the form {form}")
+        path = path.strip()
+        if path in read:
+            raise ConfigError(f"{what} {path!r} is given twice")
+        read[path] = parse(path, values)
+    return read
+
+
+def _override_value(path: str, text: str) -> float:
     try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"override {path}: {text!r} is not a number") from exc
 
 
 def _parse_values(text: str) -> list[float]:
@@ -185,7 +208,7 @@ def _parse_values(text: str) -> list[float]:
 
 def _load_scenario(args):
     scenario = harness.resolve_scenario(args.scenario)
-    overrides = dict(harness.parse_override_arg(a) for a in args.overrides)
+    overrides = _read_paths(args.overrides, "override", "path=value", _override_value)
     return harness.apply_overrides(scenario, overrides)
 
 
@@ -242,16 +265,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.axis:
-        raise ConfigError("sweep needs at least one --axis PATH=VALUES")
     scenario = _load_scenario(args)
-    axes = []
-    for spec_text in args.axis:
-        if "=" not in spec_text:
-            raise ConfigError(f"axis {spec_text!r} is not of the form PATH=VALUES")
-        path, values_text = spec_text.split("=", 1)
-        axes.append((path.strip(), tuple(_parse_values(values_text))))
-    rows = harness.run_sweep(scenario, axes)
+    axes = _read_paths(
+        args.axis, "axis", "PATH=VALUES", lambda _, text: tuple(_parse_values(text))
+    )
+    rows = harness.run_sweep(scenario, axes.items())
     failed = sum(1 for r in rows if r.error)
     summary = [f"sweep: {len(rows)} cells, {failed} failed"]
     _emit(args, _result_rows(rows), summary)

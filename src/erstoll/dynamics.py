@@ -391,12 +391,10 @@ def _oracle_result(scenario: Scenario, population: Population) -> EquilibriumRes
     )
 
 
-def brute_force_equilibrium(
-    scenario: Scenario,
-    exhaustive: bool = False,
-    max_switches: int = 10_000_000,
-    seed: int | None = None,
-) -> EquilibriumResult:
+MAX_ORACLE_SWITCHES = 10_000_000  # guard only: the exact potential bounds the switches
+
+
+def brute_force_equilibrium(scenario: Scenario, exhaustive: bool = False) -> EquilibriumResult:
     """Atomic better-response oracle; requires a DiscreteAgents SoC pool.
 
     Agents start on link 2 and are scanned round-robin; any agent whose
@@ -416,18 +414,17 @@ def brute_force_equilibrium(
     # every vehicle starts on link 2, the pool in its own order
     population = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool))
     bonus = population.bonus(scenario.prefs, scenario.toll)
-    order = None if seed is None else np.random.default_rng(seed).permutation(n_agents)
 
     kernel = _SweepKernel(
         scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
     )
     switches, moved = 0, True
     while moved:
-        moved = kernel.sweep(population.on_link1, bonus, order)[0]
+        moved = kernel.sweep(population.on_link1, bonus)[0]
         switches += moved
-        if switches > max_switches:
+        if switches > MAX_ORACLE_SWITCHES:
             raise ConvergenceError(
-                f"oracle exceeded {max_switches} switches; "
+                f"oracle exceeded {MAX_ORACLE_SWITCHES} switches; "
                 "the finite-improvement property is violated"
             )
 

@@ -34,7 +34,7 @@ This module checks only the file's shape (keys, kinds, numbers).  Value
 ranges are checked by the model types that hold the values (``model.py``);
 their errors are re-raised as ConfigError prefixed with the field path.
 
-Override paths (shared by sweeps and the command line):
+Override paths (the harness takes values; the CLI parses PATH=VALUES text):
 toll.price, prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi.
 run_sweep(base, axes) folds them per axis: each axis is a level that
 applies its own value to the scenario fields its outer level left.
@@ -179,9 +179,6 @@ def scenario_from_config(config: dict) -> Scenario:
 
     raw_soc = _require(config, "soc", "")
     kind = _require(raw_soc, "kind", "soc")
-    # the fleet and every part are checked before the Scenario is built,
-    # so it can only reject the size of a discrete pool
-    scenario_path = "soc"
     if kind == "uniform":
         bounds = _numbers(raw_soc, "soc", ("s_lo", "s_hi"), allowed=("kind",))
         soc = _build(UniformContinuum, "soc", **bounds, mass=ratio * n_total)
@@ -190,7 +187,6 @@ def scenario_from_config(config: dict) -> Scenario:
         values = _require(raw_soc, "values", "soc")
         if not isinstance(values, list) or not values:
             raise ConfigError("soc.values: expected a non-empty list")
-        scenario_path = "soc.values"
         soc = _build(
             DiscreteAgents,
             "soc",
@@ -222,9 +218,10 @@ def scenario_from_config(config: dict) -> Scenario:
         link2=_parse_link(_require(raw_net, "link2", "network"), "network.link2", False),
     )
 
+    # every part is checked by now, so Scenario can only reject the pool size
     return _build(
         Scenario,
-        scenario_path,
+        "soc.values",
         total_vehicles=n_total,
         dwpt_ratio=ratio,
         soc=soc,
@@ -357,19 +354,6 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario
     for path, value in overrides.items():
         parts = _override(parts, path, value)
     return Scenario(*parts)
-
-
-def parse_override_arg(arg: str) -> tuple[str, float]:
-    """Parse one command-line 'path=value' override."""
-    if "=" not in arg:
-        raise ConfigError(f"override {arg!r} is not of the form path=value")
-    key, raw = arg.split("=", 1)
-    key = key.strip()
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"override {key}: {raw!r} is not a number") from exc
-    return key, value
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,38 @@ class TestSolve:
         assert main(["solve", "--set", "toll.cost=5"]) == 1
         assert "unknown override" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, line",
+        [
+            ("toll.price=50", "s_thres          0.6667"),
+            (" prefs.voe =1e2", "s_thres          0.5000"),
+        ],
+    )
+    def test_override_path_is_stripped_and_value_read_as_float(self, capsys, override, line):
+        assert main(["solve", "--set", override]) == 0
+        assert line in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("toll.price", "error: override 'toll.price' is not of the form path=value\n"),
+            ("toll.price=cheap", "error: override toll.price: 'cheap' is not a number\n"),
+        ],
+    )
+    def test_malformed_override(self, capsys, override, message):
+        assert main(["solve", "--set", override]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--axis", "prefs.voe=100"]])
+    def test_repeated_override_rejected(self, capsys, command):
+        args = [*command, "--set", "dwpt_ratio=0.5", "--set", " dwpt_ratio=0.6"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: override 'dwpt_ratio' is given twice\n"
+        assert captured.out == ""
+
     def test_unwritable_output(self, capsys, tmp_path):
         path = tmp_path / "missing_dir" / "row.csv"
         assert main(["solve", "--output", str(path)]) == 1
@@ -106,7 +138,9 @@ class TestSolve:
 class TestSweep:
     def test_requires_axis(self, capsys):
         assert main(["sweep"]) == 1
-        assert "--axis" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "error: the following arguments are required: --axis\n"
+        assert captured.out == ""
 
     def test_bogus_axis_path(self, capsys):
         assert main(["sweep", "--axis", "prefs.vol=1,2"]) == 1
@@ -121,10 +155,10 @@ class TestSweep:
         assert "'toll.price' is not of the form PATH=VALUES" in capsys.readouterr().err
 
     def test_repeated_axis_rejected(self, capsys):
-        args = ["sweep", "--axis", "toll.price=50,150", "--axis", "toll.price=100"]
+        args = ["sweep", "--axis", "toll.price=50,150", "--axis", "toll.price =100"]
         assert main(args) == 1
         captured = capsys.readouterr()
-        assert "'toll.price' is given twice" in captured.err
+        assert captured.err == "error: axis 'toll.price' is given twice\n"
         assert captured.out == ""
 
     def test_grid_to_stdout(self, capsys):
@@ -199,6 +233,18 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err == "error: argument --seed: must be >= 0, got -1\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rounds", ["0", "-5"])
+    def test_round_limit_below_one_rejected_by_the_parser(self, capsys, rounds):
+        assert main(["simulate", "--rounds", rounds]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: argument --rounds: must be >= 1, got {rounds}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--rounds", "--seed"])
+    def test_non_integer_flag_rejected_by_the_parser(self, capsys, flag):
+        assert main(["simulate", flag, "2.5"]) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: invalid int value: '2.5'\n"
 
     def test_round_limit_reports_not_converged(self, capsys, tmp_path):
         path = tmp_path / "small.cfg"
@@ -312,6 +358,11 @@ PINNED_SWEEP = [
     "--axis", "prefs.voe=50,100,200",
     "--axis", "dwpt_ratio=-0.2:1.2:25",
 ]
+PINNED_SOLVE_SET = ["solve", "--set", "toll.price=150"]
+PINNED_SWEEP_SET = [
+    "sweep", "--set", "prefs.vot=40",
+    "--axis", "toll.price=0:300:7", "--axis", "dwpt_ratio=0.3,0.7",
+]
 PINNED_BANDS_HIGH_SHARE = ["bands", "--set", "dwpt_ratio=0.6"]
 PINNED_SIMULATE_RANDOM = ["simulate", "--initial", "random", "--order", "random", "--seed", "3"]
 PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
@@ -325,6 +376,9 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("bands", ["bands"], "structured-text", "04f0a4a2a72f0b08cceef7fe328593098b49513a42ecfc4230897c4ca28c9b89"),
     ("bands-high-share", PINNED_BANDS_HIGH_SHARE, "csv", "4497e8d8f83f5ab72b19b0233e540fe16bced91bb512f9fd022a050d5de24f8a"),
     ("bands-high-share", PINNED_BANDS_HIGH_SHARE, "structured-text", "58c7eabc05a277d1c42bf044756f46cc2d3509a6adb86bbd3f9263f27eb332f9"),
+    ("solve-set", PINNED_SOLVE_SET, "csv", "3798d7f1a9d07c9656b52ffb8ee5a1beeff0f80baae7c8ff0cc1de42835dbd2b"),
+    ("solve-set", PINNED_SOLVE_SET, "structured-text", "8b551e07c724d28b50a43c42a199556dcc8ae8b6a97b5041445b16eb1f673977"),
+    ("sweep-set", PINNED_SWEEP_SET, "csv", "319c10674cc9d5e524ca1db4708afa3597ecce771aaaf9e490538abb647fa995"),
     ("fig2", ["fig2"], "csv", "01d576d65578c2686c36dd26584e226625aab2c9fdbfc9f941e69f491c84171b"),
     ("simulate", ["simulate", "--rounds", "50"], "csv", "269a55eed2b06b2a7f12d4d57ea3a26ca1614b900985337d7b2dd00767b05e37"),
     ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),

@@ -21,7 +21,6 @@ from erstoll.harness import (
     bundled_scenario_path,
     fig2_data,
     load_scenario,
-    parse_override_arg,
     resolve_scenario,
     rows_to_csv,
     rows_to_yaml,
@@ -447,14 +446,6 @@ class TestOverrides:
             assert out != base
             assert out.network == base.network
             assert out.total_vehicles == base.total_vehicles
-
-    def test_parse_override_arg(self):
-        assert parse_override_arg("toll.price=50") == ("toll.price", 50.0)
-        assert parse_override_arg(" prefs.voe =1e2") == ("prefs.voe", 100.0)
-        with pytest.raises(ConfigError, match="path=value"):
-            parse_override_arg("toll.price")
-        with pytest.raises(ConfigError, match="not a number"):
-            parse_override_arg("toll.price=cheap")
 
 
 class TestSweeps:
