@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .equilibrium import EquilibriumResult, _equal_split, _wardrop_response
-from .model import FixedToll, FreeToll, Network, Scenario, bpr_time
+from .equilibrium import EquilibriumResult, _bpr_slope, _equal_split, _wardrop_response
+from .model import FixedToll, FreeToll, LinkParams, Network, Scenario, bpr_time
 
 # Masses below this fraction of N count as zero when labelling patterns.
 PATTERN_MASS_TOL = 1e-6
@@ -112,19 +112,21 @@ def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     return PatternLabel.B_ii_c3
 
 
+def _marginal(link: LinkParams, x: float) -> tuple[float, float]:
+    """Marginal cost d(x*t(x))/dx = t + x*t' of BPR at flow x, and its
+    slope (beta + 1)*t', since x*t' = beta*(t - t0)."""
+    t = bpr_time(link, x)
+    slope = _bpr_slope(link, x, t)
+    return t + x * slope, (link.bpr_beta + 1.0) * slope
+
+
 def min_total_travel_time(network: Network, n_total: float) -> float:
     """Network-optimal TTT over all splits of n_total across the links.
 
     x*t(x) is convex for BPR, so the optimum is where the marginal costs
-    d(x*t(x))/dx = t0*(1 + alpha*(beta + 1)*(x/c)^beta) of the two links
-    meet, or an end of [0, n_total] if they never do.
+    of the two links meet, or an end of [0, n_total] if they never do.
     """
-
-    def marginal(link, x: float) -> float:
-        a, b = link.bpr_alpha, link.bpr_beta
-        return link.free_flow_time * (1.0 + a * (b + 1.0) * (x / link.capacity) ** b)
-
-    x1 = _equal_split(network.link1, network.link2, n_total, marginal, "system optimum")
+    x1 = _equal_split(network.link1, network.link2, n_total, _marginal, "system optimum")
     return x1 * bpr_time(network.link1, x1) + (n_total - x1) * bpr_time(
         network.link2, n_total - x1
     )

@@ -25,6 +25,12 @@ crossing into three regimes:
 * CornerOtherOn1: mirror image (heavy tolls push DWPT-EVs off the ERS
   link and OTHER-Vs fill it); the crossing lies in [0, x_eq - n_other].
 
+Every root (a corner crossing, x_eq, the system optimum of analysis) is
+one safeguarded Newton root, _root, on the closed-form BPR slope
+dt/dx = beta*(t - t0)/x.  A discrete pool's price steps at each SoC
+group, so _group_root first binary-searches the groups for the marginal
+one and then roots within it, splitting a tied group at its own SoC.
+
 The atomic game over discrete agents, with its brute-force
 better-response oracle, lives in dynamics; it is an independent check of
 the same equilibrium definition.
@@ -32,19 +38,21 @@ the same equilibrium definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import LinkParams, Scenario, bpr_time, charging_value, threshold_soc
+from .model import (
+    DiscreteAgents, LinkParams, Scenario, bpr_time, charging_value, threshold_soc,
+)
 
-# Bisection controls (BPR is monotone, so every map bisected below is
+# Root-finder controls (BPR is monotone, so every map rooted below is
 # non-decreasing on its bracket).
-MAX_BISECT_ITER = 200
-FLOW_TOL_FACTOR = 1e-9  # corner fixed point, fraction of N
-BALANCE_TOL_FACTOR = 1e-12  # link-split root, fraction of N
+MAX_ITER = 200
+ROOT_TOL_FACTOR = 1e-12  # every root, fraction of N
 
 # verify_equilibrium tolerances: masses to this fraction of N (above the
-# bisection residual, far below one vehicle at the scales of interest),
+# root residual, far below one vehicle at the scales of interest),
 # times in minutes.
 VERIFY_MASS_TOL_FACTOR = 1e-5
 VERIFY_TIME_TOL = 1e-6
@@ -85,53 +93,110 @@ class EquilibriumResult:
         return self.x2_d + self.x2_o
 
 
-def _bisect_root(f, lo: float, hi: float, xtol: float, what: str) -> float:
-    """Root of a non-decreasing f on [lo, hi], clamped to the bracket.
+def _root(g, lo: float, hi: float, xtol: float, what: str) -> float:
+    """Root of a non-decreasing map on [lo, hi], clamped to the bracket.
 
-    Returns lo if f(lo) >= 0 and hi if f(hi) <= 0; otherwise bisects to
-    xtol.  Also spot-checks monotonicity on the bracket, which guards
-    against a mis-specified fixed-point map.
+    g(x) returns the map's value and slope at x.  Returns lo if g(lo) >= 0
+    and hi if g(hi) <= 0.  Otherwise the first iterate is the secant point
+    of the ends, and each later one a Newton step, or the midpoint of the
+    sign bracket when the step would leave it; the root is the first
+    iterate within xtol of the one before.  Each point is evaluated once,
+    and each value must lie between the end values, which guards against
+    a mis-specified map.
     """
-    f_lo = f(lo)
-    if f_lo >= 0.0:
+    g_lo = g(lo)[0]
+    if g_lo >= 0.0:
         return lo
-    f_hi = f(hi)
-    if f_hi <= 0.0:
+    g_hi = g(hi)[0]
+    if g_hi <= 0.0:
         return hi
-    mid = 0.5 * (lo + hi)
-    f_mid = f(mid)
-    slack = 1e-9 * (1.0 + abs(f_lo) + abs(f_hi))
-    if not (f_lo <= f_mid + slack and f_mid <= f_hi + slack):
-        raise ConvergenceError(f"{what}: map is not monotone on the bracket")
-    for _ in range(MAX_BISECT_ITER):
-        if hi - lo <= xtol:
-            return mid
-        if f_mid <= 0.0:
-            lo = mid
+    slack = 1e-9 * (1.0 + abs(g_lo) + abs(g_hi))
+    a, b = lo, hi
+    x = lo - g_lo * (hi - lo) / (g_hi - g_lo)  # the secant point of the ends
+    if not lo < x < hi:  # rounded onto an end
+        x = 0.5 * (lo + hi)
+    for _ in range(MAX_ITER):
+        value, slope = g(x)
+        if not g_lo - slack <= value <= g_hi + slack:
+            raise ConvergenceError(
+                f"{what}: map is not monotone on the bracket [{lo}, {hi}] "
+                f"({value} at {x})"
+            )
+        if value < 0.0:
+            a = x
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        if hi - lo > xtol:  # else the next pass returns mid unevaluated
-            f_mid = f(mid)
+            b = x
+        newton = x - value / slope if slope > 0.0 else math.inf
+        # a Newton step below x's rounding ends the search at x
+        step = newton if a < newton < b or newton == x else 0.5 * (a + b)
+        if -xtol <= step - x <= xtol or not a < step < b:
+            return step
+        x = step
     raise ConvergenceError(
-        f"{what}: no convergence to xtol={xtol} after {MAX_BISECT_ITER} "
-        f"iterations (bracket [{lo}, {hi}])"
+        f"{what}: no convergence to xtol={xtol} after {MAX_ITER} iterations "
+        f"(bracket [{a}, {b}], residual {value})"
     )
+
+
+def _group_root(
+    gap, soc: DiscreteAgents, lo: float, hi: float, xtol: float, what: str
+) -> float:
+    """Crossing on [lo, hi] of the step map toll - price(n) of a discrete pool.
+
+    gap(s, n) is that map with the marginal SoC held at s: non-decreasing
+    in s and continuous in n.  A binary search over the agents finds the
+    first SoC group k whose gap is >= 0 at its last count C_k (or hi),
+    else the last group.  The crossing is its first count C_(k-1) (or lo)
+    if the gap is >= 0 there already, else the root of group k's gap
+    between the two, which puts the threshold on s_k.
+    """
+
+    def group(m: int) -> tuple[float, float, float]:
+        # SoC of agent m, and the counts below and through its level
+        s = soc.quantile(m)
+        return s, soc.count_below(s), soc.count_below(math.nextafter(s, 1.0))
+
+    a, b = max(math.ceil(lo), 1), max(math.ceil(hi), 1)
+    while a < b:
+        m = (a + b) // 2
+        s, _, end = group(m)
+        if gap(s, min(end, hi))[0] >= 0.0:
+            b = m
+        else:
+            a = m + 1
+    s, start, end = group(a)
+    return _root(lambda n: gap(s, n), max(start, lo), min(end, hi), xtol, what)
+
+
+def _bpr_slope(link: LinkParams, x: float, t: float) -> float:
+    """Slope of BPR at flow x, where the time is t: beta*(t - t0)/x; at
+    x = 0, t0*alpha/capacity if beta = 1, else 0."""
+    if x > 0.0:
+        return link.bpr_beta * (t - link.free_flow_time) / x
+    if link.bpr_beta == 1.0:
+        return link.free_flow_time * link.bpr_alpha / link.capacity
+    return 0.0
+
+
+def _bpr(link: LinkParams, x: float) -> tuple[float, float]:
+    """BPR time at flow x and its slope."""
+    t = bpr_time(link, x)
+    return t, _bpr_slope(link, x, t)
 
 
 def _equal_split(link1: LinkParams, link2: LinkParams, total: float, cost, what) -> float:
     """Link-1 flow x in [0, total] where cost(link1, x) meets
-    cost(link2, total - x), for a cost increasing in the flow; half of
-    total on links with one travel-time function."""
+    cost(link2, total - x), for a cost increasing in the flow and given
+    with its slope; half of total on links with one travel-time function."""
     if link1.same_bpr(link2):
         return 0.5 * total
-    return _bisect_root(
-        lambda x: cost(link1, x) - cost(link2, total - x),
-        0.0,
-        total,
-        BALANCE_TOL_FACTOR * total,
-        what,
-    )
+
+    def g(x: float) -> tuple[float, float]:
+        c1, d1 = cost(link1, x)
+        c2, d2 = cost(link2, total - x)
+        return c1 - c2, d1 + d2
+
+    return _root(g, 0.0, total, ROOT_TOL_FACTOR * total, what)
 
 
 def _wardrop_response(scenario: Scenario):
@@ -139,30 +204,30 @@ def _wardrop_response(scenario: Scenario):
 
     Returns (x_eq, times, dwpt_mass_at, price): the balanced flow;
     times(n), the link times (t1, t2) at link-1 flow x1(n) =
-    min(max(x_eq, n), n + n_other); dwpt_mass_at(x1), its inverse, the
-    DWPT mass in [0, rN] at which the response puts x1 on link 1; and
-    price(n), the toll at which the marginal of n DWPT-EVs on link 1 is
-    indifferent (module docstring).
+    min(max(x_eq, n), n + n_other), and that flow; dwpt_mass_at(x1), its
+    inverse, the DWPT mass in [0, rN] at which the response puts x1 on
+    link 1; and price(n), the toll at which the marginal of n DWPT-EVs on
+    link 1 is indifferent (module docstring).
     """
     link1, link2 = scenario.network.link1, scenario.network.link2
     n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
     prefs, soc = scenario.prefs, scenario.soc
-    x_eq = _equal_split(link1, link2, n_total, bpr_time, "balanced flow")
+    x_eq = _equal_split(link1, link2, n_total, _bpr, "balanced flow")
 
-    def times(n: float) -> tuple[float, float]:
+    def times(n: float) -> tuple[float, float, float]:
         # min(max(x_eq, n), n + n_other) without the builtin calls, which
-        # cost a tenth of a corner solve on this bisection hot path
+        # cost a tenth of a corner solve on this root-finding hot path
         x1 = x_eq if x_eq >= n else n
         if x1 > n + n_other:
             x1 = n + n_other
-        return bpr_time(link1, x1), bpr_time(link2, n_total - x1)
+        return bpr_time(link1, x1), bpr_time(link2, n_total - x1), x1
 
     def dwpt_mass_at(x1: float) -> float:
         n = x1 - n_other if x1 < x_eq else x1
         return min(max(n, 0.0), n_dwpt)
 
     def price(n: float) -> float:
-        t1, t2 = times(n)
+        t1, t2, _ = times(n)
         return charging_value(prefs, soc.quantile(n)) - prefs.vot * (t1 - t2)
 
     return x_eq, times, dwpt_mass_at, price
@@ -177,15 +242,18 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     threshold is that crossing in closed form if OTHER-Vs can fill the
     rest of x_eq (interior).  Otherwise it lies in [x_eq, rN] when
     n_star > x_eq (every OTHER-V on link 2), else in
-    [0, x_eq - n_other] (every OTHER-V on link 1), and toll - price(n)
-    is bisected to FLOW_TOL_FACTOR*N, or taken at the bracket end where
-    it already has its final sign.
+    [0, x_eq - n_other] (every OTHER-V on link 1), or at the bracket end
+    where toll - price(n) already has its final sign.  For a continuum
+    pool that map is rooted by _root to ROOT_TOL_FACTOR*N; for a discrete
+    pool, whose price is a step function of n, _group_root finds the
+    marginal SoC group and splits it at its own SoC.
     """
     prefs, soc, toll = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
-    n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
-    x_eq, times, _, price = _wardrop_response(scenario)
+    n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
+    link1, link2 = scenario.network.link1, scenario.network.link2
+    x_eq, times, _, _ = _wardrop_response(scenario)
 
-    t1, t2 = times(x_eq)
+    t1, t2, _ = times(x_eq)
     n_star = soc.count_below(threshold_soc(prefs, toll, t1, t2))
     if n_star <= x_eq and x_eq - n_star <= n_other:
         regime, x1_d = RegimeTag.INTERIOR, n_star  # the response to n_star is x_eq
@@ -194,11 +262,23 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_2, x_eq, n_dwpt
         else:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_1, 0.0, min(x_eq - n_other, n_dwpt)
-        xtol = FLOW_TOL_FACTOR * scenario.total_vehicles
-        x1_d = _bisect_root(
-            lambda n: toll - price(n), lo, hi, xtol, f"fixed point ({regime.value})"
-        )
-        t1, t2 = times(x1_d)
+        xtol = ROOT_TOL_FACTOR * scenario.total_vehicles
+        what = f"fixed point ({regime.value})"
+
+        def gap(s: float, n: float, ds: float = 0.0) -> tuple[float, float]:
+            # toll - price(n) at marginal SoC s, and its slope in n when
+            # s moves by ds per vehicle (each corner moves x1 with n)
+            t1, t2, x1 = times(n)
+            dt = _bpr_slope(link1, x1, t1) + _bpr_slope(link2, n_total - x1, t2)
+            value = toll - charging_value(prefs, s) + prefs.vot * (t1 - t2)
+            return value, prefs.voe * ds / (s * s) + prefs.vot * dt
+
+        if isinstance(soc, DiscreteAgents):
+            x1_d = _group_root(gap, soc, lo, hi, xtol, what)
+        else:
+            ds = (soc.s_hi - soc.s_lo) / soc.mass
+            x1_d = _root(lambda n: gap(soc.quantile(n), n, ds), lo, hi, xtol, what)
+        t1, t2, _ = times(x1_d)
     x1_o = min(max(x_eq - x1_d, 0.0), n_other)
     result = EquilibriumResult(
         x1_d=x1_d,

@@ -306,15 +306,21 @@ def resolve_scenario(path: str | Path) -> Scenario:
 # Overrides
 
 
+def _check_path(path: str, noun: str) -> None:
+    """Reject a path outside OVERRIDE_PATHS, naming it as an override or
+    a sweep axis."""
+    if path not in OVERRIDE_PATHS:
+        raise ConfigError(
+            f"unknown {noun} {path!r}; valid paths: {', '.join(OVERRIDE_PATHS)}"
+        )
+
+
 def _override(parts: tuple, path: str, value) -> tuple:
     """Scenario fields, in Scenario's order, with one override applied and
     re-validated.  Only toll, prefs, dwpt_ratio and soc change; N and the
     network never do."""
     n_total, ratio, soc, prefs, toll, network = parts
-    if path not in OVERRIDE_PATHS:
-        raise ConfigError(
-            f"unknown override {path!r}; valid paths: {', '.join(OVERRIDE_PATHS)}"
-        )
+    _check_path(path, "override")
     value = _number(value, path)
     if path == "toll.price":
         toll = _build(FixedToll, path, value)
@@ -423,9 +429,7 @@ def run_sweep(base: Scenario, axes) -> list[ResultRow]:
     for path, values in axes:
         if paths.count(path) > 1:
             raise ValueError(f"sweep axis {path!r} is given twice")
-        if path not in OVERRIDE_PATHS:
-            valid = ", ".join(OVERRIDE_PATHS)
-            raise ValueError(f"unknown sweep axis {path!r}; valid: {valid}")
+        _check_path(path, "sweep axis")
         if not values:
             raise ValueError(f"sweep axis {path!r} has no values")
     levels = [[(path, value) for value in values] for path, values in axes]

@@ -32,7 +32,9 @@ through ``total_mass`` (fleet size in vehicles), ``count_below(s)`` (mass
 with SoC strictly below s: non-decreasing, 0 at the lowest SoC, total
 mass at 1) and ``quantile(mass)`` (the SoC below which that mass lies;
 quantile(0) and quantile(total_mass) are the lowest and highest SoC).
-A toll (FreeToll or FixedToll) is read only through dwpt_link1_charge.
+Only equilibrium.solve tells the two apart, for the slope of a
+continuum's quantile and the SoC groups of a discrete pool.  A toll
+(FreeToll or FixedToll) is read only through dwpt_link1_charge.
 """
 
 from __future__ import annotations

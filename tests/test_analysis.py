@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from erstoll import equilibrium
 from erstoll.analysis import (
     PATTERN_MASS_TOL,
     PatternLabel,
@@ -345,10 +343,8 @@ _STEEP_TWIN = Scenario(
 class TestTollBandsAgreeWithSolver:
     """Bands tile [0, inf) and hold the label solve + classify give inside.
 
-    The reference solve runs its corner fixed point to 1e-12*N rather
-    than FLOW_TOL_FACTOR*N = 1e-9*N: on steep links 1% of a band can be
-    less DWPT mass than that (the default stays until ROADMAP item 1,
-    as it sets the published CSV digits).
+    On steep links 1% of a band can be 1e-9*N of DWPT mass or less, so
+    this needs solve's corner root at ROOT_TOL_FACTOR*N = 1e-12*N.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -381,8 +377,7 @@ class TestTollBandsAgreeWithSolver:
                 continue
             for price in prices:
                 cell = replace(scn, toll=FixedToll(price))
-                with patch.object(equilibrium, "FLOW_TOL_FACTOR", 1e-12):
-                    result = solved(cell)
+                result = solved(cell)
                 label = classify(cell, result)
                 if label is band.pattern:
                     continue

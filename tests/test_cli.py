@@ -349,9 +349,8 @@ def test_structured_text_holds_the_csv_cells(argv, tmp_path):
 
 # sha256 of each --output file, which a refactor must keep byte for byte.
 # The sweep reaches all three solve regimes and has error rows
-# (dwpt_ratio outside (0,1)).  Exact corner equilibria (ROADMAP item 1)
-# change corner rows on purpose: that change must update these digests
-# and record the output change.
+# (dwpt_ratio outside (0,1)).  Its corner rows are the corner roots to
+# 1e-12*N; bisecting the same map to 1e-14*N gives the same bytes.
 PINNED_SWEEP = [
     "sweep",
     "--axis", "toll.price=0:1200:13",
@@ -370,15 +369,15 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("table2", ["table2"], "structured-text", "1b3bb361ddec15da901eaf899528082847383babd06f698ee57b22832516c169"),
     ("solve", ["solve"], "csv", "b31ae2e9ad3db63860127faf3274abd556caaeaa2dda60ae42fa95c16d6381c4"),
     ("solve", ["solve"], "structured-text", "6950f307387e3e3f37d8c2c46f4795fcef7fd9b4e5c458af39bc070b8373c1ba"),
-    ("sweep", PINNED_SWEEP, "csv", "3bcddeed9fde521c4466cc5a277551f5c3aae5b65df1457cacf00d34522dfd00"),
-    ("sweep", PINNED_SWEEP, "structured-text", "decb8c7c3649bc67b0e5c78c0b83136bbada5b5ac63c703deebea60fcb13a16e"),
+    ("sweep", PINNED_SWEEP, "csv", "d359afb99dd1ead6efebabd93b343324a477d7e322afbb686852536286775aad"),
+    ("sweep", PINNED_SWEEP, "structured-text", "3245deeb8ef6f42116b79430731b5204cdaf190ee028d6edc766cbbf67f89cc2"),
     ("bands", ["bands"], "csv", "d7b3a19027c0c9123d2a69bab21e91f7af46199264298557741c591092ae4b5a"),
     ("bands", ["bands"], "structured-text", "04f0a4a2a72f0b08cceef7fe328593098b49513a42ecfc4230897c4ca28c9b89"),
     ("bands-high-share", PINNED_BANDS_HIGH_SHARE, "csv", "4497e8d8f83f5ab72b19b0233e540fe16bced91bb512f9fd022a050d5de24f8a"),
     ("bands-high-share", PINNED_BANDS_HIGH_SHARE, "structured-text", "58c7eabc05a277d1c42bf044756f46cc2d3509a6adb86bbd3f9263f27eb332f9"),
     ("solve-set", PINNED_SOLVE_SET, "csv", "3798d7f1a9d07c9656b52ffb8ee5a1beeff0f80baae7c8ff0cc1de42835dbd2b"),
     ("solve-set", PINNED_SOLVE_SET, "structured-text", "8b551e07c724d28b50a43c42a199556dcc8ae8b6a97b5041445b16eb1f673977"),
-    ("sweep-set", PINNED_SWEEP_SET, "csv", "319c10674cc9d5e524ca1db4708afa3597ecce771aaaf9e490538abb647fa995"),
+    ("sweep-set", PINNED_SWEEP_SET, "csv", "65f34396c2d99d24f054ae60e5d53eba14f7f7e9f977574f6344f3cb242af25a"),
     ("fig2", ["fig2"], "csv", "01d576d65578c2686c36dd26584e226625aab2c9fdbfc9f941e69f491c84171b"),
     ("simulate", ["simulate", "--rounds", "50"], "csv", "269a55eed2b06b2a7f12d4d57ea3a26ca1614b900985337d7b2dd00767b05e37"),
     ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),

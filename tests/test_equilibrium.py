@@ -12,13 +12,15 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erstoll import dynamics
+from erstoll import dynamics, equilibrium
+from erstoll.analysis import _marginal
 from erstoll.dynamics import Population, brute_force_equilibrium, rosenthal_potential
 from erstoll.equilibrium import (
-    FLOW_TOL_FACTOR,
+    ROOT_TOL_FACTOR,
     ConvergenceError,
     RegimeTag,
-    _bisect_root,
+    _bpr,
+    _root,
     _wardrop_response,
     solve,
     verify_equilibrium,
@@ -39,28 +41,59 @@ from erstoll.model import (
 PREFS = Preferences(vot=50.0, voe=100.0)
 
 
-def test_bisect_root_evaluates_each_point_once():
-    args = []
-
-    def f(x):
-        args.append(x)
-        return x - 0.3
-
-    root = _bisect_root(f, 0.0, 1.0, 1e-9, "test")
-    assert root == pytest.approx(0.3, abs=1e-9)
-    assert len(args) == len(set(args))
+def cube(x):
+    return x**3 - 0.3, 3.0 * x * x
 
 
-def test_bisect_root_rejects_a_non_monotone_map():
+def test_root_evaluates_each_point_once():
+    for slope_factor in (1.0, 1e-3, 0.0):  # Newton, overshooting, no slope
+        args = []
+
+        def g(x):
+            args.append(x)
+            value, slope = cube(x)
+            return value, slope_factor * slope
+
+        root = _root(g, 0.0, 1.0, 1e-12, "test")
+        assert root == pytest.approx(0.3 ** (1 / 3), abs=1e-12)
+        assert len(args) == len(set(args))
+
+
+def test_root_rejects_a_non_monotone_map():
+    # the secant point of the ends is 0.5, where the map leaves their range
     values = {0.0: -1.0, 1.0: 1.0, 0.5: 5.0}
-    with pytest.raises(ConvergenceError, match="not monotone"):
-        _bisect_root(values.__getitem__, 0.0, 1.0, 1e-9, "test")
+    with pytest.raises(ConvergenceError, match=r"test: map is not monotone .*\[0.0, 1.0\]"):
+        _root(lambda x: (values[x], 1.0), 0.0, 1.0, 1e-9, "test")
 
 
-def test_bisect_root_iteration_cap():
-    # adjacent floats never get within xtol=0 of each other
-    with pytest.raises(ConvergenceError, match="no convergence"):
-        _bisect_root(lambda x: x - 0.3, 0.0, 1.0, 0.0, "test")
+def test_root_iteration_cap(monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"test: no convergence to xtol=0.0 after 3 iterations \(bracket \[.*\], residual ",
+    ):
+        _root(cube, 0.0, 1.0, 0.0, "test")
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 4.0, 6.3, 8.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.15, 1.0])
+def test_bpr_and_marginal_slopes_match_finite_differences(alpha, beta):
+    link = LinkParams(7.0, 250.0, alpha, beta)
+    # central differences inside, to their rounding of about ulp(t0)/h; a
+    # forward one at x = 0, where the slope for beta > 1 is 0 and the
+    # quotient is O(h**(beta - 1))
+    for x, h, abs_tol in ((0.0, 1e-8, 1e-6), (1.0, 1e-4, 1e-10), (60.0, 1e-4, 1e-10),
+                          (250.0, 1e-4, 1e-10), (700.0, 1e-4, 1e-10)):
+        lo = max(x - h, 0.0)
+        for cost in (_bpr, _marginal):
+            quotient = (cost(link, x + h)[0] - cost(link, lo)[0]) / (x + h - lo)
+            assert cost(link, x)[1] == pytest.approx(quotient, rel=1e-6, abs=abs_tol)
+    assert _bpr(link, 60.0)[0] == bpr_time(link, 60.0)
+    assert _marginal(link, 60.0)[0] == pytest.approx(
+        7.0 * (1.0 + alpha * (beta + 1.0) * (60.0 / 250.0) ** beta), rel=1e-12
+    )
+    if beta == 1.0:
+        assert _bpr(link, 0.0)[1] == 7.0 * alpha / 250.0
 
 
 class TestThresholdSoc:
@@ -269,7 +302,7 @@ class TestSolveCorners:
         # N - rN exceeds (1 - r)N by one ulp: solve takes the OTHER-on-
         # link-1 corner, whose bracket [0, x_eq - n_other] ends at rN.
         # Every DWPT-EV charges there, so the root is that end itself,
-        # not a bisection point 3e-8 short of it.
+        # not an iterate 3e-8 short of it.
         network = Network(
             LinkParams(5.0, 500.0, has_ers=True, ers_power_kw=30.0),
             LinkParams(20.0, 500.0),
@@ -313,10 +346,36 @@ def random_pool(rng):
     )
 
 
+def test_random_pools_solve_and_verify():
+    # The documented domain: continuum and tied discrete pools, twin and
+    # differing links, every regime.  A discrete pool's price steps at
+    # each SoC group, so inside its corner bracket the crossing is a
+    # whole number of DWPT-EVs or splits one group at that group's SoC.
+    rng = np.random.default_rng(2)
+    seen = set()
+    for _ in range(3000):
+        scn = random_pool(rng)
+        result, regime = solve(scn)
+        assert verify_equilibrium(scn, result) == [], scn
+        discrete = isinstance(scn.soc, DiscreteAgents)
+        twin = scn.network.link1.same_bpr(scn.network.link2)
+        seen.add((discrete, twin, regime))
+        x_eq = _wardrop_response(scn)[0]
+        ends = (x_eq, x_eq - scn.n_other, scn.n_dwpt)
+        if discrete and regime is not RegimeTag.INTERIOR and result.x1_d not in ends:
+            split = not result.x1_d.is_integer()
+            if split:
+                marginal_soc = scn.soc.quantile(result.x1_d)
+                assert result.s_thres == pytest.approx(marginal_soc, abs=1e-9)
+            seen.add(("discrete corner", split))
+    assert len(seen) == 2 * 2 * len(RegimeTag) + 2
+
+
 class TestSolveInvertsThePriceMap:
     def test_corner_toll_lies_between_prices_one_xtol_either_side(self):
-        # the price map is non-increasing and solve bisects toll - price,
-        # so a corner root inside its bracket is within xtol of the crossing
+        # the price map is non-increasing and solve roots toll - price to
+        # xtol, so a corner root inside its bracket is within xtol of the
+        # crossing
         rng = np.random.default_rng(8)
         inside = 0
         while inside < 200:
@@ -328,7 +387,7 @@ class TestSolveInvertsThePriceMap:
             if result.x1_d in (0.0, x_eq, x_eq - scn.n_other, scn.n_dwpt):
                 continue  # a bracket end
             inside += 1
-            xtol = FLOW_TOL_FACTOR * scn.total_vehicles
+            xtol = ROOT_TOL_FACTOR * scn.total_vehicles
             toll = scn.toll.dwpt_link1_charge
             assert price(result.x1_d + xtol) <= toll <= price(result.x1_d - xtol)
 
