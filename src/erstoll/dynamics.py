@@ -20,6 +20,7 @@ with a high DWPT share) that the static analysis rules out.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -76,14 +77,16 @@ def discretize_scenario(scenario: Scenario) -> Scenario:
     Requires integral class totals; a scenario that already carries
     DiscreteAgents is returned unchanged.
     """
-    if isinstance(scenario.soc, DiscreteAgents):
+    pool = scenario.soc
+    if isinstance(pool, DiscreteAgents):
         return scenario
     n_dwpt, _ = scenario.agent_counts()
-    values = tuple(
-        scenario.soc.quantile((i + 0.5) / n_dwpt * scenario.soc.total_mass)
-        for i in range(n_dwpt)
-    )
-    return replace(scenario, soc=DiscreteAgents(soc_values=values))
+    # pool.quantile((i + 0.5) / n_dwpt * pool.mass) for every i, in arrays
+    # with the same operations in the same order, so the same floats
+    mass = (np.arange(n_dwpt) + 0.5) / n_dwpt * pool.mass
+    frac = np.minimum(np.maximum(mass / pool.mass, 0.0), 1.0)
+    values = pool.s_lo + frac * (pool.s_hi - pool.s_lo)
+    return replace(scenario, soc=DiscreteAgents(soc_values=tuple(values.tolist())))
 
 
 def agents_from_scenario(
@@ -217,7 +220,11 @@ def rosenthal_potential(
     less the link-1 bonuses (Population.bonus) of the vehicles on link 1.
 
     Unilateral deviations change this by exactly the deviator's utility
-    loss, so better-response paths strictly decrease it.
+    loss, so better-response paths strictly decrease it.  Its travel
+    times use numpy's `**` (_bpr_vec), which can differ from bpr_time in
+    the last bit: run checks the potential against the gains only to a
+    tolerance, and the potential column of `erstoll simulate` is pinned
+    to these values.
     """
     ks1 = np.arange(1, x1 + 1, dtype=float)
     ks2 = np.arange(1, x2 + 1, dtype=float)
@@ -233,6 +240,13 @@ def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
     )
 
 
+def _bpr_exact(link: LinkParams, flows: np.ndarray) -> np.ndarray:
+    """bpr_time at each flow, bit for bit, through the builtin pow."""
+    q = (flows / link.capacity).tolist()
+    power = np.fromiter(map(pow, q, itertools.repeat(link.bpr_beta)), float, len(q))
+    return link.free_flow_time * (1.0 + link.bpr_alpha * power)
+
+
 class _SweepKernel:
     """Asynchronous better-response sweeps over a boolean link array.
 
@@ -242,11 +256,15 @@ class _SweepKernel:
     over a chunk, then takes the run of consecutive switchers that
     follows in one step: a cumsum of the +-1 moves gives the flows each
     agent would see.  Gains are written as the per-agent rule writes
-    them, from bpr_time tabulated lazily over the link-1 flows visited,
-    so every decision is the scalar one.
+    them, from a table of travel times over link-1 flows, so every
+    decision is the scalar one.  The table grows by at least BLOCK flows
+    whenever a sweep reaches past it.  Its entries equal bpr_time bit for
+    bit: numpy's `+ - * /` round as Python's do, and the power is the
+    builtin pow that Python's `**` calls (numpy's `**` is not exact).
     """
 
     CHUNK = 64
+    BLOCK = 256
 
     def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
         self.link1, self.link2, self.vot, self.n = link1, link2, vot, n
@@ -256,16 +274,20 @@ class _SweepKernel:
         self.lo = self.hi = 0  # tabulated link-1 flows [lo, hi)
 
     def _tabulate(self, lo: int, hi: int) -> None:
-        """Extend the tabulated link-1 flows to cover [lo, hi]."""
+        """Extend the tabulated link-1 flows to cover [lo, hi], each
+        missing side by at least BLOCK flows, within [0, n]."""
         if self.lo == self.hi:
             self.lo = self.hi = lo
-        for a, b in ((lo, self.lo), (self.hi, hi + 1)):
+        lo = max(0, min(lo, self.lo - self.BLOCK)) if lo < self.lo else self.lo
+        hi = min(self.n + 1, max(hi + 1, self.hi + self.BLOCK)) if hi >= self.hi else self.hi
+        for a, b in ((lo, self.lo), (self.hi, hi)):
             if a < b:
-                t1 = np.array([bpr_time(self.link1, x) for x in range(a, b + 1)])
-                t2 = np.array([bpr_time(self.link2, self.n - x) for x in range(a - 1, b)])
+                x1 = np.arange(a, b + 1)
+                t1 = _bpr_exact(self.link1, x1)
+                t2 = _bpr_exact(self.link2, self.n + 1 - x1)  # t2(x2 + 1) at x1
                 self.leave[0][a:b] = self.vot * (t1[:-1] - t2[:-1])
                 self.leave[1][a:b] = self.vot * (t2[1:] - t1[1:])
-        self.lo, self.hi = min(lo, self.lo), max(hi + 1, self.hi)
+        self.lo, self.hi = lo, hi
 
     def _gain(self, on1, bonus, x1):
         """Switch gains at link-1 flow x1 (one int, or one per agent)."""

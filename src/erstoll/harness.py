@@ -243,47 +243,6 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_config(config)
 
 
-def scenario_to_config(scenario: Scenario) -> dict:
-    """Inverse of scenario_from_config (round-trips exactly)."""
-    if isinstance(scenario.soc, UniformContinuum):
-        soc = {"kind": "uniform", "s_lo": scenario.soc.s_lo, "s_hi": scenario.soc.s_hi}
-    else:
-        soc = {"kind": "discrete", "values": list(scenario.soc.soc_values)}
-    if isinstance(scenario.toll, FreeToll):
-        toll = {"kind": "free"}
-    else:
-        toll = {"kind": "fixed", "price": scenario.toll.price}
-
-    def link_cfg(link: LinkParams) -> dict:
-        cfg = {
-            "free_flow_time": link.free_flow_time,
-            "capacity": link.capacity,
-            "bpr_alpha": link.bpr_alpha,
-            "bpr_beta": link.bpr_beta,
-        }
-        if link.has_ers:
-            cfg["ers_power_kw"] = link.ers_power_kw
-        return cfg
-
-    return {
-        "total_vehicles": scenario.total_vehicles,
-        "dwpt_ratio": scenario.dwpt_ratio,
-        "soc": soc,
-        "prefs": {"vot": scenario.prefs.vot, "voe": scenario.prefs.voe},
-        "toll": toll,
-        "network": {
-            "link1": link_cfg(scenario.network.link1),
-            "link2": link_cfg(scenario.network.link2),
-        },
-    }
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        yaml.dump(scenario_to_config(scenario), Dumper=_YAML_DUMPER, sort_keys=False)
-    )
-
-
 def bundled_scenario_path(name: str = "table1.cfg") -> Path:
     """Path of a preset scenario shipped with the package."""
     candidate = resources.files("erstoll").joinpath("data").joinpath(name)

@@ -1,8 +1,10 @@
 """Shared scenario factories and helpers for the test suite."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import yaml
 from hypothesis import strategies as st
 
 from erstoll.dynamics import agents_from_scenario
@@ -68,6 +70,43 @@ def discrete_scenario(
         toll=toll,
         network=network,
     )
+
+
+def write_scenario(scenario, path):
+    """Write a scenario file (the schema in erstoll.harness) for a
+    uniform or discrete pool with a fixed or free toll."""
+    if isinstance(scenario.soc, UniformContinuum):
+        soc = {"kind": "uniform", "s_lo": scenario.soc.s_lo, "s_hi": scenario.soc.s_hi}
+    else:
+        soc = {"kind": "discrete", "values": list(scenario.soc.soc_values)}
+    if isinstance(scenario.toll, FreeToll):
+        toll = {"kind": "free"}
+    else:
+        toll = {"kind": "fixed", "price": scenario.toll.price}
+
+    def link(params):
+        cfg = {
+            "free_flow_time": params.free_flow_time,
+            "capacity": params.capacity,
+            "bpr_alpha": params.bpr_alpha,
+            "bpr_beta": params.bpr_beta,
+        }
+        if params.has_ers:
+            cfg["ers_power_kw"] = params.ers_power_kw
+        return cfg
+
+    config = {
+        "total_vehicles": scenario.total_vehicles,
+        "dwpt_ratio": scenario.dwpt_ratio,
+        "soc": soc,
+        "prefs": {"vot": scenario.prefs.vot, "voe": scenario.prefs.voe},
+        "toll": toll,
+        "network": {
+            "link1": link(scenario.network.link1),
+            "link2": link(scenario.network.link2),
+        },
+    }
+    Path(path).write_text(yaml.safe_dump(config, sort_keys=False))
 
 
 def random_discrete_scenario(rng, n_max=200):

@@ -29,7 +29,6 @@ from erstoll.dynamics import (
 from erstoll.equilibrium import solve
 from erstoll.harness import (
     load_scenario,
-    save_scenario,
     table1_scenario,
     table2_rows,
 )
@@ -40,6 +39,7 @@ from conftest import (
     base_scenario,
     discrete_scenario,
     random_discrete_scenario,
+    write_scenario,
 )
 
 
@@ -257,12 +257,12 @@ def test_criterion_7_monotonicity():
 def test_criterion_8_round_trip_and_determinism(tmp_path):
     uniform = base_scenario(ratio=0.35, vot=62.5, toll=FixedToll(87.5))
     path = tmp_path / "uniform.cfg"
-    save_scenario(uniform, path)
+    write_scenario(uniform, path)
     assert load_scenario(path) == uniform
 
     discrete = discrete_scenario([0.15, 0.5, 0.85], n_other=5, toll=FreeToll())
     path = tmp_path / "discrete.cfg"
-    save_scenario(discrete, path)
+    write_scenario(discrete, path)
     assert load_scenario(path) == discrete
 
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ import yaml
 from erstoll import cli
 from erstoll.cli import main
 from erstoll.equilibrium import ConvergenceError
-from erstoll.harness import ConfigError, save_scenario
-from erstoll.model import FreeToll
+from erstoll.harness import ConfigError
+from erstoll.model import FreeToll, Network
 
-from conftest import base_scenario
+from conftest import ERS_LINK, PLAIN_LINK, base_scenario, write_scenario
 
 
 class TestSolve:
@@ -49,7 +50,7 @@ class TestSolve:
 
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "free.cfg"
-        save_scenario(base_scenario(toll=FreeToll()), path)
+        write_scenario(base_scenario(toll=FreeToll()), path)
         assert main(["solve", "--scenario", str(path)]) == 0
         out = capsys.readouterr().out
         assert "pattern          A_i" in out
@@ -109,7 +110,7 @@ class TestSolve:
 
     def test_non_finite_scenario_file_is_bad_input(self, capsys, tmp_path):
         path = tmp_path / "nan.cfg"
-        save_scenario(base_scenario(), path)
+        write_scenario(base_scenario(), path)
         config = yaml.safe_load(path.read_text())
         config["network"]["link2"]["bpr_beta"] = float("nan")
         path.write_text(yaml.safe_dump(config))
@@ -118,7 +119,7 @@ class TestSolve:
 
     def test_huge_integer_in_scenario_file_is_bad_input(self, capsys, tmp_path):
         path = tmp_path / "huge.cfg"
-        save_scenario(base_scenario(), path)
+        write_scenario(base_scenario(), path)
         text = path.read_text()
         assert "total_vehicles: 1000.0" in text
         path.write_text(text.replace("1000.0", "1" + "0" * 400, 1))
@@ -195,7 +196,7 @@ class TestBands:
 
     def test_free_toll_rejected(self, capsys, tmp_path):
         path = tmp_path / "free.cfg"
-        save_scenario(base_scenario(toll=FreeToll()), path)
+        write_scenario(base_scenario(toll=FreeToll()), path)
         assert main(["bands", "--scenario", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
@@ -203,7 +204,7 @@ class TestBands:
 class TestSimulate:
     def test_converges_to_solver_flows(self, capsys, tmp_path):
         path = tmp_path / "small.cfg"
-        save_scenario(base_scenario(total=100.0), path)
+        write_scenario(base_scenario(total=100.0), path)
         assert main(["simulate", "--scenario", str(path)]) == 0
         captured = capsys.readouterr()
         assert "converged        true" in captured.err
@@ -215,7 +216,7 @@ class TestSimulate:
 
     def test_seeded_runs_identical(self, capsys, tmp_path):
         path = tmp_path / "small.cfg"
-        save_scenario(base_scenario(total=100.0), path)
+        write_scenario(base_scenario(total=100.0), path)
         outputs = []
         for _ in range(2):
             args = [
@@ -248,9 +249,23 @@ class TestSimulate:
 
     def test_round_limit_reports_not_converged(self, capsys, tmp_path):
         path = tmp_path / "small.cfg"
-        save_scenario(base_scenario(total=100.0), path)
+        write_scenario(base_scenario(total=100.0), path)
         assert main(["simulate", "--scenario", str(path), "--rounds", "1"]) == 0
         assert "converged        false" in capsys.readouterr().err
+
+    def test_congested_fleet_of_9800_converges_with_falling_potential(self, capsys, tmp_path):
+        # the benchmark's largest congested size: capacity N/3 on each link
+        cap = 9800 / 3
+        net = Network(replace(ERS_LINK, capacity=cap), replace(PLAIN_LINK, capacity=cap))
+        path, out = tmp_path / "congested.cfg", tmp_path / "sim.csv"
+        write_scenario(base_scenario(total=9800.0, network=net), path)
+        args = ["simulate", "--scenario", str(path), "--initial", "random", "--seed", "1"]
+        assert main([*args, "--output", str(out)]) == 0
+        assert "converged        true" in capsys.readouterr().out
+        with open(out, newline="") as f:
+            potentials = [float(row["potential"]) for row in csv.DictReader(f)]
+        assert len(potentials) > 2
+        assert all(b <= a for a, b in zip(potentials, potentials[1:]))
 
 
 class TestPresetCommands:

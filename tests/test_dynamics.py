@@ -77,6 +77,18 @@ class TestPopulationBuilders:
         assert socs[0] == pytest.approx(0.1 + 0.5 * 0.8 / 200)
         assert socs[-1] == pytest.approx(0.9 - 0.5 * 0.8 / 200)
         assert scn.soc.count_below(0.5) == 100.0
+        # the pool's own quantile at every midpoint, to the bit; at 0.55 *
+        # 3000 the mass is 1650.0000000000002, so any other order of the
+        # operations gives other floats
+        for pool in (
+            base_scenario(),
+            base_scenario(total=9800.0),
+            base_scenario(total=9800.0, ratio=0.5, s_lo=0.05, s_hi=0.95),
+            base_scenario(total=3000.0, ratio=0.55, s_lo=0.3, s_hi=0.7),
+        ):
+            n, mass = round(pool.soc.mass), pool.soc.mass
+            expected = tuple(pool.soc.quantile((i + 0.5) / n * mass) for i in range(n))
+            assert discretize_scenario(pool).soc.soc_values == expected
 
     def test_discretize_passthrough_and_validation(self):
         scn = discrete_scenario(evenly_spaced_socs(5), n_other=5)

@@ -25,9 +25,7 @@ from erstoll.harness import (
     rows_to_csv,
     rows_to_yaml,
     run_sweep,
-    save_scenario,
     scenario_from_config,
-    scenario_to_config,
     solve_row,
     table1_scenario,
     table2_rows,
@@ -44,7 +42,7 @@ from erstoll.model import (
     threshold_soc,
 )
 
-from conftest import ERS_LINK, base_scenario, discrete_scenario
+from conftest import ERS_LINK, base_scenario, discrete_scenario, write_scenario
 
 # link 2 slower, smaller and less steep than the ERS link
 UNEQUAL_NETWORK = Network(
@@ -126,18 +124,18 @@ class TestLoading:
     def test_round_trip_uniform_fixed(self, tmp_path):
         scenario = base_scenario()
         path = tmp_path / "scenario.cfg"
-        save_scenario(scenario, path)
+        write_scenario(scenario, path)
         assert load_scenario(path) == scenario
 
     def test_round_trip_discrete_free(self, tmp_path):
         scenario = discrete_scenario([0.2, 0.5, 0.8], n_other=7, toll=FreeToll())
         path = tmp_path / "scenario.cfg"
-        save_scenario(scenario, path)
+        write_scenario(scenario, path)
         assert load_scenario(path) == scenario
 
     def test_resolve_prefers_filesystem(self, tmp_path):
         path = tmp_path / "mine.cfg"
-        save_scenario(base_scenario(vot=77.0), path)
+        write_scenario(base_scenario(vot=77.0), path)
         assert resolve_scenario(path).prefs.vot == 77.0
 
     def test_resolve_bare_name_falls_back_to_bundled(self):
@@ -763,21 +761,6 @@ class TestSerialization:
         if n_rows:  # the long error is folded over more lines
             assert len(buffer.getvalue().splitlines()) > len(header) * n_rows
 
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            base_scenario(),
-            discrete_scenario([0.2, 0.5, 0.8], n_other=7, toll=FreeToll()),
-        ],
-        ids=["uniform-fixed", "discrete-free"],
-    )
-    def test_saved_text_is_the_pure_python_dump(self, scenario, tmp_path):
-        path = tmp_path / "s.cfg"
-        save_scenario(scenario, path)
-        assert path.read_text() == yaml.safe_dump(
-            scenario_to_config(scenario), sort_keys=False
-        )
-
     def test_bundled_presets_load_as_pure_python_parse(self):
         presets = sorted(bundled_scenario_path().parent.glob("*.cfg"))
         assert presets
@@ -812,7 +795,7 @@ class TestSerialization:
         agents = agents_from_scenario(scenario, initial="all_link2")
         traj = run(agents, scenario.network, scenario.prefs, scenario.toll)
         config, path = tmp_path / "small.cfg", tmp_path / "traj.csv"
-        save_scenario(base_scenario(total=100.0), config)
+        write_scenario(base_scenario(total=100.0), config)
         args = ["simulate", "--scenario", str(config), "--output", str(path)]
         assert cli.main(args) == 0
         lines = path.read_text().splitlines()

@@ -212,3 +212,50 @@ def test_long_runs_and_sparse_switchers():
             assert got == reference_run(links, socs_, scn, policy, 3)
     oracle = brute_force_equilibrium(scn)
     assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
+
+
+@st.composite
+def bpr_links(draw, n, ers):
+    """A BPR link with capacity 0.05N-N and beta 1-8, whole or fractional."""
+    return LinkParams(
+        free_flow_time=draw(st.floats(2.0, 30.0)),
+        capacity=n * draw(st.floats(0.05, 1.0)),
+        bpr_alpha=draw(st.floats(0.05, 1.0)),
+        bpr_beta=draw(st.one_of(st.integers(1, 8).map(float), st.floats(1.0, 8.0))),
+        has_ers=ers,
+        ers_power_kw=30.0 if ers else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4 * _SweepKernel.BLOCK, 20_000), data=st.data())
+def test_travel_time_table_is_bpr_time_exactly(n, data):
+    """Every tabulated gain is the scalar rule's, built from bpr_time,
+    to the bit, as the table grows down and up by blocks."""
+    link1, link2 = data.draw(bpr_links(n, True)), data.draw(bpr_links(n, False))
+    vot = data.draw(st.floats(10.0, 100.0))
+    kernel = _SweepKernel(link1, link2, vot, n)
+    block = _SweepKernel.BLOCK
+    start = data.draw(st.integers(0, n))
+    kernel._tabulate(start, start)
+    assert (kernel.lo, kernel.hi) == (start, min(n + 1, start + block))
+    # one flow past each end grows that end by one block, a far one past it
+    targets = [kernel.lo - 1, kernel.hi, start - 3 * block, start + 3 * block]
+    targets += data.draw(st.lists(st.integers(0, n), max_size=3))
+    for x in targets:
+        x = min(max(x, 0), n)
+        lo, hi = kernel.lo, kernel.hi
+        kernel._tabulate(x, x)
+        assert kernel.lo == (lo if x >= lo else max(0, min(x, lo - block)))
+        assert kernel.hi == (hi if x < hi else min(n + 1, max(x + 1, hi + block)))
+    assert kernel.hi - kernel.lo > 3 * block or (kernel.lo, kernel.hi) == (0, n + 1)
+
+    flows = range(kernel.lo, kernel.hi)
+    leave_link1 = [
+        vot * (bpr_time(link1, x) - bpr_time(link2, n - x + 1)) for x in flows
+    ]
+    leave_link2 = [
+        vot * (bpr_time(link2, n - x) - bpr_time(link1, x + 1)) for x in flows
+    ]
+    assert kernel.leave[0][kernel.lo : kernel.hi].tolist() == leave_link1
+    assert kernel.leave[1][kernel.lo : kernel.hi].tolist() == leave_link2
