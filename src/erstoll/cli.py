@@ -20,7 +20,7 @@ import sys
 from . import analysis, harness
 from .equilibrium import ConvergenceError, solve
 from .harness import ConfigError
-from .model import INITIAL_ASSIGNMENTS, ORDER_POLICIES
+from .model import INITIAL_ASSIGNMENTS, ORDER_POLICIES, FixedToll, Preferences
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,6 +206,19 @@ def _parse_values(text: str) -> list[float]:
         raise ConfigError(f"values {text!r}: {exc}") from exc
 
 
+def _named_values(name: str, text: str, check=None) -> list[float]:
+    """_parse_values(text), each value passed to check if given (a sweep
+    keeps a bad value as an error row); an error names the flag or axis."""
+    try:
+        values = _parse_values(text)
+        if check is not None:
+            for value in values:
+                check(value)
+    except ValueError as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"{name}: {exc}") from exc
+    return values
+
+
 def _load_scenario(args):
     scenario = harness.resolve_scenario(args.scenario)
     overrides = _read_paths(args.overrides, "override", "path=value", _override_value)
@@ -267,7 +280,10 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     axes = _read_paths(
-        args.axis, "axis", "PATH=VALUES", lambda _, text: tuple(_parse_values(text))
+        args.axis,
+        "axis",
+        "PATH=VALUES",
+        lambda path, text: tuple(_named_values(f"axis {path!r}", text)),
     )
     rows = harness.run_sweep(scenario, axes.items())
     failed = sum(1 for r in rows if r.error)
@@ -342,7 +358,11 @@ def cmd_table2(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    grid = harness.fig2_data(_parse_values(args.prices), _parse_values(args.voes))
+    prices = _named_values("argument --prices", args.prices, FixedToll)
+    voes = _named_values(
+        "argument --voes", args.voes, lambda voe: Preferences(vot=1.0, voe=voe)
+    )
+    grid = harness.fig2_data(prices, voes)
     summary = [f"threshold surface: {len(grid)} grid points"]
     header = ("voe", "toll_price", "s_thres")
     cells = [[f"{voe:.6g}", f"{price:.6g}", f"{s:.4f}"] for voe, price, s in grid]

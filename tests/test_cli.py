@@ -294,6 +294,31 @@ class TestPresetCommands:
         assert main(["fig2", "--prices", "inf", "--voes", "100"]) == 1
         assert "toll price" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig2", "--voes", "0"], "argument --voes: voe must be finite and > 0, got 0.0"),
+            (
+                ["fig2", "--prices", "1e400"],
+                "argument --prices: toll price must be finite and >= 0, got inf",
+            ),
+            (
+                ["fig2", "--prices", "a"],
+                "argument --prices: values 'a': could not convert string to float: 'a'",
+            ),
+            (
+                ["sweep", "--axis", "toll.price=a"],
+                "axis 'toll.price': values 'a': could not convert string to float: 'a'",
+            ),
+        ],
+        ids=["fig2-voes", "fig2-prices-inf", "fig2-prices-text", "sweep-axis-text"],
+    )
+    def test_bad_values_name_their_flag_or_axis(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestRanges:
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ same travel times and the same potential in every round.
 from contextlib import contextmanager
 
 import numpy as np
-from conftest import discrete_scenario, networks
+from conftest import bpr_links, discrete_scenario, scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from erstoll.dynamics import (
 )
 from erstoll.model import (
     INDIFFERENCE_EPS,
-    FixedToll,
     LinkParams,
     Network,
     VehicleClass,
@@ -102,28 +101,6 @@ def reference_oracle(scn):
     return links[:n_dwpt].count(1), links[n_dwpt:].count(1)
 
 
-@st.composite
-def scenarios(draw):
-    """Up to 60 agents on asymmetric links; SoC pools with ties."""
-    socs = draw(
-        st.lists(
-            st.one_of(st.sampled_from((0.2, 0.5, 0.8)), st.floats(0.02, 0.98)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    n_other = draw(st.integers(1, 30))
-    n = len(socs) + n_other
-    return discrete_scenario(
-        socs,
-        n_other,
-        vot=draw(st.floats(10.0, 100.0)),
-        voe=draw(st.floats(20.0, 300.0)),
-        toll=FixedToll(draw(st.floats(0.0, 300.0))),
-        network=draw(networks(n)),
-    )
-
-
 def _population(scn, initial, seed):
     agents = agents_from_scenario(scn, initial=initial, seed=seed)
     links = [a.current_link for a in agents]
@@ -148,7 +125,7 @@ def first_chunk(width):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    scn=scenarios(),
+    scn=scenarios(max_agents=60),
     initial=INITIAL,
     order_policy=st.sampled_from(("sequential", "random")),
     seed=st.integers(0, 2**16),
@@ -170,7 +147,7 @@ def test_run_matches_per_agent_reference(scn, initial, order_policy, seed, chunk
 
 @settings(max_examples=100, deadline=None)
 @given(
-    scn=scenarios(),
+    scn=scenarios(max_agents=60),
     initial=INITIAL,
     seed=st.integers(0, 2**16),
     reverse=st.booleans(),
@@ -186,7 +163,7 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, chunk):
 
 
 @settings(max_examples=100, deadline=None)
-@given(scn=scenarios(), chunk=CHUNKS)
+@given(scn=scenarios(max_agents=60), chunk=CHUNKS)
 def test_oracle_matches_per_agent_reference(scn, chunk):
     with first_chunk(chunk):
         oracle = brute_force_equilibrium(scn)
@@ -214,25 +191,12 @@ def test_long_runs_and_sparse_switchers():
     assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
 
 
-@st.composite
-def bpr_links(draw, n, ers):
-    """A BPR link with capacity 0.05N-N and beta 1-8, whole or fractional."""
-    return LinkParams(
-        free_flow_time=draw(st.floats(2.0, 30.0)),
-        capacity=n * draw(st.floats(0.05, 1.0)),
-        bpr_alpha=draw(st.floats(0.05, 1.0)),
-        bpr_beta=draw(st.one_of(st.integers(1, 8).map(float), st.floats(1.0, 8.0))),
-        has_ers=ers,
-        ers_power_kw=30.0 if ers else None,
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(4 * _SweepKernel.BLOCK, 20_000), data=st.data())
 def test_travel_time_table_is_bpr_time_exactly(n, data):
     """Every tabulated gain is the scalar rule's, built from bpr_time,
     to the bit, as the table grows down and up by blocks."""
-    link1, link2 = data.draw(bpr_links(n, True)), data.draw(bpr_links(n, False))
+    link1, link2 = data.draw(bpr_links(n, ers=True)), data.draw(bpr_links(n))
     vot = data.draw(st.floats(10.0, 100.0))
     kernel = _SweepKernel(link1, link2, vot, n)
     block = _SweepKernel.BLOCK
