@@ -7,16 +7,19 @@ vehicle charge regardless of SoC. The text grid below is the surface
 sampled on a coarse mesh.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from erstoll.harness import fig2_data
-from erstoll.model import Preferences, threshold_soc
+from erstoll.model import FixedToll, Preferences, threshold_soc
 
 prefs = Preferences(vot=50.0, voe=100.0)
 prices = [float(p) for p in np.linspace(0.0, 500.0, 11)]
 voes = [float(v) for v in np.linspace(50.0, 300.0, 6)]
 
-grid = fig2_data(prices, voes)
+# vot drops out at equal link times, so prefs' vot of 50 changes nothing
+grid = fig2_data([FixedToll(p) for p in prices], [replace(prefs, voe=v) for v in voes])
 surface = {(voe, price): s for voe, price, s in grid}
 
 print("threshold SoC at equal link times (rows: voe, columns: toll price)")

@@ -206,17 +206,13 @@ def _parse_values(text: str) -> list[float]:
         raise ConfigError(f"values {text!r}: {exc}") from exc
 
 
-def _named_values(name: str, text: str, check=None) -> list[float]:
-    """_parse_values(text), each value passed to check if given (a sweep
-    keeps a bad value as an error row); an error names the flag or axis."""
+def _named_values(name: str, text: str, make=float) -> list:
+    """make(value) for each of _parse_values(text); an error names the
+    flag or axis."""
     try:
-        values = _parse_values(text)
-        if check is not None:
-            for value in values:
-                check(value)
+        return [make(value) for value in _parse_values(text)]
     except ValueError as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{name}: {exc}") from exc
-    return values
 
 
 def _load_scenario(args):
@@ -358,11 +354,15 @@ def cmd_table2(args) -> int:
 
 
 def cmd_fig2(args) -> int:
-    prices = _named_values("argument --prices", args.prices, FixedToll)
-    voes = _named_values(
+    tolls = _named_values("argument --prices", args.prices, FixedToll)
+    # at equal link times vot drops out of the threshold, so any vot serves
+    prefs = _named_values(
         "argument --voes", args.voes, lambda voe: Preferences(vot=1.0, voe=voe)
     )
-    grid = harness.fig2_data(prices, voes)
+    for flag, values in (("--prices", tolls), ("--voes", prefs)):
+        if not values:
+            raise ConfigError(f"argument {flag}: no values")
+    grid = harness.fig2_data(tolls, prefs)
     summary = [f"threshold surface: {len(grid)} grid points"]
     header = ("voe", "toll_price", "s_thres")
     cells = [[f"{voe:.6g}", f"{price:.6g}", f"{s:.4f}"] for voe, price, s in grid]

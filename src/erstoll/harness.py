@@ -447,18 +447,17 @@ def table2_rows() -> list[ResultRow]:
 
 
 def fig2_data(
-    toll_prices: list[float], voes: list[float]
+    tolls: list[FixedToll], prefs: list[Preferences]
 ) -> list[tuple[float, float, float]]:
-    """Threshold-SoC surface over (voe, toll price) at equal link times."""
-    if not toll_prices or not voes:
-        raise ValueError("toll_prices and voes must be non-empty")
-    grid = []
-    for voe in voes:
-        prefs = Preferences(vot=1.0, voe=voe)  # vot multiplies t1 - t2 = 0
-        for price in toll_prices:
-            toll = FixedToll(price)
-            grid.append((voe, price, threshold_soc(prefs, toll.price, 0.0, 0.0)))
-    return grid
+    """Threshold-SoC surface over (voe, toll price) at equal link times,
+    where vot multiplies t1 - t2 = 0 and so drops out."""
+    if not tolls or not prefs:
+        raise ValueError("tolls and prefs must be non-empty")
+    return [
+        (pref.voe, toll.price, threshold_soc(pref, toll.price, 0.0, 0.0))
+        for pref in prefs
+        for toll in tolls
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,9 @@ def networks(draw, n_total):
 def scenarios(draw, max_agents=None):
     """The documented domain: a continuum pool (N = 10**U[1, 7], r on
     either side of 0.5, SoCs on [s_lo, s_hi] in [0.02, 0.98]) or 2 to
-    max_agents (default 200) agents with SoCs tied at 1-4 levels mixed
-    with distinct ones; twin or differing links; free or fixed toll.
+    max_agents (default 200) agents whose SoCs are all tied at 1-4
+    levels, all distinct in [0.02, 0.98], or a mix of the two, the shape
+    drawn once per pool; twin or differing links; free or fixed toll.
     Given max_agents, only discrete pools, to keep N small."""
     common = dict(
         vot=draw(st.floats(10.0, 100.0)),
@@ -189,10 +190,15 @@ def scenarios(draw, max_agents=None):
         )
     n = draw(st.integers(2, max_agents or 200))
     n_dwpt = draw(st.integers(1, n - 1))
-    tied = st.sampled_from(draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4)))
-    socs = draw(
-        st.lists(st.one_of(tied, st.floats(0.02, 0.98)), min_size=n_dwpt, max_size=n_dwpt)
+    free = st.floats(0.02, 0.98)
+    tied = st.sampled_from(draw(st.lists(free, min_size=1, max_size=4)))
+    size = dict(min_size=n_dwpt, max_size=n_dwpt)
+    shapes = (
+        st.lists(tied, **size),
+        st.lists(free, unique=True, **size),
+        st.lists(st.one_of(tied, free), **size),
     )
+    socs = draw(draw(st.sampled_from(shapes)))
     return discrete_scenario(socs, n - n_dwpt, network=draw(networks(float(n))), **common)
 
 

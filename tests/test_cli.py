@@ -289,19 +289,18 @@ class TestPresetCommands:
         ]
 
     def test_fig2_negative_price(self, capsys):
-        assert main(["fig2", "--prices", "-5", "--voes", "100"]) == 1
-        assert main(["fig2", "--prices", "nan", "--voes", "100"]) == 1
-        assert main(["fig2", "--prices", "inf", "--voes", "100"]) == 1
-        assert "toll price" in capsys.readouterr().err
+        for price, got in (("-5", "-5.0"), ("nan", "nan"), ("inf", "inf"), ("1e400", "inf")):
+            assert main(["fig2", "--prices", price, "--voes", "100"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: argument --prices: toll price must be finite and >= 0, got {got}\n"
+            )
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["fig2", "--voes", "0"], "argument --voes: voe must be finite and > 0, got 0.0"),
-            (
-                ["fig2", "--prices", "1e400"],
-                "argument --prices: toll price must be finite and >= 0, got inf",
-            ),
+            (["fig2", "--prices", ","], "argument --prices: no values"),
+            (["fig2", "--voes", ","], "argument --voes: no values"),
             (
                 ["fig2", "--prices", "a"],
                 "argument --prices: values 'a': could not convert string to float: 'a'",
@@ -311,7 +310,13 @@ class TestPresetCommands:
                 "axis 'toll.price': values 'a': could not convert string to float: 'a'",
             ),
         ],
-        ids=["fig2-voes", "fig2-prices-inf", "fig2-prices-text", "sweep-axis-text"],
+        ids=[
+            "fig2-voes",
+            "fig2-prices-empty",
+            "fig2-voes-empty",
+            "fig2-prices-text",
+            "sweep-axis-text",
+        ],
     )
     def test_bad_values_name_their_flag_or_axis(self, capsys, argv, message):
         assert main(argv) == 1

@@ -628,7 +628,8 @@ class TestPresets:
         assert all(row.error == "" for row in rows)
 
     def test_fig2_values(self):
-        grid = fig2_data([100.0, 150.0, 0.0], [100.0])
+        tolls = [FixedToll(100.0), FixedToll(150.0), FixedToll(0.0)]
+        grid = fig2_data(tolls, [Preferences(vot=1.0, voe=100.0)])
         lookup = {(voe, price): s for voe, price, s in grid}
         assert lookup[(100.0, 100.0)] == pytest.approx(0.5)
         assert lookup[(100.0, 150.0)] == pytest.approx(0.4)
@@ -642,13 +643,14 @@ class TestPresets:
     )
     def test_fig2_is_the_threshold_at_any_vot_and_equal_times(self, vot, voe, price, t):
         expected = threshold_soc(Preferences(vot=vot, voe=voe), price, t, t)
-        assert fig2_data([price], [voe])[0][2] == expected
+        unit_vot = Preferences(vot=1.0, voe=voe)
+        assert fig2_data([FixedToll(price)], [unit_vot])[0][2] == expected
 
     def test_fig2_rejects_bad_input(self):
         with pytest.raises(ValueError, match="non-empty"):
-            fig2_data([], [100.0])
-        with pytest.raises(ValueError, match=">= 0"):
-            fig2_data([-5.0], [100.0])
+            fig2_data([], [Preferences(vot=1.0, voe=100.0)])
+        with pytest.raises(ValueError, match="non-empty"):
+            fig2_data([FixedToll(100.0)], [])
 
 
 def _csv_text(rows):
