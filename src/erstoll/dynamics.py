@@ -20,7 +20,6 @@ with a high DWPT share) that the static analysis rules out.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -241,10 +240,15 @@ def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
 
 
 def _bpr_exact(link: LinkParams, flows: np.ndarray) -> np.ndarray:
-    """bpr_time at each flow, bit for bit, through the builtin pow."""
-    q = (flows / link.capacity).tolist()
-    power = np.fromiter(map(pow, q, itertools.repeat(link.bpr_beta)), float, len(q))
-    return link.free_flow_time * (1.0 + link.bpr_alpha * power)
+    """bpr_time at each of the float flows, bit for bit, written over
+    them: np.float_power's float64 loop is the C pow that Python's `**`
+    calls (numpy's `**` is not)."""
+    flows /= link.capacity
+    np.float_power(flows, link.bpr_beta, out=flows)
+    flows *= link.bpr_alpha
+    flows += 1.0
+    flows *= link.free_flow_time
+    return flows
 
 
 class _SweepKernel:
@@ -256,45 +260,30 @@ class _SweepKernel:
     over a chunk, then takes the run of consecutive switchers that
     follows in one step: a cumsum of the +-1 moves gives the flows each
     agent would see.  Gains are written as the per-agent rule writes
-    them, from a table of travel times over link-1 flows, so every
-    decision is the scalar one.  The table grows by at least BLOCK flows
-    whenever a sweep reaches past it.  Its entries equal bpr_time bit for
-    bit: numpy's `+ - * /` round as Python's do, and the power is the
-    builtin pow that Python's `**` calls (numpy's `**` is not exact).
+    them, from one table of travel-time differences over every link-1
+    flow, built once per kernel, so every decision is the scalar one.
+    Its entries equal the scalar rule's bit for bit: numpy's `+ - * /`
+    round as Python's do, and the power is _bpr_exact's.  A travel time
+    that overflows a double raises FloatingPointError (an
+    ArithmeticError, as bpr_time's OverflowError is) when the kernel is
+    built.
     """
 
     CHUNK = 64
-    BLOCK = 256
 
     def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
-        self.link1, self.link2, self.vot, self.n = link1, link2, vot, n
-        # by link-1 flow x1: vot*(t1(x1) - t2(x2 + 1)) for leaving link 1,
-        # vot*(t2(x2) - t1(x1 + 1)) for leaving link 2
-        self.leave = (np.empty(n + 1), np.empty(n + 1))
-        self.lo = self.hi = 0  # tabulated link-1 flows [lo, hi)
-
-    def _tabulate(self, lo: int, hi: int) -> None:
-        """Extend the tabulated link-1 flows to cover [lo, hi], each
-        missing side by at least BLOCK flows, within [0, n]."""
-        if self.lo == self.hi:
-            self.lo = self.hi = lo
-        lo = max(0, min(lo, self.lo - self.BLOCK)) if lo < self.lo else self.lo
-        hi = min(self.n + 1, max(hi + 1, self.hi + self.BLOCK)) if hi >= self.hi else self.hi
-        for a, b in ((lo, self.lo), (self.hi, hi)):
-            if a < b:
-                x1 = np.arange(a, b + 1)
-                t1 = _bpr_exact(self.link1, x1)
-                t2 = _bpr_exact(self.link2, self.n + 1 - x1)  # t2(x2 + 1) at x1
-                self.leave[0][a:b] = self.vot * (t1[:-1] - t2[:-1])
-                self.leave[1][a:b] = self.vot * (t2[1:] - t1[1:])
-        self.lo, self.hi = lo, hi
+        self.n = n
+        # gap[x1] = vot*(t1(x1) - t2(n + 1 - x1)) for x1 in 0..n+1: leaving
+        # link 1 at link-1 flow x1 gains gap[x1], leaving link 2 -gap[x1 + 1],
+        # which is vot*(t2(x2) - t1(x1 + 1)) exactly (rounding is sign-symmetric)
+        with np.errstate(over="raise"):
+            self.gap = _bpr_exact(link1, np.arange(n + 2.0))
+            self.gap -= _bpr_exact(link2, np.arange(n + 1.0, -1.0, -1.0))
+            self.gap *= vot
 
     def _gain(self, on1, bonus, x1):
         """Switch gains at link-1 flow x1 (one int, or one per agent)."""
-        lo, hi = (x1, x1) if isinstance(x1, int) else (int(x1.min()), int(x1.max()))
-        if lo < self.lo or hi >= self.hi:
-            self._tabulate(lo, hi)
-        return np.where(on1, self.leave[0][x1] - bonus, self.leave[1][x1] + bonus)
+        return np.where(on1, self.gap[x1] - bonus, bonus - self.gap[x1 + 1])
 
     def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
         """Visit every agent once in order (default: by index), moving

@@ -6,13 +6,17 @@ reproduce it exactly (not approximately): same switchers, same flows,
 same travel times and the same potential in every round.
 """
 
+import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
-from conftest import bpr_links, discrete_scenario, scenarios
+import pytest
+from conftest import bpr_links, discrete_scenario, scenarios, write_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erstoll.cli import main
 from erstoll.dynamics import (
     _SweepKernel,
     agents_from_scenario,
@@ -192,34 +196,42 @@ def test_long_runs_and_sparse_switchers():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(4 * _SweepKernel.BLOCK, 20_000), data=st.data())
+@given(n=st.integers(1, 20_000), data=st.data())
 def test_travel_time_table_is_bpr_time_exactly(n, data):
-    """Every tabulated gain is the scalar rule's, built from bpr_time,
-    to the bit, as the table grows down and up by blocks."""
+    """Both switch gains at every link-1 flow 0..n are the scalar rule's,
+    built from bpr_time, to the bit.  This also guards against a numpy
+    whose float_power stops calling the C pow."""
     link1, link2 = data.draw(bpr_links(n, ers=True)), data.draw(bpr_links(n))
     vot = data.draw(st.floats(10.0, 100.0))
     kernel = _SweepKernel(link1, link2, vot, n)
-    block = _SweepKernel.BLOCK
-    start = data.draw(st.integers(0, n))
-    kernel._tabulate(start, start)
-    assert (kernel.lo, kernel.hi) == (start, min(n + 1, start + block))
-    # one flow past each end grows that end by one block, a far one past it
-    targets = [kernel.lo - 1, kernel.hi, start - 3 * block, start + 3 * block]
-    targets += data.draw(st.lists(st.integers(0, n), max_size=3))
-    for x in targets:
-        x = min(max(x, 0), n)
-        lo, hi = kernel.lo, kernel.hi
-        kernel._tabulate(x, x)
-        assert kernel.lo == (lo if x >= lo else max(0, min(x, lo - block)))
-        assert kernel.hi == (hi if x < hi else min(n + 1, max(x + 1, hi + block)))
-    assert kernel.hi - kernel.lo > 3 * block or (kernel.lo, kernel.hi) == (0, n + 1)
-
-    flows = range(kernel.lo, kernel.hi)
+    flows = range(n + 1)
     leave_link1 = [
         vot * (bpr_time(link1, x) - bpr_time(link2, n - x + 1)) for x in flows
     ]
     leave_link2 = [
         vot * (bpr_time(link2, n - x) - bpr_time(link1, x + 1)) for x in flows
     ]
-    assert kernel.leave[0][kernel.lo : kernel.hi].tolist() == leave_link1
-    assert kernel.leave[1][kernel.lo : kernel.hi].tolist() == leave_link2
+    x1, no_bonus = np.arange(n + 1), np.zeros(n + 1)
+    assert kernel._gain(True, no_bonus, x1).tolist() == leave_link1
+    assert kernel._gain(False, no_bonus, x1).tolist() == leave_link2
+
+
+@pytest.mark.parametrize("tiny", ("link1", "link2"))
+def test_overflowing_travel_time_is_an_arithmetic_failure(tiny, tmp_path, capsys):
+    """A link whose BPR time overflows a double fails the simulator, the
+    oracle and `erstoll simulate` as a numerical failure, with no
+    RuntimeWarning on the way."""
+    net = Network(LinkParams(10.0, 500.0, has_ers=True, ers_power_kw=30.0),
+                  LinkParams(10.0, 500.0))
+    net = replace(net, **{tiny: replace(getattr(net, tiny), capacity=1e-40, bpr_beta=8.0)})
+    scn = discrete_scenario((0.2, 0.5, 0.8), 3, network=net)
+    path = tmp_path / "overflow.cfg"
+    write_scenario(scn, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError):
+            run(agents_from_scenario(scn), scn.network, scn.prefs, scn.toll)
+        with pytest.raises(ArithmeticError):
+            brute_force_equilibrium(scn)
+        assert main(["simulate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
