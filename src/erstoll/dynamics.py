@@ -161,14 +161,14 @@ def run(
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
+    times1, times2 = _bpr_table(network.link1, n), _bpr_table(network.link2, n)
     traj = Trajectory()
 
     def snapshot(round_index: int, switches: int) -> float:
         x1_d, x1_o, _, _ = class_flows(population)
         x1 = x1_d + x1_o
         phi = rosenthal_potential(
-            network.link1, network.link2, prefs.vot, x1, n - x1,
-            bonus[:n_dwpt][on1[:n_dwpt]],
+            times1, times2, prefs.vot, x1, n - x1, bonus[:n_dwpt][on1[:n_dwpt]]
         )
         traj.snapshots.append(
             RoundSnapshot(
@@ -207,8 +207,8 @@ def run(
 
 
 def rosenthal_potential(
-    link1: LinkParams,
-    link2: LinkParams,
+    times1: np.ndarray,
+    times2: np.ndarray,
     vot: float,
     x1: int,
     x2: int,
@@ -218,25 +218,29 @@ def rosenthal_potential(
     summed travel times of the first x1 and x2 vehicles on each link,
     less the link-1 bonuses (Population.bonus) of the vehicles on link 1.
 
-    Unilateral deviations change this by exactly the deviator's utility
-    loss, so better-response paths strictly decrease it.  Its travel
-    times use numpy's `**` (_bpr_vec), which can differ from bpr_time in
-    the last bit: run checks the potential against the gains only to a
+    times1 and times2 are each link's travel times at flows 1, 2, ...
+    (_bpr_table), built once per population size and shared by every
+    call.  Unilateral deviations change this by exactly the deviator's
+    utility loss, so better-response paths strictly decrease it.  Its
+    travel times use numpy's `**`, which can differ from bpr_time in the
+    last bit: run checks the potential against the gains only to a
     tolerance, and the potential column of `erstoll simulate` is pinned
     to these values.
     """
-    ks1 = np.arange(1, x1 + 1, dtype=float)
-    ks2 = np.arange(1, x2 + 1, dtype=float)
-    time_part = vot * (
-        float(np.sum(_bpr_vec(link1, ks1))) + float(np.sum(_bpr_vec(link2, ks2)))
-    )
+    time_part = vot * (float(np.sum(times1[:x1])) + float(np.sum(times2[:x2])))
     return time_part - sum(np.asarray(link1_bonus).tolist())
 
 
-def _bpr_vec(link: LinkParams, flows: np.ndarray) -> np.ndarray:
-    return link.free_flow_time * (
-        1.0 + link.bpr_alpha * (flows / link.capacity) ** link.bpr_beta
-    )
+def _bpr_table(link: LinkParams, n: int) -> np.ndarray:
+    """The link's travel times at flows 1..n with numpy's `**`, computed
+    in place (the same floats as t0 * (1 + alpha * (x / c) ** beta))."""
+    times = np.arange(1.0, n + 1.0)
+    times /= link.capacity
+    times **= link.bpr_beta
+    times *= link.bpr_alpha
+    times += 1.0
+    times *= link.free_flow_time
+    return times
 
 
 def _bpr_exact(link: LinkParams, flows: np.ndarray) -> np.ndarray:
@@ -256,75 +260,102 @@ class _SweepKernel:
 
     Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus
     (Population.bonus).  Between switches every gain depends on (x1, x2)
-    alone, so a sweep finds the next switcher with one vectorized test
-    over a chunk, then takes the run of consecutive switchers that
-    follows in one step: a cumsum of the +-1 moves gives the flows each
-    agent would see.  Gains are written as the per-agent rule writes
-    them, from one table of travel-time differences over every link-1
-    flow, built once per kernel, so every decision is the scalar one.
-    Its entries equal the scalar rule's bit for bit: numpy's `+ - * /`
-    round as Python's do, and the power is _bpr_exact's.  A travel time
-    that overflows a double raises FloatingPointError (an
-    ArithmeticError, as bpr_time's OverflowError is) when the kernel is
-    built.
+    alone, and fl(gap - b) falls and fl(b - gap) rises with the bonus b.
+    So a sweep skips a block of BLOCK agents when neither its smallest
+    link-1 bonus nor its largest link-2 bonus would move at the current
+    flows.  A block whose first agent moves starts a run of consecutive
+    switchers, taken in one vectorized step per doubling window: a
+    cumsum of the +-1 moves gives the flows each agent would see.  Any
+    other block is scanned agent by agent.  Gains are written as the
+    per-agent rule writes them, from one table of travel-time
+    differences over every link-1 flow, built once per kernel, so every
+    decision, the switch order and the summed gains are the scalar
+    rule's.  The table's entries equal the scalar rule's bit for bit:
+    numpy's `+ - * /` round as Python's do, and the power is
+    _bpr_exact's.  A travel time that overflows a double raises
+    FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
+    is) when the kernel is built.
     """
 
-    CHUNK = 64
+    BLOCK = 64
 
     def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
         self.n = n
         # gap[x1] = vot*(t1(x1) - t2(n + 1 - x1)) for x1 in 0..n+1: leaving
-        # link 1 at link-1 flow x1 gains gap[x1], leaving link 2 -gap[x1 + 1],
-        # which is vot*(t2(x2) - t1(x1 + 1)) exactly (rounding is sign-symmetric)
+        # link 1 at link-1 flow x1 gains gap[x1] - bonus, leaving link 2
+        # bonus - gap[x1 + 1], which is the scalar vot*(t2(x2) - t1(x1 + 1))
+        # + bonus exactly (rounding is sign-symmetric)
         with np.errstate(over="raise"):
             self.gap = _bpr_exact(link1, np.arange(n + 2.0))
             self.gap -= _bpr_exact(link2, np.arange(n + 1.0, -1.0, -1.0))
             self.gap *= vot
-
-    def _gain(self, on1, bonus, x1):
-        """Switch gains at link-1 flow x1 (one int, or one per agent)."""
-        return np.where(on1, self.gap[x1] - bonus, bonus - self.gap[x1 + 1])
 
     def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
         """Visit every agent once in order (default: by index), moving
         each improving one at once; on1 is updated in place.  Returns
         (switch count, summed gains)."""
         link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
-        n, x1 = self.n, int(np.count_nonzero(on1))
-        pos, width, run, last, switches, gain_sum = 0, self.CHUNK, False, -1, 0, 0.0
+        n, size, gap, eps = self.n, self.BLOCK, self.gap, INDIFFERENCE_EPS
+        # a block moves nobody at the current flows unless its smallest
+        # link-1 bonus or its largest link-2 bonus moves
+        starts = np.arange(0, n, size)
+        blocks = len(starts)
+        low1 = np.minimum.reduceat(np.where(link1_of, bonus_of, np.inf), starts).tolist()
+        high2 = np.maximum.reduceat(np.where(link1_of, -np.inf, bonus_of), starts).tolist()
+        x1 = int(np.count_nonzero(on1))
+        g1, g2 = gap.item(x1), gap.item(x1 + 1)
+        pos, switches, gain_sum = 0, 0, 0.0
         while pos < n:
-            end = min(pos + width, n)
-            on = link1_of[pos:end]
-            flows = x1
-            if run:  # each agent sees the flows left by all before it switching
-                move = np.where(on, -1, 1)
-                flows = x1 + np.cumsum(move) - move
-            gain = self._gain(on, bonus_of[pos:end], flows)
-            moved = gain > INDIFFERENCE_EPS
-            if run:  # the leading switchers
-                a, b = 0, int(moved.argmin()) if not moved.all() else end - pos
-            else:  # the first switcher at fixed flows, alone
-                a = b = int(moved.argmax())
-                if not moved[a]:
-                    pos, width = end, 2 * width
-                    continue
-                if pos + a == last:  # a second switcher in a row: take the run
-                    pos, width, run = last, self.CHUNK, True
-                    continue
-                b += 1
-            x1 += b - a - 2 * int(np.count_nonzero(on[a:b]))
-            link1_of[pos + a : pos + b] = ~on[a:b]
-            for g in gain[a:b].tolist():
-                gain_sum += g
-            switches += b - a
-            last = pos = pos + b
-            if run and pos == end:
-                width *= 2
-            else:
-                run, width = False, max(self.CHUNK, 2 * a)
+            block = pos // size
+            if pos == block * size:
+                while block < blocks and g1 - low1[block] <= eps and high2[block] - g2 <= eps:
+                    block += 1
+                pos = block * size
+                if pos >= n:
+                    break
+            end = min(block * size + size, n)
+            ons, bs = link1_of[pos:end].tolist(), bonus_of[pos:end].tolist()
+            if (g1 - bs[0] if ons[0] else bs[0] - g2) > eps:
+                taken, x1, gain_sum = self._run(link1_of, bonus_of, pos, x1, gain_sum)
+                pos += taken
+                switches += taken
+                g1, g2 = gap.item(x1), gap.item(x1 + 1)
+                continue
+            for i, (on, b) in enumerate(zip(ons, bs), pos):
+                gain = g1 - b if on else b - g2
+                if gain > eps:
+                    link1_of[i] = not on
+                    x1 += -1 if on else 1
+                    g1, g2 = gap.item(x1), gap.item(x1 + 1)
+                    switches += 1
+                    gain_sum += gain
+            pos = end
         if order is not None:
             on1[order] = link1_of
         return switches, gain_sum
+
+    def _run(self, link1_of, bonus_of, pos, x1, gain_sum):
+        """Move the run of consecutive switchers that starts at pos, in
+        windows that double from BLOCK; each agent sees the flows left by
+        all before it switching.  Returns (run length, x1, gain_sum)."""
+        start, width, gap = pos, self.BLOCK, self.gap
+        while True:
+            stop = min(pos + width, self.n)
+            on, b = link1_of[pos:stop], bonus_of[pos:stop]
+            move = np.where(on, -1, 1)
+            flows = x1 + np.cumsum(move) - move
+            gain = np.where(on, gap[flows] - b, b - gap[flows + 1])
+            moved = gain > INDIFFERENCE_EPS
+            taken = stop - pos if moved.all() else int(moved.argmin())
+            x1 += taken - 2 * int(np.count_nonzero(on[:taken]))
+            link1_of[pos : pos + taken] = ~on[:taken]
+            if taken:  # cumsum adds the gains in order, as the scalar rule does
+                gain[0] += gain_sum
+                gain_sum = float(np.cumsum(gain[:taken])[-1])
+            pos += taken
+            if pos < stop or stop == self.n:
+                return pos - start, x1, gain_sum
+            width *= 2
 
 
 @dataclass(frozen=True)
@@ -460,8 +491,9 @@ def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
 
     # the potential of each link-1 flow with no bonus, less each profile's
     # bonuses of the DWPT-EVs it puts on link 1
+    times1, times2 = _bpr_table(link1, n_agents), _bpr_table(link2, n_agents)
     flow_phi = np.array([
-        rosenthal_potential(link1, link2, scenario.prefs.vot, x1, n_agents - x1, ())
+        rosenthal_potential(times1, times2, scenario.prefs.vot, x1, n_agents - x1, ())
         for x1 in range(n_agents + 1)
     ])
 

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 
 from erstoll import dynamics, equilibrium
 from erstoll.analysis import _marginal
-from erstoll.dynamics import Population, brute_force_equilibrium, rosenthal_potential
+from erstoll.dynamics import (
+    Population,
+    _bpr_table,
+    brute_force_equilibrium,
+    rosenthal_potential,
+)
 from erstoll.equilibrium import (
     ROOT_TOL_FACTOR,
     ConvergenceError,
@@ -532,7 +537,8 @@ class TestBruteForceOracle:
         population = Population((0.3, 0.6), np.array([True, False, True]))
         bonus = population.bonus(scn.prefs, scn.toll)
         phi = rosenthal_potential(
-            link1, link2, scn.prefs.vot, 2, 1, bonus[population.on_link1]
+            _bpr_table(link1, 3), _bpr_table(link2, 3), scn.prefs.vot, 2, 1,
+            bonus[population.on_link1],
         )
         times = bpr_time(link1, 1) + bpr_time(link1, 2) + bpr_time(link2, 1)
         charge = scn.prefs.voe * (1 / 0.3 - 1) - scn.toll.dwpt_link1_charge

@@ -12,15 +12,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import bpr_links, discrete_scenario, scenarios, write_scenario
+from conftest import (
+    ERS_LINK,
+    PLAIN_LINK,
+    base_scenario,
+    bpr_links,
+    discrete_scenario,
+    scenarios,
+    write_scenario,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erstoll.cli import main
 from erstoll.dynamics import (
+    Population,
     _SweepKernel,
     agents_from_scenario,
     brute_force_equilibrium,
+    discretize_scenario,
     run,
     step,
 )
@@ -112,19 +122,21 @@ def _population(scn, initial, seed):
     return agents, links, socs
 
 
-INITIAL = st.sampled_from(("all_link2", "all_link1", "random", "balanced"))
-# Small first chunks make N <= 60 cross chunk edges and widen scans and runs.
-CHUNKS = st.sampled_from((1, 2, 3, _SweepKernel.CHUNK))
+INITIAL_STATES = ("all_link2", "all_link1", "random", "balanced")
+INITIAL = st.sampled_from(INITIAL_STATES)
+# Small blocks make N <= 60 reach skipped blocks, runs that end mid-block
+# or span doubling windows, and a ragged last block.
+BLOCKS = st.sampled_from((1, 2, 3, _SweepKernel.BLOCK))
 
 
 @contextmanager
-def first_chunk(width):
-    saved = _SweepKernel.CHUNK
-    _SweepKernel.CHUNK = width
+def block_size(size):
+    saved = _SweepKernel.BLOCK
+    _SweepKernel.BLOCK = size
     try:
         yield
     finally:
-        _SweepKernel.CHUNK = saved
+        _SweepKernel.BLOCK = saved
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,11 +145,11 @@ def first_chunk(width):
     initial=INITIAL,
     order_policy=st.sampled_from(("sequential", "random")),
     seed=st.integers(0, 2**16),
-    chunk=CHUNKS,
+    block=BLOCKS,
 )
-def test_run_matches_per_agent_reference(scn, initial, order_policy, seed, chunk):
+def test_run_matches_per_agent_reference(scn, initial, order_policy, seed, block):
     agents, links, socs = _population(scn, initial, seed)
-    with first_chunk(chunk):
+    with block_size(block):
         traj = run(agents, scn.network, scn.prefs, scn.toll, max_rounds=500,
                    order_policy=order_policy, seed=seed)
     expected = reference_run(links, socs, scn, order_policy, seed)
@@ -155,44 +167,76 @@ def test_run_matches_per_agent_reference(scn, initial, order_policy, seed, chunk
     initial=INITIAL,
     seed=st.integers(0, 2**16),
     reverse=st.booleans(),
-    chunk=CHUNKS,
+    block=BLOCKS,
 )
-def test_step_matches_per_agent_reference(scn, initial, seed, reverse, chunk):
+def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
     agents, links, socs = _population(scn, initial, seed)
     order = list(range(len(agents)))[::-1] if reverse else None
-    with first_chunk(chunk):
+    with block_size(block):
         got = step(agents, scn.network, scn.prefs, scn.toll, order)
     assert got == reference_sweep(links, socs, scn, order)
     assert [a.current_link for a in agents] == links
 
 
 @settings(max_examples=100, deadline=None)
-@given(scn=scenarios(max_agents=60), chunk=CHUNKS)
-def test_oracle_matches_per_agent_reference(scn, chunk):
-    with first_chunk(chunk):
+@given(scn=scenarios(max_agents=60), block=BLOCKS)
+def test_oracle_matches_per_agent_reference(scn, block):
+    with block_size(block):
         oracle = brute_force_equilibrium(scn)
     assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
 
 
-def test_long_runs_and_sparse_switchers():
-    """Sizes where runs span several doubling chunks and sparse switchers
-    need a widening scan: every start and both orders, at N = 3000."""
-    socs = np.linspace(0.05, 0.95, 600)
-    base = LinkParams(10.0, 1000.0, has_ers=True, ers_power_kw=30.0)
-    scn = discrete_scenario(
-        socs, 2400, network=Network(base, LinkParams(12.0, 900.0, bpr_beta=3.0))
-    )
-    for initial in ("all_link2", "all_link1", "random", "balanced"):
+def _assert_runs_match_reference(scn, populations, seed=3):
+    """run against reference_run on fresh copies of each population, in
+    both orders."""
+    for population in populations:
         for policy in ("sequential", "random"):
-            agents, links, socs_ = _population(scn, initial, 3)
-            traj = run(agents, scn.network, scn.prefs, scn.toll, order_policy=policy, seed=3)
+            agents = Population(population.soc, population.on_link1.copy())
+            links = [1 if on else 2 for on in agents.on_link1.tolist()]
+            socs = agents.soc.tolist() + [None] * (len(agents) - len(agents.soc))
+            traj = run(agents, scn.network, scn.prefs, scn.toll, order_policy=policy, seed=seed)
             got = [
                 (s.round_index, s.x1_d, s.x1_o, s.t1, s.t2, s.switches, s.potential)
                 for s in traj.snapshots
             ]
-            assert got == reference_run(links, socs_, scn, policy, 3)
-    oracle = brute_force_equilibrium(scn)
-    assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
+            assert got == reference_run(links, socs, scn, policy, seed)
+            assert [1 if on else 2 for on in agents.on_link1.tolist()] == links
+
+
+def test_long_runs_and_sparse_switchers():
+    """Sizes where runs span several doubling windows and isolated
+    switchers sit in blocks scanned agent by agent, at N = 3000 (not a
+    multiple of BLOCK), in both orders: every start on differing links,
+    and the benchmark's congested regime (capacity N/3 on both links, a
+    random start), where many rounds each move a few agents spread over
+    the whole population."""
+    socs = np.linspace(0.05, 0.95, 600)
+    base = LinkParams(10.0, 1000.0, has_ers=True, ers_power_kw=30.0)
+    differing = discrete_scenario(
+        socs, 2400, network=Network(base, LinkParams(12.0, 900.0, bpr_beta=3.0))
+    )
+    net = Network(replace(ERS_LINK, capacity=1000.0), replace(PLAIN_LINK, capacity=1000.0))
+    congested = discretize_scenario(base_scenario(total=3000.0, network=net))
+    for scn, initials in ((differing, INITIAL_STATES), (congested, ("random",))):
+        _assert_runs_match_reference(scn, [agents_from_scenario(scn, i, 3) for i in initials])
+        oracle = brute_force_equilibrium(scn)
+        assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
+
+
+@pytest.mark.parametrize(
+    ("n_dwpt", "n_other"),
+    [(0, 1), (1, 0), (0, 200), (150, 0), (70, 3 * _SweepKernel.BLOCK + 5)],
+    ids=["one-other", "one-dwpt", "no-dwpt", "no-other", "ragged"],
+)
+def test_edge_populations(n_dwpt, n_other):
+    """A single vehicle, one class only (no scenario holds these, so the
+    arrays are built directly), and a population whose last block is
+    ragged, from every kind of start."""
+    scn = discrete_scenario((0.5,), 1)
+    socs, n = np.linspace(0.1, 0.9, n_dwpt), n_dwpt + n_other
+    starts = (np.zeros(n, bool), np.ones(n, bool), np.arange(n) % 2 == 0,
+              np.random.default_rng(3).integers(0, 2, n) == 1)
+    _assert_runs_match_reference(scn, [Population(socs, on1) for on1 in starts])
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,9 +255,9 @@ def test_travel_time_table_is_bpr_time_exactly(n, data):
     leave_link2 = [
         vot * (bpr_time(link2, n - x) - bpr_time(link1, x + 1)) for x in flows
     ]
-    x1, no_bonus = np.arange(n + 1), np.zeros(n + 1)
-    assert kernel._gain(True, no_bonus, x1).tolist() == leave_link1
-    assert kernel._gain(False, no_bonus, x1).tolist() == leave_link2
+    # leaving link 1 at flow x gains gap[x], leaving link 2 -gap[x + 1]
+    assert kernel.gap[: n + 1].tolist() == leave_link1
+    assert (-kernel.gap[1 : n + 2]).tolist() == leave_link2
 
 
 @pytest.mark.parametrize("tiny", ("link1", "link2"))

@@ -318,7 +318,5 @@ class TestUtility:
         )
         kernel = _SweepKernel(link1, link2, PREFS.vot, 10)
         x1 = 4  # vehicles on link 1 besides it
-        gain = kernel._gain(np.array([False]), bonus[:1], x1)
-        assert gain.tolist() == [
-            PREFS.vot * (bpr_time(link2, 10 - x1) - bpr_time(link1, x1 + 1)) + bonus[0]
-        ]
+        gain = bonus[0] - kernel.gap[x1 + 1]  # the kernel's gain for leaving link 2
+        assert gain == PREFS.vot * (bpr_time(link2, 10 - x1) - bpr_time(link1, x1 + 1)) + bonus[0]
