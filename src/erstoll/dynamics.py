@@ -232,23 +232,17 @@ def rosenthal_potential(
 
 
 def _bpr_table(link: LinkParams, n: int) -> np.ndarray:
-    """The link's travel times at flows 1..n with numpy's `**`, computed
-    in place (the same floats as t0 * (1 + alpha * (x / c) ** beta))."""
-    times = np.arange(1.0, n + 1.0)
-    times /= link.capacity
-    times **= link.bpr_beta
-    times *= link.bpr_alpha
-    times += 1.0
-    times *= link.free_flow_time
-    return times
+    """The link's travel times at flows 1..n with numpy's `**`."""
+    return _bpr_over(link, np.arange(1.0, n + 1.0), np.power)
 
 
-def _bpr_exact(link: LinkParams, flows: np.ndarray) -> np.ndarray:
-    """bpr_time at each of the float flows, bit for bit, written over
-    them: np.float_power's float64 loop is the C pow that Python's `**`
-    calls (numpy's `**` is not)."""
+def _bpr_over(link: LinkParams, flows: np.ndarray, power) -> np.ndarray:
+    """The link's travel times at the float flows, written over them,
+    with the given power ufunc: np.float_power gives bpr_time bit for
+    bit, because its float64 loop is the C pow that Python's `**` calls
+    (numpy's `**`, np.power, is not)."""
     flows /= link.capacity
-    np.float_power(flows, link.bpr_beta, out=flows)
+    power(flows, link.bpr_beta, out=flows)
     flows *= link.bpr_alpha
     flows += 1.0
     flows *= link.free_flow_time
@@ -272,9 +266,9 @@ class _SweepKernel:
     decision, the switch order and the summed gains are the scalar
     rule's.  The table's entries equal the scalar rule's bit for bit:
     numpy's `+ - * /` round as Python's do, and the power is
-    _bpr_exact's.  A travel time that overflows a double raises
-    FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
-    is) when the kernel is built.
+    np.float_power (_bpr_over).  A travel time that overflows a double
+    raises FloatingPointError (an ArithmeticError, as bpr_time's
+    OverflowError is) when the kernel is built.
     """
 
     BLOCK = 64
@@ -286,8 +280,8 @@ class _SweepKernel:
         # bonus - gap[x1 + 1], which is the scalar vot*(t2(x2) - t1(x1 + 1))
         # + bonus exactly (rounding is sign-symmetric)
         with np.errstate(over="raise"):
-            self.gap = _bpr_exact(link1, np.arange(n + 2.0))
-            self.gap -= _bpr_exact(link2, np.arange(n + 1.0, -1.0, -1.0))
+            self.gap = _bpr_over(link1, np.arange(n + 2.0), np.float_power)
+            self.gap -= _bpr_over(link2, np.arange(n + 1.0, -1.0, -1.0), np.float_power)
             self.gap *= vot
 
     def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
