@@ -5,10 +5,11 @@ pricing regime (A = free ERS, B = fixed toll); the roman numeral is the
 fleet-mix case (i: DWPT share r < 0.5, ii: r >= 0.5); the trailing letter
 describes how DWPT-EVs split (a: all on the ERS link, b: none, c: both
 links), with c refined by the total-flow comparison for r >= 0.5
-(c1: x1 = x2, c2: x1 > x2, c3: x1 < x2).  Masses within
-PATTERN_MASS_TOL*N count as zero, so on links that differ c1 means
-|x1 - x2| <= PATTERN_MASS_TOL*N.  classify and metrics raise ValueError
-for a result that does not conserve the scenario's class totals.
+(c1: x1 = x2, c2: x1 > x2, c3: x1 < x2).  The a and b tests are exact
+(solve gives a DWPT flow of exactly 0.0 or rN at a corner); on links
+that differ c1 means |x1 - x2| <= PATTERN_MASS_TOL*N.  classify and
+metrics raise ValueError for a result that does not conserve the
+scenario's class totals.
 
 Toll bands evaluate the closed-form price map that solve inverts (the
 toll at which a given DWPT mass on the ERS link is in equilibrium) at
@@ -24,7 +25,7 @@ from enum import Enum
 from .equilibrium import EquilibriumResult, _bpr_slope, _equal_split, _wardrop_response
 from .model import FixedToll, FreeToll, LinkParams, Network, Scenario, bpr_time
 
-# Masses below this fraction of N count as zero when labelling patterns.
+# Flows within this fraction of N count as equal (c1, Metrics.ers_optimum).
 PATTERN_MASS_TOL = 1e-6
 
 
@@ -92,9 +93,8 @@ def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     if isinstance(scenario.toll, FreeToll):
         return PatternLabel.A_i if low_share else PatternLabel.A_ii
 
-    tol = PATTERN_MASS_TOL * scenario.total_vehicles
-    all_on_1 = result.x2_d <= tol
-    all_on_2 = result.x1_d <= tol
+    all_on_1 = result.x2_d <= 0.0
+    all_on_2 = result.x1_d <= 0.0
     if low_share:
         if all_on_1:
             return PatternLabel.B_i_a
@@ -105,7 +105,7 @@ def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
         return PatternLabel.B_ii_a
     if all_on_2:
         return PatternLabel.B_ii_b
-    if abs(result.x1 - result.x2) <= tol:
+    if abs(result.x1 - result.x2) <= PATTERN_MASS_TOL * scenario.total_vehicles:
         return PatternLabel.B_ii_c1
     if result.x1 > result.x2:
         return PatternLabel.B_ii_c2

@@ -3,9 +3,10 @@ agents, and the brute-force oracle that cross-checks the analytic solver.
 
 The population is arrays shared by the simulator and the oracle
 (Population): DWPT SoCs and a link-1 mask that sweeps update in place,
-with read-only per-agent AgentState views.  Both move agents with one
-better-response kernel (_SweepKernel) and measure progress with the
-exact Rosenthal potential (rosenthal_potential).
+with read-only per-agent AgentState views.  The simulator moves agents
+with one better-response kernel (_SweepKernel); the oracle places them
+at the minimum of the exact Rosenthal potential (rosenthal_potential).
+Both read the kernel's exact travel-time tables.
 
 Each round sweeps the population once in some order; an agent switches
 links when doing so improves its utility by more than INDIFFERENCE_EPS,
@@ -37,7 +38,6 @@ from .model import (
     Preferences,
     Scenario,
     VehicleClass,
-    bpr_time,
     charging_value,
     threshold_soc,
 )
@@ -161,7 +161,7 @@ def run(
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
-    times1, times2 = _bpr_table(network.link1, n), _bpr_table(network.link2, n)
+    times1, times2 = kernel.times1, kernel.times2
     traj = Trajectory()
 
     def snapshot(round_index: int, switches: int) -> float:
@@ -175,8 +175,8 @@ def run(
                 round_index=round_index,
                 x1_d=x1_d,
                 x1_o=x1_o,
-                t1=bpr_time(network.link1, x1),
-                t2=bpr_time(network.link2, n - x1),
+                t1=times1.item(x1),
+                t2=times2.item(n - x1),
                 switches=switches,
                 potential=phi,
             )
@@ -218,31 +218,24 @@ def rosenthal_potential(
     summed travel times of the first x1 and x2 vehicles on each link,
     less the link-1 bonuses (Population.bonus) of the vehicles on link 1.
 
-    times1 and times2 are each link's travel times at flows 1, 2, ...
-    (_bpr_table), built once per population size and shared by every
-    call.  Unilateral deviations change this by exactly the deviator's
-    utility loss, so better-response paths strictly decrease it.  Its
-    travel times use numpy's `**`, which can differ from bpr_time in the
-    last bit: run checks the potential against the gains only to a
-    tolerance, and the potential column of `erstoll simulate` is pinned
-    to these values.
+    times1 and times2 are each link's travel times at flows 0, 1, 2, ...
+    (_SweepKernel.times1/times2), built once per run and shared by every
+    call; each entry equals bpr_time bit for bit.  Unilateral deviations
+    change this by exactly the deviator's utility loss, so
+    better-response paths strictly decrease it; run checks that to a
+    tolerance, since the sums round.
     """
-    time_part = vot * (float(np.sum(times1[:x1])) + float(np.sum(times2[:x2])))
+    time_part = vot * (float(np.sum(times1[1 : x1 + 1])) + float(np.sum(times2[1 : x2 + 1])))
     return time_part - sum(np.asarray(link1_bonus).tolist())
 
 
-def _bpr_table(link: LinkParams, n: int) -> np.ndarray:
-    """The link's travel times at flows 1..n with numpy's `**`."""
-    return _bpr_over(link, np.arange(1.0, n + 1.0), np.power)
-
-
-def _bpr_over(link: LinkParams, flows: np.ndarray, power) -> np.ndarray:
-    """The link's travel times at the float flows, written over them,
-    with the given power ufunc: np.float_power gives bpr_time bit for
-    bit, because its float64 loop is the C pow that Python's `**` calls
-    (numpy's `**`, np.power, is not)."""
+def _bpr_over(link: LinkParams, flows: np.ndarray) -> np.ndarray:
+    """The link's travel times at the float flows, written over them.
+    np.float_power gives bpr_time bit for bit, because its float64 loop
+    is the C pow that Python's `**` calls (numpy's `**`, np.power, is
+    not)."""
     flows /= link.capacity
-    power(flows, link.bpr_beta, out=flows)
+    np.float_power(flows, link.bpr_beta, out=flows)
     flows *= link.bpr_alpha
     flows += 1.0
     flows *= link.free_flow_time
@@ -261,14 +254,15 @@ class _SweepKernel:
     switchers, taken in one vectorized step per doubling window: a
     cumsum of the +-1 moves gives the flows each agent would see.  Any
     other block is scanned agent by agent.  Gains are written as the
-    per-agent rule writes them, from one table of travel-time
-    differences over every link-1 flow, built once per kernel, so every
-    decision, the switch order and the summed gains are the scalar
-    rule's.  The table's entries equal the scalar rule's bit for bit:
-    numpy's `+ - * /` round as Python's do, and the power is
-    np.float_power (_bpr_over).  A travel time that overflows a double
-    raises FloatingPointError (an ArithmeticError, as bpr_time's
-    OverflowError is) when the kernel is built.
+    per-agent rule writes them, from the travel-time differences gap
+    over every link-1 flow, so every decision, the switch order and the
+    summed gains are the scalar rule's.  The kernel builds each link's
+    travel times at flows 0..n+1 once (times1, times2), and gap from
+    them; their entries equal the scalar rule's bit for bit: numpy's
+    `+ - * /` round as Python's do, and the power is np.float_power
+    (_bpr_over).  A travel time that overflows a double raises
+    FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
+    is) when the kernel is built.
     """
 
     BLOCK = 64
@@ -280,8 +274,9 @@ class _SweepKernel:
         # bonus - gap[x1 + 1], which is the scalar vot*(t2(x2) - t1(x1 + 1))
         # + bonus exactly (rounding is sign-symmetric)
         with np.errstate(over="raise"):
-            self.gap = _bpr_over(link1, np.arange(n + 2.0), np.float_power)
-            self.gap -= _bpr_over(link2, np.arange(n + 1.0, -1.0, -1.0), np.float_power)
+            self.times1 = _bpr_over(link1, np.arange(n + 2.0))
+            self.times2 = _bpr_over(link2, np.arange(n + 2.0))
+            self.gap = self.times1 - self.times2[::-1]
             self.gap *= vot
 
     def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
@@ -410,10 +405,9 @@ def class_flows(population: Population) -> tuple[int, int, int, int]:
     return x1_d, x1_o, n_dwpt - x1_d, len(population) - n_dwpt - x1_o
 
 
-def _oracle_result(scenario: Scenario, population: Population) -> EquilibriumResult:
+def _oracle_result(scenario, kernel, population) -> EquilibriumResult:
     x1_d, x1_o, x2_d, x2_o = class_flows(population)
-    t1 = bpr_time(scenario.network.link1, x1_d + x1_o)
-    t2 = bpr_time(scenario.network.link2, x2_d + x2_o)
+    t1, t2 = kernel.times1.item(x1_d + x1_o), kernel.times2.item(x2_d + x2_o)
     return EquilibriumResult(
         x1_d=float(x1_d),
         x2_d=float(x2_d),
@@ -427,18 +421,20 @@ def _oracle_result(scenario: Scenario, population: Population) -> EquilibriumRes
     )
 
 
-MAX_ORACLE_SWITCHES = 10_000_000  # guard only: the exact potential bounds the switches
-
-
 def brute_force_equilibrium(scenario: Scenario, exhaustive: bool = False) -> EquilibriumResult:
-    """Atomic better-response oracle; requires a DiscreteAgents SoC pool.
+    """Atomic oracle: the Nash profile at the exact potential's minimum;
+    requires a DiscreteAgents SoC pool.
 
-    Agents start on link 2 and are scanned round-robin; any agent whose
-    switch strictly improves its utility (by more than INDIFFERENCE_EPS)
-    moves at once.  Termination is guaranteed by the exact potential.
-    With exhaustive=True (at most 20 agents) every profile is enumerated
-    to confirm the endpoint is a true equilibrium and that the potential
-    minimum is one as well.
+    The atomic game is a potential game (Rosenthal 1973; Monderer and
+    Shapley 1996).  With the link-1 bonuses sorted, largest first, the
+    potential of the top x1 on link 1 is convex in x1.  So the vehicles
+    are ranked by bonus (stable: DWPT-EVs before OTHER-Vs at a tie) and
+    the first x1 go on link 1, where x1 is the first rank whose vehicle
+    would not gain more than INDIFFERENCE_EPS by joining them.  That is
+    the scalar switch rule's own arithmetic, so the profile is Nash, and
+    its flow is the smallest at which the potential is least.  With
+    exhaustive=True (at most 20 agents) every profile is enumerated to
+    confirm that.
     """
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
@@ -447,34 +443,27 @@ def brute_force_equilibrium(scenario: Scenario, exhaustive: bool = False) -> Equ
     if exhaustive and n_agents > 20:
         raise ValueError("exhaustive mode supports at most 20 agents")
 
-    # every vehicle starts on link 2, the pool in its own order
     population = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool))
     bonus = population.bonus(scenario.prefs, scenario.toll)
-
     kernel = _SweepKernel(
         scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
     )
-    switches, moved = 0, True
-    while moved:
-        moved = kernel.sweep(population.on_link1, bonus)[0]
-        switches += moved
-        if switches > MAX_ORACLE_SWITCHES:
-            raise ConvergenceError(
-                f"oracle exceeded {MAX_ORACLE_SWITCHES} switches; "
-                "the finite-improvement property is violated"
-            )
+    ranked = np.argsort(-bonus, kind="stable")
+    # rank j, on link 2 at link-1 flow j, gains bonus - gap[j + 1] by joining
+    joins = bonus[ranked] - kernel.gap[1 : n_agents + 1] > INDIFFERENCE_EPS
+    x1 = n_agents if joins.all() else int(joins.argmin())
+    population.on_link1[ranked[:x1]] = True
 
     if exhaustive:
         _exhaustive_check(scenario, kernel, population.on_link1, bonus, n_dwpt)
-    return _oracle_result(scenario, population)
+    return _oracle_result(scenario, kernel, population)
 
 
 def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
-    """Enumerate all 2^n profiles (vectorized in chunks): the endpoint
-    must be Nash (a sweep from it moves nobody), and so must the potential
-    minimizer; misalignment of the two would flag a utility/potential bug."""
-    link1 = scenario.network.link1
-    link2 = scenario.network.link2
+    """Enumerate all 2^n profiles (vectorized in chunks): the oracle's
+    profile must be Nash (a sweep from it moves nobody), and so must the
+    potential minimizer, whose potential the oracle's must equal to
+    run's tolerance; a mismatch would flag a utility/potential bug."""
     n_agents = len(bonus)
 
     def is_nash(profile) -> bool:
@@ -485,9 +474,9 @@ def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
 
     # the potential of each link-1 flow with no bonus, less each profile's
     # bonuses of the DWPT-EVs it puts on link 1
-    times1, times2 = _bpr_table(link1, n_agents), _bpr_table(link2, n_agents)
+    times1, times2, vot = kernel.times1, kernel.times2, scenario.prefs.vot
     flow_phi = np.array([
-        rosenthal_potential(times1, times2, scenario.prefs.vot, x1, n_agents - x1, ())
+        rosenthal_potential(times1, times2, vot, x1, n_agents - x1, ())
         for x1 in range(n_agents + 1)
     ])
 
@@ -497,12 +486,13 @@ def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
     for start in range(0, 1 << n_agents, chunk):
         codes = np.arange(start, min(start + chunk, 1 << n_agents))
         bits = (codes[:, None] >> np.arange(n_agents)) & 1
-        phi = flow_phi[bits.sum(axis=1)]
-        if n_dwpt:
-            phi = phi - bits[:, :n_dwpt].astype(float) @ bonus[:n_dwpt]
+        phi = flow_phi[bits.sum(axis=1)] - bits[:, :n_dwpt].astype(float) @ bonus[:n_dwpt]
         k = int(np.argmin(phi))
         if phi[k] < best_phi:
             best_phi = float(phi[k])
             best_profile = bits[k]
     if not is_nash(best_profile):
         raise ConvergenceError("potential minimizer is not a Nash profile")
+    oracle_phi = flow_phi[np.count_nonzero(on_link1)] - bonus[:n_dwpt] @ on_link1[:n_dwpt]
+    if oracle_phi - best_phi > 1e-6 * (1.0 + abs(best_phi)):
+        raise ConvergenceError(f"oracle potential {oracle_phi} exceeds the minimum {best_phi}")

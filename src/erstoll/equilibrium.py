@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
-    DiscreteAgents, LinkParams, Scenario, bpr_time, charging_value, threshold_soc,
+    INDIFFERENCE_EPS, DiscreteAgents, LinkParams, Scenario, bpr_time, charging_value,
+    threshold_soc,
 )
 
 # Root-finder controls (BPR is monotone, so every map rooted below is
@@ -52,10 +53,11 @@ MAX_ITER = 200
 ROOT_TOL_FACTOR = 1e-12  # every root, fraction of N
 
 # verify_equilibrium tolerances: masses to this fraction of N (above the
-# root residual, far below one vehicle at the scales of interest),
-# times in minutes.
+# root residual), times in minutes and money in INDIFFERENCE_EPS JPY, each
+# widened by VERIFY_REL_TOL of its size, which rounding reaches at huge times.
 VERIFY_MASS_TOL_FACTOR = 1e-5
 VERIFY_TIME_TOL = 1e-6
+VERIFY_REL_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -295,10 +297,9 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
 def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[str]:
     """Check the no-improving-switch conditions; return violations.
 
-    Masses count to VERIFY_MASS_TOL_FACTOR*N and times to VERIFY_TIME_TOL.
+    Masses count to VERIFY_MASS_TOL_FACTOR*N, times and money as noted there.
     """
-    n_total = scenario.total_vehicles
-    mass_tol, time_tol = VERIFY_MASS_TOL_FACTOR * n_total, VERIFY_TIME_TOL
+    mass_tol = VERIFY_MASS_TOL_FACTOR * scenario.total_vehicles
     problems: list[str] = []
 
     for name, value in (
@@ -316,6 +317,7 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
 
     t1 = bpr_time(scenario.network.link1, result.x1)
     t2 = bpr_time(scenario.network.link2, result.x2)
+    time_tol = max(VERIFY_TIME_TOL, VERIFY_REL_TOL * max(t1, t2))
     if abs(t1 - result.t1) > time_tol or abs(t2 - result.t2) > time_tol:
         problems.append("stored travel times do not match BPR at stored flows")
 
@@ -329,12 +331,13 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     elif t2 < t1 - time_tol:
         problems.append("no OTHER on link 2 although it is faster")
 
-    # DWPT-EVs: threshold consistency.
-    price = scenario.toll.dwpt_link1_charge
-    s_star = threshold_soc(scenario.prefs, price, t1, t2)
-    below = scenario.soc.count_below(s_star - 1e-9)
+    # DWPT-EVs: on link 1 if the charging value beats toll + vot*(t1 - t2)
+    # by more than money_tol, on link 2 if it falls short by more than that.
+    prefs, price = scenario.prefs, scenario.toll.dwpt_link1_charge
+    money_tol = VERIFY_REL_TOL * (price + prefs.vot * (t1 + t2)) + INDIFFERENCE_EPS
+    below = scenario.soc.count_below(threshold_soc(prefs, price + money_tol, t1, t2))
     at_or_above = scenario.soc.total_mass - scenario.soc.count_below(
-        s_star + 1e-9
+        math.nextafter(threshold_soc(prefs, price - money_tol, t1, t2), math.inf)
     )
     if result.x1_d < below - mass_tol:
         problems.append(

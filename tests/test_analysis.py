@@ -14,7 +14,6 @@ from conftest import (
 from hypothesis import example, given, settings
 
 from erstoll.analysis import (
-    PATTERN_MASS_TOL,
     PatternLabel,
     TollBand,
     classify,
@@ -22,7 +21,7 @@ from erstoll.analysis import (
     min_total_travel_time,
     toll_bands,
 )
-from erstoll.equilibrium import solve
+from erstoll.equilibrium import solve, verify_equilibrium
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -263,15 +262,6 @@ class TestTollBands:
 # Differential property test: toll_bands against solve + classify
 
 
-def _rounded_to_zero(label, result):
-    """The DWPT flow classify treats as zero when it returns label."""
-    if label in (PatternLabel.B_i_a, PatternLabel.B_ii_a):
-        return result.x2_d
-    if label in (PatternLabel.B_i_b, PatternLabel.B_ii_b):
-        return result.x1_d
-    return None
-
-
 # Link 1 is twice as slow at free flow, so at the all-charge edge every
 # OTHER-V is on link 2 and t1 > t2: the band ends below voe*(1/s_hi - 1).
 _SLOW_ERS = base_scenario(
@@ -330,16 +320,19 @@ class TestTollBandsAgreeWithSolver:
             assert left.c_high == right.c_low
             assert left.pattern is not right.pattern
 
-        tol = PATTERN_MASS_TOL * scn.total_vehicles
         for band in bands:
             width = band.c_high - band.c_low
             if math.isinf(width):
                 prices = [band.c_low + 1.0]
             elif width > 1e-9 * band.c_high:
+                # 1e-6 of the width inside each edge, not one ulp: at the
+                # floating-point floor the threshold rounds onto a pool end
                 prices = [
+                    band.c_low + 1e-6 * width,
                     band.c_low + 0.01 * width,
                     band.c_low + 0.5 * width,
                     band.c_high - 0.01 * width,
+                    band.c_high - 1e-6 * width,
                 ]
             else:
                 # SoC levels a few ulps apart: the band is narrower than
@@ -347,17 +340,8 @@ class TestTollBandsAgreeWithSolver:
                 continue
             for price in prices:
                 cell = replace(scn, toll=FixedToll(price))
-                result = solved(cell)
-                label = classify(cell, result)
-                if label is band.pattern:
-                    continue
-                # The a|c and c|b edges are exact for the flows; classify
-                # calls an all-on-one-link pattern once the other flow is
-                # at most tol, which reaches past the edge into bands
-                # narrower than a few tol of DWPT mass.  A positive flow
-                # shows the exact equilibrium is mixed, as the band says.
-                flow = _rounded_to_zero(label, result)
-                assert flow is not None and 0.0 < flow <= tol, (
+                label = classify(cell, solved(cell))
+                assert label is band.pattern, (
                     f"{band.pattern.value} band [{band.c_low}, {band.c_high}) "
                     f"but {label.value} at {price}"
                 )
@@ -366,8 +350,7 @@ class TestTollBandsAgreeWithSolver:
 @settings(max_examples=300, deadline=None)
 @given(scn=scenarios())
 def test_solve_classify_and_metrics_never_raise_on_the_domain(scn):
-    # verify_equilibrium is not asserted: at travel times of 1e7 minutes
-    # and more its absolute tolerances are a few ulps (ROADMAP item 1)
     result, _ = solve(scn)
+    assert verify_equilibrium(scn, result) == []
     assert isinstance(classify(scn, result), PatternLabel)
     assert metrics(scn, result).ttt > 0.0

@@ -28,6 +28,8 @@ from erstoll.equilibrium import ConvergenceError, solve
 from erstoll.model import (
     FixedToll,
     FreeToll,
+    LinkParams,
+    Network,
     Preferences,
     Scenario,
     UniformContinuum,
@@ -280,6 +282,17 @@ class TestOracleSelfChecks:
         kernel = dynamics._SweepKernel(link1, link2, scn.prefs.vot, 2)
         with pytest.raises(ConvergenceError, match="oracle endpoint is not a Nash"):
             dynamics._exhaustive_check(scn, kernel, population.on_link1, bonus, 1)
+
+    def test_endpoint_above_the_potential_minimum_rejected(self):
+        # on links of capacity 1 a DWPT-EV whose charge falls 1 JPY short
+        # of the toll stays on link 1 (leaving costs it 22.5 minutes):
+        # Nash, but an OTHER-V in its place lowers the potential by 1 JPY
+        net = Network(LinkParams(10.0, 1.0, has_ers=True, ers_power_kw=30.0), LinkParams(10.0, 1.0))
+        scn = discrete_scenario((0.5,), n_other=1, toll=FixedToll(101.0), network=net)
+        bonus = Population((0.5,), np.zeros(2, dtype=bool)).bonus(scn.prefs, scn.toll)
+        kernel = dynamics._SweepKernel(net.link1, net.link2, scn.prefs.vot, 2)
+        with pytest.raises(ConvergenceError, match="oracle potential .* exceeds the minimum"):
+            dynamics._exhaustive_check(scn, kernel, np.array([True, False]), bonus, 1)
 
     def test_non_nash_potential_minimizer_rejected(self, monkeypatch):
         # a flat time potential puts the minimum at every vehicle on link 2

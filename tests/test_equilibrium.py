@@ -11,11 +11,11 @@ from conftest import (
 from dataclasses import replace
 from hypothesis import given, settings
 
-from erstoll import dynamics, equilibrium
+from erstoll import equilibrium
 from erstoll.analysis import _marginal
 from erstoll.dynamics import (
     Population,
-    _bpr_table,
+    _SweepKernel,
     brute_force_equilibrium,
     rosenthal_potential,
 )
@@ -480,6 +480,12 @@ class TestBruteForceOracle:
         assert result.x1_o == 0.0
         assert result.x2_o == 1.0
 
+    def test_a_tie_puts_the_dwpt_ev_on_link_1(self):
+        # its charge 100*(1/0.5 - 1) equals the toll: bonus 0, as an OTHER-V's
+        scn = discrete_scenario((0.5,), n_other=1, toll=FixedToll(100.0))
+        result = brute_force_equilibrium(scn, exhaustive=True)
+        assert (result.x1_d, result.x1_o) == (1.0, 0.0)
+
     def test_exhaustive_agrees_with_solver(self):
         scn = discrete_scenario(evenly_spaced_socs(6), n_other=14)
         oracle = brute_force_equilibrium(scn, exhaustive=True)
@@ -514,6 +520,11 @@ class TestBruteForceOracle:
         oracle = brute_force_equilibrium(scn)
         assert abs(oracle.x1 - analytic.x1) <= 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(scn=scenarios(max_agents=20))
+    def test_exhaustive_check_holds_on_the_domain(self, scn):
+        brute_force_equilibrium(scn, exhaustive=True)
+
     def test_requires_discrete_agents(self):
         with pytest.raises(ValueError):
             brute_force_equilibrium(base_scenario())
@@ -536,16 +547,10 @@ class TestBruteForceOracle:
         link1, link2 = scn.network.link1, scn.network.link2
         population = Population((0.3, 0.6), np.array([True, False, True]))
         bonus = population.bonus(scn.prefs, scn.toll)
+        kernel = _SweepKernel(link1, link2, scn.prefs.vot, 3)
         phi = rosenthal_potential(
-            _bpr_table(link1, 3), _bpr_table(link2, 3), scn.prefs.vot, 2, 1,
-            bonus[population.on_link1],
+            kernel.times1, kernel.times2, scn.prefs.vot, 2, 1, bonus[population.on_link1]
         )
         times = bpr_time(link1, 1) + bpr_time(link1, 2) + bpr_time(link2, 1)
         charge = scn.prefs.voe * (1 / 0.3 - 1) - scn.toll.dwpt_link1_charge
         assert phi == pytest.approx(scn.prefs.vot * times - charge, rel=1e-12)
-
-    def test_switch_guard_raises(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "MAX_ORACLE_SWITCHES", 1)
-        scn = discrete_scenario(evenly_spaced_socs(40), n_other=60)
-        with pytest.raises(ConvergenceError, match="exceeded 1 switches"):
-            brute_force_equilibrium(scn)

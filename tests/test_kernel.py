@@ -1,9 +1,14 @@
-"""Differential tests: the array sweep kernel against a per-agent loop.
+"""Differential tests: the array sweep kernel and the oracle against a
+per-agent loop.
 
-The reference below is the simulator's and the oracle's switch rule as
-a plain loop over agents, one bpr_time call per visit.  The kernel must
-reproduce it exactly (not approximately): same switchers, same flows,
-same travel times and the same potential in every round.
+The reference below is the simulator's switch rule as a plain loop over
+agents, one bpr_time call per visit.  The kernel must reproduce it
+exactly (not approximately): same switchers, same flows, same travel
+times and the same potential in every round.  The oracle reads the
+potential's minimum instead of sweeping, so it may return another
+equilibrium than the reference's sweeps reach where ties allow one: its
+profile must be Nash under the reference rule, with a potential at most
+the reference endpoint's.
 """
 
 import warnings
@@ -67,8 +72,7 @@ def reference_sweep(links, socs, scn, order):
 
 
 def _bpr_sum(link, flow):
-    ks = np.arange(1, flow + 1, dtype=float) / link.capacity
-    return float(np.sum(link.free_flow_time * (1.0 + link.bpr_alpha * ks**link.bpr_beta)))
+    return float(np.sum([bpr_time(link, k) for k in range(1, flow + 1)]))
 
 
 def reference_potential(links, socs, scn):
@@ -107,12 +111,35 @@ def reference_run(links, socs, scn, order_policy, seed, max_rounds=500):
 
 
 def reference_oracle(scn):
+    """(links, socs) where per-agent sweeps from all on link 2 stop."""
     socs = list(scn.soc.soc_values) + [None] * round(scn.n_other)
     links = [2] * len(socs)
     while reference_sweep(links, socs, scn, None)[0]:
         pass
+    return links, socs
+
+
+def assert_oracle_is_a_potential_minimum(scn):
+    """The oracle's counts, placed with the lowest SoCs (the largest
+    bonuses) on link 1, and the reference's endpoint are both Nash under
+    the per-agent rule, and the oracle's potential is at most the
+    reference's, up to the slack of the switch rule (INDIFFERENCE_EPS a
+    vehicle) and the rounding of sums taken in another order.  Its times
+    are bpr_time's at its flows."""
+    oracle = brute_force_equilibrium(scn)
+    ref_links, socs = reference_oracle(scn)
     n_dwpt = len(scn.soc.soc_values)
-    return links[:n_dwpt].count(1), links[n_dwpt:].count(1)
+    x1_d, x1_o = round(oracle.x1_d), round(oracle.x1_o)
+    by_soc = sorted(range(n_dwpt), key=socs.__getitem__)
+    links = [2] * len(socs)
+    for i in by_soc[:x1_d] + list(range(n_dwpt, n_dwpt + x1_o)):
+        links[i] = 1
+    for profile in (links, ref_links):
+        assert reference_sweep(list(profile), socs, scn, None)[0] == 0
+    phi, ref_phi = (reference_potential(p, socs, scn) for p in (links, ref_links))
+    assert phi <= ref_phi + len(socs) * INDIFFERENCE_EPS + 1e-12 * abs(ref_phi)
+    x1, net = x1_d + x1_o, scn.network
+    assert (oracle.t1, oracle.t2) == (bpr_time(net.link1, x1), bpr_time(net.link2, len(socs) - x1))
 
 
 def _population(scn, initial, seed):
@@ -179,11 +206,9 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
 
 
 @settings(max_examples=100, deadline=None)
-@given(scn=scenarios(max_agents=60), block=BLOCKS)
-def test_oracle_matches_per_agent_reference(scn, block):
-    with block_size(block):
-        oracle = brute_force_equilibrium(scn)
-    assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
+@given(scn=scenarios(max_agents=60))
+def test_oracle_matches_per_agent_reference(scn):
+    assert_oracle_is_a_potential_minimum(scn)
 
 
 def _assert_runs_match_reference(scn, populations, seed=3):
@@ -219,8 +244,7 @@ def test_long_runs_and_sparse_switchers():
     congested = discretize_scenario(base_scenario(total=3000.0, network=net))
     for scn, initials in ((differing, INITIAL_STATES), (congested, ("random",))):
         _assert_runs_match_reference(scn, [agents_from_scenario(scn, i, 3) for i in initials])
-        oracle = brute_force_equilibrium(scn)
-        assert (oracle.x1_d, oracle.x1_o) == reference_oracle(scn)
+        assert_oracle_is_a_potential_minimum(scn)
 
 
 @pytest.mark.parametrize(
@@ -242,12 +266,15 @@ def test_edge_populations(n_dwpt, n_other):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 20_000), data=st.data())
 def test_travel_time_table_is_bpr_time_exactly(n, data):
-    """Both switch gains at every link-1 flow 0..n are the scalar rule's,
-    built from bpr_time, to the bit.  This also guards against a numpy
-    whose float_power stops calling the C pow."""
+    """Both travel-time tables at flows 0..n+1 and both switch gains at
+    every link-1 flow 0..n are the scalar rule's, built from bpr_time, to
+    the bit.  This also guards against a numpy whose float_power stops
+    calling the C pow."""
     link1, link2 = data.draw(bpr_links(n, ers=True)), data.draw(bpr_links(n))
     vot = data.draw(st.floats(10.0, 100.0))
     kernel = _SweepKernel(link1, link2, vot, n)
+    assert kernel.times1.tolist() == [bpr_time(link1, x) for x in range(n + 2)]
+    assert kernel.times2.tolist() == [bpr_time(link2, x) for x in range(n + 2)]
     flows = range(n + 1)
     leave_link1 = [
         vot * (bpr_time(link1, x) - bpr_time(link2, n - x + 1)) for x in flows
