@@ -1,12 +1,14 @@
 """The atomic game: day-to-day best-response dynamics over discrete
 agents, and the brute-force oracle that cross-checks the analytic solver.
 
-The population is arrays shared by the simulator and the oracle
-(Population): DWPT SoCs and a link-1 mask that sweeps update in place,
-with read-only per-agent AgentState views.  The simulator moves agents
-with one better-response kernel (_SweepKernel); the oracle places them
-at the minimum of the exact Rosenthal potential (rosenthal_potential).
-Both read the kernel's exact travel-time tables.
+The population is arrays (Population): DWPT SoCs in the pool's
+ascending order (DiscreteAgents) and a link-1 mask that sweeps update
+in place, with read-only per-agent AgentState views.  The simulator
+moves agents with one better-response kernel (_SweepKernel); the oracle
+places them at the minimum of the exact Rosenthal potential
+(rosenthal_potential), reading the pool's order as the order of the
+DWPT-EVs' link-1 bonuses.  Both read the kernel's exact travel-time
+tables.
 
 Each round sweeps the population once in some order; an agent switches
 links when doing so improves its utility by more than INDIFFERENCE_EPS,
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equilibrium import ConvergenceError, EquilibriumResult
+from .equilibrium import EquilibriumResult
 from .model import (
     INDIFFERENCE_EPS,
     ORDER_POLICIES,
@@ -94,7 +96,7 @@ def agents_from_scenario(
     seed: int | None = None,
 ) -> Population:
     """Materialize a DiscreteAgents scenario as a simulation population,
-    DWPT-EVs sorted by SoC.
+    DWPT-EVs in the pool's ascending SoC order.
 
     initial: "all_link2", "all_link1", "random" (fair coin per agent,
     seeded), or "balanced" (split each class evenly; the mixed state
@@ -103,7 +105,7 @@ def agents_from_scenario(
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("dynamics needs a DiscreteAgents SoC pool")
     _, n_other = scenario.agent_counts()
-    socs = np.sort(scenario.soc.soc_values)
+    socs = np.array(scenario.soc.soc_values)
     n = len(socs) + n_other
 
     if initial == "all_link2":
@@ -405,94 +407,49 @@ def class_flows(population: Population) -> tuple[int, int, int, int]:
     return x1_d, x1_o, n_dwpt - x1_d, len(population) - n_dwpt - x1_o
 
 
-def _oracle_result(scenario, kernel, population) -> EquilibriumResult:
-    x1_d, x1_o, x2_d, x2_o = class_flows(population)
-    t1, t2 = kernel.times1.item(x1_d + x1_o), kernel.times2.item(x2_d + x2_o)
+def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
+    """Atomic oracle: the Nash profile at the exact potential's minimum;
+    requires a DiscreteAgents SoC pool.
+
+    The atomic game is a potential game (Rosenthal 1973; Monderer and
+    Shapley 1996).  With the link-1 bonuses ranked, largest first, the
+    potential of the top x1 on link 1 is convex in x1.  The pool's SoCs
+    ascend, so the DWPT-EVs' bonuses already fall; the OTHER-Vs' bonus 0
+    ranks after every DWPT-EV at a bonus >= 0 and before the rest.  The
+    first x1 ranks go on link 1, where x1 is the first rank whose vehicle
+    would not gain more than INDIFFERENCE_EPS by joining them.  That is
+    the scalar switch rule's own arithmetic, so the profile is Nash, and
+    its flow is the smallest at which the potential is least.
+    """
+    if not isinstance(scenario.soc, DiscreteAgents):
+        raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
+    n_dwpt, n_other = scenario.agent_counts()
+    n_agents = n_dwpt + n_other
+
+    bonus = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool)).bonus(
+        scenario.prefs, scenario.toll
+    )
+    kernel = _SweepKernel(
+        scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
+    )
+    k = int(np.count_nonzero(bonus[:n_dwpt] >= 0.0))
+    # rank j, on link 2 at link-1 flow j, gains bonus - gap[j + 1] by joining
+    gains = np.concatenate([bonus[:k], bonus[n_dwpt:], bonus[k:n_dwpt]])
+    gains -= kernel.gap[1 : n_agents + 1]
+    joins = gains > INDIFFERENCE_EPS
+    x1 = n_agents if joins.all() else int(joins.argmin())
+    x1_o = min(max(x1 - k, 0), n_other)
+    x1_d = x1 - x1_o
+
+    t1, t2 = kernel.times1.item(x1), kernel.times2.item(n_agents - x1)
     return EquilibriumResult(
         x1_d=float(x1_d),
-        x2_d=float(x2_d),
+        x2_d=float(n_dwpt - x1_d),
         x1_o=float(x1_o),
-        x2_o=float(x2_o),
+        x2_o=float(n_other - x1_o),
         t1=t1,
         t2=t2,
         s_thres=threshold_soc(
             scenario.prefs, scenario.toll.dwpt_link1_charge, t1, t2
         ),
     )
-
-
-def brute_force_equilibrium(scenario: Scenario, exhaustive: bool = False) -> EquilibriumResult:
-    """Atomic oracle: the Nash profile at the exact potential's minimum;
-    requires a DiscreteAgents SoC pool.
-
-    The atomic game is a potential game (Rosenthal 1973; Monderer and
-    Shapley 1996).  With the link-1 bonuses sorted, largest first, the
-    potential of the top x1 on link 1 is convex in x1.  So the vehicles
-    are ranked by bonus (stable: DWPT-EVs before OTHER-Vs at a tie) and
-    the first x1 go on link 1, where x1 is the first rank whose vehicle
-    would not gain more than INDIFFERENCE_EPS by joining them.  That is
-    the scalar switch rule's own arithmetic, so the profile is Nash, and
-    its flow is the smallest at which the potential is least.  With
-    exhaustive=True (at most 20 agents) every profile is enumerated to
-    confirm that.
-    """
-    if not isinstance(scenario.soc, DiscreteAgents):
-        raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
-    n_dwpt, n_other = scenario.agent_counts()
-    n_agents = n_dwpt + n_other
-    if exhaustive and n_agents > 20:
-        raise ValueError("exhaustive mode supports at most 20 agents")
-
-    population = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool))
-    bonus = population.bonus(scenario.prefs, scenario.toll)
-    kernel = _SweepKernel(
-        scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
-    )
-    ranked = np.argsort(-bonus, kind="stable")
-    # rank j, on link 2 at link-1 flow j, gains bonus - gap[j + 1] by joining
-    joins = bonus[ranked] - kernel.gap[1 : n_agents + 1] > INDIFFERENCE_EPS
-    x1 = n_agents if joins.all() else int(joins.argmin())
-    population.on_link1[ranked[:x1]] = True
-
-    if exhaustive:
-        _exhaustive_check(scenario, kernel, population.on_link1, bonus, n_dwpt)
-    return _oracle_result(scenario, kernel, population)
-
-
-def _exhaustive_check(scenario, kernel, on_link1, bonus, n_dwpt):
-    """Enumerate all 2^n profiles (vectorized in chunks): the oracle's
-    profile must be Nash (a sweep from it moves nobody), and so must the
-    potential minimizer, whose potential the oracle's must equal to
-    run's tolerance; a mismatch would flag a utility/potential bug."""
-    n_agents = len(bonus)
-
-    def is_nash(profile) -> bool:
-        return kernel.sweep(np.array(profile, dtype=bool), bonus)[0] == 0
-
-    if not is_nash(on_link1):
-        raise ConvergenceError("oracle endpoint is not a Nash profile")
-
-    # the potential of each link-1 flow with no bonus, less each profile's
-    # bonuses of the DWPT-EVs it puts on link 1
-    times1, times2, vot = kernel.times1, kernel.times2, scenario.prefs.vot
-    flow_phi = np.array([
-        rosenthal_potential(times1, times2, vot, x1, n_agents - x1, ())
-        for x1 in range(n_agents + 1)
-    ])
-
-    best_phi = np.inf
-    best_profile = None
-    chunk = 1 << 16
-    for start in range(0, 1 << n_agents, chunk):
-        codes = np.arange(start, min(start + chunk, 1 << n_agents))
-        bits = (codes[:, None] >> np.arange(n_agents)) & 1
-        phi = flow_phi[bits.sum(axis=1)] - bits[:, :n_dwpt].astype(float) @ bonus[:n_dwpt]
-        k = int(np.argmin(phi))
-        if phi[k] < best_phi:
-            best_phi = float(phi[k])
-            best_profile = bits[k]
-    if not is_nash(best_profile):
-        raise ConvergenceError("potential minimizer is not a Nash profile")
-    oracle_phi = flow_phi[np.count_nonzero(on_link1)] - bonus[:n_dwpt] @ on_link1[:n_dwpt]
-    if oracle_phi - best_phi > 1e-6 * (1.0 + abs(best_phi)):
-        raise ConvergenceError(f"oracle potential {oracle_phi} exceeds the minimum {best_phi}")

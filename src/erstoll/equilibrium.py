@@ -31,9 +31,9 @@ dt/dx = beta*(t - t0)/x.  A discrete pool's price steps at each SoC
 group, so _group_root first binary-searches the groups for the marginal
 one and then roots within it, splitting a tied group at its own SoC.
 
-The atomic game over discrete agents, with its brute-force
-better-response oracle, lives in dynamics; it is an independent check of
-the same equilibrium definition.
+The atomic game over discrete agents, with its brute-force oracle at the
+minimum of the exact potential, lives in dynamics; it is an independent
+check of the same equilibrium definition.
 """
 
 from __future__ import annotations

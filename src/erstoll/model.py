@@ -33,7 +33,10 @@ with SoC strictly below s: non-decreasing, 0 at the lowest SoC, total
 mass at 1) and ``quantile(mass)`` (the SoC below which that mass lies;
 quantile(0) and quantile(total_mass) are the lowest and highest SoC).
 Only equilibrium.solve tells the two apart, for the slope of a
-continuum's quantile and the SoC groups of a discrete pool.  A toll
+continuum's quantile and the SoC groups of a discrete pool.
+DiscreteAgents holds its SoCs in ascending order, so the simulator's
+population and the brute-force oracle read the DWPT-EVs in falling order
+of their charging value without sorting them again.  A toll
 (FreeToll or FixedToll) is read only through dwpt_link1_charge.
 """
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -174,31 +177,32 @@ class UniformContinuum:
 
 @dataclass(frozen=True)
 class DiscreteAgents:
-    """Finite set of DWPT-EV agents, one vehicle of mass 1 per SoC value."""
+    """Finite set of DWPT-EV agents, one vehicle of mass 1 per SoC value.
+
+    soc_values is held in ascending order, whatever order it is given in,
+    so pools of the same SoCs compare equal.
+    """
 
     soc_values: tuple[float, ...]
-    _sorted: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.soc_values)
-        if not values:
+        if not self.soc_values:
             raise ValueError("soc_values must be non-empty")
-        for v in values:
+        for v in self.soc_values:
             if not (0.0 < v < 1.0):
                 raise ValueError(f"every SoC must be in (0,1), got {v}")
-        object.__setattr__(self, "soc_values", values)
-        object.__setattr__(self, "_sorted", tuple(sorted(values)))
+        object.__setattr__(self, "soc_values", tuple(sorted(self.soc_values)))
 
     @property
     def total_mass(self) -> float:
         return float(len(self.soc_values))
 
     def count_below(self, s: float) -> float:
-        return float(bisect.bisect_left(self._sorted, s))
+        return float(bisect.bisect_left(self.soc_values, s))
 
     def quantile(self, mass: float) -> float:
         k = min(max(int(math.ceil(mass)), 1), len(self.soc_values))
-        return self._sorted[k - 1]
+        return self.soc_values[k - 1]
 
 
 @dataclass(frozen=True)

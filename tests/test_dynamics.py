@@ -13,6 +13,7 @@ from conftest import (
     discrete_scenario,
     evenly_spaced_socs,
 )
+from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import dynamics
 from erstoll.dynamics import (
@@ -24,7 +25,7 @@ from erstoll.dynamics import (
     run,
     step,
 )
-from erstoll.equilibrium import ConvergenceError, solve
+from erstoll.equilibrium import solve
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -273,15 +274,13 @@ class TestRun:
 
 
 class TestOracleSelfChecks:
+    """The enumerated reference of test_kernel rejects each broken case."""
+
     def test_non_nash_endpoint_rejected(self):
         # both vehicles on link 2 while link 1 is free and empty
         scn = discrete_scenario((0.5,), n_other=1, toll=FreeToll())
-        population = Population((0.5,), np.zeros(2, dtype=bool))
-        bonus = population.bonus(scn.prefs, scn.toll)
-        link1, link2 = scn.network.link1, scn.network.link2
-        kernel = dynamics._SweepKernel(link1, link2, scn.prefs.vot, 2)
-        with pytest.raises(ConvergenceError, match="oracle endpoint is not a Nash"):
-            dynamics._exhaustive_check(scn, kernel, population.on_link1, bonus, 1)
+        with pytest.raises(AssertionError, match="oracle endpoint is not a Nash"):
+            assert_oracle_is_the_enumerated_minimum(scn, counts=(0, 0))
 
     def test_endpoint_above_the_potential_minimum_rejected(self):
         # on links of capacity 1 a DWPT-EV whose charge falls 1 JPY short
@@ -289,17 +288,16 @@ class TestOracleSelfChecks:
         # Nash, but an OTHER-V in its place lowers the potential by 1 JPY
         net = Network(LinkParams(10.0, 1.0, has_ers=True, ers_power_kw=30.0), LinkParams(10.0, 1.0))
         scn = discrete_scenario((0.5,), n_other=1, toll=FixedToll(101.0), network=net)
-        bonus = Population((0.5,), np.zeros(2, dtype=bool)).bonus(scn.prefs, scn.toll)
-        kernel = dynamics._SweepKernel(net.link1, net.link2, scn.prefs.vot, 2)
-        with pytest.raises(ConvergenceError, match="oracle potential .* exceeds the minimum"):
-            dynamics._exhaustive_check(scn, kernel, np.array([True, False]), bonus, 1)
+        with pytest.raises(AssertionError, match="oracle potential .* exceeds the minimum"):
+            assert_oracle_is_the_enumerated_minimum(scn, counts=(1, 0))
 
     def test_non_nash_potential_minimizer_rejected(self, monkeypatch):
         # a flat time potential puts the minimum at every vehicle on link 2
         scn = discrete_scenario((0.9,), n_other=3, toll=FixedToll(500.0))
         monkeypatch.setattr(dynamics, "rosenthal_potential", lambda *args: 0.0)
-        with pytest.raises(ConvergenceError, match="potential minimizer is not a Nash"):
-            brute_force_equilibrium(scn, exhaustive=True)
+        with pytest.raises(AssertionError, match="potential minimizer is not a Nash"):
+            assert_oracle_is_the_enumerated_minimum(scn)
+
 
 SPLIT_CHECK = """
     import sys

@@ -10,6 +10,7 @@ from conftest import (
 )
 from dataclasses import replace
 from hypothesis import given, settings
+from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import equilibrium
 from erstoll.analysis import _marginal
@@ -335,7 +336,7 @@ def random_pool(rng):
         n_dwpt = int(rng.integers(1, n))
         tied = rng.choice((0.2, 0.5, 0.8), n_dwpt)
         socs = np.where(rng.random(n_dwpt) < 0.6, tied, rng.uniform(0.02, 0.98, n_dwpt))
-        n_total, ratio, soc = float(n), n_dwpt / n, DiscreteAgents(tuple(socs))
+        n_total, ratio, soc = float(n), n_dwpt / n, DiscreteAgents(tuple(socs.tolist()))
     link1 = random_link(rng, n_total, ers=True)
     if rng.random() < 0.5:
         link2 = replace(link1, has_ers=False, ers_power_kw=None)
@@ -475,7 +476,8 @@ class TestVerifyEquilibrium:
 class TestBruteForceOracle:
     def test_two_agents_sort_themselves(self):
         scn = discrete_scenario((0.5,), n_other=1, toll=FreeToll())
-        result = brute_force_equilibrium(scn, exhaustive=True)
+        result = brute_force_equilibrium(scn)
+        assert_oracle_is_the_enumerated_minimum(scn)
         assert result.x1_d == 1.0
         assert result.x1_o == 0.0
         assert result.x2_o == 1.0
@@ -483,12 +485,14 @@ class TestBruteForceOracle:
     def test_a_tie_puts_the_dwpt_ev_on_link_1(self):
         # its charge 100*(1/0.5 - 1) equals the toll: bonus 0, as an OTHER-V's
         scn = discrete_scenario((0.5,), n_other=1, toll=FixedToll(100.0))
-        result = brute_force_equilibrium(scn, exhaustive=True)
+        result = brute_force_equilibrium(scn)
+        assert_oracle_is_the_enumerated_minimum(scn)
         assert (result.x1_d, result.x1_o) == (1.0, 0.0)
 
     def test_exhaustive_agrees_with_solver(self):
         scn = discrete_scenario(evenly_spaced_socs(6), n_other=14)
-        oracle = brute_force_equilibrium(scn, exhaustive=True)
+        oracle = brute_force_equilibrium(scn)
+        assert_oracle_is_the_enumerated_minimum(scn)
         analytic, _ = solve(scn)
         for cell in ("x1_d", "x2_d", "x1_o", "x2_o"):
             assert abs(getattr(oracle, cell) - getattr(analytic, cell)) <= 1.0
@@ -523,16 +527,11 @@ class TestBruteForceOracle:
     @settings(max_examples=40, deadline=None)
     @given(scn=scenarios(max_agents=20))
     def test_exhaustive_check_holds_on_the_domain(self, scn):
-        brute_force_equilibrium(scn, exhaustive=True)
+        assert_oracle_is_the_enumerated_minimum(scn)
 
     def test_requires_discrete_agents(self):
         with pytest.raises(ValueError):
             brute_force_equilibrium(base_scenario())
-
-    def test_exhaustive_agent_cap(self):
-        scn = discrete_scenario(evenly_spaced_socs(5), n_other=17)
-        with pytest.raises(ValueError):
-            brute_force_equilibrium(scn, exhaustive=True)
 
     def test_no_agent_count_cap(self):
         scn = discrete_scenario(

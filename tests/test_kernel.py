@@ -8,7 +8,9 @@ times and the same potential in every round.  The oracle reads the
 potential's minimum instead of sweeping, so it may return another
 equilibrium than the reference's sweeps reach where ties allow one: its
 profile must be Nash under the reference rule, with a potential at most
-the reference endpoint's.
+the reference endpoint's, and its counts must be those of the rank rule
+taken one vehicle at a time.  On at most 20 vehicles every profile is
+enumerated to confirm that the oracle's potential is the least.
 """
 
 import warnings
@@ -29,6 +31,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erstoll import dynamics
 from erstoll.cli import main
 from erstoll.dynamics import (
     Population,
@@ -41,6 +44,7 @@ from erstoll.dynamics import (
 )
 from erstoll.model import (
     INDIFFERENCE_EPS,
+    FixedToll,
     LinkParams,
     Network,
     VehicleClass,
@@ -119,27 +123,98 @@ def reference_oracle(scn):
     return links, socs
 
 
-def assert_oracle_is_a_potential_minimum(scn):
-    """The oracle's counts, placed with the lowest SoCs (the largest
-    bonuses) on link 1, and the reference's endpoint are both Nash under
-    the per-agent rule, and the oracle's potential is at most the
-    reference's, up to the slack of the switch rule (INDIFFERENCE_EPS a
-    vehicle) and the rounding of sums taken in another order.  Its times
-    are bpr_time's at its flows."""
-    oracle = brute_force_equilibrium(scn)
-    ref_links, socs = reference_oracle(scn)
-    n_dwpt = len(scn.soc.soc_values)
-    x1_d, x1_o = round(oracle.x1_d), round(oracle.x1_o)
+def reference_rank_counts(socs, scn):
+    """(x1_d, x1_o) of the rank rule, one vehicle at a time: a stable sort
+    of the per-agent bonuses, largest first, so a DWPT-EV precedes an
+    OTHER-V at a tie; each ranked vehicle joins link 1 while that gains
+    it more than INDIFFERENCE_EPS at bpr_time's times."""
+    net, prefs, price = scn.network, scn.prefs, scn.toll.dwpt_link1_charge
+    n = len(socs)
+    bonus = [0.0 if s is None else prefs.voe * (1.0 / s - 1.0) - price for s in socs]
+    ranked = sorted(range(n), key=lambda i: -bonus[i])
+    x1 = 0
+    for i in ranked:
+        gain = prefs.vot * (bpr_time(net.link2, n - x1) - bpr_time(net.link1, x1 + 1))
+        if not gain + bonus[i] > INDIFFERENCE_EPS:
+            break
+        x1 += 1
+    x1_d = sum(1 for i in ranked[:x1] if socs[i] is not None)
+    return x1_d, x1 - x1_d
+
+
+def oracle_profile(socs, x1_d, x1_o):
+    """Links of the counts' profile: the x1_d lowest SoCs (the largest
+    bonuses) and the first x1_o OTHER-Vs on link 1."""
+    n_dwpt = sum(1 for s in socs if s is not None)
     by_soc = sorted(range(n_dwpt), key=socs.__getitem__)
     links = [2] * len(socs)
     for i in by_soc[:x1_d] + list(range(n_dwpt, n_dwpt + x1_o)):
         links[i] = 1
+    return links
+
+
+def assert_oracle_is_a_potential_minimum(scn):
+    """The oracle's counts are the rank rule's, and their profile and the
+    reference's endpoint are both Nash under the per-agent rule, and the
+    oracle's potential is at most the reference's, up to the slack of the
+    switch rule (INDIFFERENCE_EPS a vehicle) and the rounding of sums
+    taken in another order.  Its times are bpr_time's at its flows."""
+    oracle = brute_force_equilibrium(scn)
+    ref_links, socs = reference_oracle(scn)
+    x1_d, x1_o = round(oracle.x1_d), round(oracle.x1_o)
+    assert (x1_d, x1_o) == reference_rank_counts(socs, scn)
+    links = oracle_profile(socs, x1_d, x1_o)
     for profile in (links, ref_links):
         assert reference_sweep(list(profile), socs, scn, None)[0] == 0
     phi, ref_phi = (reference_potential(p, socs, scn) for p in (links, ref_links))
     assert phi <= ref_phi + len(socs) * INDIFFERENCE_EPS + 1e-12 * abs(ref_phi)
     x1, net = x1_d + x1_o, scn.network
     assert (oracle.t1, oracle.t2) == (bpr_time(net.link1, x1), bpr_time(net.link2, len(socs) - x1))
+
+
+def assert_oracle_is_the_enumerated_minimum(scn, counts=None):
+    """Enumerate all 2^n profiles of at most 20 vehicles (vectorized in
+    chunks).  The profile of the oracle's counts, or of the given
+    (x1_d, x1_o), must be Nash under the per-agent rule, and so must the
+    potential minimizer, whose potential the oracle's must equal to run's
+    tolerance; a mismatch would flag a utility/potential bug."""
+    if counts is None:
+        oracle = brute_force_equilibrium(scn)
+        counts = round(oracle.x1_d), round(oracle.x1_o)
+    socs = list(scn.soc.soc_values) + [None] * round(scn.n_other)
+    n, n_dwpt, vot = len(socs), len(scn.soc.soc_values), scn.prefs.vot
+    assert n <= 20, "enumerating more than 2^20 profiles"
+    links = oracle_profile(socs, *counts)
+    assert reference_sweep(list(links), socs, scn, None)[0] == 0, (
+        "oracle endpoint is not a Nash profile"
+    )
+
+    # the potential of each link-1 flow with no bonus, less each profile's
+    # bonuses of the DWPT-EVs it puts on link 1
+    bonus = Population(scn.soc.soc_values, np.zeros(n, dtype=bool)).bonus(scn.prefs, scn.toll)
+    kernel = _SweepKernel(scn.network.link1, scn.network.link2, vot, n)
+    flow_phi = np.array([
+        dynamics.rosenthal_potential(kernel.times1, kernel.times2, vot, x1, n - x1, ())
+        for x1 in range(n + 1)
+    ])
+    best_phi, best_bits = np.inf, None
+    chunk = 1 << 16
+    for start in range(0, 1 << n, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << n))
+        bits = (codes[:, None] >> np.arange(n)) & 1
+        phi = flow_phi[bits.sum(axis=1)] - bits[:, :n_dwpt].astype(float) @ bonus[:n_dwpt]
+        k = int(np.argmin(phi))
+        if phi[k] < best_phi:
+            best_phi, best_bits = float(phi[k]), bits[k]
+    best = [1 if bit else 2 for bit in best_bits.tolist()]
+    assert reference_sweep(best, socs, scn, None)[0] == 0, (
+        "potential minimizer is not a Nash profile"
+    )
+    on1 = np.array(links) == 1
+    oracle_phi = flow_phi[np.count_nonzero(on1)] - bonus[:n_dwpt] @ on1[:n_dwpt]
+    assert oracle_phi - best_phi <= 1e-6 * (1.0 + abs(best_phi)), (
+        f"oracle potential {oracle_phi} exceeds the minimum {best_phi}"
+    )
 
 
 def _population(scn, initial, seed):
@@ -209,6 +284,18 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
 @given(scn=scenarios(max_agents=60))
 def test_oracle_matches_per_agent_reference(scn):
     assert_oracle_is_a_potential_minimum(scn)
+
+
+def test_oracle_splits_a_tied_group_at_bonus_zero():
+    """Eight DWPT-EVs tied at SoC 0.5 under a toll of voe*(1/0.5 - 1) have
+    bonus 0, as the OTHER-Vs have, and on twin links the link-1 boundary
+    falls inside the group: its DWPT-EVs rank first, so link 1 takes two
+    at SoC 0.2 and seven of the eight, and no OTHER-V."""
+    scn = discrete_scenario([0.2] * 2 + [0.5] * 8 + [0.8] * 2, 6, voe=100.0, toll=FixedToll(100.0))
+    oracle = brute_force_equilibrium(scn)
+    assert (oracle.x1_d, oracle.x1_o) == (9.0, 0.0)
+    assert_oracle_is_a_potential_minimum(scn)
+    assert_oracle_is_the_enumerated_minimum(scn)
 
 
 def _assert_runs_match_reference(scn, populations, seed=3):

@@ -134,6 +134,10 @@ class TestDiscreteAgents:
         assert soc.quantile(0.0) == 0.3  # clamped
         assert soc.quantile(99.0) == 0.7
 
+    def test_held_in_ascending_order(self):
+        assert DiscreteAgents((0.5, 0.2)) == DiscreteAgents((0.2, 0.5))
+        assert DiscreteAgents((0.7, 0.3, 0.5, 0.3)).soc_values == (0.3, 0.3, 0.5, 0.7)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DiscreteAgents(())
@@ -141,6 +145,9 @@ class TestDiscreteAgents:
             DiscreteAgents((0.5, 1.0))
         with pytest.raises(ValueError):
             DiscreteAgents((0.0,))
+        # checked in the given order, before sorting
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            DiscreteAgents((0.5, 1.5, -0.2))
 
 
 NON_FINITE_BUILDERS = {
