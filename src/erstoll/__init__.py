@@ -6,10 +6,11 @@ and a best-response simulator live in submodules:
 
 * model - domain types (links, preferences, SoC pools, tolls, scenarios)
   and the charging payoff
-* equilibrium - analytic solver and equilibrium verifier (math only)
+* equilibrium - analytic solver, equilibrium verifier and the
+  brute-force oracle of the atomic game (math only)
 * analysis - pattern labels, TTT/TCV/revenue, toll bands
-* dynamics - the atomic game over discrete agents (numpy): day-to-day
-  best-response simulation and the brute-force oracle
+* dynamics - day-to-day best-response simulation of the atomic game
+  over discrete agents (numpy)
 * harness - config files, sweeps, presets, CSV output
 * cli - the `erstoll` command
 
@@ -23,6 +24,7 @@ from .equilibrium import (
     ConvergenceError,
     EquilibriumResult,
     RegimeTag,
+    brute_force_equilibrium,
     solve,
     verify_equilibrium,
 )
@@ -39,17 +41,6 @@ from .model import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # The oracle lives with the numpy-backed atomic game; importing it on
-    # first use keeps numpy off the analytic path.
-    if name == "brute_force_equilibrium":
-        from .dynamics import brute_force_equilibrium
-
-        return brute_force_equilibrium
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ConfigError",

@@ -1,14 +1,13 @@
 """The atomic game: day-to-day best-response dynamics over discrete
-agents, and the brute-force oracle that cross-checks the analytic solver.
+agents.
 
 The population is arrays (Population): DWPT SoCs in the pool's
 ascending order (DiscreteAgents) and a link-1 mask that sweeps update
 in place, with read-only per-agent AgentState views.  The simulator
-moves agents with one better-response kernel (_SweepKernel); the oracle
-places them at the minimum of the exact Rosenthal potential
-(rosenthal_potential), reading the pool's order as the order of the
-DWPT-EVs' link-1 bonuses.  Both read the kernel's exact travel-time
-tables.
+moves agents with one better-response kernel (_SweepKernel) and reports
+the exact Rosenthal potential (rosenthal_potential) from the kernel's
+exact travel-time tables.  The brute-force oracle at the potential's
+minimum is equilibrium.brute_force_equilibrium, which needs no numpy.
 
 Each round sweeps the population once in some order; an agent switches
 links when doing so improves its utility by more than INDIFFERENCE_EPS,
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .equilibrium import EquilibriumResult
 from .model import (
     INDIFFERENCE_EPS,
     ORDER_POLICIES,
@@ -41,7 +39,6 @@ from .model import (
     Scenario,
     VehicleClass,
     charging_value,
-    threshold_soc,
 )
 
 
@@ -204,8 +201,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# The potential, sweep kernel and population arrays that the simulator
-# shares with the brute-force oracle over discrete agents
+# The potential, sweep kernel and population arrays of the simulator
 
 
 def rosenthal_potential(
@@ -264,7 +260,8 @@ class _SweepKernel:
     `+ - * /` round as Python's do, and the power is np.float_power
     (_bpr_over).  A travel time that overflows a double raises
     FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
-    is) when the kernel is built.
+    is) when the kernel is built.  So the oracle, which calls bpr_time,
+    sees the same times and gains and fails on the same overflows.
     """
 
     BLOCK = 64
@@ -405,51 +402,3 @@ def class_flows(population: Population) -> tuple[int, int, int, int]:
     x1_d = int(np.count_nonzero(population.on_link1[:n_dwpt]))
     x1_o = int(np.count_nonzero(population.on_link1[n_dwpt:]))
     return x1_d, x1_o, n_dwpt - x1_d, len(population) - n_dwpt - x1_o
-
-
-def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
-    """Atomic oracle: the Nash profile at the exact potential's minimum;
-    requires a DiscreteAgents SoC pool.
-
-    The atomic game is a potential game (Rosenthal 1973; Monderer and
-    Shapley 1996).  With the link-1 bonuses ranked, largest first, the
-    potential of the top x1 on link 1 is convex in x1.  The pool's SoCs
-    ascend, so the DWPT-EVs' bonuses already fall; the OTHER-Vs' bonus 0
-    ranks after every DWPT-EV at a bonus >= 0 and before the rest.  The
-    first x1 ranks go on link 1, where x1 is the first rank whose vehicle
-    would not gain more than INDIFFERENCE_EPS by joining them.  That is
-    the scalar switch rule's own arithmetic, so the profile is Nash, and
-    its flow is the smallest at which the potential is least.
-    """
-    if not isinstance(scenario.soc, DiscreteAgents):
-        raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
-    n_dwpt, n_other = scenario.agent_counts()
-    n_agents = n_dwpt + n_other
-
-    bonus = Population(scenario.soc.soc_values, np.zeros(n_agents, dtype=bool)).bonus(
-        scenario.prefs, scenario.toll
-    )
-    kernel = _SweepKernel(
-        scenario.network.link1, scenario.network.link2, scenario.prefs.vot, n_agents
-    )
-    k = int(np.count_nonzero(bonus[:n_dwpt] >= 0.0))
-    # rank j, on link 2 at link-1 flow j, gains bonus - gap[j + 1] by joining
-    gains = np.concatenate([bonus[:k], bonus[n_dwpt:], bonus[k:n_dwpt]])
-    gains -= kernel.gap[1 : n_agents + 1]
-    joins = gains > INDIFFERENCE_EPS
-    x1 = n_agents if joins.all() else int(joins.argmin())
-    x1_o = min(max(x1 - k, 0), n_other)
-    x1_d = x1 - x1_o
-
-    t1, t2 = kernel.times1.item(x1), kernel.times2.item(n_agents - x1)
-    return EquilibriumResult(
-        x1_d=float(x1_d),
-        x2_d=float(n_dwpt - x1_d),
-        x1_o=float(x1_o),
-        x2_o=float(n_other - x1_o),
-        t1=t1,
-        t2=t2,
-        s_thres=threshold_soc(
-            scenario.prefs, scenario.toll.dwpt_link1_charge, t1, t2
-        ),
-    )

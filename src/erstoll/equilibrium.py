@@ -31,13 +31,14 @@ dt/dx = beta*(t - t0)/x.  A discrete pool's price steps at each SoC
 group, so _group_root first binary-searches the groups for the marginal
 one and then roots within it, splitting a tied group at its own SoC.
 
-The atomic game over discrete agents, with its brute-force oracle at the
-minimum of the exact potential, lives in dynamics; it is an independent
-check of the same equilibrium definition.
+brute_force_equilibrium, an independent check of the same equilibrium
+definition, bisects the ranked vehicles of the atomic game for the
+minimum of its exact potential; dynamics simulates that game.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -350,11 +351,65 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     return problems
 
 
+def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
+    """Atomic oracle: the Nash profile at the exact potential's minimum;
+    requires a DiscreteAgents SoC pool.
+
+    The atomic game is a potential game (Rosenthal 1973; Monderer and
+    Shapley 1996).  With the link-1 bonuses ranked, largest first, the
+    potential of the top x1 on link 1 is convex in x1.  The pool's SoCs
+    ascend, so the DWPT-EVs' bonuses (charging_value - price) already
+    fall; the OTHER-Vs' bonus 0 ranks after every DWPT-EV at a bonus >= 0
+    and before the rest.  The first x1 ranks go on link 1, where x1 is
+    the first rank whose vehicle would not gain more than INDIFFERENCE_EPS
+    by joining them: the switch rule's own arithmetic on bpr_time, so the
+    profile is Nash.  Every rounded operation in a gain is monotone, so
+    the gains fall with the rank and both counts are bisections; a time
+    or gap that overflows at a flow 0..N+1, as in the simulator's kernel,
+    overflows at an end and raises OverflowError (an ArithmeticError).
+    """
+    if not isinstance(scenario.soc, DiscreteAgents):
+        raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
+    n_dwpt, n_other = scenario.agent_counts()
+    n, prefs, socs = n_dwpt + n_other, scenario.prefs, scenario.soc.soc_values
+    link1, link2 = scenario.network.link1, scenario.network.link2
+    price = scenario.toll.dwpt_link1_charge
+    for x1 in (n + 1, 0):  # the gap's ends
+        t1, t2 = bpr_time(link1, x1), bpr_time(link2, n + 1 - x1)
+        if not math.isfinite(prefs.vot * (t1 - t2)):
+            raise OverflowError(f"the gap between link times {t1} and {t2} overflows")
+
+    def bonus(i: int) -> float:
+        return charging_value(prefs, socs[i]) - price
+
+    k = bisect.bisect_left(range(n_dwpt), True, key=lambda i: bonus(i) < 0.0)
+
+    def stays(j: int) -> bool:
+        # rank j, on link 2 at link-1 flow j, gains this by joining link 1
+        ranked = bonus(j) if j < k else 0.0 if j < k + n_other else bonus(j - n_other)
+        gain = ranked - prefs.vot * (bpr_time(link1, j + 1) - bpr_time(link2, n - j))
+        return not gain > INDIFFERENCE_EPS
+
+    x1 = bisect.bisect_left(range(n), True, key=stays)
+    x1_o = min(max(x1 - k, 0), n_other)
+    x1_d = x1 - x1_o
+    t1, t2 = bpr_time(link1, x1), bpr_time(link2, n - x1)
+    return EquilibriumResult(
+        x1_d=float(x1_d),
+        x2_d=float(n_dwpt - x1_d),
+        x1_o=float(x1_o),
+        x2_o=float(n_other - x1_o),
+        t1=t1,
+        t2=t2,
+        s_thres=threshold_soc(prefs, price, t1, t2),
+    )
+
+
 def __getattr__(name):
-    # The benchmark's tracing spans still name the oracle and the potential
-    # under this module; the forward goes when they are renamed to dynamics
-    # (ROADMAP item 2).
-    if name in ("brute_force_equilibrium", "rosenthal_potential"):
+    # The benchmark's tracing span still names the potential under this
+    # module; the forward goes when it is renamed to dynamics (ROADMAP
+    # item 2).
+    if name == "rosenthal_potential":
         from . import dynamics
 
         return getattr(dynamics, name)

@@ -35,9 +35,10 @@ quantile(0) and quantile(total_mass) are the lowest and highest SoC).
 Only equilibrium.solve tells the two apart, for the slope of a
 continuum's quantile and the SoC groups of a discrete pool.
 DiscreteAgents holds its SoCs in ascending order, so the simulator's
-population and the brute-force oracle read the DWPT-EVs in falling order
-of their charging value without sorting them again.  A toll
-(FreeToll or FixedToll) is read only through dwpt_link1_charge.
+population reads the DWPT-EVs in falling order of their charging value
+without sorting them again, and the brute-force oracle bisects that
+order.  A toll (FreeToll or FixedToll) is read only through
+dwpt_link1_charge.
 """
 
 from __future__ import annotations

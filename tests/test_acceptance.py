@@ -21,12 +21,11 @@ from erstoll.cli import main
 from erstoll.dynamics import (
     Population,
     agents_from_scenario,
-    brute_force_equilibrium,
     class_flows,
     discretize_scenario,
     run,
 )
-from erstoll.equilibrium import solve
+from erstoll.equilibrium import brute_force_equilibrium, solve
 from erstoll.harness import (
     load_scenario,
     table1_scenario,

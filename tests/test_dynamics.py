@@ -19,13 +19,12 @@ from erstoll import dynamics
 from erstoll.dynamics import (
     Population,
     agents_from_scenario,
-    brute_force_equilibrium,
     class_flows,
     discretize_scenario,
     run,
     step,
 )
-from erstoll.equilibrium import solve
+from erstoll.equilibrium import brute_force_equilibrium, solve
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -309,15 +308,15 @@ SPLIT_CHECK = """
     from erstoll import *
     from erstoll import dynamics
 
-    assert brute_force_equilibrium is dynamics.brute_force_equilibrium
-    assert erstoll.brute_force_equilibrium is dynamics.brute_force_equilibrium
-    assert equilibrium.brute_force_equilibrium is dynamics.brute_force_equilibrium
+    assert brute_force_equilibrium is equilibrium.brute_force_equilibrium
+    assert erstoll.brute_force_equilibrium is equilibrium.brute_force_equilibrium
     assert equilibrium.rosenthal_potential is dynamics.rosenthal_potential
     for module, name in (
         (erstoll, "rosenthal_potential"),
         (erstoll, "no_such_name"),
         (equilibrium, "Population"),
         (equilibrium, "no_such_name"),
+        (dynamics, "brute_force_equilibrium"),
     ):
         try:
             getattr(module, name)
@@ -327,14 +326,36 @@ SPLIT_CHECK = """
     print("ok")
 """
 
+ORACLE_CHECK = """
+    import sys
 
-def test_analytic_modules_load_without_numpy(tmp_path):
+    from erstoll import brute_force_equilibrium
+    from erstoll.model import (
+        DiscreteAgents, FixedToll, LinkParams, Network, Preferences, Scenario,
+    )
+
+    network = Network(
+        LinkParams(10.0, 500.0, has_ers=True, ers_power_kw=30.0), LinkParams(10.0, 500.0)
+    )
+    scenario = Scenario(
+        total_vehicles=4.0, dwpt_ratio=0.5, soc=DiscreteAgents((0.8, 0.2)),
+        prefs=Preferences(vot=50.0, voe=100.0), toll=FixedToll(100.0), network=network,
+    )
+    result = brute_force_equilibrium(scenario)
+    assert (result.x1_d, result.x1_o) == (1.0, 1.0), result
+    assert "numpy" not in sys.modules, "the oracle loaded numpy"
+    print("ok")
+"""
+
+
+def _run_check(code, cwd):
+    """Run code in a fresh interpreter on this checkout's package."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(SPLIT_CHECK)],
-        cwd=tmp_path,
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
@@ -343,3 +364,10 @@ def test_analytic_modules_load_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
 
+
+def test_analytic_modules_load_without_numpy(tmp_path):
+    _run_check(SPLIT_CHECK, tmp_path)
+
+
+def test_oracle_runs_without_numpy(tmp_path):
+    _run_check(ORACLE_CHECK, tmp_path)

@@ -17,7 +17,6 @@ from erstoll.analysis import _marginal
 from erstoll.dynamics import (
     Population,
     _SweepKernel,
-    brute_force_equilibrium,
     rosenthal_potential,
 )
 from erstoll.equilibrium import (
@@ -25,6 +24,7 @@ from erstoll.equilibrium import (
     ConvergenceError,
     RegimeTag,
     _bpr,
+    brute_force_equilibrium,
     _root,
     _wardrop_response,
     solve,

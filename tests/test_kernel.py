@@ -28,7 +28,7 @@ from conftest import (
     scenarios,
     write_scenario,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erstoll import dynamics
@@ -37,11 +37,12 @@ from erstoll.dynamics import (
     Population,
     _SweepKernel,
     agents_from_scenario,
-    brute_force_equilibrium,
     discretize_scenario,
     run,
     step,
 )
+from erstoll.equilibrium import brute_force_equilibrium
+from erstoll.harness import table1_scenario
 from erstoll.model import (
     INDIFFERENCE_EPS,
     FixedToll,
@@ -280,18 +281,34 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
     assert [a.current_link for a in agents] == links
 
 
+def tied_at_bonus_zero(scale):
+    """2, 8 and 2 DWPT-EVs at SoC 0.2, 0.5 and 0.8, and 6 OTHER-Vs, each
+    times scale, under a toll of voe*(1/0.5 - 1): the group at SoC 0.5
+    has bonus 0, as the OTHER-Vs have, and on twin links the link-1
+    boundary falls inside it."""
+    socs = [0.2] * 2 * scale + [0.5] * 8 * scale + [0.8] * 2 * scale
+    return discrete_scenario(socs, 6 * scale, voe=100.0, toll=FixedToll(100.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(scn=scenarios(max_agents=60))
+# pools of 1 000-20 000 vehicles, where the oracle's bisections go deep
+@example(scn=discretize_scenario(base_scenario()))
+@example(scn=tied_at_bonus_zero(100))
+@example(scn=tied_at_bonus_zero(1000))
+@example(scn=discrete_scenario(
+    np.linspace(0.05, 0.95, 5000).tolist(), 15_000,
+    network=Network(replace(ERS_LINK, capacity=8000.0), LinkParams(12.0, 6000.0, bpr_beta=3.0)),
+))
 def test_oracle_matches_per_agent_reference(scn):
     assert_oracle_is_a_potential_minimum(scn)
 
 
 def test_oracle_splits_a_tied_group_at_bonus_zero():
-    """Eight DWPT-EVs tied at SoC 0.5 under a toll of voe*(1/0.5 - 1) have
-    bonus 0, as the OTHER-Vs have, and on twin links the link-1 boundary
-    falls inside the group: its DWPT-EVs rank first, so link 1 takes two
-    at SoC 0.2 and seven of the eight, and no OTHER-V."""
-    scn = discrete_scenario([0.2] * 2 + [0.5] * 8 + [0.8] * 2, 6, voe=100.0, toll=FixedToll(100.0))
+    """The tied group's DWPT-EVs rank before the OTHER-Vs, so link 1
+    takes the two at SoC 0.2 and seven of the eight at bonus 0, and no
+    OTHER-V."""
+    scn = tied_at_bonus_zero(1)
     oracle = brute_force_equilibrium(scn)
     assert (oracle.x1_d, oracle.x1_o) == (9.0, 0.0)
     assert_oracle_is_a_potential_minimum(scn)
@@ -372,17 +389,42 @@ def test_travel_time_table_is_bpr_time_exactly(n, data):
     # leaving link 1 at flow x gains gap[x], leaving link 2 -gap[x + 1]
     assert kernel.gap[: n + 1].tolist() == leave_link1
     assert (-kernel.gap[1 : n + 2]).tolist() == leave_link2
+    # the oracle's bisections rest on these never falling with the flow
+    for table in (kernel.times1, kernel.times2, kernel.gap):
+        assert (np.diff(table) >= 0.0).all()
 
 
-@pytest.mark.parametrize("tiny", ("link1", "link2"))
-def test_overflowing_travel_time_is_an_arithmetic_failure(tiny, tmp_path, capsys):
-    """A link whose BPR time overflows a double fails the simulator, the
-    oracle and `erstoll simulate` as a numerical failure, with no
-    RuntimeWarning on the way."""
+def _six_vehicles(link, **changes):
+    """Three DWPT-EVs and three OTHER-Vs, with the given link changed."""
     net = Network(LinkParams(10.0, 500.0, has_ers=True, ers_power_kw=30.0),
                   LinkParams(10.0, 500.0))
-    net = replace(net, **{tiny: replace(getattr(net, tiny), capacity=1e-40, bpr_beta=8.0)})
-    scn = discrete_scenario((0.2, 0.5, 0.8), 3, network=net)
+    net = replace(net, **{link: replace(getattr(net, link), **changes)})
+    return discrete_scenario((0.2, 0.5, 0.8), 3, network=net)
+
+
+# At this capacity and beta 8 only the travel time at flow 7 = N + 1,
+# the tables' last entry, overflows; the oracle's bisection never reads
+# that flow, so only its end check raises.
+LAST_FLOW_ONLY = {"capacity": 6.5 / 1.7e308 ** (1 / 8), "bpr_beta": 8.0}
+BUNDLED = table1_scenario()
+OVERFLOWING = {
+    "link1": _six_vehicles("link1", capacity=1e-40, bpr_beta=8.0),
+    "link2": _six_vehicles("link2", capacity=1e-40, bpr_beta=8.0),
+    "link1-last-flow": _six_vehicles("link1", **LAST_FLOW_ONLY),
+    "link2-last-flow": _six_vehicles("link2", **LAST_FLOW_ONLY),
+    # alpha * p overflows while the power p stays finite
+    "alpha-times-power": _six_vehicles("link1", bpr_alpha=1e306, capacity=1.0),
+    # finite travel times, but vot times their difference overflows
+    "gap": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, vot=1e308))),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING)
+def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys):
+    """A travel time or gap that overflows a double at some flow
+    0..N+1 fails the simulator, the oracle and `erstoll simulate` as a
+    numerical failure, with no RuntimeWarning on the way."""
+    scn = OVERFLOWING[case]
     path = tmp_path / "overflow.cfg"
     write_scenario(scn, path)
     with warnings.catch_warnings():
