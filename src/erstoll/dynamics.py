@@ -150,6 +150,10 @@ def run(
     per-round snapshots including the exact potential, which is verified
     to fall by precisely the switchers' summed gains each round.
     Non-convergence within max_rounds is reported via converged=False.
+
+    In sequential order run keeps the kernel's skip summaries of the
+    mask across its sweeps (_SweepKernel.sweep), and a snapshot
+    recomputes the potential's time part only when x1 has changed.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -160,15 +164,19 @@ def run(
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
+    kept = kernel.summarize(on1, bonus) if rng is None else None
     times1, times2 = kernel.times1, kernel.times2
     traj = Trajectory()
+    x1_seen, time_part = -1, 0.0
 
     def snapshot(round_index: int, switches: int) -> float:
+        nonlocal x1_seen, time_part
         x1_d, x1_o, _, _ = class_flows(population)
         x1 = x1_d + x1_o
-        phi = rosenthal_potential(
-            times1, times2, prefs.vot, x1, n - x1, bonus[:n_dwpt][on1[:n_dwpt]]
-        )
+        if x1 != x1_seen:  # the time part depends on x1 alone
+            x1_seen = x1
+            time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
+        phi = time_part - float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
         traj.snapshots.append(
             RoundSnapshot(
                 round_index=round_index,
@@ -185,7 +193,7 @@ def run(
     phi = snapshot(0, 0)
     for round_index in range(1, max_rounds + 1):
         order = rng.permutation(n) if rng is not None else None
-        switches, gain_sum = kernel.sweep(on1, bonus, order)
+        switches, gain_sum = kernel.sweep(on1, bonus, order, kept)
         phi_next = snapshot(round_index, switches)
         drop = phi - phi_next
         if abs(drop - gain_sum) > 1e-6 * (1.0 + abs(phi)):
@@ -218,13 +226,15 @@ def rosenthal_potential(
 
     times1 and times2 are each link's travel times at flows 0, 1, 2, ...
     (_SweepKernel.times1/times2), built once per run and shared by every
-    call; each entry equals bpr_time bit for bit.  Unilateral deviations
+    call; each entry equals bpr_time bit for bit.  The bonuses are summed
+    by np.sum, whose rounding, unlike sum's, is the same on every Python.
+    With no bonuses this is the time part alone.  Unilateral deviations
     change this by exactly the deviator's utility loss, so
     better-response paths strictly decrease it; run checks that to a
     tolerance, since the sums round.
     """
     time_part = vot * (float(np.sum(times1[1 : x1 + 1])) + float(np.sum(times2[1 : x2 + 1])))
-    return time_part - sum(np.asarray(link1_bonus).tolist())
+    return time_part - float(np.sum(link1_bonus))
 
 
 def _bpr_over(link: LinkParams, flows: np.ndarray) -> np.ndarray:
@@ -248,17 +258,22 @@ class _SweepKernel:
     alone, and fl(gap - b) falls and fl(b - gap) rises with the bonus b.
     So a sweep skips a block of BLOCK agents when neither its smallest
     link-1 bonus nor its largest link-2 bonus would move at the current
-    flows.  A block whose first agent moves starts a run of consecutive
-    switchers, taken in one vectorized step per doubling window: a
-    cumsum of the +-1 moves gives the flows each agent would see.  Any
-    other block is scanned agent by agent.  Gains are written as the
-    per-agent rule writes them, from the travel-time differences gap
-    over every link-1 flow, so every decision, the switch order and the
-    summed gains are the scalar rule's.  The kernel builds each link's
-    travel times at flows 0..n+1 once (times1, times2), and gap from
+    flows (the block's skip summaries, summarize).  A block whose first
+    agent moves starts a run of consecutive switchers, taken in one
+    vectorized step per doubling window: a cumsum of the +-1 moves gives
+    the flows each agent would see.  Any other block is scanned agent by
+    agent.  Gains are written as the per-agent rule writes them, from
+    the travel-time differences gap over every link-1 flow, so every
+    decision, the switch order and the summed gains are the scalar
+    rule's.  Summaries passed in by the caller are kept across sweeps:
+    a sweep rebuilds them only over the blocks from its first switch to
+    its last.
+
+    The kernel builds each link's travel times at flows 0..n once
+    (times1, times2; one table serves both twin links), and gap from
     them; their entries equal the scalar rule's bit for bit: numpy's
     `+ - * /` round as Python's do, and the power is np.float_power
-    (_bpr_over).  A travel time that overflows a double raises
+    (_bpr_over).  A travel time or gap that overflows a double raises
     FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
     is) when the kernel is built.  So the oracle, which calls bpr_time,
     sees the same times and gains and fails on the same overflows.
@@ -268,31 +283,52 @@ class _SweepKernel:
 
     def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
         self.n = n
-        # gap[x1] = vot*(t1(x1) - t2(n + 1 - x1)) for x1 in 0..n+1: leaving
+        # gap[x1] = vot*(t1(x1) - t2(n + 1 - x1)) for x1 in 1..n: leaving
         # link 1 at link-1 flow x1 gains gap[x1] - bonus, leaving link 2
         # bonus - gap[x1 + 1], which is the scalar vot*(t2(x2) - t1(x1 + 1))
-        # + bonus exactly (rounding is sign-symmetric)
+        # + bonus exactly (rounding is sign-symmetric).  Nobody leaves an
+        # empty link 1 or joins a full one, so the ends gap[0] = -inf and
+        # gap[n + 1] = +inf move nobody and flow n + 1 is never built.
+        self.gap = np.empty(n + 2)
+        self.gap[0], self.gap[-1] = -np.inf, np.inf
         with np.errstate(over="raise"):
-            self.times1 = _bpr_over(link1, np.arange(n + 2.0))
-            self.times2 = _bpr_over(link2, np.arange(n + 2.0))
-            self.gap = self.times1 - self.times2[::-1]
-            self.gap *= vot
+            self.times1 = _bpr_over(link1, np.arange(n + 1.0))
+            self.times2 = (
+                self.times1 if link2.same_bpr(link1) else _bpr_over(link2, np.arange(n + 1.0))
+            )
+            inner = np.subtract(self.times1[1:], self.times2[:0:-1], out=self.gap[1:-1])
+            inner *= vot
 
-    def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
+    def summarize(self, link1_of, bonus_of, lo=0, hi=None) -> tuple[list, list]:
+        """Skip summaries of the blocks of agents lo..hi (lo a multiple of
+        BLOCK): each block's smallest link-1 bonus (inf if none) and
+        largest link-2 bonus (-inf if none), as two lists."""
+        on, b = link1_of[lo:hi], bonus_of[lo:hi]
+        starts = np.arange(0, len(on), self.BLOCK)
+        return (
+            np.minimum.reduceat(np.where(on, b, np.inf), starts).tolist(),
+            np.maximum.reduceat(np.where(on, -np.inf, b), starts).tolist(),
+        )
+
+    def sweep(
+        self, on1: np.ndarray, bonus: np.ndarray, order=None, kept=None
+    ) -> tuple[int, float]:
         """Visit every agent once in order (default: by index), moving
         each improving one at once; on1 is updated in place.  Returns
-        (switch count, summed gains)."""
+        (switch count, summed gains).
+
+        kept, for an index-order sweep only, is the caller's summarize of
+        on1, which the sweep reads and brings up to date; without it the
+        sweep summarizes the agents in its order."""
         link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
         n, size, gap, eps = self.n, self.BLOCK, self.gap, INDIFFERENCE_EPS
         # a block moves nobody at the current flows unless its smallest
         # link-1 bonus or its largest link-2 bonus moves
-        starts = np.arange(0, n, size)
-        blocks = len(starts)
-        low1 = np.minimum.reduceat(np.where(link1_of, bonus_of, np.inf), starts).tolist()
-        high2 = np.maximum.reduceat(np.where(link1_of, -np.inf, bonus_of), starts).tolist()
+        low1, high2 = self.summarize(link1_of, bonus_of) if kept is None else kept
+        blocks = len(low1)
         x1 = int(np.count_nonzero(on1))
         g1, g2 = gap.item(x1), gap.item(x1 + 1)
-        pos, switches, gain_sum = 0, 0, 0.0
+        pos, switches, gain_sum, first, last = 0, 0, 0.0, n, 0
         while pos < n:
             block = pos // size
             if pos == block * size:
@@ -305,10 +341,12 @@ class _SweepKernel:
             ons, bs = link1_of[pos:end].tolist(), bonus_of[pos:end].tolist()
             if (g1 - bs[0] if ons[0] else bs[0] - g2) > eps:
                 taken, x1, gain_sum = self._run(link1_of, bonus_of, pos, x1, gain_sum)
+                first, last = min(first, pos), pos + taken - 1
                 pos += taken
                 switches += taken
                 g1, g2 = gap.item(x1), gap.item(x1 + 1)
                 continue
+            before = switches
             for i, (on, b) in enumerate(zip(ons, bs), pos):
                 gain = g1 - b if on else b - g2
                 if gain > eps:
@@ -317,9 +355,14 @@ class _SweepKernel:
                     g1, g2 = gap.item(x1), gap.item(x1 + 1)
                     switches += 1
                     gain_sum += gain
+            if switches > before:  # summaries are rebuilt by whole block
+                first, last = min(first, pos), end - 1
             pos = end
         if order is not None:
             on1[order] = link1_of
+        elif kept is not None and switches:
+            lo, hi = first // size, last // size + 1
+            low1[lo:hi], high2[lo:hi] = self.summarize(on1, bonus, lo * size, hi * size)
         return switches, gain_sum
 
     def _run(self, link1_of, bonus_of, pos, x1, gain_sum):

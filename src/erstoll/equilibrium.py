@@ -365,8 +365,9 @@ def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
     by joining them: the switch rule's own arithmetic on bpr_time, so the
     profile is Nash.  Every rounded operation in a gain is monotone, so
     the gains fall with the rank and both counts are bisections; a time
-    or gap that overflows at a flow 0..N+1, as in the simulator's kernel,
-    overflows at an end and raises OverflowError (an ArithmeticError).
+    or gap that overflows at a flow 0..N, as in the simulator's kernel,
+    overflows at an end (x1 = N or 1) and raises OverflowError (an
+    ArithmeticError).
     """
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
@@ -374,7 +375,7 @@ def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
     n, prefs, socs = n_dwpt + n_other, scenario.prefs, scenario.soc.soc_values
     link1, link2 = scenario.network.link1, scenario.network.link2
     price = scenario.toll.dwpt_link1_charge
-    for x1 in (n + 1, 0):  # the gap's ends
+    for x1 in (n, 1):  # the gap's ends
         t1, t2 = bpr_time(link1, x1), bpr_time(link2, n + 1 - x1)
         if not math.isfinite(prefs.vot * (t1 - t2)):
             raise OverflowError(f"the gap between link times {t1} and {t2} overflows")

@@ -12,7 +12,7 @@ import yaml
 from erstoll import cli
 from erstoll.cli import main
 from erstoll.equilibrium import ConvergenceError
-from erstoll.harness import ConfigError
+from erstoll.harness import ConfigError, bundled_scenario_path
 from erstoll.model import FreeToll, Network
 
 from conftest import ERS_LINK, PLAIN_LINK, base_scenario, write_scenario
@@ -437,6 +437,29 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
 def test_output_bytes_are_pinned(argv, fmt, digest, tmp_path):
     path = tmp_path / "out"
     assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        ("sequential", "a2fc1d9943ad39d15788626c1b38f2360580607747894fe66ee7d9108a1ba306"),
+        ("random", "6de6cff37e3cfe92253b91d8a0f6b1a291e418a402e598f1e3fd1e6d20f54847"),
+    ],
+)
+def test_congested_simulate_bytes_are_pinned(order, digest, tmp_path):
+    """The congested run of CI's congested.cfg: the bundled scenario with
+    9 800 vehicles and capacities 9 800/3, from a random start, in many
+    rounds that each move a few vehicles.  --set cannot change N or the
+    capacities, so the scenario file is written here as CI writes it."""
+    config = yaml.safe_load(bundled_scenario_path().read_text())
+    config["total_vehicles"] = 9800.0
+    for link in ("link1", "link2"):
+        config["network"][link]["capacity"] = 9800 / 3
+    scenario, path = tmp_path / "congested.cfg", tmp_path / "out"
+    scenario.write_text(yaml.safe_dump(config))
+    argv = ["simulate", "--scenario", str(scenario), "--initial", "random", "--seed", "1"]
+    assert main([*argv, "--order", order, "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

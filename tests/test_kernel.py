@@ -16,6 +16,7 @@ enumerated to confirm that the oracle's potential is the least.
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from conftest import (
     ERS_LINK,
     PLAIN_LINK,
     base_scenario,
-    bpr_links,
     discrete_scenario,
+    networks,
     scenarios,
     write_scenario,
 )
@@ -81,14 +82,16 @@ def _bpr_sum(link, flow):
 
 
 def reference_potential(links, socs, scn):
+    """The time part less the link-1 DWPT-EVs' bonuses, summed with
+    np.sum in index order, as run sums them."""
     x1 = links.count(1)
     net, prefs, price = scn.network, scn.prefs, scn.toll.dwpt_link1_charge
     time_part = prefs.vot * (_bpr_sum(net.link1, x1) + _bpr_sum(net.link2, len(links) - x1))
-    return time_part + sum(
-        price - prefs.voe * (1.0 / float(s) - 1.0)
+    return time_part - float(np.sum(np.array([
+        prefs.voe * (1.0 / float(s) - 1.0) - price
         for s, link in zip(socs, links)
         if s is not None and link == 1
-    )
+    ], dtype=float)))
 
 
 def reference_run(links, socs, scn, order_policy, seed, max_rounds=500):
@@ -281,6 +284,30 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
     assert [a.current_link for a in agents] == links
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    scn=scenarios(max_agents=60),
+    initial=INITIAL,
+    seed=st.integers(0, 2**16),
+    block=BLOCKS,
+)
+def test_kept_summaries_match_the_mask_after_every_sweep(scn, initial, seed, block):
+    """The skip summaries that run keeps across its index-order sweeps
+    equal, after every sweep, a summary of the mask built from scratch."""
+    sweep, sweeps = _SweepKernel.sweep, []
+
+    def checked_sweep(kernel, on1, bonus, order=None, kept=None):
+        result = sweep(kernel, on1, bonus, order, kept)
+        assert kept == kernel.summarize(on1, bonus)
+        sweeps.append(result)
+        return result
+
+    agents = agents_from_scenario(scn, initial=initial, seed=seed)
+    with block_size(block), mock.patch.object(_SweepKernel, "sweep", checked_sweep):
+        traj = run(agents, scn.network, scn.prefs, scn.toll, max_rounds=500)
+    assert len(sweeps) == traj.terminal_round
+
+
 def tied_at_bonus_zero(scale):
     """2, 8 and 2 DWPT-EVs at SoC 0.2, 0.5 and 0.8, and 6 OTHER-Vs, each
     times scale, under a toll of voe*(1/0.5 - 1): the group at SoC 0.5
@@ -370,25 +397,27 @@ def test_edge_populations(n_dwpt, n_other):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 20_000), data=st.data())
 def test_travel_time_table_is_bpr_time_exactly(n, data):
-    """Both travel-time tables at flows 0..n+1 and both switch gains at
-    every link-1 flow 0..n are the scalar rule's, built from bpr_time, to
-    the bit.  This also guards against a numpy whose float_power stops
-    calling the C pow."""
-    link1, link2 = data.draw(bpr_links(n, ers=True)), data.draw(bpr_links(n))
-    vot = data.draw(st.floats(10.0, 100.0))
+    """Both travel-time tables at flows 0..n, on twin or differing links,
+    and both switch gains at every link-1 flow a vehicle can leave or
+    join from are the scalar rule's, built from bpr_time, to the bit.
+    The gap's ends, read only where nobody can move, are -inf and +inf.
+    This also guards against a numpy whose float_power stops calling the
+    C pow."""
+    net, vot = data.draw(networks(n)), data.draw(st.floats(10.0, 100.0))
+    link1, link2 = net.link1, net.link2
     kernel = _SweepKernel(link1, link2, vot, n)
-    assert kernel.times1.tolist() == [bpr_time(link1, x) for x in range(n + 2)]
-    assert kernel.times2.tolist() == [bpr_time(link2, x) for x in range(n + 2)]
-    flows = range(n + 1)
+    assert kernel.times1.tolist() == [bpr_time(link1, x) for x in range(n + 1)]
+    assert kernel.times2.tolist() == [bpr_time(link2, x) for x in range(n + 1)]
     leave_link1 = [
-        vot * (bpr_time(link1, x) - bpr_time(link2, n - x + 1)) for x in flows
+        vot * (bpr_time(link1, x) - bpr_time(link2, n - x + 1)) for x in range(1, n + 1)
     ]
     leave_link2 = [
-        vot * (bpr_time(link2, n - x) - bpr_time(link1, x + 1)) for x in flows
+        vot * (bpr_time(link2, n - x) - bpr_time(link1, x + 1)) for x in range(n)
     ]
     # leaving link 1 at flow x gains gap[x], leaving link 2 -gap[x + 1]
-    assert kernel.gap[: n + 1].tolist() == leave_link1
-    assert (-kernel.gap[1 : n + 2]).tolist() == leave_link2
+    assert kernel.gap[1 : n + 1].tolist() == leave_link1
+    assert (-kernel.gap[1 : n + 1]).tolist() == leave_link2
+    assert (kernel.gap[0], kernel.gap[n + 1]) == (-np.inf, np.inf)
     # the oracle's bisections rest on these never falling with the flow
     for table in (kernel.times1, kernel.times2, kernel.gap):
         assert (np.diff(table) >= 0.0).all()
@@ -402,9 +431,11 @@ def _six_vehicles(link, **changes):
     return discrete_scenario((0.2, 0.5, 0.8), 3, network=net)
 
 
-# At this capacity and beta 8 only the travel time at flow 7 = N + 1,
-# the tables' last entry, overflows; the oracle's bisection never reads
-# that flow, so only its end check raises.
+# At this capacity and beta 8 the travel time overflows at flow 7 = N + 1,
+# which no vehicle reaches, and not at flow 6 = N.  At vot 50 the gap
+# vot*(t1 - t2) still overflows where the changed link carries all N
+# vehicles, so the two last-flow cases below fail; at vot 1e-3 nothing a
+# vehicle reaches overflows (test_overflow_past_every_reachable_flow_is_no_failure).
 LAST_FLOW_ONLY = {"capacity": 6.5 / 1.7e308 ** (1 / 8), "bpr_beta": 8.0}
 BUNDLED = table1_scenario()
 OVERFLOWING = {
@@ -421,8 +452,8 @@ OVERFLOWING = {
 
 @pytest.mark.parametrize("case", OVERFLOWING)
 def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys):
-    """A travel time or gap that overflows a double at some flow
-    0..N+1 fails the simulator, the oracle and `erstoll simulate` as a
+    """A travel time or gap that overflows a double at some flow 0..N
+    fails the simulator, the oracle and `erstoll simulate` as a
     numerical failure, with no RuntimeWarning on the way."""
     scn = OVERFLOWING[case]
     path = tmp_path / "overflow.cfg"
@@ -435,3 +466,22 @@ def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys
             brute_force_equilibrium(scn)
         assert main(["simulate", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("link", ["link1", "link2"])
+def test_overflow_past_every_reachable_flow_is_no_failure(link, tmp_path, capsys):
+    """Only the travel time at flow N + 1 overflows, which no vehicle
+    reaches: run matches the per-agent reference from every start in
+    both orders, the oracle is a potential minimum, and `erstoll
+    simulate` converges, with no RuntimeWarning on the way."""
+    scn = _six_vehicles(link, **LAST_FLOW_ONLY)
+    scn = replace(scn, prefs=replace(scn.prefs, vot=1e-3))
+    path = tmp_path / "last-flow.cfg"
+    write_scenario(scn, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        populations = [agents_from_scenario(scn, initial, 3) for initial in INITIAL_STATES]
+        _assert_runs_match_reference(scn, populations)
+        assert_oracle_is_a_potential_minimum(scn)
+        assert main(["simulate", "--scenario", str(path)]) == 0
+    assert "converged        true" in capsys.readouterr().err
