@@ -196,7 +196,7 @@ def run(
         switches, gain_sum = kernel.sweep(on1, bonus, order, kept)
         phi_next = snapshot(round_index, switches)
         drop = phi - phi_next
-        if abs(drop - gain_sum) > 1e-6 * (1.0 + abs(phi)):
+        if not abs(drop - gain_sum) <= 1e-6 * (1.0 + abs(phi)):  # NaN fails too
             raise AssertionError(
                 f"potential fell by {drop}, switch gains were {gain_sum}; "
                 "utility and potential disagree"
@@ -433,9 +433,11 @@ class Population:
 
     def bonus(self, prefs: Preferences, toll: FreeToll | FixedToll) -> np.ndarray:
         """Link-1 bonus per vehicle: charging_value - price for a DWPT-EV,
-        0 for an OTHER-V."""
+        0 for an OTHER-V.  A bonus that overflows raises FloatingPointError,
+        as the kernel's tables do."""
         out = np.zeros(len(self))
-        out[: len(self.soc)] = charging_value(prefs, self.soc) - toll.dwpt_link1_charge
+        with np.errstate(over="raise"):
+            out[: len(self.soc)] = charging_value(prefs, self.soc) - toll.dwpt_link1_charge
         return out
 
 

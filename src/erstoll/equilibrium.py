@@ -367,7 +367,8 @@ def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
     the gains fall with the rank and both counts are bisections; a time
     or gap that overflows at a flow 0..N, as in the simulator's kernel,
     overflows at an end (x1 = N or 1) and raises OverflowError (an
-    ArithmeticError).
+    ArithmeticError), as does a bonus that overflows, the largest at
+    the pool's lowest SoC.
     """
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
@@ -383,6 +384,8 @@ def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
     def bonus(i: int) -> float:
         return charging_value(prefs, socs[i]) - price
 
+    if not math.isfinite(bonus(0)):  # the largest bonus
+        raise OverflowError(f"the charging bonus at SoC {socs[0]} overflows")
     k = bisect.bisect_left(range(n_dwpt), True, key=lambda i: bonus(i) < 0.0)
 
     def stays(j: int) -> bool:

@@ -30,6 +30,11 @@ marked optional; units are minutes, vehicles, kW, JPY):
 The uniform SoC mass is always dwpt_ratio * total_vehicles and is not a
 file field, so configs cannot go out of sync.
 
+A file in block style, like the one above, is read by _read_block
+without importing PyYAML; any other YAML (flow style, quotes, anchors,
+tags, ...) goes to PyYAML, with the same result and the same errors.
+PyYAML is imported only then and by structured-text output (_pyyaml).
+
 This module checks only the file's shape (keys, kinds, numbers).  Value
 ranges are checked by the model types that hold the values (``model.py``);
 their errors are re-raised as ConfigError prefixed with the field path.
@@ -51,12 +56,9 @@ import functools
 import itertools
 import re
 from dataclasses import fields
-from importlib import resources
 from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
-
-import yaml
 
 from .analysis import classify, metrics
 from .equilibrium import ConvergenceError, EquilibriumResult, solve
@@ -72,22 +74,6 @@ from .model import (
     check_fleet,
     threshold_soc,
 )
-
-# libyaml's parser and emitter when PyYAML was built with it: several
-# times faster, with the same documents as the pure-Python classes and,
-# for strings of printable ASCII, the same text.  (They fold long
-# strings holding line breaks, tabs or non-ASCII characters at
-# different points; no value or message written here holds one.)
-class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Also reads a float without a dot, such as 1e7, as YAML 1.2 does."""
-
-
-_YAML_LOADER.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 OVERRIDE_PATHS = (
     "toll.price",
@@ -231,13 +217,124 @@ def scenario_from_config(config: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario file (YAML, schema above)."""
-    text = Path(path).read_text()
+@functools.cache
+def _pyyaml():
+    """PyYAML, imported on first use, with the loader and dumper this
+    module reads and writes YAML through: (yaml, loader, dumper).
+
+    They are libyaml's parser and emitter when PyYAML was built with it:
+    several times faster, with the same documents as the pure-Python
+    classes and, for strings of printable ASCII, the same text.  (They
+    fold long strings holding line breaks, tabs or non-ASCII characters
+    at different points; no value or message written here holds one.)
+    """
+    import yaml
+
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        """Also reads a float without a dot, such as 1e7, as YAML 1.2 does."""
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return yaml, Loader, getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+# The plain scalars _read_block resolves, each as the loader does: a
+# decimal int, a float with a dot or an exponent (a signed one with a
+# leading dot, such as -.5, is a string to YAML 1.1 unless it has an
+# exponent), and a word that is no YAML 1.1 bool or null in any case.
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_FLOAT = re.compile(
+    r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+    r"|[-+]?(?:[0-9]+|\.[0-9]+)[eE][-+]?[0-9]+"
+)
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NOT_WORDS = {"yes", "no", "true", "false", "on", "off", "null"}
+_KEY = re.compile(rf"({_WORD.pattern}):(?: +(\S+))?")
+_ITEM = re.compile(r"- +(\S+)")
+
+
+def _plain(token: str):
+    """A plain scalar's value as the loader resolves it; ValueError for
+    a token outside the reader's subset."""
+    if _INT.fullmatch(token):
+        return int(token)
+    if _FLOAT.fullmatch(token):
+        return float(token)
+    if _WORD.fullmatch(token) and token.lower() not in _NOT_WORDS:
+        return token
+    raise ValueError(token)
+
+
+def _read_block(text: str) -> dict | None:
+    """The mapping a block-style scenario file loads to, read without
+    PyYAML, or None for any text outside that subset.
+
+    The subset: printable ASCII lines indented with spaces, each
+    `key:`, `key: scalar` or `- scalar` (an item of the sequence under
+    the `key:` above it, at the key's indent or deeper), blank lines,
+    full-line comments and ` #` comments after a value; keys are words,
+    scalars as _plain resolves them.  A later duplicate key wins, as in
+    PyYAML.  For such a text the result equals the loader's; any other
+    text, or a line that does not fit, gives None.
+    """
+    lines = []
+    for line in text.split("\n"):
+        if not (line.isascii() and line.isprintable()):
+            return None
+        content = line.partition(" #")[0].rstrip(" ")
+        body = content.lstrip(" ")
+        if body and body[0] != "#":
+            lines.append((len(content) - len(body), body))
+    lines.append((-1, ""))  # the end, dedented below every block
+
+    def block(pos: int):
+        """The sequence or mapping whose first line is lines[pos], and
+        the position after it."""
+        indent, body = lines[pos]
+        if _ITEM.fullmatch(body):
+            items = []
+            while lines[pos][0] == indent and (item := _ITEM.fullmatch(lines[pos][1])):
+                items.append(_plain(item[1]))
+                pos += 1
+            return items, pos
+        mapping = {}
+        while lines[pos][0] == indent:
+            if not (entry := _KEY.fullmatch(lines[pos][1])):
+                raise ValueError(lines[pos][1])
+            key, value = entry.groups()
+            pos += 1
+            next_indent, next_body = lines[pos]
+            if value is not None:
+                mapping[_plain(key)] = _plain(value)
+            elif next_indent > indent or (next_indent == indent and next_body[:2] == "- "):
+                mapping[_plain(key)], pos = block(pos)
+            else:
+                mapping[_plain(key)] = None
+        return mapping, pos
+
     try:
-        config = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+        config, end = block(0)
+    except ValueError:  # a line or scalar outside the subset
+        return None
+    return config if end == len(lines) - 1 and isinstance(config, dict) else None
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Load and validate a scenario file (YAML, schema above).
+
+    A block-style file is read by _read_block; any other text goes to
+    PyYAML, which gives the same mapping or the same errors."""
+    text = Path(path).read_text()
+    config = _read_block(text)
+    if config is None:
+        yaml, loader, _ = _pyyaml()
+        try:
+            config = yaml.load(text, Loader=loader)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: expected a mapping at the top level")
     return scenario_from_config(config)
@@ -245,10 +342,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def bundled_scenario_path(name: str = "table1.cfg") -> Path:
     """Path of a preset scenario shipped with the package."""
-    candidate = resources.files("erstoll").joinpath("data").joinpath(name)
+    candidate = Path(__file__).parent / "data" / name
     if not candidate.is_file():
         raise ConfigError(f"no bundled scenario named {name!r}")
-    return Path(str(candidate))
+    return candidate
 
 
 def resolve_scenario(path: str | Path) -> Scenario:
@@ -482,6 +579,7 @@ def write_table(header, rows, stream, fmt: str) -> None:
         # The events yaml.dump(docs, sort_keys=False, default_style="'")
         # makes, without its representer: every key and cell quoted, so a
         # YAML 1.2 reader keeps cells such as 1e-300 as strings.
+        yaml, _, dumper = _pyyaml()
         implicit = (True, True)  # no tag, in either style
         scalar = functools.partial(yaml.ScalarEvent, None, None, implicit, style="'")
         keys = [scalar(name) for name in header]
@@ -494,7 +592,7 @@ def write_table(header, rows, stream, fmt: str) -> None:
             events.append(yaml.MappingEndEvent())
         events += yaml.SequenceEndEvent(), yaml.DocumentEndEvent()
         events.append(yaml.StreamEndEvent())
-        yaml.emit(events, stream, Dumper=_YAML_DUMPER)
+        yaml.emit(events, stream, Dumper=dumper)
     else:
         raise ValueError(f"unknown table format {fmt!r}")
 

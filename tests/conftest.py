@@ -73,9 +73,10 @@ def discrete_scenario(
     )
 
 
-def write_scenario(scenario, path):
-    """Write a scenario file (the schema in erstoll.harness) for a
-    uniform or discrete pool with a fixed or free toll."""
+def scenario_config(scenario):
+    """The config mapping of a scenario file (the schema in
+    erstoll.harness) for a uniform or discrete pool with a fixed or free
+    toll."""
     if isinstance(scenario.soc, UniformContinuum):
         soc = {"kind": "uniform", "s_lo": scenario.soc.s_lo, "s_hi": scenario.soc.s_hi}
     else:
@@ -96,7 +97,7 @@ def write_scenario(scenario, path):
             cfg["ers_power_kw"] = params.ers_power_kw
         return cfg
 
-    config = {
+    return {
         "total_vehicles": scenario.total_vehicles,
         "dwpt_ratio": scenario.dwpt_ratio,
         "soc": soc,
@@ -107,7 +108,11 @@ def write_scenario(scenario, path):
             "link2": link(scenario.network.link2),
         },
     }
-    Path(path).write_text(yaml.safe_dump(config, sort_keys=False))
+
+
+def write_scenario(scenario, path):
+    """Write a scenario's file, as yaml.safe_dump writes its config."""
+    Path(path).write_text(yaml.safe_dump(scenario_config(scenario), sort_keys=False))
 
 
 def random_discrete_scenario(rng, n_max=200):

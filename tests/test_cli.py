@@ -253,6 +253,14 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path), "--rounds", "1"]) == 0
         assert "converged        false" in capsys.readouterr().err
 
+    def test_overflowing_bonus_is_a_numerical_failure(self, capsys):
+        # voe * (1/0.1 - 1) overflows, so the bonuses and the potential would be infinite
+        args = ["simulate", "--set", "prefs.voe=1e308", "--initial", "random", "--rounds", "5"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: "), captured.err
+        assert captured.out == ""
+
     def test_congested_fleet_of_9800_converges_with_falling_potential(self, capsys, tmp_path):
         # the benchmark's largest congested size: capacity N/3 on each link
         cap = 9800 / 3

@@ -323,6 +323,26 @@ SPLIT_CHECK = """
         except AttributeError:
             continue
         raise AssertionError(f"{module.__name__}.{name} resolved")
+
+    import contextlib
+    import io
+    from pathlib import Path
+
+    harness.resolve_scenario("table1.cfg")
+    csv_runs = (
+        ["solve", "--output", "row.csv"],
+        ["sweep", "--axis", "toll.price=0:400:5", "--output", "sweep.csv"],
+        ["bands", "--output", "bands.csv"],
+        ["table2", "--output", "table2.csv"],
+        ["fig2", "--prices", "0:100:3", "--voes", "10,100", "--output", "fig2.csv"],
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in csv_runs:
+            assert cli.main(argv) == 0, argv
+        assert "yaml" not in sys.modules, "the bundled preset or a CSV table loaded yaml"
+        argv = ["table2", "--format", "structured-text", "--output", "table2.yaml"]
+        assert cli.main(argv) == 0
+    assert Path("table2.yaml").read_text().startswith("- 'scenario': '1'")
     print("ok")
 """
 

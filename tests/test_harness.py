@@ -4,10 +4,11 @@ import io
 import itertools
 import math
 import re
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erstoll import cli, harness
@@ -42,12 +43,21 @@ from erstoll.model import (
     threshold_soc,
 )
 
-from conftest import ERS_LINK, base_scenario, discrete_scenario, write_scenario
+from conftest import (
+    ERS_LINK,
+    base_scenario,
+    discrete_scenario,
+    scenario_config,
+    scenarios,
+    write_scenario,
+)
 
 # link 2 slower, smaller and less steep than the ERS link
 UNEQUAL_NETWORK = Network(
     ERS_LINK, LinkParams(free_flow_time=12.0, capacity=400.0, bpr_beta=2.0)
 )
+
+TABLE1_TEXT = bundled_scenario_path().read_text()
 
 VOT_ERROR = "prefs.vot: vot must be finite and > 0, got {}"
 
@@ -746,7 +756,8 @@ class TestSerialization:
     def test_yaml_events_are_the_dump(self, dumper, n_rows, monkeypatch):
         if dumper is None:
             pytest.skip("PyYAML built without libyaml")
-        monkeypatch.setattr(harness, "_YAML_DUMPER", dumper)
+        _, loader, _ = harness._pyyaml()
+        monkeypatch.setattr(harness, "_pyyaml", lambda: (yaml, loader, dumper))
         header = ("toll.price", "prefs.voe", "pattern", "error")
         long_error = "solve: no bracket for x1 at toll.price=123.4, residual 1.5e-07; " * 3
         rows = [
@@ -763,12 +774,13 @@ class TestSerialization:
         if n_rows:  # the long error is folded over more lines
             assert len(buffer.getvalue().splitlines()) > len(header) * n_rows
 
-    def test_bundled_presets_load_as_pure_python_parse(self):
+    def test_bundled_presets_load_as_pure_python_parse(self, tmp_path):
         presets = sorted(bundled_scenario_path().parent.glob("*.cfg"))
         assert presets
         for path in presets:
             config = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
             assert load_scenario(path) == scenario_from_config(config)
+            assert _read_like_pyyaml(path.read_text(), tmp_path / path.name)
 
     @pytest.mark.parametrize(
         "text",
@@ -783,8 +795,9 @@ class TestSerialization:
     def test_uses_libyaml_when_built_with_it(self):
         if not yaml.__with_libyaml__:
             pytest.skip("PyYAML built without libyaml")
-        assert issubclass(harness._YAML_LOADER, yaml.CSafeLoader)
-        assert harness._YAML_DUMPER is yaml.CSafeDumper
+        _, loader, dumper = harness._pyyaml()
+        assert issubclass(loader, yaml.CSafeLoader)
+        assert dumper is yaml.CSafeDumper
 
     def test_fig2_csv(self, tmp_path):
         path = tmp_path / "fig2.csv"
@@ -808,3 +821,96 @@ class TestSerialization:
         assert float(first[3]) > 0 and float(first[4]) > 0
         potentials = [float(line.split(",")[6]) for line in lines[1:]]
         assert potentials == [round(s.potential, 4) for s in traj.snapshots]
+
+
+# ---------------------------------------------------------------------------
+# The block reader against PyYAML
+
+# Tokens that replace a value: inside the reader's subset, outside it, or
+# at an edge of the loader's resolution (-.5 is a string to YAML 1.1
+# while .5 is a float, 017 is octal 15, 08 a string, 1:30 base-60 90).
+VALUE_TOKENS = (
+    "-.5", ".5", "+.5", "-.5e1", "1.", "00.5", "1e3", "1.0e+3", "1_000", "017", "08",
+    "0x10", "1:30", "+1", "-0", ".inf", ".nan", "yes", "on", "y", "null", "~",
+    "'1.0'", "[1, 2]", "{a: 1}", "&a 1", "!!float 1", "1#c", "",
+)
+DISCRETE_TEXT = yaml.safe_dump(
+    scenario_config(discrete_scenario((0.2, 0.5, 0.8), 3, toll=FreeToll())), sort_keys=False
+)
+
+
+def _load_outcome(path):
+    try:
+        return load_scenario(path)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+def _read_like_pyyaml(text, path):
+    """Check that _read_block gives None or the loader's mapping, with
+    the same types, and that load_scenario gives the Scenario or the
+    error the PyYAML path alone gives; True when the reader read it."""
+    block = harness._read_block(text)
+    if block is not None:
+        assert repr(block) == repr(yaml.load(text, Loader=harness._pyyaml()[1])), text
+    path.write_text(text)
+    with mock.patch.object(harness, "_read_block", lambda text: None):
+        expected = _load_outcome(path)
+    assert _load_outcome(path) == expected, text
+    return block is not None
+
+
+def _line_mutations(text):
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        before, after = lines[:i], lines[i + 1 :]
+        body = line.rstrip("\n")
+        variants = [
+            "",  # deleted
+            line + line,
+            " " + line,
+            "  " + line,
+            "\t" + line,
+            line[1:] if line.startswith(" ") else None,
+            line[2:] if line.startswith("  ") else None,
+            body + "   \n",
+            body + " # c\n",
+            body + "#c\n",
+        ]
+        entry = re.fullmatch(r"( *(?:[A-Za-z_0-9]+:|-)) \S.*", body)
+        if entry:
+            variants += [f"{entry[1]} {token}".rstrip(" ") + "\n" for token in VALUE_TOKENS]
+        for variant in variants:
+            if variant is not None:
+                yield "".join(before + [variant] + after)
+
+
+def _text_mutations(text):
+    yield text.replace("\n", "\r\n")
+    yield "\ufeff" + text
+    yield "---\n" + text
+    yield "--- \n" + text + "...\n"
+    yield text.replace("\n", "  \n")
+    yield text.rstrip("\n")
+
+
+@pytest.mark.parametrize("name", ["table1", "discrete"])
+def test_reader_reads_as_pyyaml_over_mutations(name, tmp_path):
+    text = TABLE1_TEXT if name == "table1" else DISCRETE_TEXT
+    path = tmp_path / "mutated.cfg"
+    assert _read_like_pyyaml(text, path)
+    texts = [*_line_mutations(text), *_text_mutations(text)]
+    read = sum(_read_like_pyyaml(mutated, path) for mutated in texts)
+    # the reader takes a good share of them, and leaves the rest to PyYAML
+    assert 0 < read < len(texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios(max_agents=50), sort_keys=st.booleans())
+def test_reader_reads_safe_dump_configs(scenario, sort_keys, tmp_path_factory):
+    """The files the tests write (write_scenario) are all read without
+    PyYAML: values sequences at the key's indent, floats such as 1.0e+20."""
+    text = yaml.safe_dump(scenario_config(scenario), sort_keys=sort_keys)
+    path = tmp_path_factory.mktemp("dump") / "scenario.cfg"
+    assert _read_like_pyyaml(text, path), text
+    assert load_scenario(path) == scenario

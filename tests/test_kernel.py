@@ -447,14 +447,17 @@ OVERFLOWING = {
     "alpha-times-power": _six_vehicles("link1", bpr_alpha=1e306, capacity=1.0),
     # finite travel times, but vot times their difference overflows
     "gap": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, vot=1e308))),
+    # finite travel times, but the charging bonus at the lowest SoC overflows
+    "bonus": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, voe=1e308))),
 }
 
 
 @pytest.mark.parametrize("case", OVERFLOWING)
 def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys):
-    """A travel time or gap that overflows a double at some flow 0..N
-    fails the simulator, the oracle and `erstoll simulate` as a
-    numerical failure, with no RuntimeWarning on the way."""
+    """A travel time or gap that overflows a double at some flow 0..N,
+    or a charging bonus that overflows, fails the simulator, the oracle
+    and `erstoll simulate` as a numerical failure, with no RuntimeWarning
+    on the way."""
     scn = OVERFLOWING[case]
     path = tmp_path / "overflow.cfg"
     write_scenario(scn, path)
