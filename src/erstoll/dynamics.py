@@ -22,6 +22,7 @@ with a high DWPT share) that the static analysis rules out.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -148,7 +149,8 @@ def run(
 
     population.on_link1 is updated in place; the returned Trajectory holds
     per-round snapshots including the exact potential, which is verified
-    to fall by precisely the switchers' summed gains each round.
+    to fall by precisely the switchers' summed gains each round; a
+    potential or summed gains that overflows raises an ArithmeticError.
     Non-convergence within max_rounds is reported via converged=False.
 
     In sequential order run keeps the kernel's skip summaries of the
@@ -169,14 +171,16 @@ def run(
     traj = Trajectory()
     x1_seen, time_part = -1, 0.0
 
-    def snapshot(round_index: int, switches: int) -> float:
+    def snapshot(round_index: int, switches: int) -> tuple[float, float]:
+        # the potential, and the size of its two terms, which its rounding follows
         nonlocal x1_seen, time_part
         x1_d, x1_o, _, _ = class_flows(population)
         x1 = x1_d + x1_o
         if x1 != x1_seen:  # the time part depends on x1 alone
             x1_seen = x1
             time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
-        phi = time_part - float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
+        bonus_part = float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
+        phi = time_part - bonus_part
         traj.snapshots.append(
             RoundSnapshot(
                 round_index=round_index,
@@ -188,23 +192,29 @@ def run(
                 potential=phi,
             )
         )
-        return phi
+        return phi, time_part + abs(bonus_part)
 
-    phi = snapshot(0, 0)
-    for round_index in range(1, max_rounds + 1):
-        order = rng.permutation(n) if rng is not None else None
-        switches, gain_sum = kernel.sweep(on1, bonus, order, kept)
-        phi_next = snapshot(round_index, switches)
-        drop = phi - phi_next
-        if not abs(drop - gain_sum) <= 1e-6 * (1.0 + abs(phi)):  # NaN fails too
-            raise AssertionError(
-                f"potential fell by {drop}, switch gains were {gain_sum}; "
-                "utility and potential disagree"
-            )
-        phi = phi_next
-        if switches == 0:
-            traj.converged = True
-            break
+    with np.errstate(over="raise"):  # a sum that overflows raises
+        phi, size = snapshot(0, 0)
+        for round_index in range(1, max_rounds + 1):
+            order = rng.permutation(n) if rng is not None else None
+            switches, gain_sum = kernel.sweep(on1, bonus, order, kept)
+            phi_next, size_next = snapshot(round_index, switches)
+            drop = phi - phi_next
+            if not (math.isfinite(drop) and math.isfinite(gain_sum)):
+                raise OverflowError(
+                    f"potential fell by {drop}, switch gains were {gain_sum}; "
+                    "a sum overflows"
+                )
+            if not abs(drop - gain_sum) <= 1e-6 * (1.0 + size + size_next):
+                raise AssertionError(
+                    f"potential fell by {drop}, switch gains were {gain_sum}; "
+                    "utility and potential disagree"
+                )
+            phi, size = phi_next, size_next
+            if switches == 0:
+                traj.converged = True
+                break
     return traj
 
 

@@ -53,9 +53,7 @@ from .model import (
 MAX_ITER = 200
 ROOT_TOL_FACTOR = 1e-12  # every root, fraction of N
 
-# verify_equilibrium tolerances: masses to this fraction of N (above the
-# root residual), times in minutes and money in INDIFFERENCE_EPS JPY, each
-# widened by VERIFY_REL_TOL of its size, which rounding reaches at huge times.
+# verify_equilibrium tolerances (its docstring); masses above the root residual
 VERIFY_MASS_TOL_FACTOR = 1e-5
 VERIFY_TIME_TOL = 1e-6
 VERIFY_REL_TOL = 1e-12
@@ -268,13 +266,14 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         xtol = ROOT_TOL_FACTOR * scenario.total_vehicles
         what = f"fixed point ({regime.value})"
 
-        def gap(s: float, n: float, ds: float = 0.0) -> tuple[float, float]:
-            # toll - price(n) at marginal SoC s, and its slope in n when
-            # s moves by ds per vehicle (each corner moves x1 with n)
+        def gap(s: float, n: float, ds: float | None = None) -> tuple[float, float]:
+            # toll - price(n) at marginal SoC s, and its slope in n (each
+            # corner moves x1 with n); a continuum's s moves by ds per
+            # vehicle, a discrete group's is fixed, so s*s never divides
             t1, t2, x1 = times(n)
             dt = _bpr_slope(link1, x1, t1) + _bpr_slope(link2, n_total - x1, t2)
             value = toll - charging_value(prefs, s) + prefs.vot * (t1 - t2)
-            return value, prefs.voe * ds / (s * s) + prefs.vot * dt
+            return value, (0.0 if ds is None else prefs.voe * ds / (s * s)) + prefs.vot * dt
 
         if isinstance(soc, DiscreteAgents):
             x1_d = _group_root(gap, soc, lo, hi, xtol, what)
@@ -296,9 +295,14 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
 
 
 def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[str]:
-    """Check the no-improving-switch conditions; return violations.
+    """Check that no vehicle gains by leaving its link; return violations.
 
-    Masses count to VERIFY_MASS_TOL_FACTOR*N, times and money as noted there.
+    One rule for both classes: no class with mass above mass_tol on a link
+    gains more than money_tol by leaving it (an OTHER-V vot*(t1 - t2) from
+    link 1 and the negative from link 2, a DWPT-EV that less its link-1
+    bonus).  Tolerances: masses VERIFY_MASS_TOL_FACTOR*N, stored times
+    max(VERIFY_TIME_TOL, VERIFY_REL_TOL*max(t1, t2)) minutes, and money
+    INDIFFERENCE_EPS + VERIFY_REL_TOL*(toll + vot*(t1 + t2)) JPY.
     """
     mass_tol = VERIFY_MASS_TOL_FACTOR * scenario.total_vehicles
     problems: list[str] = []
@@ -322,20 +326,15 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     if abs(t1 - result.t1) > time_tol or abs(t2 - result.t2) > time_tol:
         problems.append("stored travel times do not match BPR at stored flows")
 
-    # OTHER-Vs: Wardrop conditions.
-    if result.x1_o > mass_tol and result.x2_o > mass_tol:
-        if abs(t1 - t2) * scenario.prefs.vot > 1e-3:
-            problems.append(f"OTHER on both links but t1 - t2 = {t1 - t2}")
-    elif result.x1_o <= mass_tol:
-        if t1 < t2 - time_tol:
-            problems.append("no OTHER on link 1 although it is faster")
-    elif t2 < t1 - time_tol:
-        problems.append("no OTHER on link 2 although it is faster")
+    prefs, price = scenario.prefs, scenario.toll.dwpt_link1_charge
+    money_tol = VERIFY_REL_TOL * (price + prefs.vot * (t1 + t2)) + INDIFFERENCE_EPS
+    gain1 = prefs.vot * (t1 - t2)  # an OTHER-V's gain from leaving link 1
+    for link, mass, gain in ((1, result.x1_o, gain1), (2, result.x2_o, -gain1)):
+        if mass > mass_tol and gain > money_tol:
+            problems.append(f"OTHER on link {link} would gain {gain} JPY by leaving it")
 
     # DWPT-EVs: on link 1 if the charging value beats toll + vot*(t1 - t2)
     # by more than money_tol, on link 2 if it falls short by more than that.
-    prefs, price = scenario.prefs, scenario.toll.dwpt_link1_charge
-    money_tol = VERIFY_REL_TOL * (price + prefs.vot * (t1 + t2)) + INDIFFERENCE_EPS
     below = scenario.soc.count_below(threshold_soc(prefs, price + money_tol, t1, t2))
     at_or_above = scenario.soc.total_mass - scenario.soc.count_below(
         math.nextafter(threshold_soc(prefs, price - money_tol, t1, t2), math.inf)

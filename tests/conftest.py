@@ -1,6 +1,7 @@
 """Shared scenario factories and helpers for the test suite.  Property
 tests draw their scenarios from `scenarios`, the documented domain."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -205,6 +206,64 @@ def scenarios(draw, max_agents=None):
     )
     socs = draw(draw(st.sampled_from(shapes)))
     return discrete_scenario(socs, n - n_dwpt, network=draw(networks(float(n))), **common)
+
+
+def log_uniform(lo, hi):
+    """Floats lo to hi, uniform in their logarithm."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def wide_links(draw, n_total, ers=False):
+    """A BPR link over wide magnitudes: free-flow time 0.1-1e3 minutes,
+    capacity 1e-3N-10N, alpha 0 or 1e-3-10, beta 1-16."""
+    return LinkParams(
+        free_flow_time=draw(log_uniform(0.1, 1e3)),
+        capacity=n_total * draw(log_uniform(1e-3, 10.0)),
+        bpr_alpha=draw(st.one_of(st.just(0.0), log_uniform(1e-3, 10.0))),
+        bpr_beta=draw(st.floats(1.0, 16.0)),
+        has_ers=ers,
+        ers_power_kw=30.0 if ers else None,
+    )
+
+
+@st.composite
+def wide_scenarios(draw, max_agents=30):
+    """Valid scenarios far outside the documented domain: vot and voe
+    1e-3-1e6 JPY, a free toll or a fixed one of 0 or 1e-3-1e6 JPY, twin
+    or differing wide_links, and either a continuum pool (N = 10**U[1, 7],
+    r 1e-3-0.999999, SoCs as in `scenarios`) or 2 to max_agents agents
+    whose SoCs, free or tied at 1-4 levels, reach down to 5e-324."""
+    common = dict(
+        vot=draw(log_uniform(1e-3, 1e6)),
+        voe=draw(log_uniform(1e-3, 1e6)),
+        toll=draw(st.one_of(
+            st.just(FreeToll()), st.just(FixedToll(0.0)), log_uniform(1e-3, 1e6).map(FixedToll)
+        )),
+    )
+    continuum = draw(st.booleans())
+    if continuum:
+        total = 10.0 ** draw(st.floats(1.0, 7.0))
+    else:
+        total = draw(st.integers(2, max_agents))
+    link1 = draw(wide_links(float(total), ers=True))
+    twin = replace(link1, has_ers=False, ers_power_kw=None)
+    network = Network(link1, twin if draw(st.booleans()) else draw(wide_links(float(total))))
+    if continuum:
+        s_lo = draw(st.floats(0.02, 0.5))
+        return base_scenario(
+            total=total,
+            ratio=draw(st.floats(1e-3, 0.999999)),
+            s_lo=s_lo,
+            s_hi=draw(st.floats(s_lo + 0.05, 0.98)),
+            network=network,
+            **common,
+        )
+    n_dwpt = draw(st.integers(1, total - 1))
+    free = st.one_of(st.floats(5e-324, 1.0, exclude_max=True), log_uniform(5e-324, 0.999))
+    tied = st.sampled_from(draw(st.lists(free, min_size=1, max_size=4)))
+    socs = draw(st.lists(st.one_of(tied, free), min_size=n_dwpt, max_size=n_dwpt))
+    return discrete_scenario(socs, total - n_dwpt, network=network, **common)
 
 
 def band_containing(bands, price):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -257,6 +258,17 @@ class TestSimulate:
         # voe * (1/0.1 - 1) overflows, so the bonuses and the potential would be infinite
         args = ["simulate", "--set", "prefs.voe=1e308", "--initial", "random", "--rounds", "5"]
         assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: "), captured.err
+        assert captured.out == ""
+
+    def test_overflowing_potential_is_a_numerical_failure(self, capsys):
+        # each bonus voe * (1/s - 1) is finite, but about 200 of them near
+        # 5e307 on link 1 sum past the largest double
+        args = ["simulate", "--set", "prefs.voe=1e307", "--initial", "random", "--rounds", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("numerical failure: "), captured.err
         assert captured.out == ""

@@ -463,7 +463,16 @@ class TestVerifyEquilibrium:
         t1, t2 = bpr_time(link1, 100.0), bpr_time(link2, 900.0)
         broken = replace(result, x1_o=0.0, x2_o=800.0, t1=t1, t2=t2)
         problems = verify_equilibrium(scn, broken)
-        assert "no OTHER on link 1 although it is faster" in problems
+        assert f"OTHER on link 2 would gain {50.0 * (t2 - t1)} JPY by leaving it" in problems
+
+    def test_flags_other_on_the_slower_link(self):
+        scn = base_scenario()
+        link1, link2 = scn.network.link1, scn.network.link2
+        result, _ = solve(scn)
+        t1, t2 = bpr_time(link1, 900.0), bpr_time(link2, 100.0)
+        broken = replace(result, x1_o=800.0, x2_o=0.0, t1=t1, t2=t2)
+        problems = verify_equilibrium(scn, broken)
+        assert f"OTHER on link 1 would gain {50.0 * (t1 - t2)} JPY by leaving it" in problems
 
     def test_flags_too_few_dwpt_on_link2(self):
         scn = base_scenario()

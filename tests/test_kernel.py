@@ -42,7 +42,7 @@ from erstoll.dynamics import (
     run,
     step,
 )
-from erstoll.equilibrium import brute_force_equilibrium
+from erstoll.equilibrium import brute_force_equilibrium, verify_equilibrium
 from erstoll.harness import table1_scenario
 from erstoll.model import (
     INDIFFERENCE_EPS,
@@ -449,15 +449,21 @@ OVERFLOWING = {
     "gap": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, vot=1e308))),
     # finite travel times, but the charging bonus at the lowest SoC overflows
     "bonus": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, voe=1e308))),
+    # finite bonuses, gaps and times, but the potential's sum of the bonuses
+    # on link 1 overflows, or its vot times the summed travel times does
+    "bonus-sum": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, voe=1e307))),
+    "time-sum": discretize_scenario(replace(BUNDLED, prefs=replace(BUNDLED.prefs, vot=3e304))),
 }
+# The oracle sums no potential, so it solves the last two cases.
+POTENTIAL_ONLY = ("bonus-sum", "time-sum")
 
 
 @pytest.mark.parametrize("case", OVERFLOWING)
 def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys):
-    """A travel time or gap that overflows a double at some flow 0..N,
-    or a charging bonus that overflows, fails the simulator, the oracle
-    and `erstoll simulate` as a numerical failure, with no RuntimeWarning
-    on the way."""
+    """A travel time or gap that overflows a double at some flow 0..N, a
+    charging bonus that overflows, or a potential that overflows fails
+    the simulator, the oracle (where it sums what overflows) and `erstoll
+    simulate` as a numerical failure, with no RuntimeWarning on the way."""
     scn = OVERFLOWING[case]
     path = tmp_path / "overflow.cfg"
     write_scenario(scn, path)
@@ -465,8 +471,11 @@ def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError):
             run(agents_from_scenario(scn), scn.network, scn.prefs, scn.toll)
-        with pytest.raises(ArithmeticError):
-            brute_force_equilibrium(scn)
+        if case in POTENTIAL_ONLY:
+            assert verify_equilibrium(scn, brute_force_equilibrium(scn)) == []
+        else:
+            with pytest.raises(ArithmeticError):
+                brute_force_equilibrium(scn)
         assert main(["simulate", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: ")
 

@@ -1,0 +1,122 @@
+"""Valid input far outside the documented domain fails only numerically.
+
+Every scenario the model types accept, at any magnitude, either returns
+or raises ArithmeticError or ConvergenceError (the CLI's exit 2) from
+the solver, the analysis, the verifier, the oracle and the simulator.
+"""
+
+from dataclasses import replace
+
+import pytest
+from conftest import discrete_scenario, wide_scenarios
+from hypothesis import example, given, settings
+
+from erstoll import (
+    ConvergenceError,
+    DiscreteAgents,
+    FixedToll,
+    FreeToll,
+    LinkParams,
+    Network,
+    Preferences,
+    Scenario,
+    UniformContinuum,
+    apply_overrides,
+    brute_force_equilibrium,
+    classify,
+    metrics,
+    solve,
+    table1_scenario,
+    toll_bands,
+    verify_equilibrium,
+)
+from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
+
+BUNDLED = table1_scenario()
+# `erstoll simulate --set prefs.voe=1e307`: finite bonuses whose sum overflows
+OVERFLOWING_POTENTIAL = discretize_scenario(
+    replace(BUNDLED, prefs=replace(BUNDLED.prefs, voe=1e307))
+)
+# SoCs whose square underflows to 0
+TINY_SOCS = discrete_scenario([1e-200] * 8 + [0.5], n_other=1)
+# every OTHER-V on the faster link 1, but only 0.001 of them
+NEAR_ALL_DWPT = apply_overrides(BUNDLED, {"dwpt_ratio": 0.999999, "toll.price": 1e6})
+# interior at travel times of 2e7 minutes, where t1 - t2 is a few ulps
+HUGE_TIMES = Scenario(
+    total_vehicles=122865.73690374628,
+    dwpt_ratio=0.14329862875955482,
+    soc=UniformContinuum(
+        s_lo=0.3403675541206731, s_hi=0.7832885150340166, mass=17606.49161983907
+    ),
+    prefs=Preferences(vot=84993.47518700651, voe=0.02331296029977539),
+    toll=FixedToll(price=0.023832124664898133),
+    network=Network(
+        LinkParams(
+            free_flow_time=64.83978863717081,
+            capacity=1620.0596651816438,
+            bpr_alpha=0.001329074328992337,
+            bpr_beta=5.464620725805312,
+            has_ers=True,
+            ers_power_kw=30.0,
+        ),
+        LinkParams(
+            free_flow_time=0.1895199811407483,
+            capacity=12285.317673641892,
+            bpr_alpha=0.678471511738296,
+            bpr_beta=11.08683080935534,
+        ),
+    ),
+)
+# a switch that gains 1e13 JPY where the potential was about 500 JPY
+BIG_GAIN = discrete_scenario(
+    (1e-12,),
+    1,
+    vot=10**1.5,
+    voe=10.0,
+    toll=FreeToll(),
+    network=Network(
+        LinkParams(1.0, 2.0, bpr_alpha=0.0, bpr_beta=1.0, has_ers=True, ers_power_kw=30.0),
+        LinkParams(10.0, 2.0, bpr_alpha=0.0, bpr_beta=1.0),
+    ),
+)
+NUMERICAL = (ArithmeticError, ConvergenceError)
+
+
+def _returns_or_fails_numerically(call, *args):
+    try:
+        return call(*args)
+    except NUMERICAL:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(scn=wide_scenarios())
+@example(scn=OVERFLOWING_POTENTIAL)
+@example(scn=TINY_SOCS)
+@example(scn=NEAR_ALL_DWPT)
+@example(scn=HUGE_TIMES)
+@example(scn=BIG_GAIN)
+def test_valid_input_fails_only_numerically(scn):
+    solved = _returns_or_fails_numerically(solve, scn)
+    if solved is not None:
+        for check in (classify, metrics, verify_equilibrium):
+            _returns_or_fails_numerically(check, scn, solved[0])
+    if isinstance(scn.toll, FixedToll):
+        _returns_or_fails_numerically(toll_bands, scn)
+    if isinstance(scn.soc, DiscreteAgents):
+        _returns_or_fails_numerically(brute_force_equilibrium, scn)
+        population = agents_from_scenario(scn, "random", 0)
+        _returns_or_fails_numerically(run, population, scn.network, scn.prefs, scn.toll)
+
+
+@pytest.mark.parametrize("scn", [NEAR_ALL_DWPT, HUGE_TIMES], ids=["near-all-dwpt", "huge-times"])
+def test_wardrop_cases_verify_clean(scn):
+    result, _ = solve(scn)
+    assert verify_equilibrium(scn, result) == []
+
+
+def test_tiny_socs_solve_in_the_corner():
+    result, regime = solve(TINY_SOCS)
+    assert regime.value == "corner_other_on_2"
+    assert result.x1_d == 8.0
+    assert verify_equilibrium(TINY_SOCS, result) == []
