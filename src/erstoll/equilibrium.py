@@ -73,8 +73,10 @@ class RegimeTag(Enum):
 class EquilibriumResult:
     """Class-level link flows and times at a user equilibrium.
 
-    s_thres is the threshold SoC at the equilibrium travel times; the
-    value 1.0 is a sentinel meaning "every DWPT-EV prefers the ERS link".
+    solve stores t1 and t2 as bpr_time at x1 and x2, the sums of the
+    stored class flows, and s_thres as the threshold SoC at those times;
+    the value 1.0 is a sentinel meaning "every DWPT-EV prefers the ERS
+    link".
     """
 
     x1_d: float
@@ -185,18 +187,13 @@ def _bpr(link: LinkParams, x: float) -> tuple[float, float]:
     return t, _bpr_slope(link, x, t)
 
 
-def _equal_split(link1: LinkParams, link2: LinkParams, total: float, cost, what) -> float:
-    """Link-1 flow x in [0, total] where cost(link1, x) meets
-    cost(link2, total - x), for a cost increasing in the flow and given
-    with its slope; half of total on links with one travel-time function."""
+def _equal_split(link1: LinkParams, link2: LinkParams, total: float, g, what) -> float:
+    """Link-1 flow x in [0, total] where a cost increasing in the flow is
+    equal on both links: the _root of g(x), link 1's cost at x less link
+    2's at total - x, with its slope; half of total on links with one
+    travel-time function."""
     if link1.same_bpr(link2):
         return 0.5 * total
-
-    def g(x: float) -> tuple[float, float]:
-        c1, d1 = cost(link1, x)
-        c2, d2 = cost(link2, total - x)
-        return c1 - c2, d1 + d2
-
     return _root(g, 0.0, total, ROOT_TOL_FACTOR * total, what)
 
 
@@ -213,7 +210,13 @@ def _wardrop_response(scenario: Scenario):
     link1, link2 = scenario.network.link1, scenario.network.link2
     n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
     prefs, soc = scenario.prefs, scenario.soc
-    x_eq = _equal_split(link1, link2, n_total, _bpr, "balanced flow")
+
+    def time_gap(x: float) -> tuple[float, float]:
+        t1, d1 = _bpr(link1, x)
+        t2, d2 = _bpr(link2, n_total - x)
+        return t1 - t2, d1 + d2
+
+    x_eq = _equal_split(link1, link2, n_total, time_gap, "balanced flow")
 
     def times(n: float) -> tuple[float, float, float]:
         # min(max(x_eq, n), n + n_other) without the builtin calls, which
@@ -280,13 +283,16 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         else:
             ds = (soc.s_hi - soc.s_lo) / soc.mass
             x1_d = _root(lambda n: gap(soc.quantile(n), n, ds), lo, hi, xtol, what)
-        t1, t2, _ = times(x1_d)
     x1_o = min(max(x_eq - x1_d, 0.0), n_other)
+    x2_d, x2_o = n_dwpt - x1_d, n_other - x1_o
+    # times at the stored link flows, which can round an ulp of N away
+    # from the response map's x1
+    t1, t2 = bpr_time(link1, x1_d + x1_o), bpr_time(link2, x2_d + x2_o)
     result = EquilibriumResult(
         x1_d=x1_d,
-        x2_d=n_dwpt - x1_d,
+        x2_d=x2_d,
         x1_o=x1_o,
-        x2_o=n_other - x1_o,
+        x2_o=x2_o,
         t1=t1,
         t2=t2,
         s_thres=threshold_soc(prefs, toll, t1, t2),

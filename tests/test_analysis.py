@@ -144,6 +144,12 @@ class TestMetrics:
         assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
 
 
+# link 2 at 150 minutes free flow: at vot 50 the equilibrium and the
+# optimum put every vehicle on link 1; at vot 0.01 the toll moves some
+# DWPT-EVs to link 2, and TTT above the optimum
+SLOW_LINK2 = Network(base_scenario().network.link1, replace(PLAIN_LINK, free_flow_time=150.0))
+
+
 class TestConventionalSo:
     def test_twin_network_minimum(self):
         scn = base_scenario()
@@ -172,6 +178,19 @@ class TestConventionalSo:
         for price in (0.0, 100.0, 500.0, 1000.0):
             scn = base_scenario(toll=FixedToll(price))
             assert metrics(scn, solved(scn)).conventional_so is True
+
+    @settings(max_examples=300, deadline=None)
+    @given(scn=scenarios())
+    @example(scn=base_scenario())  # twin links, optimal
+    @example(scn=base_scenario(ratio=0.6, toll=FreeToll()))  # twin links, not optimal
+    @example(scn=base_scenario(network=SLOW_LINK2))  # differing links, optimal
+    @example(scn=base_scenario(vot=0.01, network=SLOW_LINK2))  # differing, not optimal
+    def test_flag_is_the_converged_optimum_comparison(self, scn):
+        # metrics stops its optimum search at the first split that beats
+        # ttt; the flag must be the comparison with the converged optimum
+        m = metrics(scn, solved(scn))
+        best = min_total_travel_time(scn.network, scn.total_vehicles)
+        assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
 
 
 class TestErsOptimum:

@@ -483,6 +483,31 @@ def test_congested_simulate_bytes_are_pinned(order, digest, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "80fa6834c29804e6b61db51024986e7f2f82963a5348f85990f2369eb5dd2bb0"),
+        ("structured-text", "85e0e73f4ddd2f115a9ac1d91172c25d9df7e6bfcf522b5cf50d1f35ec357c52"),
+    ],
+)
+def test_differing_links_sweep_bytes_are_pinned(fmt, digest, tmp_path):
+    """A sweep on links that differ, so each cell runs the system-optimum
+    search: the bundled scenario with link 2 at 150 minutes free flow.
+    Of its 52 rows, conventional_so is true in 28 and false in 24."""
+    config = yaml.safe_load(bundled_scenario_path().read_text())
+    config["network"]["link2"]["free_flow_time"] = 150.0
+    scenario, path = tmp_path / "slow-link2.cfg", tmp_path / "out"
+    scenario.write_text(yaml.safe_dump(config))
+    argv = [
+        "sweep", "--scenario", str(scenario),
+        "--axis", "prefs.vot=0.01,50",
+        "--axis", "toll.price=0:1200:13",
+        "--axis", "dwpt_ratio=0.2,0.8",
+    ]
+    assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestParserBehavior:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -601,10 +601,10 @@ class TestSweeps:
         ]
 
     def test_failing_optimum_fails_each_cell_in_row(self, monkeypatch):
-        def broken(network, n_total):
+        def broken(network, n_total, ttt):
             raise ConvergenceError("system optimum: no bracket")
 
-        monkeypatch.setattr("erstoll.analysis.min_total_travel_time", broken)
+        monkeypatch.setattr("erstoll.analysis._least_ttt", broken)
         rows = run_sweep(
             base_scenario(),
             (("toll.price", (0.0, 100.0)), ("dwpt_ratio", (0.3, 1.5))),

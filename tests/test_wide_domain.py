@@ -31,6 +31,7 @@ from erstoll import (
     verify_equilibrium,
 )
 from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
+from erstoll.model import bpr_time, threshold_soc
 
 BUNDLED = table1_scenario()
 # `erstoll simulate --set prefs.voe=1e307`: finite bonuses whose sum overflows
@@ -79,6 +80,34 @@ BIG_GAIN = discrete_scenario(
         LinkParams(10.0, 2.0, bpr_alpha=0.0, bpr_beta=1.0),
     ),
 )
+# interior with 0.18 of 124 vehicles on a steep link 2 (beta 14.8), where
+# n_total - x_eq and x2_d + x2_o round apart and link 2's times at the two
+# differ by 1.1e-12 of themselves
+SMALL_STEEP_SHARE = Scenario(
+    total_vehicles=124.35151863768407,
+    dwpt_ratio=0.3428217021738083,
+    soc=UniformContinuum(
+        s_lo=0.037995735267037686, s_hi=0.49848005836211146, mass=42.6303992872689
+    ),
+    prefs=Preferences(vot=422583.7652095798, voe=797706.2266019688),
+    toll=FixedToll(price=0.02761948145831969),
+    network=Network(
+        LinkParams(
+            free_flow_time=228.8933361454124,
+            capacity=256.4153971773054,
+            bpr_alpha=0.007471089563891319,
+            bpr_beta=5.299882102932774,
+            has_ers=True,
+            ers_power_kw=30.0,
+        ),
+        LinkParams(
+            free_flow_time=8.24476836013028,
+            capacity=0.14371125877116014,
+            bpr_alpha=1.1230994447373361,
+            bpr_beta=14.828797972589447,
+        ),
+    ),
+)
 NUMERICAL = (ArithmeticError, ConvergenceError)
 
 
@@ -120,3 +149,19 @@ def test_tiny_socs_solve_in_the_corner():
     assert regime.value == "corner_other_on_2"
     assert result.x1_d == 8.0
     assert verify_equilibrium(TINY_SOCS, result) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(scn=wide_scenarios())
+@example(scn=SMALL_STEEP_SHARE)
+def test_stored_times_are_bpr_at_the_stored_flows(scn):
+    """The times and threshold a result stores are the ones the verifier
+    recomputes from its class flows, to the bit."""
+    solved = _returns_or_fails_numerically(solve, scn)
+    if solved is None:
+        return
+    result = solved[0]
+    t1 = bpr_time(scn.network.link1, result.x1_d + result.x1_o)
+    t2 = bpr_time(scn.network.link2, result.x2_d + result.x2_o)
+    assert (result.t1, result.t2) == (t1, t2)
+    assert result.s_thres == threshold_soc(scn.prefs, scn.toll.dwpt_link1_charge, t1, t2)
