@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .equilibrium import EquilibriumResult, _bpr_slope, _equal_split, _wardrop_response
+from .equilibrium import (
+    ROOT_TOL_FACTOR,
+    EquilibriumResult,
+    _bpr_slope,
+    _root,
+    _wardrop_response,
+)
 from .model import FixedToll, FreeToll, LinkParams, Network, Scenario, bpr_time
 
 # Flows within this fraction of N count as equal (c1, Metrics.ers_optimum).
@@ -115,49 +121,66 @@ def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     return PatternLabel.B_ii_c3
 
 
-def _marginal(link: LinkParams, x: float) -> tuple[float, float, float]:
-    """Marginal cost d(x*t(x))/dx = t + x*t' of BPR at flow x, its slope
-    (beta + 1)*t', since x*t' = beta*(t - t0), and the cost x*t itself."""
-    t = bpr_time(link, x)
+def _marginal(link: LinkParams, x: float, t: float) -> tuple[float, float]:
+    """Marginal cost d(x*t(x))/dx = t + x*t' of BPR at flow x, where the
+    time is t, and its slope (beta + 1)*t', since x*t' = beta*(t - t0)."""
     slope = _bpr_slope(link, x, t)
-    return t + x * slope, (link.bpr_beta + 1.0) * slope, x * t
+    return t + x * slope, (link.bpr_beta + 1.0) * slope
 
 
 class _Beaten(Exception):
     """A split's TTT (args[0]) that the TTT under test exceeds."""
 
 
-def _least_ttt(network: Network, n_total: float, ttt: float) -> float:
-    """TTT of the system optimum, or of the first split that its search
-    evaluates whose TTT F has ttt > F*(1 + SO_REL_TOL), whichever it
-    meets first.
+def _least_ttt(
+    network: Network, n_total: float, ttt: float, start: EquilibriumResult | None
+) -> float:
+    """TTT of the system optimum, or of the first split evaluated whose
+    TTT F has ttt > F*(1 + SO_REL_TOL), whichever it meets first.
 
     x*t(x) is convex for BPR, so TTT is convex in the split (Beckmann,
     McGuire and Winsten 1956) and its minimum is where the marginal costs
-    of the two links meet, or an end of [0, n_total] if they never do.
-    Every split's F is at least that minimum, so one that ttt exceeds
-    settles that ttt is not the minimum, and the search stops there.
+    of the two links meet, or an end of [0, n_total] if they never do;
+    twin links split evenly.  Every split's F is at least that minimum,
+    so one that ttt exceeds settles that ttt is not the minimum, and the
+    search stops there.  On links that differ, a start (an equilibrium of
+    this network and n_total) gives the first split: the Newton step on
+    the marginal-cost gap from its x1, with t' from its stored t1 and t2,
+    clamped to [0, n_total] and skipped if not finite.  The search then
+    runs as without it.
     """
     link1, link2 = network.link1, network.link2
+    if link1.same_bpr(link2):
+        x1 = 0.5 * n_total
+    else:
 
-    def gap(x: float) -> tuple[float, float]:
-        c1, d1, f1 = _marginal(link1, x)
-        c2, d2, f2 = _marginal(link2, n_total - x)
-        if ttt > (f1 + f2) * (1.0 + SO_REL_TOL):
-            raise _Beaten(f1 + f2)
-        return c1 - c2, d1 + d2
+        def gap(x: float) -> tuple[float, float]:
+            t1, t2 = bpr_time(link1, x), bpr_time(link2, n_total - x)
+            f = x * t1 + (n_total - x) * t2
+            if ttt > f * (1.0 + SO_REL_TOL):
+                raise _Beaten(f)
+            c1, d1 = _marginal(link1, x, t1)
+            c2, d2 = _marginal(link2, n_total - x, t2)
+            return c1 - c2, d1 + d2
 
-    try:
-        x1 = _equal_split(link1, link2, n_total, gap, "system optimum")
-    except _Beaten as beaten:
-        return beaten.args[0]
+        try:
+            if start is not None:
+                c1, d1 = _marginal(link1, start.x1, start.t1)
+                c2, d2 = _marginal(link2, start.x2, start.t2)
+                if d1 + d2 > 0.0:  # not 0 or nan
+                    x = start.x1 - (c1 - c2) / (d1 + d2)
+                    if math.isfinite(x):
+                        gap(min(max(x, 0.0), n_total))
+            x1 = _root(gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "system optimum")
+        except _Beaten as beaten:
+            return beaten.args[0]
     return x1 * bpr_time(link1, x1) + (n_total - x1) * bpr_time(link2, n_total - x1)
 
 
 def min_total_travel_time(network: Network, n_total: float) -> float:
     """Network-optimal TTT over all splits of n_total across the links
     (_least_ttt, with no TTT to stop at)."""
-    return _least_ttt(network, n_total, -math.inf)
+    return _least_ttt(network, n_total, -math.inf, None)
 
 
 def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
@@ -166,19 +189,21 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     Only the ERS link charges, so tcv = x1_d * W * t1 / 60 with W the
     link-1 power in kW and t1 in minutes.  conventional_so is
     ttt <= min_total_travel_time*(1 + SO_REL_TOL) for the scenario's
-    network and N, decided by the optimum's own search: it is false as
-    soon as a split the search evaluates has a TTT F with
-    ttt > F*(1 + SO_REL_TOL).  That is the same comparison made against
-    a value no less than the minimum (every split's TTT is, up to its
-    rounding), so it gives the converged search's answer; only when no
-    split beats ttt does the search run to the optimum (_least_ttt).
+    network and N, and false as soon as any split's TTT F has
+    ttt > F*(1 + SO_REL_TOL): no split's F is below the minimum (up to
+    its rounding), so that is the converged search's answer.  On links
+    that differ the first split tried is the Newton step toward the
+    optimum from the equilibrium's own split, priced from its stored
+    times; it settles most false flags, and a wrong or non-finite stored
+    time can only waste it.  The search runs to the optimum only when no
+    split beats ttt (_least_ttt).
     """
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw
     ttt = result.x1 * result.t1 + result.x2 * result.t2
     tcv = result.x1_d * power * result.t1 / 60.0
     revenue = result.x1_d * scenario.toll.dwpt_link1_charge
-    least = _least_ttt(scenario.network, scenario.total_vehicles, ttt)
+    least = _least_ttt(scenario.network, scenario.total_vehicles, ttt, result)
     tol = PATTERN_MASS_TOL * scenario.total_vehicles
     return Metrics(
         ttt=ttt,

@@ -187,16 +187,6 @@ def _bpr(link: LinkParams, x: float) -> tuple[float, float]:
     return t, _bpr_slope(link, x, t)
 
 
-def _equal_split(link1: LinkParams, link2: LinkParams, total: float, g, what) -> float:
-    """Link-1 flow x in [0, total] where a cost increasing in the flow is
-    equal on both links: the _root of g(x), link 1's cost at x less link
-    2's at total - x, with its slope; half of total on links with one
-    travel-time function."""
-    if link1.same_bpr(link2):
-        return 0.5 * total
-    return _root(g, 0.0, total, ROOT_TOL_FACTOR * total, what)
-
-
 def _wardrop_response(scenario: Scenario):
     """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link.
 
@@ -216,7 +206,12 @@ def _wardrop_response(scenario: Scenario):
         t2, d2 = _bpr(link2, n_total - x)
         return t1 - t2, d1 + d2
 
-    x_eq = _equal_split(link1, link2, n_total, time_gap, "balanced flow")
+    # half of N on links with one travel-time function
+    x_eq = (
+        0.5 * n_total
+        if link1.same_bpr(link2)
+        else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
+    )
 
     def times(n: float) -> tuple[float, float, float]:
         # min(max(x_eq, n), n + n_other) without the builtin calls, which

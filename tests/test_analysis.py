@@ -12,16 +12,18 @@ from conftest import (
     scenarios,
 )
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from erstoll.analysis import (
     PatternLabel,
     TollBand,
+    _marginal,
     classify,
     metrics,
     min_total_travel_time,
     toll_bands,
 )
-from erstoll.equilibrium import solve, verify_equilibrium
+from erstoll.equilibrium import brute_force_equilibrium, solve, verify_equilibrium
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -189,6 +191,53 @@ class TestConventionalSo:
         # metrics stops its optimum search at the first split that beats
         # ttt; the flag must be the comparison with the converged optimum
         m = metrics(scn, solved(scn))
+        best = min_total_travel_time(scn.network, scn.total_vehicles)
+        assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize(
+        "vot, calls, flag",
+        [
+            # the probe's split, N, beats ttt before any marginal cost
+            # there is formed: 2 calls, where both ends of the search made 4
+            (0.01, 2, False),
+            # ttt is the optimum: the probe's split (2 more calls) settles
+            # nothing, and the search runs as before (4)
+            (50.0, 8, True),
+        ],
+    )
+    def test_probe_settles_a_false_flag_at_once(self, monkeypatch, vot, calls, flag):
+        # the probe is the Newton step from the equilibrium's split,
+        # priced from its stored times: 2 calls
+        seen = []
+
+        def counting(link, x, t):
+            seen.append(x)
+            return _marginal(link, x, t)
+
+        monkeypatch.setattr("erstoll.analysis._marginal", counting)
+        scn = base_scenario(vot=vot, network=SLOW_LINK2)
+        assert metrics(scn, solved(scn)).conventional_so is flag
+        assert len(seen) == calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scn=scenarios(),
+        factors=st.tuples(*[st.floats(0.0, 10.0) | st.sampled_from([math.inf, math.nan])] * 2),
+    )
+    def test_flag_with_wrong_stored_times(self, scn, factors):
+        # the probe reads the stored times: wrong or non-finite ones may
+        # waste its split, never change the flag
+        result = solved(scn)
+        result = replace(result, t1=result.t1 * factors[0], t2=result.t2 * factors[1])
+        m = metrics(scn, result)
+        best = min_total_travel_time(scn.network, scn.total_vehicles)
+        assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scn=scenarios(max_agents=200))
+    def test_flag_of_the_oracle_equilibrium(self, scn):
+        # the probe starts from whatever equilibrium it is given
+        m = metrics(scn, brute_force_equilibrium(scn))
         best = min_total_travel_time(scn.network, scn.total_vehicles)
         assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
 

@@ -84,17 +84,21 @@ def test_root_iteration_cap(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.0, 0.15, 1.0])
 def test_bpr_and_marginal_slopes_match_finite_differences(alpha, beta):
     link = LinkParams(7.0, 250.0, alpha, beta)
+
+    def marginal(link, x):
+        return _marginal(link, x, bpr_time(link, x))
+
     # central differences inside, to their rounding of about ulp(t0)/h; a
     # forward one at x = 0, where the slope for beta > 1 is 0 and the
     # quotient is O(h**(beta - 1))
     for x, h, abs_tol in ((0.0, 1e-8, 1e-6), (1.0, 1e-4, 1e-10), (60.0, 1e-4, 1e-10),
                           (250.0, 1e-4, 1e-10), (700.0, 1e-4, 1e-10)):
         lo = max(x - h, 0.0)
-        for cost in (_bpr, _marginal):
+        for cost in (_bpr, marginal):
             quotient = (cost(link, x + h)[0] - cost(link, lo)[0]) / (x + h - lo)
             assert cost(link, x)[1] == pytest.approx(quotient, rel=1e-6, abs=abs_tol)
     assert _bpr(link, 60.0)[0] == bpr_time(link, 60.0)
-    assert _marginal(link, 60.0)[0] == pytest.approx(
+    assert marginal(link, 60.0)[0] == pytest.approx(
         7.0 * (1.0 + alpha * (beta + 1.0) * (60.0 / 250.0) ** beta), rel=1e-12
     )
     if beta == 1.0:

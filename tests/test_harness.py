@@ -601,7 +601,7 @@ class TestSweeps:
         ]
 
     def test_failing_optimum_fails_each_cell_in_row(self, monkeypatch):
-        def broken(network, n_total, ttt):
+        def broken(network, n_total, ttt, start):
             raise ConvergenceError("system optimum: no bracket")
 
         monkeypatch.setattr("erstoll.analysis._least_ttt", broken)
