@@ -128,6 +128,15 @@ def _marginal(link: LinkParams, x: float, t: float) -> tuple[float, float]:
     return t + x * slope, (link.bpr_beta + 1.0) * slope
 
 
+def _time(link: LinkParams, x: float) -> float:
+    """bpr_time, or inf at a flow whose time overflows a double: such a
+    split's TTT is infinite, so no optimum search ever settles there."""
+    try:
+        return bpr_time(link, x)
+    except OverflowError:
+        return math.inf
+
+
 class _Beaten(Exception):
     """A split's TTT (args[0]) that the TTT under test exceeds."""
 
@@ -147,34 +156,45 @@ def _least_ttt(
     this network and n_total) gives the first split: the Newton step on
     the marginal-cost gap from its x1, with t' from its stored t1 and t2,
     clamped to [0, n_total] and skipped if not finite.  The search then
-    runs as without it.
+    runs as without it, and returns the least F of the root and the
+    splits it evaluated: on a link so steep that F grows by orders of
+    magnitude within the root's tolerance, the root's own F can be far
+    above an end's.  A link time that overflows a double is infinite
+    (_time), and so are that split's F and the link's marginal cost, so
+    the gap keeps its sign and the root lies below that flow.
     """
     link1, link2 = network.link1, network.link2
+
+    def total(x: float) -> float:
+        return x * _time(link1, x) + (n_total - x) * _time(link2, n_total - x)
+
     if link1.same_bpr(link2):
-        x1 = 0.5 * n_total
-    else:
+        return total(0.5 * n_total)
+    least = math.inf  # the least F of the splits evaluated
 
-        def gap(x: float) -> tuple[float, float]:
-            t1, t2 = bpr_time(link1, x), bpr_time(link2, n_total - x)
-            f = x * t1 + (n_total - x) * t2
-            if ttt > f * (1.0 + SO_REL_TOL):
-                raise _Beaten(f)
-            c1, d1 = _marginal(link1, x, t1)
-            c2, d2 = _marginal(link2, n_total - x, t2)
-            return c1 - c2, d1 + d2
+    def gap(x: float) -> tuple[float, float]:
+        nonlocal least
+        t1, t2 = _time(link1, x), _time(link2, n_total - x)
+        f = x * t1 + (n_total - x) * t2
+        if ttt > f * (1.0 + SO_REL_TOL):
+            raise _Beaten(f)
+        least = min(least, f)
+        c1, d1 = _marginal(link1, x, t1)
+        c2, d2 = _marginal(link2, n_total - x, t2)
+        return c1 - c2, d1 + d2
 
-        try:
-            if start is not None:
-                c1, d1 = _marginal(link1, start.x1, start.t1)
-                c2, d2 = _marginal(link2, start.x2, start.t2)
-                if d1 + d2 > 0.0:  # not 0 or nan
-                    x = start.x1 - (c1 - c2) / (d1 + d2)
-                    if math.isfinite(x):
-                        gap(min(max(x, 0.0), n_total))
-            x1 = _root(gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "system optimum")
-        except _Beaten as beaten:
-            return beaten.args[0]
-    return x1 * bpr_time(link1, x1) + (n_total - x1) * bpr_time(link2, n_total - x1)
+    try:
+        if start is not None:
+            c1, d1 = _marginal(link1, start.x1, start.t1)
+            c2, d2 = _marginal(link2, start.x2, start.t2)
+            if d1 + d2 > 0.0:  # not 0 or nan
+                x = start.x1 - (c1 - c2) / (d1 + d2)
+                if math.isfinite(x):
+                    gap(min(max(x, 0.0), n_total))
+        x1 = _root(gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "system optimum")
+    except _Beaten as beaten:
+        return beaten.args[0]
+    return min(least, total(x1))
 
 
 def min_total_travel_time(network: Network, n_total: float) -> float:

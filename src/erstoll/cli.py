@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 from . import analysis, harness
@@ -291,11 +290,7 @@ def cmd_sweep(args) -> int:
 def cmd_bands(args) -> int:
     scenario = _load_scenario(args)
     cells = [
-        [
-            band.pattern.value,
-            f"{band.c_low:.4f}",
-            f"{band.c_high:.4f}" if math.isfinite(band.c_high) else "inf",
-        ]
+        [band.pattern.value, f"{band.c_low:.4f}", f"{band.c_high:.4f}"]  # inf is "inf"
         for band in analysis.toll_bands(scenario)
     ]
     summary = [f"{pattern:<8} [{low}, {high})" for pattern, low, high in cells]

@@ -33,7 +33,10 @@ file field, so configs cannot go out of sync.
 A file in block style, like the one above, is read by _read_block
 without importing PyYAML; any other YAML (flow style, quotes, anchors,
 tags, ...) goes to PyYAML, with the same result and the same errors.
-PyYAML is imported only then and by structured-text output (_pyyaml).
+Tables mirror that: write_table writes a plain row (every cell printable
+ASCII with no space, comma or quote) as text from one template per
+table, and only any other row goes through csv.writer or PyYAML's
+emitter.  PyYAML is imported only for those files and rows (_pyyaml).
 
 This module checks only the file's shape (keys, kinds, numbers).  Value
 ranges are checked by the model types that hold the values (``model.py``);
@@ -45,14 +48,14 @@ run_sweep(base, axes) folds them per axis: each axis is a level that
 applies its own value to the scenario fields its outer level left.
 
 A result row (ResultRow) is a named tuple: the identifier (path, value)
-pairs, the RESULT_COLUMNS (read off ResultRow), then the error; the
-table writer gives each column one formatter.
+pairs, the RESULT_COLUMNS (read off ResultRow), then the error; a
+table's solved rows are formatted by one template (_result_table).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
+import io
 import itertools
 import re
 from dataclasses import fields
@@ -561,59 +564,122 @@ def fig2_data(
 # Serialization
 
 
-_fmt_identifier = "{:.6g}".format
+def _joined(cells, width: int) -> str | None:
+    """The cells joined by commas if the row is plain: width cells, each
+    printable ASCII with no space, comma or quote (and not one lone empty
+    cell, which csv.writer quotes); None for any other row.  One join and
+    a few scans of the joined text make the test."""
+    text = ",".join(cells)
+    if (
+        len(cells) == width
+        and text.isascii()
+        and text.isprintable()
+        and text.count(",") == width - 1
+        and not (" " in text or "'" in text or '"' in text)
+        and (text or width > 1)
+    ):
+        return text
+    return None
 
-# one formatter per result column: ten floats, the pattern, the two flags
-_RESULT_FORMATS = (*["{:.4f}".format] * 10, str, *[("false", "true").__getitem__] * 2)
+
+def _emitted(header, cells, fmt: str) -> str:
+    """The text csv.writer, or PyYAML's emitter given one row as a
+    sequence, writes for a row: the path of a row that is not plain,
+    and the only one that imports either module."""
+    stream = io.StringIO()
+    if fmt == "csv":
+        import csv
+
+        csv.writer(stream, lineterminator="\n").writerow(cells)
+        return stream.getvalue()
+    # The events yaml.dump(docs, sort_keys=False, default_style="'")
+    # makes, without its representer: every key and cell quoted, so a
+    # YAML 1.2 reader keeps cells such as 1e-300 as strings.  The str tag
+    # is never written, but the pure-Python emitter counts it in a key's
+    # length when it decides whether the key is simple, as dump's is.
+    yaml, _, dumper = _pyyaml()
+    str_tag = "tag:yaml.org,2002:str"
+    scalar = functools.partial(yaml.ScalarEvent, None, str_tag, (True, True), style="'")
+    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
+    events += yaml.SequenceStartEvent(None, None, True), yaml.MappingStartEvent(None, None, True)
+    for key, cell in zip(header, cells):
+        events += scalar(key), scalar(cell)
+    events += yaml.MappingEndEvent(), yaml.SequenceEndEvent()
+    events += yaml.DocumentEndEvent(), yaml.StreamEndEvent()
+    yaml.emit(events, stream, Dumper=dumper)
+    return stream.getvalue()
 
 
 def write_table(header, rows, stream, fmt: str) -> None:
-    """Write rows of string cells as CSV ("csv") or as its structured-text
-    twin ("structured-text": a YAML list of one mapping per row, keyed by
-    column, in column order)."""
+    """Write a table as CSV ("csv") or as its structured-text twin
+    ("structured-text": a YAML list of one mapping per row, keyed by
+    column, in column order, every key and cell single-quoted).
+
+    A row is a list of string cells, or a str: its cells already joined
+    by commas and plain by construction (_result_table's solved rows).
+    A plain row (see _joined) is written with one str.format call on a
+    template compiled once per table: in CSV its cells joined by commas,
+    in structured text `- 'column': 'cell'` lines.  That is byte for byte
+    what csv.writer or yaml.dump(..., default_style="'") writes.  Any
+    other row, and in structured text every row when a column name is not
+    plain, is empty or is over 100 characters (an emitter may write such
+    a name as a complex key), goes through csv.writer or PyYAML's emitter
+    (_emitted); PyYAML is imported only then.
+    """
+    width = len(header)
+    head = _joined(header, width)
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        line = "{}\n".format
+        out = [_emitted(header, header, fmt) if head is None else line(head)]
     elif fmt == "structured-text":
-        # The events yaml.dump(docs, sort_keys=False, default_style="'")
-        # makes, without its representer: every key and cell quoted, so a
-        # YAML 1.2 reader keeps cells such as 1e-300 as strings.
-        yaml, _, dumper = _pyyaml()
-        implicit = (True, True)  # no tag, in either style
-        scalar = functools.partial(yaml.ScalarEvent, None, None, implicit, style="'")
-        keys = [scalar(name) for name in header]
-        events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
-        events.append(yaml.SequenceStartEvent(None, None, True))
-        for row in rows:
-            events.append(yaml.MappingStartEvent(None, None, True))
-            for key, cell in zip(keys, row):
-                events += (key, scalar(cell))
-            events.append(yaml.MappingEndEvent())
-        events += yaml.SequenceEndEvent(), yaml.DocumentEndEvent()
-        events.append(yaml.StreamEndEvent())
-        yaml.emit(events, stream, Dumper=dumper)
+        line = None
+        if head is not None and all(0 < len(name) <= 100 for name in header):
+            names = [name.replace("{", "{{").replace("}", "}}") for name in header]
+            template = "- " + "  ".join(f"'{name}': '{{}}'\n" for name in names)
+
+            def line(text: str) -> str:
+                return template.format(*text.split(","))
+
+        out = []
     else:
         raise ValueError(f"unknown table format {fmt!r}")
+    for row in rows:
+        text = row if isinstance(row, str) else _joined(row, width)
+        if text is not None and line is not None:
+            out.append(line(text))
+        else:
+            out.append(_emitted(header, row if text is None else text.split(","), fmt))
+    stream.write("".join(out) or "[]\n")  # no rows: the empty YAML list
 
 
-def _result_table(rows: list[ResultRow]) -> tuple[list[str], list[list[str]]]:
-    """Header and cells of result rows: identifier columns, result
-    columns, trailing error; an error row's result cells are blank."""
+_FLAGS = ("false", "true")
+
+
+def _result_table(rows: list[ResultRow]) -> tuple[list[str], list]:
+    """Header and rows of a result table: identifier columns, result
+    columns, trailing error.  A solved row is one str.format call on a
+    template compiled once per table, which gives each identifier
+    {:.6g}, the ten floats {:.4f}, then the pattern, the two flags and
+    the empty error; all plain, so it is passed as its CSV text.  An
+    error row's result cells are blank, and it is passed as cells."""
     if not rows:
         raise ValueError("no rows to serialize")
     id_names = [name for name, _ in rows[0].identifiers]
     if any([name for name, _ in row.identifiers] != id_names for row in rows):
         raise ValueError("rows have inconsistent identifier columns")
+    # the fields of format(*row, flag, flag): row[0] holds the identifier
+    # pairs, row[11] the pattern, row[14] the error
+    cells = [f"{{0[{i}][1]:.6g}}" for i in range(len(id_names))]
+    cells += [f"{{{i}:.4f}}" for i in range(1, 11)] + ["{11}", "{15}", "{16}", "{14}"]
+    line = ",".join(cells).format
     blank = [""] * len(RESULT_COLUMNS)
-    cells = []
-    for identifiers, *values, error in rows:
-        cells.append(
-            [_fmt_identifier(v) for _, v in identifiers]
-            + (blank if error else [f(v) for f, v in zip(_RESULT_FORMATS, values)])
-            + [error]
-        )
-    return id_names + list(RESULT_COLUMNS) + ["error"], cells
+    table = []
+    for row in rows:
+        if row.error:
+            table.append([f"{v:.6g}" for _, v in row.identifiers] + blank + [row.error])
+        else:
+            table.append(line(*row, _FLAGS[row.conventional_so], _FLAGS[row.ers_optimum]))
+    return id_names + list(RESULT_COLUMNS) + ["error"], table
 
 
 def rows_to_csv(rows: list[ResultRow], stream) -> None:

@@ -11,10 +11,11 @@ from conftest import (
     random_link,
     scenarios,
 )
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from erstoll.analysis import (
+    SO_REL_TOL,
     PatternLabel,
     TollBand,
     _marginal,
@@ -193,6 +194,65 @@ class TestConventionalSo:
         m = metrics(scn, solved(scn))
         best = min_total_travel_time(scn.network, scn.total_vehicles)
         assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
+
+    def test_a_link_time_that_overflows_is_an_infinite_ttt(self):
+        # link 1's BPR time overflows a double above a flow of about 280;
+        # solve puts every vehicle on link 2 at finite times, and both the
+        # probe's split (1 330.5) and the search's end N overflow link 1
+        n_total, ratio = 38384.48, 0.7536
+        scn = Scenario(
+            total_vehicles=n_total,
+            dwpt_ratio=ratio,
+            soc=UniformContinuum(0.1323, 0.6066, ratio * n_total),
+            prefs=Preferences(vot=594.7, voe=416.1),
+            toll=FixedToll(447.4),
+            network=Network(
+                LinkParams(432.5, 1.78e-37, bpr_alpha=0.00307, bpr_beta=7.86,
+                           has_ers=True, ers_power_kw=30.0),
+                LinkParams(1.396, 20700.9, bpr_alpha=0.974, bpr_beta=6.48),
+            ),
+        )
+        with pytest.raises(OverflowError):
+            bpr_time(scn.network.link1, n_total)
+        m = metrics(scn, solved(scn))
+        best = min_total_travel_time(scn.network, n_total)
+        # the optimum moves a flow of order 1e-37 onto link 1, so it is
+        # the equilibrium's TTT, not a split within the root's tolerance
+        assert best == pytest.approx(m.ttt, rel=1e-12) and best <= m.ttt
+        assert m.conventional_so is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponent=st.floats(1.0, 7.0),
+        # log10 of free-flow time, capacity / N and alpha, then beta
+        links=st.tuples(
+            *[st.tuples(st.floats(-2.0, 3.0), st.floats(-45.0, 1.0), st.floats(-3.0, 1.0),
+                        st.floats(1.0, 8.0))] * 2
+        ),
+    )
+    def test_optimum_is_no_split_above_it(self, exponent, links):
+        # a capacity down to 1e-45*N makes TTT grow by orders of magnitude
+        # within the root's tolerance, and overflow a double at larger flows
+        n_total = 10.0**exponent
+        link1, link2 = (
+            LinkParams(10.0**t0, n_total * 10.0**cap, bpr_alpha=10.0**alpha, bpr_beta=beta, **ers)
+            for (t0, cap, alpha, beta), ers in zip(links, ({"has_ers": True, "ers_power_kw": 30.0}, {}))
+        )
+
+        def total(x):
+            try:
+                return x * bpr_time(link1, x) + (n_total - x) * bpr_time(link2, n_total - x)
+            except OverflowError:
+                return math.inf
+
+        splits = [n_total * k / 100 for k in range(100)] + [n_total]
+        splits += [n_total * 10.0**-e for e in range(1, 320, 3)]
+        splits += [n_total - n_total * 10.0**-e for e in range(1, 16)]
+        least = min(map(total, splits))
+        # where every split overflows a link, the search may fail numerically
+        assume(math.isfinite(least))
+        best = min_total_travel_time(Network(link1, link2), n_total)
+        assert 0.0 < best <= least * (1.0 + SO_REL_TOL)
 
     @pytest.mark.parametrize(
         "vot, calls, flag",

@@ -443,8 +443,11 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("solve-set", PINNED_SOLVE_SET, "csv", "3798d7f1a9d07c9656b52ffb8ee5a1beeff0f80baae7c8ff0cc1de42835dbd2b"),
     ("solve-set", PINNED_SOLVE_SET, "structured-text", "8b551e07c724d28b50a43c42a199556dcc8ae8b6a97b5041445b16eb1f673977"),
     ("sweep-set", PINNED_SWEEP_SET, "csv", "65f34396c2d99d24f054ae60e5d53eba14f7f7e9f977574f6344f3cb242af25a"),
+    ("sweep-set", PINNED_SWEEP_SET, "structured-text", "ad5594bdfe172acc9a48606ba2decb96633c105f44bb92aac61a853f93d892fb"),
     ("fig2", ["fig2"], "csv", "01d576d65578c2686c36dd26584e226625aab2c9fdbfc9f941e69f491c84171b"),
+    ("fig2", ["fig2"], "structured-text", "259dd0dfad84b3c3a76b8d4ac30b2673f2bf85bdf626e4a4f4563f134e0af41d"),
     ("simulate", ["simulate", "--rounds", "50"], "csv", "269a55eed2b06b2a7f12d4d57ea3a26ca1614b900985337d7b2dd00767b05e37"),
+    ("simulate", ["simulate", "--rounds", "50"], "structured-text", "f36582fb3cddc309cb3521bb473a7b8ac88f1abbf3d79792aa988a39954a847e"),
     ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),
 ]
 

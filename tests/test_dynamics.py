@@ -336,13 +336,28 @@ SPLIT_CHECK = """
         ["table2", "--output", "table2.csv"],
         ["fig2", "--prices", "0:100:3", "--voes", "10,100", "--output", "fig2.csv"],
     )
+    text_runs = [
+        [*argv[:-1], argv[-1].replace(".csv", ".yaml"), "--format", "structured-text"]
+        for argv in csv_runs[1:]
+    ]
     with contextlib.redirect_stdout(io.StringIO()):
-        for argv in csv_runs:
+        for argv in csv_runs + tuple(text_runs):
             assert cli.main(argv) == 0, argv
-        assert "yaml" not in sys.modules, "the bundled preset or a CSV table loaded yaml"
-        argv = ["table2", "--format", "structured-text", "--output", "table2.yaml"]
-        assert cli.main(argv) == 0
-    assert Path("table2.yaml").read_text().startswith("- 'scenario': '1'")
+        assert "yaml" not in sys.modules, "the bundled preset or a plain table loaded yaml"
+        assert Path("table2.yaml").read_text().startswith("- 'scenario': '1'")
+        # an error row is not plain: it goes through PyYAML's emitter
+        sweep = ["sweep", "--axis", "toll.price=0,100", "--axis", "dwpt_ratio=0.2,1.5"]
+        assert cli.main([*sweep, "--output", "errors.csv"]) == 0
+        assert cli.main([*sweep, "--output", "errors.yaml", "--format", "structured-text"]) == 0
+    assert "yaml" in sys.modules, "an error row did not load yaml"
+    import csv
+
+    import yaml
+
+    docs = list(csv.DictReader(open("errors.csv", newline="")))
+    assert len(docs) == 4 and sum(bool(doc["error"]) for doc in docs) == 2, docs
+    text = yaml.safe_dump(docs, sort_keys=False, default_style="'")
+    assert Path("errors.yaml").read_text() == text
     print("ok")
 """
 

@@ -1,14 +1,16 @@
 """Config parsing, overrides, sweeps, presets, and serialization."""
 
+import csv
 import io
 import itertools
 import math
+import operator
 import re
 from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erstoll import cli, harness
@@ -663,6 +665,35 @@ class TestPresets:
             fig2_data([FixedToll(100.0)], [])
 
 
+# printable ASCII with no space, comma or quote: write_table's plain cells
+_PLAIN = re.compile(r"""[!#-&(-+\--~]*""")
+_PLAIN_CELLS = st.text(st.characters(codec="ascii", min_codepoint=0x21, exclude_characters=",'\"\x7f"))
+_ANY_CELLS = st.text(st.sampled_from(" ,'\"\t\n\ré€") | st.characters(exclude_categories=("Cs",)))
+
+
+def _long(cells):
+    # past the emitter's 80 columns
+    return st.builds(operator.mul, cells.filter(bool), st.integers(10, 40))
+
+
+@st.composite
+def _tables(draw):
+    """A header of unique names and rows of its width, each row all plain
+    cells or any cells (spaces, commas, quotes, tabs, line breaks,
+    non-ASCII), so plain and non-plain rows interleave."""
+    width = draw(st.integers(1, 4))
+    plain = st.one_of(_PLAIN_CELLS, _long(_PLAIN_CELLS))
+    cells = st.one_of(plain, _ANY_CELLS, _long(_ANY_CELLS))
+    header = draw(
+        st.lists(plain, min_size=width, max_size=width, unique=True)
+        | st.lists(cells, min_size=width, max_size=width, unique=True)
+    )
+    row = st.lists(plain, min_size=width, max_size=width) | st.lists(
+        cells, min_size=width, max_size=width
+    )
+    return header, draw(st.lists(row, max_size=6))
+
+
 def _csv_text(rows):
     buffer = io.StringIO()
     rows_to_csv(rows, buffer)
@@ -773,6 +804,48 @@ class TestSerialization:
         )
         if n_rows:  # the long error is folded over more lines
             assert len(buffer.getvalue().splitlines()) > len(header) * n_rows
+
+    @pytest.mark.parametrize(
+        "dumper",
+        [yaml.SafeDumper, getattr(yaml, "CSafeDumper", None)],
+        ids=["python", "libyaml"],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tables())
+    # the pure-Python emitter writes an empty key, or one of 123 to 127
+    # characters (it counts the unwritten str tag), as a complex key
+    @example(table=(["", "0"], [["", ""]]))
+    @example(table=(["0" * 124], [["x"], [""]]))
+    @example(table=(["a", "b"], [["it's", "x"], ['1"', "2"], ["é", "3"], ["1", "2"]]))
+    def test_table_is_the_reference_writers(self, dumper, table):
+        if dumper is None:
+            pytest.skip("PyYAML built without libyaml")
+        header, rows = table
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([header, *rows])
+        buffer = io.StringIO()
+        write_table(header, rows, buffer, "csv")
+        assert buffer.getvalue() == expected.getvalue()
+
+        docs = [dict(zip(header, row)) for row in rows]
+        _, loader, _ = harness._pyyaml()
+        calls = []
+
+        def pyyaml():
+            calls.append(1)
+            return yaml, loader, dumper
+
+        buffer = io.StringIO()
+        with mock.patch.object(harness, "_pyyaml", pyyaml):
+            write_table(header, rows, buffer, "structured-text")
+        assert buffer.getvalue() == yaml.dump(
+            docs, Dumper=dumper, sort_keys=False, default_style="'"
+        )
+        names_plain = len(header) > 1 and all(
+            _PLAIN.fullmatch(name) and 0 < len(name) <= 100 for name in header
+        )
+        if names_plain and all(_PLAIN.fullmatch(cell) for row in rows for cell in row):
+            assert not calls, "a plain table imported PyYAML"
 
     def test_bundled_presets_load_as_pure_python_parse(self, tmp_path):
         presets = sorted(bundled_scenario_path().parent.glob("*.cfg"))
