@@ -98,6 +98,11 @@ def _check_pair(scenario: Scenario, result: EquilibriumResult) -> None:
 def classify(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
     """Pattern label of an equilibrium (see module docstring)."""
     _check_pair(scenario, result)
+    return _pattern(scenario, result)
+
+
+def _pattern(scenario: Scenario, result: EquilibriumResult) -> PatternLabel:
+    # classify of a pair already checked, for a caller that also runs metrics
     low_share = scenario.dwpt_ratio < 0.5
     if isinstance(scenario.toll, FreeToll):
         return PatternLabel.A_i if low_share else PatternLabel.A_ii
@@ -137,8 +142,8 @@ def _time(link: LinkParams, x: float) -> float:
         return math.inf
 
 
-class _Beaten(Exception):
-    """A split's TTT (args[0]) that the TTT under test exceeds."""
+class _Settled(Exception):
+    """_least_ttt's answer (args[0]), found before its root."""
 
 
 def _least_ttt(
@@ -153,15 +158,17 @@ def _least_ttt(
     twin links split evenly.  Every split's F is at least that minimum,
     so one that ttt exceeds settles that ttt is not the minimum, and the
     search stops there.  On links that differ, a start (an equilibrium of
-    this network and n_total) gives the first split: the Newton step on
-    the marginal-cost gap from its x1, with t' from its stored t1 and t2,
-    clamped to [0, n_total] and skipped if not finite.  The search then
-    runs as without it, and returns the least F of the root and the
-    splits it evaluated: on a link so steep that F grows by orders of
-    magnitude within the root's tolerance, the root's own F can be far
-    above an end's.  A link time that overflows a double is infinite
-    (_time), and so are that split's F and the link's marginal cost, so
-    the gap keeps its sign and the root lies below that flow.
+    this network and n_total) gives a probe: the Newton step on the
+    marginal-cost gap from its x1, with t' from its stored t1 and t2,
+    clamped to [0, n_total] and skipped if not finite, priced by its F
+    alone.  The root search then runs as without it, and returns the
+    least F of the root and the splits it evaluated: on a link so steep
+    that F grows by orders of magnitude within the root's tolerance, the
+    root's own F can be far above an end's.  A link time that overflows
+    a double is infinite (_time), and so are that split's F and the
+    link's marginal cost, so the gap keeps its sign and the root lies
+    below that flow.  Where both links' times overflow at one split, one
+    of them does at every split, and the least TTT is inf.
     """
     link1, link2 = network.link1, network.link2
 
@@ -175,31 +182,37 @@ def _least_ttt(
     def gap(x: float) -> tuple[float, float]:
         nonlocal least
         t1, t2 = _time(link1, x), _time(link2, n_total - x)
+        if t1 == t2 == math.inf:
+            # both links overflow at x, so one of them at every split
+            raise _Settled(math.inf)
         f = x * t1 + (n_total - x) * t2
         if ttt > f * (1.0 + SO_REL_TOL):
-            raise _Beaten(f)
+            raise _Settled(f)
         least = min(least, f)
         c1, d1 = _marginal(link1, x, t1)
         c2, d2 = _marginal(link2, n_total - x, t2)
         return c1 - c2, d1 + d2
 
+    if start is not None:
+        c1, d1 = _marginal(link1, start.x1, start.t1)
+        c2, d2 = _marginal(link2, start.x2, start.t2)
+        if d1 + d2 > 0.0:  # not 0 or nan
+            x = start.x1 - (c1 - c2) / (d1 + d2)
+            if math.isfinite(x):
+                least = total(min(max(x, 0.0), n_total))
+                if ttt > least * (1.0 + SO_REL_TOL):
+                    return least
     try:
-        if start is not None:
-            c1, d1 = _marginal(link1, start.x1, start.t1)
-            c2, d2 = _marginal(link2, start.x2, start.t2)
-            if d1 + d2 > 0.0:  # not 0 or nan
-                x = start.x1 - (c1 - c2) / (d1 + d2)
-                if math.isfinite(x):
-                    gap(min(max(x, 0.0), n_total))
         x1 = _root(gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "system optimum")
-    except _Beaten as beaten:
-        return beaten.args[0]
+    except _Settled as settled:
+        return settled.args[0]
     return min(least, total(x1))
 
 
 def min_total_travel_time(network: Network, n_total: float) -> float:
     """Network-optimal TTT over all splits of n_total across the links
-    (_least_ttt, with no TTT to stop at)."""
+    (_least_ttt, with no TTT to stop at); inf where every split's TTT
+    overflows."""
     return _least_ttt(network, n_total, -math.inf, None)
 
 
@@ -213,10 +226,10 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     ttt > F*(1 + SO_REL_TOL): no split's F is below the minimum (up to
     its rounding), so that is the converged search's answer.  On links
     that differ the first split tried is the Newton step toward the
-    optimum from the equilibrium's own split, priced from its stored
-    times; it settles most false flags, and a wrong or non-finite stored
-    time can only waste it.  The search runs to the optimum only when no
-    split beats ttt (_least_ttt).
+    optimum from the equilibrium's own split, found from its stored times
+    and priced by its TTT alone; it settles most false flags, and a wrong
+    or non-finite stored time can only waste it.  The search runs to the
+    optimum only when no split beats ttt (_least_ttt).
     """
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw

@@ -27,7 +27,10 @@ crossing into three regimes:
 
 Every root (a corner crossing, x_eq, the system optimum of analysis) is
 one safeguarded Newton root, _root, on the closed-form BPR slope
-dt/dx = beta*(t - t0)/x.  A discrete pool's price steps at each SoC
+dt/dx = beta*(t - t0)/x.  The time gap t1(x) - t2(N - x) and that slope
+are one map per response, _time_gap: x_eq is its root, and the regime
+test, the corners and the toll bands price it at most once at x_eq.
+A discrete pool's price steps at each SoC
 group, so _group_root first binary-searches the groups for the marginal
 one and then roots within it, splitting a tied group at its own SoC.
 
@@ -181,18 +184,39 @@ def _bpr_slope(link: LinkParams, x: float, t: float) -> float:
     return 0.0
 
 
-def _bpr(link: LinkParams, x: float) -> tuple[float, float]:
-    """BPR time at flow x and its slope."""
-    t = bpr_time(link, x)
-    return t, _bpr_slope(link, x, t)
+def _time_gap(link1: LinkParams, link2: LinkParams, n_total: float):
+    """The map x -> (t1(x) - t2(n_total - x), its slope) at link-1 flow x:
+    bpr_time's and _bpr_slope's arithmetic on parameters read once, so
+    theirs bit for bit, raising as bpr_time does, link 1 first."""
+    t01, cap1, alpha1, beta1 = (
+        link1.free_flow_time, link1.capacity, link1.bpr_alpha, link1.bpr_beta
+    )
+    t02, cap2, alpha2, beta2 = (
+        link2.free_flow_time, link2.capacity, link2.bpr_alpha, link2.bpr_beta
+    )
+
+    def time_gap(x: float) -> tuple[float, float]:
+        if x < 0.0:
+            raise ValueError(f"flow must be >= 0, got {x}")
+        t1 = t01 * (1.0 + alpha1 * (x / cap1) ** beta1)
+        y = n_total - x
+        if y < 0.0:
+            raise ValueError(f"flow must be >= 0, got {y}")
+        t2 = t02 * (1.0 + alpha2 * (y / cap2) ** beta2)
+        d1 = beta1 * (t1 - t01) / x if x > 0.0 else t01 * alpha1 / cap1 if beta1 == 1.0 else 0.0
+        d2 = beta2 * (t2 - t02) / y if y > 0.0 else t02 * alpha2 / cap2 if beta2 == 1.0 else 0.0
+        return t1 - t2, d1 + d2
+
+    return time_gap
 
 
 def _wardrop_response(scenario: Scenario):
     """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link.
 
-    Returns (x_eq, times, dwpt_mass_at, price): the balanced flow;
-    times(n), the link times (t1, t2) at link-1 flow x1(n) =
-    min(max(x_eq, n), n + n_other), and that flow; dwpt_mass_at(x1), its
+    Returns (x_eq, response_gap, dwpt_mass_at, price): the balanced flow,
+    the root of the _time_gap map (N/2 on twin links); response_gap(n),
+    that map at link-1 flow x1(n) = min(max(x_eq, n), n + n_other),
+    priced at x_eq on first use and then kept; dwpt_mass_at(x1), its
     inverse, the DWPT mass in [0, rN] at which the response puts x1 on
     link 1; and price(n), the toll at which the marginal of n DWPT-EVs on
     link 1 is indifferent (module docstring).
@@ -200,36 +224,32 @@ def _wardrop_response(scenario: Scenario):
     link1, link2 = scenario.network.link1, scenario.network.link2
     n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
     prefs, soc = scenario.prefs, scenario.soc
-
-    def time_gap(x: float) -> tuple[float, float]:
-        t1, d1 = _bpr(link1, x)
-        t2, d2 = _bpr(link2, n_total - x)
-        return t1 - t2, d1 + d2
-
-    # half of N on links with one travel-time function
+    time_gap = _time_gap(link1, link2, n_total)
     x_eq = (
         0.5 * n_total
         if link1.same_bpr(link2)
         else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
     )
+    at_eq = None
 
-    def times(n: float) -> tuple[float, float, float]:
-        # min(max(x_eq, n), n + n_other) without the builtin calls, which
-        # cost a tenth of a corner solve on this root-finding hot path
-        x1 = x_eq if x_eq >= n else n
-        if x1 > n + n_other:
-            x1 = n + n_other
-        return bpr_time(link1, x1), bpr_time(link2, n_total - x1), x1
+    def response_gap(n: float) -> tuple[float, float]:
+        nonlocal at_eq
+        if n > x_eq:
+            return time_gap(n)
+        if x_eq > n + n_other:
+            return time_gap(n + n_other)
+        if at_eq is None:
+            at_eq = time_gap(x_eq)
+        return at_eq
 
     def dwpt_mass_at(x1: float) -> float:
         n = x1 - n_other if x1 < x_eq else x1
         return min(max(n, 0.0), n_dwpt)
 
     def price(n: float) -> float:
-        t1, t2, _ = times(n)
-        return charging_value(prefs, soc.quantile(n)) - prefs.vot * (t1 - t2)
+        return charging_value(prefs, soc.quantile(n)) - prefs.vot * response_gap(n)[0]
 
-    return x_eq, times, dwpt_mass_at, price
+    return x_eq, response_gap, dwpt_mass_at, price
 
 
 def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
@@ -248,12 +268,12 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     marginal SoC group and splits it at its own SoC.
     """
     prefs, soc, toll = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
-    n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
+    n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
     link1, link2 = scenario.network.link1, scenario.network.link2
-    x_eq, times, _, _ = _wardrop_response(scenario)
+    x_eq, response_gap, _, _ = _wardrop_response(scenario)
 
-    t1, t2, _ = times(x_eq)
-    n_star = soc.count_below(threshold_soc(prefs, toll, t1, t2))
+    # the times enter the threshold only as t1 - t2
+    n_star = soc.count_below(threshold_soc(prefs, toll, response_gap(x_eq)[0], 0.0))
     if n_star <= x_eq and x_eq - n_star <= n_other:
         regime, x1_d = RegimeTag.INTERIOR, n_star  # the response to n_star is x_eq
     else:
@@ -268,9 +288,8 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
             # toll - price(n) at marginal SoC s, and its slope in n (each
             # corner moves x1 with n); a continuum's s moves by ds per
             # vehicle, a discrete group's is fixed, so s*s never divides
-            t1, t2, x1 = times(n)
-            dt = _bpr_slope(link1, x1, t1) + _bpr_slope(link2, n_total - x1, t2)
-            value = toll - charging_value(prefs, s) + prefs.vot * (t1 - t2)
+            t_gap, dt = response_gap(n)
+            value = toll - charging_value(prefs, s) + prefs.vot * t_gap
             return value, (0.0 if ds is None else prefs.voe * ds / (s * s)) + prefs.vot * dt
 
         if isinstance(soc, DiscreteAgents):

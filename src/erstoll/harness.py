@@ -63,7 +63,7 @@ from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import classify, metrics
+from .analysis import _pattern, metrics
 from .equilibrium import ConvergenceError, EquilibriumResult, solve
 from .model import (
     DiscreteAgents,
@@ -452,11 +452,12 @@ RESULT_COLUMNS = ResultRow._fields[1:-1]
 def result_row(
     scenario: Scenario, result: EquilibriumResult, identifiers: tuple = ()
 ) -> ResultRow:
-    """The row of a result solved for this scenario."""
+    """The row of a result solved for this scenario; metrics checks the
+    pair, so the pattern is classify's without a second check."""
     r, m = result, metrics(scenario, result)
     return ResultRow(
         identifiers, r.s_thres, r.x1_d, r.x2_d, r.x1_o, r.x2_o, r.x1, r.t1,
-        m.ttt, m.tcv, m.revenue, classify(scenario, r).value,
+        m.ttt, m.tcv, m.revenue, _pattern(scenario, r).value,
         m.conventional_so, m.ers_optimum,
     )
 

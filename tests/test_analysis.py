@@ -1,8 +1,11 @@
+import csv
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from conftest import (
     PLAIN_LINK,
     band_containing,
@@ -24,7 +27,9 @@ from erstoll.analysis import (
     min_total_travel_time,
     toll_bands,
 )
+from erstoll.cli import main
 from erstoll.equilibrium import brute_force_equilibrium, solve, verify_equilibrium
+from erstoll.harness import apply_overrides, bundled_scenario_path, load_scenario
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -221,6 +226,14 @@ class TestConventionalSo:
         assert best == pytest.approx(m.ttt, rel=1e-12) and best <= m.ttt
         assert m.conventional_so is True
 
+    def test_every_split_overflowing_a_link_is_an_infinite_optimum(self):
+        # at capacity 1e-40 both links' times overflow a double above a
+        # flow of about 0.02, so every split of 1 000 overflows one of them
+        network = Network(
+            LinkParams(10.0, 1e-40, 1.0, 8.0, True, 50.0), LinkParams(12.0, 1e-40, 1.0, 8.0)
+        )
+        assert min_total_travel_time(network, 1000.0) == math.inf
+
     @settings(max_examples=200, deadline=None)
     @given(
         exponent=st.floats(1.0, 7.0),
@@ -260,9 +273,9 @@ class TestConventionalSo:
             # the probe's split, N, beats ttt before any marginal cost
             # there is formed: 2 calls, where both ends of the search made 4
             (0.01, 2, False),
-            # ttt is the optimum: the probe's split (2 more calls) settles
-            # nothing, and the search runs as before (4)
-            (50.0, 8, True),
+            # ttt is the optimum: the probe's split, priced by its TTT
+            # alone, settles nothing, and the search runs as before (4)
+            (50.0, 6, True),
         ],
     )
     def test_probe_settles_a_false_flag_at_once(self, monkeypatch, vot, calls, flag):
@@ -300,6 +313,63 @@ class TestConventionalSo:
         m = metrics(scn, brute_force_equilibrium(scn))
         best = min_total_travel_time(scn.network, scn.total_vehicles)
         assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))
+
+
+    def test_flags_of_a_sweep_on_a_slow_link_2(self, tmp_path):
+        # the bundled scenario with link 2 at 150 minutes free flow, swept
+        # through the CLI; each row's flag is the converged comparison
+        config = yaml.safe_load(bundled_scenario_path().read_text())
+        config["network"]["link2"]["free_flow_time"] = 150.0
+        scenario, output = tmp_path / "slow-link2.cfg", tmp_path / "slow-link2.csv"
+        scenario.write_text(yaml.safe_dump(config))
+        assert main([
+            "sweep", "--scenario", str(scenario), "--axis", "prefs.vot=0.01,50",
+            "--axis", "toll.price=0:1200:13", "--axis", "dwpt_ratio=0.2,0.8",
+            "--output", str(output),
+        ]) == 0
+        base = load_scenario(scenario)
+        best = min_total_travel_time(base.network, base.total_vehicles)
+        rows = list(csv.DictReader(output.read_text().splitlines()))
+        assert len(rows) == 52 and {row["conventional_so"] for row in rows} == {"true", "false"}
+        for row in rows:
+            cell = {path: float(row[path]) for path in ("prefs.vot", "toll.price", "dwpt_ratio")}
+            result = solved(apply_overrides(base, cell))
+            ttt = result.x1 * result.t1 + result.x2 * result.t2
+            assert row["conventional_so"] == ("true" if ttt <= best * (1 + 1e-6) else "false"), row
+
+    def test_flags_of_random_differing_link_scenarios(self):
+        # 2 000 seeded scenarios that share nothing, each on its own
+        # differing links, N 10 to 1e7
+        rng = random.Random(1)
+        flags = []
+        for _ in range(2000):
+            n = 10.0 ** rng.uniform(1.0, 7.0)
+            r = rng.uniform(0.05, 0.95)
+            link1, link2 = (
+                LinkParams(
+                    free_flow_time=rng.uniform(2.0, 30.0),
+                    capacity=n * rng.uniform(0.1, 1.0),
+                    bpr_alpha=rng.uniform(0.05, 1.0),
+                    bpr_beta=rng.uniform(1.0, 8.0),
+                    **ers,
+                )
+                for ers in ({"has_ers": True, "ers_power_kw": 30.0}, {})
+            )
+            assert not link1.same_bpr(link2)
+            s_lo = rng.uniform(0.05, 0.5)
+            scn = Scenario(
+                total_vehicles=n,
+                dwpt_ratio=r,
+                soc=UniformContinuum(s_lo, rng.uniform(s_lo + 0.05, 0.95), r * n),
+                prefs=Preferences(vot=rng.uniform(10.0, 100.0), voe=rng.uniform(20.0, 300.0)),
+                toll=FixedToll(rng.uniform(0.0, 300.0)),
+                network=Network(link1, link2),
+            )
+            m = metrics(scn, solved(scn))
+            best = min_total_travel_time(scn.network, n)
+            assert m.conventional_so == (m.ttt <= best * (1 + 1e-6)), (scn, m, best)
+            flags.append(m.conventional_so)
+        assert set(flags) == {True, False}
 
 
 class TestErsOptimum:

@@ -14,7 +14,7 @@ from erstoll import cli
 from erstoll.cli import main
 from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import ConfigError, bundled_scenario_path
-from erstoll.model import FreeToll, Network
+from erstoll.model import FreeToll, LinkParams, Network
 
 from conftest import ERS_LINK, PLAIN_LINK, base_scenario, write_scenario
 
@@ -429,6 +429,19 @@ PINNED_SWEEP_SET = [
 ]
 PINNED_BANDS_HIGH_SHARE = ["bands", "--set", "dwpt_ratio=0.6"]
 PINNED_SIMULATE_RANDOM = ["simulate", "--initial", "random", "--order", "random", "--seed", "3"]
+# Links that differ in every BPR parameter, so x_eq is the balanced-flow
+# root rather than N/2; of the sweep's 78 rows 49 are interior, 19
+# corner_other_on_1 and 10 corner_other_on_2.  The test writes the file.
+DIFFERING_LINKS = base_scenario(network=Network(
+    LinkParams(12.0, 400.0, bpr_alpha=0.3, bpr_beta=2.0, has_ers=True, ers_power_kw=30.0),
+    LinkParams(10.0, 500.0, bpr_alpha=0.15, bpr_beta=4.0),
+))
+PINNED_SWEEP_DIFFERING = [
+    "sweep", "--scenario", "differing.cfg",
+    "--axis", "toll.price=0:1200:13",
+    "--axis", "prefs.voe=50,300",
+    "--axis", "dwpt_ratio=0.2,0.6,0.95",
+]
 PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("table2", ["table2"], "csv", "07484614556756353b3eb805ada8b42c65449d50eb65d7aa70cf5af52012eb80"),
     ("table2", ["table2"], "structured-text", "1b3bb361ddec15da901eaf899528082847383babd06f698ee57b22832516c169"),
@@ -448,6 +461,8 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("fig2", ["fig2"], "structured-text", "259dd0dfad84b3c3a76b8d4ac30b2673f2bf85bdf626e4a4f4563f134e0af41d"),
     ("simulate", ["simulate", "--rounds", "50"], "csv", "269a55eed2b06b2a7f12d4d57ea3a26ca1614b900985337d7b2dd00767b05e37"),
     ("simulate", ["simulate", "--rounds", "50"], "structured-text", "f36582fb3cddc309cb3521bb473a7b8ac88f1abbf3d79792aa988a39954a847e"),
+    ("sweep-differing", PINNED_SWEEP_DIFFERING, "csv", "851184e4ed3fa6798878a49e3af62616bcae9e8effe9e28d404604a1651d9c92"),
+    ("sweep-differing", PINNED_SWEEP_DIFFERING, "structured-text", "66dcf7a3f11b3e42e70b670505a164455e9cfe6edccacab2cab6c4ef812f88be"),
     ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),
 ]
 
@@ -457,7 +472,9 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     [entry[1:] for entry in PINNED_OUTPUTS],
     ids=[f"{name}-{fmt}" for name, _, fmt, _ in PINNED_OUTPUTS],
 )
-def test_output_bytes_are_pinned(argv, fmt, digest, tmp_path):
+def test_output_bytes_are_pinned(argv, fmt, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_scenario(DIFFERING_LINKS, "differing.cfg")
     path = tmp_path / "out"
     assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

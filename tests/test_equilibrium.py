@@ -7,9 +7,11 @@ from conftest import (
     random_discrete_scenario,
     random_link,
     scenarios,
+    wide_scenarios,
 )
 from dataclasses import replace
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import equilibrium
@@ -23,7 +25,8 @@ from erstoll.equilibrium import (
     ROOT_TOL_FACTOR,
     ConvergenceError,
     RegimeTag,
-    _bpr,
+    _bpr_slope,
+    _time_gap,
     brute_force_equilibrium,
     _root,
     _wardrop_response,
@@ -84,8 +87,10 @@ def test_root_iteration_cap(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.0, 0.15, 1.0])
 def test_bpr_and_marginal_slopes_match_finite_differences(alpha, beta):
     link = LinkParams(7.0, 250.0, alpha, beta)
+    # link 2 has a constant time, so the time-gap map's slope is link 1's
+    time_gap = _time_gap(link, LinkParams(10.0, 250.0, bpr_alpha=0.0), 800.0)
 
-    def marginal(link, x):
+    def marginal(x):
         return _marginal(link, x, bpr_time(link, x))
 
     # central differences inside, to their rounding of about ulp(t0)/h; a
@@ -94,15 +99,43 @@ def test_bpr_and_marginal_slopes_match_finite_differences(alpha, beta):
     for x, h, abs_tol in ((0.0, 1e-8, 1e-6), (1.0, 1e-4, 1e-10), (60.0, 1e-4, 1e-10),
                           (250.0, 1e-4, 1e-10), (700.0, 1e-4, 1e-10)):
         lo = max(x - h, 0.0)
-        for cost in (_bpr, marginal):
-            quotient = (cost(link, x + h)[0] - cost(link, lo)[0]) / (x + h - lo)
-            assert cost(link, x)[1] == pytest.approx(quotient, rel=1e-6, abs=abs_tol)
-    assert _bpr(link, 60.0)[0] == bpr_time(link, 60.0)
-    assert marginal(link, 60.0)[0] == pytest.approx(
+        for cost in (time_gap, marginal):
+            quotient = (cost(x + h)[0] - cost(lo)[0]) / (x + h - lo)
+            assert cost(x)[1] == pytest.approx(quotient, rel=1e-6, abs=abs_tol)
+    assert time_gap(60.0)[0] == bpr_time(link, 60.0) - 10.0
+    assert marginal(60.0)[0] == pytest.approx(
         7.0 * (1.0 + alpha * (beta + 1.0) * (60.0 / 250.0) ** beta), rel=1e-12
     )
     if beta == 1.0:
-        assert _bpr(link, 0.0)[1] == 7.0 * alpha / 250.0
+        assert time_gap(0.0)[1] == 7.0 * alpha / 250.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scn=wide_scenarios(),
+    inside=st.lists(st.floats(0.0, 1.0), max_size=6),
+    outside=st.lists(
+        st.floats(-1e300, 0.0, exclude_max=True) | st.floats(1.0, 1e300, exclude_min=True),
+        max_size=4,
+    ),
+)
+def test_time_gap_is_bpr_time_bit_for_bit(scn, inside, outside):
+    # at link-1 flows N*f: f in [0, 1] prices both links; a negative f
+    # fails link 1's flow check, and f > 1 link 2's, unless link 1's
+    # power overflows first (bpr_time's order, link 1 then link 2)
+    link1, link2, n_total = scn.network.link1, scn.network.link2, scn.total_vehicles
+    time_gap = _time_gap(link1, link2, n_total)
+    for x in [0.0, n_total] + [n_total * f for f in inside + outside]:
+        try:
+            t1 = bpr_time(link1, x)
+            t2 = bpr_time(link2, n_total - x)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                time_gap(x)
+            assert str(raised.value) == str(exc)
+            continue
+        expected = t1 - t2, _bpr_slope(link1, x, t1) + _bpr_slope(link2, n_total - x, t2)
+        assert repr(time_gap(x)) == repr(expected)  # bit for bit, nan and -0.0 too
 
 
 class TestThresholdSoc:
