@@ -28,8 +28,10 @@ crossing into three regimes:
 Every root (a corner crossing, x_eq, the system optimum of analysis) is
 one safeguarded Newton root, _root, on the closed-form BPR slope
 dt/dx = beta*(t - t0)/x.  The time gap t1(x) - t2(N - x) and that slope
-are one map per response, _time_gap: x_eq is its root, and the regime
-test, the corners and the toll bands price it at most once at x_eq.
+are one map, _time_gap: x_eq is its root, and the regime test, the
+corners and the toll bands price it at x_eq.  Once that price is known,
+the map, x_eq and the price are kept for every later scenario on the
+same Network object and N, so each cell of a sweep shares one of each.
 A discrete pool's price steps at each SoC
 group, so _group_root first binary-searches the groups for the marginal
 one and then roots within it, splitting a tied group at its own SoC.
@@ -210,36 +212,58 @@ def _time_gap(link1: LinkParams, link2: LinkParams, n_total: float):
     return time_gap
 
 
+# The (network, N) part of the last Wardrop response priced at x_eq:
+# (network, N, its _time_gap map, x_eq, the map's value at x_eq).
+_balance = (None, None, None, None, None)
+
+
 def _wardrop_response(scenario: Scenario):
     """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link.
 
     Returns (x_eq, response_gap, dwpt_mass_at, price): the balanced flow,
     the root of the _time_gap map (N/2 on twin links); response_gap(n),
     that map at link-1 flow x1(n) = min(max(x_eq, n), n + n_other),
-    priced at x_eq on first use and then kept; dwpt_mass_at(x1), its
-    inverse, the DWPT mass in [0, rN] at which the response puts x1 on
-    link 1; and price(n), the toll at which the marginal of n DWPT-EVs on
-    link 1 is indifferent (module docstring).
+    priced at x_eq on first use; dwpt_mass_at(x1), its inverse, the DWPT
+    mass in [0, rN] at which the response puts x1 on link 1; and
+    price(n), the toll at which the marginal of n DWPT-EVs on link 1 is
+    indifferent (module docstring).
+
+    The map, x_eq and the map's value at x_eq depend on the network and N
+    alone, so they are kept in a one-entry memo (_balance) keyed on the
+    Network object's identity and N: every scenario on that same object
+    and N, such as each cell of a sweep, builds them once.  The entry is
+    one tuple, stored when the value at x_eq is first priced (solve always
+    prices it), so a miss costs one identity test and one store, and the
+    memo never mixes two (network, N); a network whose balanced flow or
+    value at x_eq raises stores none.
     """
-    link1, link2 = scenario.network.link1, scenario.network.link2
-    n_total, n_dwpt, n_other = scenario.total_vehicles, scenario.n_dwpt, scenario.n_other
+    global _balance
+    network, n_total = scenario.network, scenario.total_vehicles
+    n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
     prefs, soc = scenario.prefs, scenario.soc
-    time_gap = _time_gap(link1, link2, n_total)
-    x_eq = (
-        0.5 * n_total
-        if link1.same_bpr(link2)
-        else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
-    )
-    at_eq = None
+    entry = _balance
+    if entry[0] is network and entry[1] == n_total:
+        _, _, time_gap, x_eq, at_eq = entry
+    else:
+        link1, link2 = network.link1, network.link2
+        time_gap = _time_gap(link1, link2, n_total)
+        x_eq = (
+            0.5 * n_total
+            if link1.same_bpr(link2)
+            else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
+        )
+        at_eq = None
 
     def response_gap(n: float) -> tuple[float, float]:
         nonlocal at_eq
+        global _balance
         if n > x_eq:
             return time_gap(n)
         if x_eq > n + n_other:
             return time_gap(n + n_other)
         if at_eq is None:
             at_eq = time_gap(x_eq)
+            _balance = (network, n_total, time_gap, x_eq, at_eq)
         return at_eq
 
     def dwpt_mass_at(x1: float) -> float:

@@ -106,6 +106,8 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _number(value, path: str) -> float:
+    if type(value) is float:  # the common case, ahead of the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
@@ -481,7 +483,9 @@ def run_sweep(base: Scenario, axes) -> list[ResultRow]:
     the fields its parent level left, so an inner cell pays one override
     and one Scenario, and every cell gets the row that apply_overrides
     plus solve_row give it alone.  A value that fails fails every cell
-    under it, with its message.
+    under it, with its message.  No axis changes N or the network, so
+    every cell shares base's Network object, and with it one balanced
+    flow and time-gap map (equilibrium._wardrop_response).
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")

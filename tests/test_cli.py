@@ -528,6 +528,21 @@ def test_differing_links_sweep_bytes_are_pinned(fmt, digest, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_sweep_on_differing_links_solves_every_cell(tmp_path):
+    """The bundled scenario with link 2 at capacity 300 and beta 6, so
+    every cell shares one balanced-flow root: 39 rows, none failed."""
+    config = yaml.safe_load(bundled_scenario_path().read_text())
+    config["network"]["link2"].update(bpr_beta=6.0, capacity=300.0)
+    scenario, output = tmp_path / "differing.cfg", tmp_path / "differing.csv"
+    scenario.write_text(yaml.safe_dump(config))
+    assert main([
+        "sweep", "--scenario", str(scenario), "--axis", "toll.price=0:1200:13",
+        "--axis", "dwpt_ratio=0.2,0.5,0.8", "--output", str(output),
+    ]) == 0
+    rows = list(csv.DictReader(output.read_text().splitlines()))
+    assert len(rows) == 39 and all(row["error"] == "" for row in rows), rows
+
+
 class TestParserBehavior:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     base_scenario,
+    bpr_links,
     discrete_scenario,
     evenly_spaced_socs,
     random_discrete_scenario,
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import equilibrium
-from erstoll.analysis import _marginal
+from erstoll.analysis import _marginal, metrics, toll_bands
 from erstoll.dynamics import (
     Population,
     _SweepKernel,
@@ -24,6 +25,7 @@ from erstoll.dynamics import (
 from erstoll.equilibrium import (
     ROOT_TOL_FACTOR,
     ConvergenceError,
+    EquilibriumResult,
     RegimeTag,
     _bpr_slope,
     _time_gap,
@@ -33,6 +35,7 @@ from erstoll.equilibrium import (
     solve,
     verify_equilibrium,
 )
+from erstoll.harness import run_sweep, solve_row
 from erstoll.model import (
     DiscreteAgents,
     FixedToll,
@@ -440,6 +443,118 @@ class TestSolveInvertsThePriceMap:
         assert regime is RegimeTag.INTERIOR
         _, _, _, price = _wardrop_response(scn)
         assert price(result.x1_d) == pytest.approx(100.0, rel=1e-12)
+
+
+def outcomes(scn):
+    """repr of what solve, metrics and toll_bands give the scenario, or of
+    the error each raises: equal reprs are equal bits, nan and -0.0 too."""
+    def attempt(run, *args):
+        try:
+            return run(*args)
+        except (ArithmeticError, ValueError, ConvergenceError) as exc:
+            return type(exc), str(exc)
+
+    solved = attempt(solve, scn)
+    got = [solved, attempt(toll_bands, scn)]
+    if isinstance(solved[0], EquilibriumResult):
+        got.append(attempt(metrics, scn, solved[0]))
+    return repr(got)
+
+
+@st.composite
+def memo_sequences(draw):
+    """Scenarios on a twin and a differing network of one ERS link, at two
+    values of N (a uniform or a discrete pool), each on the shared Network
+    object or on an equal fresh copy of it."""
+    link1 = draw(bpr_links(50.0, ers=True))
+    shared = (
+        Network(link1, replace(link1, has_ers=False, ers_power_kw=None)),
+        Network(link1, draw(bpr_links(50.0))),
+    )
+    sequence = []
+    for _ in range(draw(st.integers(2, 8))):
+        network = draw(st.sampled_from(shared))
+        if draw(st.booleans()):
+            network = replace(network)
+        n_total = draw(st.sampled_from((40, 60)))
+        common = dict(
+            voe=draw(st.floats(20.0, 300.0)),
+            toll=FixedToll(draw(st.floats(0.0, 500.0))),
+            network=network,
+        )
+        n_dwpt = draw(st.integers(1, n_total - 1))
+        if draw(st.booleans()):
+            scn = base_scenario(total=float(n_total), ratio=n_dwpt / n_total, **common)
+        else:
+            socs = draw(st.lists(st.floats(0.02, 0.98), min_size=n_dwpt, max_size=n_dwpt))
+            scn = discrete_scenario(socs, n_total - n_dwpt, **common)
+        sequence.append(scn)
+    return sequence
+
+
+class TestBalanceMemo:
+    """_wardrop_response keeps the (network, N) part of the last response
+    (_balance): a scenario on the same Network object and N shares it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sequence=memo_sequences())
+    def test_a_shared_network_gives_what_a_cold_build_gives(self, sequence):
+        # every scenario in turn, sharing what the memo holds, then each
+        # rebuilt on a fresh copy of its network, which no entry can name
+        shared = [outcomes(scn) for scn in sequence]
+        cold = [outcomes(replace(scn, network=replace(scn.network))) for scn in sequence]
+        assert shared == cold
+
+    @staticmethod
+    def balanced_flows(monkeypatch) -> list:
+        """The bracket ends of every balanced-flow root from now on."""
+        calls, root = [], equilibrium._root
+
+        def counting(g, lo, hi, xtol, what):
+            if what == "balanced flow":
+                calls.append((lo, hi))
+            return root(g, lo, hi, xtol, what)
+
+        monkeypatch.setattr(equilibrium, "_root", counting)
+        return calls
+
+    @staticmethod
+    def differing(capacity1=400.0) -> Network:
+        # a fresh object, so no earlier test's entry names it
+        return Network(
+            LinkParams(12.0, capacity1, bpr_alpha=0.3, bpr_beta=2.0, has_ers=True, ers_power_kw=30.0),
+            LinkParams(10.0, 500.0),
+        )
+
+    def test_a_sweep_roots_its_balanced_flow_once(self, monkeypatch):
+        calls = self.balanced_flows(monkeypatch)
+        rows = run_sweep(base_scenario(network=self.differing()), [
+            ("toll.price", [0.0, 100.0, 400.0]),
+            ("prefs.voe", [50.0, 300.0]),
+            ("dwpt_ratio", [0.2, 0.6, 0.95]),
+        ])
+        assert len(rows) == 18 and not any(row.error for row in rows)
+        assert calls == [(0.0, 1000.0)]
+
+    def test_each_distinct_network_roots_its_own(self, monkeypatch):
+        calls = self.balanced_flows(monkeypatch)
+        for _ in range(4):
+            assert not solve_row(base_scenario(network=self.differing())).error
+        assert len(calls) == 4
+
+    def test_a_balanced_flow_that_raises_fails_every_cell_and_keeps_no_entry(self, monkeypatch):
+        # link 1's time overflows at flow N, an end of the balanced-flow root
+        network = self.differing(capacity1=1e-300)
+        expected = solve_row(base_scenario(network=replace(network))).error
+        assert "out of range" in expected
+        calls = self.balanced_flows(monkeypatch)
+        rows = run_sweep(base_scenario(network=network), [
+            ("toll.price", [0.0, 100.0]),
+            ("prefs.voe", [50.0, 100.0, 300.0]),
+        ])
+        assert [row.error for row in rows] == [expected] * 6
+        assert len(calls) == 6
+        assert equilibrium._balance[0] is not network
 
 
 class TestSolveDiscrete:
