@@ -2,6 +2,9 @@
 tests draw their scenarios from `scenarios`, the documented domain."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import yaml
 from hypothesis import strategies as st
 
+import erstoll
 from erstoll.dynamics import agents_from_scenario
 from erstoll.model import (
     DiscreteAgents,
@@ -109,6 +113,21 @@ def scenario_config(scenario):
             "link2": link(scenario.network.link2),
         },
     }
+
+
+def run_python(args, cwd, timeout=60):
+    """Run sys.executable on args in cwd and return its stdout, asserting
+    exit 0.  The child imports the erstoll this process imported: the
+    directory that holds it (src/ in a checkout, site-packages when
+    installed) goes first on PYTHONPATH."""
+    home = str(Path(erstoll.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": home + os.pathsep + path if path else home}
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def write_scenario(scenario, path):

@@ -273,14 +273,17 @@ class TestSimulate:
         assert captured.err.startswith("numerical failure: "), captured.err
         assert captured.out == ""
 
-    def test_congested_fleet_of_9800_converges_with_falling_potential(self, capsys, tmp_path):
+    @pytest.mark.parametrize("order", ["sequential", "random"])
+    def test_congested_fleet_of_9800_converges_with_falling_potential(
+        self, capsys, tmp_path, order
+    ):
         # the benchmark's largest congested size: capacity N/3 on each link
         cap = 9800 / 3
         net = Network(replace(ERS_LINK, capacity=cap), replace(PLAIN_LINK, capacity=cap))
         path, out = tmp_path / "congested.cfg", tmp_path / "sim.csv"
         write_scenario(base_scenario(total=9800.0, network=net), path)
         args = ["simulate", "--scenario", str(path), "--initial", "random", "--seed", "1"]
-        assert main([*args, "--output", str(out)]) == 0
+        assert main([*args, "--order", order, "--output", str(out)]) == 0
         assert "converged        true" in capsys.readouterr().out
         with open(out, newline="") as f:
             potentials = [float(row["potential"]) for row in csv.DictReader(f)]
@@ -488,10 +491,10 @@ def test_output_bytes_are_pinned(argv, fmt, digest, tmp_path, monkeypatch):
     ],
 )
 def test_congested_simulate_bytes_are_pinned(order, digest, tmp_path):
-    """The congested run of CI's congested.cfg: the bundled scenario with
-    9 800 vehicles and capacities 9 800/3, from a random start, in many
-    rounds that each move a few vehicles.  --set cannot change N or the
-    capacities, so the scenario file is written here as CI writes it."""
+    """A congested run: the bundled scenario with 9 800 vehicles and
+    capacities 9 800/3, from a random start, in many rounds that each
+    move a few vehicles.  --set cannot change N or the capacities, so
+    the scenario file is written here."""
     config = yaml.safe_load(bundled_scenario_path().read_text())
     config["total_vehicles"] = 9800.0
     for link in ("link1", "link2"):

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +8,7 @@ from conftest import (
     base_scenario,
     discrete_scenario,
     evenly_spaced_socs,
+    run_python,
 )
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
@@ -37,7 +34,6 @@ from erstoll.model import (
 )
 
 PREFS = Preferences(vot=50.0, voe=100.0)
-ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPopulation:
@@ -358,7 +354,6 @@ SPLIT_CHECK = """
     assert len(docs) == 4 and sum(bool(doc["error"]) for doc in docs) == 2, docs
     text = yaml.safe_dump(docs, sort_keys=False, default_style="'")
     assert Path("errors.yaml").read_text() == text
-    print("ok")
 """
 
 ORACLE_CHECK = """
@@ -379,30 +374,57 @@ ORACLE_CHECK = """
     result = brute_force_equilibrium(scenario)
     assert (result.x1_d, result.x1_o) == (1.0, 1.0), result
     assert "numpy" not in sys.modules, "the oracle loaded numpy"
-    print("ok")
 """
 
 
-def _run_check(code, cwd):
-    """Run code in a fresh interpreter on this checkout's package."""
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+# The bundled preset at N = 1e6, capacity N/2 on each link.  ru_maxrss is
+# the whole process's peak, so this needs a process of its own.  The DWPT
+# pool is built from the quantile midpoints in plain Python, so the oracle
+# runs before anything has loaded numpy.
+MILLION_CHECK = """
+    import resource
+    import sys
+    from dataclasses import replace
+
+    import erstoll
+    from erstoll import harness
+    from erstoll.model import DiscreteAgents
+
+    text = harness.bundled_scenario_path().read_text()
+    text = text.replace("total_vehicles: 1000.0", "total_vehicles: 1000000.0")
+    text = text.replace("capacity: 500.0", "capacity: 500000.0")
+    open("million.cfg", "w").write(text)
+    loaded = erstoll.load_scenario("million.cfg")
+    network = loaded.network
+    assert loaded.total_vehicles == 2 * network.link1.capacity == 2 * network.link2.capacity == 1e6
+    pool, (n_dwpt, _) = loaded.soc, loaded.agent_counts()
+    socs = tuple(pool.quantile((i + 0.5) / n_dwpt * pool.mass) for i in range(n_dwpt))
+    scenario = replace(loaded, soc=DiscreteAgents(socs))
+
+    before_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    oracle = erstoll.brute_force_equilibrium(scenario)
+    oracle_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert oracle_kib - before_kib <= 1024, "the oracle raised the peak RSS by more than 1 MiB"
+    assert "numpy" not in sys.modules, "the oracle loaded numpy"
+    result, _ = erstoll.solve(scenario)
+    assert abs(oracle.x1 - result.x1) <= 1.0, (oracle, result)
+
+    from erstoll import dynamics
+
+    assert dynamics.discretize_scenario(loaded) == scenario
+    agents = dynamics.agents_from_scenario(scenario, initial="random", seed=1)
+    run = dynamics.run(agents, scenario.network, scenario.prefs, scenario.toll, max_rounds=50)
+    assert run.converged, run.terminal_round
+"""
 
 
 def test_analytic_modules_load_without_numpy(tmp_path):
-    _run_check(SPLIT_CHECK, tmp_path)
+    run_python(["-c", textwrap.dedent(SPLIT_CHECK)], tmp_path)
 
 
 def test_oracle_runs_without_numpy(tmp_path):
-    _run_check(ORACLE_CHECK, tmp_path)
+    run_python(["-c", textwrap.dedent(ORACLE_CHECK)], tmp_path)
+
+
+def test_million_vehicles_converge_and_the_oracle_agrees_in_flat_memory(tmp_path):
+    run_python(["-c", textwrap.dedent(MILLION_CHECK)], tmp_path)

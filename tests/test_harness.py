@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -987,3 +988,16 @@ def test_reader_reads_safe_dump_configs(scenario, sort_keys, tmp_path_factory):
     path = tmp_path_factory.mktemp("dump") / "scenario.cfg"
     assert _read_like_pyyaml(text, path), text
     assert load_scenario(path) == scenario
+
+
+def test_readme_flow_style_goes_to_pyyaml_with_the_block_result(tmp_path):
+    """The README's flow-style example is outside the reader's subset;
+    it loads through PyYAML to the Scenario of its block-style twin."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flow = re.search(r"Scenario files are YAML.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    block = yaml.safe_dump(yaml.safe_load(flow), sort_keys=False)
+    assert harness._read_block(flow) is None
+    assert harness._read_block(block) is not None
+    (tmp_path / "flow.cfg").write_text(flow)
+    (tmp_path / "block.cfg").write_text(block)
+    assert load_scenario(tmp_path / "flow.cfg") == load_scenario(tmp_path / "block.cfg")

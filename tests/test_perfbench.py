@@ -2,9 +2,10 @@
 
 perfbench wraps and reads dynamics and oracle functions by name (and
 len() of a population), so an API change there can break it silently.
+It runs the checkout's src/ whatever the test process imported:
+run.py drops PYTHONPATH and child.py puts src/ first on sys.path.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_perfbench_self_test_passes(tmp_path):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-test"],
         cwd=tmp_path,
-        env=env,
         capture_output=True,
         text=True,
         timeout=300,
