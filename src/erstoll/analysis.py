@@ -250,22 +250,27 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
 def toll_bands(scenario: Scenario) -> list[TollBand]:
     """Partition of the price axis [0, inf) into pattern bands.
 
-    Each band edge is the price map that solve inverts (price(n) of
-    equilibrium._wardrop_response: the toll at which the marginal of n
-    DWPT-EVs on the ERS link is indifferent, closed form and
-    non-increasing in n) at a break point: n = rN (a|c), n = 0 (c|b)
-    and, for r >= 0.5, the n where x1 = (N +- tol)/2 (c2|c1 and c1|c3),
-    from the response's inverse.  Here tol = PATTERN_MASS_TOL*N, as in
-    classify: on links that differ, c1 means |x1 - x2| <= tol, so its
-    band is narrow but exact.  On twin links below r = 0.5, x1 = x_eq
-    gives t1 = t2 and the edges are voe*(1/quantile(rN) - 1) and
-    voe*(1/quantile(0) - 1), at the pool's highest and lowest SoC.
+    Each band edge is the price map that solve inverts (price(n), the
+    toll at which the marginal of n DWPT-EVs on the ERS link is
+    indifferent, closed form and non-increasing in n: minus the gap of
+    equilibrium._wardrop_response at toll 0) at a break point: n = rN
+    (a|c), n = 0 (c|b) and, for r >= 0.5, the n where x1 = (N +- tol)/2
+    (c2|c1 and c1|c3), from the response's inverse.  Here
+    tol = PATTERN_MASS_TOL*N, as in classify: on links that differ, c1
+    means |x1 - x2| <= tol, so its band is narrow but exact.  On twin
+    links below r = 0.5, x1 = x_eq gives t1 = t2 and the edges are
+    voe*(1/quantile(rN) - 1) and voe*(1/quantile(0) - 1), at the pool's
+    highest and lowest SoC.
     """
     if not isinstance(scenario.toll, FixedToll):
         raise ValueError("toll bands are defined for a fixed-toll system")
     n_total = scenario.total_vehicles
-    n_dwpt = scenario.n_dwpt
-    _, _, dwpt_mass_at, price = _wardrop_response(scenario)
+    n_dwpt, n_other, soc = scenario.n_dwpt, scenario.n_other, scenario.soc
+    x_eq, _, gap = _wardrop_response(scenario, 0.0)
+
+    def dwpt_mass_at(x1: float) -> float:
+        # the DWPT mass in [0, rN] at which the response puts x1 on link 1
+        return min(max(x1 - n_other if x1 < x_eq else x1, 0.0), n_dwpt)
 
     if scenario.dwpt_ratio < 0.5:
         labels = (PatternLabel.B_i_a, PatternLabel.B_i_c, PatternLabel.B_i_b)
@@ -286,8 +291,8 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
             0.0,
         )
     edges = [0.0]
-    for n in breaks:
-        edges.append(max(price(n), edges[-1]))
+    for n in breaks:  # price(n) is 0.0 - gap, not -gap, so a zero price is +0.0
+        edges.append(max(0.0 - gap(soc.quantile(n), n)[0], edges[-1]))
     edges.append(math.inf)
     return [
         TollBand(p, lo, hi)

@@ -29,9 +29,9 @@ Every root (a corner crossing, x_eq, the system optimum of analysis) is
 one safeguarded Newton root, _root, on the closed-form BPR slope
 dt/dx = beta*(t - t0)/x.  The time gap t1(x) - t2(N - x) and that slope
 are one map, _time_gap: x_eq is its root, and the regime test, the
-corners and the toll bands price it at x_eq.  Once that price is known,
-the map, x_eq and the price are kept for every later scenario on the
-same Network object and N, so each cell of a sweep shares one of each.
+corners and the toll bands price it at x_eq.  _balanced builds the map,
+x_eq and that price together and keeps them for every later scenario on
+the same Network object and N, so each cell of a sweep shares one of each.
 A discrete pool's price steps at each SoC
 group, so _group_root first binary-searches the groups for the marginal
 one and then roots within it, splitting a tied group at its own SoC.
@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import (
-    INDIFFERENCE_EPS, DiscreteAgents, LinkParams, Scenario, bpr_time, charging_value,
-    threshold_soc,
+    INDIFFERENCE_EPS, DiscreteAgents, LinkParams, Network, Scenario, bpr_time,
+    charging_value, threshold_soc,
 )
 
 # Root-finder controls (BPR is monotone, so every map rooted below is
@@ -212,68 +212,58 @@ def _time_gap(link1: LinkParams, link2: LinkParams, n_total: float):
     return time_gap
 
 
-# The (network, N) part of the last Wardrop response priced at x_eq:
-# (network, N, its _time_gap map, x_eq, the map's value at x_eq).
-_balance = (None, None, None, None, None)
+# The last (network, N) that _balanced built, and what it built for them.
+_balance = (None, None, None)
 
 
-def _wardrop_response(scenario: Scenario):
-    """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link.
+def _balanced(network: Network, n_total: float):
+    """The _time_gap map of the network at N, its root x_eq (N/2 on twin
+    links), and the map's value and slope at x_eq.
 
-    Returns (x_eq, response_gap, dwpt_mass_at, price): the balanced flow,
-    the root of the _time_gap map (N/2 on twin links); response_gap(n),
-    that map at link-1 flow x1(n) = min(max(x_eq, n), n + n_other),
-    priced at x_eq on first use; dwpt_mass_at(x1), its inverse, the DWPT
-    mass in [0, rN] at which the response puts x1 on link 1; and
-    price(n), the toll at which the marginal of n DWPT-EVs on link 1 is
-    indifferent (module docstring).
-
-    The map, x_eq and the map's value at x_eq depend on the network and N
-    alone, so they are kept in a one-entry memo (_balance) keyed on the
-    Network object's identity and N: every scenario on that same object
-    and N, such as each cell of a sweep, builds them once.  The entry is
-    one tuple, stored when the value at x_eq is first priced (solve always
-    prices it), so a miss costs one identity test and one store, and the
-    memo never mixes two (network, N); a network whose balanced flow or
-    value at x_eq raises stores none.
+    They depend on the network and N alone, so they are kept in a
+    one-entry memo (_balance) keyed on the Network object's identity and
+    N: every scenario on that same object and N, such as each cell of a
+    sweep, builds them once.  A build that raises stores nothing.
     """
     global _balance
-    network, n_total = scenario.network, scenario.total_vehicles
-    n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
-    prefs, soc = scenario.prefs, scenario.soc
-    entry = _balance
-    if entry[0] is network and entry[1] == n_total:
-        _, _, time_gap, x_eq, at_eq = entry
-    else:
-        link1, link2 = network.link1, network.link2
-        time_gap = _time_gap(link1, link2, n_total)
-        x_eq = (
-            0.5 * n_total
-            if link1.same_bpr(link2)
-            else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
-        )
-        at_eq = None
+    if _balance[0] is network and _balance[1] == n_total:
+        return _balance[2]
+    link1, link2 = network.link1, network.link2
+    time_gap = _time_gap(link1, link2, n_total)
+    x_eq = (
+        0.5 * n_total
+        if link1.same_bpr(link2)
+        else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
+    )
+    built = time_gap, x_eq, time_gap(x_eq)
+    _balance = (network, n_total, built)
+    return built
 
-    def response_gap(n: float) -> tuple[float, float]:
-        nonlocal at_eq
-        global _balance
+
+def _wardrop_response(scenario: Scenario, toll: float):
+    """OTHER-Vs' Wardrop best response to the DWPT mass n on the ERS link,
+    priced at a toll.
+
+    Returns (x_eq, at_eq, gap): the balanced flow and the time gap there
+    (_balanced), and gap(s, n) = toll - charging_value(s) + vot*(t1 - t2)
+    with its slope in n, at the link-1 flow
+    x1(n) = min(max(x_eq, n), n + n_other) and a marginal SoC s.  With s
+    the SoC of the marginal of n DWPT-EVs it is toll - price(n) (module
+    docstring).
+    """
+    time_gap, x_eq, at_eq = _balanced(scenario.network, scenario.total_vehicles)
+    n_other, prefs = scenario.n_other, scenario.prefs
+
+    def gap(s: float, n: float) -> tuple[float, float]:
         if n > x_eq:
-            return time_gap(n)
-        if x_eq > n + n_other:
-            return time_gap(n + n_other)
-        if at_eq is None:
-            at_eq = time_gap(x_eq)
-            _balance = (network, n_total, time_gap, x_eq, at_eq)
-        return at_eq
+            t_gap, dt = time_gap(n)
+        elif x_eq > n + n_other:
+            t_gap, dt = time_gap(n + n_other)
+        else:
+            t_gap, dt = at_eq
+        return toll - charging_value(prefs, s) + prefs.vot * t_gap, prefs.vot * dt
 
-    def dwpt_mass_at(x1: float) -> float:
-        n = x1 - n_other if x1 < x_eq else x1
-        return min(max(n, 0.0), n_dwpt)
-
-    def price(n: float) -> float:
-        return charging_value(prefs, soc.quantile(n)) - prefs.vot * response_gap(n)[0]
-
-    return x_eq, response_gap, dwpt_mass_at, price
+    return x_eq, at_eq, gap
 
 
 def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
@@ -286,18 +276,19 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     rest of x_eq (interior).  Otherwise it lies in [x_eq, rN] when
     n_star > x_eq (every OTHER-V on link 2), else in
     [0, x_eq - n_other] (every OTHER-V on link 1), or at the bracket end
-    where toll - price(n) already has its final sign.  For a continuum
-    pool that map is rooted by _root to ROOT_TOL_FACTOR*N; for a discrete
-    pool, whose price is a step function of n, _group_root finds the
-    marginal SoC group and splits it at its own SoC.
+    where toll - price(n), the response's gap, already has its final
+    sign.  For a continuum pool that map is rooted by _root to
+    ROOT_TOL_FACTOR*N; for a discrete pool, whose price is a step
+    function of n, _group_root finds the marginal SoC group and splits it
+    at its own SoC.
     """
     prefs, soc, toll = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
     n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
     link1, link2 = scenario.network.link1, scenario.network.link2
-    x_eq, response_gap, _, _ = _wardrop_response(scenario)
+    x_eq, at_eq, gap = _wardrop_response(scenario, toll)
 
     # the times enter the threshold only as t1 - t2
-    n_star = soc.count_below(threshold_soc(prefs, toll, response_gap(x_eq)[0], 0.0))
+    n_star = soc.count_below(threshold_soc(prefs, toll, at_eq[0], 0.0))
     if n_star <= x_eq and x_eq - n_star <= n_other:
         regime, x1_d = RegimeTag.INTERIOR, n_star  # the response to n_star is x_eq
     else:
@@ -307,20 +298,19 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_1, 0.0, min(x_eq - n_other, n_dwpt)
         xtol = ROOT_TOL_FACTOR * scenario.total_vehicles
         what = f"fixed point ({regime.value})"
-
-        def gap(s: float, n: float, ds: float | None = None) -> tuple[float, float]:
-            # toll - price(n) at marginal SoC s, and its slope in n (each
-            # corner moves x1 with n); a continuum's s moves by ds per
-            # vehicle, a discrete group's is fixed, so s*s never divides
-            t_gap, dt = response_gap(n)
-            value = toll - charging_value(prefs, s) + prefs.vot * t_gap
-            return value, (0.0 if ds is None else prefs.voe * ds / (s * s)) + prefs.vot * dt
-
         if isinstance(soc, DiscreteAgents):
             x1_d = _group_root(gap, soc, lo, hi, xtol, what)
         else:
             ds = (soc.s_hi - soc.s_lo) / soc.mass
-            x1_d = _root(lambda n: gap(soc.quantile(n), n, ds), lo, hi, xtol, what)
+
+            def continuum_gap(n: float) -> tuple[float, float]:
+                # a continuum's marginal SoC moves by ds per vehicle (a
+                # discrete group's is fixed, so s*s never divides there)
+                s = soc.quantile(n)
+                value, slope = gap(s, n)
+                return value, prefs.voe * ds / (s * s) + slope
+
+            x1_d = _root(continuum_gap, lo, hi, xtol, what)
     x1_o = min(max(x_eq - x1_d, 0.0), n_other)
     x2_d, x2_o = n_dwpt - x1_d, n_other - x1_o
     # times at the stored link flows, which can round an ulp of N away

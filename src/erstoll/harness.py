@@ -485,7 +485,7 @@ def run_sweep(base: Scenario, axes) -> list[ResultRow]:
     plus solve_row give it alone.  A value that fails fails every cell
     under it, with its message.  No axis changes N or the network, so
     every cell shares base's Network object, and with it one balanced
-    flow and time-gap map (equilibrium._wardrop_response).
+    flow and time-gap map (equilibrium._balanced).
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")

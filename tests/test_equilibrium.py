@@ -28,6 +28,7 @@ from erstoll.equilibrium import (
     EquilibriumResult,
     RegimeTag,
     _bpr_slope,
+    _balanced,
     _time_gap,
     brute_force_equilibrium,
     _root,
@@ -35,7 +36,7 @@ from erstoll.equilibrium import (
     solve,
     verify_equilibrium,
 )
-from erstoll.harness import run_sweep, solve_row
+from erstoll.harness import run_sweep, solve_row, table1_scenario
 from erstoll.model import (
     DiscreteAgents,
     FixedToll,
@@ -46,6 +47,7 @@ from erstoll.model import (
     Scenario,
     UniformContinuum,
     bpr_time,
+    charging_value,
     threshold_soc,
 )
 
@@ -406,7 +408,7 @@ def test_random_pools_solve_and_verify():
         discrete = isinstance(scn.soc, DiscreteAgents)
         twin = scn.network.link1.same_bpr(scn.network.link2)
         seen.add((discrete, twin, regime))
-        x_eq = _wardrop_response(scn)[0]
+        x_eq = _balanced(scn.network, scn.total_vehicles)[1]
         ends = (x_eq, x_eq - scn.n_other, scn.n_dwpt)
         if discrete and regime is not RegimeTag.INTERIOR and result.x1_d not in ends:
             split = not result.x1_d.is_integer()
@@ -419,9 +421,9 @@ def test_random_pools_solve_and_verify():
 
 class TestSolveInvertsThePriceMap:
     def test_corner_toll_lies_between_prices_one_xtol_either_side(self):
-        # the price map is non-increasing and solve roots toll - price to
-        # xtol, so a corner root inside its bracket is within xtol of the
-        # crossing
+        # the response's gap, toll - price, is non-decreasing in n and
+        # solve roots it to xtol, so a corner root inside its bracket has
+        # the gap's two signs one xtol either side of it
         rng = np.random.default_rng(8)
         inside = 0
         while inside < 200:
@@ -429,20 +431,28 @@ class TestSolveInvertsThePriceMap:
             result, regime = solve(scn)
             if regime is RegimeTag.INTERIOR:
                 continue
-            x_eq, _, _, price = _wardrop_response(scn)
+            x_eq, _, gap = _wardrop_response(scn, scn.toll.dwpt_link1_charge)
             if result.x1_d in (0.0, x_eq, x_eq - scn.n_other, scn.n_dwpt):
                 continue  # a bracket end
             inside += 1
             xtol = ROOT_TOL_FACTOR * scn.total_vehicles
-            toll = scn.toll.dwpt_link1_charge
-            assert price(result.x1_d + xtol) <= toll <= price(result.x1_d - xtol)
+            below, above = result.x1_d - xtol, result.x1_d + xtol
+            assert gap(scn.soc.quantile(below), below)[0] <= 0.0
+            assert gap(scn.soc.quantile(above), above)[0] >= 0.0
 
     def test_interior_toll_is_the_price_at_the_closed_form_count(self):
-        scn = base_scenario()  # 100 of 200 DWPT-EVs charge at equal times
+        scn = table1_scenario()  # 100 of 200 DWPT-EVs charge at equal times
         result, regime = solve(scn)
         assert regime is RegimeTag.INTERIOR
-        _, _, _, price = _wardrop_response(scn)
-        assert price(result.x1_d) == pytest.approx(100.0, rel=1e-12)
+        _, at_eq, gap = _wardrop_response(scn, scn.toll.dwpt_link1_charge)
+        assert gap(scn.soc.quantile(result.x1_d), result.x1_d)[0] == pytest.approx(
+            0.0, abs=1e-12 * scn.toll.dwpt_link1_charge
+        )
+        # toll_bands evaluates the same map: its a|c edge is the price at
+        # n = rN, where the response keeps x_eq on link 1
+        edge = toll_bands(scn)[0].c_high
+        rn_price = charging_value(scn.prefs, scn.soc.quantile(scn.n_dwpt))
+        assert edge == rn_price - scn.prefs.vot * at_eq[0]
 
 
 def outcomes(scn):
@@ -493,7 +503,7 @@ def memo_sequences(draw):
 
 
 class TestBalanceMemo:
-    """_wardrop_response keeps the (network, N) part of the last response
+    """_balanced keeps what it built for the last network and N
     (_balance): a scenario on the same Network object and N shares it."""
 
     @settings(max_examples=200, deadline=None)
@@ -535,6 +545,18 @@ class TestBalanceMemo:
         ])
         assert len(rows) == 18 and not any(row.error for row in rows)
         assert calls == [(0.0, 1000.0)]
+
+    @pytest.mark.parametrize("ratio", [0.2, 0.6, 0.9])
+    def test_repeated_toll_bands_root_the_balanced_flow_once(self, monkeypatch, ratio):
+        # at r = 0.9 no band break prices x1 = x_eq, so an entry stored
+        # only once x_eq is priced was never stored
+        calls = self.balanced_flows(monkeypatch)
+        scn = base_scenario(ratio=ratio, network=self.differing())
+        for price in range(10):
+            toll_bands(replace(scn, toll=FixedToll(10.0 * price)))
+        assert len(calls) == 1
+        solve(scn)
+        assert len(calls) == 1
 
     def test_each_distinct_network_roots_its_own(self, monkeypatch):
         calls = self.balanced_flows(monkeypatch)
