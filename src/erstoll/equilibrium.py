@@ -337,6 +337,12 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     bonus).  Tolerances: masses VERIFY_MASS_TOL_FACTOR*N, stored times
     max(VERIFY_TIME_TOL, VERIFY_REL_TOL*max(t1, t2)) minutes, and money
     INDIFFERENCE_EPS + VERIFY_REL_TOL*(toll + vot*(t1 + t2)) JPY.
+
+    A flow is known only to the root's resolution, VERIFY_REL_TOL*N
+    vehicles, so a result passes if it is an exact equilibrium of flows
+    within that resolution: the DWPT check adds to money_tol what moving
+    each link's flow by it moves vot*(t1 - t2) by,
+    vot*(dt1/dx + dt2/dx)*VERIFY_REL_TOL*N.
     """
     mass_tol = VERIFY_MASS_TOL_FACTOR * scenario.total_vehicles
     problems: list[str] = []
@@ -354,8 +360,8 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     if abs(result.x1_o + result.x2_o - scenario.n_other) > mass_tol:
         problems.append("OTHER flows do not sum to the class total")
 
-    t1 = bpr_time(scenario.network.link1, result.x1)
-    t2 = bpr_time(scenario.network.link2, result.x2)
+    link1, link2 = scenario.network.link1, scenario.network.link2
+    t1, t2 = bpr_time(link1, result.x1), bpr_time(link2, result.x2)
     time_tol = max(VERIFY_TIME_TOL, VERIFY_REL_TOL * max(t1, t2))
     if abs(t1 - result.t1) > time_tol or abs(t2 - result.t2) > time_tol:
         problems.append("stored travel times do not match BPR at stored flows")
@@ -368,10 +374,12 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
             problems.append(f"OTHER on link {link} would gain {gain} JPY by leaving it")
 
     # DWPT-EVs: on link 1 if the charging value beats toll + vot*(t1 - t2)
-    # by more than money_tol, on link 2 if it falls short by more than that.
-    below = scenario.soc.count_below(threshold_soc(prefs, price + money_tol, t1, t2))
+    # by more than dwpt_tol, on link 2 if it falls short by more than that.
+    slopes = _bpr_slope(link1, result.x1, t1) + _bpr_slope(link2, result.x2, t2)
+    dwpt_tol = money_tol + prefs.vot * slopes * VERIFY_REL_TOL * scenario.total_vehicles
+    below = scenario.soc.count_below(threshold_soc(prefs, price + dwpt_tol, t1, t2))
     at_or_above = scenario.soc.total_mass - scenario.soc.count_below(
-        math.nextafter(threshold_soc(prefs, price - money_tol, t1, t2), math.inf)
+        math.nextafter(threshold_soc(prefs, price - dwpt_tol, t1, t2), math.inf)
     )
     if result.x1_d < below - mass_tol:
         problems.append(

@@ -33,10 +33,11 @@ file field, so configs cannot go out of sync.
 A file in block style, like the one above, is read by _read_block
 without importing PyYAML; any other YAML (flow style, quotes, anchors,
 tags, ...) goes to PyYAML, with the same result and the same errors.
-Tables mirror that: write_table writes a plain row (every cell printable
-ASCII with no space, comma or quote) as text from one template per
-table, and only any other row goes through csv.writer or PyYAML's
-emitter.  PyYAML is imported only for those files and rows (_pyyaml).
+Tables mirror that: their column names are distinct words, write_table
+writes a plain row (every cell printable ASCII with no space, comma or
+quote) from the table's one template, and only any other row goes
+through csv.writer or yaml.dump.  PyYAML is imported only for those
+files and rows (_pyyaml).
 
 This module checks only the file's shape (keys, kinds, numbers).  Value
 ranges are checked by the model types that hold the values (``model.py``);
@@ -569,6 +570,11 @@ def fig2_data(
 # Serialization
 
 
+# A column name: a word, dots allowed (the override paths), short enough
+# that every YAML emitter writes it as a simple key.
+_COLUMN = re.compile(r"[A-Za-z_][A-Za-z0-9_.]{0,99}")
+
+
 def _joined(cells, width: int) -> str | None:
     """The cells joined by commas if the row is plain: width cells, each
     printable ASCII with no space, comma or quote (and not one lone empty
@@ -588,31 +594,18 @@ def _joined(cells, width: int) -> str | None:
 
 
 def _emitted(header, cells, fmt: str) -> str:
-    """The text csv.writer, or PyYAML's emitter given one row as a
-    sequence, writes for a row: the path of a row that is not plain,
-    and the only one that imports either module."""
-    stream = io.StringIO()
+    """The text csv.writer, or yaml.dump given the row as a one-mapping
+    list, writes for a row that is not plain: the only path that imports
+    either module."""
     if fmt == "csv":
         import csv
 
+        stream = io.StringIO()
         csv.writer(stream, lineterminator="\n").writerow(cells)
         return stream.getvalue()
-    # The events yaml.dump(docs, sort_keys=False, default_style="'")
-    # makes, without its representer: every key and cell quoted, so a
-    # YAML 1.2 reader keeps cells such as 1e-300 as strings.  The str tag
-    # is never written, but the pure-Python emitter counts it in a key's
-    # length when it decides whether the key is simple, as dump's is.
     yaml, _, dumper = _pyyaml()
-    str_tag = "tag:yaml.org,2002:str"
-    scalar = functools.partial(yaml.ScalarEvent, None, str_tag, (True, True), style="'")
-    events = [yaml.StreamStartEvent(), yaml.DocumentStartEvent()]
-    events += yaml.SequenceStartEvent(None, None, True), yaml.MappingStartEvent(None, None, True)
-    for key, cell in zip(header, cells):
-        events += scalar(key), scalar(cell)
-    events += yaml.MappingEndEvent(), yaml.SequenceEndEvent()
-    events += yaml.DocumentEndEvent(), yaml.StreamEndEvent()
-    yaml.emit(events, stream, Dumper=dumper)
-    return stream.getvalue()
+    row = [dict(zip(header, cells))]
+    return yaml.dump(row, Dumper=dumper, sort_keys=False, default_style="'")
 
 
 def write_table(header, rows, stream, fmt: str) -> None:
@@ -620,40 +613,34 @@ def write_table(header, rows, stream, fmt: str) -> None:
     ("structured-text": a YAML list of one mapping per row, keyed by
     column, in column order, every key and cell single-quoted).
 
-    A row is a list of string cells, or a str: its cells already joined
-    by commas and plain by construction (_result_table's solved rows).
-    A plain row (see _joined) is written with one str.format call on a
-    template compiled once per table: in CSV its cells joined by commas,
-    in structured text `- 'column': 'cell'` lines.  That is byte for byte
-    what csv.writer or yaml.dump(..., default_style="'") writes.  Any
-    other row, and in structured text every row when a column name is not
-    plain, is empty or is over 100 characters (an emitter may write such
-    a name as a complex key), goes through csv.writer or PyYAML's emitter
-    (_emitted); PyYAML is imported only then.
+    Column names are distinct words (_COLUMN); any other header is a
+    ValueError.  A row is a list of string cells, or a str: its cells
+    already joined by commas and plain by construction (_result_table's
+    solved rows).  A plain row (see _joined) is written with one
+    str.format call on a template compiled once per table: in CSV its
+    cells joined by commas, in structured text `- 'column': 'cell'`
+    lines.  That is byte for byte what csv.writer or
+    yaml.dump(..., default_style="'") writes.  Any other row goes through
+    csv.writer or yaml.dump (_emitted); PyYAML is imported only then.
     """
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown table format {fmt!r}")
+    if not all(map(_COLUMN.fullmatch, header)) or len(set(header)) < len(header):
+        raise ValueError(f"column names must be distinct {_COLUMN.pattern} words: {header!r}")
     width = len(header)
-    head = _joined(header, width)
     if fmt == "csv":
         line = "{}\n".format
-        out = [_emitted(header, header, fmt) if head is None else line(head)]
-    elif fmt == "structured-text":
-        line = None
-        if head is not None and all(0 < len(name) <= 100 for name in header):
-            names = [name.replace("{", "{{").replace("}", "}}") for name in header]
-            template = "- " + "  ".join(f"'{name}': '{{}}'\n" for name in names)
+        out = [line(",".join(header))]
+    else:
+        template = "- " + "  ".join(f"'{name}': '{{}}'\n" for name in header)
 
-            def line(text: str) -> str:
-                return template.format(*text.split(","))
+        def line(text: str) -> str:
+            return template.format(*text.split(","))
 
         out = []
-    else:
-        raise ValueError(f"unknown table format {fmt!r}")
     for row in rows:
         text = row if isinstance(row, str) else _joined(row, width)
-        if text is not None and line is not None:
-            out.append(line(text))
-        else:
-            out.append(_emitted(header, row if text is None else text.split(","), fmt))
+        out.append(_emitted(header, row, fmt) if text is None else line(text))
     stream.write("".join(out) or "[]\n")  # no rows: the empty YAML list
 
 

@@ -27,18 +27,24 @@ it or its inverse threshold_soc.  Raw (un-normalised) taste coefficients
 are not representable in this model; link choice is invariant to the
 normalisation, so no behaviour is lost.
 
-The DWPT-EV SoC pool (UniformContinuum or DiscreteAgents) is read only
+The DWPT-EV SoC pool (UniformContinuum or DiscreteAgents) is read
 through ``total_mass`` (fleet size in vehicles), ``count_below(s)`` (mass
 with SoC strictly below s: non-decreasing, 0 at the lowest SoC, total
 mass at 1) and ``quantile(mass)`` (the SoC below which that mass lies;
 quantile(0) and quantile(total_mass) are the lowest and highest SoC).
-Only equilibrium.solve tells the two apart, for the slope of a
-continuum's quantile and the SoC groups of a discrete pool.
+These readers tell the two apart: equilibrium.solve, for the slope of a
+continuum's quantile and the SoC groups of a discrete pool;
+harness._override, whose dwpt_ratio and soc.* overrides need a
+UniformContinuum; dynamics.discretize_scenario, which turns one into
+DiscreteAgents; and dynamics.agents_from_scenario and
+equilibrium.brute_force_equilibrium, which need DiscreteAgents.
 DiscreteAgents holds its SoCs in ascending order, so the simulator's
 population reads the DWPT-EVs in falling order of their charging value
 without sorting them again, and the brute-force oracle bisects that
-order.  A toll (FreeToll or FixedToll) is read only through
-dwpt_link1_charge.
+order.  A toll (FreeToll or FixedToll) is priced through
+dwpt_link1_charge; analysis._pattern also branches on FreeToll,
+analysis.toll_bands needs a FixedToll, and harness.fig2_data reads each
+FixedToll's price.
 """
 
 from __future__ import annotations

@@ -341,7 +341,7 @@ SPLIT_CHECK = """
             assert cli.main(argv) == 0, argv
         assert "yaml" not in sys.modules, "the bundled preset or a plain table loaded yaml"
         assert Path("table2.yaml").read_text().startswith("- 'scenario': '1'")
-        # an error row is not plain: it goes through PyYAML's emitter
+        # an error row is not plain: it goes through yaml.dump
         sweep = ["sweep", "--axis", "toll.price=0,100", "--axis", "dwpt_ratio=0.2,1.5"]
         assert cli.main([*sweep, "--output", "errors.csv"]) == 0
         assert cli.main([*sweep, "--output", "errors.yaml", "--format", "structured-text"]) == 0

@@ -24,6 +24,7 @@ from erstoll.dynamics import (
 )
 from erstoll.equilibrium import (
     ROOT_TOL_FACTOR,
+    VERIFY_MASS_TOL_FACTOR,
     ConvergenceError,
     EquilibriumResult,
     RegimeTag,
@@ -654,6 +655,22 @@ class TestVerifyEquilibrium:
         broken = replace(result, x1_d=200.0, x2_d=0.0, x1_o=300.0, x2_o=500.0)
         [problem] = verify_equilibrium(scn, broken)
         assert problem.startswith("only 0.0 DWPT on link 2 but 99.99")
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(scn=scenarios(), factor=st.floats(1.01, 1e3))
+    def test_flags_a_dwpt_split_moved_past_the_mass_tolerance(self, scn, factor):
+        """The DWPT check's resolution term leaves it strict: x1_d moved by
+        more than the mass tolerance, toward the larger side, with x2_d
+        and both times following, is flagged."""
+        result, _ = solve(scn)
+        n_dwpt, link1, link2 = scn.n_dwpt, scn.network.link1, scn.network.link2
+        shift = min(factor * VERIFY_MASS_TOL_FACTOR * scn.total_vehicles, 0.5 * n_dwpt)
+        x1_d = result.x1_d + (shift if 2.0 * result.x1_d < n_dwpt else -shift)
+        x2_d = n_dwpt - x1_d
+        t1, t2 = bpr_time(link1, x1_d + result.x1_o), bpr_time(link2, x2_d + result.x2_o)
+        moved = replace(result, x1_d=x1_d, x2_d=x2_d, t1=t1, t2=t2)
+        assert verify_equilibrium(scn, moved) != []
 
 
 class TestBruteForceOracle:

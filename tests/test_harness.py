@@ -672,6 +672,17 @@ _PLAIN_CELLS = st.text(st.characters(codec="ascii", min_codepoint=0x21, exclude_
 _ANY_CELLS = st.text(st.sampled_from(" ,'\"\t\n\ré€") | st.characters(exclude_categories=("Cs",)))
 
 
+# write_table's column names: a letter or underscore, then up to 99 of
+# these
+_WORD_START = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_WORD_REST = _WORD_START + "0123456789."
+_NAMES = st.builds(
+    operator.add,
+    st.sampled_from(_WORD_START),
+    st.text(_WORD_REST, max_size=8) | st.text(_WORD_REST, min_size=90, max_size=99),
+)
+
+
 def _long(cells):
     # past the emitter's 80 columns
     return st.builds(operator.mul, cells.filter(bool), st.integers(10, 40))
@@ -679,16 +690,13 @@ def _long(cells):
 
 @st.composite
 def _tables(draw):
-    """A header of unique names and rows of its width, each row all plain
-    cells or any cells (spaces, commas, quotes, tabs, line breaks,
-    non-ASCII), so plain and non-plain rows interleave."""
+    """A header of distinct column names and rows of its width, each row
+    all plain cells or any cells (spaces, commas, quotes, tabs, line
+    breaks, non-ASCII), so plain and non-plain rows interleave."""
     width = draw(st.integers(1, 4))
     plain = st.one_of(_PLAIN_CELLS, _long(_PLAIN_CELLS))
     cells = st.one_of(plain, _ANY_CELLS, _long(_ANY_CELLS))
-    header = draw(
-        st.lists(plain, min_size=width, max_size=width, unique=True)
-        | st.lists(cells, min_size=width, max_size=width, unique=True)
-    )
+    header = draw(st.lists(_NAMES, min_size=width, max_size=width, unique=True))
     row = st.lists(plain, min_size=width, max_size=width) | st.lists(
         cells, min_size=width, max_size=width
     )
@@ -813,11 +821,8 @@ class TestSerialization:
     )
     @settings(max_examples=200, deadline=None)
     @given(table=_tables())
-    # the pure-Python emitter writes an empty key, or one of 123 to 127
-    # characters (it counts the unwritten str tag), as a complex key
-    @example(table=(["", "0"], [["", ""]]))
-    @example(table=(["0" * 124], [["x"], [""]]))
     @example(table=(["a", "b"], [["it's", "x"], ['1"', "2"], ["é", "3"], ["1", "2"]]))
+    @example(table=(["toll.price", "_" * 100], [["1e-300", "x" * 400], ["", ""]]))
     def test_table_is_the_reference_writers(self, dumper, table):
         if dumper is None:
             pytest.skip("PyYAML built without libyaml")
@@ -842,11 +847,36 @@ class TestSerialization:
         assert buffer.getvalue() == yaml.dump(
             docs, Dumper=dumper, sort_keys=False, default_style="'"
         )
-        names_plain = len(header) > 1 and all(
-            _PLAIN.fullmatch(name) and 0 < len(name) <= 100 for name in header
-        )
-        if names_plain and all(_PLAIN.fullmatch(cell) for row in rows for cell in row):
+        # a lone empty cell is not plain: csv.writer quotes it
+        if len(header) > 1 and all(_PLAIN.fullmatch(cell) for row in rows for cell in row):
             assert not calls, "a plain table imported PyYAML"
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            ["a b"],
+            ["toll.price", "a,b"],
+            [""],
+            ["x" * 101],
+            ["pattern", "pattern"],
+            # names the pure-Python emitter writes as complex keys: an
+            # empty one, or one of 123 to 127 characters (it counts the
+            # unwritten str tag)
+            ["", "0"],
+            ["0" * 124],
+            ["a{0}"],
+            ["it's"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", harness.TABLE_FORMATS)
+    def test_table_rejects_a_header_of_non_words(self, header, fmt):
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match="column names must be distinct"):
+            write_table(header, [["1"] * len(header)], buffer, fmt)
+        row = ResultRow(identifiers=tuple((name, 1.0) for name in header), error="boom")
+        with pytest.raises(ValueError, match="column names must be distinct"):
+            (rows_to_csv if fmt == "csv" else rows_to_yaml)([row], buffer)
+        assert buffer.getvalue() == ""
 
     def test_bundled_presets_load_as_pure_python_parse(self, tmp_path):
         presets = sorted(bundled_scenario_path().parent.glob("*.cfg"))

@@ -2,7 +2,8 @@
 
 Every scenario the model types accept, at any magnitude, either returns
 or raises ArithmeticError or ConvergenceError (the CLI's exit 2) from
-the solver, the analysis, the verifier, the oracle and the simulator.
+the solver, the analysis, the verifier, the oracle and the simulator;
+every result the solver returns verifies clean.
 """
 
 from dataclasses import replace
@@ -108,6 +109,77 @@ SMALL_STEEP_SHARE = Scenario(
         ),
     ),
 )
+
+
+def _twin(free_flow_time, capacity, bpr_alpha, bpr_beta):
+    link1 = LinkParams(free_flow_time, capacity, bpr_alpha, bpr_beta, True, 30.0)
+    return Network(link1, replace(link1, has_ers=False, ers_power_kw=None))
+
+
+# Wide draws (Hypothesis seed 1) whose corner_other_on_2 root stops within
+# its resolution of the DWPT split, such as 1.6e-11 of a vehicle short of
+# 3, flagged ("only 2.999999999983899 DWPT on link 2 but 9.0 are above
+# threshold") until the verifier allowed for the flow's resolution
+RESOLUTION_STEP = (
+    discrete_scenario(
+        (2.2947543173920783e-308, 8.653116773511217e-208, 5.153405686866184e-144,
+         3.4025768398663623e-125, 8.461568526648762e-124, 6.077617778547193e-89,
+         9.950466946393688e-78, 1.5621176318691576e-72, 8.519265784059507e-15, 1e-09,
+         1e-06, 0.10130364675213645, 0.15, 0.16215538858189493, 0.289605619589836,
+         0.3390480290290112, 0.5, 0.8669743867868503),
+        12,
+        vot=0.0944548810995491,
+        voe=0.001,
+        toll=FixedToll(0.0),
+        network=_twin(1.0, 0.23803688217895613, 1.0, 11.849798470437046),
+    ),
+    Scenario(
+        14373.382984680176,
+        0.7174895153855558,
+        UniformContinuum(0.32957150446851846, 0.723310635330384, 10312.751592129174),
+        Preferences(vot=0.0018028880741511875, voe=30.981381509079842),
+        FixedToll(0.0),
+        _twin(30.981381509079842, 131.2206537080602, 1.0, 11.302377241703326),
+    ),
+    discrete_scenario(
+        (5e-324, 6.38017515267629e-209, 2.3058526691992065e-156, 3.1101326378493707e-127,
+         2.736480937498691e-97, 1.116823334343189e-58, 2.220446049250313e-16,
+         9.542491834369289e-14, 0.012589254117941675, 0.03162277660168379,
+         0.16837809320541264, 0.5231306073063036, 0.7930279473584357, 0.7930279473584357,
+         0.7930279473584357, 0.999),
+        4,
+        vot=2945.788964768518,
+        voe=1.0,
+        toll=FreeToll(),
+        network=_twin(1.0, 0.08263950087503241, 1.0, 8.469684095888299),
+    ),
+    Scenario(
+        150.72787598286868,
+        0.8697334693169907,
+        UniformContinuum(0.21727275438852797, 0.402058231393008, 131.0930785013615),
+        Preferences(vot=1.0, voe=0.9999998627552429),
+        FreeToll(),
+        _twin(0.1, 0.33034787725327625, 0.004655906207492807, 9.298546275536966),
+    ),
+    discrete_scenario(
+        (6.701201925340727e-261, 4.980300494470107e-150, 8.180602261369028e-115,
+         7.772036408689671e-108, 6.53070199048183e-96, 0.12702041551208354,
+         0.4941789570643725, 0.5587685257196466, 0.5587685257196466),
+        7,
+        vot=1.0,
+        voe=12.589254117941675,
+        toll=FreeToll(),
+        network=_twin(1.0, 0.21426449924877783, 0.15505469063538668, 13.31297162571972),
+    ),
+    Scenario(
+        40021.03948774344,
+        0.6730416013369944,
+        UniformContinuum(0.24334374169879264, 0.5, 26935.82450400193),
+        Preferences(vot=0.9999769744141629, voe=40021.03948774344),
+        FixedToll(1991.7621384699546),
+        _twin(0.9999769744141629, 52.54624464476582, 2.4527585259527203, 9.122764390873535),
+    ),
+)
 NUMERICAL = (ArithmeticError, ConvergenceError)
 
 
@@ -125,11 +197,19 @@ def _returns_or_fails_numerically(call, *args):
 @example(scn=NEAR_ALL_DWPT)
 @example(scn=HUGE_TIMES)
 @example(scn=BIG_GAIN)
+@example(scn=RESOLUTION_STEP[0])
+@example(scn=RESOLUTION_STEP[1])
+@example(scn=RESOLUTION_STEP[2])
+@example(scn=RESOLUTION_STEP[3])
+@example(scn=RESOLUTION_STEP[4])
+@example(scn=RESOLUTION_STEP[5])
 def test_valid_input_fails_only_numerically(scn):
     solved = _returns_or_fails_numerically(solve, scn)
     if solved is not None:
-        for check in (classify, metrics, verify_equilibrium):
+        for check in (classify, metrics):
             _returns_or_fails_numerically(check, scn, solved[0])
+        problems = _returns_or_fails_numerically(verify_equilibrium, scn, solved[0])
+        assert not problems, problems
     if isinstance(scn.toll, FixedToll):
         _returns_or_fails_numerically(toll_bands, scn)
     if isinstance(scn.soc, DiscreteAgents):
