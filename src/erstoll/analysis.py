@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .equilibrium import (
-    ROOT_TOL_FACTOR,
     EquilibriumResult,
     _bpr_slope,
     _root,
@@ -203,7 +202,7 @@ def _least_ttt(
                 if ttt > least * (1.0 + SO_REL_TOL):
                     return least
     try:
-        x1 = _root(gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "system optimum")
+        x1 = _root(gap, 0.0, n_total, n_total, "system optimum")
     except _Settled as settled:
         return settled.args[0]
     return min(least, total(x1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import analysis, harness
@@ -24,6 +25,14 @@ from .model import INITIAL_ASSIGNMENTS, ORDER_POLICIES, FixedToll, Preferences
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+
+# The bands, simulate and fig2 tables: each header, and the str.format
+# template of a row, which takes the columns' values in order.  Every row
+# it writes is plain (inf is "inf"), so it passes to write_table as text.
+_BANDS_HEADER, _BANDS_ROW = ("pattern", "c_low", "c_high"), "{},{:.4f},{:.4f}"
+_SIMULATE_HEADER = ("round", "x1_d", "x1_o", "t1", "t2", "switches", "potential")
+_SIMULATE_ROW = "{},{},{},{:.4f},{:.4f},{},{:.4f}"
+_FIG2_HEADER, _FIG2_ROW = ("voe", "toll_price", "s_thres"), "{:.6g},{:.6g},{:.4f}"
 
 
 class _ArgumentError(Exception):
@@ -288,14 +297,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    scenario = _load_scenario(args)
-    cells = [
-        [band.pattern.value, f"{band.c_low:.4f}", f"{band.c_high:.4f}"]  # inf is "inf"
-        for band in analysis.toll_bands(scenario)
-    ]
-    summary = [f"{pattern:<8} [{low}, {high})" for pattern, low, high in cells]
-    header = ("pattern", "c_low", "c_high")
-    _emit(args, functools.partial(harness.write_table, header, cells), summary)
+    bands = analysis.toll_bands(_load_scenario(args))
+    summary = [f"{b.pattern.value:<8} [{b.c_low:.4f}, {b.c_high:.4f})" for b in bands]
+    rows = [_BANDS_ROW.format(b.pattern.value, b.c_low, b.c_high) for b in bands]
+    _emit(args, functools.partial(harness.write_table, _BANDS_HEADER, rows), summary)
     return EXIT_OK
 
 
@@ -324,20 +329,11 @@ def cmd_simulate(args) -> int:
         f"final x1_d       {last.x1_d} (solver {result.x1_d:.4f})",
         f"final x1_o       {last.x1_o} (solver {result.x1_o:.4f})",
     ]
-    header = ("round", "x1_d", "x1_o", "t1", "t2", "switches", "potential")
-    cells = [
-        [
-            str(snap.round_index),
-            str(snap.x1_d),
-            str(snap.x1_o),
-            f"{snap.t1:.4f}",
-            f"{snap.t2:.4f}",
-            str(snap.switches),
-            f"{snap.potential:.4f}",
-        ]
-        for snap in traj.snapshots
+    rows = [
+        _SIMULATE_ROW.format(s.round_index, s.x1_d, s.x1_o, s.t1, s.t2, s.switches, s.potential)
+        for s in traj.snapshots
     ]
-    _emit(args, functools.partial(harness.write_table, header, cells), summary)
+    _emit(args, functools.partial(harness.write_table, _SIMULATE_HEADER, rows), summary)
     return EXIT_OK
 
 
@@ -359,9 +355,8 @@ def cmd_fig2(args) -> int:
             raise ConfigError(f"argument {flag}: no values")
     grid = harness.fig2_data(tolls, prefs)
     summary = [f"threshold surface: {len(grid)} grid points"]
-    header = ("voe", "toll_price", "s_thres")
-    cells = [[f"{voe:.6g}", f"{price:.6g}", f"{s:.4f}"] for voe, price, s in grid]
-    _emit(args, functools.partial(harness.write_table, header, cells), summary)
+    rows = itertools.starmap(_FIG2_ROW.format, grid)
+    _emit(args, functools.partial(harness.write_table, _FIG2_HEADER, rows), summary)
     return EXIT_OK
 
 

@@ -101,16 +101,17 @@ class EquilibriumResult:
         return self.x2_d + self.x2_o
 
 
-def _root(g, lo: float, hi: float, xtol: float, what: str) -> float:
+def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     """Root of a non-decreasing map on [lo, hi], clamped to the bracket.
 
     g(x) returns the map's value and slope at x.  Returns lo if g(lo) >= 0
     and hi if g(hi) <= 0.  Otherwise the first iterate is the secant point
     of the ends, and each later one a Newton step, or the midpoint of the
     sign bracket when the step would leave it; the root is the first
-    iterate within xtol of the one before.  Each point is evaluated once,
-    and each value must lie between the end values, which guards against
-    a mis-specified map.
+    iterate within xtol = ROOT_TOL_FACTOR*n_total of the one before.  Each
+    point is evaluated once, and each value must lie between the end
+    values, which guards against a mis-specified map.  A ConvergenceError
+    names the map (what) and N, as "balanced flow, N 1000.0: ...".
     """
     g_lo = g(lo)[0]
     if g_lo >= 0.0:
@@ -118,6 +119,7 @@ def _root(g, lo: float, hi: float, xtol: float, what: str) -> float:
     g_hi = g(hi)[0]
     if g_hi <= 0.0:
         return hi
+    xtol = ROOT_TOL_FACTOR * n_total
     slack = 1e-9 * (1.0 + abs(g_lo) + abs(g_hi))
     a, b = lo, hi
     x = lo - g_lo * (hi - lo) / (g_hi - g_lo)  # the secant point of the ends
@@ -127,7 +129,7 @@ def _root(g, lo: float, hi: float, xtol: float, what: str) -> float:
         value, slope = g(x)
         if not g_lo - slack <= value <= g_hi + slack:
             raise ConvergenceError(
-                f"{what}: map is not monotone on the bracket [{lo}, {hi}] "
+                f"{what}, N {n_total}: map is not monotone on the bracket [{lo}, {hi}] "
                 f"({value} at {x})"
             )
         if value < 0.0:
@@ -141,13 +143,13 @@ def _root(g, lo: float, hi: float, xtol: float, what: str) -> float:
             return step
         x = step
     raise ConvergenceError(
-        f"{what}: no convergence to xtol={xtol} after {MAX_ITER} iterations "
+        f"{what}, N {n_total}: no convergence to xtol={xtol} after {MAX_ITER} iterations "
         f"(bracket [{a}, {b}], residual {value})"
     )
 
 
 def _group_root(
-    gap, soc: DiscreteAgents, lo: float, hi: float, xtol: float, what: str
+    gap, soc: DiscreteAgents, lo: float, hi: float, n_total: float, what: str
 ) -> float:
     """Crossing on [lo, hi] of the step map toll - price(n) of a discrete pool.
 
@@ -173,7 +175,7 @@ def _group_root(
         else:
             a = m + 1
     s, start, end = group(a)
-    return _root(lambda n: gap(s, n), max(start, lo), min(end, hi), xtol, what)
+    return _root(lambda n: gap(s, n), max(start, lo), min(end, hi), n_total, what)
 
 
 def _bpr_slope(link: LinkParams, x: float, t: float) -> float:
@@ -233,7 +235,7 @@ def _balanced(network: Network, n_total: float):
     x_eq = (
         0.5 * n_total
         if link1.same_bpr(link2)
-        else _root(time_gap, 0.0, n_total, ROOT_TOL_FACTOR * n_total, "balanced flow")
+        else _root(time_gap, 0.0, n_total, n_total, "balanced flow")
     )
     built = time_gap, x_eq, time_gap(x_eq)
     _balance = (network, n_total, built)
@@ -296,10 +298,9 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_2, x_eq, n_dwpt
         else:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_1, 0.0, min(x_eq - n_other, n_dwpt)
-        xtol = ROOT_TOL_FACTOR * scenario.total_vehicles
-        what = f"fixed point ({regime.value})"
+        n_total, what = scenario.total_vehicles, f"fixed point ({regime.value})"
         if isinstance(soc, DiscreteAgents):
-            x1_d = _group_root(gap, soc, lo, hi, xtol, what)
+            x1_d = _group_root(gap, soc, lo, hi, n_total, what)
         else:
             ds = (soc.s_hi - soc.s_lo) / soc.mass
 
@@ -310,7 +311,7 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
                 value, slope = gap(s, n)
                 return value, prefs.voe * ds / (s * s) + slope
 
-            x1_d = _root(continuum_gap, lo, hi, xtol, what)
+            x1_d = _root(continuum_gap, lo, hi, n_total, what)
     x1_o = min(max(x_eq - x1_d, 0.0), n_other)
     x2_d, x2_o = n_dwpt - x1_d, n_other - x1_o
     # times at the stored link flows, which can round an ulp of N away

@@ -33,11 +33,11 @@ file field, so configs cannot go out of sync.
 A file in block style, like the one above, is read by _read_block
 without importing PyYAML; any other YAML (flow style, quotes, anchors,
 tags, ...) goes to PyYAML, with the same result and the same errors.
-Tables mirror that: their column names are distinct words, write_table
-writes a plain row (every cell printable ASCII with no space, comma or
-quote) from the table's one template, and only any other row goes
-through csv.writer or yaml.dump.  PyYAML is imported only for those
-files and rows (_pyyaml).
+Tables mirror that: their column names are distinct words; a table
+passes the rows it builds from its own template as text, and only rows
+that can hold free text pass as cells, which write_table tests (_joined)
+and, unless plain, writes through csv.writer or yaml.dump.  PyYAML is
+imported only for those files and rows (_pyyaml).
 
 This module checks only the file's shape (keys, kinds, numbers).  Value
 ranges are checked by the model types that hold the values (``model.py``);
@@ -614,12 +614,12 @@ def write_table(header, rows, stream, fmt: str) -> None:
     column, in column order, every key and cell single-quoted).
 
     Column names are distinct words (_COLUMN); any other header is a
-    ValueError.  A row is a list of string cells, or a str: its cells
-    already joined by commas and plain by construction (_result_table's
-    solved rows).  A plain row (see _joined) is written with one
-    str.format call on a template compiled once per table: in CSV its
-    cells joined by commas, in structured text `- 'column': 'cell'`
-    lines.  That is byte for byte what csv.writer or
+    ValueError.  A row a table builds from its own template is a str:
+    its cells joined by commas, plain by construction, not tested.  A
+    row that can hold free text is a list of string cells; a plain one
+    (_joined) is written as a str is, with one str.format call on a
+    template compiled once per table (CSV: the joined cells; structured
+    text: `- 'column': 'cell'` lines), byte for byte what csv.writer or
     yaml.dump(..., default_style="'") writes.  Any other row goes through
     csv.writer or yaml.dump (_emitted); PyYAML is imported only then.
     """

@@ -9,14 +9,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from erstoll import cli
+from erstoll import cli, harness
+from erstoll.analysis import toll_bands
 from erstoll.cli import main
 from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import ConfigError, bundled_scenario_path
-from erstoll.model import FreeToll, LinkParams, Network
+from erstoll.model import FixedToll, FreeToll, LinkParams, Network, Preferences
 
-from conftest import ERS_LINK, PLAIN_LINK, base_scenario, write_scenario
+from conftest import ERS_LINK, PLAIN_LINK, base_scenario, scenarios, write_scenario
 
 
 class TestSolve:
@@ -413,6 +416,66 @@ def test_structured_text_holds_the_csv_cells(argv, tmp_path):
     for mapping in yaml.compose(tables["structured-text"]).value:
         for key, value in mapping.value:
             assert key.style == value.style == "'", (key.value, value.value)
+
+
+@pytest.mark.parametrize("fmt", harness.TABLE_FORMATS)
+def test_rows_a_table_builds_pass_as_text(fmt, tmp_path, monkeypatch):
+    """Every row of these tables comes from the table's own template, so
+    the writer tests none of them for plainness (harness._joined)."""
+
+    def joined(cells, width):
+        raise AssertionError(f"a built row was tested: {cells!r}")
+
+    monkeypatch.setattr(harness, "_joined", joined)
+    runs = (
+        ["bands"],
+        ["simulate", "--rounds", "50"],
+        ["fig2"],
+        ["solve"],
+        ["table2"],
+        ["sweep", "--axis", "toll.price=0:400:5", "--axis", "dwpt_ratio=0.2,0.7"],
+    )
+    for argv in runs:
+        path = str(tmp_path / argv[0])
+        assert main([*argv, "--format", fmt, "--output", path]) == 0, argv
+
+
+def assert_plain(header, row):
+    assert harness._joined(row.split(","), len(header)) == row, row
+
+
+@given(voe=st.floats(5e-324, 1.7e308), price=st.floats(0.0, 1.7e308))
+@example(voe=1e-320, price=1.7e308)
+@example(voe=1.7e308, price=0.0)
+def test_fig2_rows_are_plain(voe, price):
+    [point] = harness.fig2_data([FixedToll(price)], [Preferences(vot=1.0, voe=voe)])
+    assert_plain(cli._FIG2_HEADER, cli._FIG2_ROW.format(*point))
+
+
+@given(scenario=scenarios())
+def test_bands_rows_are_plain(scenario):
+    bands = toll_bands(replace(scenario, toll=FixedToll(0.0)))
+    assert bands[-1].c_high == math.inf
+    for band in bands:
+        row = cli._BANDS_ROW.format(band.pattern.value, band.c_low, band.c_high)
+        assert_plain(cli._BANDS_HEADER, row)
+
+
+@given(
+    snapshot=st.tuples(
+        st.integers(0, 10**9),
+        st.integers(0, 10**7),
+        st.integers(0, 10**7),
+        st.floats(0.0, allow_infinity=True),
+        st.floats(0.0, allow_infinity=True),
+        st.integers(0, 10**7),
+        st.floats(allow_nan=False),
+    )
+)
+@example(snapshot=(0, 0, 0, 10.0, 10.0, 0, -1.7e308))
+def test_simulate_rows_are_plain(snapshot):
+    """A RoundSnapshot's values, the potential negative as often as not."""
+    assert_plain(cli._SIMULATE_HEADER, cli._SIMULATE_ROW.format(*snapshot))
 
 
 # sha256 of each --output file, which a refactor must keep byte for byte.

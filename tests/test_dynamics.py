@@ -329,6 +329,7 @@ SPLIT_CHECK = """
         ["solve", "--output", "row.csv"],
         ["sweep", "--axis", "toll.price=0:400:5", "--output", "sweep.csv"],
         ["bands", "--output", "bands.csv"],
+        ["simulate", "--rounds", "50", "--output", "simulate.csv"],
         ["table2", "--output", "table2.csv"],
         ["fig2", "--prices", "0:100:3", "--voes", "10,100", "--output", "fig2.csv"],
     )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import equilibrium
-from erstoll.analysis import _marginal, metrics, toll_bands
+from erstoll.analysis import _marginal, metrics, min_total_travel_time, toll_bands
 from erstoll.dynamics import (
     Population,
     _SweepKernel,
@@ -68,7 +70,7 @@ def test_root_evaluates_each_point_once():
             value, slope = cube(x)
             return value, slope_factor * slope
 
-        root = _root(g, 0.0, 1.0, 1e-12, "test")
+        root = _root(g, 0.0, 1.0, 1.0, "test")
         assert root == pytest.approx(0.3 ** (1 / 3), abs=1e-12)
         assert len(args) == len(set(args))
 
@@ -76,17 +78,56 @@ def test_root_evaluates_each_point_once():
 def test_root_rejects_a_non_monotone_map():
     # the secant point of the ends is 0.5, where the map leaves their range
     values = {0.0: -1.0, 1.0: 1.0, 0.5: 5.0}
-    with pytest.raises(ConvergenceError, match=r"test: map is not monotone .*\[0.0, 1.0\]"):
-        _root(lambda x: (values[x], 1.0), 0.0, 1.0, 1e-9, "test")
+    with pytest.raises(ConvergenceError, match=r"test, N 1.0: map is not monotone .*\[0.0, 1.0\]"):
+        _root(lambda x: (values[x], 1.0), 0.0, 1.0, 1.0, "test")
 
 
 def test_root_iteration_cap(monkeypatch):
     monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
     with pytest.raises(
         ConvergenceError,
-        match=r"test: no convergence to xtol=0.0 after 3 iterations \(bracket \[.*\], residual ",
+        match=r"test, N 0.0: no convergence to xtol=0.0 after 3 iterations \(bracket \[.*\], residual ",
     ):
         _root(cube, 0.0, 1.0, 0.0, "test")
+
+
+# a Network of its own, which no other test solves on, so _balanced builds it
+NAMED_FAILURE_NETWORK = Network(
+    LinkParams(12.0, 400.0, bpr_alpha=0.3, bpr_beta=2.0, has_ers=True, ers_power_kw=30.0),
+    LinkParams(10.0, 500.0),
+)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: solve(base_scenario(network=NAMED_FAILURE_NETWORK)), "balanced flow, N 1000.0"),
+        (
+            lambda: solve(base_scenario(ratio=0.6, toll=FixedToll(0.0))),
+            "fixed point (corner_other_on_2), N 1000.0",
+        ),
+        (
+            lambda: solve(base_scenario(ratio=0.6, toll=FixedToll(1000.0))),
+            "fixed point (corner_other_on_1), N 1000.0",
+        ),
+        (  # through _group_root, which splits the 0.5 group
+            lambda: solve(discrete_scenario([0.2] * 300 + [0.5] * 300, 400, toll=FixedToll(0.0))),
+            "fixed point (corner_other_on_2), N 1000.0",
+        ),
+        (lambda: min_total_travel_time(NAMED_FAILURE_NETWORK, 1000.0), "system optimum, N 1000.0"),
+    ],
+    ids=["balanced", "corner-on-2", "corner-on-1", "discrete-corner", "optimum"],
+)
+def test_a_convergence_error_names_its_map_and_n(call, name, monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="^" + re.escape(name) + ": no convergence "):
+        call()
+
+
+def test_an_error_row_names_the_map_and_n(monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
+    row = solve_row(base_scenario(network=NAMED_FAILURE_NETWORK))
+    assert row.error.startswith("balanced flow, N 1000.0: no convergence "), row.error
 
 
 @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 4.0, 6.3, 8.0])
@@ -521,10 +562,10 @@ class TestBalanceMemo:
         """The bracket ends of every balanced-flow root from now on."""
         calls, root = [], equilibrium._root
 
-        def counting(g, lo, hi, xtol, what):
+        def counting(g, lo, hi, n_total, what):
             if what == "balanced flow":
                 calls.append((lo, hi))
-            return root(g, lo, hi, xtol, what)
+            return root(g, lo, hi, n_total, what)
 
         monkeypatch.setattr(equilibrium, "_root", counting)
         return calls
