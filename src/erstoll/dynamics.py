@@ -150,7 +150,8 @@ def run(
     population.on_link1 is updated in place; the returned Trajectory holds
     per-round snapshots including the exact potential, which is verified
     to fall by precisely the switchers' summed gains each round; a
-    potential or summed gains that overflows raises an ArithmeticError.
+    potential or summed gains that overflows raises an ArithmeticError
+    naming the round and the link-1 flow.
     Non-convergence within max_rounds is reported via converged=False.
 
     In sequential order run keeps the kernel's skip summaries of the
@@ -176,10 +177,15 @@ def run(
         nonlocal x1_seen, time_part
         x1_d, x1_o, _, _ = class_flows(population)
         x1 = x1_d + x1_o
-        if x1 != x1_seen:  # the time part depends on x1 alone
-            x1_seen = x1
-            time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
-        bonus_part = float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
+        try:
+            if x1 != x1_seen:  # the time part depends on x1 alone
+                x1_seen = x1
+                time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
+            bonus_part = float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"potential at round {round_index}: a sum overflows at link-1 flow {x1} of {n}"
+            ) from exc
         phi = time_part - bonus_part
         traj.snapshots.append(
             RoundSnapshot(
@@ -203,8 +209,8 @@ def run(
             drop = phi - phi_next
             if not (math.isfinite(drop) and math.isfinite(gain_sum)):
                 raise OverflowError(
-                    f"potential fell by {drop}, switch gains were {gain_sum}; "
-                    "a sum overflows"
+                    f"potential at round {round_index}: fell by {drop} at link-1 flow "
+                    f"{x1_seen} of {n}, switch gains were {gain_sum}; a sum overflows"
                 )
             if not abs(drop - gain_sum) <= 1e-6 * (1.0 + size + size_next):
                 raise AssertionError(
@@ -247,16 +253,24 @@ def rosenthal_potential(
     return time_part - float(np.sum(link1_bonus))
 
 
-def _bpr_over(link: LinkParams, flows: np.ndarray) -> np.ndarray:
-    """The link's travel times at the float flows, written over them.
-    np.float_power gives bpr_time bit for bit, because its float64 loop
-    is the C pow that Python's `**` calls (numpy's `**`, np.power, is
-    not)."""
-    flows /= link.capacity
-    np.float_power(flows, link.bpr_beta, out=flows)
-    flows *= link.bpr_alpha
-    flows += 1.0
-    flows *= link.free_flow_time
+def _bpr_table(link: LinkParams, name: str, n: int) -> np.ndarray:
+    """The link's travel times at flows 0..n.  np.float_power gives
+    bpr_time bit for bit, because its float64 loop is the C pow that
+    Python's `**` calls (numpy's `**`, np.power, is not).  Under
+    np.errstate(over="raise") a time that overflows raises
+    FloatingPointError naming the link and its parameters."""
+    flows = np.arange(n + 1.0)
+    try:
+        flows /= link.capacity
+        np.float_power(flows, link.bpr_beta, out=flows)
+        flows *= link.bpr_alpha
+        flows += 1.0
+        flows *= link.free_flow_time
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"kernel tables: {name} travel time overflows at a flow of at most N "
+            f"(capacity {link.capacity}, alpha {link.bpr_alpha}, beta {link.bpr_beta}, N {n})"
+        ) from exc
     return flows
 
 
@@ -268,25 +282,29 @@ class _SweepKernel:
     alone, and fl(gap - b) falls and fl(b - gap) rises with the bonus b.
     So a sweep skips a block of BLOCK agents when neither its smallest
     link-1 bonus nor its largest link-2 bonus would move at the current
-    flows (the block's skip summaries, summarize).  A block whose first
-    agent moves starts a run of consecutive switchers, taken in one
-    vectorized step per doubling window: a cumsum of the +-1 moves gives
-    the flows each agent would see.  Any other block is scanned agent by
-    agent.  Gains are written as the per-agent rule writes them, from
-    the travel-time differences gap over every link-1 flow, so every
-    decision, the switch order and the summed gains are the scalar
-    rule's.  Summaries passed in by the caller are kept across sweeps:
-    a sweep rebuilds them only over the blocks from its first switch to
-    its last.
+    flows (the block's skip summaries, summarize).  The other blocks are
+    scanned agent by agent, and a switch reads only the new end of the
+    gap.  Where that scan has just moved every agent of a block, and the
+    next block's first agent moves too, the switchers come in a long
+    run, so the sweep takes the run in one vectorized step per doubling
+    window (_run): a cumsum of the +-1 moves gives the flows each agent
+    would see.  Isolated switchers, as in a congested or late round,
+    never pay for a window.  Gains are written as the per-agent rule
+    writes them, from the travel-time differences gap over every link-1
+    flow, so every decision, the switch order and the summed gains are
+    the scalar rule's.  Summaries passed in by the caller are kept
+    across sweeps: a sweep rebuilds them only over the blocks from its
+    first switch to its last.
 
     The kernel builds each link's travel times at flows 0..n once
     (times1, times2; one table serves both twin links), and gap from
     them; their entries equal the scalar rule's bit for bit: numpy's
     `+ - * /` round as Python's do, and the power is np.float_power
-    (_bpr_over).  A travel time or gap that overflows a double raises
+    (_bpr_table).  A travel time or gap that overflows a double raises
     FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
-    is) when the kernel is built.  So the oracle, which calls bpr_time,
-    sees the same times and gains and fails on the same overflows.
+    is), naming the table and its inputs, when the kernel is built.  So
+    the oracle, which calls bpr_time, sees the same times and gains and
+    fails on the same overflows.
     """
 
     BLOCK = 64
@@ -302,12 +320,15 @@ class _SweepKernel:
         self.gap = np.empty(n + 2)
         self.gap[0], self.gap[-1] = -np.inf, np.inf
         with np.errstate(over="raise"):
-            self.times1 = _bpr_over(link1, np.arange(n + 1.0))
-            self.times2 = (
-                self.times1 if link2.same_bpr(link1) else _bpr_over(link2, np.arange(n + 1.0))
-            )
+            self.times1 = _bpr_table(link1, "link-1", n)
+            self.times2 = self.times1 if link2.same_bpr(link1) else _bpr_table(link2, "link-2", n)
             inner = np.subtract(self.times1[1:], self.times2[:0:-1], out=self.gap[1:-1])
-            inner *= vot
+            try:
+                inner *= vot
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"kernel tables: vot {vot} times a link time difference overflows (N {n})"
+                ) from exc
 
     def summarize(self, link1_of, bonus_of, lo=0, hi=None) -> tuple[list, list]:
         """Skip summaries of the blocks of agents lo..hi (lo a multiple of
@@ -339,6 +360,7 @@ class _SweepKernel:
         x1 = int(np.count_nonzero(on1))
         g1, g2 = gap.item(x1), gap.item(x1 + 1)
         pos, switches, gain_sum, first, last = 0, 0, 0.0, n, 0
+        streak_end = -1  # the end of the last block whose every agent the scan moved
         while pos < n:
             block = pos // size
             if pos == block * size:
@@ -349,7 +371,7 @@ class _SweepKernel:
                     break
             end = min(block * size + size, n)
             ons, bs = link1_of[pos:end].tolist(), bonus_of[pos:end].tolist()
-            if (g1 - bs[0] if ons[0] else bs[0] - g2) > eps:
+            if pos == streak_end and (g1 - bs[0] if ons[0] else bs[0] - g2) > eps:
                 taken, x1, gain_sum = self._run(link1_of, bonus_of, pos, x1, gain_sum)
                 first, last = min(first, pos), pos + taken - 1
                 pos += taken
@@ -357,16 +379,19 @@ class _SweepKernel:
                 g1, g2 = gap.item(x1), gap.item(x1 + 1)
                 continue
             before = switches
-            for i, (on, b) in enumerate(zip(ons, bs), pos):
+            for i, on, b in zip(range(pos, end), ons, bs):
                 gain = g1 - b if on else b - g2
                 if gain > eps:
                     link1_of[i] = not on
+                    # one end is new: leaving link 1 the old g1 is g2, joining the old g2 is g1
                     x1 += -1 if on else 1
-                    g1, g2 = gap.item(x1), gap.item(x1 + 1)
+                    g1, g2 = (gap.item(x1), g1) if on else (g2, gap.item(x1 + 1))
                     switches += 1
                     gain_sum += gain
             if switches > before:  # summaries are rebuilt by whole block
                 first, last = min(first, pos), end - 1
+            if switches - before == end - pos:
+                streak_end = end
             pos = end
         if order is not None:
             on1[order] = link1_of
@@ -377,9 +402,10 @@ class _SweepKernel:
 
     def _run(self, link1_of, bonus_of, pos, x1, gain_sum):
         """Move the run of consecutive switchers that starts at pos, in
-        windows that double from BLOCK; each agent sees the flows left by
-        all before it switching.  Returns (run length, x1, gain_sum)."""
-        start, width, gap = pos, self.BLOCK, self.gap
+        windows that double from 2 * BLOCK, since a whole block has just
+        switched; each agent sees the flows left by all before it
+        switching.  Returns (run length, x1, gain_sum)."""
+        start, width, gap = pos, 2 * self.BLOCK, self.gap
         while True:
             stop = min(pos + width, self.n)
             on, b = link1_of[pos:stop], bonus_of[pos:stop]
@@ -444,10 +470,16 @@ class Population:
     def bonus(self, prefs: Preferences, toll: FreeToll | FixedToll) -> np.ndarray:
         """Link-1 bonus per vehicle: charging_value - price for a DWPT-EV,
         0 for an OTHER-V.  A bonus that overflows raises FloatingPointError,
-        as the kernel's tables do."""
+        as the kernel's tables do, naming the lowest SoC, voe and toll."""
         out = np.zeros(len(self))
-        with np.errstate(over="raise"):
-            out[: len(self.soc)] = charging_value(prefs, self.soc) - toll.dwpt_link1_charge
+        try:
+            with np.errstate(over="raise"):
+                out[: len(self.soc)] = charging_value(prefs, self.soc) - toll.dwpt_link1_charge
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"charging bonus: overflows at SoC {self.soc.min()} "
+                f"(voe {prefs.voe}, toll {toll.dwpt_link1_charge})"
+            ) from exc
         return out
 
 

@@ -262,7 +262,10 @@ class TestSimulate:
         args = ["simulate", "--set", "prefs.voe=1e308", "--initial", "random", "--rounds", "5"]
         assert main(args) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("numerical failure: "), captured.err
+        assert captured.err.startswith(
+            "numerical failure: charging bonus: overflows at SoC 0.102"
+        ), captured.err
+        assert "(voe 1e+308, toll 100.0)" in captured.err
         assert captured.out == ""
 
     def test_overflowing_potential_is_a_numerical_failure(self, capsys):
@@ -273,7 +276,7 @@ class TestSimulate:
             warnings.simplefilter("error")
             assert main(args) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("numerical failure: "), captured.err
+        assert captured.err.startswith("numerical failure: potential at round 0: "), captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("order", ["sequential", "random"])

@@ -359,13 +359,32 @@ def _assert_runs_match_reference(scn, populations, seed=3):
             assert [1 if on else 2 for on in agents.on_link1.tolist()] == links
 
 
+def _runs_per_round(scn, initial):
+    """(vectorized runs taken, switches) of each sequential round."""
+    sweep, rounds = _SweepKernel.sweep, []
+    with mock.patch.object(
+        _SweepKernel, "_run", autospec=True, side_effect=_SweepKernel._run
+    ) as runs:
+        def counted(kernel, *args):
+            before = runs.call_count
+            result = sweep(kernel, *args)
+            rounds.append((runs.call_count - before, result[0]))
+            return result
+
+        with mock.patch.object(_SweepKernel, "sweep", counted):
+            run(agents_from_scenario(scn, initial, 3), scn.network, scn.prefs, scn.toll)
+    return rounds
+
+
 def test_long_runs_and_sparse_switchers():
     """Sizes where runs span several doubling windows and isolated
     switchers sit in blocks scanned agent by agent, at N = 3000 (not a
     multiple of BLOCK), in both orders: every start on differing links,
     and the benchmark's congested regime (capacity N/3 on both links, a
     random start), where many rounds each move a few agents spread over
-    the whole population."""
+    the whole population.  Either path gives the same flows, so the
+    path choice is checked apart: the first round from all on link 2
+    takes a vectorized run, and the late congested rounds take none."""
     socs = np.linspace(0.05, 0.95, 600)
     base = LinkParams(10.0, 1000.0, has_ers=True, ers_power_kw=30.0)
     differing = discrete_scenario(
@@ -376,6 +395,10 @@ def test_long_runs_and_sparse_switchers():
     for scn, initials in ((differing, INITIAL_STATES), (congested, ("random",))):
         _assert_runs_match_reference(scn, [agents_from_scenario(scn, i, 3) for i in initials])
         assert_oracle_is_a_potential_minimum(scn)
+    assert _runs_per_round(differing, "all_link2")[0][0] >= 1
+    late = _runs_per_round(congested, "random")[5:]
+    assert late and all(moved for _, moved in late[:-1])  # a few isolated switchers each
+    assert [runs for runs, _ in late] == [0] * len(late)
 
 
 @pytest.mark.parametrize(
@@ -456,6 +479,21 @@ OVERFLOWING = {
 }
 # The oracle sums no potential, so it solves the last two cases.
 POTENTIAL_ONLY = ("bonus-sum", "time-sum")
+# The stage each case fails in, and its inputs, as the failure names them
+STAGES = {
+    "link1": "kernel tables: link-1 travel time overflows at a flow of at most N "
+    "(capacity 1e-40, alpha 0.15, beta 8.0, N 6)",
+    "link2": "kernel tables: link-2 travel time overflows at a flow of at most N "
+    "(capacity 1e-40, alpha 0.15, beta 8.0, N 6)",
+    "link1-last-flow": "kernel tables: vot 50.0 times a link time difference overflows (N 6)",
+    "link2-last-flow": "kernel tables: vot 50.0 times a link time difference overflows (N 6)",
+    "alpha-times-power": "kernel tables: link-1 travel time overflows at a flow of at most N "
+    "(capacity 1.0, alpha 1e+306, beta 4.0, N 6)",
+    "gap": "kernel tables: vot 1e+308 times a link time difference overflows (N 1000)",
+    "bonus": "charging bonus: overflows at SoC 0.10200000000000001 (voe 1e+308, toll 100.0)",
+    "bonus-sum": "potential at round 1: a sum overflows at link-1 flow 500 of 1000",
+    "time-sum": "potential at round 1: fell by nan at link-1 flow 500 of 1000",
+}
 
 
 @pytest.mark.parametrize("case", OVERFLOWING)
@@ -463,21 +501,25 @@ def test_overflowing_travel_time_is_an_arithmetic_failure(case, tmp_path, capsys
     """A travel time or gap that overflows a double at some flow 0..N, a
     charging bonus that overflows, or a potential that overflows fails
     the simulator, the oracle (where it sums what overflows) and `erstoll
-    simulate` as a numerical failure, with no RuntimeWarning on the way."""
+    simulate` as a numerical failure that names its stage and inputs,
+    with no RuntimeWarning on the way."""
     scn = OVERFLOWING[case]
     path = tmp_path / "overflow.cfg"
     write_scenario(scn, path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError) as failure:
             run(agents_from_scenario(scn), scn.network, scn.prefs, scn.toll)
+        assert str(failure.value).startswith(STAGES[case])
+        if isinstance(failure.value, FloatingPointError):  # numpy's own error, chained
+            assert isinstance(failure.value.__cause__, FloatingPointError)
         if case in POTENTIAL_ONLY:
             assert verify_equilibrium(scn, brute_force_equilibrium(scn)) == []
         else:
             with pytest.raises(ArithmeticError):
                 brute_force_equilibrium(scn)
         assert main(["simulate", "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert capsys.readouterr().err.startswith(f"numerical failure: {STAGES[case]}")
 
 
 @pytest.mark.parametrize("link", ["link1", "link2"])
