@@ -230,6 +230,14 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     or non-finite stored time can only waste it.  The search runs to the
     optimum only when no split beats ttt (_least_ttt).
     """
+    return Metrics(*_measures(scenario, result))
+
+
+def _measures(
+    scenario: Scenario, result: EquilibriumResult
+) -> tuple[float, float, float, bool, bool]:
+    """metrics' five values, in Metrics' field order, as a tuple: for a
+    caller that copies them into a record of its own (harness.result_row)."""
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw
     ttt = result.x1 * result.t1 + result.x2 * result.t2
@@ -237,12 +245,12 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     revenue = result.x1_d * scenario.toll.dwpt_link1_charge
     least = _least_ttt(scenario.network, scenario.total_vehicles, ttt, result)
     tol = PATTERN_MASS_TOL * scenario.total_vehicles
-    return Metrics(
-        ttt=ttt,
-        tcv=tcv,
-        revenue=revenue,
-        conventional_so=ttt <= least * (1.0 + SO_REL_TOL),
-        ers_optimum=result.x1_d >= min(result.x1, scenario.n_dwpt) - tol,
+    return (
+        ttt,
+        tcv,
+        revenue,
+        ttt <= least * (1.0 + SO_REL_TOL),
+        result.x1_d >= min(result.x1, scenario.n_dwpt) - tol,
     )
 
 

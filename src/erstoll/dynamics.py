@@ -181,6 +181,11 @@ def run(
             if x1 != x1_seen:  # the time part depends on x1 alone
                 x1_seen = x1
                 time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
+                if not math.isfinite(time_part):  # vot times the sums, a float product
+                    raise OverflowError(
+                        f"potential at round {round_index}: the time part overflows at "
+                        f"link-1 flow {x1} of {n} (vot {prefs.vot})"
+                    )
             bonus_part = float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
         except FloatingPointError as exc:
             raise FloatingPointError(

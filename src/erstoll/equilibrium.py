@@ -225,19 +225,29 @@ def _balanced(network: Network, n_total: float):
     They depend on the network and N alone, so they are kept in a
     one-entry memo (_balance) keyed on the Network object's identity and
     N: every scenario on that same object and N, such as each cell of a
-    sweep, builds them once.  A build that raises stores nothing.
+    sweep, builds them once.  A build that raises stores nothing; a
+    travel time that overflows raises OverflowError naming the stage, N
+    and each link's capacity, alpha and beta.
     """
     global _balance
     if _balance[0] is network and _balance[1] == n_total:
         return _balance[2]
     link1, link2 = network.link1, network.link2
     time_gap = _time_gap(link1, link2, n_total)
-    x_eq = (
-        0.5 * n_total
-        if link1.same_bpr(link2)
-        else _root(time_gap, 0.0, n_total, n_total, "balanced flow")
-    )
-    built = time_gap, x_eq, time_gap(x_eq)
+    try:
+        x_eq = (
+            0.5 * n_total
+            if link1.same_bpr(link2)
+            else _root(time_gap, 0.0, n_total, n_total, "balanced flow")
+        )
+        built = time_gap, x_eq, time_gap(x_eq)
+    except OverflowError as exc:
+        raise OverflowError(
+            f"balanced flow, N {n_total}: a link travel time overflows "
+            f"(link 1: capacity {link1.capacity}, alpha {link1.bpr_alpha}, "
+            f"beta {link1.bpr_beta}; link 2: capacity {link2.capacity}, "
+            f"alpha {link2.bpr_alpha}, beta {link2.bpr_beta})"
+        ) from exc
     _balance = (network, n_total, built)
     return built
 

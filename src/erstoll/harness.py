@@ -46,7 +46,8 @@ their errors are re-raised as ConfigError prefixed with the field path.
 Override paths (the harness takes values; the CLI parses PATH=VALUES text):
 toll.price, prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi.
 run_sweep(base, axes) folds them per axis: each axis is a level that
-applies its own value to the scenario fields its outer level left.
+applies its own value to the scenario fields its outer level left, once
+per value for as long as the field it reads stays the same object.
 
 A result row (ResultRow) is a named tuple: the identifier (path, value)
 pairs, the RESULT_COLUMNS (read off ResultRow), then the error; a
@@ -64,7 +65,7 @@ from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import _pattern, metrics
+from .analysis import _measures, _pattern
 from .equilibrium import ConvergenceError, EquilibriumResult, solve
 from .model import (
     DiscreteAgents,
@@ -405,6 +406,20 @@ def _override(parts: tuple, path: str, value) -> tuple:
     return n_total, ratio, soc, prefs, toll, network
 
 
+# The fields an override path writes, as a slice (lo, hi) of Scenario's
+# (N, ratio, soc, prefs, toll, network).  An override reads none of the
+# scenario besides N and at most the last field it writes: dwpt_ratio and
+# soc.* read the SoC pool, prefs.* the prefs; toll.price reads nothing.
+_WRITES = {
+    "toll.price": (4, 5),
+    "prefs.vot": (3, 4),
+    "prefs.voe": (3, 4),
+    "dwpt_ratio": (1, 3),
+    "soc.s_lo": (2, 3),
+    "soc.s_hi": (2, 3),
+}
+
+
 def _fields(scenario: Scenario) -> tuple:
     return tuple(getattr(scenario, f.name) for f in fields(scenario))
 
@@ -455,13 +470,14 @@ RESULT_COLUMNS = ResultRow._fields[1:-1]
 def result_row(
     scenario: Scenario, result: EquilibriumResult, identifiers: tuple = ()
 ) -> ResultRow:
-    """The row of a result solved for this scenario; metrics checks the
-    pair, so the pattern is classify's without a second check."""
-    r, m = result, metrics(scenario, result)
+    """The row of a result solved for this scenario, with metrics' values
+    (_measures, which checks the pair, so the pattern is classify's
+    without a second check)."""
+    r = result
+    ttt, tcv, revenue, conventional_so, ers_optimum = _measures(scenario, r)
     return ResultRow(
         identifiers, r.s_thres, r.x1_d, r.x2_d, r.x1_o, r.x2_o, r.x1, r.t1,
-        m.ttt, m.tcv, m.revenue, _pattern(scenario, r).value,
-        m.conventional_so, m.ers_optimum,
+        ttt, tcv, revenue, _pattern(scenario, r).value, conventional_so, ers_optimum,
     )
 
 
@@ -481,10 +497,16 @@ def run_sweep(base: Scenario, axes) -> list[ResultRow]:
     cell that fails reports the error in its own row.
 
     The axes are nested levels: each applies its own value (_override) to
-    the fields its parent level left, so an inner cell pays one override
-    and one Scenario, and every cell gets the row that apply_overrides
-    plus solve_row give it alone.  A value that fails fails every cell
-    under it, with its message.  No axis changes N or the network, so
+    the fields its parent level left, and every cell gets the row that
+    apply_overrides plus solve_row give it alone.  A value that fails
+    fails every cell under it, with its message.  Each level keeps what
+    its values wrote (or the failing value's message) by the value's
+    position, not the value (0.0 == -0.0, but a -0.0 toll writes its
+    revenue as -0.0000), for as long as its parents hold the same object
+    in the only field it may read (_WRITES), and its cells splice that into
+    their parent's fields.  So an axis whose field no outer axis writes
+    applies each value once per sweep, and an inner cell pays one
+    Scenario besides its solve.  No axis changes N or the network, so
     every cell shares base's Network object, and with it one balanced
     flow and time-gap map (equilibrium._balanced).
     """
@@ -498,23 +520,36 @@ def run_sweep(base: Scenario, axes) -> list[ResultRow]:
         if not values:
             raise ValueError(f"sweep axis {path!r} has no values")
     levels = [[(path, value) for value in values] for path, values in axes]
+    # per level: the parent field its results were read from, and the
+    # results so far by value position
+    memos = [(None, {}) for _ in levels]
     rows: list[ResultRow] = []
 
     def walk(parts: tuple, identifiers: tuple, depth: int) -> None:
-        for pair in levels[depth]:
+        lo, hi = _WRITES[paths[depth]]
+        if memos[depth][0] is not parts[hi - 1]:
+            memos[depth] = parts[hi - 1], {}
+        done = memos[depth][1]
+        for index, pair in enumerate(levels[depth]):
             cell_ids = identifiers + (pair,)
-            try:
-                cell = _override(parts, *pair)
-            except ConfigError as exc:
+            written = done.get(index)
+            if written is None:
+                try:
+                    written = _override(parts, *pair)[lo:hi]
+                except ConfigError as exc:
+                    written = str(exc)
+                done[index] = written
+            if isinstance(written, str):
                 rows.extend(
-                    ResultRow(cell_ids + rest, error=str(exc))
+                    ResultRow(cell_ids + rest, error=written)
                     for rest in itertools.product(*levels[depth + 1 :])
                 )
+                continue
+            cell = parts[:lo] + written + parts[hi:]
+            if depth + 1 < len(levels):
+                walk(cell, cell_ids, depth + 1)
             else:
-                if depth + 1 < len(levels):
-                    walk(cell, cell_ids, depth + 1)
-                else:
-                    rows.append(solve_row(Scenario(*cell), cell_ids))
+                rows.append(solve_row(Scenario(*cell), cell_ids))
 
     walk(_fields(base), (), 0)
     return rows

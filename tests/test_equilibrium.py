@@ -11,6 +11,7 @@ from conftest import (
     random_link,
     scenarios,
     wide_scenarios,
+    write_scenario,
 )
 from dataclasses import replace
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import equilibrium
 from erstoll.analysis import _marginal, metrics, min_total_travel_time, toll_bands
+from erstoll.cli import main
 from erstoll.dynamics import (
     Population,
     _SweepKernel,
@@ -610,7 +612,7 @@ class TestBalanceMemo:
         # link 1's time overflows at flow N, an end of the balanced-flow root
         network = self.differing(capacity1=1e-300)
         expected = solve_row(base_scenario(network=replace(network))).error
-        assert "out of range" in expected
+        assert expected.startswith("balanced flow, N 1000.0: a link travel time overflows")
         calls = self.balanced_flows(monkeypatch)
         rows = run_sweep(base_scenario(network=network), [
             ("toll.price", [0.0, 100.0]),
@@ -619,6 +621,30 @@ class TestBalanceMemo:
         assert [row.error for row in rows] == [expected] * 6
         assert len(calls) == 6
         assert equilibrium._balance[0] is not network
+
+    @pytest.mark.parametrize("capacity2", [500.0, 1e-300], ids=["differing", "twin"])
+    def test_a_balanced_flow_that_overflows_names_its_stage(self, capacity2, tmp_path, capsys):
+        # differing links: link 1's time overflows at the root's end x = N;
+        # twin links: at x_eq = N/2, where the map is priced
+        network = Network(
+            LinkParams(10.0, 1e-300, has_ers=True, ers_power_kw=30.0), LinkParams(10.0, capacity2)
+        )
+        scn = base_scenario(network=network)
+        message = (
+            "balanced flow, N 1000.0: a link travel time overflows (link 1: capacity 1e-300, "
+            f"alpha 0.15, beta 4.0; link 2: capacity {capacity2}, alpha 0.15, beta 4.0)"
+        )
+        for call in (solve, toll_bands):
+            with pytest.raises(OverflowError) as failure:
+                call(scn)
+            assert str(failure.value) == message
+            assert isinstance(failure.value.__cause__, OverflowError)
+        assert solve_row(scn).error == message
+        path = tmp_path / "overflow.cfg"
+        write_scenario(scn, path)
+        for command in ("solve", "bands"):
+            assert main([command, "--scenario", str(path)]) == 2
+            assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 class TestSolveDiscrete:

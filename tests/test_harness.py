@@ -603,6 +603,38 @@ class TestSweeps:
             for combo in itertools.product(*(values for _, values in axes))
         ]
 
+    @pytest.mark.parametrize(
+        "axes, overrides",
+        [
+            # no axis reads a field an outer one writes: each value once
+            (
+                (
+                    ("toll.price", (0.0, 50.0, 100.0, 200.0, 400.0)),
+                    ("prefs.voe", (20.0, 60.0, 100.0, 150.0, 300.0)),
+                    ("dwpt_ratio", (0.1, 0.3, 0.6, 0.9)),
+                ),
+                14,
+            ),
+            # voe reads the prefs each vot writes, so it folds per parent
+            ((("prefs.vot", (20.0, 50.0, 80.0)), ("prefs.voe", (50.0, 100.0, 150.0))), 12),
+        ],
+        ids=["toll-voe-ratio", "vot-voe"],
+    )
+    def test_each_axis_value_is_applied_once_per_parent_field(self, axes, overrides):
+        base = table1_scenario()
+        with mock.patch.object(harness, "_override", wraps=harness._override) as override:
+            rows = run_sweep(base, axes)
+        assert override.call_count == overrides
+        assert rows == self._expected_rows(base, axes)
+
+    def test_a_negative_zero_toll_is_its_own_cell(self):
+        # 0.0 == -0.0, but a -0.0 toll writes its revenue as -0.0000
+        base = table1_scenario()
+        axes = (("prefs.voe", (50.0, 150.0)), ("toll.price", (0.0, -0.0)))
+        rows = run_sweep(base, axes)
+        assert repr(rows) == repr(self._expected_rows(base, axes))
+        assert [math.copysign(1.0, row.revenue) for row in rows] == [1.0, -1.0] * 2
+
     def test_failing_optimum_fails_each_cell_in_row(self, monkeypatch):
         def broken(network, n_total, ttt, start):
             raise ConvergenceError("system optimum: no bracket")

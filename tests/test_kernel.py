@@ -492,7 +492,8 @@ STAGES = {
     "gap": "kernel tables: vot 1e+308 times a link time difference overflows (N 1000)",
     "bonus": "charging bonus: overflows at SoC 0.10200000000000001 (voe 1e+308, toll 100.0)",
     "bonus-sum": "potential at round 1: a sum overflows at link-1 flow 500 of 1000",
-    "time-sum": "potential at round 1: fell by nan at link-1 flow 500 of 1000",
+    "time-sum": "potential at round 0: the time part overflows at link-1 flow 0 of 1000 "
+    "(vot 3e+304)",
 }
 
 

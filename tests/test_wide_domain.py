@@ -6,6 +6,7 @@ the solver, the analysis, the verifier, the oracle and the simulator;
 every result the solver returns verifies clean.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -32,6 +33,7 @@ from erstoll import (
     verify_equilibrium,
 )
 from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
+from erstoll.harness import result_row
 from erstoll.model import bpr_time, threshold_soc
 
 BUNDLED = table1_scenario()
@@ -216,6 +218,27 @@ def test_valid_input_fails_only_numerically(scn):
         _returns_or_fails_numerically(brute_force_equilibrium, scn)
         population = agents_from_scenario(scn, "random", 0)
         _returns_or_fails_numerically(run, population, scn.network, scn.prefs, scn.toll)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scn=wide_scenarios())
+def test_result_rows_hold_the_metrics(scn):
+    """A result row's ttt, tcv, revenue and flag cells are metrics'
+    fields, to the bit and the sign (compared by repr), or the row fails
+    as metrics does."""
+    solved = _returns_or_fails_numerically(solve, scn)
+    if solved is None:
+        return
+    result = solved[0]
+    try:
+        m = metrics(scn, result)
+    except NUMERICAL as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            result_row(scn, result)
+        return
+    row = result_row(scn, result)
+    cells = (row.ttt, row.tcv, row.revenue, row.conventional_so, row.ers_optimum)
+    assert repr(cells) == repr((m.ttt, m.tcv, m.revenue, m.conventional_so, m.ers_optimum))
 
 
 @pytest.mark.parametrize("scn", [NEAR_ALL_DWPT, HUGE_TIMES], ids=["near-all-dwpt", "huge-times"])
