@@ -25,6 +25,7 @@ from enum import Enum
 from .equilibrium import (
     EquilibriumResult,
     _bpr_slope,
+    _overflow,
     _root,
     _wardrop_response,
 )
@@ -267,7 +268,8 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
     means |x1 - x2| <= tol, so its band is narrow but exact.  On twin
     links below r = 0.5, x1 = x_eq gives t1 = t2 and the edges are
     voe*(1/quantile(rN) - 1) and voe*(1/quantile(0) - 1), at the pool's
-    highest and lowest SoC.
+    highest and lowest SoC.  A travel time that overflows at an edge
+    raises OverflowError naming the edge's DWPT mass and N (_overflow).
     """
     if not isinstance(scenario.toll, FixedToll):
         raise ValueError("toll bands are defined for a fixed-toll system")
@@ -298,8 +300,11 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
             0.0,
         )
     edges = [0.0]
-    for n in breaks:  # price(n) is 0.0 - gap, not -gap, so a zero price is +0.0
-        edges.append(max(0.0 - gap(soc.quantile(n), n)[0], edges[-1]))
+    try:
+        for n in breaks:  # price(n) is 0.0 - gap, not -gap, so a zero price is +0.0
+            edges.append(max(0.0 - gap(soc.quantile(n), n)[0], edges[-1]))
+    except OverflowError as exc:
+        raise _overflow("toll band edge", n_total, scenario.network, f" at DWPT mass {n}") from exc
     edges.append(math.inf)
     return [
         TollBand(p, lo, hi)

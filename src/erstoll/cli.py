@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 from . import analysis, harness
@@ -26,13 +25,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-# The bands, simulate and fig2 tables: each header, and the str.format
-# template of a row, which takes the columns' values in order.  Every row
-# it writes is plain (inf is "inf"), so it passes to write_table as text.
-_BANDS_HEADER, _BANDS_ROW = ("pattern", "c_low", "c_high"), "{},{:.4f},{:.4f}"
-_SIMULATE_HEADER = ("round", "x1_d", "x1_o", "t1", "t2", "switches", "potential")
-_SIMULATE_ROW = "{},{},{},{:.4f},{:.4f},{},{:.4f}"
-_FIG2_HEADER, _FIG2_ROW = ("voe", "toll_price", "s_thres"), "{:.6g},{:.6g},{:.4f}"
+# The bands, simulate and fig2 tables: each column's name and str.format
+# field, which takes its value from a row's tuple in column order.  Every
+# cell it writes is plain (inf is "inf"), so each row passes as a tuple.
+_BANDS = (("pattern", "{}"), ("c_low", "{:.4f}"), ("c_high", "{:.4f}"))
+_SIMULATE = (
+    ("round", "{}"), ("x1_d", "{}"), ("x1_o", "{}"), ("t1", "{:.4f}"), ("t2", "{:.4f}"),
+    ("switches", "{}"), ("potential", "{:.4f}"),
+)
+_FIG2 = (("voe", "{:.6g}"), ("toll_price", "{:.6g}"), ("s_thres", "{:.4f}"))
 
 
 class _ArgumentError(Exception):
@@ -299,8 +300,8 @@ def cmd_sweep(args) -> int:
 def cmd_bands(args) -> int:
     bands = analysis.toll_bands(_load_scenario(args))
     summary = [f"{b.pattern.value:<8} [{b.c_low:.4f}, {b.c_high:.4f})" for b in bands]
-    rows = [_BANDS_ROW.format(b.pattern.value, b.c_low, b.c_high) for b in bands]
-    _emit(args, functools.partial(harness.write_table, _BANDS_HEADER, rows), summary)
+    rows = [(b.pattern.value, b.c_low, b.c_high) for b in bands]
+    _emit(args, functools.partial(harness.write_table, _BANDS, rows), summary)
     return EXIT_OK
 
 
@@ -330,10 +331,10 @@ def cmd_simulate(args) -> int:
         f"final x1_o       {last.x1_o} (solver {result.x1_o:.4f})",
     ]
     rows = [
-        _SIMULATE_ROW.format(s.round_index, s.x1_d, s.x1_o, s.t1, s.t2, s.switches, s.potential)
+        (s.round_index, s.x1_d, s.x1_o, s.t1, s.t2, s.switches, s.potential)
         for s in traj.snapshots
     ]
-    _emit(args, functools.partial(harness.write_table, _SIMULATE_HEADER, rows), summary)
+    _emit(args, functools.partial(harness.write_table, _SIMULATE, rows), summary)
     return EXIT_OK
 
 
@@ -355,8 +356,7 @@ def cmd_fig2(args) -> int:
             raise ConfigError(f"argument {flag}: no values")
     grid = harness.fig2_data(tolls, prefs)
     summary = [f"threshold surface: {len(grid)} grid points"]
-    rows = itertools.starmap(_FIG2_ROW.format, grid)
-    _emit(args, functools.partial(harness.write_table, _FIG2_HEADER, rows), summary)
+    _emit(args, functools.partial(harness.write_table, _FIG2, grid), summary)
     return EXIT_OK
 
 

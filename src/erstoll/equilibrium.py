@@ -214,6 +214,19 @@ def _time_gap(link1: LinkParams, link2: LinkParams, n_total: float):
     return time_gap
 
 
+def _overflow(stage: str, n_total: float, network: Network, where: str = "") -> OverflowError:
+    """The OverflowError of a stage where a link travel time overflows:
+    the stage, N, where (such as " at DWPT mass 700.0"), and each link's
+    capacity, alpha and beta.  The caller raises it from the original."""
+    link1, link2 = network.link1, network.link2
+    return OverflowError(
+        f"{stage}, N {n_total}: a link travel time overflows{where} "
+        f"(link 1: capacity {link1.capacity}, alpha {link1.bpr_alpha}, "
+        f"beta {link1.bpr_beta}; link 2: capacity {link2.capacity}, "
+        f"alpha {link2.bpr_alpha}, beta {link2.bpr_beta})"
+    )
+
+
 # The last (network, N) that _balanced built, and what it built for them.
 _balance = (None, None, None)
 
@@ -227,7 +240,7 @@ def _balanced(network: Network, n_total: float):
     N: every scenario on that same object and N, such as each cell of a
     sweep, builds them once.  A build that raises stores nothing; a
     travel time that overflows raises OverflowError naming the stage, N
-    and each link's capacity, alpha and beta.
+    and each link's capacity, alpha and beta (_overflow).
     """
     global _balance
     if _balance[0] is network and _balance[1] == n_total:
@@ -242,12 +255,7 @@ def _balanced(network: Network, n_total: float):
         )
         built = time_gap, x_eq, time_gap(x_eq)
     except OverflowError as exc:
-        raise OverflowError(
-            f"balanced flow, N {n_total}: a link travel time overflows "
-            f"(link 1: capacity {link1.capacity}, alpha {link1.bpr_alpha}, "
-            f"beta {link1.bpr_beta}; link 2: capacity {link2.capacity}, "
-            f"alpha {link2.bpr_alpha}, beta {link2.bpr_beta})"
-        ) from exc
+        raise _overflow("balanced flow", n_total, network) from exc
     _balance = (network, n_total, built)
     return built
 
@@ -292,7 +300,8 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     sign.  For a continuum pool that map is rooted by _root to
     ROOT_TOL_FACTOR*N; for a discrete pool, whose price is a step
     function of n, _group_root finds the marginal SoC group and splits it
-    at its own SoC.
+    at its own SoC.  A travel time that overflows in a corner root raises
+    OverflowError naming the fixed point, N and the bracket (_overflow).
     """
     prefs, soc, toll = scenario.prefs, scenario.soc, scenario.toll.dwpt_link1_charge
     n_dwpt, n_other = scenario.n_dwpt, scenario.n_other
@@ -309,19 +318,23 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
         else:
             regime, lo, hi = RegimeTag.CORNER_OTHER_ON_1, 0.0, min(x_eq - n_other, n_dwpt)
         n_total, what = scenario.total_vehicles, f"fixed point ({regime.value})"
-        if isinstance(soc, DiscreteAgents):
-            x1_d = _group_root(gap, soc, lo, hi, n_total, what)
-        else:
-            ds = (soc.s_hi - soc.s_lo) / soc.mass
+        try:
+            if isinstance(soc, DiscreteAgents):
+                x1_d = _group_root(gap, soc, lo, hi, n_total, what)
+            else:
+                ds = (soc.s_hi - soc.s_lo) / soc.mass
 
-            def continuum_gap(n: float) -> tuple[float, float]:
-                # a continuum's marginal SoC moves by ds per vehicle (a
-                # discrete group's is fixed, so s*s never divides there)
-                s = soc.quantile(n)
-                value, slope = gap(s, n)
-                return value, prefs.voe * ds / (s * s) + slope
+                def continuum_gap(n: float) -> tuple[float, float]:
+                    # a continuum's marginal SoC moves by ds per vehicle (a
+                    # discrete group's is fixed, so s*s never divides there)
+                    s = soc.quantile(n)
+                    value, slope = gap(s, n)
+                    return value, prefs.voe * ds / (s * s) + slope
 
-            x1_d = _root(continuum_gap, lo, hi, n_total, what)
+                x1_d = _root(continuum_gap, lo, hi, n_total, what)
+        except OverflowError as exc:
+            where = f" on the bracket [{lo}, {hi}]"
+            raise _overflow(what, n_total, scenario.network, where) from exc
     x1_o = min(max(x_eq - x1_d, 0.0), n_other)
     x2_d, x2_o = n_dwpt - x1_d, n_other - x1_o
     # times at the stored link flows, which can round an ulp of N away
@@ -420,24 +433,31 @@ def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
     or gap that overflows at a flow 0..N, as in the simulator's kernel,
     overflows at an end (x1 = N or 1) and raises OverflowError (an
     ArithmeticError), as does a bonus that overflows, the largest at
-    the pool's lowest SoC.
+    the pool's lowest SoC.  Each names the oracle and N, and a time its
+    link-1 flow (_overflow).
     """
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("brute_force_equilibrium needs DiscreteAgents SoC")
     n_dwpt, n_other = scenario.agent_counts()
     n, prefs, socs = n_dwpt + n_other, scenario.prefs, scenario.soc.soc_values
     link1, link2 = scenario.network.link1, scenario.network.link2
-    price = scenario.toll.dwpt_link1_charge
+    price, n_total = scenario.toll.dwpt_link1_charge, scenario.total_vehicles
     for x1 in (n, 1):  # the gap's ends
-        t1, t2 = bpr_time(link1, x1), bpr_time(link2, n + 1 - x1)
+        try:
+            t1, t2 = bpr_time(link1, x1), bpr_time(link2, n + 1 - x1)
+        except OverflowError as exc:
+            where = f" at link-1 flow {x1}"
+            raise _overflow("oracle", n_total, scenario.network, where) from exc
         if not math.isfinite(prefs.vot * (t1 - t2)):
-            raise OverflowError(f"the gap between link times {t1} and {t2} overflows")
+            raise OverflowError(
+                f"oracle, N {n_total}: the gap between link times {t1} and {t2} overflows"
+            )
 
     def bonus(i: int) -> float:
         return charging_value(prefs, socs[i]) - price
 
     if not math.isfinite(bonus(0)):  # the largest bonus
-        raise OverflowError(f"the charging bonus at SoC {socs[0]} overflows")
+        raise OverflowError(f"oracle, N {n_total}: the charging bonus at SoC {socs[0]} overflows")
     k = bisect.bisect_left(range(n_dwpt), True, key=lambda i: bonus(i) < 0.0)
 
     def stays(j: int) -> bool:

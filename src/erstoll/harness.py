@@ -33,11 +33,11 @@ file field, so configs cannot go out of sync.
 A file in block style, like the one above, is read by _read_block
 without importing PyYAML; any other YAML (flow style, quotes, anchors,
 tags, ...) goes to PyYAML, with the same result and the same errors.
-Tables mirror that: their column names are distinct words; a table
-passes the rows it builds from its own template as text, and only rows
-that can hold free text pass as cells, which write_table tests (_joined)
-and, unless plain, writes through csv.writer or yaml.dump.  PyYAML is
-imported only for those files and rows (_pyyaml).
+Tables mirror that: a table is its columns, (name, format field)
+pairs whose names are distinct words, and write_table formats each of
+its tuple rows once on the template it builds from them; only rows that
+can hold free text pass as cells, which go through csv.writer or
+yaml.dump.  PyYAML is imported only for those files and rows (_pyyaml).
 
 This module checks only the file's shape (keys, kinds, numbers).  Value
 ranges are checked by the model types that hold the values (``model.py``);
@@ -51,7 +51,8 @@ per value for as long as the field it reads stays the same object.
 
 A result row (ResultRow) is a named tuple: the identifier (path, value)
 pairs, the RESULT_COLUMNS (read off ResultRow), then the error; a
-table's solved rows are formatted by one template (_result_table).
+result table's columns find their fields by ResultRow field name
+(_result_table).
 """
 
 from __future__ import annotations
@@ -610,27 +611,9 @@ def fig2_data(
 _COLUMN = re.compile(r"[A-Za-z_][A-Za-z0-9_.]{0,99}")
 
 
-def _joined(cells, width: int) -> str | None:
-    """The cells joined by commas if the row is plain: width cells, each
-    printable ASCII with no space, comma or quote (and not one lone empty
-    cell, which csv.writer quotes); None for any other row.  One join and
-    a few scans of the joined text make the test."""
-    text = ",".join(cells)
-    if (
-        len(cells) == width
-        and text.isascii()
-        and text.isprintable()
-        and text.count(",") == width - 1
-        and not (" " in text or "'" in text or '"' in text)
-        and (text or width > 1)
-    ):
-        return text
-    return None
-
-
 def _emitted(header, cells, fmt: str) -> str:
     """The text csv.writer, or yaml.dump given the row as a one-mapping
-    list, writes for a row that is not plain: the only path that imports
+    list, writes for a list row of cells: the only path that imports
     either module."""
     if fmt == "csv":
         import csv
@@ -643,70 +626,74 @@ def _emitted(header, cells, fmt: str) -> str:
     return yaml.dump(row, Dumper=dumper, sort_keys=False, default_style="'")
 
 
-def write_table(header, rows, stream, fmt: str) -> None:
+def write_table(columns, rows, stream, fmt: str) -> None:
     """Write a table as CSV ("csv") or as its structured-text twin
     ("structured-text": a YAML list of one mapping per row, keyed by
     column, in column order, every key and cell single-quoted).
 
-    Column names are distinct words (_COLUMN); any other header is a
-    ValueError.  A row a table builds from its own template is a str:
-    its cells joined by commas, plain by construction, not tested.  A
-    row that can hold free text is a list of string cells; a plain one
-    (_joined) is written as a str is, with one str.format call on a
-    template compiled once per table (CSV: the joined cells; structured
-    text: `- 'column': 'cell'` lines), byte for byte what csv.writer or
-    yaml.dump(..., default_style="'") writes.  Any other row goes through
+    The table is its columns, (name, field) pairs: a distinct word
+    (_COLUMN; any other name is a ValueError) and a str.format
+    replacement field such as "{:.4f}" or "{0[1][1]:.6g}".  From them the
+    header and one row template per format are built once per table
+    (CSV: the fields joined by commas; structured text:
+    `- 'name': 'field'` lines), so the two cannot differ in width.  A
+    tuple row is the template's arguments, formatted once; its cells are
+    the caller's to keep plain (printable ASCII with no space, comma or
+    quote, and not one lone empty cell), and then the text is byte for
+    byte what csv.writer or yaml.dump(..., default_style="'") writes.  A
+    list row is string cells that can hold free text and goes through
     csv.writer or yaml.dump (_emitted); PyYAML is imported only then.
     """
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
+    header = [name for name, _ in columns]
     if not all(map(_COLUMN.fullmatch, header)) or len(set(header)) < len(header):
         raise ValueError(f"column names must be distinct {_COLUMN.pattern} words: {header!r}")
-    width = len(header)
     if fmt == "csv":
-        line = "{}\n".format
-        out = [line(",".join(header))]
+        out = [",".join(header) + "\n"]
+        line = (",".join(field for _, field in columns) + "\n").format
     else:
-        template = "- " + "  ".join(f"'{name}': '{{}}'\n" for name in header)
-
-        def line(text: str) -> str:
-            return template.format(*text.split(","))
-
         out = []
+        line = ("- " + "  ".join(f"'{name}': '{field}'\n" for name, field in columns)).format
     for row in rows:
-        text = row if isinstance(row, str) else _joined(row, width)
-        out.append(_emitted(header, row, fmt) if text is None else line(text))
+        out.append(line(*row) if isinstance(row, tuple) else _emitted(header, row, fmt))
     stream.write("".join(out) or "[]\n")  # no rows: the empty YAML list
 
 
 _FLAGS = ("false", "true")
+# the result table's columns that are text as they are: every other one
+# is a float, written {:.4f}
+_TEXT_COLUMNS = ("pattern", "conventional_so", "ers_optimum", "error")
 
 
-def _result_table(rows: list[ResultRow]) -> tuple[list[str], list]:
-    """Header and rows of a result table: identifier columns, result
-    columns, trailing error.  A solved row is one str.format call on a
-    template compiled once per table, which gives each identifier
-    {:.6g}, the ten floats {:.4f}, then the pattern, the two flags and
-    the empty error; all plain, so it is passed as its CSV text.  An
-    error row's result cells are blank, and it is passed as cells."""
+def _result_table(rows: list[ResultRow]) -> tuple[list, list]:
+    """Columns and rows of a result table: identifier columns, result
+    columns, trailing error.  A solved row is (*row, flag, flag): its
+    fields, then the two flags as text.  Each column's field is found by
+    its ResultRow field name, once per table: an identifier is {0[i][1]}
+    with {:.6g}, a float {:.4f}, the pattern and the empty error as they
+    are, and a flag the text after the row.  An error row's result cells
+    are blank, and it is passed as cells, since its error is free text."""
     if not rows:
         raise ValueError("no rows to serialize")
     id_names = [name for name, _ in rows[0].identifiers]
     if any([name for name, _ in row.identifiers] != id_names for row in rows):
         raise ValueError("rows have inconsistent identifier columns")
-    # the fields of format(*row, flag, flag): row[0] holds the identifier
-    # pairs, row[11] the pattern, row[14] the error
-    cells = [f"{{0[{i}][1]:.6g}}" for i in range(len(id_names))]
-    cells += [f"{{{i}:.4f}}" for i in range(1, 11)] + ["{11}", "{15}", "{16}", "{14}"]
-    line = ",".join(cells).format
+    at = {name: index for index, name in enumerate(ResultRow._fields)}
+    at.update(conventional_so=len(at), ers_optimum=len(at) + 1)  # the flags' text
+    columns = [(name, f"{{0[{i}][1]:.6g}}") for i, name in enumerate(id_names)]
+    columns += [
+        (name, f"{{{at[name]}}}" if name in _TEXT_COLUMNS else f"{{{at[name]}:.4f}}")
+        for name in (*RESULT_COLUMNS, "error")
+    ]
     blank = [""] * len(RESULT_COLUMNS)
     table = []
     for row in rows:
         if row.error:
             table.append([f"{v:.6g}" for _, v in row.identifiers] + blank + [row.error])
         else:
-            table.append(line(*row, _FLAGS[row.conventional_so], _FLAGS[row.ers_optimum]))
-    return id_names + list(RESULT_COLUMNS) + ["error"], table
+            table.append((*row, _FLAGS[row.conventional_so], _FLAGS[row.ers_optimum]))
+    return columns, table
 
 
 def rows_to_csv(rows: list[ResultRow], stream) -> None:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import math
 import warnings
 from dataclasses import replace
@@ -423,13 +424,14 @@ def test_structured_text_holds_the_csv_cells(argv, tmp_path):
 
 @pytest.mark.parametrize("fmt", harness.TABLE_FORMATS)
 def test_rows_a_table_builds_pass_as_text(fmt, tmp_path, monkeypatch):
-    """Every row of these tables comes from the table's own template, so
-    the writer tests none of them for plainness (harness._joined)."""
+    """Every row of these tables is a tuple formatted on the table's own
+    template, so none goes through csv.writer or yaml.dump
+    (harness._emitted)."""
 
-    def joined(cells, width):
-        raise AssertionError(f"a built row was tested: {cells!r}")
+    def emitted(header, cells, fmt):
+        raise AssertionError(f"a built row was emitted: {cells!r}")
 
-    monkeypatch.setattr(harness, "_joined", joined)
+    monkeypatch.setattr(harness, "_emitted", emitted)
     runs = (
         ["bands"],
         ["simulate", "--rounds", "50"],
@@ -443,8 +445,21 @@ def test_rows_a_table_builds_pass_as_text(fmt, tmp_path, monkeypatch):
         assert main([*argv, "--format", fmt, "--output", path]) == 0, argv
 
 
-def assert_plain(header, row):
-    assert harness._joined(row.split(","), len(header)) == row, row
+def assert_written_as_the_reference_writers(columns, values):
+    """write_table's one row of values is what csv.writer, and
+    yaml.dump(..., default_style="'"), write of its formatted cells."""
+    header = [name for name, _ in columns]
+    cells = [field.format(value) for (_, field), value in zip(columns, values)]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([header, cells])
+    mapping = [dict(zip(header, cells))]
+    for fmt, text in (
+        ("csv", expected.getvalue()),
+        ("structured-text", yaml.safe_dump(mapping, sort_keys=False, default_style="'")),
+    ):
+        buffer = io.StringIO()
+        harness.write_table(columns, [tuple(values)], buffer, fmt)
+        assert buffer.getvalue() == text, (fmt, cells)
 
 
 @given(voe=st.floats(5e-324, 1.7e308), price=st.floats(0.0, 1.7e308))
@@ -452,7 +467,7 @@ def assert_plain(header, row):
 @example(voe=1.7e308, price=0.0)
 def test_fig2_rows_are_plain(voe, price):
     [point] = harness.fig2_data([FixedToll(price)], [Preferences(vot=1.0, voe=voe)])
-    assert_plain(cli._FIG2_HEADER, cli._FIG2_ROW.format(*point))
+    assert_written_as_the_reference_writers(cli._FIG2, point)
 
 
 @given(scenario=scenarios())
@@ -460,8 +475,8 @@ def test_bands_rows_are_plain(scenario):
     bands = toll_bands(replace(scenario, toll=FixedToll(0.0)))
     assert bands[-1].c_high == math.inf
     for band in bands:
-        row = cli._BANDS_ROW.format(band.pattern.value, band.c_low, band.c_high)
-        assert_plain(cli._BANDS_HEADER, row)
+        values = (band.pattern.value, band.c_low, band.c_high)
+        assert_written_as_the_reference_writers(cli._BANDS, values)
 
 
 @given(
@@ -478,7 +493,7 @@ def test_bands_rows_are_plain(scenario):
 @example(snapshot=(0, 0, 0, 10.0, 10.0, 0, -1.7e308))
 def test_simulate_rows_are_plain(snapshot):
     """A RoundSnapshot's values, the potential negative as often as not."""
-    assert_plain(cli._SIMULATE_HEADER, cli._SIMULATE_ROW.format(*snapshot))
+    assert_written_as_the_reference_writers(cli._SIMULATE, snapshot)
 
 
 # sha256 of each --output file, which a refactor must keep byte for byte.

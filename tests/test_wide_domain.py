@@ -10,8 +10,9 @@ import re
 from dataclasses import replace
 
 import pytest
-from conftest import discrete_scenario, wide_scenarios
+from conftest import discrete_scenario, log_uniform, wide_scenarios, write_scenario
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from erstoll import (
     ConvergenceError,
@@ -33,7 +34,8 @@ from erstoll import (
     verify_equilibrium,
 )
 from erstoll.dynamics import agents_from_scenario, discretize_scenario, run
-from erstoll.harness import result_row
+from erstoll.cli import main
+from erstoll.harness import result_row, run_sweep, solve_row
 from erstoll.model import bpr_time, threshold_soc
 
 BUNDLED = table1_scenario()
@@ -268,3 +270,107 @@ def test_stored_times_are_bpr_at_the_stored_flows(scn):
     t2 = bpr_time(scn.network.link2, result.x2_d + result.x2_o)
     assert (result.t1, result.t2) == (t1, t2)
     assert result.s_thres == threshold_soc(scn.prefs, scn.toll.dwpt_link1_charge, t1, t2)
+
+
+# The bundled scenario with both capacities at 5e-75, r 0.7 and a free
+# toll: valid, balanced at N/2, but link 1's time overflows in its
+# corner_other_on_2 root and at the a|c band edge, and at flow N in the
+# oracle.
+CORNER = replace(
+    apply_overrides(BUNDLED, {"dwpt_ratio": 0.7, "toll.price": 0.0}),
+    network=_twin(10.0, 5e-75, 0.15, 4.0),
+)
+# The stages of the analytic path, which an overflow names first, then N
+STAGES = (
+    "balanced flow",
+    "fixed point (corner_other_on_2)",
+    "fixed point (corner_other_on_1)",
+    "toll band edge",
+    "oracle",
+)
+
+
+@st.composite
+def overflowing_scenarios(draw):
+    """wide_scenarios with overflow forced on: each link at a capacity of
+    1e-300 to 1e-20 of N, a beta of 20 to 300, both or neither (twin
+    links stay twins), and voe of 1e300 to 1.7e308 or as drawn."""
+    scn = draw(wide_scenarios())
+
+    def forced(link):
+        changes = {}
+        if draw(st.booleans()):
+            changes["capacity"] = scn.total_vehicles * draw(log_uniform(1e-300, 1e-20))
+        if draw(st.booleans()):
+            changes["bpr_beta"] = draw(st.floats(20.0, 300.0))
+        return replace(link, **changes)
+
+    link1 = forced(scn.network.link1)
+    if scn.network.link1.same_bpr(scn.network.link2):
+        link2 = replace(link1, has_ers=False, ers_power_kw=None)
+    else:
+        link2 = forced(scn.network.link2)
+    voe = draw(st.one_of(st.just(scn.prefs.voe), log_uniform(1e300, 1.7e308)))
+    return replace(scn, network=Network(link1, link2), prefs=replace(scn.prefs, voe=voe))
+
+
+def _arithmetic_error(call) -> str | None:
+    """The message of the ArithmeticError that call raises, if any."""
+    try:
+        call()
+    except ArithmeticError as exc:
+        return str(exc)
+    except ConvergenceError:
+        pass
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(scn=overflowing_scenarios())
+@example(scn=CORNER)
+@example(scn=discretize_scenario(CORNER))
+def test_an_overflow_names_its_stage_and_n(scn):
+    """Every ArithmeticError of a result row (solve_row's error), the
+    toll bands and the oracle begins with its stage's name and N."""
+    row_error = _arithmetic_error(lambda: result_row(scn, solve(scn)[0]))
+    if row_error is not None:
+        assert solve_row(scn).error == row_error
+    messages = [row_error]
+    if isinstance(scn.toll, FixedToll):
+        messages.append(_arithmetic_error(lambda: toll_bands(scn)))
+    if isinstance(scn.soc, DiscreteAgents):
+        messages.append(_arithmetic_error(lambda: brute_force_equilibrium(scn)))
+    named = tuple(f"{stage}, N {scn.total_vehicles}: " for stage in STAGES)
+    for message in filter(None, messages):
+        assert message.startswith(named), message
+
+
+def test_the_corner_overflow_names_its_stage(tmp_path, capsys):
+    """The corner scenario fails solve, toll_bands and the oracle with an
+    OverflowError chained from the original, `erstoll solve` and `bands`
+    with exit code 2, and each sweep row, each naming the stage, N, where
+    and the links."""
+    overflows = "N 1000.0: a link travel time overflows"
+    links = (
+        "(link 1: capacity 5e-75, alpha 0.15, beta 4.0; "
+        "link 2: capacity 5e-75, alpha 0.15, beta 4.0)"
+    )
+    root = f"fixed point (corner_other_on_2), {overflows} on the bracket [500.0, 700.0] {links}"
+    edge = f"toll band edge, {overflows} at DWPT mass 700.0 {links}"
+    oracle = f"oracle, {overflows} at link-1 flow 1000 {links}"
+    for call, scn, message in (
+        (solve, CORNER, root),
+        (toll_bands, CORNER, edge),
+        (brute_force_equilibrium, discretize_scenario(CORNER), oracle),
+    ):
+        with pytest.raises(OverflowError) as failure:
+            call(scn)
+        assert str(failure.value) == message
+        assert isinstance(failure.value.__cause__, OverflowError)
+    path = tmp_path / "corner.cfg"
+    write_scenario(CORNER, path)
+    for command, message in (("solve", root), ("bands", edge)):
+        assert main([command, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    rows = run_sweep(CORNER, [("toll.price", [0.0, 1.0])])
+    assert [row.error for row in rows] == [root] * 2
