@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .equilibrium import (
     EquilibriumResult,
@@ -51,8 +52,7 @@ class PatternLabel(Enum):
     B_ii_c3 = "B_ii_c3"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """System-level outcomes of one equilibrium.
 
     ttt: total travel time over both classes, vehicle-minutes.
@@ -231,25 +231,15 @@ def metrics(scenario: Scenario, result: EquilibriumResult) -> Metrics:
     or non-finite stored time can only waste it.  The search runs to the
     optimum only when no split beats ttt (_least_ttt).
     """
-    return Metrics(*_measures(scenario, result))
-
-
-def _measures(
-    scenario: Scenario, result: EquilibriumResult
-) -> tuple[float, float, float, bool, bool]:
-    """metrics' five values, in Metrics' field order, as a tuple: for a
-    caller that copies them into a record of its own (harness.result_row)."""
     _check_pair(scenario, result)
     power = scenario.network.link1.ers_power_kw
     ttt = result.x1 * result.t1 + result.x2 * result.t2
-    tcv = result.x1_d * power * result.t1 / 60.0
-    revenue = result.x1_d * scenario.toll.dwpt_link1_charge
     least = _least_ttt(scenario.network, scenario.total_vehicles, ttt, result)
     tol = PATTERN_MASS_TOL * scenario.total_vehicles
-    return (
+    return Metrics(
         ttt,
-        tcv,
-        revenue,
+        result.x1_d * power * result.t1 / 60.0,
+        result.x1_d * scenario.toll.dwpt_link1_charge,
         ttt <= least * (1.0 + SO_REL_TOL),
         result.x1_d >= min(result.x1, scenario.n_dwpt) - tol,
     )

@@ -26,8 +26,9 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
 # The bands, simulate and fig2 tables: each column's name and str.format
-# field, which takes its value from a row's tuple in column order.  Every
-# cell it writes is plain (inf is "inf"), so each row passes as a tuple.
+# field, which takes its value from a row's tuple in column order (a
+# simulate row is a RoundSnapshot).  Every cell it writes is plain (inf is
+# "inf"), so each row passes as a tuple.
 _BANDS = (("pattern", "{}"), ("c_low", "{:.4f}"), ("c_high", "{:.4f}"))
 _SIMULATE = (
     ("round", "{}"), ("x1_d", "{}"), ("x1_o", "{}"), ("t1", "{:.4f}"), ("t2", "{:.4f}"),
@@ -330,11 +331,7 @@ def cmd_simulate(args) -> int:
         f"final x1_d       {last.x1_d} (solver {result.x1_d:.4f})",
         f"final x1_o       {last.x1_o} (solver {result.x1_o:.4f})",
     ]
-    rows = [
-        (s.round_index, s.x1_d, s.x1_o, s.t1, s.t2, s.switches, s.potential)
-        for s in traj.snapshots
-    ]
-    _emit(args, functools.partial(harness.write_table, _SIMULATE, rows), summary)
+    _emit(args, functools.partial(harness.write_table, _SIMULATE, traj.snapshots), summary)
     return EXIT_OK
 
 

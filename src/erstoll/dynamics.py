@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class RoundSnapshot:
+class RoundSnapshot(NamedTuple):
     round_index: int
     x1_d: int
     x1_o: int
@@ -151,7 +151,7 @@ def run(
     per-round snapshots including the exact potential, which is verified
     to fall by precisely the switchers' summed gains each round; a
     potential or summed gains that overflows raises an ArithmeticError
-    naming the round and the link-1 flow.
+    naming the round, N and the link-1 flow.
     Non-convergence within max_rounds is reported via converged=False.
 
     In sequential order run keeps the kernel's skip summaries of the
@@ -169,13 +169,15 @@ def run(
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
     kept = kernel.summarize(on1, bonus) if rng is None else None
     times1, times2 = kernel.times1, kernel.times2
+    # views of on1, which the sweeps update in place
+    on1_d, on1_o, bonus_d = on1[:n_dwpt], on1[n_dwpt:], bonus[:n_dwpt]
     traj = Trajectory()
     x1_seen, time_part = -1, 0.0
 
     def snapshot(round_index: int, switches: int) -> tuple[float, float]:
         # the potential, and the size of its two terms, which its rounding follows
         nonlocal x1_seen, time_part
-        x1_d, x1_o, _, _ = class_flows(population)
+        x1_d, x1_o = int(np.count_nonzero(on1_d)), int(np.count_nonzero(on1_o))
         x1 = x1_d + x1_o
         try:
             if x1 != x1_seen:  # the time part depends on x1 alone
@@ -183,24 +185,18 @@ def run(
                 time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
                 if not math.isfinite(time_part):  # vot times the sums, a float product
                     raise OverflowError(
-                        f"potential at round {round_index}: the time part overflows at "
-                        f"link-1 flow {x1} of {n} (vot {prefs.vot})"
+                        f"potential at round {round_index}, N {n}: the time part overflows "
+                        f"at link-1 flow {x1} (vot {prefs.vot})"
                     )
-            bonus_part = float(np.sum(bonus[:n_dwpt][on1[:n_dwpt]]))
+            bonus_part = float(bonus_d[on1_d].sum())
         except FloatingPointError as exc:
             raise FloatingPointError(
-                f"potential at round {round_index}: a sum overflows at link-1 flow {x1} of {n}"
+                f"potential at round {round_index}, N {n}: a sum overflows at link-1 flow {x1}"
             ) from exc
         phi = time_part - bonus_part
         traj.snapshots.append(
             RoundSnapshot(
-                round_index=round_index,
-                x1_d=x1_d,
-                x1_o=x1_o,
-                t1=times1.item(x1),
-                t2=times2.item(n - x1),
-                switches=switches,
-                potential=phi,
+                round_index, x1_d, x1_o, times1.item(x1), times2.item(n - x1), switches, phi
             )
         )
         return phi, time_part + abs(bonus_part)
@@ -214,8 +210,8 @@ def run(
             drop = phi - phi_next
             if not (math.isfinite(drop) and math.isfinite(gain_sum)):
                 raise OverflowError(
-                    f"potential at round {round_index}: fell by {drop} at link-1 flow "
-                    f"{x1_seen} of {n}, switch gains were {gain_sum}; a sum overflows"
+                    f"potential at round {round_index}, N {n}: fell by {drop} at link-1 "
+                    f"flow {x1_seen}, switch gains were {gain_sum}; a sum overflows"
                 )
             if not abs(drop - gain_sum) <= 1e-6 * (1.0 + size + size_next):
                 raise AssertionError(
@@ -247,15 +243,16 @@ def rosenthal_potential(
 
     times1 and times2 are each link's travel times at flows 0, 1, 2, ...
     (_SweepKernel.times1/times2), built once per run and shared by every
-    call; each entry equals bpr_time bit for bit.  The bonuses are summed
-    by np.sum, whose rounding, unlike sum's, is the same on every Python.
-    With no bonuses this is the time part alone.  Unilateral deviations
+    call; each entry equals bpr_time bit for bit.  Times and bonuses are
+    summed by numpy's pairwise add, whose rounding, unlike sum's, is the
+    same on every Python.  With no bonuses this is the time part alone,
+    and no bonus sum is taken.  Unilateral deviations
     change this by exactly the deviator's utility loss, so
     better-response paths strictly decrease it; run checks that to a
     tolerance, since the sums round.
     """
-    time_part = vot * (float(np.sum(times1[1 : x1 + 1])) + float(np.sum(times2[1 : x2 + 1])))
-    return time_part - float(np.sum(link1_bonus))
+    time_part = vot * (float(times1[1 : x1 + 1].sum()) + float(times2[1 : x2 + 1].sum()))
+    return time_part - float(np.sum(link1_bonus)) if len(link1_bonus) else time_part
 
 
 def _bpr_table(link: LinkParams, name: str, n: int) -> np.ndarray:
@@ -273,8 +270,8 @@ def _bpr_table(link: LinkParams, name: str, n: int) -> np.ndarray:
         flows *= link.free_flow_time
     except FloatingPointError as exc:
         raise FloatingPointError(
-            f"kernel tables: {name} travel time overflows at a flow of at most N "
-            f"(capacity {link.capacity}, alpha {link.bpr_alpha}, beta {link.bpr_beta}, N {n})"
+            f"kernel tables, N {n}: {name} travel time overflows at a flow of at most N "
+            f"(capacity {link.capacity}, alpha {link.bpr_alpha}, beta {link.bpr_beta})"
         ) from exc
     return flows
 
@@ -332,7 +329,7 @@ class _SweepKernel:
                 inner *= vot
             except FloatingPointError as exc:
                 raise FloatingPointError(
-                    f"kernel tables: vot {vot} times a link time difference overflows (N {n})"
+                    f"kernel tables, N {n}: vot {vot} times a link time difference overflows"
                 ) from exc
 
     def summarize(self, link1_of, bonus_of, lo=0, hi=None) -> tuple[list, list]:
@@ -475,14 +472,14 @@ class Population:
     def bonus(self, prefs: Preferences, toll: FreeToll | FixedToll) -> np.ndarray:
         """Link-1 bonus per vehicle: charging_value - price for a DWPT-EV,
         0 for an OTHER-V.  A bonus that overflows raises FloatingPointError,
-        as the kernel's tables do, naming the lowest SoC, voe and toll."""
+        as the kernel's tables do, naming N, the lowest SoC, voe and toll."""
         out = np.zeros(len(self))
         try:
             with np.errstate(over="raise"):
                 out[: len(self.soc)] = charging_value(prefs, self.soc) - toll.dwpt_link1_charge
         except FloatingPointError as exc:
             raise FloatingPointError(
-                f"charging bonus: overflows at SoC {self.soc.min()} "
+                f"charging bonus, N {len(self)}: overflows at SoC {self.soc.min()} "
                 f"(voe {prefs.voe}, toll {toll.dwpt_link1_charge})"
             ) from exc
         return out

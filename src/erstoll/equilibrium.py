@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import (
     INDIFFERENCE_EPS, DiscreteAgents, LinkParams, Network, Scenario, bpr_time,
@@ -74,8 +74,7 @@ class RegimeTag(Enum):
     CORNER_OTHER_ON_1 = "corner_other_on_1"
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     """Class-level link flows and times at a user equilibrium.
 
     solve stores t1 and t2 as bpr_time at x1 and x2, the sums of the
@@ -107,10 +106,11 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     g(x) returns the map's value and slope at x.  Returns lo if g(lo) >= 0
     and hi if g(hi) <= 0.  Otherwise the first iterate is the secant point
     of the ends, and each later one a Newton step, or the midpoint of the
-    sign bracket when the step would leave it; the root is the first
-    iterate within xtol = ROOT_TOL_FACTOR*n_total of the one before.  Each
-    point is evaluated once, and each value must lie between the end
-    values, which guards against a mis-specified map.  A ConvergenceError
+    sign bracket when the step would leave it or the slope is not in
+    (0, inf); the root is the first iterate within
+    xtol = ROOT_TOL_FACTOR*n_total of the one before.  Each point is
+    evaluated once, and each value must lie between the end values,
+    which guards against a mis-specified map.  A ConvergenceError
     names the map (what) and N, as "balanced flow, N 1000.0: ...".
     """
     g_lo = g(lo)[0]
@@ -136,7 +136,7 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
             a = x
         else:
             b = x
-        newton = x - value / slope if slope > 0.0 else math.inf
+        newton = x - value / slope if 0.0 < slope < math.inf else math.inf
         # a Newton step below x's rounding ends the search at x
         step = newton if a < newton < b or newton == x else 0.5 * (a + b)
         if -xtol <= step - x <= xtol or not a < step < b:
@@ -326,10 +326,12 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
 
                 def continuum_gap(n: float) -> tuple[float, float]:
                     # a continuum's marginal SoC moves by ds per vehicle (a
-                    # discrete group's is fixed, so s*s never divides there)
+                    # discrete group's is fixed, so s*s never divides
+                    # there); an s*s that underflows is an infinite slope
                     s = soc.quantile(n)
                     value, slope = gap(s, n)
-                    return value, prefs.voe * ds / (s * s) + slope
+                    square = s * s
+                    return value, (prefs.voe * ds / square if square > 0.0 else math.inf) + slope
 
                 x1_d = _root(continuum_gap, lo, hi, n_total, what)
         except OverflowError as exc:
@@ -340,16 +342,8 @@ def solve(scenario: Scenario) -> tuple[EquilibriumResult, RegimeTag]:
     # times at the stored link flows, which can round an ulp of N away
     # from the response map's x1
     t1, t2 = bpr_time(link1, x1_d + x1_o), bpr_time(link2, x2_d + x2_o)
-    result = EquilibriumResult(
-        x1_d=x1_d,
-        x2_d=x2_d,
-        x1_o=x1_o,
-        x2_o=x2_o,
-        t1=t1,
-        t2=t2,
-        s_thres=threshold_soc(prefs, toll, t1, t2),
-    )
-    return result, regime
+    s_thres = threshold_soc(prefs, toll, t1, t2)
+    return EquilibriumResult(x1_d, x2_d, x1_o, x2_o, t1, t2, s_thres), regime
 
 
 def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[str]:
@@ -471,13 +465,8 @@ def brute_force_equilibrium(scenario: Scenario) -> EquilibriumResult:
     x1_d = x1 - x1_o
     t1, t2 = bpr_time(link1, x1), bpr_time(link2, n - x1)
     return EquilibriumResult(
-        x1_d=float(x1_d),
-        x2_d=float(n_dwpt - x1_d),
-        x1_o=float(x1_o),
-        x2_o=float(n_other - x1_o),
-        t1=t1,
-        t2=t2,
-        s_thres=threshold_soc(prefs, price, t1, t2),
+        float(x1_d), float(n_dwpt - x1_d), float(x1_o), float(n_other - x1_o),
+        t1, t2, threshold_soc(prefs, price, t1, t2),
     )
 
 

@@ -66,7 +66,7 @@ from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import _measures, _pattern
+from .analysis import _pattern, metrics
 from .equilibrium import ConvergenceError, EquilibriumResult, solve
 from .model import (
     DiscreteAgents,
@@ -471,11 +471,11 @@ RESULT_COLUMNS = ResultRow._fields[1:-1]
 def result_row(
     scenario: Scenario, result: EquilibriumResult, identifiers: tuple = ()
 ) -> ResultRow:
-    """The row of a result solved for this scenario, with metrics' values
-    (_measures, which checks the pair, so the pattern is classify's
-    without a second check)."""
+    """The row of a result solved for this scenario, with its metrics
+    (which check the pair, so the pattern is classify's without a second
+    check)."""
     r = result
-    ttt, tcv, revenue, conventional_so, ers_optimum = _measures(scenario, r)
+    ttt, tcv, revenue, conventional_so, ers_optimum = metrics(scenario, r)
     return ResultRow(
         identifiers, r.s_thres, r.x1_d, r.x2_d, r.x1_o, r.x2_o, r.x1, r.t1,
         ttt, tcv, revenue, _pattern(scenario, r).value, conventional_so, ers_optimum,

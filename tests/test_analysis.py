@@ -301,7 +301,7 @@ class TestConventionalSo:
         # the probe reads the stored times: wrong or non-finite ones may
         # waste its split, never change the flag
         result = solved(scn)
-        result = replace(result, t1=result.t1 * factors[0], t2=result.t2 * factors[1])
+        result = result._replace(t1=result.t1 * factors[0], t2=result.t2 * factors[1])
         m = metrics(scn, result)
         best = min_total_travel_time(scn.network, scn.total_vehicles)
         assert m.conventional_so == (m.ttt <= best * (1.0 + 1e-6))

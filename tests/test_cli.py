@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from erstoll import cli, harness
 from erstoll.analysis import toll_bands
 from erstoll.cli import main
+from erstoll.dynamics import RoundSnapshot
 from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import ConfigError, bundled_scenario_path
 from erstoll.model import FixedToll, FreeToll, LinkParams, Network, Preferences
@@ -264,7 +265,7 @@ class TestSimulate:
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(
-            "numerical failure: charging bonus: overflows at SoC 0.102"
+            "numerical failure: charging bonus, N 1000: overflows at SoC 0.102"
         ), captured.err
         assert "(voe 1e+308, toll 100.0)" in captured.err
         assert captured.out == ""
@@ -277,7 +278,9 @@ class TestSimulate:
             warnings.simplefilter("error")
             assert main(args) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("numerical failure: potential at round 0: "), captured.err
+        assert captured.err.startswith(
+            "numerical failure: potential at round 0, N 1000: "
+        ), captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("order", ["sequential", "random"])
@@ -446,7 +449,7 @@ def test_rows_a_table_builds_pass_as_text(fmt, tmp_path, monkeypatch):
 
 
 def assert_written_as_the_reference_writers(columns, values):
-    """write_table's one row of values is what csv.writer, and
+    """write_table's one row, the tuple values, is what csv.writer, and
     yaml.dump(..., default_style="'"), write of its formatted cells."""
     header = [name for name, _ in columns]
     cells = [field.format(value) for (_, field), value in zip(columns, values)]
@@ -458,7 +461,7 @@ def assert_written_as_the_reference_writers(columns, values):
         ("structured-text", yaml.safe_dump(mapping, sort_keys=False, default_style="'")),
     ):
         buffer = io.StringIO()
-        harness.write_table(columns, [tuple(values)], buffer, fmt)
+        harness.write_table(columns, [values], buffer, fmt)
         assert buffer.getvalue() == text, (fmt, cells)
 
 
@@ -480,7 +483,8 @@ def test_bands_rows_are_plain(scenario):
 
 
 @given(
-    snapshot=st.tuples(
+    snapshot=st.builds(
+        RoundSnapshot,
         st.integers(0, 10**9),
         st.integers(0, 10**7),
         st.integers(0, 10**7),
@@ -490,9 +494,10 @@ def test_bands_rows_are_plain(scenario):
         st.floats(allow_nan=False),
     )
 )
-@example(snapshot=(0, 0, 0, 10.0, 10.0, 0, -1.7e308))
+@example(snapshot=RoundSnapshot(0, 0, 0, 10.0, 10.0, 0, -1.7e308))
 def test_simulate_rows_are_plain(snapshot):
-    """A RoundSnapshot's values, the potential negative as often as not."""
+    """A RoundSnapshot, as cmd_simulate passes it, the potential negative
+    as often as not."""
     assert_written_as_the_reference_writers(cli._SIMULATE, snapshot)
 
 

@@ -24,7 +24,9 @@ from erstoll.cli import main
 from erstoll.dynamics import (
     Population,
     _SweepKernel,
+    agents_from_scenario,
     rosenthal_potential,
+    run,
 )
 from erstoll.equilibrium import (
     ROOT_TOL_FACTOR,
@@ -665,22 +667,40 @@ class TestSolveDiscrete:
         assert result.x2_d == 0.0
 
 
+def test_result_records_are_frozen_values():
+    """EquilibriumResult, Metrics and RoundSnapshot print, compare and
+    hash by their fields, and setting a field raises AttributeError."""
+    scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)
+    result, _ = solve(scn)
+    snapshot = run(agents_from_scenario(scn), scn.network, scn.prefs, scn.toll).snapshots[-1]
+    assert (result.x1, result.x2) == (result.x1_d + result.x1_o, result.x2_d + result.x2_o)
+    for record in (result, metrics(scn, result), snapshot):
+        values = [getattr(record, name) for name in record._fields]
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, values))
+        assert repr(record) == f"{type(record).__name__}({shown})"
+        copy = type(record)(*values)
+        assert copy == record and hash(copy) == hash(record)
+        assert record._replace(**{record._fields[0]: -1}) != record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], values[0])
+
+
 class TestVerifyEquilibrium:
     def test_flags_corrupted_flows(self):
         scn = base_scenario()
         result, _ = solve(scn)
-        broken = replace(result, x1_d=result.x2_d, x2_d=result.x1_d + 50.0)
+        broken = result._replace(x1_d=result.x2_d, x2_d=result.x1_d + 50.0)
         assert verify_equilibrium(scn, broken) != []
 
     def test_flags_wrong_times(self):
         scn = base_scenario()
         result, _ = solve(scn)
-        assert verify_equilibrium(scn, replace(result, t1=99.0)) != []
+        assert verify_equilibrium(scn, result._replace(t1=99.0)) != []
 
     def test_flags_threshold_violation(self):
         scn = base_scenario()
         result, _ = solve(scn)
-        swapped = replace(result, x1_d=0.0, x2_d=200.0)
+        swapped = result._replace(x1_d=0.0, x2_d=200.0)
         assert verify_equilibrium(scn, swapped) != []
 
     # Base equilibrium: x1_d = x2_d = 100, x1_o = x2_o = 400, t1 = t2 = 11.5.
@@ -688,13 +708,13 @@ class TestVerifyEquilibrium:
     def test_flags_negative_flow(self):
         scn = base_scenario()
         result, _ = solve(scn)
-        broken = replace(result, x1_o=-10.0, x2_o=810.0)
+        broken = result._replace(x1_o=-10.0, x2_o=810.0)
         assert "negative flow x1_o = -10.0" in verify_equilibrium(scn, broken)
 
     def test_flags_other_flows_off_the_class_total(self):
         scn = base_scenario()
         result, _ = solve(scn)
-        broken = replace(result, x2_o=450.0)
+        broken = result._replace(x2_o=450.0)
         problems = verify_equilibrium(scn, broken)
         assert "OTHER flows do not sum to the class total" in problems
 
@@ -703,7 +723,7 @@ class TestVerifyEquilibrium:
         link1, link2 = scn.network.link1, scn.network.link2
         result, _ = solve(scn)
         t1, t2 = bpr_time(link1, 100.0), bpr_time(link2, 900.0)
-        broken = replace(result, x1_o=0.0, x2_o=800.0, t1=t1, t2=t2)
+        broken = result._replace(x1_o=0.0, x2_o=800.0, t1=t1, t2=t2)
         problems = verify_equilibrium(scn, broken)
         assert f"OTHER on link 2 would gain {50.0 * (t2 - t1)} JPY by leaving it" in problems
 
@@ -712,14 +732,14 @@ class TestVerifyEquilibrium:
         link1, link2 = scn.network.link1, scn.network.link2
         result, _ = solve(scn)
         t1, t2 = bpr_time(link1, 900.0), bpr_time(link2, 100.0)
-        broken = replace(result, x1_o=800.0, x2_o=0.0, t1=t1, t2=t2)
+        broken = result._replace(x1_o=800.0, x2_o=0.0, t1=t1, t2=t2)
         problems = verify_equilibrium(scn, broken)
         assert f"OTHER on link 1 would gain {50.0 * (t1 - t2)} JPY by leaving it" in problems
 
     def test_flags_too_few_dwpt_on_link2(self):
         scn = base_scenario()
         result, _ = solve(scn)
-        broken = replace(result, x1_d=200.0, x2_d=0.0, x1_o=300.0, x2_o=500.0)
+        broken = result._replace(x1_d=200.0, x2_d=0.0, x1_o=300.0, x2_o=500.0)
         [problem] = verify_equilibrium(scn, broken)
         assert problem.startswith("only 0.0 DWPT on link 2 but 99.99")
 
@@ -736,7 +756,7 @@ class TestVerifyEquilibrium:
         x1_d = result.x1_d + (shift if 2.0 * result.x1_d < n_dwpt else -shift)
         x2_d = n_dwpt - x1_d
         t1, t2 = bpr_time(link1, x1_d + result.x1_o), bpr_time(link2, x2_d + result.x2_o)
-        moved = replace(result, x1_d=x1_d, x2_d=x2_d, t1=t1, t2=t2)
+        moved = result._replace(x1_d=x1_d, x2_d=x2_d, t1=t1, t2=t2)
         assert verify_equilibrium(scn, moved) != []
 
 

@@ -481,18 +481,19 @@ OVERFLOWING = {
 POTENTIAL_ONLY = ("bonus-sum", "time-sum")
 # The stage each case fails in, and its inputs, as the failure names them
 STAGES = {
-    "link1": "kernel tables: link-1 travel time overflows at a flow of at most N "
-    "(capacity 1e-40, alpha 0.15, beta 8.0, N 6)",
-    "link2": "kernel tables: link-2 travel time overflows at a flow of at most N "
-    "(capacity 1e-40, alpha 0.15, beta 8.0, N 6)",
-    "link1-last-flow": "kernel tables: vot 50.0 times a link time difference overflows (N 6)",
-    "link2-last-flow": "kernel tables: vot 50.0 times a link time difference overflows (N 6)",
-    "alpha-times-power": "kernel tables: link-1 travel time overflows at a flow of at most N "
-    "(capacity 1.0, alpha 1e+306, beta 4.0, N 6)",
-    "gap": "kernel tables: vot 1e+308 times a link time difference overflows (N 1000)",
-    "bonus": "charging bonus: overflows at SoC 0.10200000000000001 (voe 1e+308, toll 100.0)",
-    "bonus-sum": "potential at round 1: a sum overflows at link-1 flow 500 of 1000",
-    "time-sum": "potential at round 0: the time part overflows at link-1 flow 0 of 1000 "
+    "link1": "kernel tables, N 6: link-1 travel time overflows at a flow of at most N "
+    "(capacity 1e-40, alpha 0.15, beta 8.0)",
+    "link2": "kernel tables, N 6: link-2 travel time overflows at a flow of at most N "
+    "(capacity 1e-40, alpha 0.15, beta 8.0)",
+    "link1-last-flow": "kernel tables, N 6: vot 50.0 times a link time difference overflows",
+    "link2-last-flow": "kernel tables, N 6: vot 50.0 times a link time difference overflows",
+    "alpha-times-power": "kernel tables, N 6: link-1 travel time overflows at a flow of at "
+    "most N (capacity 1.0, alpha 1e+306, beta 4.0)",
+    "gap": "kernel tables, N 1000: vot 1e+308 times a link time difference overflows",
+    "bonus": "charging bonus, N 1000: overflows at SoC 0.10200000000000001 "
+    "(voe 1e+308, toll 100.0)",
+    "bonus-sum": "potential at round 1, N 1000: a sum overflows at link-1 flow 500",
+    "time-sum": "potential at round 0, N 1000: the time part overflows at link-1 flow 0 "
     "(vot 3e+304)",
 }
 

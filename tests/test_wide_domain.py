@@ -6,11 +6,15 @@ the solver, the analysis, the verifier, the oracle and the simulator;
 every result the solver returns verifies clean.
 """
 
+import contextlib
+import io
 import re
 from dataclasses import replace
 
 import pytest
-from conftest import discrete_scenario, log_uniform, wide_scenarios, write_scenario
+from conftest import (
+    band_containing, discrete_scenario, log_uniform, wide_scenarios, write_scenario,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +25,7 @@ from erstoll import (
     FreeToll,
     LinkParams,
     Network,
+    PatternLabel,
     Preferences,
     Scenario,
     UniformContinuum,
@@ -256,6 +261,24 @@ def test_tiny_socs_solve_in_the_corner():
     assert verify_equilibrium(TINY_SOCS, result) == []
 
 
+@pytest.mark.parametrize("s_lo", [1e-100, 1e-200, 1e-300])
+def test_a_continuum_whose_marginal_soc_squares_to_zero_solves(s_lo, capsys):
+    """At a marginal SoC below about 1e-162 the quantile slope
+    voe*ds/s**2 is infinite, so the corner root bisects: the high-share
+    pool at toll 1e6 solves clean, in the pattern of the band that holds
+    that toll, and `erstoll solve` prints it."""
+    overrides = {"soc.s_lo": s_lo, "dwpt_ratio": 0.7, "toll.price": 1e6}
+    scn = apply_overrides(BUNDLED, overrides)
+    result, regime = solve(scn)
+    assert regime.value == "corner_other_on_1"
+    assert verify_equilibrium(scn, result) == []
+    band = band_containing(toll_bands(scn), 1e6)
+    assert classify(scn, result) == band.pattern == PatternLabel.B_ii_c3
+    argv = ["solve", *(f"--set={path}={value!r}" for path, value in overrides.items())]
+    assert main(argv) == 0
+    assert "pattern          B_ii_c3\n" in capsys.readouterr().out
+
+
 @settings(max_examples=200, deadline=None)
 @given(scn=wide_scenarios())
 @example(scn=SMALL_STEEP_SHARE)
@@ -291,11 +314,11 @@ STAGES = (
 
 
 @st.composite
-def overflowing_scenarios(draw):
+def overflowing_scenarios(draw, max_agents=30):
     """wide_scenarios with overflow forced on: each link at a capacity of
     1e-300 to 1e-20 of N, a beta of 20 to 300, both or neither (twin
     links stay twins), and voe of 1e300 to 1.7e308 or as drawn."""
-    scn = draw(wide_scenarios())
+    scn = draw(wide_scenarios(max_agents))
 
     def forced(link):
         changes = {}
@@ -374,3 +397,42 @@ def test_the_corner_overflow_names_its_stage(tmp_path, capsys):
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
     rows = run_sweep(CORNER, [("toll.price", [0.0, 1.0])])
     assert [row.error for row in rows] == [root] * 2
+
+
+@st.composite
+def overflowing_fleets(draw):
+    """overflowing_scenarios of 2 to 60 agents, with vot of 1e300 to
+    1.7e308 or as drawn."""
+    discrete = overflowing_scenarios(60).filter(lambda scn: isinstance(scn.soc, DiscreteAgents))
+    scn = draw(discrete)
+    vot = draw(st.one_of(st.just(scn.prefs.vot), log_uniform(1e300, 1.7e308)))
+    return replace(scn, prefs=replace(scn.prefs, vot=vot))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scn=overflowing_fleets())
+@example(scn=discretize_scenario(CORNER))
+@example(scn=OVERFLOWING_POTENTIAL)
+def test_a_simulate_overflow_names_its_stage_and_n(scn, tmp_path_factory):
+    """Every ArithmeticError of the simulator and the oracle begins with
+    its stage's name and N, and `erstoll simulate` fails with the
+    simulator's (exit 2), or else with the analytic path's, named too."""
+    population = agents_from_scenario(scn)
+    run_error = _arithmetic_error(lambda: run(population, scn.network, scn.prefs, scn.toll))
+    if run_error is not None:
+        n = len(population)
+        stage = r"charging bonus|kernel tables|potential at round \d+"
+        assert re.match(rf"({stage}), N {n}: ", run_error), run_error
+    oracle_error = _arithmetic_error(lambda: brute_force_equilibrium(scn))
+    if oracle_error is not None:
+        assert oracle_error.startswith(f"oracle, N {scn.total_vehicles}: "), oracle_error
+    path = tmp_path_factory.mktemp("fleet") / "overflow.cfg"
+    write_scenario(scn, path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scenario", str(path)])
+    if run_error is not None:
+        assert (code, err.getvalue()) == (2, f"numerical failure: {run_error}\n")
+    elif code != 0:  # solve, after the run
+        named = tuple(f"numerical failure: {stage}, N {scn.total_vehicles}: " for stage in STAGES)
+        assert code == 2 and err.getvalue().startswith(named), err.getvalue()
