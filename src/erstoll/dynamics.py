@@ -5,9 +5,11 @@ The population is arrays (Population): DWPT SoCs in the pool's
 ascending order (DiscreteAgents) and a link-1 mask that sweeps update
 in place, with read-only per-agent AgentState views.  The simulator
 moves agents with one better-response kernel (_SweepKernel) and reports
-the exact Rosenthal potential (rosenthal_potential) from the kernel's
-exact travel-time tables.  The brute-force oracle at the potential's
-minimum is equilibrium.brute_force_equilibrium, which needs no numpy.
+the exact Rosenthal potential from the kernel's exact travel-time
+tables: its time part is rosenthal_potential, and run subtracts the
+link-1 bonuses of the vehicles on link 1.  The brute-force oracle at
+the potential's minimum is equilibrium.brute_force_equilibrium, which
+needs no numpy.
 
 Each round sweeps the population once in some order; an agent switches
 links when doing so improves its utility by more than INDIFFERENCE_EPS,
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +41,6 @@ from .model import (
     Network,
     Preferences,
     Scenario,
-    VehicleClass,
     charging_value,
 )
 
@@ -54,12 +55,11 @@ class RoundSnapshot(NamedTuple):
     potential: float
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Per-round history of one simulation run."""
 
-    snapshots: list[RoundSnapshot] = field(default_factory=list)
-    converged: bool = False
+    snapshots: tuple[RoundSnapshot, ...]
+    converged: bool
 
     @property
     def terminal_round(self) -> int:
@@ -171,7 +171,7 @@ def run(
     times1, times2 = kernel.times1, kernel.times2
     # views of on1, which the sweeps update in place
     on1_d, on1_o, bonus_d = on1[:n_dwpt], on1[n_dwpt:], bonus[:n_dwpt]
-    traj = Trajectory()
+    snapshots: list[RoundSnapshot] = []
     x1_seen, time_part = -1, 0.0
 
     def snapshot(round_index: int, switches: int) -> tuple[float, float]:
@@ -182,7 +182,7 @@ def run(
         try:
             if x1 != x1_seen:  # the time part depends on x1 alone
                 x1_seen = x1
-                time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1, ())
+                time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1)
                 if not math.isfinite(time_part):  # vot times the sums, a float product
                     raise OverflowError(
                         f"potential at round {round_index}, N {n}: the time part overflows "
@@ -194,7 +194,7 @@ def run(
                 f"potential at round {round_index}, N {n}: a sum overflows at link-1 flow {x1}"
             ) from exc
         phi = time_part - bonus_part
-        traj.snapshots.append(
+        snapshots.append(
             RoundSnapshot(
                 round_index, x1_d, x1_o, times1.item(x1), times2.item(n - x1), switches, phi
             )
@@ -220,9 +220,9 @@ def run(
                 )
             phi, size = phi_next, size_next
             if switches == 0:
-                traj.converged = True
                 break
-    return traj
+    # converged when the last round moved nobody (max_rounds >= 1, so one ran)
+    return Trajectory(tuple(snapshots), switches == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +230,23 @@ def run(
 
 
 def rosenthal_potential(
-    times1: np.ndarray,
-    times2: np.ndarray,
-    vot: float,
-    x1: int,
-    x2: int,
-    link1_bonus: np.ndarray,
+    times1: np.ndarray, times2: np.ndarray, vot: float, x1: int, x2: int
 ) -> float:
-    """Exact potential of the atomic game in money units: vot times the
-    summed travel times of the first x1 and x2 vehicles on each link,
-    less the link-1 bonuses (Population.bonus) of the vehicles on link 1.
+    """The time part of the atomic game's exact potential, in money
+    units: vot times the summed travel times of the first x1 and x2
+    vehicles on each link.  The potential is this less the link-1
+    bonuses (Population.bonus) of the vehicles on link 1; run subtracts
+    them in its snapshot.
 
     times1 and times2 are each link's travel times at flows 0, 1, 2, ...
     (_SweepKernel.times1/times2), built once per run and shared by every
-    call; each entry equals bpr_time bit for bit.  Times and bonuses are
-    summed by numpy's pairwise add, whose rounding, unlike sum's, is the
-    same on every Python.  With no bonuses this is the time part alone,
-    and no bonus sum is taken.  Unilateral deviations
-    change this by exactly the deviator's utility loss, so
-    better-response paths strictly decrease it; run checks that to a
-    tolerance, since the sums round.
+    call; each entry equals bpr_time bit for bit.  Times are summed by
+    numpy's pairwise add, whose rounding, unlike sum's, is the same on
+    every Python.  Unilateral deviations change the potential by exactly
+    the deviator's utility loss, so better-response paths strictly
+    decrease it; run checks that to a tolerance, since the sums round.
     """
-    time_part = vot * (float(times1[1 : x1 + 1].sum()) + float(times2[1 : x2 + 1].sum()))
-    return time_part - float(np.sum(link1_bonus)) if len(link1_bonus) else time_part
+    return vot * (float(times1[1 : x1 + 1].sum()) + float(times2[1 : x2 + 1].sum()))
 
 
 def _bpr_table(link: LinkParams, name: str, n: int) -> np.ndarray:
@@ -427,12 +421,11 @@ class _SweepKernel:
             width *= 2
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Read-only view of one vehicle of a Population."""
+class AgentState(NamedTuple):
+    """Read-only view of one vehicle of a Population; soc is None for an
+    OTHER-V."""
 
     agent_id: int
-    vclass: VehicleClass
     soc: float | None
     current_link: int
 
@@ -441,7 +434,8 @@ class AgentState:
 class Population:
     """Discrete vehicles as arrays, DWPT-EVs first, then OTHER-Vs.
 
-    soc holds the DWPT-EVs' states of charge; on_link1 marks every vehicle
+    soc holds the DWPT-EVs' states of charge, each in (0,1) as the
+    DiscreteAgents pool they come from checks; on_link1 marks every vehicle
     on the ERS link, and sweeps update it in place.  Iterating yields one
     AgentState view per vehicle.
     """
@@ -452,9 +446,6 @@ class Population:
     def __post_init__(self):
         self.soc = np.asarray(self.soc, dtype=float)
         self.on_link1 = np.asarray(self.on_link1)
-        bad = self.soc[~((self.soc > 0.0) & (self.soc < 1.0))]  # NaN included
-        if bad.size:
-            raise ValueError(f"every DWPT SoC must be in (0,1), got {bad[0]}")
         if self.on_link1.dtype != bool:
             raise ValueError(f"on_link1 must be a bool mask, got {self.on_link1.dtype}")
         if len(self.on_link1) < len(self.soc):
@@ -466,8 +457,7 @@ class Population:
     def __iter__(self) -> Iterator[AgentState]:
         socs = self.soc.tolist() + [None] * (len(self) - len(self.soc))
         for i, (s, on) in enumerate(zip(socs, self.on_link1.tolist())):
-            vclass = VehicleClass.OTHER if s is None else VehicleClass.DWPT
-            yield AgentState(i, vclass, s, 1 if on else 2)
+            yield AgentState(i, s, 1 if on else 2)
 
     def bonus(self, prefs: Preferences, toll: FreeToll | FixedToll) -> np.ndarray:
         """Link-1 bonus per vehicle: charging_value - price for a DWPT-EV,

@@ -81,14 +81,20 @@ from .model import (
     threshold_soc,
 )
 
-OVERRIDE_PATHS = (
-    "toll.price",
-    "prefs.vot",
-    "prefs.voe",
-    "dwpt_ratio",
-    "soc.s_lo",
-    "soc.s_hi",
-)
+# The fields an override path writes, as a slice (lo, hi) of Scenario's
+# (N, ratio, soc, prefs, toll, network).  An override reads none of the
+# scenario besides N and at most the last field it writes: dwpt_ratio and
+# soc.* read the SoC pool, prefs.* the prefs; toll.price reads nothing.
+# Its keys, in order, are the override paths.
+_WRITES = {
+    "toll.price": (4, 5),
+    "prefs.vot": (3, 4),
+    "prefs.voe": (3, 4),
+    "dwpt_ratio": (1, 3),
+    "soc.s_lo": (2, 3),
+    "soc.s_hi": (2, 3),
+}
+OVERRIDE_PATHS = tuple(_WRITES)
 
 TABLE_FORMATS = ("csv", "structured-text")  # see write_table
 
@@ -405,20 +411,6 @@ def _override(parts: tuple, path: str, value) -> tuple:
         lo, hi = (value, soc.s_hi) if path == "soc.s_lo" else (soc.s_lo, value)
         soc = _build(UniformContinuum, path, lo, hi, soc.mass)
     return n_total, ratio, soc, prefs, toll, network
-
-
-# The fields an override path writes, as a slice (lo, hi) of Scenario's
-# (N, ratio, soc, prefs, toll, network).  An override reads none of the
-# scenario besides N and at most the last field it writes: dwpt_ratio and
-# soc.* read the SoC pool, prefs.* the prefs; toll.price reads nothing.
-_WRITES = {
-    "toll.price": (4, 5),
-    "prefs.vot": (3, 4),
-    "prefs.voe": (3, 4),
-    "dwpt_ratio": (1, 3),
-    "soc.s_lo": (2, 3),
-    "soc.s_hi": (2, 3),
-}
 
 
 def _fields(scenario: Scenario) -> tuple:

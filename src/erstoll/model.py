@@ -52,7 +52,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 
 # Indifference tolerance, in money units (JPY).  A link switch counts as
@@ -67,11 +66,6 @@ ORDER_POLICIES = ("sequential", "random")
 
 # Range checks below are written as "not (lo < x < math.inf)" so that NaN,
 # which fails every comparison, and +-inf are rejected with the range.
-
-
-class VehicleClass(Enum):
-    DWPT = "dwpt"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)

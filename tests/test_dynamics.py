@@ -30,7 +30,6 @@ from erstoll.model import (
     Preferences,
     Scenario,
     UniformContinuum,
-    VehicleClass,
 )
 
 PREFS = Preferences(vot=50.0, voe=100.0)
@@ -40,9 +39,6 @@ class TestPopulation:
     def test_validation(self):
         Population(np.array([0.5]), np.array([True, False]))
         Population(np.array([]), np.array([False]))
-        for bad_soc in (np.nan, 0.0, 1.2):
-            with pytest.raises(ValueError, match="SoC"):
-                Population(np.array([0.5, bad_soc]), np.zeros(3, dtype=bool))
         with pytest.raises(ValueError, match="fewer"):
             Population(np.array([0.2, 0.5]), np.array([True]))
         with pytest.raises(ValueError, match="bool"):
@@ -59,9 +55,6 @@ class TestPopulation:
             1 if on else 2 for on in population.on_link1.tolist()
         ]
         assert [a.soc is None for a in views] == [False] * 4 + [True] * 6
-        assert [a.vclass for a in views] == (
-            [VehicleClass.DWPT] * 4 + [VehicleClass.OTHER] * 6
-        )
         assert [a.soc for a in views[:4]] == sorted(scn.soc.soc_values)
         with pytest.raises(AttributeError):
             views[0].current_link = 2

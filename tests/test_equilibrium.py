@@ -668,13 +668,17 @@ class TestSolveDiscrete:
 
 
 def test_result_records_are_frozen_values():
-    """EquilibriumResult, Metrics and RoundSnapshot print, compare and
-    hash by their fields, and setting a field raises AttributeError."""
+    """EquilibriumResult, Metrics, RoundSnapshot, Trajectory and each
+    AgentState view of a population are named tuples: they print,
+    compare and hash by their fields, and setting a field raises
+    AttributeError."""
     scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)
     result, _ = solve(scn)
-    snapshot = run(agents_from_scenario(scn), scn.network, scn.prefs, scn.toll).snapshots[-1]
+    population = agents_from_scenario(scn)
+    traj = run(population, scn.network, scn.prefs, scn.toll)
     assert (result.x1, result.x2) == (result.x1_d + result.x1_o, result.x2_d + result.x2_o)
-    for record in (result, metrics(scn, result), snapshot):
+    for record in (result, metrics(scn, result), traj.snapshots[-1], traj, *population):
+        assert isinstance(record, tuple)
         values = [getattr(record, name) for name in record._fields]
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, values))
         assert repr(record) == f"{type(record).__name__}({shown})"
@@ -834,9 +838,8 @@ class TestBruteForceOracle:
         population = Population((0.3, 0.6), np.array([True, False, True]))
         bonus = population.bonus(scn.prefs, scn.toll)
         kernel = _SweepKernel(link1, link2, scn.prefs.vot, 3)
-        phi = rosenthal_potential(
-            kernel.times1, kernel.times2, scn.prefs.vot, 2, 1, bonus[population.on_link1]
-        )
+        time_part = rosenthal_potential(kernel.times1, kernel.times2, scn.prefs.vot, 2, 1)
+        phi = time_part - float(np.sum(bonus[population.on_link1]))
         times = bpr_time(link1, 1) + bpr_time(link1, 2) + bpr_time(link2, 1)
         charge = scn.prefs.voe * (1 / 0.3 - 1) - scn.toll.dwpt_link1_charge
         assert phi == pytest.approx(scn.prefs.vot * times - charge, rel=1e-12)

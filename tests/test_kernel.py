@@ -49,7 +49,6 @@ from erstoll.model import (
     FixedToll,
     LinkParams,
     Network,
-    VehicleClass,
     bpr_time,
 )
 
@@ -198,7 +197,7 @@ def assert_oracle_is_the_enumerated_minimum(scn, counts=None):
     bonus = Population(scn.soc.soc_values, np.zeros(n, dtype=bool)).bonus(scn.prefs, scn.toll)
     kernel = _SweepKernel(scn.network.link1, scn.network.link2, vot, n)
     flow_phi = np.array([
-        dynamics.rosenthal_potential(kernel.times1, kernel.times2, vot, x1, n - x1, ())
+        dynamics.rosenthal_potential(kernel.times1, kernel.times2, vot, x1, n - x1)
         for x1 in range(n + 1)
     ])
     best_phi, best_bits = np.inf, None
@@ -224,7 +223,7 @@ def assert_oracle_is_the_enumerated_minimum(scn, counts=None):
 def _population(scn, initial, seed):
     agents = agents_from_scenario(scn, initial=initial, seed=seed)
     links = [a.current_link for a in agents]
-    socs = [a.soc if a.vclass is VehicleClass.DWPT else None for a in agents]
+    socs = [a.soc for a in agents]
     return agents, links, socs
 
 

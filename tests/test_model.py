@@ -258,16 +258,15 @@ class TestChargingUtility:
 
     @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, 1.5])
     def test_domain(self, s):
-        # charging_value takes the SoCs of a pool or a population, and
-        # each of those rejects an SoC outside (0,1) when it is built
+        # charging_value takes the SoCs of a pool, or of a population
+        # built from a DiscreteAgents pool, and the pool rejects an SoC
+        # outside (0,1) when it is built
         with pytest.raises(ValueError, match="SoC"):
             DiscreteAgents((0.5, s))
         with pytest.raises(ValueError, match="s_lo"):
             UniformContinuum(s_lo=s, s_hi=0.95, mass=10.0)
         with pytest.raises(ValueError, match="s_hi"):
             UniformContinuum(s_lo=0.05, s_hi=s, mass=10.0)
-        with pytest.raises(ValueError, match="SoC"):
-            Population(np.array([0.5, s]), np.zeros(3, dtype=bool))
 
 
 class TestUtility:
