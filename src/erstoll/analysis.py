@@ -19,7 +19,6 @@ each pattern's break point.  No band calls the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -71,17 +70,41 @@ class Metrics(NamedTuple):
     ers_optimum: bool
 
 
-@dataclass(frozen=True)
-class TollBand:
-    """Half-open price interval [c_low, c_high) yielding one pattern."""
-
+class _Band(NamedTuple):
     pattern: PatternLabel
     c_low: float
     c_high: float
 
-    def __post_init__(self):
-        if self.c_low > self.c_high:
-            raise ValueError(f"band bounds out of order: {self}")
+
+class TollBand(_Band):
+    """Half-open price interval [c_low, c_high) yielding one pattern.
+
+    A named tuple whose every constructor, _make and _replace included,
+    raises ValueError if c_low > c_high.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pattern: PatternLabel, c_low: float, c_high: float):
+        band = tuple.__new__(cls, (pattern, c_low, c_high))
+        if c_low > c_high:
+            raise ValueError(f"band bounds out of order: {band}")
+        return band
+
+    @classmethod
+    def _make(cls, iterable) -> TollBand:
+        return cls(*iterable)
+
+
+# toll_bands' pattern of each band, in price order, for r < 0.5 and r >= 0.5
+_LOW_SHARE_LABELS = (PatternLabel.B_i_a, PatternLabel.B_i_c, PatternLabel.B_i_b)
+_HIGH_SHARE_LABELS = (
+    PatternLabel.B_ii_a,
+    PatternLabel.B_ii_c2,
+    PatternLabel.B_ii_c1,
+    PatternLabel.B_ii_c3,
+    PatternLabel.B_ii_b,
+)
 
 
 def _check_pair(scenario: Scenario, result: EquilibriumResult) -> None:
@@ -258,7 +281,8 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
     means |x1 - x2| <= tol, so its band is narrow but exact.  On twin
     links below r = 0.5, x1 = x_eq gives t1 = t2 and the edges are
     voe*(1/quantile(rN) - 1) and voe*(1/quantile(0) - 1), at the pool's
-    highest and lowest SoC.  A travel time that overflows at an edge
+    highest and lowest SoC.  A travel time that overflows at an edge,
+    or is inf there without raising while the edge's bonus is inf too,
     raises OverflowError naming the edge's DWPT mass and N (_overflow).
     """
     if not isinstance(scenario.toll, FixedToll):
@@ -272,17 +296,10 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
         return min(max(x1 - n_other if x1 < x_eq else x1, 0.0), n_dwpt)
 
     if scenario.dwpt_ratio < 0.5:
-        labels = (PatternLabel.B_i_a, PatternLabel.B_i_c, PatternLabel.B_i_b)
-        breaks = (n_dwpt, 0.0)
+        labels, breaks = _LOW_SHARE_LABELS, (n_dwpt, 0.0)
     else:
         tol = PATTERN_MASS_TOL * n_total
-        labels = (
-            PatternLabel.B_ii_a,
-            PatternLabel.B_ii_c2,
-            PatternLabel.B_ii_c1,
-            PatternLabel.B_ii_c3,
-            PatternLabel.B_ii_b,
-        )
+        labels = _HIGH_SHARE_LABELS
         breaks = (
             n_dwpt,
             dwpt_mass_at(0.5 * (n_total + tol)),
@@ -292,7 +309,10 @@ def toll_bands(scenario: Scenario) -> list[TollBand]:
     edges = [0.0]
     try:
         for n in breaks:  # price(n) is 0.0 - gap, not -gap, so a zero price is +0.0
-            edges.append(max(0.0 - gap(soc.quantile(n), n)[0], edges[-1]))
+            price = 0.0 - gap(soc.quantile(n), n)[0]
+            if price != price:  # a time inf without raising, less an inf bonus
+                raise OverflowError("the edge's price is nan")
+            edges.append(max(price, edges[-1]))
     except OverflowError as exc:
         raise _overflow("toll band edge", n_total, scenario.network, f" at DWPT mass {n}") from exc
     edges.append(math.inf)

@@ -110,8 +110,10 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     (0, inf); the root is the first iterate within
     xtol = ROOT_TOL_FACTOR*n_total of the one before.  Each point is
     evaluated once, and each value must lie between the end values,
-    which guards against a mis-specified map.  A ConvergenceError
-    names the map (what) and N, as "balanced flow, N 1000.0: ...".
+    which guards against a mis-specified map; a nan value, such as
+    inf - inf from times that overflow without raising, raises
+    OverflowError instead.  Either error names the map (what) and N, as
+    "balanced flow, N 1000.0: ...".
     """
     g_lo = g(lo)[0]
     if g_lo >= 0.0:
@@ -128,6 +130,8 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     for _ in range(MAX_ITER):
         value, slope = g(x)
         if not g_lo - slack <= value <= g_hi + slack:
+            if math.isnan(value):
+                raise OverflowError(f"{what}, N {n_total}: the map is nan at {x}")
             raise ConvergenceError(
                 f"{what}, N {n_total}: map is not monotone on the bracket [{lo}, {hi}] "
                 f"({value} at {x})"
@@ -239,8 +243,9 @@ def _balanced(network: Network, n_total: float):
     one-entry memo (_balance) keyed on the Network object's identity and
     N: every scenario on that same object and N, such as each cell of a
     sweep, builds them once.  A build that raises stores nothing; a
-    travel time that overflows raises OverflowError naming the stage, N
-    and each link's capacity, alpha and beta (_overflow).
+    travel time that overflows, or both that are inf at x_eq without
+    raising, raise OverflowError naming the stage, N and each link's
+    capacity, alpha and beta (_overflow).
     """
     global _balance
     if _balance[0] is network and _balance[1] == n_total:
@@ -256,6 +261,8 @@ def _balanced(network: Network, n_total: float):
         built = time_gap, x_eq, time_gap(x_eq)
     except OverflowError as exc:
         raise _overflow("balanced flow", n_total, network) from exc
+    if math.isnan(built[2][0]):  # both times overflowed to inf without raising
+        raise _overflow("balanced flow", n_total, network)
     _balance = (network, n_total, built)
     return built
 

@@ -401,8 +401,14 @@ class TestTollBands:
         assert math.isinf(bands[2].c_high)
 
     def test_band_bounds_out_of_order_rejected(self):
-        with pytest.raises(ValueError, match="out of order"):
-            TollBand(PatternLabel.B_i_c, 20.0, 10.0)
+        band = TollBand(PatternLabel.B_i_c, 10.0, 20.0)
+        for build in (
+            lambda: TollBand(PatternLabel.B_i_c, 20.0, 10.0),
+            lambda: TollBand._make((PatternLabel.B_i_c, 20.0, 10.0)),
+            lambda: band._replace(c_low=30.0),
+        ):
+            with pytest.raises(ValueError, match="out of order"):
+                build()
 
     def test_bands_partition_the_price_axis(self):
         bands = toll_bands(base_scenario())

@@ -531,6 +531,9 @@ PINNED_SWEEP_DIFFERING = [
     "--axis", "prefs.voe=50,300",
     "--axis", "dwpt_ratio=0.2,0.6,0.95",
 ]
+# Bands on DIFFERING_LINKS: at r 0.2 every edge is priced at x_eq, where
+# the times are equal, so its bytes are those of the twin links' bands.
+PINNED_BANDS_DIFFERING = ["bands", "--scenario", "differing.cfg", "--set"]
 PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("table2", ["table2"], "csv", "07484614556756353b3eb805ada8b42c65449d50eb65d7aa70cf5af52012eb80"),
     ("table2", ["table2"], "structured-text", "1b3bb361ddec15da901eaf899528082847383babd06f698ee57b22832516c169"),
@@ -553,6 +556,10 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("sweep-differing", PINNED_SWEEP_DIFFERING, "csv", "851184e4ed3fa6798878a49e3af62616bcae9e8effe9e28d404604a1651d9c92"),
     ("sweep-differing", PINNED_SWEEP_DIFFERING, "structured-text", "66dcf7a3f11b3e42e70b670505a164455e9cfe6edccacab2cab6c4ef812f88be"),
     ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),
+    ("bands-differing-low-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.2"], "csv", "d7b3a19027c0c9123d2a69bab21e91f7af46199264298557741c591092ae4b5a"),
+    ("bands-differing-low-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.2"], "structured-text", "04f0a4a2a72f0b08cceef7fe328593098b49513a42ecfc4230897c4ca28c9b89"),
+    ("bands-differing-high-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.6"], "csv", "4c41ffd11828be93b93d71b064605cece267259a2547cf1776735d381dae14d3"),
+    ("bands-differing-high-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.6"], "structured-text", "640152e1675a4b87636a31ec3a5857477ded3c9ea03b46ae782cfe00bfc29941"),
 ]
 
 

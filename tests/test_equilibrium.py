@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
 from erstoll import equilibrium
-from erstoll.analysis import _marginal, metrics, min_total_travel_time, toll_bands
+from erstoll.analysis import (
+    PatternLabel, TollBand, _marginal, metrics, min_total_travel_time, toll_bands,
+)
 from erstoll.cli import main
 from erstoll.dynamics import (
     Population,
@@ -668,17 +671,21 @@ class TestSolveDiscrete:
 
 
 def test_result_records_are_frozen_values():
-    """EquilibriumResult, Metrics, RoundSnapshot, Trajectory and each
-    AgentState view of a population are named tuples: they print,
-    compare and hash by their fields, and setting a field raises
-    AttributeError."""
+    """EquilibriumResult, Metrics, RoundSnapshot, Trajectory, each
+    AgentState view of a population and TollBand are named tuples: they
+    print, compare and hash by their fields, survive a pickle round trip,
+    and setting a field raises AttributeError.  A TollBand prints as the
+    dataclass it was."""
     scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)
     result, _ = solve(scn)
     population = agents_from_scenario(scn)
     traj = run(population, scn.network, scn.prefs, scn.toll)
+    band = TollBand(PatternLabel.B_i_c, 10.0, 20.0)
+    assert repr(band) == "TollBand(pattern=<PatternLabel.B_i_c: 'B_i_c'>, c_low=10.0, c_high=20.0)"
     assert (result.x1, result.x2) == (result.x1_d + result.x1_o, result.x2_d + result.x2_o)
-    for record in (result, metrics(scn, result), traj.snapshots[-1], traj, *population):
+    for record in (result, metrics(scn, result), traj.snapshots[-1], traj, *population, band):
         assert isinstance(record, tuple)
+        assert pickle.loads(pickle.dumps(record)) == record
         values = [getattr(record, name) for name in record._fields]
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, values))
         assert repr(record) == f"{type(record).__name__}({shown})"

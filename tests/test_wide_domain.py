@@ -8,6 +8,7 @@ every result the solver returns verifies clean.
 
 import contextlib
 import io
+import math
 import re
 from dataclasses import replace
 
@@ -312,13 +313,41 @@ STAGES = (
     "oracle",
 )
 
+# The bundled scenario with both capacities at 1e-100 and each power of
+# the BPR term finite, but alpha times it inf without raising: on twin
+# links at the balanced flow N/2, on links that differ at the midpoint
+# where the balanced flow's root looks first.
+INF_AT_BALANCE = (
+    replace(BUNDLED, network=_twin(10.0, 1e-100, 1e10, 3.0)),
+    replace(BUNDLED, network=Network(
+        LinkParams(10.0, 1e-100, 1e110, 2.0, True, 30.0), LinkParams(10.0, 1e-100, 1e111, 2.0)
+    )),
+)
+
+# Two vehicles, the DWPT-EV at SoC 5e-324, whose charging bonus is inf:
+# at the a|c band edge link 1's time is alpha*5e298, inf without
+# raising, so the edge's price is inf - inf.
+NAN_BAND_EDGE = discrete_scenario(
+    [5e-324],
+    n_other=1,
+    vot=1.0,
+    voe=1.0,
+    toll=FixedToll(0.0),
+    network=Network(
+        LinkParams(1.0, 2e-299, 1e10, 1.0, True, 30.0), LinkParams(1.0, 2.0, 1e10, 2.0)
+    ),
+)
+
 
 @st.composite
 def overflowing_scenarios(draw, max_agents=30):
     """wide_scenarios with overflow forced on: each link at a capacity of
     1e-300 to 1e-20 of N, a beta of 20 to 300, both or neither (twin
-    links stay twins), and voe of 1e300 to 1.7e308 or as drawn."""
+    links stay twins), an alpha of 1e10 to 1e300 on both links or
+    neither, so that alpha times a finite power can overflow to inf
+    without raising, and voe of 1e300 to 1.7e308 or as drawn."""
     scn = draw(wide_scenarios(max_agents))
+    huge_alpha = draw(st.booleans())
 
     def forced(link):
         changes = {}
@@ -326,6 +355,8 @@ def overflowing_scenarios(draw, max_agents=30):
             changes["capacity"] = scn.total_vehicles * draw(log_uniform(1e-300, 1e-20))
         if draw(st.booleans()):
             changes["bpr_beta"] = draw(st.floats(20.0, 300.0))
+        if huge_alpha:
+            changes["bpr_alpha"] = draw(log_uniform(1e10, 1e300))
         return replace(link, **changes)
 
     link1 = forced(scn.network.link1)
@@ -352,15 +383,22 @@ def _arithmetic_error(call) -> str | None:
 @given(scn=overflowing_scenarios())
 @example(scn=CORNER)
 @example(scn=discretize_scenario(CORNER))
+@example(scn=INF_AT_BALANCE[0])
+@example(scn=NAN_BAND_EDGE)
 def test_an_overflow_names_its_stage_and_n(scn):
     """Every ArithmeticError of a result row (solve_row's error), the
-    toll bands and the oracle begins with its stage's name and N."""
+    toll bands and the oracle begins with its stage's name and N, and
+    toll bands that return tile [0, inf) with at least one band."""
     row_error = _arithmetic_error(lambda: result_row(scn, solve(scn)[0]))
     if row_error is not None:
         assert solve_row(scn).error == row_error
     messages = [row_error]
     if isinstance(scn.toll, FixedToll):
-        messages.append(_arithmetic_error(lambda: toll_bands(scn)))
+        returned = []
+        messages.append(_arithmetic_error(lambda: returned.append(toll_bands(scn))))
+        for bands in returned:
+            assert bands and bands[0].c_low == 0.0 and bands[-1].c_high == math.inf, bands
+            assert all(left.c_high == right.c_low for left, right in zip(bands, bands[1:]))
     if isinstance(scn.soc, DiscreteAgents):
         messages.append(_arithmetic_error(lambda: brute_force_equilibrium(scn)))
     named = tuple(f"{stage}, N {scn.total_vehicles}: " for stage in STAGES)
@@ -397,6 +435,29 @@ def test_the_corner_overflow_names_its_stage(tmp_path, capsys):
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
     rows = run_sweep(CORNER, [("toll.price", [0.0, 1.0])])
     assert [row.error for row in rows] == [root] * 2
+
+
+@pytest.mark.parametrize("scn", INF_AT_BALANCE, ids=["twin", "differing"])
+def test_times_inf_at_the_balanced_flow_name_its_stage(scn, tmp_path, capsys):
+    """Times that are inf at the balanced flow fail solve and toll_bands
+    with an OverflowError naming the balanced flow, `erstoll solve` and
+    `bands` with it and exit code 2, and each sweep row with it."""
+    with pytest.raises(OverflowError) as failure:
+        solve(scn)
+    message = str(failure.value)
+    assert message.startswith(
+        "balanced flow, N 1000.0: a link travel time overflows (link 1: capacity 1e-100, "
+    )
+    with pytest.raises(OverflowError) as failure:
+        toll_bands(scn)
+    assert str(failure.value) == message
+    path = tmp_path / "overflow.cfg"
+    write_scenario(scn, path)
+    for command in ("solve", "bands"):
+        assert main([command, "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    rows = run_sweep(scn, [("toll.price", [0.0, 1.0])])
+    assert [row.error for row in rows] == [message] * 2
 
 
 @st.composite
