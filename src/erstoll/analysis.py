@@ -156,6 +156,12 @@ def _marginal(link: LinkParams, x: float, t: float) -> tuple[float, float]:
     return t + x * slope, (link.bpr_beta + 1.0) * slope
 
 
+def _scaled_marginal(link: LinkParams, t: float, m: float) -> float:
+    """_marginal's cost at a flow > 0, where it is t + beta*(t - t0),
+    divided by m >= t: finite where the cost itself overflows."""
+    return t / m + link.bpr_beta * ((t - link.free_flow_time) / m)
+
+
 def _time(link: LinkParams, x: float) -> float:
     """bpr_time, or inf at a flow whose time overflows a double: such a
     split's TTT is infinite, so no optimum search ever settles there."""
@@ -190,8 +196,11 @@ def _least_ttt(
     root's own F can be far above an end's.  A link time that overflows
     a double is infinite (_time), and so are that split's F and the
     link's marginal cost, so the gap keeps its sign and the root lies
-    below that flow.  Where both links' times overflow at one split, one
-    of them does at every split, and the least TTT is inf.
+    below that flow.  Where both marginal costs overflow but F need not,
+    the gap compares them divided by the larger time, or, if one time
+    overflows, takes that link's as the larger.  Where both links' times
+    overflow at one split, one of them does at every split, and the
+    least TTT is inf.
     """
     link1, link2 = network.link1, network.link2
 
@@ -214,7 +223,14 @@ def _least_ttt(
         least = min(least, f)
         c1, d1 = _marginal(link1, x, t1)
         c2, d2 = _marginal(link2, n_total - x, t2)
-        return c1 - c2, d1 + d2
+        value = c1 - c2
+        if value != value:  # inf - inf: compare the costs over the larger time
+            m = max(t1, t2)
+            if m < math.inf:
+                value = _scaled_marginal(link1, t1, m) - _scaled_marginal(link2, t2, m)
+            else:  # one time overflows, and its link's marginal cost is the larger
+                value = t1 - t2
+        return value, d1 + d2
 
     if start is not None:
         c1, d1 = _marginal(link1, start.x1, start.t1)

@@ -103,7 +103,8 @@ def agents_from_scenario(
     if not isinstance(scenario.soc, DiscreteAgents):
         raise ValueError("dynamics needs a DiscreteAgents SoC pool")
     _, n_other = scenario.agent_counts()
-    socs = np.array(scenario.soc.soc_values)
+    values = scenario.soc.soc_values
+    socs = np.fromiter(values, float, len(values))
     n = len(socs) + n_other
 
     if initial == "all_link2":
@@ -154,9 +155,11 @@ def run(
     naming the round, N and the link-1 flow.
     Non-convergence within max_rounds is reported via converged=False.
 
-    In sequential order run keeps the kernel's skip summaries of the
-    mask across its sweeps (_SweepKernel.sweep), and a snapshot
-    recomputes the potential's time part only when x1 has changed.
+    In sequential order run finds the zero-bonus tail once, the agents
+    after the last non-zero bonus, which every sweep moves in closed
+    form, and keeps the kernel's skip summaries of the agents before it
+    across its sweeps (_SweepKernel.sweep); a snapshot recomputes the
+    potential's time part only when x1 has changed.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -167,7 +170,11 @@ def run(
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
-    kept = kernel.summarize(on1, bonus) if rng is None else None
+    kept = None
+    if rng is None:  # the bonuses never change, so neither does the zero-bonus tail
+        nonzero = np.flatnonzero(bonus)
+        tail = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        kept = (*kernel.summarize(on1, bonus, 0, tail), tail)
     times1, times2 = kernel.times1, kernel.times2
     # views of on1, which the sweeps update in place
     on1_d, on1_o, bonus_d = on1[:n_dwpt], on1[n_dwpt:], bonus[:n_dwpt]
@@ -292,6 +299,17 @@ class _SweepKernel:
     across sweeps: a sweep rebuilds them only over the blocks from its
     first switch to its last.
 
+    The caller that keeps summaries (run, in index order) keeps them
+    only for the agents before the zero-bonus tail: those after the last
+    non-zero bonus, the OTHER-Vs and any DWPT-EV whose bonus is exactly
+    0.  Each of them gains exactly the gap at its flows, so the tail
+    moves one way in a sweep: its first link-1 agents leave, one per
+    flow x1, x1 - 1, ... while the gap there exceeds INDIFFERENCE_EPS,
+    or its first link-2 agents join while the gap at the flow they
+    reach is below -INDIFFERENCE_EPS.  A sweep moves the tail last, in
+    closed form (_tail): one searchsorted on the gap, which never falls
+    with the flow, gives the count.
+
     The kernel builds each link's travel times at flows 0..n once
     (times1, times2; one table serves both twin links), and gap from
     them; their entries equal the scalar rule's bit for bit: numpy's
@@ -344,14 +362,22 @@ class _SweepKernel:
         each improving one at once; on1 is updated in place.  Returns
         (switch count, summed gains).
 
-        kept, for an index-order sweep only, is the caller's summarize of
-        on1, which the sweep reads and brings up to date; without it the
-        sweep summarizes the agents in its order."""
-        link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
-        n, size, gap, eps = self.n, self.BLOCK, self.gap, INDIFFERENCE_EPS
+        kept, for an index-order sweep only, is the caller's
+        (low1, high2, tail): tail is the index after the last non-zero
+        bonus, and low1 and high2 the summarize of on1 and bonus before
+        it, which the sweep reads and brings up to date.  The agents from
+        tail on move in closed form (_tail).  Without kept the sweep
+        summarizes every agent in its order."""
+        if kept is None:
+            link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
+            low1, high2 = self.summarize(link1_of, bonus_of)
+            tail = self.n
+        else:
+            low1, high2, tail = kept
+            link1_of, bonus_of = on1[:tail], bonus[:tail]  # views, so the scan moves on1
+        n, size, gap, eps = tail, self.BLOCK, self.gap, INDIFFERENCE_EPS
         # a block moves nobody at the current flows unless its smallest
         # link-1 bonus or its largest link-2 bonus moves
-        low1, high2 = self.summarize(link1_of, bonus_of) if kept is None else kept
         blocks = len(low1)
         x1 = int(np.count_nonzero(on1))
         g1, g2 = gap.item(x1), gap.item(x1 + 1)
@@ -391,9 +417,13 @@ class _SweepKernel:
             pos = end
         if order is not None:
             on1[order] = link1_of
-        elif kept is not None and switches:
-            lo, hi = first // size, last // size + 1
-            low1[lo:hi], high2[lo:hi] = self.summarize(on1, bonus, lo * size, hi * size)
+        elif kept is not None:
+            if switches:
+                lo, hi = first // size, last // size + 1
+                low1[lo:hi], high2[lo:hi] = self.summarize(link1_of, bonus_of, lo * size, hi * size)
+            if tail < self.n:
+                taken, gain_sum = self._tail(on1, tail, x1, gain_sum)
+                switches += taken
         return switches, gain_sum
 
     def _run(self, link1_of, bonus_of, pos, x1, gain_sum):
@@ -401,9 +431,9 @@ class _SweepKernel:
         windows that double from 2 * BLOCK, since a whole block has just
         switched; each agent sees the flows left by all before it
         switching.  Returns (run length, x1, gain_sum)."""
-        start, width, gap = pos, 2 * self.BLOCK, self.gap
+        start, width, gap, n = pos, 2 * self.BLOCK, self.gap, len(link1_of)
         while True:
-            stop = min(pos + width, self.n)
+            stop = min(pos + width, n)
             on, b = link1_of[pos:stop], bonus_of[pos:stop]
             move = np.where(on, -1, 1)
             flows = x1 + np.cumsum(move) - move
@@ -416,9 +446,43 @@ class _SweepKernel:
                 gain[0] += gain_sum
                 gain_sum = float(np.cumsum(gain[:taken])[-1])
             pos += taken
-            if pos < stop or stop == self.n:
+            if pos < stop or stop == n:
                 return pos - start, x1, gain_sum
             width *= 2
+
+    def _tail(self, on1, start, x1, gain_sum):
+        """Sweep the agents from start on, whose bonuses are all 0, at
+        link-1 flow x1.  Each gains exactly the gap (fl(g - 0) = g), and
+        the gap never falls with the flow.  So while gap[x1] > eps the
+        next link-1 agent leaves, at flows x1, x1 - 1, ..., and while
+        gap[x1 + 1] < -eps the next link-2 agent joins, at flows x1 + 1,
+        x1 + 2, ...; never both, since a leave at flow y means
+        gap[y] > eps.  One searchsorted counts the flows that move
+        somebody; the first that many agents of the moving link switch,
+        found in windows that double from the first of them, and a cumsum
+        adds their gains in order.  Returns (switch count, gain_sum)."""
+        gap, eps = self.gap, INDIFFERENCE_EPS
+        leave = gap.item(x1) > eps
+        if leave:
+            k = x1 + 1 - int(np.searchsorted(gap, eps, side="right"))
+        elif gap.item(x1 + 1) < -eps:
+            k = int(np.searchsorted(gap, -eps)) - 1 - x1
+        else:
+            return 0, gain_sum
+        on_tail = on1[start:]
+        pos = int(on_tail.argmax() if leave else on_tail.argmin())  # the first to move
+        if on_tail.item(pos) != leave:  # nobody of the tail is on the moving link
+            return 0, gain_sum
+        taken, width = 0, 2 * k
+        while taken < k and pos < len(on_tail):
+            window = on_tail[pos : pos + width]
+            movers = np.flatnonzero(window if leave else ~window)[: k - taken]
+            window[movers] = not leave
+            taken += len(movers)
+            pos, width = pos + width, 2 * width
+        gain = gap[x1 : x1 - taken : -1].copy() if leave else -gap[x1 + 1 : x1 + 1 + taken]
+        gain[0] += gain_sum
+        return taken, float(np.cumsum(gain)[-1])
 
 
 class AgentState(NamedTuple):

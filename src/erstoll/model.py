@@ -189,10 +189,13 @@ class DiscreteAgents:
     def __post_init__(self):
         if not self.soc_values:
             raise ValueError("soc_values must be non-empty")
-        for v in self.soc_values:
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"every SoC must be in (0,1), got {v}")
-        object.__setattr__(self, "soc_values", tuple(sorted(self.soc_values)))
+        values = tuple(sorted(self.soc_values))
+        # the ends bound every value but a nan, which makes the sum nan
+        if not (0.0 < values[0] and values[-1] < 1.0 and math.isfinite(sum(values))):
+            for v in self.soc_values:  # name the first bad value in the given order
+                if not (0.0 < v < 1.0):
+                    raise ValueError(f"every SoC must be in (0,1), got {v}")
+        object.__setattr__(self, "soc_values", values)
 
     @property
     def total_mass(self) -> float:

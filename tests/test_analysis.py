@@ -234,6 +234,25 @@ class TestConventionalSo:
         )
         assert min_total_travel_time(network, 1000.0) == math.inf
 
+    @pytest.mark.parametrize(("beta1", "beta2"), [(300.0, 299.0), (299.0, 300.0), (300.0, 1000.0)])
+    def test_marginal_costs_that_both_overflow_keep_the_gap_signed(self, beta1, beta2):
+        # at N 21 and betas 300 and 299 both marginal costs t + beta*(t - t0)
+        # overflow near the even split, where both times, and TTT (about
+        # 1.47e307), are finite.  At betas 300 and 1000 every split overflows
+        # a link, and at 10.5 one time and the other's marginal cost overflow.
+        link1, link2 = LinkParams(1.0, 1.0, 1.0, beta1, True, 30.0), LinkParams(1.0, 1.0, 1.0, beta2)
+
+        def total(x):
+            try:
+                return x * bpr_time(link1, x) + (21.0 - x) * bpr_time(link2, 21.0 - x)
+            except OverflowError:
+                return math.inf
+
+        least = min(total(21.0 * k / 1000) for k in range(1001))
+        best = min_total_travel_time(Network(link1, link2), 21.0)
+        assert best <= least * (1.0 + SO_REL_TOL)
+        assert math.isfinite(best) == (beta2 < 1000.0)
+
     @settings(max_examples=200, deadline=None)
     @given(
         exponent=st.floats(1.0, 7.0),

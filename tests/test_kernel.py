@@ -23,6 +23,7 @@ import pytest
 from conftest import (
     ERS_LINK,
     PLAIN_LINK,
+    TWIN_NETWORK,
     base_scenario,
     discrete_scenario,
     networks,
@@ -292,12 +293,16 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
 )
 def test_kept_summaries_match_the_mask_after_every_sweep(scn, initial, seed, block):
     """The skip summaries that run keeps across its index-order sweeps
-    equal, after every sweep, a summary of the mask built from scratch."""
+    equal, after every sweep, a summary built from scratch of the agents
+    before the zero-bonus tail, which starts after the last non-zero
+    bonus."""
     sweep, sweeps = _SweepKernel.sweep, []
 
     def checked_sweep(kernel, on1, bonus, order=None, kept=None):
         result = sweep(kernel, on1, bonus, order, kept)
-        assert kept == kernel.summarize(on1, bonus)
+        low1, high2, tail = kept
+        assert bonus[:tail][-1:].all() and not bonus[tail:].any()
+        assert (low1, high2) == kernel.summarize(on1[:tail], bonus[:tail])
         sweeps.append(result)
         return result
 
@@ -307,13 +312,15 @@ def test_kept_summaries_match_the_mask_after_every_sweep(scn, initial, seed, blo
     assert len(sweeps) == traj.terminal_round
 
 
-def tied_at_bonus_zero(scale):
+def tied_at_bonus_zero(scale, zero_soc=0.5):
     """2, 8 and 2 DWPT-EVs at SoC 0.2, 0.5 and 0.8, and 6 OTHER-Vs, each
-    times scale, under a toll of voe*(1/0.5 - 1): the group at SoC 0.5
-    has bonus 0, as the OTHER-Vs have, and on twin links the link-1
-    boundary falls inside it."""
+    times scale, under a toll of voe*(1/zero_soc - 1): the group at
+    zero_soc has bonus 0, as the OTHER-Vs have.  At SoC 0.5 the link-1
+    boundary on twin links falls inside it; at 0.8 the last DWPT-EVs
+    start the zero-bonus tail."""
     socs = [0.2] * 2 * scale + [0.5] * 8 * scale + [0.8] * 2 * scale
-    return discrete_scenario(socs, 6 * scale, voe=100.0, toll=FixedToll(100.0))
+    toll = FixedToll(100.0 * (1.0 / zero_soc - 1.0))
+    return discrete_scenario(socs, 6 * scale, voe=100.0, toll=toll)
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,6 +421,77 @@ def test_edge_populations(n_dwpt, n_other):
     starts = (np.zeros(n, bool), np.ones(n, bool), np.arange(n) % 2 == 0,
               np.random.default_rng(3).integers(0, 2, n) == 1)
     _assert_runs_match_reference(scn, [Population(socs, on1) for on1 in starts])
+
+
+def _tail_switches(scn, population):
+    """Switches of each closed-form tail sweep of a sequential run on a
+    copy of the population, the tail's first index, and the run's
+    Trajectory."""
+    tail_sweep, taken = _SweepKernel._tail, []
+
+    def counted(kernel, on1, start, x1, gain_sum):
+        result = tail_sweep(kernel, on1, start, x1, gain_sum)
+        taken.append((start, result[0]))
+        return result
+
+    agents = Population(population.soc, population.on_link1.copy())
+    with mock.patch.object(_SweepKernel, "_tail", counted):
+        traj = run(agents, scn.network, scn.prefs, scn.toll)
+    return [moved for _, moved in taken], {start for start, _ in taken}, traj
+
+
+@pytest.mark.parametrize("moving", ["leave", "join"])
+def test_tail_with_nobody_on_the_moving_link(moving):
+    """The gap says the tail's link-1 agents leave (or its link-2 agents
+    join), but every tail agent is on the other link: the closed form
+    moves nobody.  150 DWPT-EVs hold the link they start on by a bonus
+    of +-hundreds, and 50 OTHER-Vs start all on the link that the gap
+    says nobody should leave."""
+    leave = moving == "leave"
+    socs = np.linspace(0.05, 0.1, 150) if leave else np.linspace(0.85, 0.9, 150)
+    scn = discrete_scenario(socs, 50, toll=FixedToll(100.0 if leave else 500.0))
+    on1 = np.arange(200) < 150 if leave else np.arange(200) >= 150
+    x1 = int(np.count_nonzero(on1))
+    gap = _SweepKernel(scn.network.link1, scn.network.link2, scn.prefs.vot, 200).gap
+    assert gap[x1] > INDIFFERENCE_EPS if leave else gap[x1 + 1] < -INDIFFERENCE_EPS
+    population = Population(socs, on1)
+    assert _tail_switches(scn, population)[:2] == ([0], {150})
+    _assert_runs_match_reference(scn, [population])
+
+
+@pytest.mark.parametrize("block", [3, _SweepKernel.BLOCK])
+def test_tail_starting_inside_the_dwpt_evs(block):
+    """The last DWPT-EVs sit at bonus exactly 0, so the zero-bonus tail
+    starts among them and they move in closed form with the OTHER-Vs,
+    from every start."""
+    scn = tied_at_bonus_zero(10, zero_soc=0.8)
+    populations = [agents_from_scenario(scn, initial, 3) for initial in INITIAL_STATES]
+    with block_size(block):
+        _assert_runs_match_reference(scn, populations)
+        for population in populations:
+            assert _tail_switches(scn, population)[1] == {100}  # 20 at bonus 0 follow
+        assert _tail_switches(scn, populations[1])[0][0] > 0  # from all on link 1
+
+
+@pytest.mark.parametrize(
+    "network",
+    [TWIN_NETWORK, Network(ERS_LINK, LinkParams(12.0, 100.0, bpr_beta=3.0))],
+    ids=["twin", "differing"],
+)
+def test_other_v_only_populations(network):
+    """A population of OTHER-Vs alone is one zero-bonus tail: every
+    switch of a sequential run is made in closed form, from every start
+    and on links where the equilibrium splits it evenly or not."""
+    scn = discrete_scenario((0.5,), 1, network=network)
+    n = 3 * _SweepKernel.BLOCK + 5
+    starts = (np.zeros(n, bool), np.ones(n, bool), np.arange(n) % 2 == 0,
+              np.random.default_rng(3).integers(0, 2, n) == 1)
+    populations = [Population(np.empty(0), on1) for on1 in starts]
+    _assert_runs_match_reference(scn, populations)
+    for population in populations:
+        moved, tails, traj = _tail_switches(scn, population)
+        assert tails == {0} and sum(moved) == traj.total_switches and moved[-1] == 0
+    assert _tail_switches(scn, populations[0])[0][0] > 0  # from all on link 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -148,6 +148,24 @@ class TestDiscreteAgents:
         # checked in the given order, before sorting
         with pytest.raises(ValueError, match=r"got 1\.5$"):
             DiscreteAgents((0.5, 1.5, -0.2))
+        # sorting leaves this nan between the ends, so only the sum finds it
+        with pytest.raises(ValueError, match=r"got nan$"):
+            DiscreteAgents((0.2, float("nan"), 0.4))
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 0.0, 1.0, -0.3], ids=repr
+    )
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_names_the_first_bad_value_in_the_given_order(self, bad, where):
+        # the pool checks the ends of its sorted values and their sum, and
+        # names a bad value in the given order: before it, a later 1.5
+        values = [0.6, 0.2, 0.8, 0.4, 0.5]
+        values[where] = bad
+        if where < 4:
+            values[4] = 1.5
+        with pytest.raises(ValueError) as failure:
+            DiscreteAgents(tuple(values))
+        assert str(failure.value) == f"every SoC must be in (0,1), got {bad}"
 
 
 NON_FINITE_BUILDERS = {
