@@ -155,11 +155,13 @@ def run(
     naming the round, N and the link-1 flow.
     Non-convergence within max_rounds is reported via converged=False.
 
-    In sequential order run finds the zero-bonus tail once, the agents
-    after the last non-zero bonus, which every sweep moves in closed
-    form, and keeps the kernel's skip summaries of the agents before it
-    across its sweeps (_SweepKernel.sweep); a snapshot recomputes the
-    potential's time part only when x1 has changed.
+    In sequential order every sweep is _SweepKernel.sweep_sorted: the
+    DWPT-EVs come in ascending SoC order (Population requires it), so
+    their bonuses never rise with the index, and run finds the zero-bonus
+    tail once, the agents after the last non-zero bonus.  In random order
+    each sweep is the block scan of the shuffled population
+    (_SweepKernel.sweep).  A snapshot recomputes the potential's time
+    part only when x1 has changed.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -170,11 +172,8 @@ def run(
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
     kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
-    kept = None
-    if rng is None:  # the bonuses never change, so neither does the zero-bonus tail
-        nonzero = np.flatnonzero(bonus)
-        tail = int(nonzero[-1]) + 1 if len(nonzero) else 0
-        kept = (*kernel.summarize(on1, bonus, 0, tail), tail)
+    nonzero = np.flatnonzero(bonus)  # the bonuses never change, so neither does the tail
+    tail = int(nonzero[-1]) + 1 if len(nonzero) else 0
     times1, times2 = kernel.times1, kernel.times2
     # views of on1, which the sweeps update in place
     on1_d, on1_o, bonus_d = on1[:n_dwpt], on1[n_dwpt:], bonus[:n_dwpt]
@@ -186,20 +185,19 @@ def run(
         nonlocal x1_seen, time_part
         x1_d, x1_o = int(np.count_nonzero(on1_d)), int(np.count_nonzero(on1_o))
         x1 = x1_d + x1_o
-        try:
-            if x1 != x1_seen:  # the time part depends on x1 alone
-                x1_seen = x1
-                time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1)
-                if not math.isfinite(time_part):  # vot times the sums, a float product
-                    raise OverflowError(
-                        f"potential at round {round_index}, N {n}: the time part overflows "
-                        f"at link-1 flow {x1} (vot {prefs.vot})"
-                    )
-            bonus_part = float(bonus_d[on1_d].sum())
-        except FloatingPointError as exc:
-            raise FloatingPointError(
+        if x1 != x1_seen:  # the time part depends on x1 alone
+            x1_seen = x1
+            time_part = rosenthal_potential(times1, times2, prefs.vot, x1, n - x1)
+            if not math.isfinite(time_part):
+                raise OverflowError(
+                    f"potential at round {round_index}, N {n}: the time part overflows "
+                    f"at link-1 flow {x1} (vot {prefs.vot})"
+                )
+        bonus_part = float(bonus_d[on1_d].sum())
+        if not math.isfinite(bonus_part):
+            raise OverflowError(
                 f"potential at round {round_index}, N {n}: a sum overflows at link-1 flow {x1}"
-            ) from exc
+            )
         phi = time_part - bonus_part
         snapshots.append(
             RoundSnapshot(
@@ -208,11 +206,15 @@ def run(
         )
         return phi, time_part + abs(bonus_part)
 
-    with np.errstate(over="raise"):  # a sum that overflows raises
+    # a sum that overflows is inf (or nan), as Python's float arithmetic
+    # gives it, and fails the checks below by name
+    with np.errstate(over="ignore", invalid="ignore"):
         phi, size = snapshot(0, 0)
         for round_index in range(1, max_rounds + 1):
-            order = rng.permutation(n) if rng is not None else None
-            switches, gain_sum = kernel.sweep(on1, bonus, order, kept)
+            if rng is None:
+                switches, gain_sum = kernel.sweep_sorted(on1, bonus, tail, x1_seen)
+            else:
+                switches, gain_sum = kernel.sweep(on1, bonus, rng.permutation(n))
             phi_next, size_next = snapshot(round_index, switches)
             drop = phi - phi_next
             if not (math.isfinite(drop) and math.isfinite(gain_sum)):
@@ -283,32 +285,24 @@ class _SweepKernel:
     Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus
     (Population.bonus).  Between switches every gain depends on (x1, x2)
     alone, and fl(gap - b) falls and fl(b - gap) rises with the bonus b.
-    So a sweep skips a block of BLOCK agents when neither its smallest
-    link-1 bonus nor its largest link-2 bonus would move at the current
-    flows (the block's skip summaries, summarize).  The other blocks are
-    scanned agent by agent, and a switch reads only the new end of the
-    gap.  Where that scan has just moved every agent of a block, and the
-    next block's first agent moves too, the switchers come in a long
-    run, so the sweep takes the run in one vectorized step per doubling
-    window (_run): a cumsum of the +-1 moves gives the flows each agent
-    would see.  Isolated switchers, as in a congested or late round,
-    never pay for a window.  Gains are written as the per-agent rule
-    writes them, from the travel-time differences gap over every link-1
-    flow, so every decision, the switch order and the summed gains are
-    the scalar rule's.  Summaries passed in by the caller are kept
-    across sweeps: a sweep rebuilds them only over the blocks from its
-    first switch to its last.
+    Gains are written as the per-agent rule writes them, from the
+    travel-time differences gap over every link-1 flow, and summed in
+    visiting order, so every decision, the switch order and the summed
+    gains are the scalar rule's, in either kind of sweep.
 
-    The caller that keeps summaries (run, in index order) keeps them
-    only for the agents before the zero-bonus tail: those after the last
-    non-zero bonus, the OTHER-Vs and any DWPT-EV whose bonus is exactly
-    0.  Each of them gains exactly the gap at its flows, so the tail
-    moves one way in a sweep: its first link-1 agents leave, one per
-    flow x1, x1 - 1, ... while the gap there exceeds INDIFFERENCE_EPS,
-    or its first link-2 agents join while the gap at the flow they
-    reach is below -INDIFFERENCE_EPS.  A sweep moves the tail last, in
-    closed form (_tail): one searchsorted on the gap, which never falls
-    with the flow, gives the count.
+    A sweep in index order of a population whose DWPT-EVs ascend in SoC,
+    as run's does, is closed form (sweep_sorted): their bonuses never
+    rise with the index.  Otherwise, in random order and in step
+    (sweep), a block of BLOCK agents is skipped when neither its smallest link-1 bonus nor its
+    largest link-2 bonus would move at the current flows (the block's
+    skip summaries, summarize).  The other blocks are scanned agent by
+    agent, and a switch reads only the new end of the gap.  Where that
+    scan has just moved every agent of a block, and the next block's
+    first agent moves too, the switchers come in a long run, so the sweep
+    takes the run in one vectorized step per doubling window (_run): a
+    cumsum of the +-1 moves gives the flows each agent would see.
+    Isolated switchers, as in a congested or late round, never pay for a
+    window.
 
     The kernel builds each link's travel times at flows 0..n once
     (times1, times2; one table serves both twin links), and gap from
@@ -318,7 +312,9 @@ class _SweepKernel:
     FloatingPointError (an ArithmeticError, as bpr_time's OverflowError
     is), naming the table and its inputs, when the kernel is built.  So
     the oracle, which calls bpr_time, sees the same times and gains and
-    fails on the same overflows.
+    fails on the same overflows.  Each gap is finite between the ends,
+    and the gap never falls with the flow, which the closed forms and the
+    oracle's bisections rest on.
     """
 
     BLOCK = 64
@@ -344,44 +340,29 @@ class _SweepKernel:
                     f"kernel tables, N {n}: vot {vot} times a link time difference overflows"
                 ) from exc
 
-    def summarize(self, link1_of, bonus_of, lo=0, hi=None) -> tuple[list, list]:
-        """Skip summaries of the blocks of agents lo..hi (lo a multiple of
-        BLOCK): each block's smallest link-1 bonus (inf if none) and
-        largest link-2 bonus (-inf if none), as two lists."""
-        on, b = link1_of[lo:hi], bonus_of[lo:hi]
-        starts = np.arange(0, len(on), self.BLOCK)
+    def summarize(self, link1_of, bonus_of) -> tuple[list, list]:
+        """Skip summaries of the blocks of agents: each block's smallest
+        link-1 bonus (inf if none) and largest link-2 bonus (-inf if
+        none), as two lists."""
+        starts = np.arange(0, len(link1_of), self.BLOCK)
         return (
-            np.minimum.reduceat(np.where(on, b, np.inf), starts).tolist(),
-            np.maximum.reduceat(np.where(on, -np.inf, b), starts).tolist(),
+            np.minimum.reduceat(np.where(link1_of, bonus_of, np.inf), starts).tolist(),
+            np.maximum.reduceat(np.where(link1_of, -np.inf, bonus_of), starts).tolist(),
         )
 
-    def sweep(
-        self, on1: np.ndarray, bonus: np.ndarray, order=None, kept=None
-    ) -> tuple[int, float]:
+    def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
         """Visit every agent once in order (default: by index), moving
-        each improving one at once; on1 is updated in place.  Returns
-        (switch count, summed gains).
-
-        kept, for an index-order sweep only, is the caller's
-        (low1, high2, tail): tail is the index after the last non-zero
-        bonus, and low1 and high2 the summarize of on1 and bonus before
-        it, which the sweep reads and brings up to date.  The agents from
-        tail on move in closed form (_tail).  Without kept the sweep
-        summarizes every agent in its order."""
-        if kept is None:
-            link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
-            low1, high2 = self.summarize(link1_of, bonus_of)
-            tail = self.n
-        else:
-            low1, high2, tail = kept
-            link1_of, bonus_of = on1[:tail], bonus[:tail]  # views, so the scan moves on1
-        n, size, gap, eps = tail, self.BLOCK, self.gap, INDIFFERENCE_EPS
+        each improving one at once, by the block scan; on1 is updated in
+        place.  Returns (switch count, summed gains)."""
+        link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
+        low1, high2 = self.summarize(link1_of, bonus_of)
+        n, size, gap, eps = self.n, self.BLOCK, self.gap, INDIFFERENCE_EPS
         # a block moves nobody at the current flows unless its smallest
         # link-1 bonus or its largest link-2 bonus moves
         blocks = len(low1)
         x1 = int(np.count_nonzero(on1))
         g1, g2 = gap.item(x1), gap.item(x1 + 1)
-        pos, switches, gain_sum, first, last = 0, 0, 0.0, n, 0
+        pos, switches, gain_sum = 0, 0, 0.0
         streak_end = -1  # the end of the last block whose every agent the scan moved
         while pos < n:
             block = pos // size
@@ -395,7 +376,6 @@ class _SweepKernel:
             ons, bs = link1_of[pos:end].tolist(), bonus_of[pos:end].tolist()
             if pos == streak_end and (g1 - bs[0] if ons[0] else bs[0] - g2) > eps:
                 taken, x1, gain_sum = self._run(link1_of, bonus_of, pos, x1, gain_sum)
-                first, last = min(first, pos), pos + taken - 1
                 pos += taken
                 switches += taken
                 g1, g2 = gap.item(x1), gap.item(x1 + 1)
@@ -410,21 +390,90 @@ class _SweepKernel:
                     g1, g2 = (gap.item(x1), g1) if on else (g2, gap.item(x1 + 1))
                     switches += 1
                     gain_sum += gain
-            if switches > before:  # summaries are rebuilt by whole block
-                first, last = min(first, pos), end - 1
             if switches - before == end - pos:
                 streak_end = end
             pos = end
         if order is not None:
             on1[order] = link1_of
-        elif kept is not None:
-            if switches:
-                lo, hi = first // size, last // size + 1
-                low1[lo:hi], high2[lo:hi] = self.summarize(link1_of, bonus_of, lo * size, hi * size)
-            if tail < self.n:
-                taken, gain_sum = self._tail(on1, tail, x1, gain_sum)
-                switches += taken
         return switches, gain_sum
+
+    def sweep_sorted(
+        self, on1: np.ndarray, bonus: np.ndarray, tail: int, x1: int
+    ) -> tuple[int, float]:
+        """sweep in index order, at link-1 flow x1, where the bonuses of
+        the agents before tail never rise with the index and those from
+        tail on are 0: one vectorized join pass and one vectorized leave
+        pass over the agents before tail, then _tail.
+
+        At fixed flows a link-2 agent of bonus b joins iff
+        fl(b - gap[x1 + 1]) > eps and a link-1 agent leaves iff
+        fl(gap[x1] - b) > eps; the gap never falls with the flow.  A leave
+        at flow y means gap[y] > b, so no later agent, of a smaller bonus,
+        joins at flow y - 1 or below: every join comes before every leave.
+        The joiners are the first k link-2 agents, the j-th at flow
+        x1 + j, while fl(b - gap[x1 + j + 1]) > eps (it falls with j), and
+        nobody before the last of them leaves; they are found in windows
+        that double from 2 * BLOCK agents.  After it, at flow x = x1 + k,
+        the m-th link-1 agent leaves iff fewer than h(m) agents left
+        before it, where h(m) = x + 1 - y*(m) and y*(m) is the least flow
+        that it leaves at (_leave_flows).  h never falls, so the leaves
+        among the first m candidates are
+        min(m, min over j <= m of h(j) + m - j): one running minimum.
+        Gains are summed in visiting order by a cumsum.  Returns
+        (switch count, summed gains); on1 is updated in place."""
+        gap, eps = self.gap, INDIFFERENCE_EPS
+        head, b = on1[:tail], bonus[:tail]
+        gains, x, start = [], x1, 0
+        first = int(head.argmin()) if tail else 0  # the first link-2 agent
+        if tail and not head[first] and b.item(first) - gap.item(x1 + 1) > eps:
+            pos, width = first, 2 * self.BLOCK
+            while True:
+                ids = (~head[pos : pos + width]).nonzero()[0] + pos
+                gain = b[ids] - gap[x + 1 : x + 1 + len(ids)]
+                k = int(np.count_nonzero(gain > eps))  # a leading run, as the gain falls
+                head[ids[:k]] = True
+                gains.append(gain[:k])
+                x += k
+                if k:
+                    start = int(ids[k - 1]) + 1
+                if k < len(ids) or pos + width >= tail:
+                    break
+                pos, width = pos + width, 2 * width
+        stay = head[start:].nonzero()[0]  # link-1 agents after the last joiner
+        if len(stay) and gap.item(x) - b.item(start + stay[-1]) > eps:  # the smallest bonus leaves
+            stay += start
+            b_stay = b[stay]
+            m0 = int((gap.item(x) - b_stay > eps).argmax())  # none before it leaves at any flow
+            stay, b_stay = stay[m0:], b_stay[m0:]
+            h = x + 1 - self._leave_flows(b_stay)
+            m = np.arange(1, len(h) + 1)
+            left = m + np.minimum(np.minimum.accumulate(h - m), 0)  # leaves among the first m
+            leaving = np.diff(left, prepend=0) > 0
+            head[stay[leaving]] = False
+            gains.append(gap[x + 1 - left[leaving]] - b_stay[leaving])
+            x -= int(left[-1])
+        if tail < self.n:
+            gains.append(self._tail(on1, tail, x))
+        switches = sum(map(len, gains))
+        # a cumsum adds the gains in order, as the scalar rule does
+        gain_sum = float(np.concatenate(gains).cumsum()[-1]) if switches else 0.0
+        return switches, gain_sum
+
+    def _leave_flows(self, b: np.ndarray) -> np.ndarray:
+        """The least link-1 flow y at which a link-1 agent of each bonus
+        in b leaves, fl(gap[y] - b) > eps, which holds for every flow
+        from it on.  A searchsorted of b + eps on the gap, then corrected
+        against that predicate across whole runs of equal gap values,
+        which share it."""
+        gap, eps = self.gap, INDIFFERENCE_EPS
+        y = gap.searchsorted(b + eps, side="right")
+        while True:
+            down = gap[y - 1] - b > eps  # the flow below moves the agent too
+            up = ~(gap[y] - b > eps)  # this flow does not
+            if not (down.any() or up.any()):
+                return y
+            y = np.where(down, gap.searchsorted(gap[y - 1]), y)
+            y = np.where(up, gap.searchsorted(gap[y], side="right"), y)
 
     def _run(self, link1_of, bonus_of, pos, x1, gain_sum):
         """Move the run of consecutive switchers that starts at pos, in
@@ -450,7 +499,7 @@ class _SweepKernel:
                 return pos - start, x1, gain_sum
             width *= 2
 
-    def _tail(self, on1, start, x1, gain_sum):
+    def _tail(self, on1, start, x1):
         """Sweep the agents from start on, whose bonuses are all 0, at
         link-1 flow x1.  Each gains exactly the gap (fl(g - 0) = g), and
         the gap never falls with the flow.  So while gap[x1] > eps the
@@ -459,30 +508,28 @@ class _SweepKernel:
         x1 + 2, ...; never both, since a leave at flow y means
         gap[y] > eps.  One searchsorted counts the flows that move
         somebody; the first that many agents of the moving link switch,
-        found in windows that double from the first of them, and a cumsum
-        adds their gains in order.  Returns (switch count, gain_sum)."""
+        found in windows that double from the first of them.  Returns the
+        switchers' gains in visiting order."""
         gap, eps = self.gap, INDIFFERENCE_EPS
         leave = gap.item(x1) > eps
         if leave:
-            k = x1 + 1 - int(np.searchsorted(gap, eps, side="right"))
+            k = x1 + 1 - int(gap.searchsorted(eps, side="right"))
         elif gap.item(x1 + 1) < -eps:
-            k = int(np.searchsorted(gap, -eps)) - 1 - x1
+            k = int(gap.searchsorted(-eps)) - 1 - x1
         else:
-            return 0, gain_sum
+            return gap[:0]
         on_tail = on1[start:]
         pos = int(on_tail.argmax() if leave else on_tail.argmin())  # the first to move
         if on_tail.item(pos) != leave:  # nobody of the tail is on the moving link
-            return 0, gain_sum
+            return gap[:0]
         taken, width = 0, 2 * k
         while taken < k and pos < len(on_tail):
             window = on_tail[pos : pos + width]
-            movers = np.flatnonzero(window if leave else ~window)[: k - taken]
+            movers = (window if leave else ~window).nonzero()[0][: k - taken]
             window[movers] = not leave
             taken += len(movers)
             pos, width = pos + width, 2 * width
-        gain = gap[x1 : x1 - taken : -1].copy() if leave else -gap[x1 + 1 : x1 + 1 + taken]
-        gain[0] += gain_sum
-        return taken, float(np.cumsum(gain)[-1])
+        return gap[x1 : x1 - taken : -1] if leave else -gap[x1 + 1 : x1 + 1 + taken]
 
 
 class AgentState(NamedTuple):
@@ -498,10 +545,12 @@ class AgentState(NamedTuple):
 class Population:
     """Discrete vehicles as arrays, DWPT-EVs first, then OTHER-Vs.
 
-    soc holds the DWPT-EVs' states of charge, each in (0,1) as the
-    DiscreteAgents pool they come from checks; on_link1 marks every vehicle
-    on the ERS link, and sweeps update it in place.  Iterating yields one
-    AgentState view per vehicle.
+    soc holds the DWPT-EVs' states of charge in ascending order, as the
+    DiscreteAgents pool they come from holds them, each in (0,1) as that
+    pool checks; a SoC below the one before it raises ValueError, since
+    run's sequential sweeps rest on the order.  on_link1 marks every
+    vehicle on the ERS link, and sweeps update it in place.  Iterating
+    yields one AgentState view per vehicle.
     """
 
     soc: np.ndarray
@@ -514,6 +563,12 @@ class Population:
             raise ValueError(f"on_link1 must be a bool mask, got {self.on_link1.dtype}")
         if len(self.on_link1) < len(self.soc):
             raise ValueError(f"{len(self.on_link1)} links are fewer than {len(self.soc)} SoCs")
+        ascending = self.soc[1:] >= self.soc[:-1]
+        if not ascending.all():
+            i = int(ascending.argmin())
+            raise ValueError(
+                f"SoCs must ascend: SoC {self.soc[i + 1]} at {i + 1} follows {self.soc[i]}"
+            )
 
     def __len__(self) -> int:
         return len(self.on_link1)

@@ -108,12 +108,16 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     of the ends, and each later one a Newton step, or the midpoint of the
     sign bracket when the step would leave it or the slope is not in
     (0, inf); the root is the first iterate within
-    xtol = ROOT_TOL_FACTOR*n_total of the one before.  Each point is
-    evaluated once, and each value must lie between the end values,
-    which guards against a mis-specified map; a nan value, such as
-    inf - inf from times that overflow without raising, raises
-    OverflowError instead.  Either error names the map (what) and N, as
-    "balanced flow, N 1000.0: ...".
+    xtol = ROOT_TOL_FACTOR*n_total of the one before.  Where MAX_ITER
+    Newton steps do not get there, as on the side of a steep map (a high
+    BPR power) where each step closes only a sliver of the distance, up
+    to MAX_ITER bisections close the sign bracket down to two adjacent
+    doubles and return the one where the map is nearer zero.  Each
+    point of the Newton steps is evaluated once, and each value
+    must lie between the end values, which guards against a mis-specified
+    map; a nan value, such as inf - inf from times that overflow without
+    raising, raises OverflowError instead.  Either error names the map
+    (what) and N, as "balanced flow, N 1000.0: ...".
     """
     g_lo = g(lo)[0]
     if g_lo >= 0.0:
@@ -130,12 +134,7 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     for _ in range(MAX_ITER):
         value, slope = g(x)
         if not g_lo - slack <= value <= g_hi + slack:
-            if math.isnan(value):
-                raise OverflowError(f"{what}, N {n_total}: the map is nan at {x}")
-            raise ConvergenceError(
-                f"{what}, N {n_total}: map is not monotone on the bracket [{lo}, {hi}] "
-                f"({value} at {x})"
-            )
+            raise _off_the_ends(what, n_total, lo, hi, x, value)
         if value < 0.0:
             a = x
         else:
@@ -146,9 +145,29 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
         if -xtol <= step - x <= xtol or not a < step < b:
             return step
         x = step
+    for _ in range(MAX_ITER):
+        x = 0.5 * (a + b)
+        if not a < x < b:  # a and b are adjacent doubles
+            return b if g(b)[0] <= -g(a)[0] else a
+        value = g(x)[0]
+        if not g_lo - slack <= value <= g_hi + slack:
+            raise _off_the_ends(what, n_total, lo, hi, x, value)
+        if value < 0.0:
+            a = x
+        else:
+            b = x
     raise ConvergenceError(
         f"{what}, N {n_total}: no convergence to xtol={xtol} after {MAX_ITER} iterations "
-        f"(bracket [{a}, {b}], residual {value})"
+        f"(bracket [{a}, {b}], residual {value}) and {MAX_ITER} bisections"
+    )
+
+
+def _off_the_ends(what, n_total, lo, hi, x, value) -> ArithmeticError | ConvergenceError:
+    """The error for a map value outside its end values: nan, or not monotone."""
+    if math.isnan(value):
+        return OverflowError(f"{what}, N {n_total}: the map is nan at {x}")
+    return ConvergenceError(
+        f"{what}, N {n_total}: map is not monotone on the bracket [{lo}, {hi}] ({value} at {x})"
     )
 
 

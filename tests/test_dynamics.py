@@ -43,6 +43,9 @@ class TestPopulation:
             Population(np.array([0.2, 0.5]), np.array([True]))
         with pytest.raises(ValueError, match="bool"):
             Population(np.array([0.5]), np.array([1, 2]))
+        Population(np.array([0.2, 0.2, 0.5]), np.zeros(3, dtype=bool))  # ties ascend
+        with pytest.raises(ValueError, match=r"^SoCs must ascend: SoC 0.2 at 2 follows 0.5$"):
+            Population(np.array([0.1, 0.5, 0.2]), np.zeros(4, dtype=bool))
 
     def test_views_follow_the_mask_after_run(self):
         scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)

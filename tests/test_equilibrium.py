@@ -1,3 +1,4 @@
+import math
 import pickle
 import re
 
@@ -96,6 +97,76 @@ def test_root_iteration_cap(monkeypatch):
         match=r"test, N 0.0: no convergence to xtol=0.0 after 3 iterations \(bracket \[.*\], residual ",
     ):
         _root(cube, 0.0, 1.0, 0.0, "test")
+
+
+def test_root_bisects_where_newton_steps_crawl():
+    """Left of the root of 1e-150 - (1 - x)**50 each Newton step closes
+    about a fiftieth of the distance, so MAX_ITER steps fall short of
+    xtol; bisections then close the sign bracket down to two adjacent
+    doubles, and the root is the one where the map is nearer zero."""
+    args = []
+
+    def steep(x):
+        args.append(x)
+        u = 1.0 - x
+        return 1e-150 - u**50, 50.0 * u**49
+
+    root = _root(steep, 0.0, 1.0, 1.0, "test")
+    assert len(args) > equilibrium.MAX_ITER
+    value = abs(steep(root)[0])
+    for neighbour in (math.nextafter(root, 0.0), math.nextafter(root, 1.0)):
+        assert value <= abs(steep(neighbour)[0])
+    assert root == pytest.approx(1.0 - 1e-3, abs=1e-15)
+
+
+def _steep_scenario(total, beta1, beta2):
+    """The bundled scenario on links of free-flow time 1, capacity 1 and
+    alpha 1, with the given BPR powers."""
+    base = table1_scenario()
+    steep = {"free_flow_time": 1.0, "capacity": 1.0, "bpr_alpha": 1.0}
+    link1, link2 = base.network.link1, base.network.link2
+    return replace(
+        base,
+        total_vehicles=float(total),
+        soc=replace(base.soc, mass=base.dwpt_ratio * total),
+        network=Network(
+            replace(link1, bpr_beta=float(beta1), **steep),
+            replace(link2, bpr_beta=float(beta2), **steep),
+        ),
+    )
+
+
+def test_steep_links_solve_past_the_newton_iterations():
+    """The bundled scenario with link 2 at power 50 (free-flow time 1,
+    capacity 1, alpha 1 on both links): the balanced flow's Newton steps
+    crawl, so solve raised `no convergence ... after 200 iterations`;
+    the bisections that follow give a verified equilibrium."""
+    scn = _steep_scenario(1000.0, 4.0, 50.0)
+    result, _ = solve(scn)
+    assert verify_equilibrium(scn, result) == []
+    assert result.x1 == pytest.approx(998.2624, abs=1e-4)
+
+
+def test_steep_link_grid_solves_or_names_an_overflow():
+    """Over a grid of N 2-1 000 and each link's power 1-1 000 (free-flow
+    time 1, capacity 1, alpha 1), solve returns a verified equilibrium or
+    raises a named overflow, and the system optimum is found: no
+    ConvergenceError (35 cells of solve and 130 of the optimum raised one
+    before the bisections)."""
+    overflows = 0
+    for total in np.geomspace(2.0, 1000.0, 7):
+        for beta1 in np.geomspace(1.0, 1000.0, 7):
+            for beta2 in np.geomspace(1.0, 1000.0, 7):
+                scn = _steep_scenario(total, beta1, beta2)
+                try:
+                    result, _ = solve(scn)
+                except ArithmeticError as exc:
+                    assert f", N {scn.total_vehicles}: " in str(exc), exc
+                    overflows += 1
+                else:
+                    assert verify_equilibrium(scn, result) == [], (total, beta1, beta2)
+                min_total_travel_time(scn.network, scn.total_vehicles)
+    assert overflows < 7**3 / 2
 
 
 # a Network of its own, which no other test solves on, so _balanced builds it

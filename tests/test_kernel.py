@@ -284,6 +284,32 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
     assert [a.current_link for a in agents] == links
 
 
+def _sorted_sweeps(scn, population):
+    """Run a copy of the population in sequential order, checking each
+    sweep_sorted against the block scan on a copy of the mask: the same
+    switches, summed gains and mask.  Before each, the agents before the
+    tail have bonuses that never rise with the index, the last of them
+    non-zero, and those from the tail on have bonus 0.  Returns the
+    (before, after) masks of the agents before the tail in each sweep."""
+    sorted_sweep, moves = _SweepKernel.sweep_sorted, []
+
+    def checked(kernel, on1, bonus, tail, x1):
+        assert (np.diff(bonus[:tail]) <= 0.0).all() and bonus[:tail][-1:].all()
+        assert not bonus[tail:].any() and x1 == np.count_nonzero(on1)
+        before, scanned = on1.copy(), on1.copy()
+        result = sorted_sweep(kernel, on1, bonus, tail, x1)
+        assert result == kernel.sweep(scanned, bonus)
+        assert (on1 == scanned).all()
+        moves.append((before[:tail], on1[:tail].copy()))
+        return result
+
+    agents = Population(population.soc, population.on_link1.copy())
+    with mock.patch.object(_SweepKernel, "sweep_sorted", checked):
+        traj = run(agents, scn.network, scn.prefs, scn.toll)
+    assert len(moves) == traj.terminal_round
+    return moves
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scn=scenarios(max_agents=60),
@@ -291,25 +317,12 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
     seed=st.integers(0, 2**16),
     block=BLOCKS,
 )
-def test_kept_summaries_match_the_mask_after_every_sweep(scn, initial, seed, block):
-    """The skip summaries that run keeps across its index-order sweeps
-    equal, after every sweep, a summary built from scratch of the agents
-    before the zero-bonus tail, which starts after the last non-zero
-    bonus."""
-    sweep, sweeps = _SweepKernel.sweep, []
-
-    def checked_sweep(kernel, on1, bonus, order=None, kept=None):
-        result = sweep(kernel, on1, bonus, order, kept)
-        low1, high2, tail = kept
-        assert bonus[:tail][-1:].all() and not bonus[tail:].any()
-        assert (low1, high2) == kernel.summarize(on1[:tail], bonus[:tail])
-        sweeps.append(result)
-        return result
-
-    agents = agents_from_scenario(scn, initial=initial, seed=seed)
-    with block_size(block), mock.patch.object(_SweepKernel, "sweep", checked_sweep):
-        traj = run(agents, scn.network, scn.prefs, scn.toll, max_rounds=500)
-    assert len(sweeps) == traj.terminal_round
+def test_sorted_sweeps_split_at_the_zero_bonus_tail(scn, initial, seed, block):
+    """Every sequential sweep splits the population after the last
+    non-zero bonus, with bonuses that never rise before it and are 0
+    from it on, and moves it as the block scan does."""
+    with block_size(block):
+        _sorted_sweeps(scn, agents_from_scenario(scn, initial=initial, seed=seed))
 
 
 def tied_at_bonus_zero(scale, zero_soc=0.5):
@@ -365,8 +378,118 @@ def _assert_runs_match_reference(scn, populations, seed=3):
             assert [1 if on else 2 for on in agents.on_link1.tolist()] == links
 
 
+def _stalled_leaves(before, after):
+    """Whether a link-1 agent stayed between two that left."""
+    left = np.flatnonzero(before & ~after)
+    return len(left) > 1 and bool((before & after)[left[0] : left[-1]].any())
+
+
+# Each case: a scenario, its starts (initial assignments or link-1 masks),
+# and what one of its sweeps must show, from the (before, after) masks of
+# the agents before the tail.
+SORTED_CASES = {
+    # groups of tied SoCs, so runs of equal bonuses
+    "soc-ties": (
+        discrete_scenario([0.2] * 40 + [0.5] * 80 + [0.8] * 40, 160),
+        INITIAL_STATES,
+        lambda before, after: (before != after).any(),
+    ),
+    # capacity far above N: every low-flow time is the free-flow time, so
+    # the gap holds runs of equal values, and near-zero bonuses
+    "equal-gap-runs": (
+        discrete_scenario(
+            np.linspace(0.3, 0.7, 100), 200, toll=FixedToll(100.0),
+            network=Network(replace(ERS_LINK, capacity=1e5), replace(PLAIN_LINK, capacity=1e5)),
+        ),
+        INITIAL_STATES,
+        lambda before, after: (before != after).any(),
+    ),
+    # from the alternating start the high bonuses join and the low leave
+    "joins-and-leaves": (
+        discrete_scenario(np.linspace(0.1, 0.9, 200), 100),
+        ("balanced",),
+        lambda before, after: (after & ~before).any() and (before & ~after).any(),
+    ),
+    # two tied groups on link 1, the OTHER-Vs on link 2: the first group
+    # leaves until the gap, about 5 JPY a vehicle, falls to its bonus -75,
+    # the rest of it stays, and the second leaves on to its bonus -88.9
+    "stalled-leaves": (
+        discrete_scenario(
+            [0.8] * 50 + [0.9] * 50, 100,
+            network=Network(replace(ERS_LINK, capacity=105.0), replace(PLAIN_LINK, capacity=105.0)),
+        ),
+        (np.arange(200) < 100,),
+        _stalled_leaves,
+    ),
+    # hundreds of joiners from all on link 2, more than the first window
+    "long-join-pass": (
+        discrete_scenario(np.linspace(0.05, 0.95, 600), 100),
+        ("all_link2",),
+        lambda before, after: np.count_nonzero(after & ~before) > 2 * _SweepKernel.BLOCK,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SORTED_CASES)
+def test_sorted_sweep_cases(case):
+    """The two passes match the block scan sweep by sweep and the
+    per-agent reference round by round, on the case it is built for."""
+    scn, initials, shows = SORTED_CASES[case]
+    populations = [
+        agents_from_scenario(scn, initial, 3) if isinstance(initial, str)
+        else Population(scn.soc.soc_values, initial)
+        for initial in initials
+    ]
+    _assert_runs_match_reference(scn, populations)
+    sweeps = [sweep for population in populations for sweep in _sorted_sweeps(scn, population)]
+    assert any(shows(before, after) for before, after in sweeps)
+
+
+@pytest.mark.parametrize("capacity", [500.0, 1e5, 1e9])
+def test_leave_flows_are_the_least_moving_flows(capacity):
+    """_leave_flows against every flow: for bonuses at, and a few
+    rounding steps around, each gap value less and plus the indifference
+    margin, the least flow y with fl(gap[y] - b) > eps.  At large
+    capacities the gap holds runs of equal values."""
+    link = replace(PLAIN_LINK, capacity=capacity)
+    kernel = _SweepKernel(link, link, 50.0, 300)
+    gap = kernel.gap
+    inner = np.unique(gap[1:-1])
+    edges = np.concatenate([inner, inner - INDIFFERENCE_EPS, inner + INDIFFERENCE_EPS])
+    bonuses = np.concatenate([
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        np.nextafter(np.nextafter(edges, np.inf), np.inf), [0.0, -1e300, 1e300],
+    ])
+    expected = (gap[None, :] - bonuses[:, None] > INDIFFERENCE_EPS).argmax(axis=1)
+    assert kernel._leave_flows(bonuses).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("moving", ["join", "leave"])
+def test_an_overflowing_gain_sum_is_a_named_potential_failure(moving):
+    """20 DWPT-EVs at bonus 1e307 and 20 at -1e307: in the first sweep
+    the first group joins from link 2, or the second leaves link 1, and
+    the passes' summed gains overflow to inf, which run reports as a
+    potential failure of round 1 that names N, with no warning."""
+    scn = discrete_scenario([0.1] * 20 + [0.9] * 20, 10, voe=2.25e306, toll=FixedToll(1.025e307))
+    on1 = np.full(50, moving == "leave")
+    sorted_sweep, sums = _SweepKernel.sweep_sorted, []
+
+    def recorded(kernel, *args):
+        result = sorted_sweep(kernel, *args)
+        sums.append(result[1])
+        return result
+
+    agents = Population(scn.soc.soc_values, on1)
+    with warnings.catch_warnings(), mock.patch.object(_SweepKernel, "sweep_sorted", recorded):
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^potential at round 1, N 50: "):
+            run(agents, scn.network, scn.prefs, scn.toll)
+    assert sums == [np.inf]
+
+
 def _runs_per_round(scn, initial):
-    """(vectorized runs taken, switches) of each sequential round."""
+    """(vectorized runs taken, switches) of each round in random order,
+    the order that sweeps by the block scan."""
     sweep, rounds = _SweepKernel.sweep, []
     with mock.patch.object(
         _SweepKernel, "_run", autospec=True, side_effect=_SweepKernel._run
@@ -378,7 +501,8 @@ def _runs_per_round(scn, initial):
             return result
 
         with mock.patch.object(_SweepKernel, "sweep", counted):
-            run(agents_from_scenario(scn, initial, 3), scn.network, scn.prefs, scn.toll)
+            run(agents_from_scenario(scn, initial, 3), scn.network, scn.prefs, scn.toll,
+                order_policy="random", seed=3)
     return rounds
 
 
@@ -389,8 +513,10 @@ def test_long_runs_and_sparse_switchers():
     and the benchmark's congested regime (capacity N/3 on both links, a
     random start), where many rounds each move a few agents spread over
     the whole population.  Either path gives the same flows, so the
-    path choice is checked apart: the first round from all on link 2
-    takes a vectorized run, and the late congested rounds take none."""
+    path choice is checked apart, in random order, the one that sweeps
+    by the block scan: the first round from all on link 2 takes a
+    vectorized run, and the congested rounds, whose switchers the
+    shuffle scatters, take none."""
     socs = np.linspace(0.05, 0.95, 600)
     base = LinkParams(10.0, 1000.0, has_ers=True, ers_power_kw=30.0)
     differing = discrete_scenario(
@@ -402,9 +528,9 @@ def test_long_runs_and_sparse_switchers():
         _assert_runs_match_reference(scn, [agents_from_scenario(scn, i, 3) for i in initials])
         assert_oracle_is_a_potential_minimum(scn)
     assert _runs_per_round(differing, "all_link2")[0][0] >= 1
-    late = _runs_per_round(congested, "random")[5:]
-    assert late and all(moved for _, moved in late[:-1])  # a few isolated switchers each
-    assert [runs for runs, _ in late] == [0] * len(late)
+    scattered = _runs_per_round(congested, "random")
+    assert scattered[0][1] > 0  # hundreds of switchers that the shuffle scatters
+    assert [runs for runs, _ in scattered] == [0] * len(scattered)
 
 
 @pytest.mark.parametrize(
@@ -429,10 +555,10 @@ def _tail_switches(scn, population):
     Trajectory."""
     tail_sweep, taken = _SweepKernel._tail, []
 
-    def counted(kernel, on1, start, x1, gain_sum):
-        result = tail_sweep(kernel, on1, start, x1, gain_sum)
-        taken.append((start, result[0]))
-        return result
+    def counted(kernel, on1, start, x1):
+        gains = tail_sweep(kernel, on1, start, x1)
+        taken.append((start, len(gains)))
+        return gains
 
     agents = Population(population.soc, population.on_link1.copy())
     with mock.patch.object(_SweepKernel, "_tail", counted):
