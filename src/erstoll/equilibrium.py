@@ -380,13 +380,11 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
     link 1 and the negative from link 2, a DWPT-EV that less its link-1
     bonus).  Tolerances: masses VERIFY_MASS_TOL_FACTOR*N, stored times
     max(VERIFY_TIME_TOL, VERIFY_REL_TOL*max(t1, t2)) minutes, and money
-    INDIFFERENCE_EPS + VERIFY_REL_TOL*(toll + vot*(t1 + t2)) JPY.
-
-    A flow is known only to the root's resolution, VERIFY_REL_TOL*N
-    vehicles, so a result passes if it is an exact equilibrium of flows
-    within that resolution: the DWPT check adds to money_tol what moving
-    each link's flow by it moves vot*(t1 - t2) by,
-    vot*(dt1/dx + dt2/dx)*VERIFY_REL_TOL*N.
+    VERIFY_REL_TOL*(toll + vot*(t1 + t2)) + INDIFFERENCE_EPS JPY for the
+    rounding of the recomputed times and money, plus the flow resolution
+    vot*(dt1/dx + dt2/dx)*ROOT_TOL_FACTOR*N: a result passes if it is an
+    exact equilibrium of flows within the root's step, ROOT_TOL_FACTOR*N.
+    money_tol is inf, so no gain is flagged, where a link's slope overflows.
     """
     mass_tol = VERIFY_MASS_TOL_FACTOR * scenario.total_vehicles
     problems: list[str] = []
@@ -411,19 +409,19 @@ def verify_equilibrium(scenario: Scenario, result: EquilibriumResult) -> list[st
         problems.append("stored travel times do not match BPR at stored flows")
 
     prefs, price = scenario.prefs, scenario.toll.dwpt_link1_charge
+    slopes = _bpr_slope(link1, result.x1, t1) + _bpr_slope(link2, result.x2, t2)
     money_tol = VERIFY_REL_TOL * (price + prefs.vot * (t1 + t2)) + INDIFFERENCE_EPS
+    money_tol += prefs.vot * slopes * ROOT_TOL_FACTOR * scenario.total_vehicles
     gain1 = prefs.vot * (t1 - t2)  # an OTHER-V's gain from leaving link 1
     for link, mass, gain in ((1, result.x1_o, gain1), (2, result.x2_o, -gain1)):
         if mass > mass_tol and gain > money_tol:
             problems.append(f"OTHER on link {link} would gain {gain} JPY by leaving it")
 
     # DWPT-EVs: on link 1 if the charging value beats toll + vot*(t1 - t2)
-    # by more than dwpt_tol, on link 2 if it falls short by more than that.
-    slopes = _bpr_slope(link1, result.x1, t1) + _bpr_slope(link2, result.x2, t2)
-    dwpt_tol = money_tol + prefs.vot * slopes * VERIFY_REL_TOL * scenario.total_vehicles
-    below = scenario.soc.count_below(threshold_soc(prefs, price + dwpt_tol, t1, t2))
+    # by more than money_tol, on link 2 if it falls short by more than that.
+    below = scenario.soc.count_below(threshold_soc(prefs, price + money_tol, t1, t2))
     at_or_above = scenario.soc.total_mass - scenario.soc.count_below(
-        math.nextafter(threshold_soc(prefs, price - dwpt_tol, t1, t2), math.inf)
+        math.nextafter(threshold_soc(prefs, price - money_tol, t1, t2), math.inf)
     )
     if result.x1_d < below - mass_tol:
         problems.append(

@@ -518,6 +518,9 @@ PINNED_SWEEP_SET = [
 ]
 PINNED_BANDS_HIGH_SHARE = ["bands", "--set", "dwpt_ratio=0.6"]
 PINNED_SIMULATE_RANDOM = ["simulate", "--initial", "random", "--order", "random", "--seed", "3"]
+# At a free toll every bonus is >= 0, so from all on link 2 a random-order
+# sweep switches whole blocks and the kernel moves a run of 436 agents.
+PINNED_SIMULATE_RANDOM_RUN = ["simulate", "--set", "toll.price=0", "--order", "random", "--seed", "3"]
 # Links that differ in every BPR parameter, so x_eq is the balanced-flow
 # root rather than N/2; of the sweep's 78 rows 49 are interior, 19
 # corner_other_on_1 and 10 corner_other_on_2.  The test writes the file.
@@ -556,6 +559,7 @@ PINNED_OUTPUTS = [  # (test id prefix, argv, format, sha256)
     ("sweep-differing", PINNED_SWEEP_DIFFERING, "csv", "851184e4ed3fa6798878a49e3af62616bcae9e8effe9e28d404604a1651d9c92"),
     ("sweep-differing", PINNED_SWEEP_DIFFERING, "structured-text", "66dcf7a3f11b3e42e70b670505a164455e9cfe6edccacab2cab6c4ef812f88be"),
     ("simulate-random", PINNED_SIMULATE_RANDOM, "csv", "763306392af3deb21f374439bba15411eb253dbd890ec58d4391ca8a9a441679"),
+    ("simulate-random-run", PINNED_SIMULATE_RANDOM_RUN, "csv", "f9c6a8034dad3f5e584f99d1e9ef114fb825375d8780339f1c18a711b968a315"),
     ("bands-differing-low-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.2"], "csv", "d7b3a19027c0c9123d2a69bab21e91f7af46199264298557741c591092ae4b5a"),
     ("bands-differing-low-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.2"], "structured-text", "04f0a4a2a72f0b08cceef7fe328593098b49513a42ecfc4230897c4ca28c9b89"),
     ("bands-differing-high-share", [*PINNED_BANDS_DIFFERING, "dwpt_ratio=0.6"], "csv", "4c41ffd11828be93b93d71b064605cece267259a2547cf1776735d381dae14d3"),

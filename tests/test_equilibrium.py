@@ -16,7 +16,7 @@ from conftest import (
     write_scenario,
 )
 from dataclasses import replace
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
@@ -167,6 +167,20 @@ def test_steep_link_grid_solves_or_names_an_overflow():
                     assert verify_equilibrium(scn, result) == [], (total, beta1, beta2)
                 min_total_travel_time(scn.network, scn.total_vehicles)
     assert overflows < 7**3 / 2
+
+
+def _moved_half_a_root_step(scn, result, cell, sign):
+    """result with x1_d or x1_o (cell) moved by sign times half the root's
+    step, ROOT_TOL_FACTOR*N, within its class total, and t1, t2 and
+    s_thres recomputed at the moved flows."""
+    total = scn.n_dwpt if cell == "x1_d" else scn.n_other
+    half_step = 0.5 * ROOT_TOL_FACTOR * scn.total_vehicles
+    x1 = min(max(getattr(result, cell) + sign * half_step, 0.0), total)
+    moved = result._replace(**{cell: x1, f"x2_{cell[-1]}": total - x1})
+    t1 = bpr_time(scn.network.link1, moved.x1)
+    t2 = bpr_time(scn.network.link2, moved.x2)
+    s_thres = threshold_soc(scn.prefs, scn.toll.dwpt_link1_charge, t1, t2)
+    return moved._replace(t1=t1, t2=t2, s_thres=s_thres)
 
 
 # a Network of its own, which no other test solves on, so _balanced builds it
@@ -825,6 +839,65 @@ class TestVerifyEquilibrium:
         [problem] = verify_equilibrium(scn, broken)
         assert problem.startswith("only 0.0 DWPT on link 2 but 99.99")
 
+    def test_a_steep_link_solve_verifies(self):
+        """Link powers 10.6 and 53.9 at N 52: both times are about 5.75e26
+        minutes, so one root step of 5.2e-11 vehicles can move the OTHER-Vs'
+        gain by about 9e18 JPY, against a rounding allowance of 1.5e15.
+        With that allowance alone the OTHER-V check read `OTHER on link 2
+        would gain 1761129682016203.8 JPY by leaving it`."""
+        link1 = LinkParams(
+            0.927246673992291, 0.10572797741897479, bpr_alpha=0.02088436757860127,
+            bpr_beta=10.585362958968092, has_ers=True, ers_power_kw=30.0,
+        )
+        link2 = LinkParams(
+            72.19631696127122, 0.08339908935428815, bpr_alpha=3.308900309714921,
+            bpr_beta=53.85806624789227,
+        )
+        scn = Scenario(
+            total_vehicles=52.0,
+            dwpt_ratio=0.369562830069256,
+            soc=UniformContinuum(0.4471871591000138, 0.5905472255730635, 19.217267163601313),
+            prefs=Preferences(vot=1.3448682744993947, voe=15.323686530717136),
+            toll=FixedToll(239.2973343611371),
+            network=Network(link1, link2),
+        )
+        result, _ = solve(scn)
+        assert result.t1 == pytest.approx(5.75e26, rel=1e-3)
+        assert verify_equilibrium(scn, result) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scn=scenarios(),
+        cell=st.sampled_from(("x1_d", "x1_o")),
+        sign=st.sampled_from((-1.0, 1.0)),
+    )
+    @example(scn=_steep_scenario(1000.0, 4.0, 4.0), cell="x1_o", sign=1.0)
+    def test_flows_half_a_root_step_off_verify(self, scn, cell, sign):
+        """A result is an equilibrium to the root's resolution, so solve's
+        flows moved by half a step, with the times and threshold that
+        follow, still verify.  With the rounding allowance alone, the
+        example (the bundled scenario on links of free-flow time 1,
+        capacity 1 and alpha 1) read `OTHER on link 1 would gain 25.0 JPY
+        by leaving it`.  The domain's powers are at most 8: on steep links
+        a corner root can already sit a whole step off."""
+        result, _ = solve(scn)
+        assert verify_equilibrium(scn, _moved_half_a_root_step(scn, result, cell, sign)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(scn=scenarios(), factor=st.floats(1.01, 1e3))
+    def test_flags_an_other_split_moved_past_the_mass_tolerance(self, scn, factor):
+        """The flow resolution leaves the OTHER-V check strict: x1_o moved
+        by more than the mass tolerance, from the larger side, with x2_o
+        and both times following, is flagged.  The domain's links are
+        neither flat nor overflowing there, so the move opens a real gap."""
+        result, _ = solve(scn)
+        n_other, link1, link2 = scn.n_other, scn.network.link1, scn.network.link2
+        shift = min(factor * VERIFY_MASS_TOL_FACTOR * scn.total_vehicles, 0.5 * n_other)
+        x1_o = result.x1_o + (shift if 2.0 * result.x1_o < n_other else -shift)
+        x2_o = n_other - x1_o
+        t1, t2 = bpr_time(link1, result.x1_d + x1_o), bpr_time(link2, result.x2_d + x2_o)
+        moved = result._replace(x1_o=x1_o, x2_o=x2_o, t1=t1, t2=t2)
+        assert any(p.startswith("OTHER on link") for p in verify_equilibrium(scn, moved))
 
     @settings(max_examples=200, deadline=None)
     @given(scn=scenarios(), factor=st.floats(1.01, 1e3))
