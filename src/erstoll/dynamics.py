@@ -4,10 +4,12 @@ agents.
 The population is arrays (Population): DWPT SoCs in the pool's
 ascending order (DiscreteAgents) and a link-1 mask that sweeps update
 in place, with read-only per-agent AgentState views.  The simulator
-moves agents with one better-response kernel (_SweepKernel) and reports
-the exact Rosenthal potential from the kernel's exact travel-time
-tables: its time part is rosenthal_potential, and run subtracts the
-link-1 bonuses of the vehicles on link 1.  The brute-force oracle at
+moves agents with one better-response kernel (_SweepKernel), which holds
+the link-1 bonuses: a sweep by index is its sorted passes, one in a
+given or random order its block scan.  It reports the exact Rosenthal
+potential from the kernel's exact travel-time tables: its time part is
+rosenthal_potential, and run subtracts the link-1 bonuses of the
+vehicles on link 1.  The brute-force oracle at
 the potential's minimum is equilibrium.brute_force_equilibrium, which
 needs no numpy.
 
@@ -129,12 +131,19 @@ def step(
 ) -> tuple[int, float]:
     """One asynchronous sweep; returns (switch count, summed gains).
 
-    Agents are visited in the given order (default: by index); each
-    improving agent moves immediately, so later agents see updated flows.
-    population.on_link1 is updated in place.
+    Without an order this is one sequential round of run, by index; an
+    order, a permutation of range(N) (else ValueError naming N), is swept
+    as a random round is.  Each improving agent moves at once, so later
+    agents see updated flows; population.on_link1 is updated in place.
     """
-    kernel = _SweepKernel(network.link1, network.link2, prefs.vot, len(population))
-    return kernel.sweep(population.on_link1, population.bonus(prefs, toll), order)
+    n, on1 = len(population), population.on_link1
+    if order is not None:
+        order = np.asarray(order)
+        if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order must be a permutation of range(N), N {n}")
+    kernel = _SweepKernel(network.link1, network.link2, prefs.vot, population.bonus(prefs, toll))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is inf, as in run
+        return kernel.sweep(on1, int(np.count_nonzero(on1)), order)
 
 
 def run(
@@ -155,12 +164,11 @@ def run(
     naming the round, N and the link-1 flow.
     Non-convergence within max_rounds is reported via converged=False.
 
-    In sequential order every sweep is _SweepKernel.sweep_sorted: the
-    DWPT-EVs come in ascending SoC order (Population requires it), so
-    their bonuses never rise with the index, and run finds the zero-bonus
-    tail once, the agents after the last non-zero bonus.  In random order
-    each sweep is the block scan of the shuffled population
-    (_SweepKernel.sweep).  A snapshot recomputes the potential's time
+    Every round is one _SweepKernel.sweep, built once with the run's
+    bonuses: in sequential order the sorted passes, since the DWPT-EVs
+    come in ascending SoC order (Population requires it), so their
+    bonuses never rise with the index; in random order the block scan of
+    a fresh permutation.  A snapshot recomputes the potential's time
     part only when x1 has changed.
     """
     if max_rounds < 1:
@@ -171,9 +179,7 @@ def run(
 
     n, n_dwpt = len(population), len(population.soc)
     on1, bonus = population.on_link1, population.bonus(prefs, toll)
-    kernel = _SweepKernel(network.link1, network.link2, prefs.vot, n)
-    nonzero = np.flatnonzero(bonus)  # the bonuses never change, so neither does the tail
-    tail = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    kernel = _SweepKernel(network.link1, network.link2, prefs.vot, bonus)
     times1, times2 = kernel.times1, kernel.times2
     # views of on1, which the sweeps update in place
     on1_d, on1_o, bonus_d = on1[:n_dwpt], on1[n_dwpt:], bonus[:n_dwpt]
@@ -211,10 +217,8 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         phi, size = snapshot(0, 0)
         for round_index in range(1, max_rounds + 1):
-            if rng is None:
-                switches, gain_sum = kernel.sweep_sorted(on1, bonus, tail, x1_seen)
-            else:
-                switches, gain_sum = kernel.sweep(on1, bonus, rng.permutation(n))
+            order = None if rng is None else rng.permutation(n)
+            switches, gain_sum = kernel.sweep(on1, x1_seen, order)
             phi_next, size_next = snapshot(round_index, switches)
             drop = phi - phi_next
             if not (math.isfinite(drop) and math.isfinite(gain_sum)):
@@ -282,27 +286,27 @@ def _bpr_table(link: LinkParams, name: str, n: int) -> np.ndarray:
 class _SweepKernel:
     """Asynchronous better-response sweeps over a boolean link array.
 
-    Agent i is on link 1 when on1[i]; bonus[i] is its link-1 bonus
-    (Population.bonus).  Between switches every gain depends on (x1, x2)
-    alone, and fl(gap - b) falls and fl(b - gap) rises with the bonus b.
-    Gains are written as the per-agent rule writes them, from the
-    travel-time differences gap over every link-1 flow, and summed in
-    visiting order, so every decision, the switch order and the summed
-    gains are the scalar rule's, in either kind of sweep.
+    Agent i is on link 1 when on1[i]; the kernel holds bonus[i], its
+    link-1 bonus (Population.bonus).  Between switches every gain depends
+    on (x1, x2) alone, and fl(gap - b) falls and fl(b - gap) rises with
+    the bonus b.  Gains are written as the per-agent rule writes them,
+    from the travel-time differences gap over every link-1 flow, and
+    summed in visiting order, so every decision, the switch order and the
+    summed gains are the scalar rule's, in either kind of sweep.
 
-    A sweep in index order of a population whose DWPT-EVs ascend in SoC,
-    as run's does, is closed form (sweep_sorted): their bonuses never
-    rise with the index.  Otherwise, in random order and in step
-    (sweep), a block of BLOCK agents is skipped when neither its smallest link-1 bonus nor its
-    largest link-2 bonus would move at the current flows (the block's
-    skip summaries, summarize).  The other blocks are scanned agent by
-    agent, and a switch reads only the new end of the gap.  Where that
-    scan has just moved every agent of a block, and the next block's
-    first agent moves too, the switchers come in a long run, so the sweep
-    takes the run in one vectorized step per doubling window (_run): a
-    cumsum of the +-1 moves gives the flows each agent would see.
-    Isolated switchers, as in a congested or late round, never pay for a
-    window.
+    A sweep in index order is closed form (sweep_sorted): the DWPT-EVs
+    ascend in SoC (Population requires it), so their bonuses never rise
+    with the index, and the agents from tail on have bonus 0 (_tail).  A
+    sweep in a given order, step's or run's random one, is the block
+    scan: a block of BLOCK agents is skipped when neither its smallest
+    link-1 bonus nor its largest link-2 bonus would move at the current
+    flows.  The other blocks are scanned agent by agent, and a switch
+    reads only the new end of the gap.  Where that scan has just moved
+    every agent of a block, and the next block's first agent moves too,
+    the switchers come in a long run, so the sweep takes the run in one
+    vectorized step per doubling window (_run): a cumsum of the +-1 moves
+    gives the flows each agent would see.  Isolated switchers, as in a
+    congested or late round, never pay for a window.
 
     The kernel builds each link's travel times at flows 0..n once
     (times1, times2; one table serves both twin links), and gap from
@@ -319,8 +323,11 @@ class _SweepKernel:
 
     BLOCK = 64
 
-    def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, n: int):
-        self.n = n
+    def __init__(self, link1: LinkParams, link2: LinkParams, vot: float, bonus: np.ndarray):
+        n = self.n = len(bonus)
+        self.bonus = bonus
+        nonzero = np.flatnonzero(bonus)
+        self.tail = int(nonzero[-1]) + 1 if len(nonzero) else 0  # the zero-bonus tail's start
         # gap[x1] = vot*(t1(x1) - t2(n + 1 - x1)) for x1 in 1..n: leaving
         # link 1 at link-1 flow x1 gains gap[x1] - bonus, leaving link 2
         # bonus - gap[x1 + 1], which is the scalar vot*(t2(x2) - t1(x1 + 1))
@@ -340,27 +347,21 @@ class _SweepKernel:
                     f"kernel tables, N {n}: vot {vot} times a link time difference overflows"
                 ) from exc
 
-    def summarize(self, link1_of, bonus_of) -> tuple[list, list]:
-        """Skip summaries of the blocks of agents: each block's smallest
-        link-1 bonus (inf if none) and largest link-2 bonus (-inf if
-        none), as two lists."""
-        starts = np.arange(0, len(link1_of), self.BLOCK)
-        return (
-            np.minimum.reduceat(np.where(link1_of, bonus_of, np.inf), starts).tolist(),
-            np.maximum.reduceat(np.where(link1_of, -np.inf, bonus_of), starts).tolist(),
-        )
-
-    def sweep(self, on1: np.ndarray, bonus: np.ndarray, order=None) -> tuple[int, float]:
-        """Visit every agent once in order (default: by index), moving
-        each improving one at once, by the block scan; on1 is updated in
-        place.  Returns (switch count, summed gains)."""
-        link1_of, bonus_of = (on1, bonus) if order is None else (on1[order], bonus[order])
-        low1, high2 = self.summarize(link1_of, bonus_of)
+    def sweep(self, on1: np.ndarray, x1: int, order=None) -> tuple[int, float]:
+        """Visit every agent once from link-1 flow x1, moving each
+        improving one at once: by index through the sorted passes
+        (sweep_sorted), or in the given order by the block scan.  on1 is
+        updated in place.  Returns (switch count, summed gains)."""
+        if order is None:
+            return self.sweep_sorted(on1, x1)
+        link1_of, bonus_of = on1[order], self.bonus[order]
         n, size, gap, eps = self.n, self.BLOCK, self.gap, INDIFFERENCE_EPS
-        # a block moves nobody at the current flows unless its smallest
-        # link-1 bonus or its largest link-2 bonus moves
+        # a block moves nobody at the current flows unless its smallest link-1
+        # bonus (inf if none) or its largest link-2 bonus (-inf if none) moves
+        starts = np.arange(0, n, size)
+        low1 = np.minimum.reduceat(np.where(link1_of, bonus_of, np.inf), starts).tolist()
+        high2 = np.maximum.reduceat(np.where(link1_of, -np.inf, bonus_of), starts).tolist()
         blocks = len(low1)
-        x1 = int(np.count_nonzero(on1))
         g1, g2 = gap.item(x1), gap.item(x1 + 1)
         pos, switches, gain_sum = 0, 0, 0.0
         streak_end = -1  # the end of the last block whose every agent the scan moved
@@ -393,13 +394,10 @@ class _SweepKernel:
             if switches - before == end - pos:
                 streak_end = end
             pos = end
-        if order is not None:
-            on1[order] = link1_of
+        on1[order] = link1_of
         return switches, gain_sum
 
-    def sweep_sorted(
-        self, on1: np.ndarray, bonus: np.ndarray, tail: int, x1: int
-    ) -> tuple[int, float]:
+    def sweep_sorted(self, on1: np.ndarray, x1: int) -> tuple[int, float]:
         """sweep in index order, at link-1 flow x1, where the bonuses of
         the agents before tail never rise with the index and those from
         tail on are 0: one vectorized join pass and one vectorized leave
@@ -421,8 +419,8 @@ class _SweepKernel:
         min(m, min over j <= m of h(j) + m - j): one running minimum.
         Gains are summed in visiting order by a cumsum.  Returns
         (switch count, summed gains); on1 is updated in place."""
-        gap, eps = self.gap, INDIFFERENCE_EPS
-        head, b = on1[:tail], bonus[:tail]
+        gap, eps, tail = self.gap, INDIFFERENCE_EPS, self.tail
+        head, b = on1[:tail], self.bonus[:tail]
         gains, x, start = [], x1, 0
         first = int(head.argmin()) if tail else 0  # the first link-2 agent
         if tail and not head[first] and b.item(first) - gap.item(x1 + 1) > eps:
@@ -453,7 +451,7 @@ class _SweepKernel:
             gains.append(gap[x + 1 - left[leaving]] - b_stay[leaving])
             x -= int(left[-1])
         if tail < self.n:
-            gains.append(self._tail(on1, tail, x))
+            gains.append(self._tail(on1, x))
         switches = sum(map(len, gains))
         # a cumsum adds the gains in order, as the scalar rule does
         gain_sum = float(np.concatenate(gains).cumsum()[-1]) if switches else 0.0
@@ -499,8 +497,8 @@ class _SweepKernel:
                 return pos - start, x1, gain_sum
             width *= 2
 
-    def _tail(self, on1, start, x1):
-        """Sweep the agents from start on, whose bonuses are all 0, at
+    def _tail(self, on1, x1):
+        """Sweep the agents from tail on, whose bonuses are all 0, at
         link-1 flow x1.  Each gains exactly the gap (fl(g - 0) = g), and
         the gap never falls with the flow.  So while gap[x1] > eps the
         next link-1 agent leaves, at flows x1, x1 - 1, ..., and while
@@ -518,7 +516,7 @@ class _SweepKernel:
             k = int(gap.searchsorted(-eps)) - 1 - x1
         else:
             return gap[:0]
-        on_tail = on1[start:]
+        on_tail = on1[self.tail :]
         pos = int(on_tail.argmax() if leave else on_tail.argmin())  # the first to move
         if on_tail.item(pos) != leave:  # nobody of the tail is on the moving link
             return gap[:0]

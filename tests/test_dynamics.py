@@ -22,6 +22,7 @@ from erstoll.dynamics import (
     step,
 )
 from erstoll.equilibrium import brute_force_equilibrium, solve
+from erstoll.harness import table1_scenario
 from erstoll.model import (
     FixedToll,
     FreeToll,
@@ -185,6 +186,22 @@ class TestStep:
             order=list(range(len(backward)))[::-1],
         )
         assert class_flows(forward) != class_flows(backward)
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 0, 1], [0] * 1000, list(range(999)), list(range(1001))],
+        ids=["repeat", "one-agent", "short", "long"],
+    )
+    def test_rejects_an_order_that_is_not_a_permutation(self, order):
+        """A repeated agent, one agent a thousand times, an order that
+        misses the last agent and one past the end: each raises before
+        anybody moves, naming N."""
+        scn = discretize_scenario(table1_scenario())
+        agents = agents_from_scenario(scn, "all_link2")
+        message = r"^order must be a permutation of range\(N\), N 1000$"
+        with pytest.raises(ValueError, match=message):
+            step(agents, scn.network, scn.prefs, scn.toll, order)
+        assert not agents.on_link1.any()
 
 
 class TestRun:

@@ -988,7 +988,7 @@ class TestBruteForceOracle:
         link1, link2 = scn.network.link1, scn.network.link2
         population = Population((0.3, 0.6), np.array([True, False, True]))
         bonus = population.bonus(scn.prefs, scn.toll)
-        kernel = _SweepKernel(link1, link2, scn.prefs.vot, 3)
+        kernel = _SweepKernel(link1, link2, scn.prefs.vot, bonus)
         time_part = rosenthal_potential(kernel.times1, kernel.times2, scn.prefs.vot, 2, 1)
         phi = time_part - float(np.sum(bonus[population.on_link1]))
         times = bpr_time(link1, 1) + bpr_time(link1, 2) + bpr_time(link2, 1)

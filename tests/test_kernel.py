@@ -196,7 +196,7 @@ def assert_oracle_is_the_enumerated_minimum(scn, counts=None):
     # the potential of each link-1 flow with no bonus, less each profile's
     # bonuses of the DWPT-EVs it puts on link 1
     bonus = Population(scn.soc.soc_values, np.zeros(n, dtype=bool)).bonus(scn.prefs, scn.toll)
-    kernel = _SweepKernel(scn.network.link1, scn.network.link2, vot, n)
+    kernel = _SweepKernel(scn.network.link1, scn.network.link2, vot, bonus)
     flow_phi = np.array([
         dynamics.rosenthal_potential(kernel.times1, kernel.times2, vot, x1, n - x1)
         for x1 in range(n + 1)
@@ -284,6 +284,28 @@ def test_step_matches_per_agent_reference(scn, initial, seed, reverse, block):
     assert [a.current_link for a in agents] == links
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    scn=scenarios(max_agents=60),
+    initial=INITIAL,
+    seed=st.integers(0, 2**16),
+    block=BLOCKS,
+)
+def test_step_without_an_order_is_one_sequential_round(scn, initial, seed, block):
+    """step with no order sweeps by the sorted passes, once, and leaves
+    the mask and the switch count of run's first sequential round."""
+    agents = agents_from_scenario(scn, initial=initial, seed=seed)
+    copy = Population(agents.soc, agents.on_link1.copy())
+    with block_size(block), mock.patch.object(
+        _SweepKernel, "sweep_sorted", autospec=True, side_effect=_SweepKernel.sweep_sorted
+    ) as sorted_sweep:
+        switches, _ = step(agents, scn.network, scn.prefs, scn.toll)
+        assert sorted_sweep.call_count == 1
+        traj = run(copy, scn.network, scn.prefs, scn.toll, max_rounds=1)
+    assert switches == traj.snapshots[1].switches
+    assert (agents.on_link1 == copy.on_link1).all()
+
+
 def _sorted_sweeps(scn, population):
     """Run a copy of the population in sequential order, checking each
     sweep_sorted against the block scan on a copy of the mask: the same
@@ -293,12 +315,13 @@ def _sorted_sweeps(scn, population):
     (before, after) masks of the agents before the tail in each sweep."""
     sorted_sweep, moves = _SweepKernel.sweep_sorted, []
 
-    def checked(kernel, on1, bonus, tail, x1):
+    def checked(kernel, on1, x1):
+        bonus, tail = kernel.bonus, kernel.tail
         assert (np.diff(bonus[:tail]) <= 0.0).all() and bonus[:tail][-1:].all()
         assert not bonus[tail:].any() and x1 == np.count_nonzero(on1)
         before, scanned = on1.copy(), on1.copy()
-        result = sorted_sweep(kernel, on1, bonus, tail, x1)
-        assert result == kernel.sweep(scanned, bonus)
+        result = sorted_sweep(kernel, on1, x1)
+        assert result == kernel.sweep(scanned, x1, np.arange(len(on1)))
         assert (on1 == scanned).all()
         moves.append((before[:tail], on1[:tail].copy()))
         return result
@@ -452,7 +475,7 @@ def test_leave_flows_are_the_least_moving_flows(capacity):
     margin, the least flow y with fl(gap[y] - b) > eps.  At large
     capacities the gap holds runs of equal values."""
     link = replace(PLAIN_LINK, capacity=capacity)
-    kernel = _SweepKernel(link, link, 50.0, 300)
+    kernel = _SweepKernel(link, link, 50.0, np.zeros(300))
     gap = kernel.gap
     inner = np.unique(gap[1:-1])
     edges = np.concatenate([inner, inner - INDIFFERENCE_EPS, inner + INDIFFERENCE_EPS])
@@ -485,6 +508,19 @@ def test_an_overflowing_gain_sum_is_a_named_potential_failure(moving):
         with pytest.raises(OverflowError, match=r"^potential at round 1, N 50: "):
             run(agents, scn.network, scn.prefs, scn.toll)
     assert sums == [np.inf]
+
+
+@pytest.mark.parametrize("moving", ["join", "leave"])
+def test_step_sums_an_overflowing_gain_to_inf_with_no_warning(moving):
+    """The populations of the test above: step, by index and in an
+    order, moves the same 25 agents and returns the overflowed sum as
+    inf, with no RuntimeWarning."""
+    scn = discrete_scenario([0.1] * 20 + [0.9] * 20, 10, voe=2.25e306, toll=FixedToll(1.025e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (None, np.arange(50)):
+            agents = Population(scn.soc.soc_values, np.full(50, moving == "leave"))
+            assert step(agents, scn.network, scn.prefs, scn.toll, order) == (25, np.inf)
 
 
 def _runs_per_round(scn, initial):
@@ -555,9 +591,9 @@ def _tail_switches(scn, population):
     Trajectory."""
     tail_sweep, taken = _SweepKernel._tail, []
 
-    def counted(kernel, on1, start, x1):
-        gains = tail_sweep(kernel, on1, start, x1)
-        taken.append((start, len(gains)))
+    def counted(kernel, on1, x1):
+        gains = tail_sweep(kernel, on1, x1)
+        taken.append((kernel.tail, len(gains)))
         return gains
 
     agents = Population(population.soc, population.on_link1.copy())
@@ -578,7 +614,7 @@ def test_tail_with_nobody_on_the_moving_link(moving):
     scn = discrete_scenario(socs, 50, toll=FixedToll(100.0 if leave else 500.0))
     on1 = np.arange(200) < 150 if leave else np.arange(200) >= 150
     x1 = int(np.count_nonzero(on1))
-    gap = _SweepKernel(scn.network.link1, scn.network.link2, scn.prefs.vot, 200).gap
+    gap = _SweepKernel(scn.network.link1, scn.network.link2, scn.prefs.vot, np.zeros(200)).gap
     assert gap[x1] > INDIFFERENCE_EPS if leave else gap[x1 + 1] < -INDIFFERENCE_EPS
     population = Population(socs, on1)
     assert _tail_switches(scn, population)[:2] == ([0], {150})
@@ -631,7 +667,7 @@ def test_travel_time_table_is_bpr_time_exactly(n, data):
     C pow."""
     net, vot = data.draw(networks(n)), data.draw(st.floats(10.0, 100.0))
     link1, link2 = net.link1, net.link2
-    kernel = _SweepKernel(link1, link2, vot, n)
+    kernel = _SweepKernel(link1, link2, vot, np.zeros(n))
     assert kernel.times1.tolist() == [bpr_time(link1, x) for x in range(n + 1)]
     assert kernel.times2.tolist() == [bpr_time(link2, x) for x in range(n + 1)]
     leave_link1 = [

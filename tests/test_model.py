@@ -340,7 +340,7 @@ class TestUtility:
         bonus = Population(np.array([0.3]), np.zeros(10, dtype=bool)).bonus(
             PREFS, FixedToll(100.0)
         )
-        kernel = _SweepKernel(link1, link2, PREFS.vot, 10)
+        kernel = _SweepKernel(link1, link2, PREFS.vot, bonus)
         x1 = 4  # vehicles on link 1 besides it
         gain = bonus[0] - kernel.gap[x1 + 1]  # the kernel's gain for leaving link 2
         assert gain == PREFS.vot * (bpr_time(link2, 10 - x1) - bpr_time(link1, x1 + 1)) + bonus[0]
