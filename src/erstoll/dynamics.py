@@ -301,12 +301,7 @@ class _SweepKernel:
     scan: a block of BLOCK agents is skipped when neither its smallest
     link-1 bonus nor its largest link-2 bonus would move at the current
     flows.  The other blocks are scanned agent by agent, and a switch
-    reads only the new end of the gap.  Where that scan has just moved
-    every agent of a block, and the next block's first agent moves too,
-    the switchers come in a long run, so the sweep takes the run in one
-    vectorized step per doubling window (_run): a cumsum of the +-1 moves
-    gives the flows each agent would see.  Isolated switchers, as in a
-    congested or late round, never pay for a window.
+    reads only the new end of the gap.
 
     The kernel builds each link's travel times at flows 0..n once
     (times1, times2; one table serves both twin links), and gap from
@@ -361,27 +356,13 @@ class _SweepKernel:
         starts = np.arange(0, n, size)
         low1 = np.minimum.reduceat(np.where(link1_of, bonus_of, np.inf), starts).tolist()
         high2 = np.maximum.reduceat(np.where(link1_of, -np.inf, bonus_of), starts).tolist()
-        blocks = len(low1)
         g1, g2 = gap.item(x1), gap.item(x1 + 1)
-        pos, switches, gain_sum = 0, 0, 0.0
-        streak_end = -1  # the end of the last block whose every agent the scan moved
-        while pos < n:
-            block = pos // size
-            if pos == block * size:
-                while block < blocks and g1 - low1[block] <= eps and high2[block] - g2 <= eps:
-                    block += 1
-                pos = block * size
-                if pos >= n:
-                    break
-            end = min(block * size + size, n)
-            ons, bs = link1_of[pos:end].tolist(), bonus_of[pos:end].tolist()
-            if pos == streak_end and (g1 - bs[0] if ons[0] else bs[0] - g2) > eps:
-                taken, x1, gain_sum = self._run(link1_of, bonus_of, pos, x1, gain_sum)
-                pos += taken
-                switches += taken
-                g1, g2 = gap.item(x1), gap.item(x1 + 1)
+        switches, gain_sum = 0, 0.0
+        for pos, low, high in zip(starts.tolist(), low1, high2):
+            if g1 - low <= eps and high - g2 <= eps:
                 continue
-            before = switches
+            end = pos + size
+            ons, bs = link1_of[pos:end].tolist(), bonus_of[pos:end].tolist()
             for i, on, b in zip(range(pos, end), ons, bs):
                 gain = g1 - b if on else b - g2
                 if gain > eps:
@@ -391,9 +372,6 @@ class _SweepKernel:
                     g1, g2 = (gap.item(x1), g1) if on else (g2, gap.item(x1 + 1))
                     switches += 1
                     gain_sum += gain
-            if switches - before == end - pos:
-                streak_end = end
-            pos = end
         on1[order] = link1_of
         return switches, gain_sum
 
@@ -472,30 +450,6 @@ class _SweepKernel:
                 return y
             y = np.where(down, gap.searchsorted(gap[y - 1]), y)
             y = np.where(up, gap.searchsorted(gap[y], side="right"), y)
-
-    def _run(self, link1_of, bonus_of, pos, x1, gain_sum):
-        """Move the run of consecutive switchers that starts at pos, in
-        windows that double from 2 * BLOCK, since a whole block has just
-        switched; each agent sees the flows left by all before it
-        switching.  Returns (run length, x1, gain_sum)."""
-        start, width, gap, n = pos, 2 * self.BLOCK, self.gap, len(link1_of)
-        while True:
-            stop = min(pos + width, n)
-            on, b = link1_of[pos:stop], bonus_of[pos:stop]
-            move = np.where(on, -1, 1)
-            flows = x1 + np.cumsum(move) - move
-            gain = np.where(on, gap[flows] - b, b - gap[flows + 1])
-            moved = gain > INDIFFERENCE_EPS
-            taken = stop - pos if moved.all() else int(moved.argmin())
-            x1 += taken - 2 * int(np.count_nonzero(on[:taken]))
-            link1_of[pos : pos + taken] = ~on[:taken]
-            if taken:  # cumsum adds the gains in order, as the scalar rule does
-                gain[0] += gain_sum
-                gain_sum = float(np.cumsum(gain[:taken])[-1])
-            pos += taken
-            if pos < stop or stop == n:
-                return pos - start, x1, gain_sum
-            width *= 2
 
     def _tail(self, on1, x1):
         """Sweep the agents from tail on, whose bonuses are all 0, at

@@ -119,12 +119,14 @@ def run_python(args, cwd, timeout=60):
     """Run sys.executable on args in cwd and return its stdout, asserting
     exit 0.  The child imports the erstoll this process imported: the
     directory that holds it (src/ in a checkout, site-packages when
-    installed) goes first on PYTHONPATH."""
+    installed) goes first on PYTHONPATH.  It runs with -W error, as the
+    suite's filterwarnings does, so a warning fails it."""
     home = str(Path(erstoll.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": home + os.pathsep + path if path else home}
     proc = subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-W", "error", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

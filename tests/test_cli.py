@@ -518,8 +518,9 @@ PINNED_SWEEP_SET = [
 ]
 PINNED_BANDS_HIGH_SHARE = ["bands", "--set", "dwpt_ratio=0.6"]
 PINNED_SIMULATE_RANDOM = ["simulate", "--initial", "random", "--order", "random", "--seed", "3"]
-# At a free toll every bonus is >= 0, so from all on link 2 a random-order
-# sweep switches whole blocks and the kernel moves a run of 436 agents.
+# At a free toll every bonus is >= 0, so from all on link 2 the first
+# random-order sweep moves a streak of 436 agents, which the block scan
+# moves one agent at a time.
 PINNED_SIMULATE_RANDOM_RUN = ["simulate", "--set", "toll.price=0", "--order", "random", "--seed", "3"]
 # Links that differ in every BPR parameter, so x_eq is the balanced-flow
 # root rather than N/2; of the sweep's 78 rows 49 are interior, 19

@@ -12,7 +12,7 @@ from conftest import (
 )
 from test_kernel import assert_oracle_is_the_enumerated_minimum
 
-from erstoll import dynamics
+from erstoll import dynamics, equilibrium
 from erstoll.dynamics import (
     Population,
     agents_from_scenario,
@@ -434,6 +434,15 @@ MILLION_CHECK = """
 
 def test_analytic_modules_load_without_numpy(tmp_path):
     run_python(["-c", textwrap.dedent(SPLIT_CHECK)], tmp_path)
+
+
+def test_equilibrium_forwards_the_potential_to_dynamics():
+    """The check above in this process, where a coverage run sees it:
+    equilibrium's module __getattr__ forwards rosenthal_potential and
+    nothing else."""
+    assert equilibrium.rosenthal_potential is dynamics.rosenthal_potential
+    with pytest.raises(AttributeError, match="has no attribute 'Population'"):
+        equilibrium.Population
 
 
 def test_oracle_runs_without_numpy(tmp_path):

@@ -119,6 +119,30 @@ def test_root_bisects_where_newton_steps_crawl():
     assert root == pytest.approx(1.0 - 1e-3, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    ("value", "error", "message"),
+    [(math.nan, OverflowError, "the map is nan at"), (-2.0, ConvergenceError, "not monotone")],
+    ids=["nan", "below-the-ends"],
+)
+def test_root_checks_the_bisections_values(value, error, message):
+    """The crawling map of the test above, which returns value from its
+    first bisection on: that bisection raises, as a Newton step would,
+    naming the map and N."""
+    calls = 0
+
+    def steep(x):
+        nonlocal calls
+        calls += 1
+        if calls > equilibrium.MAX_ITER + 2:  # past both ends and every Newton step
+            return value, 0.0
+        u = 1.0 - x
+        return 1e-150 - u**50, 50.0 * u**49
+
+    with pytest.raises(error, match=f"^test, N 1.0: .*{message}"):
+        _root(steep, 0.0, 1.0, 1.0, "test")
+    assert calls == equilibrium.MAX_ITER + 3
+
+
 def _steep_scenario(total, beta1, beta2):
     """The bundled scenario on links of free-flow time 1, capacity 1 and
     alpha 1, with the given BPR powers."""

@@ -39,6 +39,7 @@ from erstoll.dynamics import (
     Population,
     _SweepKernel,
     agents_from_scenario,
+    class_flows,
     discretize_scenario,
     run,
     step,
@@ -48,6 +49,7 @@ from erstoll.harness import table1_scenario
 from erstoll.model import (
     INDIFFERENCE_EPS,
     FixedToll,
+    FreeToll,
     LinkParams,
     Network,
     bpr_time,
@@ -230,8 +232,9 @@ def _population(scn, initial, seed):
 
 INITIAL_STATES = ("all_link2", "all_link1", "random", "balanced")
 INITIAL = st.sampled_from(INITIAL_STATES)
-# Small blocks make N <= 60 reach skipped blocks, runs that end mid-block
-# or span doubling windows, and a ragged last block.
+# Small blocks make N <= 60 reach skipped blocks, streaks of switchers
+# across blocks, join passes that span doubling windows, and a ragged
+# last block.
 BLOCKS = st.sampled_from((1, 2, 3, _SweepKernel.BLOCK))
 
 
@@ -510,6 +513,19 @@ def test_an_overflowing_gain_sum_is_a_named_potential_failure(moving):
     assert sums == [np.inf]
 
 
+def test_a_potential_drop_that_overflows_is_a_named_failure():
+    """Finite snapshot parts whose difference overflows: everyone starts
+    on link 1, the time part is 1e308 and the 10 DWPT-EVs' bonuses sum
+    to -1e308, so the potential is inf.  They all leave in round 1, and
+    run names the drop and the gains, with no warning."""
+    scn = discrete_scenario([0.5] * 10, 10, vot=5e305, toll=FixedToll(1e307))
+    agents = Population(scn.soc.soc_values, np.ones(20, bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"^potential at round 1, N 20: fell by inf "):
+            run(agents, scn.network, scn.prefs, scn.toll)
+
+
 @pytest.mark.parametrize("moving", ["join", "leave"])
 def test_step_sums_an_overflowing_gain_to_inf_with_no_warning(moving):
     """The populations of the test above: step, by index and in an
@@ -523,36 +539,13 @@ def test_step_sums_an_overflowing_gain_to_inf_with_no_warning(moving):
             assert step(agents, scn.network, scn.prefs, scn.toll, order) == (25, np.inf)
 
 
-def _runs_per_round(scn, initial):
-    """(vectorized runs taken, switches) of each round in random order,
-    the order that sweeps by the block scan."""
-    sweep, rounds = _SweepKernel.sweep, []
-    with mock.patch.object(
-        _SweepKernel, "_run", autospec=True, side_effect=_SweepKernel._run
-    ) as runs:
-        def counted(kernel, *args):
-            before = runs.call_count
-            result = sweep(kernel, *args)
-            rounds.append((runs.call_count - before, result[0]))
-            return result
-
-        with mock.patch.object(_SweepKernel, "sweep", counted):
-            run(agents_from_scenario(scn, initial, 3), scn.network, scn.prefs, scn.toll,
-                order_policy="random", seed=3)
-    return rounds
-
-
 def test_long_runs_and_sparse_switchers():
-    """Sizes where runs span several doubling windows and isolated
-    switchers sit in blocks scanned agent by agent, at N = 3000 (not a
-    multiple of BLOCK), in both orders: every start on differing links,
-    and the benchmark's congested regime (capacity N/3 on both links, a
-    random start), where many rounds each move a few agents spread over
-    the whole population.  Either path gives the same flows, so the
-    path choice is checked apart, in random order, the one that sweeps
-    by the block scan: the first round from all on link 2 takes a
-    vectorized run, and the congested rounds, whose switchers the
-    shuffle scatters, take none."""
+    """Sizes where switchers come in long runs across many blocks and
+    where isolated switchers sit among blocks that the scan skips, at
+    N = 3000 (not a multiple of BLOCK), in both orders: every start on
+    differing links, and the benchmark's congested regime (capacity N/3
+    on both links, a random start), where many rounds each move a few
+    agents spread over the whole population."""
     socs = np.linspace(0.05, 0.95, 600)
     base = LinkParams(10.0, 1000.0, has_ers=True, ers_power_kw=30.0)
     differing = discrete_scenario(
@@ -563,10 +556,26 @@ def test_long_runs_and_sparse_switchers():
     for scn, initials in ((differing, INITIAL_STATES), (congested, ("random",))):
         _assert_runs_match_reference(scn, [agents_from_scenario(scn, i, 3) for i in initials])
         assert_oracle_is_a_potential_minimum(scn)
-    assert _runs_per_round(differing, "all_link2")[0][0] >= 1
-    scattered = _runs_per_round(congested, "random")
-    assert scattered[0][1] > 0  # hundreds of switchers that the shuffle scatters
-    assert [runs for runs, _ in scattered] == [0] * len(scattered)
+
+
+def test_a_long_streak_at_scale_is_scanned_agent_by_agent():
+    """Random order from all on link 2 at a free toll, N 1e5, capacity
+    N/2: every bonus is >= 0, so the first round moves 57 349 agents in
+    long streaks, each through the block scan's per-agent loop.  The run
+    converges in 4 rounds to the oracle's class flows."""
+    base = table1_scenario()
+    net = Network(replace(base.network.link1, capacity=5e4),
+                  replace(base.network.link2, capacity=5e4))
+    scn = discretize_scenario(replace(
+        base, total_vehicles=1e5, soc=replace(base.soc, mass=base.dwpt_ratio * 1e5),
+        toll=FreeToll(), network=net,
+    ))
+    agents = agents_from_scenario(scn, "all_link2")
+    traj = run(agents, scn.network, scn.prefs, scn.toll, order_policy="random", seed=3)
+    assert traj.snapshots[1].switches == 57_349
+    assert (traj.converged, traj.terminal_round) == (True, 4)
+    oracle = brute_force_equilibrium(scn)
+    assert class_flows(agents)[:2] == (oracle.x1_d, oracle.x1_o) == (20_000, 30_000)
 
 
 @pytest.mark.parametrize(
