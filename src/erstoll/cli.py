@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import analysis, harness
@@ -307,7 +308,17 @@ def cmd_bands(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import dynamics  # numpy loads for this subcommand only
+    """Simulate the scenario and compare its last round with solve.
+
+    numpy loads for this subcommand only, with one BLAS thread: the
+    simulator makes no BLAS call, and a second thread only slows numpy's
+    start.  OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+    are set to 1 in this process unless the user has set them; importing
+    erstoll.dynamics from user code sets nothing.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    from . import dynamics
 
     scenario = dynamics.discretize_scenario(_load_scenario(args))
     agents = dynamics.agents_from_scenario(

@@ -26,15 +26,16 @@ crossing into three regimes:
   link and OTHER-Vs fill it); the crossing lies in [0, x_eq - n_other].
 
 Every root (a corner crossing, x_eq, the system optimum of analysis) is
-one safeguarded Newton root, _root, on the closed-form BPR slope
-dt/dx = beta*(t - t0)/x.  The time gap t1(x) - t2(N - x) and that slope
-are one map, _time_gap: x_eq is its root, and the regime test, the
-corners and the toll bands price it at x_eq.  _balanced builds the map,
-x_eq and that price together and keeps them for every later scenario on
-the same Network object and N, so each cell of a sweep shares one of each.
-A discrete pool's price steps at each SoC
-group, so _group_root first binary-searches the groups for the marginal
-one and then roots within it, splitting a tied group at its own SoC.
+one _root: Newton steps on the closed-form BPR slope
+dt/dx = beta*(t - t0)/x that bisect where a step would leave the sign
+bracket or not halve the one before last.  The time gap t1(x) - t2(N - x)
+and that slope are one map, _time_gap: x_eq is its root, and the regime
+test, the corners and the toll bands price it at x_eq.  _balanced builds
+the map, x_eq and that price together and keeps them for every later
+scenario on the same Network object and N, so each cell of a sweep
+shares one of each.  A discrete pool's price steps at each SoC group, so
+_group_root first binary-searches the groups for the marginal one and
+then roots within it, splitting a tied group at its own SoC.
 
 brute_force_equilibrium, an independent check of the same equilibrium
 definition, bisects the ranked vehicles of the atomic game for the
@@ -104,20 +105,19 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
     """Root of a non-decreasing map on [lo, hi], clamped to the bracket.
 
     g(x) returns the map's value and slope at x.  Returns lo if g(lo) >= 0
-    and hi if g(hi) <= 0.  Otherwise the first iterate is the secant point
-    of the ends, and each later one a Newton step, or the midpoint of the
-    sign bracket when the step would leave it or the slope is not in
-    (0, inf); the root is the first iterate within
-    xtol = ROOT_TOL_FACTOR*n_total of the one before.  Where MAX_ITER
-    Newton steps do not get there, as on the side of a steep map (a high
-    BPR power) where each step closes only a sliver of the distance, up
-    to MAX_ITER bisections close the sign bracket down to two adjacent
-    doubles and return the one where the map is nearer zero.  Each
-    point of the Newton steps is evaluated once, and each value
-    must lie between the end values, which guards against a mis-specified
-    map; a nan value, such as inf - inf from times that overflow without
-    raising, raises OverflowError instead.  Either error names the map
-    (what) and N, as "balanced flow, N 1000.0: ...".
+    and hi if g(hi) <= 0.  Otherwise it iterates from the secant point of
+    the ends by rtsafe (Numerical Recipes): a Newton step if it lands
+    strictly inside the sign bracket and is at most half the step before
+    last, else the bracket's midpoint, so a steep map (a high BPR power)
+    is bisected where its Newton steps crawl.  The root is the iterate
+    after a step of at most xtol = ROOT_TOL_FACTOR*n_total (half the
+    bracket for a midpoint), a point whose Newton step rounds to it, or,
+    once the bracket is two adjacent doubles, the end where the map is
+    nearer zero.  Each point is evaluated once.  A value outside the end
+    values raises ConvergenceError, which guards against a mis-specified
+    map, or OverflowError if nan (inf - inf from times that overflow
+    without raising); each error, as MAX_ITER steps without a root do,
+    names the map (what) and N: "balanced flow, N 1000.0: ...".
     """
     g_lo = g(lo)[0]
     if g_lo >= 0.0:
@@ -127,47 +127,41 @@ def _root(g, lo: float, hi: float, n_total: float, what: str) -> float:
         return hi
     xtol = ROOT_TOL_FACTOR * n_total
     slack = 1e-9 * (1.0 + abs(g_lo) + abs(g_hi))
-    a, b = lo, hi
+    floor, ceiling = g_lo - slack, g_hi + slack
+    a, b, g_a, g_b = lo, hi, g_lo, g_hi
     x = lo - g_lo * (hi - lo) / (g_hi - g_lo)  # the secant point of the ends
     if not lo < x < hi:  # rounded onto an end
         x = 0.5 * (lo + hi)
+    last = before = hi - lo  # the sizes of the last step and the one before
     for _ in range(MAX_ITER):
         value, slope = g(x)
-        if not g_lo - slack <= value <= g_hi + slack:
-            raise _off_the_ends(what, n_total, lo, hi, x, value)
+        if not floor <= value <= ceiling:
+            if math.isnan(value):
+                raise OverflowError(f"{what}, N {n_total}: the map is nan at {x}")
+            raise ConvergenceError(
+                f"{what}, N {n_total}: map is not monotone on the bracket [{lo}, {hi}] "
+                f"({value} at {x})"
+            )
         if value < 0.0:
-            a = x
+            a, g_a = x, value
         else:
-            b = x
+            b, g_b = x, value
         newton = x - value / slope if 0.0 < slope < math.inf else math.inf
-        # a Newton step below x's rounding ends the search at x
-        step = newton if a < newton < b or newton == x else 0.5 * (a + b)
-        if -xtol <= step - x <= xtol or not a < step < b:
-            return step
-        x = step
-    for _ in range(MAX_ITER):
-        x = 0.5 * (a + b)
-        if not a < x < b:  # a and b are adjacent doubles
-            return b if g(b)[0] <= -g(a)[0] else a
-        value = g(x)[0]
-        if not g_lo - slack <= value <= g_hi + slack:
-            raise _off_the_ends(what, n_total, lo, hi, x, value)
-        if value < 0.0:
-            a = x
+        step = newton - x if newton > x else x - newton
+        # a Newton step below x's rounding (newton == x) ends the search at x
+        if (a < newton < b or newton == x) and step + step <= before:
+            x = newton
         else:
-            b = x
+            x = 0.5 * (a + b)
+            if not a < x < b:  # a and b are adjacent doubles
+                return b if g_b <= -g_a else a
+            step = 0.5 * (b - a)
+        if step <= xtol:
+            return x
+        before, last = last, step
     raise ConvergenceError(
         f"{what}, N {n_total}: no convergence to xtol={xtol} after {MAX_ITER} iterations "
-        f"(bracket [{a}, {b}], residual {value}) and {MAX_ITER} bisections"
-    )
-
-
-def _off_the_ends(what, n_total, lo, hi, x, value) -> ArithmeticError | ConvergenceError:
-    """The error for a map value outside its end values: nan, or not monotone."""
-    if math.isnan(value):
-        return OverflowError(f"{what}, N {n_total}: the map is nan at {x}")
-    return ConvergenceError(
-        f"{what}, N {n_total}: map is not monotone on the bracket [{lo}, {hi}] ({value} at {x})"
+        f"(bracket [{a}, {b}], residual {value})"
     )
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import yaml
 from hypothesis import strategies as st
 
 import erstoll
+from erstoll import analysis, equilibrium
 from erstoll.dynamics import agents_from_scenario
+from erstoll.harness import table1_scenario
 from erstoll.model import (
     DiscreteAgents,
     FixedToll,
@@ -78,6 +81,51 @@ def discrete_scenario(
     )
 
 
+def steep_scenario(total, beta1, beta2):
+    """The bundled scenario on links of free-flow time 1, capacity 1 and
+    alpha 1, with the given BPR powers."""
+    base = table1_scenario()
+    steep = {"free_flow_time": 1.0, "capacity": 1.0, "bpr_alpha": 1.0}
+    link1, link2 = base.network.link1, base.network.link2
+    return replace(
+        base,
+        total_vehicles=float(total),
+        soc=replace(base.soc, mass=base.dwpt_ratio * total),
+        network=Network(
+            replace(link1, bpr_beta=float(beta1), **steep),
+            replace(link2, bpr_beta=float(beta2), **steep),
+        ),
+    )
+
+
+@contextmanager
+def recorded_roots():
+    """Within the block, each equilibrium._root call that returns (in
+    equilibrium or analysis) is recorded in the yielded list as (what,
+    lo, hi, n_total, root, map evaluations).  The balanced-flow memo is
+    cleared first, so each balanced flow is rooted."""
+    calls, root = [], equilibrium._root
+
+    def recording(g, lo, hi, n_total, what):
+        evaluations = 0
+
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return g(x)
+
+        x = root(counted, lo, hi, n_total, what)
+        calls.append((what, lo, hi, n_total, x, evaluations))
+        return x
+
+    equilibrium._root = analysis._root = recording
+    equilibrium._balance = (None, None, None)
+    try:
+        yield calls
+    finally:
+        equilibrium._root = analysis._root = root
+
+
 def scenario_config(scenario):
     """The config mapping of a scenario file (the schema in
     erstoll.harness) for a uniform or discrete pool with a fixed or free
@@ -115,15 +163,17 @@ def scenario_config(scenario):
     }
 
 
-def run_python(args, cwd, timeout=60):
+def run_python(args, cwd, timeout=60, env=None):
     """Run sys.executable on args in cwd and return its stdout, asserting
-    exit 0.  The child imports the erstoll this process imported: the
-    directory that holds it (src/ in a checkout, site-packages when
-    installed) goes first on PYTHONPATH.  It runs with -W error, as the
-    suite's filterwarnings does, so a warning fails it."""
+    exit 0.  The child's environment is env (default this process's),
+    and it imports the erstoll this process imported: the directory that
+    holds it (src/ in a checkout, site-packages when installed) goes
+    first on PYTHONPATH.  It runs with -W error, as the suite's
+    filterwarnings does, so a warning fails it."""
+    env = dict(os.environ if env is None else env)
     home = str(Path(erstoll.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": home + os.pathsep + path if path else home}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = home + os.pathsep + path if path else home
     proc = subprocess.run(
         [sys.executable, "-W", "error", *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,

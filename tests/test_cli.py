@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io
 import math
+import os
+import textwrap
 import warnings
 from dataclasses import replace
 
@@ -21,7 +23,7 @@ from erstoll.equilibrium import ConvergenceError
 from erstoll.harness import ConfigError, bundled_scenario_path
 from erstoll.model import FixedToll, FreeToll, LinkParams, Network, Preferences
 
-from conftest import ERS_LINK, PLAIN_LINK, base_scenario, scenarios, write_scenario
+from conftest import ERS_LINK, PLAIN_LINK, base_scenario, run_python, scenarios, write_scenario
 
 
 class TestSolve:
@@ -642,6 +644,40 @@ def test_sweep_on_differing_links_solves_every_cell(tmp_path):
     ]) == 0
     rows = list(csv.DictReader(output.read_text().splitlines()))
     assert len(rows) == 39 and all(row["error"] == "" for row in rows), rows
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# In a fresh interpreter: `erstoll simulate`, then the process's thread
+# count and the three BLAS variables as it left them.
+SIMULATE_THREADS = """
+import contextlib, io, os
+from erstoll.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["simulate", "--rounds", "5"]) == 0
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("Threads:")).split()[1])
+for var in {variables}:
+    print(os.environ[var])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+    ids=["unset", "preset-openblas"],
+)
+def test_simulate_starts_numpy_with_one_blas_thread(preset, expected, tmp_path):
+    """With none of the three variables set, the process runs one thread;
+    a value the user has set is kept."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    code = textwrap.dedent(SIMULATE_THREADS).format(variables=BLAS_THREAD_VARIABLES)
+    threads, *values = run_python(["-c", code], tmp_path, env={**env, **preset}).split()
+    assert values == expected
+    if not preset:
+        assert threads == "1"
 
 
 class TestParserBehavior:

@@ -12,6 +12,7 @@ from conftest import (
     random_discrete_scenario,
     random_link,
     scenarios,
+    steep_scenario,
     wide_scenarios,
     write_scenario,
 )
@@ -101,9 +102,10 @@ def test_root_iteration_cap(monkeypatch):
 
 def test_root_bisects_where_newton_steps_crawl():
     """Left of the root of 1e-150 - (1 - x)**50 each Newton step closes
-    about a fiftieth of the distance, so MAX_ITER steps fall short of
-    xtol; bisections then close the sign bracket down to two adjacent
-    doubles, and the root is the one where the map is nearer zero."""
+    about a fiftieth of the distance, so it fails to halve the step before
+    last and the bracket is bisected instead: a few dozen evaluations
+    (over 200 Newton steps crawled before), and the root is the double
+    where the map is nearest zero."""
     args = []
 
     def steep(x):
@@ -112,7 +114,7 @@ def test_root_bisects_where_newton_steps_crawl():
         return 1e-150 - u**50, 50.0 * u**49
 
     root = _root(steep, 0.0, 1.0, 1.0, "test")
-    assert len(args) > equilibrium.MAX_ITER
+    assert len(args) <= 40
     value = abs(steep(root)[0])
     for neighbour in (math.nextafter(root, 0.0), math.nextafter(root, 1.0)):
         assert value <= abs(steep(neighbour)[0])
@@ -125,47 +127,33 @@ def test_root_bisects_where_newton_steps_crawl():
     ids=["nan", "below-the-ends"],
 )
 def test_root_checks_the_bisections_values(value, error, message):
-    """The crawling map of the test above, which returns value from its
-    first bisection on: that bisection raises, as a Newton step would,
-    naming the map and N."""
-    calls = 0
+    """The crawling map of the test above, which returns value at the
+    first bisection: after the ends, the midpoint (the secant point of the
+    ends rounds onto 1) and two Newton steps of about 0.01, the third
+    step does not halve the first, so the sixth point is the midpoint of
+    the bracket.  Its value raises, as a Newton step's would, naming the
+    map and N."""
+    args = []
 
     def steep(x):
-        nonlocal calls
-        calls += 1
-        if calls > equilibrium.MAX_ITER + 2:  # past both ends and every Newton step
+        args.append(x)
+        if len(args) == 6:
             return value, 0.0
         u = 1.0 - x
         return 1e-150 - u**50, 50.0 * u**49
 
     with pytest.raises(error, match=f"^test, N 1.0: .*{message}"):
         _root(steep, 0.0, 1.0, 1.0, "test")
-    assert calls == equilibrium.MAX_ITER + 3
-
-
-def _steep_scenario(total, beta1, beta2):
-    """The bundled scenario on links of free-flow time 1, capacity 1 and
-    alpha 1, with the given BPR powers."""
-    base = table1_scenario()
-    steep = {"free_flow_time": 1.0, "capacity": 1.0, "bpr_alpha": 1.0}
-    link1, link2 = base.network.link1, base.network.link2
-    return replace(
-        base,
-        total_vehicles=float(total),
-        soc=replace(base.soc, mass=base.dwpt_ratio * total),
-        network=Network(
-            replace(link1, bpr_beta=float(beta1), **steep),
-            replace(link2, bpr_beta=float(beta2), **steep),
-        ),
-    )
+    assert len(args) == 6
+    assert args[5] == 0.5 * (args[4] + 1.0)
 
 
 def test_steep_links_solve_past_the_newton_iterations():
     """The bundled scenario with link 2 at power 50 (free-flow time 1,
     capacity 1, alpha 1 on both links): the balanced flow's Newton steps
-    crawl, so solve raised `no convergence ... after 200 iterations`;
-    the bisections that follow give a verified equilibrium."""
-    scn = _steep_scenario(1000.0, 4.0, 50.0)
+    crawl, so solve once raised `no convergence ... after 200 iterations`;
+    bisecting where they crawl gives a verified equilibrium."""
+    scn = steep_scenario(1000.0, 4.0, 50.0)
     result, _ = solve(scn)
     assert verify_equilibrium(scn, result) == []
     assert result.x1 == pytest.approx(998.2624, abs=1e-4)
@@ -181,7 +169,7 @@ def test_steep_link_grid_solves_or_names_an_overflow():
     for total in np.geomspace(2.0, 1000.0, 7):
         for beta1 in np.geomspace(1.0, 1000.0, 7):
             for beta2 in np.geomspace(1.0, 1000.0, 7):
-                scn = _steep_scenario(total, beta1, beta2)
+                scn = steep_scenario(total, beta1, beta2)
                 try:
                     result, _ = solve(scn)
                 except ArithmeticError as exc:
@@ -895,7 +883,7 @@ class TestVerifyEquilibrium:
         cell=st.sampled_from(("x1_d", "x1_o")),
         sign=st.sampled_from((-1.0, 1.0)),
     )
-    @example(scn=_steep_scenario(1000.0, 4.0, 4.0), cell="x1_o", sign=1.0)
+    @example(scn=steep_scenario(1000.0, 4.0, 4.0), cell="x1_o", sign=1.0)
     def test_flows_half_a_root_step_off_verify(self, scn, cell, sign):
         """A result is an equilibrium to the root's resolution, so solve's
         flows moved by half a step, with the times and threshold that
