@@ -47,47 +47,44 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
-def _add_scenario_args(sub):
-    sub.add_argument(
-        "--scenario",
-        default="table1.cfg",
-        help="scenario file path or bundled preset name (default table1.cfg)",
-    )
-    sub.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="PATH=VALUE",
-        help="override a scenario value, e.g. toll.price=150 "
-        f"(paths: {', '.join(harness.OVERRIDE_PATHS)})",
-    )
-
-
-def _add_output_args(sub):
-    sub.add_argument("--output", help="write machine output to this file")
-    sub.add_argument(
-        "--format",
-        choices=harness.TABLE_FORMATS,
-        default="csv",
-        help="machine output format (default csv)",
-    )
-
-
 @functools.cache  # parsing leaves the parser as it was, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="erstoll", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, func, reads_scenario, text in (
+        ("solve", cmd_solve, True, "equilibrium of one scenario"),
+        ("sweep", cmd_sweep, True, "solve a grid of scenario overrides"),
+        ("bands", cmd_bands, True, "toll-price bands by resulting pattern"),
+        ("simulate", cmd_simulate, True, "day-to-day best-response dynamics over agents"),
+        ("table2", cmd_table2, False, "five-scenario toll/charging-value comparison"),
+        ("fig2", cmd_fig2, False, "threshold-SoC surface over toll price and charging value"),
+    ):
+        p = subs.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if reads_scenario:
+            p.add_argument(
+                "--scenario",
+                default="table1.cfg",
+                help="scenario file path or bundled preset name (default table1.cfg)",
+            )
+            p.add_argument(
+                "--set",
+                dest="overrides",
+                action="append",
+                default=[],
+                metavar="PATH=VALUE",
+                help="override a scenario value, e.g. toll.price=150 "
+                f"(paths: {', '.join(harness.OVERRIDE_PATHS)})",
+            )
+        p.add_argument("--output", help="write machine output to this file")
+        p.add_argument(
+            "--format",
+            choices=harness.TABLE_FORMATS,
+            default="csv",
+            help="machine output format (default csv)",
+        )
 
-    p = subs.add_parser("solve", help="equilibrium of one scenario")
-    _add_scenario_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("sweep", help="solve a grid of scenario overrides")
-    _add_scenario_args(p)
-    _add_output_args(p)
-    p.add_argument(
+    subs.choices["sweep"].add_argument(
         "--axis",
         action="append",
         required=True,
@@ -95,18 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep axis: PATH=v1,v2,... or PATH=start:stop:count "
         "(repeatable; later axes vary fastest)",
     )
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("bands", help="toll-price bands by resulting pattern")
-    _add_scenario_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_bands)
-
-    p = subs.add_parser(
-        "simulate", help="day-to-day best-response dynamics over agents"
-    )
-    _add_scenario_args(p)
-    _add_output_args(p)
+    p = subs.choices["simulate"]
     # numpy's generators take no negative seed, whether or not a run uses it
     p.add_argument("--seed", type=_min_int(0), default=0, help="RNG seed (default 0)")
     p.add_argument(
@@ -124,18 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rounds", type=_min_int(1), default=10_000, help="round limit (default 10000)"
     )
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser(
-        "table2", help="five-scenario toll/charging-value comparison"
-    )
-    _add_output_args(p)
-    p.set_defaults(func=cmd_table2)
-
-    p = subs.add_parser(
-        "fig2", help="threshold-SoC surface over toll price and charging value"
-    )
-    _add_output_args(p)
+    p = subs.choices["fig2"]
     p.add_argument(
         "--prices",
         default="0:500:51",
@@ -148,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VALUES",
         help="charging values: same syntax (default 10:300:30)",
     )
-    p.set_defaults(func=cmd_fig2)
     return parser
 
 

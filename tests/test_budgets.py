@@ -1,4 +1,5 @@
-"""Work budgets: map evaluations per _root call, by stage, on seeded pools.
+"""Work budgets: map evaluations per _root call, by stage, on seeded
+pools, and Python calls into erstoll per benchmark-like op.
 
 Counts are deterministic where timings on a shared host are not, so a
 change to the root-finder cites them.  Each budget is the count measured
@@ -6,16 +7,21 @@ when it was set; a change that lowers a count lowers its budget, and one
 that raises it records why.
 """
 
+import os
 import random
+import sys
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from conftest import recorded_roots, steep_scenario
 from test_reference import STEEP_CASES
 
-from erstoll.analysis import min_total_travel_time
-from erstoll.equilibrium import solve
-from erstoll.harness import solve_row
+import erstoll
+from erstoll import dynamics, equilibrium
+from erstoll.analysis import min_total_travel_time, toll_bands
+from erstoll.equilibrium import brute_force_equilibrium, solve
+from erstoll.harness import apply_overrides, run_sweep, solve_row, table1_scenario
 from erstoll.model import FixedToll, LinkParams, Network, Preferences, Scenario, UniformContinuum
 
 # mean map evaluations per returned _root call by stage, over solve_row
@@ -29,6 +35,17 @@ ROOT_BUDGETS = {
 # map evaluations of solve on the steep repros (test_reference.STEEP_CASES)
 STEEP_N355_BUDGET = 146
 STEEP_CFG_BUDGET = 65
+# Python-level calls into erstoll per op (count_calls): the sweep on a
+# cold balanced-flow memo, each toll_bands call on a warm one, and a
+# simulate op (simulate_op) from each start
+CALL_BUDGETS = {
+    "solve_row over pool()": 139_098,
+    "100-cell twin-link sweep": 4_892,
+    "toll_bands r 0.2": 16,
+    "toll_bands r 0.7": 29,
+    "simulate, random start": 181,
+    "simulate, all on link 2": 145,
+}
 
 
 def pool(seed=1, size=2000):
@@ -95,3 +112,71 @@ def test_root_evaluations_per_stage_stay_within_budget():
 def test_steep_solves_stay_within_budget(cases, budget):
     counts = count_evaluations([lambda case=case: solve(steep_scenario(*case)) for case in cases])
     assert sum(evaluations for evaluations, _ in counts.values()) <= budget
+
+
+def count_calls(call):
+    """Run call; returns its number of sys.setprofile "call" events in
+    code under the erstoll package, leaving out code whose name starts
+    with "<" (comprehensions, which Python 3.12 inlines, and generator
+    expressions)."""
+    home = os.path.dirname(erstoll.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(home) and code.co_name[0] != "<":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def simulate_op(initial, seed=1, n_total=3000):
+    """A simulate op as the benchmark runs it: the bundled scenario at N
+    with link capacity N/3, sequential dynamics, then the oracle."""
+    base = table1_scenario()
+    link1, link2 = (
+        replace(link, capacity=n_total / 3) for link in (base.network.link1, base.network.link2)
+    )
+    scenario = replace(
+        base,
+        total_vehicles=float(n_total),
+        soc=replace(base.soc, mass=base.dwpt_ratio * n_total),
+        network=Network(link1, link2),
+    )
+
+    def op():
+        d = dynamics.discretize_scenario(scenario)
+        agents = dynamics.agents_from_scenario(d, initial=initial, seed=seed)
+        dynamics.run(agents, d.network, d.prefs, d.toll)
+        brute_force_equilibrium(d)
+
+    return op
+
+
+def test_calls_per_op_stay_within_budget():
+    base = table1_scenario()
+    scenarios = pool()
+    axes = [
+        ("toll.price", (0.0, 100.0, 200.0, 300.0, 400.0)),
+        ("prefs.voe", (50.0, 100.0, 150.0, 200.0, 250.0)),
+        ("dwpt_ratio", (0.2, 0.4, 0.6, 0.8)),
+    ]
+    counts = {"solve_row over pool()": count_calls(lambda: [solve_row(s) for s in scenarios])}
+    equilibrium._balance = (None, None, None)
+    counts["100-cell twin-link sweep"] = count_calls(lambda: run_sweep(base, axes))
+    for ratio in (0.2, 0.7):
+        scenario = apply_overrides(base, {"dwpt_ratio": ratio})
+        toll_bands(scenario)
+        counts[f"toll_bands r {ratio}"] = count_calls(lambda: toll_bands(scenario))
+    counts["simulate, random start"] = count_calls(simulate_op("random"))
+    counts["simulate, all on link 2"] = count_calls(simulate_op("all_link2"))
+    assert set(counts) == set(CALL_BUDGETS)
+    over = {what: (n, CALL_BUDGETS[what]) for what, n in counts.items() if n > CALL_BUDGETS[what]}
+    assert not over, over

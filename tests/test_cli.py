@@ -680,6 +680,35 @@ def test_simulate_starts_numpy_with_one_blas_thread(preset, expected, tmp_path):
         assert threads == "1"
 
 
+# In a fresh interpreter: each subcommand with its defaults (the bundled
+# preset where it reads a scenario), then whether numpy and scipy are
+# loaded.  Only simulate loads numpy, and no
+# subcommand loads scipy.
+SUBCOMMAND_MODULES = """
+import contextlib, io, sys
+from erstoll.cli import main
+
+for argv in (
+    ["solve"], ["sweep", "--axis", "toll.price=0:400:5"], ["bands"], ["table2"], ["fig2"],
+    ["simulate", "--rounds", "5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(argv[0], "numpy" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+def test_only_simulate_loads_numpy_and_none_loads_scipy(tmp_path):
+    assert run_python(["-c", textwrap.dedent(SUBCOMMAND_MODULES)], tmp_path).splitlines() == [
+        "solve False False",
+        "sweep False False",
+        "bands False False",
+        "table2 False False",
+        "fig2 False False",
+        "simulate True False",
+    ]
+
+
 class TestParserBehavior:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -691,3 +720,92 @@ class TestParserBehavior:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "solve" in capsys.readouterr().out
+
+
+# Every parser's definition, as data: (option strings, dest, default,
+# choices, metavar, required, help) for each action in order.  Data, not
+# --help text, which argparse words differently across Python versions.
+HELP_ARG = (("-h", "--help"), "help", "==SUPPRESS==", None, None, False,
+            "show this help message and exit")
+SCENARIO_ARGS = (
+    (("--scenario",), "scenario", "table1.cfg", None, None, False,
+     "scenario file path or bundled preset name (default table1.cfg)"),
+    (("--set",), "overrides", [], None, "PATH=VALUE", False,
+     "override a scenario value, e.g. toll.price=150 (paths: toll.price, "
+     "prefs.vot, prefs.voe, dwpt_ratio, soc.s_lo, soc.s_hi)"),
+)
+OUTPUT_ARGS = (
+    (("--output",), "output", None, None, None, False, "write machine output to this file"),
+    (("--format",), "format", "csv", ("csv", "structured-text"), None, False,
+     "machine output format (default csv)"),
+)
+PARSERS = {  # name: (help, handler name, actions after --help)
+    "solve": ("equilibrium of one scenario", "cmd_solve", (*SCENARIO_ARGS, *OUTPUT_ARGS)),
+    "sweep": ("solve a grid of scenario overrides", "cmd_sweep", (
+        *SCENARIO_ARGS, *OUTPUT_ARGS,
+        (("--axis",), "axis", None, None, "PATH=VALUES", True,
+         "sweep axis: PATH=v1,v2,... or PATH=start:stop:count "
+         "(repeatable; later axes vary fastest)"),
+    )),
+    "bands": ("toll-price bands by resulting pattern", "cmd_bands",
+              (*SCENARIO_ARGS, *OUTPUT_ARGS)),
+    "simulate": ("day-to-day best-response dynamics over agents", "cmd_simulate", (
+        *SCENARIO_ARGS, *OUTPUT_ARGS,
+        (("--seed",), "seed", 0, None, None, False, "RNG seed (default 0)"),
+        (("--initial",), "initial", "all_link2",
+         ("all_link2", "all_link1", "random", "balanced"), None, False,
+         "starting assignment (default all_link2)"),
+        (("--order",), "order", "sequential", ("sequential", "random"), None, False,
+         "agent update order per round (default sequential)"),
+        (("--rounds",), "rounds", 10_000, None, None, False, "round limit (default 10000)"),
+    )),
+    "table2": ("five-scenario toll/charging-value comparison", "cmd_table2", OUTPUT_ARGS),
+    "fig2": ("threshold-SoC surface over toll price and charging value", "cmd_fig2", (
+        *OUTPUT_ARGS,
+        (("--prices",), "prices", "0:500:51", None, "VALUES", False,
+         "toll prices: v1,v2,... or start:stop:count (default 0:500:51)"),
+        (("--voes",), "voes", "10:300:30", None, "VALUES", False,
+         "charging values: same syntax (default 10:300:30)"),
+    )),
+}
+
+
+def action_data(parser):
+    return [
+        (tuple(a.option_strings), a.dest, a.default,
+         None if a.choices is None else tuple(a.choices), a.metavar, a.required, a.help)
+        for a in parser._actions
+    ]
+
+
+def test_every_parser_keeps_its_definition():
+    parser = cli.build_parser()
+    assert (parser.prog, parser.description) == ("erstoll", "Command-line front end.")
+    subs = parser._actions[1]
+    assert action_data(parser) == [
+        HELP_ARG, ((), "command", None, tuple(PARSERS), None, True, None)
+    ]
+    assert [(a.dest, a.help) for a in subs._choices_actions] == [
+        (name, help) for name, (help, _, _) in PARSERS.items()
+    ]
+    for name, (_, handler, actions) in PARSERS.items():
+        sub = subs.choices[name]
+        assert sub.prog == f"erstoll {name}"
+        assert sub.get_default("func") is getattr(cli, handler)
+        assert action_data(sub) == [HELP_ARG, *actions], name
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep"], "the following arguments are required: --axis"),
+    (["simulate", "--rounds", "0"], "argument --rounds: must be >= 1, got 0"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["fig2", "--scenario", "x"], "unrecognized arguments: --scenario x"),
+    (["solve", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ([], "the following arguments are required: command"),
+    (["table2", "--set", "a=1"], "unrecognized arguments: --set a=1"),
+], ids=["sweep-no-axis", "rounds-0", "bogus", "fig2-scenario", "format-xml", "none", "table2-set"])
+def test_usage_errors_name_their_flag_or_command(argv, named, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named}") and captured.err.count("\n") == 1
