@@ -2,12 +2,13 @@
 
 Subcommands: solve, sweep, bands, simulate, table2, fig2.  Exit codes:
 0 success, 1 validation or parse error, 2 numerical failure.  Each
-subcommand makes one table of machine output, in the --format chosen
-(CSV or its structured-text twin), and a human summary.  With --output
-the table goes to that file and the summary to standard output.  Without
-it, solve writes no table, only its summary to standard output; every
-other subcommand writes the table to standard output and moves the
-summary to stderr, so pipes stay clean.
+subcommand's handler returns one table of machine output, as
+harness.write_table's (columns, rows), and a human summary's lines, and
+main writes them, the table in the --format chosen (CSV or its
+structured-text twin).  With --output the table goes to that file and
+the summary to standard output.  Without it, solve writes no table, only
+its summary to standard output; every other subcommand writes the table
+to standard output and moves the summary to stderr, so pipes stay clean.
 """
 
 from __future__ import annotations
@@ -206,33 +207,11 @@ def _load_scenario(args):
     return harness.apply_overrides(scenario, overrides)
 
 
-def _emit(args, write_machine, summary_lines: list[str]) -> None:
-    """Route machine output and summary per the module docstring;
-    write_machine(stream, fmt) writes the table in the chosen format."""
-    if args.output:
-        with open(args.output, "w", newline="") as stream:
-            write_machine(stream, args.format)
-        for line in summary_lines:
-            print(line)
-        print(f"wrote {args.output}")
-    else:
-        for line in summary_lines:
-            print(line, file=sys.stderr)
-        write_machine(sys.stdout, args.format)
-
-
-def _result_rows(rows):
-    # looked up at each call, so that a profiler that wraps them sees them
-    return lambda stream, fmt: (
-        harness.rows_to_csv if fmt == "csv" else harness.rows_to_yaml
-    )(rows, stream)
-
-
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     scenario = _load_scenario(args)
     result, regime = solve(scenario)
     row = harness.result_row(scenario, result)
-    lines = [
+    return harness.result_table([row]), [
         f"pattern          {row.pattern}",
         f"regime           {regime.value}",
         f"s_thres          {result.s_thres:.4f}",
@@ -250,15 +229,9 @@ def cmd_solve(args) -> int:
         f"conventional_so  {'true' if row.conventional_so else 'false'}",
         f"ers_optimum      {'true' if row.ers_optimum else 'false'}",
     ]
-    if args.output:
-        _emit(args, _result_rows([row]), lines)
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     scenario = _load_scenario(args)
     axes = _read_paths(
         args.axis,
@@ -268,20 +241,18 @@ def cmd_sweep(args) -> int:
     )
     rows = harness.run_sweep(scenario, axes.items())
     failed = sum(1 for r in rows if r.error)
-    summary = [f"sweep: {len(rows)} cells, {failed} failed"]
-    _emit(args, _result_rows(rows), summary)
-    return EXIT_OK
+    return harness.result_table(rows), [f"sweep: {len(rows)} cells, {failed} failed"]
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args):
     bands = analysis.toll_bands(_load_scenario(args))
-    summary = [f"{b.pattern.value:<8} [{b.c_low:.4f}, {b.c_high:.4f})" for b in bands]
     rows = [(b.pattern.value, b.c_low, b.c_high) for b in bands]
-    _emit(args, functools.partial(harness.write_table, _BANDS, rows), summary)
-    return EXIT_OK
+    return (_BANDS, rows), [
+        f"{b.pattern.value:<8} [{b.c_low:.4f}, {b.c_high:.4f})" for b in bands
+    ]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     """Simulate the scenario and compare its last round with solve.
 
     numpy loads for this subcommand only, with one BLAS thread: the
@@ -309,25 +280,22 @@ def cmd_simulate(args) -> int:
     )
     result, _ = solve(scenario)
     last = traj.snapshots[-1]
-    summary = [
+    return (_SIMULATE, traj.snapshots), [
         f"converged        {'true' if traj.converged else 'false'}",
         f"rounds           {traj.terminal_round}",
         f"switches         {traj.total_switches}",
         f"final x1_d       {last.x1_d} (solver {result.x1_d:.4f})",
         f"final x1_o       {last.x1_o} (solver {result.x1_o:.4f})",
     ]
-    _emit(args, functools.partial(harness.write_table, _SIMULATE, traj.snapshots), summary)
-    return EXIT_OK
 
 
-def cmd_table2(args) -> int:
-    rows = harness.table2_rows()
-    summary = ["five-scenario comparison (base toll 100 JPY, voe 100 JPY)"]
-    _emit(args, _result_rows(rows), summary)
-    return EXIT_OK
+def cmd_table2(args):
+    return harness.result_table(harness.table2_rows()), [
+        "five-scenario comparison (base toll 100 JPY, voe 100 JPY)"
+    ]
 
 
-def cmd_fig2(args) -> int:
+def cmd_fig2(args):
     tolls = _named_values("argument --prices", args.prices, FixedToll)
     # at equal link times vot drops out of the threshold, so any vot serves
     prefs = _named_values(
@@ -337,9 +305,7 @@ def cmd_fig2(args) -> int:
         if not values:
             raise ConfigError(f"argument {flag}: no values")
     grid = harness.fig2_data(tolls, prefs)
-    summary = [f"threshold surface: {len(grid)} grid points"]
-    _emit(args, functools.partial(harness.write_table, _FIG2, grid), summary)
-    return EXIT_OK
+    return (_FIG2, grid), [f"threshold surface: {len(grid)} grid points"]
 
 
 def main(argv=None) -> int:
@@ -352,13 +318,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        (columns, rows), summary = args.func(args)
+        if args.output:
+            with open(args.output, "w", newline="") as stream:
+                harness.write_table(columns, rows, stream, args.format)
+            summary.append(f"wrote {args.output}")
+        table_to_stdout = not args.output and args.command != "solve"
+        for line in summary:
+            print(line, file=sys.stderr if table_to_stdout else sys.stdout)
+        if table_to_stdout:
+            harness.write_table(columns, rows, sys.stdout, args.format)
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -378,7 +378,7 @@ class _SweepKernel:
     def sweep_sorted(self, on1: np.ndarray, x1: int) -> tuple[int, float]:
         """sweep in index order, at link-1 flow x1, where the bonuses of
         the agents before tail never rise with the index and those from
-        tail on are 0: one vectorized join pass and one vectorized leave
+        tail on are 0: a windowed join search and one vectorized leave
         pass over the agents before tail, then _tail.
 
         At fixed flows a link-2 agent of bonus b joins iff

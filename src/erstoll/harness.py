@@ -52,7 +52,7 @@ per value for as long as the field it reads stays the same object.
 A result row (ResultRow) is a named tuple: the identifier (path, value)
 pairs, the RESULT_COLUMNS (read off ResultRow), then the error; a
 result table's columns find their fields by ResultRow field name
-(_result_table).
+(result_table).
 """
 
 from __future__ import annotations
@@ -503,6 +503,7 @@ def run_sweep(base: Scenario, axes) -> list[ResultRow]:
     every cell shares base's Network object, and with it one balanced
     flow and time-gap map (equilibrium._balanced).
     """
+    axes = [(path, tuple(values)) for path, values in axes]  # iterators read once
     if not axes:
         raise ValueError("sweep needs at least one axis")
     paths = [path for path, _ in axes]
@@ -658,7 +659,7 @@ _FLAGS = ("false", "true")
 _TEXT_COLUMNS = ("pattern", "conventional_so", "ers_optimum", "error")
 
 
-def _result_table(rows: list[ResultRow]) -> tuple[list, list]:
+def result_table(rows: list[ResultRow]) -> tuple[list, list]:
     """Columns and rows of a result table: identifier columns, result
     columns, trailing error.  A solved row is (*row, flag, flag): its
     fields, then the two flags as text.  Each column's field is found by
@@ -690,9 +691,9 @@ def _result_table(rows: list[ResultRow]) -> tuple[list, list]:
 
 def rows_to_csv(rows: list[ResultRow], stream) -> None:
     """Result rows as CSV."""
-    write_table(*_result_table(rows), stream, "csv")
+    write_table(*result_table(rows), stream, "csv")
 
 
 def rows_to_yaml(rows: list[ResultRow], stream) -> None:
     """Result rows as structured text: the CSV's cells, keyed by column."""
-    write_table(*_result_table(rows), stream, "structured-text")
+    write_table(*result_table(rows), stream, "structured-text")

@@ -64,6 +64,13 @@ def marginal_gap(link1: LinkParams, link2: LinkParams, n_total: float, x: Decima
     return c1 - c2, e1 + e2 + EPS * abs(c1 - c2)
 
 
+def total_travel_time(link1: LinkParams, link2: LinkParams, n_total: float, x: Decimal):
+    """x*t1(x) + (N - x)*t2(N - x), the TTT of split x."""
+    with decimal.localcontext(CONTEXT):
+        rest = Decimal(n_total) - x
+        return x * _time(link1, x)[0] + rest * _time(link2, rest)[0]
+
+
 def corner_map(scenario: Scenario, other_on_1: bool, hi: float):
     """n -> (toll - charging_value(s) + vot*(t1 - t2), its rounding
     bound) with n DWPT-EVs on link 1, and every OTHER-V on link 1

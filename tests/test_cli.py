@@ -646,6 +646,39 @@ def test_sweep_on_differing_links_solves_every_cell(tmp_path):
     assert len(rows) == 39 and all(row["error"] == "" for row in rows), rows
 
 
+ROUTED = {  # a small run of each subcommand
+    "solve": ["solve"],
+    "sweep": ["sweep", "--axis", "toll.price=0,150", "--axis", "dwpt_ratio=0.2,0.7"],
+    "bands": ["bands"],
+    "simulate": ["simulate", "--rounds", "5"],
+    "table2": ["table2"],
+    "fig2": ["fig2", "--prices", "0:500:3", "--voes", "10,100"],
+}
+
+
+@pytest.mark.parametrize("fmt", harness.TABLE_FORMATS)
+@pytest.mark.parametrize("argv", ROUTED.values(), ids=ROUTED)
+def test_output_routing(argv, fmt, tmp_path, capsys):
+    """With --output the table goes to the file, and the summary, then
+    `wrote PATH`, to stdout.  Without it, solve writes only its summary,
+    to stdout; every other subcommand writes the summary to stderr and
+    the file's bytes to stdout."""
+    path = tmp_path / "out"
+    assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+    written = capsys.readouterr()
+    *summary, wrote = written.out.splitlines(keepends=True)
+    assert (wrote, written.err) == (f"wrote {path}\n", "")
+    assert summary
+    table = path.read_bytes().decode()
+    assert table.count("\n") >= 2 if fmt == "csv" else table.startswith("- '")
+    assert main([*argv, "--format", fmt]) == 0
+    bare = capsys.readouterr()
+    if argv[0] == "solve":
+        assert (bare.out, bare.err) == ("".join(summary), "")
+    else:
+        assert (bare.out, bare.err) == (table, "".join(summary))
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # In a fresh interpreter: `erstoll simulate`, then the process's thread

@@ -478,6 +478,14 @@ class TestSweeps:
                 ),
             )
 
+    def test_iterator_axes_are_read_once(self):
+        base = table1_scenario()
+        axes = (("toll.price", (1.0, 2.0)), ("prefs.voe", (50.0, 150.0)))
+        given = iter([(path, iter(values)) for path, values in axes])
+        assert run_sweep(base, given) == run_sweep(base, axes)
+        with pytest.raises(ValueError, match="'toll.price' has no values"):
+            run_sweep(base, iter([("toll.price", iter(()))]))
+
     def test_lexicographic_order_and_identifiers(self):
         rows = run_sweep(
             base_scenario(),

@@ -1,22 +1,29 @@
 """Every root that _root returns lies within ROOT_TOL_FACTOR*N of the
 decimal reference of reference.py, on the documented domain, far outside
-it, and on steep links."""
+it, and on steep links; and metrics' conventional_so flag agrees with
+the reference system optimum's TTT."""
 
+import decimal
 from decimal import Decimal
 
 import pytest
 from conftest import recorded_roots, scenarios, steep_scenario, wide_scenarios
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import reference_root, rounding_reach, stage_map
+from reference import CONTEXT, reference_root, rounding_reach, stage_map, total_travel_time
 
-from erstoll.analysis import min_total_travel_time
+from erstoll.analysis import SO_REL_TOL, metrics, min_total_travel_time
 from erstoll.equilibrium import ROOT_TOL_FACTOR, solve, verify_equilibrium
 
 # the steep repros: N 355 with powers (10, 100), (4, 50) and (60, 2), and
 # the bundled scenario with link 2 at power 50 (free-flow time 1,
 # capacity 1 and alpha 1 on both links)
 STEEP_CASES = [(355.0, 10.0, 100.0), (355.0, 4.0, 50.0), (355.0, 60.0, 2.0), (1000.0, 4.0, 50.0)]
+
+# A draw whose equilibrium TTT lies within this fraction of the optimum
+# of the SO_REL_TOL boundary is skipped: there the float optimum's own
+# roundings, and the root's tolerance, may decide the flag.
+SO_MARGIN = Decimal("1e-9")
 
 
 def roots_of(scenario):
@@ -57,6 +64,21 @@ def misses(scenario, calls):
 @given(scn=st.one_of(scenarios(), wide_scenarios()))
 def test_roots_match_the_decimal_reference(scn):
     assert misses(scn, roots_of(scn)) == []
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(scn=scenarios())
+def test_conventional_so_matches_the_decimal_optimum(scn):
+    """conventional_so is ttt <= least*(1 + SO_REL_TOL), with least the
+    TTT at the reference root of the marginal-cost gap on [0, N]."""
+    link1, link2, n_total = scn.network.link1, scn.network.link2, scn.total_vehicles
+    found = metrics(scn, solve(scn)[0])
+    x = reference_root(stage_map(scn, "system optimum", n_total), 0.0, n_total, n_total)
+    least = total_travel_time(link1, link2, n_total, x)
+    with decimal.localcontext(CONTEXT):
+        boundary = least * (1 + Decimal(SO_REL_TOL))
+        assume(abs(Decimal(found.ttt) - boundary) > SO_MARGIN * least)
+        assert found.conventional_so == (Decimal(found.ttt) <= boundary)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
