@@ -261,8 +261,9 @@ def _balanced(network: Network, n_total: float):
     capacity, alpha and beta (_overflow).
     """
     global _balance
-    if _balance[0] is network and _balance[1] == n_total:
-        return _balance[2]
+    entry = _balance
+    if entry[0] is network and entry[1] == n_total:
+        return entry[2]
     link1, link2 = network.link1, network.link2
     time_gap = _time_gap(link1, link2, n_total)
     try:

@@ -51,8 +51,7 @@ per value for as long as the field it reads stays the same object.
 
 A result row (ResultRow) is a named tuple: the identifier (path, value)
 pairs, the RESULT_COLUMNS (read off ResultRow), then the error; a
-result table's columns find their fields by ResultRow field name
-(result_table).
+result table's solved row is its cells in column order (result_table).
 """
 
 from __future__ import annotations
@@ -626,7 +625,7 @@ def write_table(columns, rows, stream, fmt: str) -> None:
 
     The table is its columns, (name, field) pairs: a distinct word
     (_COLUMN; any other name is a ValueError) and a str.format
-    replacement field such as "{:.4f}" or "{0[1][1]:.6g}".  From them the
+    replacement field such as "{:.4f}" or "{}".  From them the
     header and one row template per format are built once per table
     (CSV: the fields joined by commas; structured text:
     `- 'name': 'field'` lines), so the two cannot differ in width.  A
@@ -661,22 +660,19 @@ _TEXT_COLUMNS = ("pattern", "conventional_so", "ers_optimum", "error")
 
 def result_table(rows: list[ResultRow]) -> tuple[list, list]:
     """Columns and rows of a result table: identifier columns, result
-    columns, trailing error.  A solved row is (*row, flag, flag): its
-    fields, then the two flags as text.  Each column's field is found by
-    its ResultRow field name, once per table: an identifier is {0[i][1]}
-    with {:.6g}, a float {:.4f}, the pattern and the empty error as they
-    are, and a flag the text after the row.  An error row's result cells
-    are blank, and it is passed as cells, since its error is free text."""
+    columns, trailing error.  A solved row is its cells in column order:
+    the identifier values, written {:.6g}, the result values, a float
+    written {:.4f} and the pattern and the two flags as text, then the
+    empty error.  An error row's result cells are blank, and it is passed
+    as cells, since its error is free text."""
     if not rows:
         raise ValueError("no rows to serialize")
     id_names = [name for name, _ in rows[0].identifiers]
     if any([name for name, _ in row.identifiers] != id_names for row in rows):
         raise ValueError("rows have inconsistent identifier columns")
-    at = {name: index for index, name in enumerate(ResultRow._fields)}
-    at.update(conventional_so=len(at), ers_optimum=len(at) + 1)  # the flags' text
-    columns = [(name, f"{{0[{i}][1]:.6g}}") for i, name in enumerate(id_names)]
+    columns = [(name, "{:.6g}") for name in id_names]
     columns += [
-        (name, f"{{{at[name]}}}" if name in _TEXT_COLUMNS else f"{{{at[name]}:.4f}}")
+        (name, "{}" if name in _TEXT_COLUMNS else "{:.4f}")
         for name in (*RESULT_COLUMNS, "error")
     ]
     blank = [""] * len(RESULT_COLUMNS)
@@ -684,8 +680,11 @@ def result_table(rows: list[ResultRow]) -> tuple[list, list]:
     for row in rows:
         if row.error:
             table.append([f"{v:.6g}" for _, v in row.identifiers] + blank + [row.error])
-        else:
-            table.append((*row, _FLAGS[row.conventional_so], _FLAGS[row.ers_optimum]))
+        else:  # row[1:-3]: the results up to the pattern, then the flags
+            table.append((
+                *[v for _, v in row.identifiers], *row[1:-3],
+                _FLAGS[row.conventional_so], _FLAGS[row.ers_optimum], "",
+            ))
     return columns, table
 
 

@@ -68,7 +68,7 @@ ORDER_POLICIES = ("sequential", "random")
 # which fails every comparison, and +-inf are rejected with the range.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkParams:
     """BPR travel-time parameters and ERS equipment for one road link."""
 
@@ -109,7 +109,7 @@ class LinkParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     """Two parallel links on one OD pair; link 1 is the ERS link."""
 
@@ -123,7 +123,7 @@ class Network:
             raise ValueError("link2 must not carry the ERS")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Preferences:
     """Money-metric taste ratios shared by the whole fleet.
 
@@ -141,7 +141,7 @@ class Preferences:
             raise ValueError(f"voe must be finite and > 0, got {self.voe}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniformContinuum:
     """SoC spread uniformly over (s_lo, s_hi) with the given total mass."""
 
@@ -176,7 +176,7 @@ class UniformContinuum:
         return self.s_lo + frac * (self.s_hi - self.s_lo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteAgents:
     """Finite set of DWPT-EV agents, one vehicle of mass 1 per SoC value.
 
@@ -209,7 +209,7 @@ class DiscreteAgents:
         return self.soc_values[k - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeToll:
     """ERS usable by anyone at no charge."""
 
@@ -218,7 +218,7 @@ class FreeToll:
         return 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixedToll:
     """Fixed price per trip for DWPT-EVs on the ERS link."""
 
@@ -233,7 +233,7 @@ class FixedToll:
         return self.price
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """One complete problem instance."""
 

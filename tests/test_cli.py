@@ -714,32 +714,45 @@ def test_simulate_starts_numpy_with_one_blas_thread(preset, expected, tmp_path):
 
 
 # In a fresh interpreter: each subcommand with its defaults (the bundled
-# preset where it reads a scenario), then whether numpy and scipy are
-# loaded.  Only simulate loads numpy, and no
-# subcommand loads scipy.
+# block-style preset where it reads a scenario), writing its table to a
+# file as CSV and as structured text, then its error cells and whether
+# numpy, scipy and PyYAML are loaded; last, a structured-text sweep with
+# a failing cell.  Only simulate loads numpy, no subcommand loads scipy,
+# and PyYAML loads only for the structured-text error row.
 SUBCOMMAND_MODULES = """
-import contextlib, io, sys
+import contextlib, csv, io, sys
 from erstoll.cli import main
+
+def error_cells(text, fmt):
+    if fmt == "csv":
+        return [row["error"] for row in csv.DictReader(io.StringIO(text)) if row.get("error")]
+    cells = [line.lstrip("- ") for line in text.splitlines()]
+    return [c for c in cells if c.startswith("'error': ") and c != "'error': ''"]
+
+def run(argv, fmt):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--format", fmt, "--output", "table"]) == 0, argv
+    with open("table") as table:
+        errors = error_cells(table.read(), fmt)
+    print(argv[0], fmt, len(errors), *(m in sys.modules for m in ("numpy", "scipy", "yaml")))
 
 for argv in (
     ["solve"], ["sweep", "--axis", "toll.price=0:400:5"], ["bands"], ["table2"], ["fig2"],
     ["simulate", "--rounds", "5"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0, argv
-    print(argv[0], "numpy" in sys.modules, "scipy" in sys.modules)
+    for fmt in ("csv", "structured-text"):
+        run(argv, fmt)
+run(["sweep", "--axis", "dwpt_ratio=0.2,1.5"], "structured-text")
 """
 
 
 def test_only_simulate_loads_numpy_and_none_loads_scipy(tmp_path):
-    assert run_python(["-c", textwrap.dedent(SUBCOMMAND_MODULES)], tmp_path).splitlines() == [
-        "solve False False",
-        "sweep False False",
-        "bands False False",
-        "table2 False False",
-        "fig2 False False",
-        "simulate True False",
-    ]
+    lines = run_python(["-c", textwrap.dedent(SUBCOMMAND_MODULES)], tmp_path).splitlines()
+    assert lines == [
+        f"{command} {fmt} 0 {command == 'simulate'} False False"
+        for command in ("solve", "sweep", "bands", "table2", "fig2", "simulate")
+        for fmt in ("csv", "structured-text")
+    ] + ["sweep structured-text 1 True False True"]
 
 
 class TestParserBehavior:

@@ -704,6 +704,26 @@ class TestBalanceMemo:
         solve(scn)
         assert len(calls) == 1
 
+    def test_an_entry_is_read_once(self, monkeypatch):
+        # another thread, or an N whose __eq__ runs Python, may rebind the
+        # memo between its key check and its return; the call must still
+        # return what the entry it checked holds
+        scn = table1_scenario()
+        network, n_total = scn.network, scn.total_vehicles
+        built = _balanced(network, n_total)
+        other = self.differing(capacity1=625.0)
+        other_entry = (other, n_total, _balanced(other, n_total))
+        assert other_entry[2][1] != built[1]
+
+        class Rebinding(tuple):
+            def __getitem__(self, index):
+                if index == 1:
+                    equilibrium._balance = other_entry
+                return super().__getitem__(index)
+
+        monkeypatch.setattr(equilibrium, "_balance", Rebinding((network, n_total, built)))
+        assert _balanced(network, n_total)[1] == built[1] == 0.5 * n_total
+
     def test_each_distinct_network_roots_its_own(self, monkeypatch):
         calls = self.balanced_flows(monkeypatch)
         for _ in range(4):

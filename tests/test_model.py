@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -344,3 +347,56 @@ class TestUtility:
         x1 = 4  # vehicles on link 1 besides it
         gain = bonus[0] - kernel.gap[x1 + 1]  # the kernel's gain for leaving link 2
         assert gain == PREFS.vot * (bpr_time(link2, 10 - x1) - bpr_time(link1, x1 + 1)) + bonus[0]
+
+
+# Every model value type keeps its fields in slots: (instance, one field's
+# replacement, the dataclass repr it had before it was slotted).
+SLOTTED = {
+    "LinkParams": (
+        lambda: ers_link(), {"capacity": 600.0},
+        "LinkParams(free_flow_time=10.0, capacity=500.0, bpr_alpha=0.15, bpr_beta=4.0, "
+        "has_ers=True, ers_power_kw=30.0)",
+    ),
+    "Network": (
+        lambda: Network(ers_link(), plain_link()), {"link2": plain_link(capacity=400.0)},
+        "Network(link1=LinkParams(free_flow_time=10.0, capacity=500.0, bpr_alpha=0.15, "
+        "bpr_beta=4.0, has_ers=True, ers_power_kw=30.0), link2=LinkParams(free_flow_time=10.0, "
+        "capacity=500.0, bpr_alpha=0.15, bpr_beta=4.0, has_ers=False, ers_power_kw=None))",
+    ),
+    "Preferences": (lambda: PREFS, {"voe": 150.0}, "Preferences(vot=50.0, voe=100.0)"),
+    "UniformContinuum": (
+        lambda: UniformContinuum(0.1, 0.9, 200.0), {"mass": 100.0},
+        "UniformContinuum(s_lo=0.1, s_hi=0.9, mass=200.0)",
+    ),
+    "DiscreteAgents": (  # replace re-sorts through __post_init__'s object.__setattr__
+        lambda: DiscreteAgents((0.5, 0.2)), {"soc_values": (0.7, 0.3)},
+        "DiscreteAgents(soc_values=(0.2, 0.5))",
+    ),
+    "FreeToll": (lambda: FreeToll(), {}, "FreeToll()"),
+    "FixedToll": (lambda: FixedToll(100.0), {"price": 50.0}, "FixedToll(price=100.0)"),
+    "Scenario": (
+        lambda: TestScenario().base(network=Network(ers_link(), plain_link(capacity=400.0))),
+        {"toll": FreeToll()},
+        "Scenario(total_vehicles=1000.0, dwpt_ratio=0.2, soc=UniformContinuum(s_lo=0.1, "
+        "s_hi=0.9, mass=200.0), prefs=Preferences(vot=50, voe=100), toll=FixedToll(price=100.0), "
+        "network=Network(link1=LinkParams(free_flow_time=10.0, capacity=500.0, bpr_alpha=0.15, "
+        "bpr_beta=4.0, has_ers=True, ers_power_kw=30.0), link2=LinkParams(free_flow_time=10.0, "
+        "capacity=400.0, bpr_alpha=0.15, bpr_beta=4.0, has_ers=False, ers_power_kw=None)))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_value_types_keep_their_fields_in_slots(name):
+    make, change, expected_repr = SLOTTED[name]
+    value = make()
+    assert type(value).__name__ == name and not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        vars(value)
+    field_values = {f.name: getattr(value, f.name) for f in fields(value)}
+    changed, copy = replace(value, **change), pickle.loads(pickle.dumps(value))
+    rebuilt = type(value)(**{**field_values, **change})
+    assert changed == rebuilt and (changed != value) == bool(change)
+    assert copy == value == make() and copy is not value
+    assert hash(copy) == hash(value) == hash(tuple(field_values.values()))
+    assert repr(copy) == repr(value) == expected_repr
