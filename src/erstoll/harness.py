@@ -59,8 +59,8 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import operator
 import re
-from dataclasses import fields
 from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
@@ -412,8 +412,7 @@ def _override(parts: tuple, path: str, value) -> tuple:
     return n_total, ratio, soc, prefs, toll, network
 
 
-def _fields(scenario: Scenario) -> tuple:
-    return tuple(getattr(scenario, f.name) for f in fields(scenario))
+_fields = operator.attrgetter(*Scenario.__slots__)  # a Scenario's field values, in order
 
 
 def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario:

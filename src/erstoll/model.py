@@ -27,6 +27,12 @@ it or its inverse threshold_soc.  Raw (un-normalised) taste coefficients
 are not representable in this model; link choice is invariant to the
 normalisation, so no behaviour is lost.
 
+The value types are plain classes with ``__slots__`` on one base,
+_Value.  Each checks its fields in ``__init__``, and compares, hashes,
+prints and pickles by them, in slot order, as a frozen dataclass does.
+dataclasses.fields, replace and asdict take them through a field table
+built on first use, so importing this module does not load dataclasses.
+
 The DWPT-EV SoC pool (UniformContinuum or DiscreteAgents) is read
 through ``total_mass`` (fleet size in vehicles), ``count_below(s)`` (mass
 with SoC strictly below s: non-decreasing, 0 at the lowest SoC, total
@@ -51,7 +57,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 
 # Indifference tolerance, in money units (JPY).  A link switch counts as
@@ -64,22 +69,82 @@ INDIFFERENCE_EPS = 1e-9
 INITIAL_ASSIGNMENTS = ("all_link2", "all_link1", "random", "balanced")
 ORDER_POLICIES = ("sequential", "random")
 
+
+class _FieldTable:
+    """A value type's ``__dataclass_fields__``, built from its
+    ``__slots__`` on first read and then kept on the type."""
+
+    def __get__(self, value, cls):
+        import dataclasses
+
+        table = dataclasses.make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+        if cls is not _Value:  # the base keeps this descriptor for every type
+            cls.__dataclass_fields__ = table
+        return table
+
+
+class _Value:
+    """Base of the value types: immutable fields, named in order by the
+    type's ``__slots__``.  Each type's ``__init__`` sets and checks them,
+    and unpickling builds through it again."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _FieldTable()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _astuple(self) == _astuple(other)
+
+    def __hash__(self):
+        return hash(_astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), _astuple(self)
+
+
+def _astuple(value: _Value) -> tuple:
+    return tuple(getattr(value, name) for name in value.__slots__)
+
+
+_set = object.__setattr__  # how each __init__ sets a field past _Value.__setattr__
+
+
 # Range checks below are written as "not (lo < x < math.inf)" so that NaN,
 # which fails every comparison, and +-inf are rejected with the range.
 
 
-@dataclass(frozen=True, slots=True)
-class LinkParams:
+class LinkParams(_Value):
     """BPR travel-time parameters and ERS equipment for one road link."""
 
-    free_flow_time: float
-    capacity: float
-    bpr_alpha: float = 0.15
-    bpr_beta: float = 4.0
-    has_ers: bool = False
-    ers_power_kw: float | None = None
+    __slots__ = ("free_flow_time", "capacity", "bpr_alpha", "bpr_beta", "has_ers",
+                 "ers_power_kw")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        free_flow_time: float,
+        capacity: float,
+        bpr_alpha: float = 0.15,
+        bpr_beta: float = 4.0,
+        has_ers: bool = False,
+        ers_power_kw: float | None = None,
+    ):
+        _set(self, "free_flow_time", free_flow_time)
+        _set(self, "capacity", capacity)
+        _set(self, "bpr_alpha", bpr_alpha)
+        _set(self, "bpr_beta", bpr_beta)
+        _set(self, "has_ers", has_ers)
+        _set(self, "ers_power_kw", ers_power_kw)
         if not (0 < self.free_flow_time < math.inf):
             raise ValueError(
                 f"free_flow_time must be finite and > 0, got {self.free_flow_time}"
@@ -109,47 +174,47 @@ class LinkParams:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Network:
+class Network(_Value):
     """Two parallel links on one OD pair; link 1 is the ERS link."""
 
-    link1: LinkParams
-    link2: LinkParams
+    __slots__ = ("link1", "link2")
 
-    def __post_init__(self):
+    def __init__(self, link1: LinkParams, link2: LinkParams):
+        _set(self, "link1", link1)
+        _set(self, "link2", link2)
         if not self.link1.has_ers:
             raise ValueError("link1 must carry the ERS")
         if self.link2.has_ers:
             raise ValueError("link2 must not carry the ERS")
 
 
-@dataclass(frozen=True, slots=True)
-class Preferences:
+class Preferences(_Value):
     """Money-metric taste ratios shared by the whole fleet.
 
     vot: JPY per minute of travel time.
     voe: JPY per unit of charging utility (1/soc - 1).
     """
 
-    vot: float
-    voe: float
+    __slots__ = ("vot", "voe")
 
-    def __post_init__(self):
+    def __init__(self, vot: float, voe: float):
+        _set(self, "vot", vot)
+        _set(self, "voe", voe)
         if not (0 < self.vot < math.inf):
             raise ValueError(f"vot must be finite and > 0, got {self.vot}")
         if not (0 < self.voe < math.inf):
             raise ValueError(f"voe must be finite and > 0, got {self.voe}")
 
 
-@dataclass(frozen=True, slots=True)
-class UniformContinuum:
+class UniformContinuum(_Value):
     """SoC spread uniformly over (s_lo, s_hi) with the given total mass."""
 
-    s_lo: float
-    s_hi: float
-    mass: float
+    __slots__ = ("s_lo", "s_hi", "mass")
 
-    def __post_init__(self):
+    def __init__(self, s_lo: float, s_hi: float, mass: float):
+        _set(self, "s_lo", s_lo)
+        _set(self, "s_hi", s_hi)
+        _set(self, "mass", mass)
         if not (0.0 < self.s_lo < 1.0):
             raise ValueError(f"s_lo must be in (0,1), got {self.s_lo}")
         if not (0.0 < self.s_hi < 1.0):
@@ -176,26 +241,25 @@ class UniformContinuum:
         return self.s_lo + frac * (self.s_hi - self.s_lo)
 
 
-@dataclass(frozen=True, slots=True)
-class DiscreteAgents:
+class DiscreteAgents(_Value):
     """Finite set of DWPT-EV agents, one vehicle of mass 1 per SoC value.
 
     soc_values is held in ascending order, whatever order it is given in,
     so pools of the same SoCs compare equal.
     """
 
-    soc_values: tuple[float, ...]
+    __slots__ = ("soc_values",)
 
-    def __post_init__(self):
-        if not self.soc_values:
+    def __init__(self, soc_values: tuple[float, ...]):
+        if not soc_values:
             raise ValueError("soc_values must be non-empty")
-        values = tuple(sorted(self.soc_values))
+        values = tuple(sorted(soc_values))
         # the ends bound every value but a nan, which makes the sum nan
         if not (0.0 < values[0] and values[-1] < 1.0 and math.isfinite(sum(values))):
-            for v in self.soc_values:  # name the first bad value in the given order
+            for v in soc_values:  # name the first bad value in the given order
                 if not (0.0 < v < 1.0):
                     raise ValueError(f"every SoC must be in (0,1), got {v}")
-        object.__setattr__(self, "soc_values", values)
+        _set(self, "soc_values", values)
 
     @property
     def total_mass(self) -> float:
@@ -209,22 +273,23 @@ class DiscreteAgents:
         return self.soc_values[k - 1]
 
 
-@dataclass(frozen=True, slots=True)
-class FreeToll:
+class FreeToll(_Value):
     """ERS usable by anyone at no charge."""
+
+    __slots__ = ()
 
     @property
     def dwpt_link1_charge(self) -> float:
         return 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class FixedToll:
+class FixedToll(_Value):
     """Fixed price per trip for DWPT-EVs on the ERS link."""
 
-    price: float
+    __slots__ = ("price",)
 
-    def __post_init__(self):
+    def __init__(self, price: float):
+        _set(self, "price", price)
         if not (0 <= self.price < math.inf):
             raise ValueError(f"toll price must be finite and >= 0, got {self.price}")
 
@@ -233,18 +298,26 @@ class FixedToll:
         return self.price
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(_Value):
     """One complete problem instance."""
 
-    total_vehicles: float
-    dwpt_ratio: float
-    soc: UniformContinuum | DiscreteAgents
-    prefs: Preferences
-    toll: FreeToll | FixedToll
-    network: Network
+    __slots__ = ("total_vehicles", "dwpt_ratio", "soc", "prefs", "toll", "network")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        total_vehicles: float,
+        dwpt_ratio: float,
+        soc: UniformContinuum | DiscreteAgents,
+        prefs: Preferences,
+        toll: FreeToll | FixedToll,
+        network: Network,
+    ):
+        _set(self, "total_vehicles", total_vehicles)
+        _set(self, "dwpt_ratio", dwpt_ratio)
+        _set(self, "soc", soc)
+        _set(self, "prefs", prefs)
+        _set(self, "toll", toll)
+        _set(self, "network", network)
         check_fleet(self.total_vehicles, self.dwpt_ratio)
         expected = self.dwpt_ratio * self.total_vehicles
         if abs(self.soc.total_mass - expected) > 1e-9 * expected:

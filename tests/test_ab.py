@@ -1,5 +1,6 @@
-"""tools/ab.py: the A/B benchmark script's parsing of a perfbench run and its pair
-statistics (wins, ties, quartiles and the verdict rule)."""
+"""tools/ab.py: the A/B benchmark script's parsing of a perfbench run, its pair
+statistics (wins, ties, quartiles and the verdict rule) and its command-line
+timings, on fixed figures and a stand-in for subprocess.run."""
 
 import importlib.util
 from pathlib import Path
@@ -105,3 +106,46 @@ def test_every_run_writes_no_bytecode(monkeypatch, tmp_path):
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     assert ab.run_side(tmp_path, "bands", 1, 12)["ok"] is False
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1" and seen["cwd"] == tmp_path
+
+
+def test_each_command_line_time_goes_through_the_verdict_rule():
+    rounds = range(11)
+    times = {
+        "base": {"pass": [60.0 + i for i in rounds], "solve": [90.0 + i for i in rounds]},
+        "change": {"pass": [60.5 + i for i in rounds], "solve": [75.0 + i for i in rounds]},
+    }
+    cli = ab.summarize_cli(times)
+    assert list(cli) == ["cli.pass_ms", "cli.solve_ms"]
+    assert cli["cli.pass_ms"]["wins"] == {"base": 11, "change": 0}
+    assert cli["cli.pass_ms"]["verdict"] == "none"  # every round, but inside the spread
+    assert cli["cli.solve_ms"]["base"] == {"median": 95.0, "q1": 92.5, "q3": 97.5}
+    assert cli["cli.solve_ms"]["verdict"] == "change"
+    times["change"]["solve"][:2] = [200.0, 200.0]  # 9 of 11 rounds is short of nine tenths
+    assert ab.summarize_cli(times)["cli.solve_ms"]["verdict"] == "none"
+
+
+def test_command_lines_alternate_sides_on_each_tree_with_no_blas_setting(monkeypatch, tmp_path):
+    trees = {side: tmp_path / side for side in ab.SIDES}
+    calls = []
+
+    def fake_run(command, cwd, env, stdout, stderr):
+        calls.append((cwd, command[1:]))
+        assert command[0] == ab.sys.executable and stdout is stderr
+        assert env["PYTHONPATH"] == str(cwd / "src") and env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert not set(ab.BLAS_VARIABLES) & set(env)
+        return type("Proc", (), {"returncode": 0})()
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    times = ab.time_cli(trees)
+    assert {len(t) for side in ab.SIDES for t in times[side].values()} == {ab.CLI_ROUNDS}
+    per_round = 2 * len(ab.CLI_COMMANDS)
+    assert calls[:2] == [(trees["base"], ["-c", "pass"]), (trees["change"], ["-c", "pass"])]
+    assert calls[per_round:per_round + 2] == [
+        (trees["change"], ["-c", "pass"]), (trees["base"], ["-c", "pass"])
+    ]
+    assert calls[2] == (trees["base"], ["-m", "erstoll.cli", "solve"])
+    monkeypatch.setattr(ab.subprocess, "run",
+                        lambda *a, **k: type("Proc", (), {"returncode": 2})())
+    with pytest.raises(SystemExit, match="exited with status 2"):
+        ab.time_command(tmp_path, ["-c", "pass"], None)

@@ -734,7 +734,8 @@ def run(argv, fmt):
         assert main([*argv, "--format", fmt, "--output", "table"]) == 0, argv
     with open("table") as table:
         errors = error_cells(table.read(), fmt)
-    print(argv[0], fmt, len(errors), *(m in sys.modules for m in ("numpy", "scipy", "yaml")))
+    modules = ("numpy", "scipy", "yaml", "dataclasses", "inspect")
+    print(argv[0], fmt, len(errors), *(m in sys.modules for m in modules))
 
 for argv in (
     ["solve"], ["sweep", "--axis", "toll.price=0:400:5"], ["bands"], ["table2"], ["fig2"],
@@ -748,11 +749,19 @@ run(["sweep", "--axis", "dwpt_ratio=0.2,1.5"], "structured-text")
 
 def test_only_simulate_loads_numpy_and_none_loads_scipy(tmp_path):
     lines = run_python(["-c", textwrap.dedent(SUBCOMMAND_MODULES)], tmp_path).splitlines()
+    # dynamics, which only simulate imports, is the one module that loads
+    # dataclasses (and through it inspect)
     assert lines == [
         f"{command} {fmt} 0 {command == 'simulate'} False False"
+        + f" {command == 'simulate'}" * 2
         for command in ("solve", "sweep", "bands", "table2", "fig2", "simulate")
         for fmt in ("csv", "structured-text")
-    ] + ["sweep structured-text 1 True False True"]
+    ] + ["sweep structured-text 1 True False True True True"]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    code = "import sys, erstoll, erstoll.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    assert run_python(["-c", code], tmp_path) == "set()\n"
 
 
 class TestParserBehavior:

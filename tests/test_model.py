@@ -1,5 +1,6 @@
+import inspect
 import pickle
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ class TestUtility:
 
 
 # Every model value type keeps its fields in slots: (instance, one field's
-# replacement, the dataclass repr it had before it was slotted).
+# replacement, the repr it had as a dataclass).
 SLOTTED = {
     "LinkParams": (
         lambda: ers_link(), {"capacity": 600.0},
@@ -368,7 +369,7 @@ SLOTTED = {
         lambda: UniformContinuum(0.1, 0.9, 200.0), {"mass": 100.0},
         "UniformContinuum(s_lo=0.1, s_hi=0.9, mass=200.0)",
     ),
-    "DiscreteAgents": (  # replace re-sorts through __post_init__'s object.__setattr__
+    "DiscreteAgents": (  # replace re-sorts through __init__
         lambda: DiscreteAgents((0.5, 0.2)), {"soc_values": (0.7, 0.3)},
         "DiscreteAgents(soc_values=(0.2, 0.5))",
     ),
@@ -385,6 +386,9 @@ SLOTTED = {
     ),
 }
 
+# the only constructor defaults
+LINK_DEFAULTS = {"bpr_alpha": 0.15, "bpr_beta": 4.0, "has_ers": False, "ers_power_kw": None}
+
 
 @pytest.mark.parametrize("name", sorted(SLOTTED))
 def test_value_types_keep_their_fields_in_slots(name):
@@ -400,3 +404,16 @@ def test_value_types_keep_their_fields_in_slots(name):
     assert copy == value == make() and copy is not value
     assert hash(copy) == hash(value) == hash(tuple(field_values.values()))
     assert repr(copy) == repr(value) == expected_repr
+    defaults = LINK_DEFAULTS if name == "LinkParams" else {}
+    assert {p.name: p.default for p in inspect.signature(type(value)).parameters.values()} == {
+        field: defaults.get(field, inspect.Parameter.empty) for field in field_values
+    }
+    for field in field_values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == make() and is_dataclass(value)
+    assert asdict(value) == {
+        field: asdict(v) if is_dataclass(v) else v for field, v in field_values.items()
+    }

@@ -28,6 +28,15 @@ seeds, which side ran first, every run's correct/failed, each side's
 failed share, the seeds whose two first-pass sha256 differ, the host,
 the Python and numpy versions and the bytecode mode.
 
+Before the workloads, the command line is timed end to end on both
+trees: ``python -c pass`` as the floor, then ``python -m erstoll.cli``
+with each of its six subcommands, in 11 alternating rounds (the side that
+runs a command first alternates from round to round), each with
+PYTHONPATH=<tree>/src, the BLAS thread variables unset and the same
+PYTHONDONTWRITEBYTECODE=1, its output sent to a temporary file.  Each
+command's milliseconds go through the same rule as cli.<name>_ms.  A
+command that exits with any status but 0 stops the script.
+
 The exit status is 1 if a run failed, was not correct, or any sha256
 differs between the sides; the file is written either way.
 """
@@ -57,6 +66,19 @@ RAW_METRICS = {"raw.ops_per_s": "higher", "raw.op_p50_ms": "lower"}
 PAIRS = 10
 # every run's bytecode mode: nothing written, so neither tree is compiled ahead
 RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
+# the command line end to end: the interpreter's floor, then every subcommand
+CLI = ["-m", "erstoll.cli"]
+CLI_COMMANDS = {
+    "pass": ["-c", "pass"],
+    "solve": [*CLI, "solve"],
+    "table2": [*CLI, "table2"],
+    "bands": [*CLI, "bands"],
+    "sweep": [*CLI, "sweep", "--axis", "toll.price=0:400:30"],
+    "simulate": [*CLI, "simulate"],
+    "fig2": [*CLI, "fig2"],
+}
+CLI_ROUNDS = 11
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def git(*args: str) -> bytes:
@@ -104,6 +126,38 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         return {"seed": seed, "ok": False, "wall_s": wall_s, "stderr": proc.stderr[-2000:]}
     return {"seed": seed, "ok": True, "wall_s": wall_s, **parse_run(proc.stdout)}
+
+
+def time_command(tree: Path, argv: list[str], out) -> float:
+    """Milliseconds that `python argv` takes with the tree's src/ on its path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(RUN_ENV, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    code = subprocess.run([sys.executable, *argv], cwd=tree, env=env, stdout=out,
+                          stderr=out).returncode
+    elapsed = (time.perf_counter() - start) * 1e3
+    if code != 0:
+        raise SystemExit(f"python {' '.join(argv)} in {tree} exited with status {code}")
+    return elapsed
+
+
+def time_cli(trees: dict[str, Path]) -> dict[str, dict[str, list[float]]]:
+    """Per side and command, its CLI_ROUNDS times in milliseconds."""
+    times = {side: {name: [] for name in CLI_COMMANDS} for side in SIDES}
+    with tempfile.TemporaryFile() as out:
+        for i in range(CLI_ROUNDS):
+            for name, argv in CLI_COMMANDS.items():
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    times[side][name].append(time_command(trees[side], argv, out))
+    return times
+
+
+def summarize_cli(times: dict[str, dict[str, list[float]]]) -> dict:
+    """cli.<name>_ms per command, by the same rule as a workload metric."""
+    return {
+        f"cli.{name}_ms": compare(base, times["change"][name], "lower", len(base))
+        for name, base in times["base"].items()
+    }
 
 
 def spread(values: list[float]) -> dict:
@@ -162,10 +216,14 @@ def summarize(runs: dict[str, list[dict]], directions: dict[str, str]) -> dict:
 
 def report(workload: str, summary: dict) -> list[str]:
     failed = summary["failed_share"]
-    lines = [f"{workload}: {summary['pairs_compared']} pairs, failed share base "
-             f"{failed['base']:.3g} change {failed['change']:.3g}, sha256 differs on seeds "
-             f"{summary['sha256_mismatch'] or 'none'}"]
-    for name, m in summary["metrics"].items():
+    return [f"{workload}: {summary['pairs_compared']} pairs, failed share base "
+            f"{failed['base']:.3g} change {failed['change']:.3g}, sha256 differs on seeds "
+            f"{summary['sha256_mismatch'] or 'none'}", *metric_lines(summary["metrics"])]
+
+
+def metric_lines(metrics: dict) -> list[str]:
+    lines = []
+    for name, m in metrics.items():
         b, c = m["base"], m["change"]
         lines.append(
             f"  {name:<16} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  change "
@@ -205,6 +263,10 @@ def main(argv=None) -> int:
     bad = False
     with tempfile.TemporaryDirectory(prefix="ab-") as workdir:
         trees = make_sides(args.rev, Path(workdir))
+        times = time_cli(trees)
+        record["cli"] = {"rounds": CLI_ROUNDS, "commands": CLI_COMMANDS,
+                         "metrics": summarize_cli(times), "times_ms": times}
+        print("\n".join(["cli:", *metric_lines(record["cli"]["metrics"])]), flush=True)
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in SIDES}
             first = []
