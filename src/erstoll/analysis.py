@@ -19,8 +19,8 @@ each pattern's break point.  No band calls the solver.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .equilibrium import (
     EquilibriumResult,
@@ -51,7 +51,7 @@ class PatternLabel(Enum):
     B_ii_c3 = "B_ii_c3"
 
 
-class Metrics(NamedTuple):
+class Metrics(namedtuple("Metrics", "ttt tcv revenue conventional_so ers_optimum")):
     """System-level outcomes of one equilibrium.
 
     ttt: total travel time over both classes, vehicle-minutes.
@@ -63,20 +63,10 @@ class Metrics(NamedTuple):
       flows could raise charging.
     """
 
-    ttt: float
-    tcv: float
-    revenue: float
-    conventional_so: bool
-    ers_optimum: bool
+    __slots__ = ()
 
 
-class _Band(NamedTuple):
-    pattern: PatternLabel
-    c_low: float
-    c_high: float
-
-
-class TollBand(_Band):
+class TollBand(namedtuple("TollBand", "pattern c_low c_high")):
     """Half-open price interval [c_low, c_high) yielding one pattern.
 
     A named tuple whose every constructor, _make and _replace included,

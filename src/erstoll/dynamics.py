@@ -1,17 +1,17 @@
 """The atomic game: day-to-day best-response dynamics over discrete
 agents.
 
-The population is arrays (Population): DWPT SoCs in the pool's
-ascending order (DiscreteAgents) and a link-1 mask that sweeps update
-in place, with read-only per-agent AgentState views.  The simulator
-moves agents with one better-response kernel (_SweepKernel), which holds
-the link-1 bonuses: a sweep by index is its sorted passes, one in a
-given or random order its block scan.  It reports the exact Rosenthal
-potential from the kernel's exact travel-time tables: its time part is
-rosenthal_potential, and run subtracts the link-1 bonuses of the
-vehicles on link 1.  The brute-force oracle at
-the potential's minimum is equilibrium.brute_force_equilibrium, which
-needs no numpy.
+The population is arrays in a plain class (Population): DWPT SoCs in
+the pool's ascending order (DiscreteAgents) and a link-1 mask that
+sweeps update in place, with read-only per-agent AgentState views; the
+records (AgentState, RoundSnapshot, Trajectory) are named tuples.  The
+simulator moves agents with one better-response kernel (_SweepKernel),
+which holds the link-1 bonuses: a sweep by index is its sorted passes,
+one in a given or random order its block scan.  It reports the exact
+Rosenthal potential from the kernel's exact travel-time tables: its time
+part is rosenthal_potential, and run subtracts the link-1 bonuses of the
+vehicles on link 1.  The brute-force oracle at the potential's minimum
+is equilibrium.brute_force_equilibrium, which needs no numpy.
 
 Each round sweeps the population once in some order; an agent switches
 links when doing so improves its utility by more than INDIFFERENCE_EPS,
@@ -27,9 +27,7 @@ with a high DWPT share) that the static analysis rules out.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,21 +45,14 @@ from .model import (
 )
 
 
-class RoundSnapshot(NamedTuple):
-    round_index: int
-    x1_d: int
-    x1_o: int
-    t1: float
-    t2: float
-    switches: int
-    potential: float
+RoundSnapshot = namedtuple("RoundSnapshot", "round_index x1_d x1_o t1 t2 switches potential")
 
 
-class Trajectory(NamedTuple):
-    """Per-round history of one simulation run."""
+class Trajectory(namedtuple("Trajectory", "snapshots converged")):
+    """Per-round history of one simulation run: a tuple of RoundSnapshots
+    and whether the last round certified an equilibrium."""
 
-    snapshots: tuple[RoundSnapshot, ...]
-    converged: bool
+    __slots__ = ()
 
     @property
     def terminal_round(self) -> int:
@@ -87,7 +78,10 @@ def discretize_scenario(scenario: Scenario) -> Scenario:
     mass = (np.arange(n_dwpt) + 0.5) / n_dwpt * pool.mass
     frac = np.minimum(np.maximum(mass / pool.mass, 0.0), 1.0)
     values = pool.s_lo + frac * (pool.s_hi - pool.s_lo)
-    return replace(scenario, soc=DiscreteAgents(soc_values=tuple(values.tolist())))
+    return Scenario(
+        scenario.total_vehicles, scenario.dwpt_ratio, DiscreteAgents(tuple(values.tolist())),
+        scenario.prefs, scenario.toll, scenario.network,
+    )
 
 
 def agents_from_scenario(
@@ -484,16 +478,13 @@ class _SweepKernel:
         return gap[x1 : x1 - taken : -1] if leave else -gap[x1 + 1 : x1 + 1 + taken]
 
 
-class AgentState(NamedTuple):
+class AgentState(namedtuple("AgentState", "agent_id soc current_link")):
     """Read-only view of one vehicle of a Population; soc is None for an
     OTHER-V."""
 
-    agent_id: int
-    soc: float | None
-    current_link: int
+    __slots__ = ()
 
 
-@dataclass(eq=False)
 class Population:
     """Discrete vehicles as arrays, DWPT-EVs first, then OTHER-Vs.
 
@@ -505,12 +496,9 @@ class Population:
     yields one AgentState view per vehicle.
     """
 
-    soc: np.ndarray
-    on_link1: np.ndarray
-
-    def __post_init__(self):
-        self.soc = np.asarray(self.soc, dtype=float)
-        self.on_link1 = np.asarray(self.on_link1)
+    def __init__(self, soc, on_link1):
+        self.soc = np.asarray(soc, dtype=float)
+        self.on_link1 = np.asarray(on_link1)
         if self.on_link1.dtype != bool:
             raise ValueError(f"on_link1 must be a bool mask, got {self.on_link1.dtype}")
         if len(self.on_link1) < len(self.soc):
@@ -522,10 +510,13 @@ class Population:
                 f"SoCs must ascend: SoC {self.soc[i + 1]} at {i + 1} follows {self.soc[i]}"
             )
 
+    def __repr__(self) -> str:
+        return f"Population(soc={self.soc!r}, on_link1={self.on_link1!r})"
+
     def __len__(self) -> int:
         return len(self.on_link1)
 
-    def __iter__(self) -> Iterator[AgentState]:
+    def __iter__(self):
         socs = self.soc.tolist() + [None] * (len(self) - len(self.soc))
         for i, (s, on) in enumerate(zip(socs, self.on_link1.tolist())):
             yield AgentState(i, s, 1 if on else 2)

@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .model import (
     INDIFFERENCE_EPS, DiscreteAgents, LinkParams, Network, Scenario, bpr_time,
@@ -75,7 +75,7 @@ class RegimeTag(Enum):
     CORNER_OTHER_ON_1 = "corner_other_on_1"
 
 
-class EquilibriumResult(NamedTuple):
+class EquilibriumResult(namedtuple("EquilibriumResult", "x1_d x2_d x1_o x2_o t1 t2 s_thres")):
     """Class-level link flows and times at a user equilibrium.
 
     solve stores t1 and t2 as bpr_time at x1 and x2, the sums of the
@@ -84,13 +84,7 @@ class EquilibriumResult(NamedTuple):
     link".
     """
 
-    x1_d: float
-    x2_d: float
-    x1_o: float
-    x2_o: float
-    t1: float
-    t2: float
-    s_thres: float
+    __slots__ = ()
 
     @property
     def x1(self) -> float:

@@ -50,7 +50,7 @@ applies its own value to the scenario fields its outer level left, once
 per value for as long as the field it reads stays the same object.
 
 A result row (ResultRow) is a named tuple: the identifier (path, value)
-pairs, the RESULT_COLUMNS (read off ResultRow), then the error; a
+pairs, the RESULT_COLUMNS (which name its fields), then the error; a
 result table's solved row is its cells in column order (result_table).
 """
 
@@ -61,9 +61,9 @@ import io
 import itertools
 import operator
 import re
+from collections import namedtuple
 from numbers import Real
 from pathlib import Path
-from typing import NamedTuple
 
 from .analysis import _pattern, metrics
 from .equilibrium import ConvergenceError, EquilibriumResult, solve
@@ -434,28 +434,16 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario
 # Result rows and sweeps
 
 
-class ResultRow(NamedTuple):
+RESULT_COLUMNS = ("s_thres", "x1_d", "x2_d", "x1_o", "x2_o", "x1", "t1", "ttt", "tcv",
+                  "revenue", "pattern", "conventional_so", "ers_optimum")
+
+
+class ResultRow(namedtuple("ResultRow", ("identifiers", *RESULT_COLUMNS, "error"),
+                           defaults=(None,) * len(RESULT_COLUMNS) + ("",))):
     """One solved cell: identifier (path, value) pairs, the RESULT_COLUMNS
     in order, and the error; a row that failed has only the error."""
 
-    identifiers: tuple[tuple[str, float], ...]
-    s_thres: float | None = None
-    x1_d: float | None = None
-    x2_d: float | None = None
-    x1_o: float | None = None
-    x2_o: float | None = None
-    x1: float | None = None
-    t1: float | None = None
-    ttt: float | None = None
-    tcv: float | None = None
-    revenue: float | None = None
-    pattern: str | None = None
-    conventional_so: bool | None = None
-    ers_optimum: bool | None = None
-    error: str = ""
-
-
-RESULT_COLUMNS = ResultRow._fields[1:-1]
+    __slots__ = ()
 
 
 def result_row(

@@ -32,6 +32,8 @@ _Value.  Each checks its fields in ``__init__``, and compares, hashes,
 prints and pickles by them, in slot order, as a frozen dataclass does.
 dataclasses.fields, replace and asdict take them through a field table
 built on first use, so importing this module does not load dataclasses.
+That table is the package's one use of dataclasses: the other modules'
+result records are collections.namedtuple classes.
 
 The DWPT-EV SoC pool (UniformContinuum or DiscreteAgents) is read
 through ``total_mass`` (fleet size in vehicles), ``count_below(s)`` (mass

@@ -95,6 +95,7 @@ def test_the_change_gets_no_verdict_if_a_larger_share_of_its_ops_failed():
 
 
 def test_every_run_writes_no_bytecode(monkeypatch, tmp_path):
+    monkeypatch.setattr(ab, "git", lambda *args: b"0" * 40)  # no repository needed
     assert ab.environment("HEAD")["run_env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
     seen = {}
 

@@ -749,19 +749,34 @@ run(["sweep", "--axis", "dwpt_ratio=0.2,1.5"], "structured-text")
 
 def test_only_simulate_loads_numpy_and_none_loads_scipy(tmp_path):
     lines = run_python(["-c", textwrap.dedent(SUBCOMMAND_MODULES)], tmp_path).splitlines()
-    # dynamics, which only simulate imports, is the one module that loads
-    # dataclasses (and through it inspect)
+    # no subcommand loads dataclasses; numpy, which only simulate imports,
+    # loads inspect
     assert lines == [
-        f"{command} {fmt} 0 {command == 'simulate'} False False"
-        + f" {command == 'simulate'}" * 2
+        f"{command} {fmt} 0 {command == 'simulate'} False False False {command == 'simulate'}"
         for command in ("solve", "sweep", "bands", "table2", "fig2", "simulate")
         for fmt in ("csv", "structured-text")
-    ] + ["sweep structured-text 1 True False True True True"]
+    ] + ["sweep structured-text 1 True False True False True"]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
     code = "import sys, erstoll, erstoll.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
     assert run_python(["-c", code], tmp_path) == "set()\n"
+
+
+# Under -S, whose start-up loads neither typing nor dataclasses (a site
+# may preload typing), what each import adds of the two.
+IMPORT_ADDS = """
+import sys
+before = set(sys.modules)
+import erstoll
+print(sorted({"typing", "dataclasses"} & (set(sys.modules) - before)))
+import erstoll.cli
+print(sorted({"typing", "dataclasses"} & (set(sys.modules) - before)))
+"""
+
+
+def test_import_without_site_adds_neither_typing_nor_dataclasses(tmp_path):
+    assert run_python(["-S", "-c", IMPORT_ADDS], tmp_path) == "[]\n[]\n"
 
 
 class TestParserBehavior:

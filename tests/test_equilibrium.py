@@ -48,7 +48,7 @@ from erstoll.equilibrium import (
     solve,
     verify_equilibrium,
 )
-from erstoll.harness import run_sweep, solve_row, table1_scenario
+from erstoll.harness import ResultRow, run_sweep, solve_row, table1_scenario
 from erstoll.model import (
     DiscreteAgents,
     FixedToll,
@@ -789,19 +789,26 @@ class TestSolveDiscrete:
 
 def test_result_records_are_frozen_values():
     """EquilibriumResult, Metrics, RoundSnapshot, Trajectory, each
-    AgentState view of a population and TollBand are named tuples: they
-    print, compare and hash by their fields, survive a pickle round trip,
-    and setting a field raises AttributeError.  A TollBand prints as the
-    dataclass it was."""
+    AgentState view of a population, TollBand and a solved and a failed
+    ResultRow are named tuples: they print, compare and hash by their
+    fields, survive a pickle round trip, have no __dict__ (a subclass
+    without __slots__ = () would have one), and setting a field raises
+    AttributeError.  A TollBand prints as the dataclass it was, and so
+    does a Population."""
     scn = discrete_scenario(evenly_spaced_socs(4), n_other=6)
     result, _ = solve(scn)
     population = agents_from_scenario(scn)
     traj = run(population, scn.network, scn.prefs, scn.toll)
     band = TollBand(PatternLabel.B_i_c, 10.0, 20.0)
+    rows = (solve_row(scn, (("toll.price", 100.0),)), ResultRow((("toll.price", 1.0),), error="boom"))
     assert repr(band) == "TollBand(pattern=<PatternLabel.B_i_c: 'B_i_c'>, c_low=10.0, c_high=20.0)"
+    assert repr(Population(np.array([0.25, 0.75]), np.array([True, False, False]))) == (
+        "Population(soc=array([0.25, 0.75]), on_link1=array([ True, False, False]))"
+    )
     assert (result.x1, result.x2) == (result.x1_d + result.x1_o, result.x2_d + result.x2_o)
-    for record in (result, metrics(scn, result), traj.snapshots[-1], traj, *population, band):
-        assert isinstance(record, tuple)
+    assert rows[0].error == "" and rows[0].pattern is not None and rows[1].pattern is None
+    for record in (result, metrics(scn, result), traj.snapshots[-1], traj, *population, band, *rows):
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__")
         assert pickle.loads(pickle.dumps(record)) == record
         values = [getattr(record, name) for name in record._fields]
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, values))
